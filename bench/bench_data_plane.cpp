@@ -16,6 +16,12 @@
 //                               image -> blocks -> payload double copy)
 //   BM_PackZeroCopy           - pack_payload (single gather into the wire
 //                               buffer); byte-identical output
+//   BM_PackStride2/{0,1}      - pack_payload of kStride2Runs one-double
+//                               runs (the red/black SOR shape coalescing
+//                               cannot merge) with ASCII/binary tags:
+//                               t_tag and t_pack ns per payload, and
+//                               tags_generated per payload (exact; checked
+//                               by bench_smoke)
 //   BM_ApplyPlanCache/{0,1}   - many same-row blocks with the per-(sender,
 //                               row) conversion-plan cache off/on
 //
@@ -190,6 +196,38 @@ void BM_PackZeroCopy(benchmark::State& state) {
   state.counters["runs"] = static_cast<double>(runs.size());
 }
 BENCHMARK(BM_PackZeroCopy)->Unit(benchmark::kMillisecond);
+
+/// Runs per BM_PackStride2 payload; bench_smoke.cmake pins the counter.
+constexpr std::uint64_t kStride2Runs = 8192;
+
+void BM_PackStride2(benchmark::State& state) {
+  dsm::SyncOptions opts = lanes(1);
+  opts.binary_tags = state.range(0) != 0;
+  dsm::GlobalSpace g(
+      tags::TypeDesc::struct_of(
+          "G", {{"D", tags::TypeDesc::array(tags::t_double(),
+                                            2 * kStride2Runs)}}),
+      plat::linux_ia32());
+  dsm::ShareStats stats;
+  dsm::SyncEngine engine(g, opts, stats);
+  g.region().begin_tracking();
+  auto d = g.view<double>("D");
+  for (std::uint64_t i = 0; i < kStride2Runs; ++i) d.set(2 * i, 1.0 + i);
+  const std::vector<hdsm::idx::UpdateRun> runs = engine.collect_runs();
+  g.region().end_tracking();
+
+  for (auto _ : state) {
+    std::vector<std::byte> wire = engine.pack_payload(runs);
+    benchmark::DoNotOptimize(wire.data());
+  }
+  const auto per_payload = [&state](std::uint64_t v) {
+    return static_cast<double>(v) / static_cast<double>(state.iterations());
+  };
+  state.counters["tag_ns"] = per_payload(stats.tag_ns);
+  state.counters["pack_ns"] = per_payload(stats.pack_ns);
+  state.counters["tags_generated"] = per_payload(stats.tags_generated);
+}
+BENCHMARK(BM_PackStride2)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_ApplyPlanCache(benchmark::State& state) {
   // Many blocks re-covering the same row: with the cache on, one tag parse

@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "dsm/coherence_core.hpp"
 #include "dsm/home.hpp"
 #include "dsm/remote.hpp"
@@ -196,7 +197,9 @@ BENCHMARK(BM_CoreLockUnlock);
 BENCHMARK(BM_CoreLockContention)->Arg(4);
 BENCHMARK(BM_CoreBarrier)->Arg(3);
 BENCHMARK(BM_CoreRetransmitReplay);
-BENCHMARK(BM_HomeShellLockUnlock)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_HomeShellLockUnlock)
+    ->Apply(hdsm::bench::wall_clock)
+    ->Unit(benchmark::kMicrosecond);
 
 // Default the JSON artifact on so a bare run leaves BENCH_protocol_core.json
 // next to the binary; explicit --benchmark_out still wins.

@@ -26,11 +26,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "dsm/home.hpp"
 #include "dsm/remote.hpp"
 #include "msg/tcp.hpp"
@@ -42,10 +42,7 @@ namespace msg = hdsm::msg;
 
 namespace {
 
-bool fast_mode() {
-  const char* v = std::getenv("HDSM_BENCH_FAST");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
+using hdsm::bench::fast_mode;
 
 tags::TypePtr gthv() {
   return tags::TypeDesc::struct_of(
@@ -144,7 +141,9 @@ void register_series(const std::string& name, bool tcp,
     for (std::int64_t n : counts) b->Arg(n);
     // Fixed iteration counts: re-running the setup (N attaches, N full-
     // image grants) to calibrate timing would dwarf the measurement.
-    b->Iterations(iters)->Unit(benchmark::kMicrosecond);
+    b->Iterations(iters)
+        ->Apply(hdsm::bench::wall_clock)
+        ->Unit(benchmark::kMicrosecond);
   }
 }
 
@@ -168,12 +167,14 @@ int main(int argc, char** argv) {
       ->Iterations(fast_mode() ? 256 : 4096)
       ->Repetitions(fast_mode() ? 1 : 5)
       ->ReportAggregatesOnly(true)
+      ->Apply(hdsm::bench::wall_clock)
       ->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("BM_LatencyReactor",
                                [](benchmark::State& s) { latency(s, kReactor); })
       ->Iterations(fast_mode() ? 256 : 4096)
       ->Repetitions(fast_mode() ? 1 : 5)
       ->ReportAggregatesOnly(true)
+      ->Apply(hdsm::bench::wall_clock)
       ->Unit(benchmark::kMicrosecond);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

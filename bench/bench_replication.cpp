@@ -24,12 +24,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "dsm/replicated_home.hpp"
 #include "dsm/sharded_remote.hpp"
 
@@ -43,10 +43,7 @@ namespace {
 constexpr std::uint64_t kElems = 64;
 constexpr std::uint32_t kRemotes = 2;
 
-bool fast_mode() {
-  const char* v = std::getenv("HDSM_BENCH_FAST");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
+using hdsm::bench::fast_mode;
 
 int ops_per_remote() { return fast_mode() ? 15 : 200; }
 
@@ -156,6 +153,7 @@ void BM_UnreplicatedLockEpisodes(benchmark::State& state) {
 BENCHMARK(BM_UnreplicatedLockEpisodes)
     ->Arg(1)
     ->Arg(2)
+    ->Apply(hdsm::bench::wall_clock)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ReplicatedLockEpisodes(benchmark::State& state) {
@@ -171,6 +169,7 @@ void BM_ReplicatedLockEpisodes(benchmark::State& state) {
 BENCHMARK(BM_ReplicatedLockEpisodes)
     ->Arg(1)
     ->Arg(2)
+    ->Apply(hdsm::bench::wall_clock)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FailoverPause(benchmark::State& state) {

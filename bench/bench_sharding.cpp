@@ -25,11 +25,11 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "dsm/sharded_cluster.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -41,10 +41,7 @@ namespace {
 constexpr std::uint64_t kElems = 1024;
 constexpr std::uint32_t kRemotes = 4;
 
-bool fast_mode() {
-  const char* v = std::getenv("HDSM_BENCH_FAST");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
+using hdsm::bench::fast_mode;
 
 int ops_per_remote() { return fast_mode() ? 25 : 400; }
 
@@ -108,6 +105,7 @@ BENCHMARK(BM_DisjointLocks)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Apply(hdsm::bench::wall_clock)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ContendedLock(benchmark::State& state) {
@@ -118,6 +116,7 @@ BENCHMARK(BM_ContendedLock)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Apply(hdsm::bench::wall_clock)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MigrationPause(benchmark::State& state) {

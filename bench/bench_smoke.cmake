@@ -71,6 +71,33 @@ foreach(bin IN LISTS SMOKE_BINARIES)
   endif()
 endforeach()
 
+# BM_PackStride2 packs a fixed set of one-element runs, so its tags per
+# payload is an exact counter (kStride2Runs in bench_data_plane.cpp): the
+# SOR-shaped pack path must tag every run, once, in both tag encodings.
+set(stride2_tags 8192)
+if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
+  file(READ "${BENCH_DIR}/BENCH_data_plane.json" json)
+  string(JSON n_benchmarks LENGTH "${json}" benchmarks)
+  math(EXPR last "${n_benchmarks} - 1")
+  set(n_stride2 0)
+  foreach(i RANGE ${last})
+    string(JSON name GET "${json}" benchmarks ${i} name)
+    if(name MATCHES "^BM_PackStride2/")
+      string(JSON tags GET "${json}" benchmarks ${i} tags_generated)
+      if(NOT tags EQUAL stride2_tags)
+        message(FATAL_ERROR "bench_smoke: ${name} tags_generated=${tags}, "
+                "expected ${stride2_tags}")
+      endif()
+      math(EXPR n_stride2 "${n_stride2} + 1")
+    endif()
+  endforeach()
+  if(NOT n_stride2 EQUAL 2)
+    message(FATAL_ERROR "bench_smoke: expected 2 BM_PackStride2 entries in "
+            "BENCH_data_plane.json, found ${n_stride2}")
+  endif()
+  message(STATUS "bench_smoke: BM_PackStride2 tags_generated ok")
+endif()
+
 # bench_obs_overhead additionally exports a Chrome trace-event file and the
 # aggregated cluster metrics (written into BENCH_DIR, its working dir).
 # Validate both: the trace must parse as JSON with a non-empty traceEvents

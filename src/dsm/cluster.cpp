@@ -1,6 +1,6 @@
 #include "dsm/cluster.hpp"
 
-#include <thread>
+#include "dsm/run_ranks.hpp"
 
 namespace hdsm::dsm {
 
@@ -26,13 +26,9 @@ Cluster::Cluster(tags::TypePtr gthv, const plat::PlatformDesc& home_platform,
 void Cluster::run(const std::function<void(HomeNode&)>& master_fn,
                   const std::function<void(RemoteThread&)>& remote_fn) {
   home_->start();
-  std::vector<std::thread> threads;
-  threads.reserve(remotes_.size());
-  for (auto& remote : remotes_) {
-    threads.emplace_back([&remote, &remote_fn] { remote_fn(*remote); });
-  }
-  master_fn(*home_);
-  for (std::thread& t : threads) t.join();
+  run_ranks(
+      remotes_.size(), [&](std::size_t i) { remote_fn(*remotes_[i]); },
+      [&] { master_fn(*home_); }, [&] { home_->stop(); });
 }
 
 obs::ClusterTelemetry Cluster::telemetry() {

@@ -30,7 +30,8 @@ class Cluster {
   /// Start the home node, run `remote_fn(remote)` on one thread per remote
   /// and `master_fn(home)` on the calling thread, then join everything.
   /// `master_fn` should end with wait_all_joined(); `remote_fn` with
-  /// join().
+  /// join().  An exception on any thread is rethrown here after the join,
+  /// naming its rank (see run_ranks).
   void run(const std::function<void(HomeNode&)>& master_fn,
            const std::function<void(RemoteThread&)>& remote_fn);
 

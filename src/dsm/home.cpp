@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace hdsm::dsm {
@@ -189,7 +190,15 @@ void HomeNode::lock(std::uint32_t index) {
   // The master image is authoritative: nothing to pull on acquire.
   {
     obs::SpanScope wait(telemetry_.get(), obs::SpanKind::LockWait, index);
-    cv_.wait(lock, [this, index] { return core_.master_holds(index); });
+    cv_.wait(lock, [this, index] {
+      return stopped_ || core_.master_holds(index);
+    });
+  }
+  // stop() (e.g. a cluster run stopping the home after a rank died) ends
+  // every session, so the grant will never come.
+  if (!core_.master_holds(index)) {
+    throw std::runtime_error("home stopped while the master waited on lock " +
+                             std::to_string(index));
   }
 }
 
@@ -214,8 +223,13 @@ void HomeNode::barrier(std::uint32_t index) {
   {
     obs::SpanScope wait(telemetry_.get(), obs::SpanKind::BarrierWait, index);
     cv_.wait(lock, [this, index, gen] {
-      return core_.barrier_generation(index) != gen;
+      return stopped_ || core_.barrier_generation(index) != gen;
     });
+  }
+  if (core_.barrier_generation(index) == gen) {
+    throw std::runtime_error(
+        "home stopped while the master waited on barrier " +
+        std::to_string(index));
   }
 }
 

@@ -1,7 +1,8 @@
 #include "dsm/sharded_cluster.hpp"
 
-#include <thread>
 #include <utility>
+
+#include "dsm/run_ranks.hpp"
 
 namespace hdsm::dsm {
 
@@ -29,13 +30,9 @@ void ShardedCluster::run(
     const std::function<void(ShardedHome&)>& master_fn,
     const std::function<void(ShardedRemote&)>& remote_fn) {
   home_->start();
-  std::vector<std::thread> threads;
-  threads.reserve(remotes_.size());
-  for (auto& remote : remotes_) {
-    threads.emplace_back([&remote, &remote_fn] { remote_fn(*remote); });
-  }
-  master_fn(*home_);
-  for (std::thread& t : threads) t.join();
+  run_ranks(
+      remotes_.size(), [&](std::size_t i) { remote_fn(*remotes_[i]); },
+      [&] { master_fn(*home_); }, [&] { home_->stop(); });
 }
 
 obs::ClusterTelemetry ShardedCluster::telemetry() {

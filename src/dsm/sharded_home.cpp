@@ -17,6 +17,14 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
+/// A master wait the home can no longer satisfy: stop() ended the sessions
+/// (e.g. a cluster run stopping the home after a rank died), so the grant
+/// or barrier release it waits for will never come.
+[[noreturn]] void throw_stopped(const char* what, std::uint32_t index) {
+  throw std::runtime_error("home stopped while the master waited on " +
+                           std::string(what) + " " + std::to_string(index));
+}
+
 }  // namespace
 
 // ---- the shared data plane -------------------------------------------------
@@ -676,6 +684,7 @@ void ShardedHome::lock(std::uint32_t index) {
     Shard& sh = *shards_[s];
     std::unique_lock<std::mutex> lk(sh.mutex);
     if (owns(s, index) && sh.core.master_holds(index)) return;
+    if (stopped_.load()) throw_stopped("lock", index);
     sh.cv.wait_for(lk, std::chrono::milliseconds(1));
   }
 }
@@ -761,6 +770,7 @@ void ShardedHome::barrier(std::uint32_t index) {
     Shard& sh = *shards_[s];
     std::unique_lock<std::mutex> lk(sh.mutex);
     if (owns(s, index) && sh.core.barrier_generation(index) != gen) return;
+    if (stopped_.load()) throw_stopped("barrier", index);
     sh.cv.wait_for(lk, std::chrono::milliseconds(1));
   }
 }

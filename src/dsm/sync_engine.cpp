@@ -30,7 +30,7 @@ ParsedRunTag parse_run_tag(std::string_view text, bool binary) {
     tag = tags::Tag::from_binary(
         reinterpret_cast<const std::byte*>(text.data()), text.size());
   } else {
-    tag = tags::Tag::parse(std::string(text));
+    tag = tags::Tag::parse(text);
   }
   if (tag.items().size() != 1) {
     throw std::runtime_error("update tag must contain exactly one run");
@@ -49,12 +49,6 @@ ParsedRunTag parse_run_tag(std::string_view text, bool binary) {
       throw std::runtime_error("update tag must describe a scalar/pointer run");
   }
   return out;
-}
-
-std::string render_run_tag(const tags::Tag& tag, bool binary) {
-  if (!binary) return tag.to_string();
-  const std::vector<std::byte> bin = tag.to_binary();
-  return std::string(reinterpret_cast<const char*>(bin.data()), bin.size());
 }
 
 /// Re-arms a tracked region on scope exit — apply_payload_bulk's window
@@ -301,12 +295,16 @@ std::vector<std::byte> SyncEngine::pack_payload(
   const idx::IndexTable& table = space_.table();
 
   StopWatch watch;
-  // t_tag: generate the tag text for every run (the paper's sprintf work).
-  std::vector<std::string> tag_texts;
-  tag_texts.reserve(runs.size());
+  // t_tag: render the tag of every run (the paper's sprintf work) back to
+  // back into one arena reused across packs, so the steady state allocates
+  // nothing here; run i's tag is [tag_offs_[i], tag_offs_[i + 1]).
+  tag_arena_.clear();
+  tag_offs_.assign(1, 0);
   for (const idx::UpdateRun& run : runs) {
-    tag_texts.push_back(
-        render_run_tag(idx::run_tag(table, run), opts_.binary_tags));
+    const idx::IndexRow& row = table.rows().at(run.row);
+    tags::append_run_tag(tag_arena_, row.size, run.count, row.is_pointer(),
+                         opts_.binary_tags);
+    tag_offs_.push_back(tag_arena_.size());
   }
   const std::uint64_t tag_ns = watch.lap();
   stats_.tag_ns += tag_ns;
@@ -319,13 +317,11 @@ std::vector<std::byte> SyncEngine::pack_payload(
   // copied: the encoder appends to this same buffer only when the
   // compressed form is strictly smaller, so the raw-size reserve below
   // stays an upper bound and the no-extra-allocation property holds.
-  std::vector<std::uint64_t> offs(runs.size()), lens(runs.size());
-  std::size_t total = 4;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    offs[i] = idx::run_offset(table, runs[i]);
-    lens[i] = idx::run_byte_length(table, runs[i]);
-    total += update_block_wire_size(tag_texts[i].size(),
-                                    static_cast<std::size_t>(lens[i]));
+  // Every run's row was bounds-checked by the tag loop above.
+  std::size_t total = 4 + tag_arena_.size();
+  for (const idx::UpdateRun& run : runs) {
+    total += update_block_wire_size(
+        0, static_cast<std::size_t>(run.count * table.rows()[run.row].size));
   }
   const bool codec_on = codec_engaged();
   std::uint64_t encode_ns = 0;
@@ -336,49 +332,52 @@ std::vector<std::byte> SyncEngine::pack_payload(
   out.reserve(total);
   wire::put_u32be(out, static_cast<std::uint32_t>(runs.size()));
   const std::byte* image = space_.region().data();
+  const auto* tag_bytes =
+      reinterpret_cast<const std::byte*>(tag_arena_.data());
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    wire::put_u32be(out, runs[i].row);
-    wire::put_u64be(out, runs[i].first_elem);
+    const idx::UpdateRun& run = runs[i];
+    const idx::IndexRow& row = table.rows()[run.row];
+    const std::byte* data = image + row.offset + run.first_elem * row.size;
+    const std::uint64_t len = run.count * row.size;
+    const std::size_t tag_begin = tag_offs_[i];
+    const std::size_t tag_end = tag_offs_[i + 1];
+    const auto tag_len = static_cast<std::uint32_t>(tag_end - tag_begin);
+    wire::put_u32be(out, run.row);
+    wire::put_u64be(out, run.first_elem);
     const std::size_t tag_len_pos = out.size();
-    wire::put_u32be(out, static_cast<std::uint32_t>(tag_texts[i].size()));
+    wire::put_u32be(out, tag_len);
     const std::size_t data_len_pos = out.size();
-    wire::put_u64be(out, lens[i]);
-    const std::byte* t =
-        reinterpret_cast<const std::byte*>(tag_texts[i].data());
-    out.insert(out.end(), t, t + tag_texts[i].size());
-    bytes_raw += lens[i];
+    wire::put_u64be(out, len);
+    out.insert(out.end(), tag_bytes + tag_begin, tag_bytes + tag_end);
+    bytes_raw += len;
     bool encoded = false;
-    const idx::IndexRow& row = table.rows()[runs[i].row];
-    if (codec_on && lens[i] >= codec::kMinEncodeBytes &&
+    if (codec_on && len >= codec::kMinEncodeBytes &&
         codec::encodable_elem_size(static_cast<std::uint32_t>(row.size)) &&
         !row.is_pointer()) {
       const std::uint64_t t0 = obs::ScopedTimer::now_ns();
       const codec::EncodeResult enc =
-          codec::encode_run(image + offs[i], static_cast<std::size_t>(lens[i]),
+          codec::encode_run(data, static_cast<std::size_t>(len),
                             static_cast<std::uint32_t>(row.size), out);
       encode_ns += obs::ScopedTimer::now_ns() - t0;
       if (enc.encoded) {
         // Patch the already-written header: flag the block compressed and
         // shrink its data length to the encoded stream.
-        wire::patch_u32be(
-            out, tag_len_pos,
-            static_cast<std::uint32_t>(tag_texts[i].size()) |
-                kCompressedTagFlag);
+        wire::patch_u32be(out, tag_len_pos, tag_len | kCompressedTagFlag);
         wire::patch_u64be(out, data_len_pos, enc.bytes);
         encoded = true;
         ++coded_blocks;
         bytes_coded += enc.bytes;
-        stats_.codec_raw_bytes += lens[i];
+        stats_.codec_raw_bytes += len;
         stats_.codec_wire_bytes += enc.bytes;
       } else {
         ++stats_.codec_skipped;  // sized both predictors; raw was smaller
       }
     }
     if (!encoded) {
-      out.insert(out.end(), image + offs[i], image + offs[i] + lens[i]);
-      bytes_coded += lens[i];
+      out.insert(out.end(), data, data + len);
+      bytes_coded += len;
     }
-    stats_.update_bytes_sent += lens[i];
+    stats_.update_bytes_sent += len;
     ++stats_.updates_sent;
   }
   stats_.codec_blocks += coded_blocks;

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "adapt/tuner.hpp"
@@ -278,6 +279,10 @@ class SyncEngine {
   std::uint32_t trace_rank_ = 0;
   obs::Telemetry* obs_ = nullptr;        ///< telemetry sink (optional)
   std::uint64_t staged_objects_ = 0;     ///< see stage_episode_objects
+  /// pack_payload's t_tag output, kept across packs so rendering reuses
+  /// their capacity: every run's tag back to back, and where each starts.
+  std::string tag_arena_;
+  std::vector<std::size_t> tag_offs_;
 };
 
 /// Merge `add` into the sorted, disjoint run set `into` (row-major order,

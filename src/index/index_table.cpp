@@ -238,9 +238,4 @@ std::uint64_t run_byte_length(const IndexTable& table, const UpdateRun& run) {
   return run.count * static_cast<std::uint64_t>(row.size);
 }
 
-tags::Tag run_tag(const IndexTable& table, const UpdateRun& run) {
-  const IndexRow& row = table.rows().at(run.row);
-  return tags::make_run_tag(row.size, run.count, row.is_pointer());
-}
-
 }  // namespace hdsm::idx

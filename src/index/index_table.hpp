@@ -107,7 +107,5 @@ std::vector<UpdateRun> map_ranges_to_runs(
 std::uint64_t run_offset(const IndexTable& table, const UpdateRun& run);
 /// Byte length of a run on `table`'s platform.
 std::uint64_t run_byte_length(const IndexTable& table, const UpdateRun& run);
-/// The (m,n) tag describing a run (t_tag work).
-tags::Tag run_tag(const IndexTable& table, const UpdateRun& run);
 
 }  // namespace hdsm::idx

@@ -1,7 +1,8 @@
 #include "obj/object_dsm.hpp"
 
-#include <thread>
 #include <utility>
+
+#include "dsm/run_ranks.hpp"
 
 namespace hdsm::obj {
 
@@ -78,13 +79,9 @@ ObjectCluster::ObjectCluster(
 void ObjectCluster::run(const std::function<void(ObjectHome&)>& master_fn,
                         const std::function<void(ObjectRemote&)>& remote_fn) {
   home_->node().start();
-  std::vector<std::thread> threads;
-  threads.reserve(remotes_.size());
-  for (auto& remote : remotes_) {
-    threads.emplace_back([&remote, &remote_fn] { remote_fn(*remote); });
-  }
-  master_fn(*home_);
-  for (std::thread& t : threads) t.join();
+  dsm::run_ranks(
+      remotes_.size(), [&](std::size_t i) { remote_fn(*remotes_[i]); },
+      [&] { master_fn(*home_); }, [&] { home_->node().stop(); });
 }
 
 dsm::ShareStats ObjectCluster::total_stats() const {

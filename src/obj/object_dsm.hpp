@@ -114,7 +114,9 @@ class ObjectCluster {
 
   /// Start the home, run `remote_fn` on one thread per remote and
   /// `master_fn` on the calling thread, then join everything.  `master_fn`
-  /// should end with wait_all_joined(); `remote_fn` with join().
+  /// should end with wait_all_joined(); `remote_fn` with join().  An
+  /// exception on any thread is rethrown here after the join, naming its
+  /// rank (see dsm::run_ranks).
   void run(const std::function<void(ObjectHome&)>& master_fn,
            const std::function<void(ObjectRemote&)>& remote_fn);
 

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 namespace hdsm::tags {
@@ -14,24 +13,32 @@ bool TagItem::operator==(const TagItem& other) const {
 
 namespace {
 
-void append_item(std::ostringstream& os, const TagItem& it) {
+void append_number(std::string& out, std::uint64_t v) {
+  char buf[20];  // UINT64_MAX has 20 decimal digits
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+void append_item(std::string& out, const TagItem& it) {
+  out += '(';
   switch (it.kind) {
     case TagItem::Kind::Scalar:
-      os << '(' << it.size << ',' << it.count << ')';
-      return;
     case TagItem::Kind::Pointer:
-      os << '(' << it.size << ",-" << it.count << ')';
-      return;
+      append_number(out, it.size);
+      out += it.kind == TagItem::Kind::Pointer ? ",-" : ",";
+      append_number(out, it.count);
+      break;
     case TagItem::Kind::Padding:
-      os << '(' << it.size << ",0)";
-      return;
-    case TagItem::Kind::Aggregate: {
-      os << '(';
-      for (const TagItem& c : it.children) append_item(os, c);
-      os << ',' << it.count << ')';
-      return;
-    }
+      append_number(out, it.size);
+      out += ",0";
+      break;
+    case TagItem::Kind::Aggregate:
+      for (const TagItem& c : it.children) append_item(out, c);
+      out += ',';
+      append_number(out, it.count);
+      break;
   }
+  out += ')';
 }
 
 class Parser {
@@ -128,12 +135,17 @@ std::uint64_t item_bytes(const TagItem& it) {
 }
 
 // ---- binary codec ---------------------------------------------------------
+// Generic over the sink, so Tag::to_binary (byte vector) and append_run_tag
+// (char string) share one encoder.
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>(v & 0xff));
+template <typename Out>
+void put_u64(Out& out, std::uint64_t v) {
+  typename Out::value_type le[8];
+  for (auto& b : le) {
+    b = static_cast<typename Out::value_type>(v & 0xff);
     v >>= 8;
   }
+  out.insert(out.end(), le, le + 8);
 }
 
 std::uint64_t get_u64(const std::byte*& p, const std::byte* end) {
@@ -146,8 +158,9 @@ std::uint64_t get_u64(const std::byte*& p, const std::byte* end) {
   return v;
 }
 
-void encode_item(std::vector<std::byte>& out, const TagItem& it) {
-  out.push_back(static_cast<std::byte>(it.kind));
+template <typename Out>
+void encode_item(Out& out, const TagItem& it) {
+  out.push_back(static_cast<typename Out::value_type>(it.kind));
   put_u64(out, it.size);
   put_u64(out, it.count);
   if (it.kind == TagItem::Kind::Aggregate) {
@@ -186,9 +199,9 @@ TagItem decode_item(const std::byte*& p, const std::byte* end, int depth) {
 }  // namespace
 
 std::string Tag::to_string() const {
-  std::ostringstream os;
-  for (const TagItem& it : items_) append_item(os, it);
-  return os.str();
+  std::string out;
+  for (const TagItem& it : items_) append_item(out, it);
+  return out;
 }
 
 Tag Tag::parse(std::string_view text) {
@@ -329,6 +342,15 @@ void emit_field(std::vector<TagItem>& out, const TypeDesc& t,
   }
 }
 
+TagItem run_item(std::uint32_t elem_size, std::uint64_t count,
+                 bool is_pointer) {
+  TagItem it;
+  it.kind = is_pointer ? TagItem::Kind::Pointer : TagItem::Kind::Scalar;
+  it.size = elem_size;
+  it.count = count;
+  return it;
+}
+
 }  // namespace
 
 Tag make_tag(const TypeDesc& t, const plat::PlatformDesc& p) {
@@ -344,11 +366,18 @@ Tag make_tag(const TypeDesc& t, const plat::PlatformDesc& p) {
 
 Tag make_run_tag(std::uint32_t elem_size, std::uint64_t count,
                  bool is_pointer) {
-  TagItem it;
-  it.kind = is_pointer ? TagItem::Kind::Pointer : TagItem::Kind::Scalar;
-  it.size = elem_size;
-  it.count = count;
-  return Tag({it});
+  return Tag({run_item(elem_size, count, is_pointer)});
+}
+
+void append_run_tag(std::string& out, std::uint32_t elem_size,
+                    std::uint64_t count, bool is_pointer, bool binary) {
+  const TagItem it = run_item(elem_size, count, is_pointer);
+  if (binary) {
+    put_u64(out, 1);  // item count, as Tag::to_binary writes it
+    encode_item(out, it);
+  } else {
+    append_item(out, it);
+  }
 }
 
 Tag concat(const std::vector<Tag>& tags) {

@@ -80,6 +80,13 @@ Tag make_tag(const TypeDesc& t, const plat::PlatformDesc& p);
 Tag make_run_tag(std::uint32_t elem_size, std::uint64_t count,
                  bool is_pointer);
 
+/// Append the tag of one update run to `out` — exactly the bytes of
+/// make_run_tag(elem_size, count, is_pointer).to_string(), or of its
+/// to_binary() when `binary` — without building a Tag.  The send side
+/// renders every run of a payload through this into one reused buffer.
+void append_run_tag(std::string& out, std::uint32_t elem_size,
+                    std::uint64_t count, bool is_pointer, bool binary);
+
 /// Concatenate several run tags into one update tag.
 Tag concat(const std::vector<Tag>& tags);
 

@@ -270,6 +270,49 @@ TEST(ZeroCopyPack, PayloadByteIdenticalToGoldenEncoding) {
   }
 }
 
+TEST(ZeroCopyPack, Stride2RunsByteIdenticalToGoldenEncoding) {
+  // The red/black SOR shape: every other double dirty, so coalescing cannot
+  // merge anything and each element ships as its own (8,1) run.  Thousands
+  // of tags share the engine's render buffer; a second pack of the same
+  // runs must reuse it and come out byte-identical.
+  constexpr std::uint64_t kRuns = 4096;
+  for (const bool binary : {false, true}) {
+    dsm::SyncOptions opts;
+    opts.binary_tags = binary;
+    dsm::GlobalSpace g(
+        TypeDesc::struct_of(
+            "G", {{"D", TypeDesc::array(tags::t_double(), 2 * kRuns)}}),
+        plat::solaris_sparc32());
+    dsm::ShareStats s;
+    dsm::SyncEngine engine(g, opts, s);
+
+    g.region().begin_tracking();
+    auto d = g.view<double>("D");
+    for (std::uint64_t i = 0; i < kRuns; ++i) d.set(2 * i, 0.5 + i);
+    const auto runs = engine.collect_runs();
+    g.region().end_tracking();
+    ASSERT_EQ(runs.size(), kRuns);
+
+    const std::vector<std::byte> wire = engine.pack_payload(runs);
+    const auto blocks = dsm::decode_update_blocks(wire);
+    ASSERT_EQ(blocks.size(), kRuns);
+    const std::vector<std::byte> bin =
+        tags::make_run_tag(8, 1, false).to_binary();
+    const std::string tag =
+        binary ? std::string(reinterpret_cast<const char*>(bin.data()),
+                             bin.size())
+               : "(8,1)";
+    for (std::uint64_t i = 0; i < kRuns; ++i) {
+      EXPECT_EQ(blocks[i].first_elem, 2 * i);
+      EXPECT_EQ(blocks[i].tag, tag);
+    }
+    EXPECT_EQ(wire, dsm::encode_update_blocks(blocks))
+        << (binary ? "binary tags" : "ascii tags");
+    EXPECT_EQ(engine.pack_payload(runs), wire);
+    EXPECT_EQ(s.tags_generated, 2 * kRuns);
+  }
+}
+
 // ---- sequential / parallel equivalence -------------------------------------
 
 TEST(ParallelDataPlane, CollectMatchesSequential) {

@@ -203,12 +203,6 @@ TEST(MapRanges, RunGeometryHelpers) {
   run.count = 25;
   EXPECT_EQ(idx::run_offset(t, run), 4u + 56169u * 4 + 10 * 4);
   EXPECT_EQ(idx::run_byte_length(t, run), 100u);
-  EXPECT_EQ(idx::run_tag(t, run).to_string(), "(4,25)");
-  idx::UpdateRun pr;
-  pr.row = 0;
-  pr.first_elem = 0;
-  pr.count = 1;
-  EXPECT_EQ(idx::run_tag(t, pr).to_string(), "(4,-1)");
 }
 
 TEST(MapRanges, RandomPropertyRunsCoverExactlyTouchedElements) {

@@ -130,7 +130,9 @@ void converge_sharded(const msg::FaultOptions& fault, std::uint32_t num_shards,
     });
   }
 
-  cluster.run(
+  // A rank that dies (e.g. HomeUnreachable) fails the test with its rank
+  // named; the migrator below is still stopped and joined either way.
+  EXPECT_NO_THROW(cluster.run(
       [&](dsm::ShardedHome& home) {
         home.set_barrier_count(0, num_remotes + 1);
         home.barrier(0);
@@ -145,7 +147,7 @@ void converge_sharded(const msg::FaultOptions& fault, std::uint32_t num_shards,
         }
         remote.barrier(0);
         remote.join();
-      });
+      }));
   done.store(true);
   if (migrator.joinable()) migrator.join();
 

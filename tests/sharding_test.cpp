@@ -8,6 +8,7 @@
 #include <chrono>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -261,6 +262,51 @@ TEST(ShardedHome, OneShardBehavesLikeSingleHome) {
   EXPECT_EQ(total.pending_pulls, 0u);
   EXPECT_EQ(total.region_migrations, 0u);
   expect_valid(log, "shard 0");
+}
+
+// ---- failure containment ---------------------------------------------------
+
+TEST(ShardedCluster, RunRethrowsARemoteFailureNamingItsRank) {
+  // An exception escaping a remote thread used to reach std::terminate and
+  // kill the whole test binary.  run() must join and rethrow it instead —
+  // without hanging, although the master and rank 1 wait in a fixed-count
+  // barrier that the dead rank 2 will never enter.
+  dsm::ShardedCluster cluster(gthv(), plat::linux_ia32(),
+                              {&plat::linux_ia32(), &plat::linux_ia32()});
+  try {
+    cluster.run(
+        [](dsm::ShardedHome& home) {
+          home.set_barrier_count(0, 3);
+          home.barrier(0);
+          home.wait_all_joined();
+        },
+        [](dsm::ShardedRemote& remote) {
+          if (remote.rank() == 2) throw dsm::HomeUnreachable("lost the home");
+          remote.barrier(0);
+          remote.join();
+        });
+    FAIL() << "run() swallowed the remote's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 2: lost the home");
+    EXPECT_THROW(std::rethrow_if_nested(e), dsm::HomeUnreachable);
+  }
+}
+
+TEST(ShardedCluster, RunJoinsRemotesWhenTheMasterThrows) {
+  dsm::ShardedCluster cluster(gthv(), plat::linux_ia32(),
+                              {&plat::linux_ia32()});
+  bool remote_finished = false;
+  EXPECT_THROW(cluster.run(
+                   [](dsm::ShardedHome& home) {
+                     home.wait_all_joined();
+                     throw std::logic_error("master failed");
+                   },
+                   [&](dsm::ShardedRemote& remote) {
+                     remote.join();
+                     remote_finished = true;
+                   }),
+               std::runtime_error);
+  EXPECT_TRUE(remote_finished);  // joined before run() rethrew
 }
 
 // ---- multi-shard convergence + cross-shard release consistency -------------

@@ -294,6 +294,34 @@ TEST(Tag, RunTags) {
   EXPECT_EQ(tags::make_run_tag(8, 3, true).to_string(), "(8,-3)");
 }
 
+TEST(Tag, AppendRunTagMatchesMakeRunTag) {
+  // The send side renders run tags straight into a shared buffer; its bytes
+  // must be exactly what the Tag object path produces, in both encodings,
+  // across every digit-count boundary of the count.
+  constexpr std::uint64_t kCounts[] = {
+      1, 9, 10, 99, 100, (1ull << 32) - 1, 1ull << 32, UINT64_MAX};
+  for (const std::uint32_t size : {1u, 2u, 4u, 8u, 12u, 16u}) {
+    for (const std::uint64_t count : kCounts) {
+      for (const bool pointer : {false, true}) {
+        const tags::Tag tag = tags::make_run_tag(size, count, pointer);
+        const std::vector<std::byte> bin = tag.to_binary();
+        std::string text = "prefix";
+        tags::append_run_tag(text, size, count, pointer, /*binary=*/false);
+        EXPECT_EQ(text, "prefix" + tag.to_string());
+        std::string binary = "prefix";
+        tags::append_run_tag(binary, size, count, pointer, /*binary=*/true);
+        EXPECT_EQ(binary,
+                  "prefix" + std::string(reinterpret_cast<const char*>(
+                                             bin.data()),
+                                         bin.size()));
+      }
+    }
+  }
+  std::string max;
+  tags::append_run_tag(max, 16, UINT64_MAX, true, false);
+  EXPECT_EQ(max, "(16,-18446744073709551615)");
+}
+
 TEST(Tag, ConcatJoinsItems) {
   const tags::Tag t = tags::concat(
       {tags::make_run_tag(4, 2, false), tags::make_run_tag(8, 1, true)});
