@@ -1,5 +1,5 @@
 // Ablation: release consistency (the paper's protocol) vs the Midway-style
-// entry-consistency extension (HomeNode::bind_lock).
+// entry-consistency extension (ShardedHome::bind_lock).
 //
 // Workload: two threads, each locking its own mutex and updating its own
 // array.  Under release consistency every acquire drains the *whole*
@@ -10,8 +10,8 @@
 
 #include <thread>
 
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "tags/describe.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -33,15 +33,15 @@ tags::TypePtr gthv() {
 void run(benchmark::State& state, bool entry_consistency) {
   std::uint64_t bytes = 0, share_ns = 0;
   for (auto _ : state) {
-    dsm::HomeNode home(gthv(), plat::linux_ia32());
+    dsm::ShardedHome home(gthv(), plat::linux_ia32());
     if (entry_consistency) {
       home.bind_lock(1, "A");
       home.bind_lock(2, "B");
     }
-    dsm::RemoteThread r1(gthv(), plat::linux_ia32(), 1, home.attach(1));
-    dsm::RemoteThread r2(gthv(), plat::linux_ia32(), 2, home.attach(2));
+    dsm::ShardedRemote r1(gthv(), plat::linux_ia32(), 1, home.attach(1));
+    dsm::ShardedRemote r2(gthv(), plat::linux_ia32(), 2, home.attach(2));
     home.start();
-    const auto worker = [](dsm::RemoteThread& r, std::uint32_t lock_id,
+    const auto worker = [](dsm::ShardedRemote& r, std::uint32_t lock_id,
                            const char* field) {
       for (int round = 0; round < kRounds; ++round) {
         r.lock(lock_id);

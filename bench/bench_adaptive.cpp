@@ -43,8 +43,8 @@ constexpr std::int64_t kWorst = 0;
 constexpr std::int64_t kBest = 1;
 constexpr std::int64_t kAdaptive = 2;
 
-dsm::HomeOptions config(std::int64_t kind) {
-  dsm::HomeOptions opts;
+dsm::ShardedHomeOptions config(std::int64_t kind) {
+  dsm::ShardedHomeOptions opts;
   switch (kind) {
     case kWorst:
       // Mis-tuned for small cluster payloads: the pool engages on nearly
@@ -88,8 +88,9 @@ void BM_AdaptiveMatmul(benchmark::State& state) {
   const std::uint32_t n = fast_mode() ? 33 : 96;
   dsm::ShareStats total;
   for (auto _ : state) {
-    dsm::Cluster cluster(work::matmul_gthv(n), *pair.home,
-                         {pair.remote, pair.remote}, config(state.range(1)));
+    dsm::ShardedCluster cluster(work::matmul_gthv(n), *pair.home,
+                                {pair.remote, pair.remote},
+                                config(state.range(1)));
     const auto c = work::run_matmul(cluster, n);
     benchmark::DoNotOptimize(c.data());
     total += cluster.total_stats();
@@ -114,8 +115,9 @@ void BM_AdaptiveLu(benchmark::State& state) {
   const std::uint32_t n = fast_mode() ? 40 : 96;
   dsm::ShareStats total;
   for (auto _ : state) {
-    dsm::Cluster cluster(work::lu_gthv(n), *pair.home,
-                         {pair.remote, pair.remote}, config(state.range(1)));
+    dsm::ShardedCluster cluster(work::lu_gthv(n), *pair.home,
+                                {pair.remote, pair.remote},
+                                config(state.range(1)));
     const auto m = work::run_lu(cluster, n);
     benchmark::DoNotOptimize(m.data());
     total += cluster.total_stats();
@@ -141,8 +143,9 @@ void BM_AdaptiveSor(benchmark::State& state) {
   const std::uint32_t iters = fast_mode() ? 4 : 8;
   dsm::ShareStats total;
   for (auto _ : state) {
-    dsm::Cluster cluster(work::sor_gthv(n), *pair.home,
-                         {pair.remote, pair.remote}, config(state.range(1)));
+    dsm::ShardedCluster cluster(work::sor_gthv(n), *pair.home,
+                                {pair.remote, pair.remote},
+                                config(state.range(1)));
     const auto g = work::run_sor(cluster, n, iters);
     benchmark::DoNotOptimize(g.data());
     total += cluster.total_stats();

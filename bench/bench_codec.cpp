@@ -22,8 +22,8 @@
 #include <cstdlib>
 #include <random>
 
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "msg/throttle.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -69,7 +69,7 @@ tags::TypePtr bench_gthv() {
 enum class Shape { SorDoubles, LuInts, Noise };
 
 /// One episode's writes, salted so successive diffs are never empty.
-void write_shape(dsm::RemoteThread& remote, Shape shape, int salt) {
+void write_shape(dsm::ShardedRemote& remote, Shape shape, int salt) {
   switch (shape) {
     case Shape::SorDoubles: {
       // Smooth relaxation row: neighboring values differ by a near-constant
@@ -108,17 +108,17 @@ struct RunResult {
 
 RunResult run_episodes(Shape shape, std::uint64_t bps, std::int64_t mode,
                        int episodes) {
-  dsm::HomeNode home(bench_gthv(), plat::linux_ia32(), {});
-  msg::EndpointPtr link = home.attach(1);
-  if (bps != 0) link = msg::make_throttled(std::move(link), bps);
-  msg::Endpoint* wire = link.get();
-  dsm::RemoteOptions ropts;
+  dsm::ShardedHome home(bench_gthv(), plat::linux_ia32(), {});
+  std::vector<msg::EndpointPtr> link = home.attach(1);
+  if (bps != 0) link[0] = msg::make_throttled(std::move(link[0]), bps);
+  msg::Endpoint* wire = link[0].get();
+  dsm::ShardedRemoteOptions ropts;
   ropts.dsd.codec = mode_of(mode);
   // Short warmup/dwell so the adaptive knob can move within a bench run.
   ropts.dsd.tuner.warmup = 1;
   ropts.dsd.tuner.dwell = 1;
-  dsm::RemoteThread remote(bench_gthv(), plat::linux_ia32(), 1,
-                           std::move(link), ropts);
+  dsm::ShardedRemote remote(bench_gthv(), plat::linux_ia32(), 1,
+                            std::move(link), ropts);
   home.start();
 
   for (int e = 0; e < episodes; ++e) {

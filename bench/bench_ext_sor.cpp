@@ -23,10 +23,10 @@ int main() {
               "wall_s");
 
   const auto run_config = [&](const hdsm::work::PairSpec& pair,
-                              hdsm::dsm::HomeOptions opts,
+                              hdsm::dsm::ShardedHomeOptions opts,
                               hdsm::dsm::ShareStats& out) {
-    hdsm::dsm::Cluster cluster(hdsm::work::sor_gthv(n), *pair.home,
-                               {pair.remote, pair.remote}, opts);
+    hdsm::dsm::ShardedCluster cluster(hdsm::work::sor_gthv(n), *pair.home,
+                                      {pair.remote, pair.remote}, opts);
     hdsm::obs::ScopedTimer timer;
     const auto grid = hdsm::work::run_sor(cluster, n, iters, 1.5);
     const double wall = static_cast<double>(timer.elapsed_ns()) / 1e9;
@@ -64,7 +64,7 @@ int main() {
               static_cast<unsigned long long>(base.tags_generated),
               static_cast<unsigned long long>(base.update_bytes_sent));
   {
-    hdsm::dsm::HomeOptions opts = hdsm::bench::paper_options();
+    hdsm::dsm::ShardedHomeOptions opts = hdsm::bench::paper_options();
     opts.dsd.binary_tags = true;
     hdsm::dsm::ShareStats s;
     run_config(hdsm::work::paper_pairs()[2], opts, s);
@@ -77,7 +77,7 @@ int main() {
   {
     // Merge diff ranges across the 8-byte untouched gaps, trading extra
     // (unchanged) bytes for fewer runs and so fewer tags.
-    hdsm::dsm::HomeOptions opts = hdsm::bench::paper_options();
+    hdsm::dsm::ShardedHomeOptions opts = hdsm::bench::paper_options();
     opts.dsd.merge_slack = 8;
     hdsm::dsm::ShareStats s;
     run_config(hdsm::work::paper_pairs()[2], opts, s);

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "dsm/cluster.hpp"
+#include "dsm/sharded_cluster.hpp"
 #include "obs/export.hpp"
 #include "workloads/experiment.hpp"
 #include "workloads/sor.hpp"
@@ -56,16 +56,15 @@ tags::TypePtr small_gthv() {
 }
 
 void lock_unlock_rounds(benchmark::State& state, bool obs_enabled) {
-  dsm::HomeOptions hopts;
-  dsm::RemoteOptions ropts;
+  dsm::ShardedHomeOptions hopts;
+  dsm::ShardedRemoteOptions ropts;
   if (obs_enabled) {
     hopts.obs = obs_on();
     ropts.obs = obs_on();
   }
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32(), hopts);
-  msg::EndpointPtr ep = home.attach(1);
-  dsm::RemoteThread remote(small_gthv(), plat::linux_ia32(), 1,
-                           std::move(ep), ropts);
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32(), hopts);
+  dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
+                            home.attach(1), ropts);
   home.start();
   // One dirtying round outside timing so the first grant's full-image ship
   // is not measured.
@@ -99,8 +98,8 @@ void BM_LockUnlock_ObsOn(benchmark::State& state) {
 
 // -- Full workloads, LL pair, obs off vs on --
 
-dsm::HomeOptions workload_options(bool obs_enabled) {
-  dsm::HomeOptions opts = hdsm::bench::paper_options();
+dsm::ShardedHomeOptions workload_options(bool obs_enabled) {
+  dsm::ShardedHomeOptions opts = hdsm::bench::paper_options();
   if (obs_enabled) opts.obs = obs_on();
   return opts;
 }
@@ -134,9 +133,9 @@ void BM_Sor(benchmark::State& state) {
   const std::uint32_t n = hdsm::bench::fast_mode() ? 24 : 64;
   const std::uint32_t iters = hdsm::bench::fast_mode() ? 4 : 10;
   for (auto _ : state) {
-    dsm::Cluster cluster(work::sor_gthv(n), *pair.home,
-                         {pair.remote, pair.remote},
-                         workload_options(state.range(0) != 0));
+    dsm::ShardedCluster cluster(work::sor_gthv(n), *pair.home,
+                                {pair.remote, pair.remote},
+                                workload_options(state.range(0) != 0));
     const auto grid = work::run_sor(cluster, n, iters, 1.5);
     if (grid != work::sor_reference(n, iters, 1.5)) {
       state.SkipWithError("sor did not verify");
@@ -165,9 +164,9 @@ bool write_file(const char* path, const std::string& body) {
 int export_artifacts() {
   const work::PairSpec& pair = work::paper_pairs()[2];  // SL
   const std::uint32_t n = hdsm::bench::fast_mode() ? 48 : 99;
-  dsm::HomeOptions opts = workload_options(true);
-  dsm::Cluster cluster(work::matmul_gthv(n), *pair.home,
-                       {pair.remote, pair.remote}, opts);
+  dsm::ShardedHomeOptions opts = workload_options(true);
+  dsm::ShardedCluster cluster(work::matmul_gthv(n), *pair.home,
+                              {pair.remote, pair.remote}, opts);
   if (work::run_matmul(cluster, n) != work::matmul_reference(n)) {
     std::fprintf(stderr, "bench_obs_overhead: export matmul did not verify\n");
     return 1;
@@ -200,7 +199,7 @@ int export_artifacts() {
         if (s.kind == obs::SpanKind::Episode) ++episodes;
       }
     }
-    const dsm::ShareStats rs = cluster.remote_stats(rank);
+    const dsm::ShareStats rs = cluster.remote(rank).stats();
     // lock/unlock/barrier episodes plus the join episode.
     const std::uint64_t expected = rs.locks + rs.unlocks + rs.barriers + 1;
     if (dropped != 0 || episodes != expected) {

@@ -33,8 +33,8 @@
 
 #include "bench_util.hpp"
 #include "dsm/coherence_core.hpp"
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 
 namespace dsm = hdsm::dsm;
 namespace tags = hdsm::tags;
@@ -168,10 +168,10 @@ tags::TypePtr gthv() {
 }
 
 void BM_HomeShellLockUnlock(benchmark::State& state) {
-  dsm::HomeNode home(gthv(), plat::linux_ia32());
-  dsm::RemoteOptions ropts;
+  dsm::ShardedHome home(gthv(), plat::linux_ia32());
+  dsm::ShardedRemoteOptions ropts;
   ropts.retry.timeout = 10ms;
-  auto remote = std::make_unique<dsm::RemoteThread>(
+  auto remote = std::make_unique<dsm::ShardedRemote>(
       gthv(), plat::linux_ia32(), 1, home.attach(1), ropts);
   home.start();
   // One dirtying round outside timing so the first grant's full-image ship

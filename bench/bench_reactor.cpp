@@ -1,28 +1,24 @@
-// Transport-shell A/B: the threaded (thread-per-session) shell vs the
-// epoll reactor (docs/TRANSPORT.md).  Emitted as BENCH_reactor.json:
+// The reactor transport shell (docs/TRANSPORT.md) under connection count
+// and over real sockets.  Emitted as BENCH_reactor.json:
 //
-//   BM_Channels<Shell>/N  - N simulated remotes attached over in-process
+//   BM_ChannelsReactor/N  - N simulated remotes attached over in-process
 //                           channels; one driver round-robins lock/
 //                           write/unlock across all of them, so every
 //                           connection carries traffic and every grant
 //                           ships the accumulated update backlog.  The
-//                           threaded shell pays one receiver thread per
-//                           remote; the reactor multiplexes all N on one
-//                           io thread, so its curve should stay flat past
-//                           the threaded shell's ceiling (N >= 256).
-//   BM_Tcp<Shell>/N       - the same over real loopback TCP sockets
+//                           reactor multiplexes all N on one io thread,
+//                           so the curve should stay flat as N grows to
+//                           1024.
+//   BM_TcpReactor/N       - the same over real loopback TCP sockets
 //                           (kernel wakeups, Nagle off).
-//   BM_Latency<Shell>     - happy-path round-trip time at N=4 with one
-//                           active remote: the reactor's queued handoff
-//                           must not tax the single-stream latency the
-//                           threaded shell's dedicated receiver gives.
+//   BM_LatencyReactor     - happy-path round-trip time at N=4 with one
+//                           active remote: idle peers must not tax the
+//                           single-stream latency.
 //
-// items_per_second = lock/write/unlock rounds per second.  Reactor series
-// also report frames/flush-batches so the write-coalescing ratio lands in
+// items_per_second = lock/write/unlock rounds per second.  Every series
+// also reports frames/flush-batches so the write-coalescing ratio lands in
 // the JSON.  Set HDSM_BENCH_FAST=1 for a smoke-sized run (CI's
-// bench-smoke target).  Single-core containers still show the per-
-// connection cost difference: blocked receiver threads tax memory and the
-// scheduler, not parallelism.
+// bench-smoke target).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -31,8 +27,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "msg/tcp.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -51,28 +47,22 @@ tags::TypePtr gthv() {
 
 /// One home plus N attached remotes, over channels or loopback TCP.
 struct Cluster {
-  dsm::HomeNode home;
+  dsm::ShardedHome home;
   std::unique_ptr<msg::TcpListener> listener;
-  std::vector<std::unique_ptr<dsm::RemoteThread>> remotes;
+  std::vector<std::unique_ptr<dsm::ShardedRemote>> remotes;
 
-  Cluster(dsm::ShellOptions::Mode mode, std::uint32_t n, bool tcp)
-      : home(gthv(), plat::linux_ia32(), [mode] {
-          dsm::HomeOptions o;
-          o.shell.mode = mode;
-          return o;
-        }()) {
+  Cluster(std::uint32_t n, bool tcp) : home(gthv(), plat::linux_ia32()) {
     if (tcp) listener = std::make_unique<msg::TcpListener>(0);
     for (std::uint32_t r = 1; r <= n; ++r) {
-      msg::EndpointPtr ep;
+      std::vector<msg::EndpointPtr> eps;
       if (tcp) {
-        msg::EndpointPtr client = msg::tcp_connect(listener->port());
-        home.attach_endpoint(r, listener->accept());
-        ep = std::move(client);
+        eps.push_back(msg::tcp_connect(listener->port()));
+        home.attach_endpoint(r, 0, listener->accept());
       } else {
-        ep = home.attach(r);
+        eps = home.attach(r);
       }
-      remotes.push_back(std::make_unique<dsm::RemoteThread>(
-          gthv(), plat::linux_ia32(), r, std::move(ep)));
+      remotes.push_back(std::make_unique<dsm::ShardedRemote>(
+          gthv(), plat::linux_ia32(), r, std::move(eps)));
     }
     home.start();
     // Prime outside timing: the first grant per remote ships the full
@@ -91,7 +81,7 @@ struct Cluster {
   }
 
   void round(std::size_t i) {
-    dsm::RemoteThread& rm = *remotes[i % remotes.size()];
+    dsm::ShardedRemote& rm = *remotes[i % remotes.size()];
     rm.lock(0);
     auto a = rm.space().view<std::int64_t>("A");
     a.set(0, a.get(0) + 1);
@@ -99,7 +89,7 @@ struct Cluster {
   }
 };
 
-void report_transport(benchmark::State& state, const dsm::HomeNode& home) {
+void report_transport(benchmark::State& state, const dsm::ShardedHome& home) {
   const msg::ReactorStats s = home.transport_stats();
   state.counters["frames_in"] = static_cast<double>(s.frames_in);
   state.counters["frames_out"] = static_cast<double>(s.frames_out);
@@ -107,70 +97,49 @@ void report_transport(benchmark::State& state, const dsm::HomeNode& home) {
   state.counters["ring_stalls"] = static_cast<double>(s.ring_stalls);
 }
 
-void throughput(benchmark::State& state, dsm::ShellOptions::Mode mode,
-                bool tcp) {
+void throughput(benchmark::State& state, bool tcp) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  Cluster c(mode, n, tcp);
+  Cluster c(n, tcp);
   std::size_t i = 0;
   for (auto _ : state) c.round(i++);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   report_transport(state, c.home);
 }
 
-void latency(benchmark::State& state, dsm::ShellOptions::Mode mode) {
-  Cluster c(mode, 4, /*tcp=*/false);
+void latency(benchmark::State& state) {
+  Cluster c(4, /*tcp=*/false);
   for (auto _ : state) c.round(0);  // one active stream, three idle peers
   report_transport(state, c.home);
 }
 
-constexpr auto kThreaded = dsm::ShellOptions::Mode::Threaded;
-constexpr auto kReactor = dsm::ShellOptions::Mode::Reactor;
-
 void register_series(const std::string& name, bool tcp,
                      const std::vector<std::int64_t>& counts,
                      std::int64_t iters) {
-  struct Variant {
-    const char* suffix;
-    dsm::ShellOptions::Mode mode;
-  };
-  for (const Variant v :
-       {Variant{"Threaded", kThreaded}, Variant{"Reactor", kReactor}}) {
-    auto* b = benchmark::RegisterBenchmark(
-        (name + v.suffix).c_str(),
-        [mode = v.mode, tcp](benchmark::State& s) { throughput(s, mode, tcp); });
-    for (std::int64_t n : counts) b->Arg(n);
-    // Fixed iteration counts: re-running the setup (N attaches, N full-
-    // image grants) to calibrate timing would dwarf the measurement.
-    b->Iterations(iters)
-        ->Apply(hdsm::bench::wall_clock)
-        ->Unit(benchmark::kMicrosecond);
-  }
+  auto* b = benchmark::RegisterBenchmark(
+      name.c_str(), [tcp](benchmark::State& s) { throughput(s, tcp); });
+  for (std::int64_t n : counts) b->Arg(n);
+  // Fixed iteration counts: re-running the setup (N attaches, N full-image
+  // grants) to calibrate timing would dwarf the measurement.
+  b->Iterations(iters)
+      ->Apply(hdsm::bench::wall_clock)
+      ->Unit(benchmark::kMicrosecond);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool fast = fast_mode();
-  register_series("BM_Channels", /*tcp=*/false,
+  register_series("BM_ChannelsReactor", /*tcp=*/false,
                   fast ? std::vector<std::int64_t>{1, 16, 64}
                        : std::vector<std::int64_t>{1, 4, 16, 64, 256, 1024},
                   fast ? 64 : 1024);
-  register_series("BM_Tcp", /*tcp=*/true,
+  register_series("BM_TcpReactor", /*tcp=*/true,
                   fast ? std::vector<std::int64_t>{1, 8}
                        : std::vector<std::int64_t>{1, 4, 16, 64},
                   fast ? 64 : 512);
-  // The shells sit within a microsecond of each other on the happy path,
-  // inside single-run scheduler jitter — report the median of several
-  // repetitions so the A/B is a stable number rather than a coin flip.
-  benchmark::RegisterBenchmark("BM_LatencyThreaded",
-                               [](benchmark::State& s) { latency(s, kThreaded); })
-      ->Iterations(fast_mode() ? 256 : 4096)
-      ->Repetitions(fast_mode() ? 1 : 5)
-      ->ReportAggregatesOnly(true)
-      ->Apply(hdsm::bench::wall_clock)
-      ->Unit(benchmark::kMicrosecond);
-  benchmark::RegisterBenchmark("BM_LatencyReactor",
-                               [](benchmark::State& s) { latency(s, kReactor); })
+  // Single-stream latency sits inside single-run scheduler jitter: report
+  // the median of several repetitions so it is a stable number.
+  benchmark::RegisterBenchmark("BM_LatencyReactor", latency)
       ->Iterations(fast_mode() ? 256 : 4096)
       ->Repetitions(fast_mode() ? 1 : 5)
       ->ReportAggregatesOnly(true)

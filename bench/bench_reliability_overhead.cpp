@@ -28,8 +28,8 @@
 #include <chrono>
 #include <memory>
 
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "msg/faulty.hpp"
 #include "msg/tcp.hpp"
 
@@ -57,28 +57,27 @@ dsm::RetryPolicy bench_retry() {
 }
 
 struct Cluster {
-  dsm::HomeNode home;
+  dsm::ShardedHome home;
   std::unique_ptr<msg::TcpListener> listener;
-  std::unique_ptr<dsm::RemoteThread> remote;
+  std::unique_ptr<dsm::ShardedRemote> remote;
 
   /// `tcp_opts` null = in-process channel; otherwise loopback TCP with the
   /// given socket knobs on both ends.
   Cluster(const msg::FaultOptions* fault, const msg::TcpOptions* tcp_opts)
       : home(gthv(), plat::linux_ia32()) {
-    dsm::RemoteOptions ropts;
+    dsm::ShardedRemoteOptions ropts;
     ropts.retry = bench_retry();
-    msg::EndpointPtr ep;
+    std::vector<msg::EndpointPtr> eps;
     if (tcp_opts != nullptr) {
       listener = std::make_unique<msg::TcpListener>(0, *tcp_opts);
-      msg::EndpointPtr client = msg::tcp_connect(listener->port(), *tcp_opts);
-      home.attach_endpoint(1, listener->accept());
-      ep = std::move(client);
+      eps.push_back(msg::tcp_connect(listener->port(), *tcp_opts));
+      home.attach_endpoint(1, 0, listener->accept());
     } else {
-      ep = home.attach(1);
+      eps = home.attach(1);
     }
-    if (fault != nullptr) ep = msg::make_faulty(std::move(ep), *fault);
-    remote = std::make_unique<dsm::RemoteThread>(gthv(), plat::linux_ia32(),
-                                                 1, std::move(ep), ropts);
+    if (fault != nullptr) eps[0] = msg::make_faulty(std::move(eps[0]), *fault);
+    remote = std::make_unique<dsm::ShardedRemote>(gthv(), plat::linux_ia32(),
+                                                  1, std::move(eps), ropts);
     home.start();
   }
 };

@@ -55,8 +55,8 @@ void wall_clock(Benchmark* b) {
 /// the 2006 implementation whose costs Figures 6-11 report.  The library's
 /// *default* enables the bulk-swap fast path; bench_abl_array_fastpath and
 /// bench_abl_binary_tags quantify the difference.
-inline dsm::HomeOptions paper_options() {
-  dsm::HomeOptions opts;
+inline dsm::ShardedHomeOptions paper_options() {
+  dsm::ShardedHomeOptions opts;
   opts.dsd.bulk_swap_fastpath = false;
   return opts;
 }

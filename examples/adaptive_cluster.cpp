@@ -13,9 +13,9 @@
 #include <cstdio>
 #include <thread>
 
-#include "dsm/home.hpp"
 #include "dsm/rehome.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "mig/runner.hpp"
 #include "mig/thread_state.hpp"
 #include "sched/policy.hpp"
@@ -45,7 +45,7 @@ tags::TypePtr locals() {
 
 mig::StepOutcome worker_body(mig::ThreadState& state,
                              const std::atomic<bool>& migrate,
-                             dsm::RemoteThread& dsd, const char* field) {
+                             dsm::ShardedRemote& dsd, const char* field) {
   mig::Frame& f = state.top();
   std::int32_t i = f.locals.get<std::int32_t>("i");
   while (i < static_cast<std::int32_t>(kN)) {
@@ -69,7 +69,7 @@ mig::StepOutcome worker_body(mig::ThreadState& state,
 
 int main() {
   // Phase 1: everything on the busy home workstation.
-  auto home = std::make_unique<dsm::HomeNode>(gthv(), plat::linux_ia32());
+  auto home = std::make_unique<dsm::ShardedHome>(gthv(), plat::linux_ia32());
   home->start();
 
   mig::RoleTracker roles(/*nodes=*/1, /*slots=*/3);
@@ -100,7 +100,7 @@ int main() {
 
   // Worker 1: starts at home platform, migrates to the newcomer.
   std::thread worker1_src([&] {
-    dsm::RemoteThread dsd(gthv(), plat::linux_ia32(), 1, home->attach(1));
+    dsm::ShardedRemote dsd(gthv(), plat::linux_ia32(), 1, home->attach(1));
     mig::ThreadState state;
     state.rank = 1;
     state.frames.push_back(
@@ -122,8 +122,8 @@ int main() {
     std::printf("phase 2: worker 1 resumed at i=%d on %s\n",
                 state.top().locals.get<std::int32_t>("i"),
                 "solaris-sparc64");
-    dsm::RemoteThread dsd(gthv(), plat::solaris_sparc64(), state.rank,
-                          home->attach(state.rank));
+    dsm::ShardedRemote dsd(gthv(), plat::solaris_sparc64(), state.rank,
+                           home->attach(state.rank));
     const auto body = [&dsd](mig::ThreadState& s, const std::atomic<bool>& m) {
       return worker_body(s, m, dsd, "out1");
     };
@@ -133,7 +133,7 @@ int main() {
 
   // Worker 2 stays put.
   std::thread worker2([&] {
-    dsm::RemoteThread dsd(gthv(), plat::linux_ia32(), 2, home->attach(2));
+    dsm::ShardedRemote dsd(gthv(), plat::linux_ia32(), 2, home->attach(2));
     mig::ThreadState state;
     state.rank = 2;
     state.frames.push_back(

@@ -7,9 +7,10 @@
 //   $ ./heterogeneous_pair
 #include <cstdio>
 #include <thread>
+#include <vector>
 
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "msg/tcp.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -40,7 +41,7 @@ int main() {
   const plat::PlatformDesc& home_plat = plat::solaris_sparc32();
   const plat::PlatformDesc& remote_plat = plat::linux_ia32();
 
-  dsm::HomeNode home(gthv(), home_plat);
+  dsm::ShardedHome home(gthv(), home_plat);
   msg::TcpListener listener(0);
   std::printf("home:   %s (big endian), listening on 127.0.0.1:%u\n",
               home_plat.name.c_str(), listener.port());
@@ -56,7 +57,10 @@ int main() {
               home.space().table().to_table_string(0).c_str());
 
   std::thread remote_thread([&, port = listener.port()] {
-    dsm::RemoteThread remote(gthv(), remote_plat, 1, msg::tcp_connect(port));
+    // One session per home shard; the default home has one.
+    std::vector<msg::EndpointPtr> sessions;
+    sessions.push_back(msg::tcp_connect(port));
+    dsm::ShardedRemote remote(gthv(), remote_plat, 1, std::move(sessions));
     remote.lock(0);
     auto data = remote.space().view<std::int32_t>("data");
     for (int i = 0; i < 8; ++i) data.set(i, 0x01020300 + i);
@@ -70,7 +74,7 @@ int main() {
     remote.join();
   });
 
-  home.attach_endpoint(1, listener.accept());
+  home.attach_endpoint(1, /*shard=*/0, listener.accept());
   home.start();
   remote_thread.join();
   home.wait_all_joined();

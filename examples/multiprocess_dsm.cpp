@@ -13,9 +13,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "msg/tcp.hpp"
 #include "tags/describe.hpp"
 
@@ -38,7 +39,10 @@ tags::TypePtr gthv() {
 int run_worker(std::uint16_t port, std::uint32_t rank,
                const std::string& platform_name) {
   const plat::PlatformDesc& platform = plat::preset_by_name(platform_name);
-  dsm::RemoteThread remote(gthv(), platform, rank, msg::tcp_connect(port));
+  // One session per home shard; the default home has one.
+  std::vector<msg::EndpointPtr> sessions;
+  sessions.push_back(msg::tcp_connect(port));
+  dsm::ShardedRemote remote(gthv(), platform, rank, std::move(sessions));
   // Each worker adds rank*i to every element, under the distributed lock.
   for (int round = 0; round < 5; ++round) {
     remote.lock(0);
@@ -76,7 +80,7 @@ int main(int argc, char** argv) {
                       argv[4]);
   }
 
-  dsm::HomeNode home(gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(gthv(), plat::linux_ia32());
   // Three threads meet at barrier 0; fix the count up front so a worker
   // that races ahead of the second accept cannot close the episode early.
   home.set_barrier_count(0, 3);
@@ -99,7 +103,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unexpected first message\n");
       return 1;
     }
-    home.attach_endpoint(hello.rank, std::move(ep));
+    home.attach_endpoint(hello.rank, /*shard=*/0, std::move(ep));
     std::printf("attached rank %u over TCP\n", hello.rank);
   }
   home.start();

@@ -29,10 +29,10 @@ int main() {
 
   // 2. Home node on a little-endian platform; remote thread on big-endian
   //    SPARC.  (Use plat::host() on both sides for a homogeneous setup.)
-  dsm::HomeNode home(gthv, plat::linux_ia32());
+  dsm::ShardedHome home(gthv, plat::linux_ia32());
   std::thread remote_thread([&home, gthv] {
-    dsm::RemoteThread remote(gthv, plat::solaris_sparc32(), /*rank=*/1,
-                             home.attach(1));
+    dsm::ShardedRemote remote(gthv, plat::solaris_sparc32(), /*rank=*/1,
+                              home.attach(1));
     // 3. Classic critical section, distributed:
     remote.lock(0);
     auto values = remote.space().view<std::int32_t>("values");

@@ -8,8 +8,8 @@
 #include <cstdio>
 #include <thread>
 
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "mig/roles.hpp"
 #include "mig/runner.hpp"
 #include "mig/thread_state.hpp"
@@ -38,7 +38,7 @@ tags::TypePtr locals() {
 /// a migration point between chunks.
 mig::StepOutcome fill_body(mig::ThreadState& state,
                            const std::atomic<bool>& migrate,
-                           dsm::RemoteThread& dsd) {
+                           dsm::ShardedRemote& dsd) {
   mig::Frame& f = state.top();
   std::int32_t i = f.locals.get<std::int32_t>("i");
   while (i < static_cast<std::int32_t>(kN)) {
@@ -63,7 +63,7 @@ mig::StepOutcome fill_body(mig::ThreadState& state,
 }  // namespace
 
 int main() {
-  dsm::HomeNode home(gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(gthv(), plat::linux_ia32());
   home.start();
 
   mig::StateSchema schema;
@@ -83,7 +83,7 @@ int main() {
   std::atomic<bool> migrate{true};
 
   std::thread node1([&] {
-    dsm::RemoteThread dsd(gthv(), plat::linux_ia32(), 1, home.attach(1));
+    dsm::ShardedRemote dsd(gthv(), plat::linux_ia32(), 1, home.attach(1));
     mig::ThreadState state;
     state.rank = 1;
     state.frames.push_back(
@@ -107,8 +107,8 @@ int main() {
         mig::receive_state(*mig_dst, schema, plat::solaris_sparc64());
     std::printf("node2: resumed at label %u, i=%d (big-endian image)\n",
                 state.top().label, state.top().locals.get<std::int32_t>("i"));
-    dsm::RemoteThread dsd(gthv(), plat::solaris_sparc64(), state.rank,
-                          home.attach(state.rank));
+    dsm::ShardedRemote dsd(gthv(), plat::solaris_sparc64(), state.rank,
+                           home.attach(state.rank));
     std::atomic<bool> never{false};
     const auto body = [&dsd](mig::ThreadState& s, const std::atomic<bool>& m) {
       return fill_body(s, m, dsd);

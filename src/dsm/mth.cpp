@@ -9,7 +9,7 @@ namespace hdsm::dsm {
 
 namespace {
 
-using Participant = std::variant<HomeNode*, RemoteThread*>;
+using Participant = std::variant<ShardedHome*, ShardedRemote*>;
 
 std::mutex g_mutex;
 std::map<std::uint32_t, Participant> g_participants;
@@ -26,13 +26,13 @@ Participant lookup(std::uint32_t rank) {
 
 }  // namespace
 
-void MthRegistry::register_master(HomeNode& home) {
+void MthRegistry::register_master(ShardedHome& home) {
   std::lock_guard<std::mutex> lock(g_mutex);
-  g_participants[HomeNode::kMasterRank] = &home;
+  g_participants[ShardedHome::kMasterRank] = &home;
 }
 
-void MthRegistry::register_remote(RemoteThread& remote) {
-  if (remote.rank() == HomeNode::kMasterRank) {
+void MthRegistry::register_remote(ShardedRemote& remote) {
+  if (remote.rank() == ShardedHome::kMasterRank) {
     throw std::invalid_argument("MTh: rank 0 is reserved for the master");
   }
   std::lock_guard<std::mutex> lock(g_mutex);
@@ -68,10 +68,10 @@ void MTh_barrier(std::uint32_t index, std::uint32_t rank) {
 
 void MTh_join(std::uint32_t rank) {
   const Participant p = lookup(rank);
-  if (auto* home = std::get_if<HomeNode*>(&p)) {
+  if (auto* home = std::get_if<ShardedHome*>(&p)) {
     (*home)->wait_all_joined();
   } else {
-    std::get<RemoteThread*>(p)->join();
+    std::get<ShardedRemote*>(p)->join();
   }
   MthRegistry::unregister(rank);
 }

@@ -7,7 +7,7 @@
 //      MTh_join() ..."
 //
 // These free functions dispatch through a process-wide participant
-// registry: register the home node (as rank 0) and each RemoteThread under
+// registry: register the home node (as rank 0) and each ShardedRemote under
 // its rank, then call the primitives exactly as the paper writes them.
 // Ported Pthreads code keeps its call shape:
 //   pthread_mutex_lock(&m)    ->  MTh_lock(0, my_rank)
@@ -18,8 +18,8 @@
 
 #include <cstdint>
 
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 
 namespace hdsm::dsm {
 
@@ -30,9 +30,9 @@ namespace hdsm::dsm {
 class MthRegistry {
  public:
   /// Register the home node's master thread as rank 0.
-  static void register_master(HomeNode& home);
+  static void register_master(ShardedHome& home);
   /// Register a remote thread under its rank.
-  static void register_remote(RemoteThread& remote);
+  static void register_remote(ShardedRemote& remote);
   /// Remove one rank (idempotent).
   static void unregister(std::uint32_t rank);
   /// Remove everything (test isolation).

@@ -7,16 +7,17 @@
 
 namespace hdsm::dsm {
 
-std::unique_ptr<HomeNode> rehome(HomeNode& old_home,
-                                 const plat::PlatformDesc& platform,
-                                 HomeOptions opts) {
+std::unique_ptr<ShardedHome> rehome(ShardedHome& old_home,
+                                    const plat::PlatformDesc& platform,
+                                    ShardedHomeOptions opts) {
   if (!old_home.quiesced()) {
     throw std::logic_error(
         "rehome: home node still has attached remotes or held locks");
   }
 
   const tags::Layout& old_layout = old_home.space().table().layout();
-  auto new_home = std::make_unique<HomeNode>(old_layout.type, platform, opts);
+  auto new_home =
+      std::make_unique<ShardedHome>(old_layout.type, platform, opts);
   const tags::Layout& new_layout = new_home->space().table().layout();
 
   // The authoritative image crosses the heterogeneity boundary exactly

@@ -7,7 +7,7 @@
 //
 // rehome() transplants a quiesced home node onto a (possibly
 // heterogeneous) new platform: the authoritative GThV image is converted
-// with CGT-RMR into the new representation and a fresh HomeNode takes
+// with CGT-RMR into the new representation and a fresh ShardedHome takes
 // over.  Threads then re-attach to the new home (each pulls the full image
 // on its first synchronization, so no per-thread state is lost), and the
 // role bookkeeping on top (mig::RoleTracker::migrate of slot 0) flips the
@@ -16,7 +16,7 @@
 
 #include <memory>
 
-#include "dsm/home.hpp"
+#include "dsm/sharded_home.hpp"
 
 namespace hdsm::dsm {
 
@@ -26,8 +26,8 @@ namespace hdsm::dsm {
 /// lock held by the master (throws std::logic_error otherwise).  The old
 /// node is stopped; its master image is converted into the new node's
 /// representation.  The new node is started and ready for attach().
-std::unique_ptr<HomeNode> rehome(HomeNode& old_home,
-                                 const plat::PlatformDesc& platform,
-                                 HomeOptions opts = {});
+std::unique_ptr<ShardedHome> rehome(ShardedHome& old_home,
+                                    const plat::PlatformDesc& platform,
+                                    ShardedHomeOptions opts = {});
 
 }  // namespace hdsm::dsm

@@ -1,10 +1,10 @@
 // The client-side counterpart of the coherence core: the retry/backoff
 // policy of a remote thread's request/reply loop as a pure, unit-steppable
-// decision machine.  `RemoteThread::rpc` (remote.cpp) is only the driver —
-// it sends, receives, sleeps, and dials; every *decision* (deliver, drop a
-// stale reply, retransmit and with what window, reconnect, give up) is a
-// transition of this class, reachable from a test without a clock or an
-// endpoint.  The jitter RNG lives here and is seeded deterministically, so
+// decision machine.  `ShardedRemote::rpc` (sharded_remote.cpp) is only the
+// driver — it sends, receives, sleeps, and dials; every *decision* (deliver,
+// drop a stale reply, retransmit and with what window, reconnect, give up)
+// is a transition of this class, reachable from a test without a clock or
+// an endpoint.  The jitter RNG lives here and is seeded deterministically, so
 // a policy's full timeout schedule can be asserted exactly.
 #pragma once
 

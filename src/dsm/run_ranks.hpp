@@ -1,5 +1,5 @@
-// The thread runner behind every cluster harness's run() (Cluster,
-// ShardedCluster, obj::ObjectCluster): remotes on their own threads, the
+// The thread runner behind every cluster harness's run() (ShardedCluster,
+// obj::ObjectCluster): remotes on their own threads, the
 // master on the caller's, and a failure on any of them surfaced to the
 // caller as an exception instead of std::terminate.
 #pragma once

@@ -1,5 +1,5 @@
 // RAII guard for the distributed mutex — exception-safe critical sections
-// over HomeNode, RemoteThread, or anything else exposing
+// over ShardedHome, ShardedRemote, or anything else exposing
 // lock(index)/unlock(index).
 #pragma once
 

@@ -1,13 +1,8 @@
 #include "dsm/session_shell.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
-#include <string>
 #include <utility>
-#include <vector>
-
-#include "obs/telemetry.hpp"
 
 namespace hdsm::dsm {
 
@@ -50,19 +45,16 @@ void SessionShell::ReactorBridge::on_peer_closed(msg::PeerId peer) {
 
 SessionShell::SessionShell(const ShellOptions& opts, Callbacks cbs,
                            obs::Telemetry* telemetry)
-    : opts_(opts), cbs_(std::move(cbs)), telemetry_(telemetry) {
-  if (opts_.lanes == 0) opts_.lanes = 1;
-  if (opts_.mode == ShellOptions::Mode::Reactor) {
-    bridge_.shell = this;
-    msg::ReactorOptions ro;
-    ro.io_threads = opts_.io_threads;
-    ro.lanes = opts_.lanes;
-    ro.ring_capacity = opts_.ring_capacity;
-    ro.max_write_queue_bytes = opts_.max_write_queue_bytes;
-    ro.flush_delay = opts_.flush_delay;
-    ro.telemetry = telemetry_;
-    reactor_ = std::make_unique<msg::Reactor>(ro, bridge_);
-  }
+    : cbs_(std::move(cbs)) {
+  bridge_.shell = this;
+  msg::ReactorOptions ro;
+  ro.io_threads = opts.io_threads;
+  ro.lanes = opts.lanes == 0 ? 1 : opts.lanes;
+  ro.ring_capacity = opts.ring_capacity;
+  ro.max_write_queue_bytes = opts.max_write_queue_bytes;
+  ro.flush_delay = opts.flush_delay;
+  ro.telemetry = telemetry;
+  reactor_ = std::make_unique<msg::Reactor>(ro, bridge_);
 }
 
 SessionShell::~SessionShell() { stop(); }
@@ -70,28 +62,19 @@ SessionShell::~SessionShell() { stop(); }
 // ---- attach phases ----------------------------------------------------------
 
 void SessionShell::retire_session(std::uint32_t group, std::uint32_t rank) {
-  std::thread reap;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    auto it = sessions_.find(key_of(group, rank));
-    if (it == sessions_.end() || !it->second->endpoint) return;
-    std::shared_ptr<Session> s = it->second;
-    const std::uint64_t gen = s->gen;
-    close_locked(*s);
-    if (opts_.mode == ShellOptions::Mode::Threaded) {
-      reap = std::move(s->receiver);
-    } else if (s->started) {
-      // The reactor delivers the closed event (after any messages the old
-      // transport already queued) on a lane; wait until that incarnation's
-      // on_closed has fully run — the reactor-mode equivalent of joining
-      // the old receiver thread.
-      cv_.wait(lk, [&s, gen, this] {
-        return s->closed_gen >= gen || stopped_;
-      });
-    }
-    s->started = false;
+  std::unique_lock<std::mutex> lk(mu_);
+  auto it = sessions_.find(key_of(group, rank));
+  if (it == sessions_.end() || !it->second->endpoint) return;
+  std::shared_ptr<Session> s = it->second;
+  const std::uint64_t gen = s->gen;
+  close_locked(*s);
+  if (s->started) {
+    // The reactor delivers the closed event (after any messages the old
+    // transport already queued) on a lane; wait until that incarnation's
+    // on_closed has fully run.
+    cv_.wait(lk, [&s, gen, this] { return s->closed_gen >= gen || stopped_; });
   }
-  if (reap.joinable()) reap.join();
+  s->started = false;
 }
 
 void SessionShell::install_session(std::uint32_t group, std::uint32_t rank,
@@ -115,15 +98,9 @@ void SessionShell::start_session(std::uint32_t group, std::uint32_t rank) {
   if (it == sessions_.end() || !it->second->endpoint) {
     throw std::logic_error("start_session without install_session");
   }
-  std::shared_ptr<Session> s = it->second;
-  s->started = true;
-  if (opts_.mode == ShellOptions::Mode::Threaded) {
-    const std::uint64_t gen = s->gen;
-    s->receiver = std::thread([this, s, gen] { receiver_loop(s, gen); });
-  } else {
-    reactor_->add_peer(peer_of(s->gen, group, rank), s->endpoint,
-                       /*lane=*/group);
-  }
+  Session& s = *it->second;
+  s.started = true;
+  reactor_->add_peer(peer_of(s.gen, group, rank), s.endpoint, /*lane=*/group);
 }
 
 // ---- sending ----------------------------------------------------------------
@@ -134,45 +111,26 @@ SessionShell::SendHandle SessionShell::handle(std::uint32_t group,
   std::lock_guard<std::mutex> lk(mu_);
   auto it = sessions_.find(key_of(group, rank));
   if (it == sessions_.end() || !it->second->endpoint) return h;
-  const Session& s = *it->second;
   h.valid = true;
-  h.gen = s.gen;
-  if (opts_.mode == ShellOptions::Mode::Reactor) {
-    h.via_reactor = true;
-    h.peer = peer_of(s.gen, group, rank);
-  } else {
-    h.endpoint = s.endpoint;
-    h.io_mutex = s.io_mutex;
-  }
+  h.peer = peer_of(it->second->gen, group, rank);
   return h;
 }
 
-bool SessionShell::send(const SendHandle& h, msg::Message m) {
-  if (!h.valid) return true;  // unknown session: drop, like the legacy skip
-  if (h.via_reactor) {
-    reactor_->send(h.peer, std::move(m));
-    return true;  // asynchronous; failure arrives as on_closed
-  }
-  std::lock_guard<std::mutex> io(*h.io_mutex);
-  try {
-    h.endpoint->send(m);
-    return true;
-  } catch (const msg::ChannelClosed&) {
-    return false;
-  }
+void SessionShell::send(const SendHandle& h, msg::Message m) {
+  if (!h.valid) return;  // unknown session: drop
+  reactor_->send(h.peer, std::move(m));
 }
 
 // ---- closing ----------------------------------------------------------------
 
 void SessionShell::close_locked(Session& s) {
   if (!s.endpoint) return;
-  if (opts_.mode == ShellOptions::Mode::Reactor && s.started) {
+  if (s.started) {
     // remove_peer closes the endpoint from the io thread and funnels the
     // closed event through the ordinary delivery path.
     reactor_->remove_peer(peer_of(s.gen, s.group, s.rank));
     return;
   }
-  std::lock_guard<std::mutex> io(*s.io_mutex);
   try {
     s.endpoint->close();
   } catch (...) {
@@ -186,15 +144,6 @@ void SessionShell::close_session(std::uint32_t group, std::uint32_t rank) {
   close_locked(*it->second);
 }
 
-bool SessionShell::close_if_current(std::uint32_t group, std::uint32_t rank,
-                                    std::uint64_t gen) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = sessions_.find(key_of(group, rank));
-  if (it == sessions_.end() || it->second->gen != gen) return false;
-  close_locked(*it->second);
-  return true;
-}
-
 // ---- lifecycle --------------------------------------------------------------
 
 void SessionShell::stop() {
@@ -202,48 +151,22 @@ void SessionShell::stop() {
     std::lock_guard<std::mutex> lk(mu_);
     if (stopped_) return;
     stopped_ = true;
-    // Sessions installed but never started have no receiver and no reactor
-    // peer; nothing else would ever close their endpoints.
+    // Sessions installed but never started have no reactor peer; nothing
+    // else would ever close their endpoints.
     for (auto& [key, sp] : sessions_) {
-      if (sp->endpoint && !sp->started) {
-        std::lock_guard<std::mutex> io(*sp->io_mutex);
-        try {
-          sp->endpoint->close();
-        } catch (...) {
-        }
-      }
+      if (!sp->started) close_locked(*sp);
     }
   }
-  if (reactor_) {
-    // Retires every peer; queued messages and closed events still deliver
-    // to the callbacks before the lanes exit.
-    reactor_->stop();
-  } else {
-    std::vector<std::thread> reap;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      for (auto& [key, sp] : sessions_) {
-        if (sp->endpoint && sp->started) {
-          std::lock_guard<std::mutex> io(*sp->io_mutex);
-          try {
-            sp->endpoint->close();
-          } catch (...) {
-          }
-        }
-        if (sp->receiver.joinable()) reap.push_back(std::move(sp->receiver));
-      }
-    }
-    for (std::thread& t : reap) t.join();
-  }
+  // Retires every peer; queued messages and closed events still deliver to
+  // the callbacks before the lanes exit.
+  reactor_->stop();
   cv_.notify_all();
 }
 
-void SessionShell::quiesce() {
-  if (reactor_) reactor_->flush();
-}
+void SessionShell::quiesce() { reactor_->flush(); }
 
 msg::ReactorStats SessionShell::reactor_stats() const {
-  return reactor_ ? reactor_->stats() : msg::ReactorStats{};
+  return reactor_->stats();
 }
 
 // ---- reactor closed-event bookkeeping ---------------------------------------
@@ -270,43 +193,6 @@ void SessionShell::reactor_closed(std::uint64_t gen16, std::uint32_t group,
   if (s) {
     std::lock_guard<std::mutex> lk(mu_);
     s->closed_gen = std::max(s->closed_gen, full_gen);
-  }
-  cv_.notify_all();
-}
-
-// ---- threaded receiver ------------------------------------------------------
-
-void SessionShell::receiver_loop(std::shared_ptr<Session> s,
-                                 std::uint64_t gen) {
-  if (telemetry_ != nullptr) {
-    telemetry_->set_thread_label("recv-g" + std::to_string(s->group) +
-                                 "-rank" + std::to_string(s->rank));
-  }
-  std::shared_ptr<msg::Endpoint> ep = s->endpoint;
-  try {
-    // Keep receiving past a JoinRequest: the remote's retry layer may
-    // retransmit it, and the core answers duplicates from the reply cache.
-    // The loop ends when either side closes the endpoint.
-    for (;;) {
-      msg::Message m = ep->recv();
-      cbs_.on_message(s->group, s->rank, std::move(m));
-    }
-  } catch (const msg::ChannelClosed&) {
-  } catch (const std::exception& e) {
-    // Frame-decode error from a misbehaving transport: close and let the
-    // owner detach the peer like a crashed cluster member.
-    std::fprintf(stderr, "hdsm shell: closing session g%u rank %u: %s\n",
-                 s->group, s->rank, e.what());
-    std::lock_guard<std::mutex> io(*s->io_mutex);
-    try {
-      ep->close();
-    } catch (...) {
-    }
-  }
-  if (cbs_.on_closed) cbs_.on_closed(s->group, s->rank);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    s->closed_gen = std::max(s->closed_gen, gen);
   }
   cv_.notify_all();
 }

@@ -1,33 +1,24 @@
-// SessionShell: the one transport shell behind both home directories.
+// SessionShell: the home directory's transport shell.
 //
-// HomeNode and ShardedHome used to each own a copy of the same machinery —
-// per-peer receiver threads, the three-phase re-attach discipline (wait out
-// the active window, reap the old incarnation, install the new one), io
-// mutexes serializing send() against close(), and attach-generation
-// filtering of stale transport failures.  That machinery now lives here
-// once, keyed by (group, rank): a group is a directory shard (always 0 for
-// the single-home HomeNode), and one session is one remote's connection to
-// one group.
+// It owns the session machinery — the three-phase re-attach discipline
+// (wait out the active window, reap the old incarnation, install the new
+// one) and attach-generation filtering of stale transport events — keyed by
+// (group, rank): a group is a directory shard, and one session is one
+// remote's connection to one group.
 //
-// Two modes (ShellOptions::mode):
-//
-//  * Reactor (default): sessions are peers of one shared `msg::Reactor`
-//    (docs/TRANSPORT.md) — a fixed pool of io threads multiplexes every
-//    endpoint, worker lanes deliver messages, and sends are asynchronous
-//    (failures surface as the session's closed callback, never as a send
-//    error).  A group's sessions share a lane, so per-group callbacks are
-//    serialized exactly like per-shard receiver threads contending on one
-//    state mutex — minus the thread-per-peer cost.
-//
-//  * Threaded: the legacy blocking shell — one receiver thread per session,
-//    blocking send under the session's io mutex.  Kept as the baseline the
-//    reactor benches against (bench_reactor) and as a fallback.
+// Sessions are peers of one shared `msg::Reactor` (docs/TRANSPORT.md): a
+// fixed pool of io threads multiplexes every endpoint, worker lanes deliver
+// messages, and sends are asynchronous (failures surface as the session's
+// closed callback, never as a send error).  A group's sessions share a
+// lane, so per-group callbacks are serialized exactly like per-shard
+// receiver threads contending on one state mutex — minus the
+// thread-per-peer cost.
 //
 // Callback contract: on_message / on_closed are invoked with NO shell lock
 // held; implementations take their own state locks and may call handle(),
-// send(), close_session(), and close_if_current() from inside.  They must
-// NOT call retire_session(), install_session(), start_session(), or stop()
-// (those join/wait on the very threads the callbacks run on).
+// send(), and close_session() from inside.  They must NOT call
+// retire_session(), install_session(), start_session(), or stop() (those
+// wait on the very threads the callbacks run on).
 #pragma once
 
 #include <chrono>
@@ -37,7 +28,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "msg/endpoint.hpp"
 #include "msg/reactor.hpp"
@@ -49,15 +39,10 @@ class Telemetry;
 namespace hdsm::dsm {
 
 struct ShellOptions {
-  enum class Mode {
-    Reactor,   ///< epoll/event-driven, shared io pool (the default)
-    Threaded,  ///< legacy thread-per-session blocking shell
-  };
-  Mode mode = Mode::Reactor;
-  /// Reactor io threads (ignored in Threaded mode).
+  /// Reactor io threads.
   std::uint32_t io_threads = 1;
-  /// Reactor worker lanes; 0 = auto (the owning directory picks: 1 for a
-  /// single home, one lane per shard — capped — for a sharded one).
+  /// Reactor worker lanes; 0 = auto (the home picks one lane per shard,
+  /// capped).
   std::uint32_t lanes = 0;
   /// Reactor ring capacity per (io, lane) direction.
   std::size_t ring_capacity = 1024;
@@ -85,11 +70,7 @@ class SessionShell {
   /// transport instead of leaking into the new one.
   struct SendHandle {
     bool valid = false;
-    bool via_reactor = false;
-    std::uint64_t gen = 0;
-    msg::PeerId peer = 0;  ///< reactor mode
-    std::shared_ptr<msg::Endpoint> endpoint;  ///< threaded mode
-    std::shared_ptr<std::mutex> io_mutex;     ///< threaded mode
+    msg::PeerId peer = 0;  ///< carries the incarnation's generation
   };
 
   /// `telemetry` may be null; it must outlive the shell.
@@ -102,38 +83,30 @@ class SessionShell {
 
   // -- The three-phase attach discipline.  Caller holds its state lock for
   //    install/start (so no message precedes its peer_attached transition)
-  //    but NOT for retire (which joins/waits on callback threads). --
+  //    but NOT for retire (which waits on the callback lanes). --
 
   /// Phase 2: close the previous incarnation's transport (if any) and wait
-  /// until its receiver exited / its closed event was fully delivered.
+  /// until its closed event was fully delivered.
   void retire_session(std::uint32_t group, std::uint32_t rank);
   /// Phase 3a: adopt `ep` as the session's new transport (generation
   /// bumps); nothing is received until start_session.
   void install_session(std::uint32_t group, std::uint32_t rank,
                        std::shared_ptr<msg::Endpoint> ep);
-  /// Phase 3b: begin receiving (spawn the receiver / register the reactor
-  /// peer).
+  /// Phase 3b: begin receiving (register the reactor peer).
   void start_session(std::uint32_t group, std::uint32_t rank);
 
   /// Capture the current incarnation as a send target (invalid handle if
   /// the session is unknown).  Cheap; callable under the caller's lock.
   SendHandle handle(std::uint32_t group, std::uint32_t rank) const;
 
-  /// Send on a captured handle, outside the caller's state lock.  Returns
-  /// false only when the transport is known-dead right now (threaded mode's
-  /// ChannelClosed); reactor sends are asynchronous and always return true
-  /// — failures arrive as on_closed.  Invalid handles drop silently.
-  bool send(const SendHandle& h, msg::Message m);
+  /// Send on a captured handle, outside the caller's state lock.  Sends
+  /// are asynchronous: failures arrive as on_closed.  Invalid handles drop
+  /// silently.
+  void send(const SendHandle& h, msg::Message m);
 
-  /// Close the session's transport (Detach action).  Asynchronous in
-  /// reactor mode; safe under the caller's state lock.
+  /// Close the session's transport (Detach action).  Asynchronous; safe
+  /// under the caller's state lock.
   void close_session(std::uint32_t group, std::uint32_t rank);
-
-  /// Close only if the session's generation still equals `gen` (stale
-  /// transport failures must not kill a re-attached incarnation); returns
-  /// whether it did.  Safe under the caller's state lock.
-  bool close_if_current(std::uint32_t group, std::uint32_t rank,
-                        std::uint64_t gen);
 
   /// Close every session and stop all shell threads (idempotent).  Pending
   /// received messages and closed events still deliver first.  Do not call
@@ -141,14 +114,12 @@ class SessionShell {
   void stop();
 
   /// Settle in-flight transport events: asynchronous sends attempted and
-  /// any resulting closed callbacks delivered (reactor mode; a no-op in
-  /// threaded mode, whose failures are synchronous).  Call before answering
+  /// any resulting closed callbacks delivered.  Call before answering
   /// liveness queries; never from inside a callback or under a lock the
   /// callbacks take.
   void quiesce();
 
-  ShellOptions::Mode mode() const noexcept { return opts_.mode; }
-  /// Reactor transport counters (all-zero in threaded mode).
+  /// Reactor transport counters.
   msg::ReactorStats reactor_stats() const;
 
  private:
@@ -156,13 +127,10 @@ class SessionShell {
     std::uint32_t group = 0;
     std::uint32_t rank = 0;
     std::shared_ptr<msg::Endpoint> endpoint;
-    /// Serializes threaded send() against close() on `endpoint`.
-    std::shared_ptr<std::mutex> io_mutex = std::make_shared<std::mutex>();
-    std::thread receiver;  ///< threaded mode
     /// Bumped per install; stale-incarnation filter for sends and closes.
     std::uint64_t gen = 0;
-    /// Highest generation whose closed event has fully delivered (reactor
-    /// mode bookkeeping for retire_session).
+    /// Highest generation whose closed event has fully delivered
+    /// (bookkeeping for retire_session).
     std::uint64_t closed_gen = 0;
     bool started = false;
   };
@@ -173,17 +141,14 @@ class SessionShell {
     void on_peer_closed(msg::PeerId peer) override;
   };
 
-  void receiver_loop(std::shared_ptr<Session> s, std::uint64_t gen);
   void reactor_closed(std::uint64_t gen, std::uint32_t group,
                       std::uint32_t rank);
-  /// Close a session's transport; `lk` (on mu_) is held and stays held.
+  /// Close a session's transport; call with mu_ held.
   void close_locked(Session& s);
 
-  ShellOptions opts_;
   Callbacks cbs_;
-  obs::Telemetry* telemetry_;
   ReactorBridge bridge_;
-  std::unique_ptr<msg::Reactor> reactor_;  ///< null in threaded mode
+  std::unique_ptr<msg::Reactor> reactor_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

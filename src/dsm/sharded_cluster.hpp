@@ -1,5 +1,6 @@
-// Simulated cluster around the sharded home directory: a ShardedHome with
-// N shards plus remote threads on their own virtual platforms, each
+// Simulated heterogeneous cluster, standing in for the paper's testbed
+// (Sun Fire V440 + Pentium 4 over a LAN): a ShardedHome (one shard by
+// default) plus remote threads on their own virtual platforms, each
 // connected to every shard over in-process channels.  The optional `wrap`
 // hook interposes on each (rank, shard) channel before the remote sees it
 // — the fault suites wrap shard sessions in msg::FaultyEndpoint to drop,

@@ -186,9 +186,10 @@ void ShardedHome::attach_endpoint(std::uint32_t rank, std::uint32_t shard,
                             std::to_string(opts_.num_shards));
   }
   Shard& sh = *shards_[shard];
-  // Same re-attach discipline as HomeNode::attach_endpoint: wait out a
-  // migrating rank's detach window, reap the old incarnation outside the
-  // state lock (its final closed callback needs the lock on its way out).
+  // A migrating thread re-attaches its rank from the destination node
+  // moments after the source detached: wait out that window, then reap the
+  // old incarnation outside the state lock (its final closed callback needs
+  // the lock on its way out).
   {
     std::unique_lock<std::mutex> lock(sh.mutex);
     if (stopped_.load()) throw std::logic_error("attach after stop()");
@@ -319,11 +320,7 @@ void ShardedHome::bounce(Shard& sh, std::unique_lock<std::mutex>& lock,
   SessionShell::SendHandle h = shell_->handle(sh.index, rank);
   if (!h.valid) return;
   lock.unlock();
-  const bool ok = shell_->send(h, std::move(redirect));
-  lock.lock();
-  if (!ok && shell_->close_if_current(sh.index, rank, h.gen)) {
-    process_event(sh, lock, CoherenceEvent::peer_detached(rank));
-  }
+  shell_->send(h, std::move(redirect));
 }
 
 // ---- replication: primary side (docs/REPLICATION.md) -----------------------
@@ -507,7 +504,7 @@ void ShardedHome::promote(std::uint32_t fence_epoch) {
     std::unique_lock<std::mutex> lock(sh.mutex);
     std::vector<CoherenceAction> actions;
     sh.core.reset_master(actions);
-    drain(sh, lock, {}, std::move(actions));
+    drain(sh, lock, std::move(actions));
   }
   start();
 }
@@ -529,8 +526,8 @@ void ShardedHome::refresh_flags(Shard& sh) {
 }
 
 std::uint32_t ShardedHome::mask_for(std::uint32_t rank) const {
-  // One shard ⇒ the grant itself carried everything pending; a zero mask
-  // keeps the wire byte-identical to the single-home HomeNode.
+  // One shard ⇒ the grant itself carried everything pending, so there is
+  // nothing to drain.
   if (opts_.num_shards <= 1) return 0;
   // Scoped pending (strict entry consistency): every row's pending lives
   // only at the shard owning its guarding region and ships on that
@@ -550,13 +547,14 @@ std::uint32_t ShardedHome::mask_for(std::uint32_t rank) const {
 
 void ShardedHome::process_event(Shard& sh, std::unique_lock<std::mutex>& lock,
                                 CoherenceEvent e) {
-  std::vector<CoherenceEvent> queue;
-  queue.push_back(std::move(e));
-  drain(sh, lock, std::move(queue), {});
+  std::vector<CoherenceAction> actions = sh.core.step(e);
+  // Log-before-reply (docs/REPLICATION.md): the record must be durable at
+  // the standby before any of this event's sends flush in drain().
+  if (opts_.replication != nullptr) replicate(sh, e);
+  drain(sh, lock, std::move(actions));
 }
 
 void ShardedHome::drain(Shard& sh, std::unique_lock<std::mutex>& lock,
-                        std::vector<CoherenceEvent> queue,
                         std::vector<CoherenceAction> actions) {
   struct PendingSend {
     std::uint32_t rank;
@@ -564,90 +562,65 @@ void ShardedHome::drain(Shard& sh, std::unique_lock<std::mutex>& lock,
     msg::Message message;
   };
   std::vector<PendingSend> sends;
-  for (;;) {
-    for (CoherenceAction& a : actions) {
-      switch (a.kind) {
-        case CoherenceAction::Kind::Trace:
-          if (sh.trace != nullptr) {
-            sh.trace->append(a.trace.kind, a.trace.rank, a.trace.sync_id,
-                             a.trace.blocks, a.trace.bytes, a.trace.req);
-          }
-          break;
-        case CoherenceAction::Kind::WakeMaster:
-          sh.cv.notify_all();
-          break;
-        case CoherenceAction::Kind::Detach:
-          std::fprintf(stderr, "hdsm shard %u: detaching rank %u: %s\n",
-                       sh.index, a.rank, a.reason.c_str());
-          shell_->close_session(sh.index, a.rank);
-          break;
-        case CoherenceAction::Kind::Send: {
-          // The handle pins the current incarnation: a re-attach while the
-          // lock is released below routes this message to (or buries it
-          // with) the old transport, never the new one.
-          SessionShell::SendHandle h = shell_->handle(sh.index, a.rank);
-          if (!h.valid) break;
-          sends.push_back({a.rank, std::move(h), std::move(a.message)});
-          break;
+  for (CoherenceAction& a : actions) {
+    switch (a.kind) {
+      case CoherenceAction::Kind::Trace:
+        if (sh.trace != nullptr) {
+          sh.trace->append(a.trace.kind, a.trace.rank, a.trace.sync_id,
+                           a.trace.blocks, a.trace.bytes, a.trace.req);
         }
+        break;
+      case CoherenceAction::Kind::WakeMaster:
+        sh.cv.notify_all();
+        break;
+      case CoherenceAction::Kind::Detach:
+        std::fprintf(stderr, "hdsm shard %u: detaching rank %u: %s\n",
+                     sh.index, a.rank, a.reason.c_str());
+        shell_->close_session(sh.index, a.rank);
+        break;
+      case CoherenceAction::Kind::Send: {
+        // The handle pins the current incarnation: a re-attach while the
+        // lock is released below routes this message to (or buries it
+        // with) the old transport, never the new one.
+        SessionShell::SendHandle h = shell_->handle(sh.index, a.rank);
+        if (!h.valid) break;
+        sends.push_back({a.rank, std::move(h), std::move(a.message)});
+        break;
       }
     }
-    actions.clear();
-    if (!queue.empty()) {
-      CoherenceEvent ev = std::move(queue.front());
-      queue.erase(queue.begin());
-      actions = sh.core.step(ev);
-      // Log-before-reply (docs/REPLICATION.md): the record must be durable
-      // at the standby before any of this event's sends flush below.
-      if (opts_.replication != nullptr) replicate(sh, ev);
-      continue;
-    }
-    // The batch's state transitions are complete: publish this shard's
-    // pending bits, then stamp every outgoing frame — the current map
-    // epoch (remotes revalidate lazily) and, on the acquire replies, the
-    // pending-shards mask the remote must drain (docs/SHARDING.md).
-    refresh_flags(sh);
-    if (sends.empty()) return;
-    if (fenced_.load()) {
-      // Deposed primary: a newer epoch is serving.  Never externalize
-      // another frame — the remotes' retransmits are answered by the new
-      // primary's replicated reply caches (docs/REPLICATION.md).
-      sends.clear();
-      return;
-    }
-    const std::uint32_t epoch = epoch_mirror_.load();
-    for (PendingSend& ps : sends) {
-      ps.message.map_epoch = epoch;
-      switch (ps.message.type) {
-        case msg::MsgType::LockGrant:
-        case msg::MsgType::BarrierRelease:
-        case msg::MsgType::PendingReply:
-          ps.message.aux = mask_for(ps.rank);
-          break;
-        default:
-          break;
-      }
-    }
-    // Flush outside the state lock, exactly as HomeNode::process_event:
-    // failed sends come back as PeerDetached events.
-    lock.unlock();
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> dead;
-    for (PendingSend& ps : sends) {
-      if (!shell_->send(ps.handle, std::move(ps.message))) {
-        // Dead peer (threaded mode); reactor failures arrive as on_closed.
-        dead.emplace_back(ps.rank, ps.handle.gen);
-      }
-    }
-    sends.clear();
-    lock.lock();
-    for (const auto& [rank, gen] : dead) {
-      // Skip stale failures: the rank may have re-attached (new generation)
-      // while the lock was released.
-      if (!shell_->close_if_current(sh.index, rank, gen)) continue;
-      queue.push_back(CoherenceEvent::peer_detached(rank));
-    }
-    if (queue.empty()) return;
   }
+  // The batch's state transitions are complete: publish this shard's
+  // pending bits, then stamp every outgoing frame — the current map epoch
+  // (remotes revalidate lazily) and, on the acquire replies, the
+  // pending-shards mask the remote must drain (docs/SHARDING.md).
+  refresh_flags(sh);
+  // A deposed primary (a newer epoch is serving) never externalizes another
+  // frame — the remotes' retransmits are answered by the new primary's
+  // replicated reply caches (docs/REPLICATION.md).
+  if (sends.empty() || fenced_.load()) return;
+  const std::uint32_t epoch = epoch_mirror_.load();
+  for (PendingSend& ps : sends) {
+    ps.message.map_epoch = epoch;
+    switch (ps.message.type) {
+      case msg::MsgType::LockGrant:
+      case msg::MsgType::BarrierRelease:
+      case msg::MsgType::PendingReply:
+        ps.message.aux = mask_for(ps.rank);
+        break;
+      default:
+        break;
+    }
+  }
+  // Flush outside the state lock.  Concurrent events may interleave here —
+  // safe, because the per-peer request/reply discipline means any
+  // concurrent send to the same peer is an identical cached reply.  Sends
+  // are asynchronous: a dead peer's failure arrives as on_closed, which
+  // steps the core with PeerDetached like any other transport loss.
+  lock.unlock();
+  for (PendingSend& ps : sends) {
+    shell_->send(ps.handle, std::move(ps.message));
+  }
+  lock.lock();
 }
 
 // ---- master-thread API -----------------------------------------------------
@@ -837,14 +810,14 @@ std::chrono::nanoseconds ShardedHome::migrate_region(std::uint32_t region,
       map_.set_override(region, dst_shard);
       epoch_mirror_.store(map_.epoch());
     }
-    drain(sh, lk, {}, std::move(actions));
+    drain(sh, lk, std::move(actions));
   }
   {
     Shard& sh = *shards_[dst_shard];
     std::unique_lock<std::mutex> lk(sh.mutex);
     std::vector<CoherenceAction> actions;
     sh.core.import_region(std::move(state), actions);
-    drain(sh, lk, {}, std::move(actions));
+    drain(sh, lk, std::move(actions));
   }
   const auto pause = std::chrono::steady_clock::now() - t0;
   {
@@ -925,6 +898,15 @@ bool ShardedHome::quiesced() const {
     if (!shp->core.quiesced()) return false;
   }
   return true;
+}
+
+std::size_t ShardedHome::recovery_entries(std::uint32_t rank) const {
+  std::size_t total = 0;
+  for (const auto& shp : shards_) {
+    std::lock_guard<std::mutex> lk(shp->mutex);
+    total += shp->core.recovery_entries(rank);
+  }
+  return total;
 }
 
 void ShardedHome::set_barrier_count(std::uint32_t index, std::uint32_t count) {

@@ -1,9 +1,9 @@
 // The sharded home directory (docs/SHARDING.md): the home node's coherence
 // duties partitioned across N independent shards, each a full sans-I/O
 // `CoherenceCore` behind its own state mutex, served by the shared
-// transport shell (`SessionShell`, docs/TRANSPORT.md — reactor-driven by
-// default, with each shard's sessions pinned to one worker lane so
-// per-shard event delivery stays serialized).  A
+// transport shell (`SessionShell`, docs/TRANSPORT.md — an epoll reactor
+// with each shard's sessions pinned to one worker lane so per-shard event
+// delivery stays serialized).  A
 // region (mutex index i + barrier index i) is owned by exactly one shard at
 // a time; the authoritative region→shard map is a `ShardMap` whose epoch
 // travels in every frame header, so remotes revalidate lazily — a request
@@ -16,8 +16,9 @@
 // barrier release from shard S ships S's pending bytes and flags every
 // *other* shard holding pending for that rank in the reply's `aux` bitmask;
 // the remote drains those shards with `PendingPull` before its acquire
-// completes.  With num_shards == 1 the mask is always 0 and the wire
-// behavior is byte-identical to the single-home `HomeNode`.
+// completes.  With num_shards == 1 (the default) this *is* the paper's home
+// node (§3.1, §4): the mask is always 0, nothing is ever redirected or
+// pulled, and every frame carries aux == 0 and map_epoch == 1.
 //
 // Regions migrate online between shards (migrate_region): the source shard
 // exports the region's coherence state + in-flight reply cache under its
@@ -56,8 +57,8 @@ namespace hdsm::dsm {
 struct ShardedHomeOptions {
   std::uint32_t num_locks = 16;
   std::uint32_t num_barriers = 16;
-  /// Home shards (1..ShardMap::kMaxShards).  1 = a single directory shard,
-  /// wire-compatible with HomeNode.
+  /// Home shards (1..ShardMap::kMaxShards).  1 = a single directory shard:
+  /// the paper's home node, with no masks, redirects, or pulls.
   std::uint32_t num_shards = 1;
   DsdOptions dsd;
   /// Optional per-shard protocol trace sinks: entry s traces shard s (a
@@ -170,7 +171,7 @@ class ShardedHome {
   void start();
   void stop();
 
-  // -- Master-thread synchronization API (rank 0, same as HomeNode).  The
+  // -- Master-thread synchronization API (the rank-0 side of MTh_*).  The
   //    waits poll across migrations: each iteration re-routes to the
   //    region's current owner shard. --
   void lock(std::uint32_t index);
@@ -195,7 +196,7 @@ class ShardedHome {
   std::uint64_t shard_busy_ns(std::uint32_t shard) const;
 
   obs::Telemetry* telemetry() noexcept { return telemetry_.get(); }
-  /// Transport counters (all-zero when the shell runs in Threaded mode).
+  /// Transport counters.
   msg::ReactorStats transport_stats() const { return shell_->reactor_stats(); }
   /// Cluster view: one rank-0 row folding every shard's counters plus the
   /// remote snapshots collected by shard 0 (the scrape anchor).
@@ -203,6 +204,10 @@ class ShardedHome {
 
   std::vector<std::uint32_t> active_ranks() const;
   bool quiesced() const;
+  /// Open reset-recovery windows for `rank` summed over the shard cores
+  /// (see CoherenceCore::recovery_entries) — bounded by the number of
+  /// mutexes whose last grant went to `rank`; exposed for the stress tests.
+  std::size_t recovery_entries(std::uint32_t rank) const;
   void set_barrier_count(std::uint32_t index, std::uint32_t count);
   void bind_lock(std::uint32_t index, const std::string& field);
 
@@ -255,15 +260,15 @@ class ShardedHome {
     std::set<std::uint32_t> ranks;
   };
 
-  /// Step `sh.core` with `e` and execute the actions (HomeNode's executor,
-  /// per shard): Trace/WakeMaster/Detach under the held shard lock, then —
-  /// after refreshing this shard's pending-flag bits and stamping
-  /// map_epoch/aux on every outgoing frame — Sends outside it.
+  /// Step `sh.core` with `e` (replicating it first when a standby is
+  /// attached) and execute the resulting actions via drain().
   void process_event(Shard& sh, std::unique_lock<std::mutex>& lock,
                      CoherenceEvent e);
-  /// Same executor, entered with pre-computed actions (export/import).
+  /// Execute `actions`: Trace/WakeMaster/Detach under the held shard lock,
+  /// then — after refreshing this shard's pending-flag bits and stamping
+  /// map_epoch/aux on every outgoing frame — Sends outside it.  Returns with
+  /// the lock re-held.
   void drain(Shard& sh, std::unique_lock<std::mutex>& lock,
-             std::vector<CoherenceEvent> queue,
              std::vector<CoherenceAction> actions);
 
   /// True when `shard` owns `region` and no migration handoff is open for
@@ -273,7 +278,7 @@ class ShardedHome {
   std::uint32_t owner_of(std::uint32_t region) const;
   /// Bounce a request routed by a stale map: shell-level WrongShard reply
   /// carrying the authoritative map (never touches any core).  Call with
-  /// the shard lock held; the send happens outside it.
+  /// the shard lock held; it is released for the send and stays released.
   void bounce(Shard& sh, std::unique_lock<std::mutex>& lock,
               std::uint32_t rank, const msg::Message& m);
 

@@ -25,7 +25,9 @@ constexpr int kMaxRedirectHops = 64;
 constexpr auto kHandoffBackoff = std::chrono::microseconds(200);
 
 std::uint32_t incarnation_epoch(std::uint32_t rank) {
-  // Same construction as RemoteThread's: nonzero clock+counter nonce.
+  // Nonzero nonce distinguishing this incarnation of `rank` from any
+  // earlier one (thread churn, migration): clock + process-wide counter,
+  // mixed so successive incarnations never repeat an epoch.
   static std::atomic<std::uint64_t> counter{0};
   std::uint64_t h = static_cast<std::uint64_t>(
       std::chrono::steady_clock::now().time_since_epoch().count());

@@ -17,17 +17,17 @@
 //     remote drains each with PendingPull before the acquire returns —
 //     release consistency holds cluster-wide, not just per shard.
 //
-// With one shard this class degenerates to RemoteThread's behavior: no
-// masks (always 0), no redirects, one session.
+// With one shard (the default) this is the plain remote thread of the
+// paper: no masks (always 0), no redirects, one session.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dsm/global_space.hpp"
-#include "dsm/remote.hpp"  // HomeUnreachable
 #include "dsm/retry_core.hpp"
 #include "dsm/shard_map.hpp"
 #include "dsm/stats.hpp"
@@ -37,6 +37,18 @@
 #include "obs/telemetry.hpp"
 
 namespace hdsm::dsm {
+
+/// Thrown by a remote's synchronization calls when the home node stopped
+/// answering: every retry timed out (and every permitted reconnect failed).
+/// The remote has already detached itself — tracking is stopped and the
+/// endpoints closed — so the application thread can terminate cleanly.
+/// Derives from msg::ChannelClosed: to the application this *is* a dead
+/// channel, just diagnosed at the protocol layer instead of the transport.
+class HomeUnreachable : public msg::ChannelClosed {
+ public:
+  explicit HomeUnreachable(const std::string& what)
+      : msg::ChannelClosed(what) {}
+};
 
 struct ShardedRemoteOptions {
   DsdOptions dsd;
@@ -74,7 +86,7 @@ class ShardedRemote {
   ShardedRemote(const ShardedRemote&) = delete;
   ShardedRemote& operator=(const ShardedRemote&) = delete;
 
-  // -- MTh_* API, identical semantics to RemoteThread --
+  // -- MTh_* API (paper §4) --
   void lock(std::uint32_t index);
   void unlock(std::uint32_t index);
   void barrier(std::uint32_t index);
@@ -106,9 +118,10 @@ class ShardedRemote {
   /// Bounded-hop routed request: route by the cached map, intercept
   /// WrongShard, install the fresher map, re-issue at the new owner.
   msg::Message routed_rpc(msg::Message req, msg::MsgType want);
-  /// One request/reply exchange on shard `shard` (RemoteThread::rpc per
-  /// session).  When `allow_redirect`, a WrongShard echoing this request's
-  /// seq is returned to the caller instead of raising ProtocolError.
+  /// One request/reply exchange on shard `shard`: send, then wait,
+  /// retransmitting and reconnecting as the session's RetryCore decides.
+  /// When `allow_redirect`, a WrongShard echoing this request's seq is
+  /// returned to the caller instead of raising ProtocolError.
   msg::Message rpc(std::uint32_t shard, msg::Message req, msg::MsgType want,
                    bool allow_redirect);
   /// Drain every shard flagged in `mask` (and any shard a PendingReply

@@ -35,14 +35,14 @@
 
 // The distributed-shared-data core.
 #include "dsm/arena.hpp"
-#include "dsm/cluster.hpp"
 #include "dsm/global_space.hpp"
-#include "dsm/home.hpp"
 #include "dsm/image_io.hpp"
 #include "dsm/mth.hpp"
 #include "dsm/rehome.hpp"
-#include "dsm/remote.hpp"
 #include "dsm/scoped_lock.hpp"
+#include "dsm/sharded_cluster.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "dsm/stats.hpp"
 #include "dsm/trace.hpp"
 

@@ -22,12 +22,12 @@ const std::vector<std::uint32_t>& paper_sizes() {
 
 namespace {
 
-ExperimentResult finish(dsm::Cluster& cluster, ExperimentResult r,
+ExperimentResult finish(dsm::ShardedCluster& cluster, ExperimentResult r,
                         double wall_seconds, bool verified) {
   r.total = cluster.total_stats();
-  r.home = cluster.home_stats();
-  r.remote = cluster.remote_stats(1);
-  r.remote += cluster.remote_stats(2);
+  r.home = cluster.home().stats();
+  r.remote = cluster.remote(1).stats();
+  r.remote += cluster.remote(2).stats();
   r.wall_seconds = wall_seconds;
   r.verified = verified;
   return r;
@@ -36,14 +36,14 @@ ExperimentResult finish(dsm::Cluster& cluster, ExperimentResult r,
 }  // namespace
 
 ExperimentResult run_matmul_experiment(const PairSpec& pair, std::uint32_t n,
-                                       dsm::HomeOptions opts) {
+                                       dsm::ShardedHomeOptions opts) {
   ExperimentResult r;
   r.pair = pair.name;
   r.workload = "matmul";
   r.n = n;
 
-  dsm::Cluster cluster(matmul_gthv(n), *pair.home,
-                       {pair.remote, pair.remote}, opts);
+  dsm::ShardedCluster cluster(matmul_gthv(n), *pair.home,
+                              {pair.remote, pair.remote}, opts);
   obs::ScopedTimer timer;
   const std::vector<std::int32_t> c = run_matmul(cluster, n);
   const double wall = static_cast<double>(timer.elapsed_ns()) / 1e9;
@@ -54,14 +54,14 @@ ExperimentResult run_matmul_experiment(const PairSpec& pair, std::uint32_t n,
 }
 
 ExperimentResult run_lu_experiment(const PairSpec& pair, std::uint32_t n,
-                                   dsm::HomeOptions opts) {
+                                   dsm::ShardedHomeOptions opts) {
   ExperimentResult r;
   r.pair = pair.name;
   r.workload = "lu";
   r.n = n;
 
-  dsm::Cluster cluster(lu_gthv(n), *pair.home, {pair.remote, pair.remote},
-                       opts);
+  dsm::ShardedCluster cluster(lu_gthv(n), *pair.home,
+                              {pair.remote, pair.remote}, opts);
   obs::ScopedTimer timer;
   const std::vector<double> m = run_lu(cluster, n);
   const double wall = static_cast<double>(timer.elapsed_ns()) / 1e9;

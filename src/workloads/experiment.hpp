@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "dsm/cluster.hpp"
+#include "dsm/sharded_cluster.hpp"
 #include "workloads/lu.hpp"
 #include "workloads/matmul.hpp"
 
@@ -38,8 +38,8 @@ struct ExperimentResult {
 };
 
 ExperimentResult run_matmul_experiment(const PairSpec& pair, std::uint32_t n,
-                                       dsm::HomeOptions opts = {});
+                                       dsm::ShardedHomeOptions opts = {});
 ExperimentResult run_lu_experiment(const PairSpec& pair, std::uint32_t n,
-                                   dsm::HomeOptions opts = {});
+                                   dsm::ShardedHomeOptions opts = {});
 
 }  // namespace hdsm::work

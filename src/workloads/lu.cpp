@@ -76,13 +76,13 @@ std::vector<double> lu_reference(std::uint32_t n) {
   return m;
 }
 
-std::vector<double> run_lu(dsm::Cluster& cluster, std::uint32_t n) {
+std::vector<double> run_lu(dsm::ShardedCluster& cluster, std::uint32_t n) {
   const std::uint32_t threads =
       static_cast<std::uint32_t>(cluster.remote_count()) + 1;
   const std::uint64_t nn = static_cast<std::uint64_t>(n) * n;
 
   cluster.run(
-      [&](dsm::HomeNode& home) {
+      [&](dsm::ShardedHome& home) {
         home.lock(0);
         auto mv = home.space().view<double>("M");
         for (std::uint32_t i = 0; i < n; ++i) {
@@ -98,7 +98,7 @@ std::vector<double> run_lu(dsm::Cluster& cluster, std::uint32_t n) {
                    0, threads);
         home.wait_all_joined();
       },
-      [&](dsm::RemoteThread& remote) {
+      [&](dsm::ShardedRemote& remote) {
         remote.barrier(0);  // pulls the full image incl. M
         lu_compute(remote.space(),
                    [&](std::uint32_t b) { remote.barrier(b); }, n,

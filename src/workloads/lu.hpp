@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "dsm/cluster.hpp"
+#include "dsm/sharded_cluster.hpp"
 #include "tags/type_desc.hpp"
 
 namespace hdsm::work {
@@ -28,6 +28,6 @@ std::vector<double> lu_reference(std::uint32_t n);
 
 /// Run the distributed LU; returns the factored matrix read back from the
 /// master image (L below the diagonal, U on and above).
-std::vector<double> run_lu(dsm::Cluster& cluster, std::uint32_t n);
+std::vector<double> run_lu(dsm::ShardedCluster& cluster, std::uint32_t n);
 
 }  // namespace hdsm::work

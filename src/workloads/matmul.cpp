@@ -84,14 +84,15 @@ std::vector<std::int32_t> matmul_reference(std::uint32_t n) {
   return c;
 }
 
-std::vector<std::int32_t> run_matmul(dsm::Cluster& cluster, std::uint32_t n) {
+std::vector<std::int32_t> run_matmul(dsm::ShardedCluster& cluster,
+                                     std::uint32_t n) {
   const std::uint32_t threads =
       static_cast<std::uint32_t>(cluster.remote_count()) + 1;
   const std::uint64_t nn = static_cast<std::uint64_t>(n) * n;
 
   cluster.run(
       // Master thread (rank 0, at the home node).
-      [&](dsm::HomeNode& home) {
+      [&](dsm::ShardedHome& home) {
         home.lock(0);
         auto a = home.space().view<std::int32_t>("A");
         auto b = home.space().view<std::int32_t>("B");
@@ -112,7 +113,7 @@ std::vector<std::int32_t> run_matmul(dsm::Cluster& cluster, std::uint32_t n) {
         home.wait_all_joined();
       },
       // Remote threads (ranks 1..).
-      [&](dsm::RemoteThread& remote) {
+      [&](dsm::ShardedRemote& remote) {
         remote.barrier(0);  // pulls the full image incl. A, B
         std::uint32_t begin, end;
         row_block(n, remote.rank(), threads, begin, end);

@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "dsm/cluster.hpp"
+#include "dsm/sharded_cluster.hpp"
 #include "tags/type_desc.hpp"
 
 namespace hdsm::work {
@@ -28,6 +28,7 @@ std::vector<std::int32_t> matmul_reference(std::uint32_t n);
 /// thread (master + remotes) computes a contiguous row block of C, and a
 /// final barrier gathers the result at home.  Returns C read back from the
 /// master image.
-std::vector<std::int32_t> run_matmul(dsm::Cluster& cluster, std::uint32_t n);
+std::vector<std::int32_t> run_matmul(dsm::ShardedCluster& cluster,
+                                     std::uint32_t n);
 
 }  // namespace hdsm::work

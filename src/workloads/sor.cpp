@@ -73,7 +73,7 @@ std::vector<double> sor_reference(std::uint32_t n, std::uint32_t iters,
   return grid;
 }
 
-std::vector<double> run_sor(dsm::Cluster& cluster, std::uint32_t n,
+std::vector<double> run_sor(dsm::ShardedCluster& cluster, std::uint32_t n,
                             std::uint32_t iters, double omega) {
   const std::uint32_t threads =
       static_cast<std::uint32_t>(cluster.remote_count()) + 1;
@@ -93,7 +93,7 @@ std::vector<double> run_sor(dsm::Cluster& cluster, std::uint32_t n,
   };
 
   cluster.run(
-      [&](dsm::HomeNode& home) {
+      [&](dsm::ShardedHome& home) {
         home.lock(0);
         auto grid = home.space().view<double>("grid");
         const std::uint32_t stride = n + 2;
@@ -109,7 +109,7 @@ std::vector<double> run_sor(dsm::Cluster& cluster, std::uint32_t n,
         worker(home, 0, [&](std::uint32_t b) { home.barrier(b); });
         home.wait_all_joined();
       },
-      [&](dsm::RemoteThread& remote) {
+      [&](dsm::ShardedRemote& remote) {
         remote.barrier(0);
         worker(remote, remote.rank(),
                [&](std::uint32_t b) { remote.barrier(b); });

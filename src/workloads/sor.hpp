@@ -14,7 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "dsm/cluster.hpp"
+#include "dsm/sharded_cluster.hpp"
 #include "tags/type_desc.hpp"
 
 namespace hdsm::work {
@@ -30,7 +30,7 @@ std::vector<double> sor_reference(std::uint32_t n, std::uint32_t iters,
                                   double omega);
 
 /// Run distributed SOR; returns the final grid from the master image.
-std::vector<double> run_sor(dsm::Cluster& cluster, std::uint32_t n,
+std::vector<double> run_sor(dsm::ShardedCluster& cluster, std::uint32_t n,
                             std::uint32_t iters, double omega = 1.5);
 
 }  // namespace hdsm::work

@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dsm/cluster.hpp"
+#include "dsm/sharded_cluster.hpp"
 #include "dsm/trace.hpp"
 #include "tags/describe.hpp"
 #include "workloads/experiment.hpp"
@@ -30,14 +30,14 @@ namespace {
 /// dwell, fast EWMA, thin switch margin — the tuner moves as early and as
 /// often as it ever can, maximizing the chance a wrong decision would
 /// corrupt a result.
-dsm::HomeOptions adaptive_on(dsm::TraceLog* trace = nullptr) {
-  dsm::HomeOptions opts;
+dsm::ShardedHomeOptions adaptive_on(dsm::TraceLog* trace = nullptr) {
+  dsm::ShardedHomeOptions opts;
   opts.dsd.adaptive = true;
   opts.dsd.tuner.warmup = 1;
   opts.dsd.tuner.dwell = 1;
   opts.dsd.tuner.alpha = 0.5;
   opts.dsd.tuner.margin = 0.05;
-  opts.trace = trace;
+  opts.shard_traces = {trace};
   return opts;
 }
 
@@ -66,14 +66,14 @@ TEST(AdaptiveEquivalence, MatmulHomogeneousPair) {
   const work::PairSpec& pair = work::paper_pairs()[0];  // LL
   const std::uint32_t n = 48;
 
-  dsm::Cluster off(work::matmul_gthv(n), *pair.home,
-                   {pair.remote, pair.remote});
+  dsm::ShardedCluster off(work::matmul_gthv(n), *pair.home,
+                          {pair.remote, pair.remote});
   const auto c_off = work::run_matmul(off, n);
   EXPECT_EQ(off.total_stats().adapt_episodes, 0u)
       << "adaptive off must not even sample";
 
-  dsm::Cluster on(work::matmul_gthv(n), *pair.home,
-                  {pair.remote, pair.remote}, adaptive_on());
+  dsm::ShardedCluster on(work::matmul_gthv(n), *pair.home,
+                         {pair.remote, pair.remote}, adaptive_on());
   const auto c_on = work::run_matmul(on, n);
 
   EXPECT_TRUE(bytes_identical(c_off, c_on));
@@ -85,10 +85,10 @@ TEST(AdaptiveEquivalence, MatmulHeterogeneousPair) {
   const work::PairSpec& pair = work::paper_pairs()[2];  // SL
   const std::uint32_t n = 48;
 
-  dsm::Cluster off(work::matmul_gthv(n), *pair.home,
-                   {pair.remote, pair.remote});
-  dsm::Cluster on(work::matmul_gthv(n), *pair.home,
-                  {pair.remote, pair.remote}, adaptive_on());
+  dsm::ShardedCluster off(work::matmul_gthv(n), *pair.home,
+                          {pair.remote, pair.remote});
+  dsm::ShardedCluster on(work::matmul_gthv(n), *pair.home,
+                         {pair.remote, pair.remote}, adaptive_on());
   const auto c_off = work::run_matmul(off, n);
   const auto c_on = work::run_matmul(on, n);
 
@@ -105,9 +105,10 @@ TEST(AdaptiveEquivalence, LuIsBitExactUnderAdaptivity) {
   const work::PairSpec& pair = work::paper_pairs()[2];  // SL
   const std::uint32_t n = 40;
 
-  dsm::Cluster off(work::lu_gthv(n), *pair.home, {pair.remote, pair.remote});
-  dsm::Cluster on(work::lu_gthv(n), *pair.home, {pair.remote, pair.remote},
-                  adaptive_on());
+  dsm::ShardedCluster off(work::lu_gthv(n), *pair.home,
+                          {pair.remote, pair.remote});
+  dsm::ShardedCluster on(work::lu_gthv(n), *pair.home,
+                         {pair.remote, pair.remote}, adaptive_on());
   const auto m_off = work::run_lu(off, n);
   const auto m_on = work::run_lu(on, n);
 
@@ -125,9 +126,10 @@ TEST(AdaptiveEquivalence, SorIsBitExactUnderAdaptivity) {
   const std::uint32_t n = 24;
   const std::uint32_t iters = 4;
 
-  dsm::Cluster off(work::sor_gthv(n), *pair.home, {pair.remote, pair.remote});
-  dsm::Cluster on(work::sor_gthv(n), *pair.home, {pair.remote, pair.remote},
-                  adaptive_on());
+  dsm::ShardedCluster off(work::sor_gthv(n), *pair.home,
+                          {pair.remote, pair.remote});
+  dsm::ShardedCluster on(work::sor_gthv(n), *pair.home,
+                         {pair.remote, pair.remote}, adaptive_on());
   const auto g_off = work::run_sor(off, n, iters);
   const auto g_on = work::run_sor(on, n, iters);
 
@@ -149,9 +151,9 @@ TEST(AdaptiveEquivalence, LockRmwWorkloadIsDeterministic) {
   constexpr std::uint32_t kRounds = 6;
   constexpr std::uint64_t kCounters = 256;
 
-  const auto run = [&](dsm::HomeOptions opts) {
-    dsm::Cluster cluster(gthv, *work::paper_pairs()[0].home,
-                         {work::paper_pairs()[0].remote,
+  const auto run = [&](dsm::ShardedHomeOptions opts) {
+    dsm::ShardedCluster cluster(gthv, *work::paper_pairs()[0].home,
+                                {work::paper_pairs()[0].remote,
                           work::paper_pairs()[0].remote},
                          opts);
     const auto bump = [](auto& space, std::uint32_t thread) {
@@ -163,7 +165,7 @@ TEST(AdaptiveEquivalence, LockRmwWorkloadIsDeterministic) {
       }
     };
     cluster.run(
-        [&](dsm::HomeNode& home) {
+        [&](dsm::ShardedHome& home) {
           for (std::uint32_t r = 0; r < kRounds; ++r) {
             home.lock(1);
             bump(home.space(), 0);
@@ -172,7 +174,7 @@ TEST(AdaptiveEquivalence, LockRmwWorkloadIsDeterministic) {
           home.barrier(0);
           home.wait_all_joined();
         },
-        [&](dsm::RemoteThread& remote) {
+        [&](dsm::ShardedRemote& remote) {
           for (std::uint32_t r = 0; r < kRounds; ++r) {
             remote.lock(1);
             bump(remote.space(), remote.rank());
@@ -184,7 +186,7 @@ TEST(AdaptiveEquivalence, LockRmwWorkloadIsDeterministic) {
     return cluster.home().space().view<std::int32_t>("counters").to_vector();
   };
 
-  const auto off = run(dsm::HomeOptions{});
+  const auto off = run(dsm::ShardedHomeOptions{});
   const auto on = run(adaptive_on());
   EXPECT_TRUE(bytes_identical(off, on));
 
@@ -203,8 +205,12 @@ TEST(AdaptiveEquivalence, AdaptiveTracePassesTheValidator) {
   dsm::TraceLog log;
   const work::PairSpec& pair = work::paper_pairs()[0];
   const std::uint32_t n = 48;
-  dsm::Cluster cluster(work::matmul_gthv(n), *pair.home,
-                       {pair.remote, pair.remote}, adaptive_on(&log));
+  // One combined log: the remotes' tuner episodes must land in it too.
+  dsm::ShardedRemoteOptions ropts;
+  ropts.trace = &log;
+  dsm::ShardedCluster cluster(work::matmul_gthv(n), *pair.home,
+                              {pair.remote, pair.remote}, adaptive_on(&log),
+                              /*wrap=*/nullptr, ropts);
   EXPECT_EQ(work::run_matmul(cluster, n), work::matmul_reference(n));
 
   const std::vector<dsm::TraceEvent> events = log.snapshot();

@@ -7,8 +7,8 @@
 #include <thread>
 
 #include "dsm/arena.hpp"
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "tags/describe.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -87,9 +87,9 @@ TEST(ArenaAllocator, AllocateFreeCycle) {
 TEST(Arena, LinkedListCrossesHeterogeneityBoundary) {
   // A big-endian remote builds the list 30 -> 20 -> 10 in the shared
   // arena; the little-endian home traverses it after the sync.
-  dsm::HomeNode home(arena_gthv(), plat::linux_ia32());
-  dsm::RemoteThread remote(arena_gthv(), plat::solaris_sparc32(), 1,
-                           home.attach(1));
+  dsm::ShardedHome home(arena_gthv(), plat::linux_ia32());
+  dsm::ShardedRemote remote(arena_gthv(), plat::solaris_sparc32(), 1,
+                            home.attach(1));
   home.start();
 
   std::thread builder([&] {
@@ -133,7 +133,7 @@ TEST(Arena, LinkedListCrossesHeterogeneityBoundary) {
 TEST(Arena, AllocatorStateMigratesWithTheData) {
   // The home allocates; a late-joining node must see the same occupancy
   // and continue allocating without collisions.
-  dsm::HomeNode home(arena_gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(arena_gthv(), plat::linux_ia32());
   home.start();
   home.lock(0);
   dsm::ArenaAllocator halloc(home.space(), "pool_used");
@@ -144,8 +144,8 @@ TEST(Arena, AllocatorStateMigratesWithTheData) {
   hpool.set<std::int32_t>(dsm::arena_slot(b), "value", 2);
   home.unlock(0);
 
-  dsm::RemoteThread late(arena_gthv(), plat::windows_x64(), 4,
-                         home.attach(4));
+  dsm::ShardedRemote late(arena_gthv(), plat::windows_x64(), 4,
+                          home.attach(4));
   std::thread joiner([&] {
     late.lock(0);
     dsm::ArenaAllocator ralloc(late.space(), "pool_used");

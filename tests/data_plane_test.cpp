@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "dsm/global_space.hpp"
-#include "dsm/home.hpp"
+#include "dsm/sharded_home.hpp"
 #include "dsm/sync_engine.hpp"
 #include "dsm/trace.hpp"
 #include "dsm/update.hpp"
@@ -179,10 +179,10 @@ TEST(AtomicApply, HomeDetachesSenderOfMalformedPayload) {
   // must apply nothing to the master image, leave the home operational,
   // and detach the sender.
   dsm::TraceLog log;
-  dsm::HomeOptions hopts;
-  hopts.trace = &log;
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32(), hopts);
-  msg::EndpointPtr ep = home.attach(1);
+  dsm::ShardedHomeOptions hopts;
+  hopts.shard_traces = {&log};
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32(), hopts);
+  msg::EndpointPtr ep = std::move(home.attach(1)[0]);
   home.start();
   const std::string tag = home.space().image_tag_text();
 

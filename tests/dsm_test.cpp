@@ -7,12 +7,12 @@
 #include <atomic>
 #include <thread>
 
-#include "dsm/cluster.hpp"
 #include "dsm/global_space.hpp"
-#include "dsm/home.hpp"
 #include "dsm/mth.hpp"
 #include "dsm/rehome.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_cluster.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "dsm/sync_engine.hpp"
 #include "dsm/update.hpp"
 
@@ -258,9 +258,9 @@ class DsdProtocol : public ::testing::TestWithParam<const plat::PlatformDesc*> {
 
 TEST_P(DsdProtocol, LockTransfersUpdatesBothWays) {
   const plat::PlatformDesc& remote_platform = *GetParam();
-  dsm::HomeNode home(small_gthv(), plat::solaris_sparc32());
-  msg::EndpointPtr ep = home.attach(1);
-  dsm::RemoteThread remote(small_gthv(), remote_platform, 1, std::move(ep));
+  dsm::ShardedHome home(small_gthv(), plat::solaris_sparc32());
+  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  dsm::ShardedRemote remote(small_gthv(), remote_platform, 1, std::move(ep));
   home.start();
 
   // Master writes under the lock.
@@ -294,16 +294,16 @@ INSTANTIATE_TEST_SUITE_P(
                       &plat::linux_x86_64()));   // endianness + widths differ
 
 TEST(DsdProtocolMisc, MutualExclusionAcrossThreads) {
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
-  msg::EndpointPtr e1 = home.attach(1);
-  msg::EndpointPtr e2 = home.attach(2);
-  dsm::RemoteThread r1(small_gthv(), plat::linux_ia32(), 1, std::move(e1));
-  dsm::RemoteThread r2(small_gthv(), plat::solaris_sparc32(), 2,
-                       std::move(e2));
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
+  std::vector<msg::EndpointPtr> e1 = home.attach(1);
+  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  dsm::ShardedRemote r1(small_gthv(), plat::linux_ia32(), 1, std::move(e1));
+  dsm::ShardedRemote r2(small_gthv(), plat::solaris_sparc32(), 2,
+                        std::move(e2));
   home.start();
 
   constexpr int kIters = 50;
-  const auto worker = [kIters](dsm::RemoteThread& r) {
+  const auto worker = [kIters](dsm::ShardedRemote& r) {
     for (int i = 0; i < kIters; ++i) {
       r.lock(0);
       auto n = r.space().view<std::int32_t>("n");
@@ -330,11 +330,11 @@ TEST(DsdProtocolMisc, MutualExclusionAcrossThreads) {
 }
 
 TEST(DsdProtocolMisc, BarrierPropagatesAllUpdates) {
-  dsm::HomeNode home(small_gthv(), plat::solaris_sparc32());
-  msg::EndpointPtr e1 = home.attach(1);
-  msg::EndpointPtr e2 = home.attach(2);
-  dsm::RemoteThread r1(small_gthv(), plat::linux_ia32(), 1, std::move(e1));
-  dsm::RemoteThread r2(small_gthv(), plat::linux_ia32(), 2, std::move(e2));
+  dsm::ShardedHome home(small_gthv(), plat::solaris_sparc32());
+  std::vector<msg::EndpointPtr> e1 = home.attach(1);
+  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  dsm::ShardedRemote r1(small_gthv(), plat::linux_ia32(), 1, std::move(e1));
+  dsm::ShardedRemote r2(small_gthv(), plat::linux_ia32(), 2, std::move(e2));
   home.start();
 
   std::thread t1([&] {
@@ -362,10 +362,10 @@ TEST(DsdProtocolMisc, BarrierPropagatesAllUpdates) {
 }
 
 TEST(DsdProtocolMisc, JoinShipsFinalWrites) {
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
-  msg::EndpointPtr ep = home.attach(1);
-  dsm::RemoteThread remote(small_gthv(), plat::solaris_sparc32(), 1,
-                           std::move(ep));
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
+  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  dsm::ShardedRemote remote(small_gthv(), plat::solaris_sparc32(), 1,
+                            std::move(ep));
   home.start();
   std::thread t([&] {
     remote.lock(0);
@@ -383,16 +383,16 @@ TEST(DsdProtocolMisc, JoinShipsFinalWrites) {
 
 TEST(DsdProtocolMisc, LateAttachPullsFullImage) {
   // The adaptive scenario: a node joins after computation started.
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   home.start();
   home.lock(0);
   home.space().view<std::int32_t>("A").set(0, 123);
   home.space().view<std::int32_t>("n").set(64);
   home.unlock(0);
 
-  msg::EndpointPtr ep = home.attach(5);
-  dsm::RemoteThread late(small_gthv(), plat::solaris_sparc64(), 5,
-                         std::move(ep));
+  std::vector<msg::EndpointPtr> ep = home.attach(5);
+  dsm::ShardedRemote late(small_gthv(), plat::solaris_sparc64(), 5,
+                          std::move(ep));
   late.lock(0);
   EXPECT_EQ(late.space().view<std::int32_t>("A").get(0), 123);
   EXPECT_EQ(late.space().view<std::int32_t>("n").get(), 64);
@@ -403,10 +403,10 @@ TEST(DsdProtocolMisc, LateAttachPullsFullImage) {
 }
 
 TEST(DsdProtocolMisc, StatsAccumulatePerEq1Buckets) {
-  dsm::HomeNode home(small_gthv(), plat::solaris_sparc32());
-  msg::EndpointPtr ep = home.attach(1);
-  dsm::RemoteThread remote(small_gthv(), plat::linux_ia32(), 1,
-                           std::move(ep));
+  dsm::ShardedHome home(small_gthv(), plat::solaris_sparc32());
+  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
+                            std::move(ep));
   home.start();
   remote.lock(0);
   for (int i = 0; i < 64; ++i) {
@@ -432,17 +432,17 @@ TEST(DsdProtocolMisc, StatsAccumulatePerEq1Buckets) {
 }
 
 TEST(DsdProtocolMisc, ClusterRunsAndAggregatesStats) {
-  dsm::Cluster cluster(small_gthv(), plat::solaris_sparc32(),
-                       {&plat::linux_ia32(), &plat::linux_ia32()});
+  dsm::ShardedCluster cluster(small_gthv(), plat::solaris_sparc32(),
+                              {&plat::linux_ia32(), &plat::linux_ia32()});
   cluster.run(
-      [](dsm::HomeNode& home) {
+      [](dsm::ShardedHome& home) {
         home.lock(0);
         home.space().view<std::int32_t>("A").set(0, 1);
         home.unlock(0);
         home.barrier(0);
         home.wait_all_joined();
       },
-      [](dsm::RemoteThread& remote) {
+      [](dsm::ShardedRemote& remote) {
         remote.barrier(0);
         EXPECT_EQ(remote.space().view<std::int32_t>("A").get(0), 1);
         remote.join();
@@ -490,9 +490,9 @@ TEST(GlobalSpace, BulkRangeBoundsChecked) {
 
 TEST(MthApi, PaperSignaturesDriveTheProtocol) {
   dsm::MthRegistry::reset();
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
-  dsm::RemoteThread remote(small_gthv(), plat::solaris_sparc32(), 1,
-                           home.attach(1));
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
+  dsm::ShardedRemote remote(small_gthv(), plat::solaris_sparc32(), 1,
+                            home.attach(1));
   home.start();
   dsm::MthRegistry::register_master(home);
   dsm::MthRegistry::register_remote(remote);
@@ -531,12 +531,12 @@ TEST(EntryConsistency, BoundLockShipsOnlyItsFields) {
   // A: guarded by mutex 1; D: guarded by mutex 2.  Acquiring mutex 1 must
   // deliver pending A updates but leave D updates pending until mutex 2
   // (or a barrier) is acquired.
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   home.bind_lock(1, "A");
   home.bind_lock(2, "D");
-  msg::EndpointPtr ep = home.attach(1);
-  dsm::RemoteThread remote(small_gthv(), plat::solaris_sparc32(), 1,
-                           std::move(ep));
+  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  dsm::ShardedRemote remote(small_gthv(), plat::solaris_sparc32(), 1,
+                            std::move(ep));
   home.start();
 
   home.lock(0);
@@ -558,11 +558,11 @@ TEST(EntryConsistency, BoundLockShipsOnlyItsFields) {
 }
 
 TEST(EntryConsistency, BarrierStillShipsEverything) {
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   home.bind_lock(1, "A");
-  msg::EndpointPtr ep = home.attach(1);
-  dsm::RemoteThread remote(small_gthv(), plat::linux_ia32(), 1,
-                           std::move(ep));
+  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
+                            std::move(ep));
   home.start();
   home.lock(0);
   home.space().view<std::int32_t>("A").set(1, 7);
@@ -584,14 +584,14 @@ TEST(EntryConsistency, BarrierStillShipsEverything) {
 TEST(EntryConsistency, FineGrainedLockingStaysCorrect) {
   // Two remotes each hammer their own guarded array under their own
   // mutex; a final barrier syncs the world.
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   home.bind_lock(1, "A");
   home.bind_lock(2, "D");
-  msg::EndpointPtr e1 = home.attach(1);
-  msg::EndpointPtr e2 = home.attach(2);
-  dsm::RemoteThread r1(small_gthv(), plat::solaris_sparc32(), 1,
-                       std::move(e1));
-  dsm::RemoteThread r2(small_gthv(), plat::linux_x86_64(), 2, std::move(e2));
+  std::vector<msg::EndpointPtr> e1 = home.attach(1);
+  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  dsm::ShardedRemote r1(small_gthv(), plat::solaris_sparc32(), 1,
+                        std::move(e1));
+  dsm::ShardedRemote r2(small_gthv(), plat::linux_x86_64(), 2, std::move(e2));
   home.start();
 
   std::thread t1([&] {
@@ -631,13 +631,13 @@ TEST(EntryConsistency, FineGrainedLockingStaysCorrect) {
 }
 
 TEST(EntryConsistency, BadBindRejected) {
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   EXPECT_THROW(home.bind_lock(999, "A"), std::out_of_range);
   EXPECT_THROW(home.bind_lock(1, "nope"), std::out_of_range);
 }
 
 TEST(Rehome, MasterImageConvertsToNewPlatform) {
-  dsm::HomeNode old_home(small_gthv(), plat::linux_ia32());
+  dsm::ShardedHome old_home(small_gthv(), plat::linux_ia32());
   old_home.start();
   old_home.lock(0);
   old_home.space().view<std::int32_t>("A").set(3, -12345);
@@ -651,9 +651,9 @@ TEST(Rehome, MasterImageConvertsToNewPlatform) {
   EXPECT_EQ(new_home->space().view<double>("D").get(5), 7.125);
 
   // The new home is fully operational: a remote attaches and syncs.
-  msg::EndpointPtr ep = new_home->attach(1);
-  dsm::RemoteThread remote(small_gthv(), plat::linux_ia32(), 1,
-                           std::move(ep));
+  std::vector<msg::EndpointPtr> ep = new_home->attach(1);
+  dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
+                            std::move(ep));
   remote.lock(0);
   EXPECT_EQ(remote.space().view<std::int32_t>("A").get(3), -12345);
   remote.space().view<std::int32_t>("A").set(4, 44);
@@ -665,10 +665,10 @@ TEST(Rehome, MasterImageConvertsToNewPlatform) {
 }
 
 TEST(Rehome, RefusesWhileRemotesAttached) {
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
-  msg::EndpointPtr ep = home.attach(1);
-  dsm::RemoteThread remote(small_gthv(), plat::linux_ia32(), 1,
-                           std::move(ep));
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
+  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
+                            std::move(ep));
   home.start();
   EXPECT_FALSE(home.quiesced());
   EXPECT_THROW(hdsm::dsm::rehome(home, plat::solaris_sparc32()),
@@ -680,7 +680,7 @@ TEST(Rehome, RefusesWhileRemotesAttached) {
 }
 
 TEST(Rehome, RefusesWhileMasterHoldsLock) {
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   home.start();
   home.lock(0);
   EXPECT_FALSE(home.quiesced());
@@ -695,10 +695,10 @@ TEST(DsdProtocolMisc, MidEpisodeJoinerNeitherBlocksNorReceivesRelease) {
   // r1 enters a barrier episode; r2 attaches while the episode is open;
   // the episode must complete with just {master, r1}, and r2 must not be
   // handed a BarrierRelease it never asked for.
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
-  msg::EndpointPtr e1 = home.attach(1);
-  dsm::RemoteThread r1(small_gthv(), plat::solaris_sparc32(), 1,
-                       std::move(e1));
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
+  std::vector<msg::EndpointPtr> e1 = home.attach(1);
+  dsm::ShardedRemote r1(small_gthv(), plat::solaris_sparc32(), 1,
+                        std::move(e1));
   home.start();
 
   home.lock(0);
@@ -711,8 +711,8 @@ TEST(DsdProtocolMisc, MidEpisodeJoinerNeitherBlocksNorReceivesRelease) {
   });
   // Give r1 time to enter the episode, then attach the latecomer.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  msg::EndpointPtr e2 = home.attach(2);
-  dsm::RemoteThread r2(small_gthv(), plat::linux_x86_64(), 2, std::move(e2));
+  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  dsm::ShardedRemote r2(small_gthv(), plat::linux_x86_64(), 2, std::move(e2));
 
   home.barrier(0);  // completes without r2
   t1.join();
@@ -735,10 +735,10 @@ TEST(DsdProtocolMisc, ExplicitBarrierCountWaitsForLateAttacher) {
   // pthread_barrier_init semantics: with the count fixed at 3, the episode
   // must NOT close when only master + rank 1 entered, even though rank 2
   // has not attached yet when the episode opens.
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   home.set_barrier_count(0, 3);
-  msg::EndpointPtr e1 = home.attach(1);
-  dsm::RemoteThread r1(small_gthv(), plat::linux_ia32(), 1, std::move(e1));
+  std::vector<msg::EndpointPtr> e1 = home.attach(1);
+  dsm::ShardedRemote r1(small_gthv(), plat::linux_ia32(), 1, std::move(e1));
   home.start();
 
   std::thread t1([&] {
@@ -753,9 +753,9 @@ TEST(DsdProtocolMisc, ExplicitBarrierCountWaitsForLateAttacher) {
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_FALSE(master_released.load());  // still waiting on the count
 
-  msg::EndpointPtr e2 = home.attach(2);
-  dsm::RemoteThread r2(small_gthv(), plat::solaris_sparc32(), 2,
-                       std::move(e2));
+  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  dsm::ShardedRemote r2(small_gthv(), plat::solaris_sparc32(), 2,
+                        std::move(e2));
   std::thread t2([&] {
     r2.barrier(0);
     r2.join();
@@ -769,16 +769,16 @@ TEST(DsdProtocolMisc, ExplicitBarrierCountWaitsForLateAttacher) {
 }
 
 TEST(DsdProtocolMisc, BarrierCountValidation) {
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   EXPECT_THROW(home.set_barrier_count(999, 2), std::out_of_range);
 }
 
 TEST(DsdProtocolMisc, DisconnectWithoutJoinDetaches) {
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   {
-    msg::EndpointPtr ep = home.attach(1);
-    dsm::RemoteThread remote(small_gthv(), plat::linux_ia32(), 1,
-                             std::move(ep));
+    std::vector<msg::EndpointPtr> ep = home.attach(1);
+    dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
+                              std::move(ep));
     home.start();
     remote.lock(0);
     remote.unlock(0);

@@ -11,13 +11,14 @@
 #include <thread>
 #include <vector>
 
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "dsm/trace.hpp"
 #include "dsm/update.hpp"
 #include "msg/faulty.hpp"
 #include "msg/tcp.hpp"
 #include "test_time.hpp"
+#include "test_util.hpp"
 
 namespace dsm = hdsm::dsm;
 namespace tags = hdsm::tags;
@@ -42,8 +43,8 @@ msg::Message tagged(int n) {
   return m;
 }
 
-/// A hand-crafted protocol frame from rank 1, for driving a HomeNode
-/// directly (no RemoteThread) in the targeted reliability tests below.
+/// A hand-crafted protocol frame from rank 1, for driving a ShardedHome
+/// directly (no ShardedRemote) in the targeted reliability tests below.
 msg::Message raw(msg::MsgType t, std::uint32_t seq, std::uint32_t sync_id,
                  const std::string& tag = "",
                  std::vector<std::byte> payload = {}) {
@@ -61,8 +62,17 @@ msg::Message raw(msg::MsgType t, std::uint32_t seq, std::uint32_t sync_id,
 /// An UnlockRequest/BarrierEnter payload carrying zero update blocks.
 std::vector<std::byte> no_blocks() { return dsm::encode_update_blocks({}); }
 
-/// Poll `log` until `pred(snapshot)` holds (the home's receiver threads
-/// run asynchronously from the test body).
+/// Attach `rank` to the one-shard `home`, its session wrapped in a
+/// FaultyEndpoint.
+std::vector<msg::EndpointPtr> faulty_attach(dsm::ShardedHome& home,
+                                            std::uint32_t rank,
+                                            const msg::FaultOptions& f) {
+  return hdsm::test::one_session(
+      msg::make_faulty(std::move(home.attach(rank)[0]), f));
+}
+
+/// Poll `log` until `pred(snapshot)` holds (the home's reactor handles
+/// frames asynchronously from the test body).
 template <typename Pred>
 bool wait_for_trace(const dsm::TraceLog& log, Pred pred) {
   const auto deadline = std::chrono::steady_clock::now() + 2s;
@@ -99,7 +109,7 @@ std::vector<std::pair<std::uint64_t, std::int64_t>> ops_of(
   return v;
 }
 
-void run_workload(dsm::RemoteThread& remote, int ops) {
+void run_workload(dsm::ShardedRemote& remote, int ops) {
   for (const auto& [idx, delta] : ops_of(remote.rank(), ops)) {
     remote.lock(0);
     auto a = remote.space().view<std::int64_t>("A");
@@ -124,21 +134,21 @@ std::vector<std::int64_t> expected_array(std::uint32_t num_remotes, int ops) {
 void converge_under(const msg::FaultOptions& fault, std::uint32_t num_remotes,
                     int ops, dsm::CodecMode codec = dsm::CodecMode::Off) {
   dsm::TraceLog log;
-  dsm::HomeOptions hopts;
-  hopts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), hopts);
+  dsm::ShardedHomeOptions hopts;
+  hopts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   home.set_barrier_count(0, num_remotes + 1);
 
-  std::vector<std::unique_ptr<dsm::RemoteThread>> remotes;
+  std::vector<std::unique_ptr<dsm::ShardedRemote>> remotes;
   for (std::uint32_t r = 1; r <= num_remotes; ++r) {
     msg::FaultOptions per_remote = fault;
     per_remote.seed = fault.seed + r;  // distinct schedules per remote
-    dsm::RemoteOptions ropts;
+    dsm::ShardedRemoteOptions ropts;
     ropts.retry = fast_retry();
     ropts.dsd.codec = codec;
-    remotes.push_back(std::make_unique<dsm::RemoteThread>(
+    remotes.push_back(std::make_unique<dsm::ShardedRemote>(
         gthv(), plat::linux_ia32(), r,
-        msg::make_faulty(home.attach(r), per_remote), ropts));
+        faulty_attach(home, r, per_remote), ropts));
   }
   home.start();
 
@@ -406,9 +416,9 @@ TEST(Reliability, CorruptPayloadRejectedDetachedAndClusterProgresses) {
   // peer (never applying the mangled bytes) and the rest of the cluster
   // keeps working.
   dsm::TraceLog log;
-  dsm::HomeOptions hopts;
-  hopts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), hopts);
+  dsm::ShardedHomeOptions hopts;
+  hopts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   msg::FaultOptions f;
   f.seed = 3;
   f.send.corrupt = 1.0;
@@ -418,12 +428,12 @@ TEST(Reliability, CorruptPayloadRejectedDetachedAndClusterProgresses) {
   retry.timeout = hdsm::test::scaled(25ms);
   retry.backoff = 1.0;
   retry.max_retries = 3;
-  dsm::RemoteOptions doomed_opts;
+  dsm::ShardedRemoteOptions doomed_opts;
   doomed_opts.retry = retry;
   doomed_opts.dsd.codec = dsm::CodecMode::Forced;
-  dsm::RemoteThread doomed(gthv(), plat::linux_ia32(), 1,
-                           msg::make_faulty(home.attach(1), f), doomed_opts);
-  dsm::RemoteThread healthy(gthv(), plat::linux_ia32(), 2, home.attach(2));
+  dsm::ShardedRemote doomed(gthv(), plat::linux_ia32(), 1,
+                            faulty_attach(home, 1, f), doomed_opts);
+  dsm::ShardedRemote healthy(gthv(), plat::linux_ia32(), 2, home.attach(2));
   home.start();
 
   doomed.lock(0);
@@ -463,15 +473,15 @@ TEST(Reliability, DuplicatedRequestsApplyExactlyOnce) {
   // array (exactly-once application) and the home's duplicate counter
   // (the second copies really arrived and were dropped).
   dsm::TraceLog log;
-  dsm::HomeOptions hopts;
-  hopts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), hopts);
+  dsm::ShardedHomeOptions hopts;
+  hopts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   msg::FaultOptions f;
   f.send.duplicate = 1.0;
-  dsm::RemoteOptions ropts;
+  dsm::ShardedRemoteOptions ropts;
   ropts.retry = fast_retry();
-  dsm::RemoteThread remote(gthv(), plat::linux_ia32(), 1,
-                           msg::make_faulty(home.attach(1), f), ropts);
+  dsm::ShardedRemote remote(gthv(), plat::linux_ia32(), 1,
+                            faulty_attach(home, 1, f), ropts);
   home.start();
   constexpr int kOps = 20;
   for (int i = 0; i < kOps; ++i) {
@@ -491,16 +501,16 @@ TEST(Reliability, DuplicatedRequestsApplyExactlyOnce) {
 
 TEST(Reliability, RetriesAreCountedAndTraced) {
   dsm::TraceLog remote_log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(gthv(), plat::linux_ia32());
   msg::FaultOptions f;
   f.seed = 11;
   f.send.drop = 0.5;
   f.send.only = {msg::MsgType::LockRequest, msg::MsgType::UnlockRequest};
-  dsm::RemoteOptions ropts;
+  dsm::ShardedRemoteOptions ropts;
   ropts.retry = fast_retry();
   ropts.trace = &remote_log;
-  dsm::RemoteThread remote(gthv(), plat::linux_ia32(), 1,
-                           msg::make_faulty(home.attach(1), f), ropts);
+  dsm::ShardedRemote remote(gthv(), plat::linux_ia32(), 1,
+                            faulty_attach(home, 1, f), ropts);
   home.start();
   for (int i = 0; i < 10; ++i) {
     remote.lock(0);
@@ -524,7 +534,7 @@ TEST(Reliability, ExhaustedRetriesDetachCleanly) {
   // after exactly max_retries retransmissions, record the episode in its
   // trace, and end up detached with tracking stopped.
   dsm::TraceLog remote_log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(gthv(), plat::linux_ia32());
   msg::FaultOptions f;
   f.send.drop = 1.0;
   f.send.only = {msg::MsgType::LockRequest};
@@ -532,11 +542,11 @@ TEST(Reliability, ExhaustedRetriesDetachCleanly) {
   retry.timeout = 5ms;
   retry.backoff = 1.0;
   retry.max_retries = 3;
-  dsm::RemoteOptions ropts;
+  dsm::ShardedRemoteOptions ropts;
   ropts.retry = retry;
   ropts.trace = &remote_log;
-  dsm::RemoteThread remote(gthv(), plat::linux_ia32(), 1,
-                           msg::make_faulty(home.attach(1), f), ropts);
+  dsm::ShardedRemote remote(gthv(), plat::linux_ia32(), 1,
+                            faulty_attach(home, 1, f), ropts);
   home.start();
   EXPECT_THROW(remote.lock(0), dsm::HomeUnreachable);
   EXPECT_TRUE(remote.detached());
@@ -559,9 +569,9 @@ TEST(Reliability, HomeReclaimsLocksOfDeadRemoteAndClusterProgresses) {
   // black-holed: it exhausts retries and detaches.  The home must reclaim
   // the mutex so the master and remote 2 keep working.
   dsm::TraceLog log;
-  dsm::HomeOptions hopts;
-  hopts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), hopts);
+  dsm::ShardedHomeOptions hopts;
+  hopts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   msg::FaultOptions f;
   f.send.drop = 1.0;
   f.send.only = {msg::MsgType::UnlockRequest};
@@ -569,11 +579,11 @@ TEST(Reliability, HomeReclaimsLocksOfDeadRemoteAndClusterProgresses) {
   retry.timeout = 5ms;
   retry.backoff = 1.0;
   retry.max_retries = 3;
-  dsm::RemoteOptions faulty_opts;
+  dsm::ShardedRemoteOptions faulty_opts;
   faulty_opts.retry = retry;
-  dsm::RemoteThread doomed(gthv(), plat::linux_ia32(), 1,
-                           msg::make_faulty(home.attach(1), f), faulty_opts);
-  dsm::RemoteThread healthy(gthv(), plat::linux_ia32(), 2, home.attach(2));
+  dsm::ShardedRemote doomed(gthv(), plat::linux_ia32(), 1,
+                            faulty_attach(home, 1, f), faulty_opts);
+  dsm::ShardedRemote healthy(gthv(), plat::linux_ia32(), 2, home.attach(2));
   home.start();
 
   doomed.lock(0);
@@ -581,7 +591,7 @@ TEST(Reliability, HomeReclaimsLocksOfDeadRemoteAndClusterProgresses) {
   EXPECT_THROW(doomed.unlock(0), dsm::HomeUnreachable);
   EXPECT_TRUE(doomed.detached());
 
-  // The doomed remote's endpoint closed on detach; once the home's receiver
+  // The doomed remote's endpoint closed on detach; once the home's reactor
   // reaps it the mutex is reclaimed and others can take it.
   healthy.lock(0);
   auto a = healthy.space().view<std::int64_t>("A");
@@ -602,20 +612,22 @@ TEST(Reliability, HomeReclaimsLocksOfDeadRemoteAndClusterProgresses) {
 
 TEST(Reliability, TcpConvergesUnderDropAndDuplication) {
   dsm::TraceLog log;
-  dsm::HomeOptions hopts;
-  hopts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), hopts);
+  dsm::ShardedHomeOptions hopts;
+  hopts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   msg::TcpListener listener(0);
-  std::thread acceptor([&] { home.attach_endpoint(1, listener.accept()); });
+  std::thread acceptor([&] { home.attach_endpoint(1, 0, listener.accept()); });
   msg::FaultOptions f;
   f.send.drop = 0.25;
   f.send.duplicate = 0.5;
   f.recv.drop = 0.25;
-  dsm::RemoteOptions ropts;
+  dsm::ShardedRemoteOptions ropts;
   ropts.retry = fast_retry();
-  dsm::RemoteThread remote(
+  dsm::ShardedRemote remote(
       gthv(), plat::linux_ia32(), 1,
-      msg::make_faulty(msg::tcp_connect(listener.port()), f), ropts);
+      hdsm::test::one_session(
+          msg::make_faulty(msg::tcp_connect(listener.port()), f)),
+      ropts);
   acceptor.join();
   home.start();
 
@@ -646,31 +658,33 @@ TEST(Reliability, TcpResetRecoversThroughReconnect) {
   // updates.
   dsm::TraceLog log;
   dsm::TraceLog remote_log;
-  dsm::HomeOptions hopts;
-  hopts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), hopts);
+  dsm::ShardedHomeOptions hopts;
+  hopts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   msg::TcpListener listener(0);
   // The home keeps accepting: each new connection re-attaches rank 1
   // (dedup state survives, so a retransmitted in-flight request is safe).
   std::thread acceptor([&] {
     for (int conn = 0; conn < 2; ++conn) {
-      home.attach_endpoint(1, listener.accept());
+      home.attach_endpoint(1, 0, listener.accept());
     }
   });
 
   msg::FaultOptions f;
   f.send.reset_after = 13;  // dies partway through the workload
-  dsm::RemoteOptions ropts;
+  dsm::ShardedRemoteOptions ropts;
   ropts.retry = fast_retry();
   ropts.trace = &remote_log;
-  ropts.reconnect = [&listener] {
+  ropts.reconnect = [&listener](std::uint32_t) {
     // Resume hint travels in the Hello; a plain (fault-free) endpoint is
     // fine for the second life.
     return msg::tcp_connect_retry(listener.port());
   };
-  dsm::RemoteThread remote(
+  dsm::ShardedRemote remote(
       gthv(), plat::linux_ia32(), 1,
-      msg::make_faulty(msg::tcp_connect(listener.port()), f), ropts);
+      hdsm::test::one_session(
+          msg::make_faulty(msg::tcp_connect(listener.port()), f)),
+      ropts);
   home.start();
 
   constexpr int kOps = 20;
@@ -734,10 +748,10 @@ TEST(Reliability, DuplicatedHelloDoesNotResetDedup) {
   // incarnation epoch, so a later retransmit of an already-executed
   // request is still answered from the reply cache, not re-executed.
   dsm::TraceLog log;
-  dsm::HomeOptions hopts;
-  hopts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), hopts);
-  msg::EndpointPtr ep = home.attach(1);
+  dsm::ShardedHomeOptions hopts;
+  hopts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
+  msg::EndpointPtr ep = std::move(home.attach(1)[0]);
   home.start();
   const std::string tag = home.space().image_tag_text();
 
@@ -780,23 +794,23 @@ TEST(Reliability, StaleUnlockAfterMutexMovedOnIsDropped) {
   // overwrite remote 2's write: the lock generation moved on, so the home
   // drops the stale diffs and detaches remote 1.
   dsm::TraceLog log;
-  dsm::HomeOptions hopts;
-  hopts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), hopts);
+  dsm::ShardedHomeOptions hopts;
+  hopts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   std::promise<void> gate;
   std::shared_future<void> gate_f = gate.get_future().share();
   msg::FaultOptions f;
   f.send.reset_after = 2;  // sends: Hello, LockRequest, then reset
-  dsm::RemoteOptions r1opts;
+  dsm::ShardedRemoteOptions r1opts;
   r1opts.retry = fast_retry();
   r1opts.max_reconnects = 1;
-  r1opts.reconnect = [&gate_f, &home] {
+  r1opts.reconnect = [&gate_f, &home](std::uint32_t) {
     gate_f.wait();  // hold the reconnect until remote 2 is done
-    return home.attach(1);
+    return std::move(home.attach(1)[0]);
   };
-  dsm::RemoteThread r1(gthv(), plat::linux_ia32(), 1,
-                       msg::make_faulty(home.attach(1), f), r1opts);
-  dsm::RemoteThread r2(gthv(), plat::linux_ia32(), 2, home.attach(2));
+  dsm::ShardedRemote r1(gthv(), plat::linux_ia32(), 1,
+                        faulty_attach(home, 1, f), r1opts);
+  dsm::ShardedRemote r2(gthv(), plat::linux_ia32(), 2, home.attach(2));
   home.start();
 
   r1.lock(0);
@@ -824,13 +838,13 @@ TEST(Reliability, DeadWaiterGrantDoesNotUnwindIntoMaster) {
   // remote, not throw out of the master's call (or detach whichever
   // healthy rank's receiver was executing the release).
   dsm::TraceLog log;
-  dsm::HomeOptions hopts;
-  hopts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), hopts);
+  dsm::ShardedHomeOptions hopts;
+  hopts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   auto [home_side, remote_side] = msg::make_channel_pair();
   msg::FaultOptions f;
   f.send.reset_after = 2;  // home sends: grant, ack, then reset
-  home.attach_endpoint(1, msg::make_faulty(std::move(home_side), f));
+  home.attach_endpoint(1, 0, msg::make_faulty(std::move(home_side), f));
   home.start();
   const std::string tag = home.space().image_tag_text();
 
@@ -869,14 +883,14 @@ TEST(Reliability, DeadBarrierPeerDoesNotUnwindIntoMaster) {
   // a dead one must be detached, not unwind ChannelClosed into the thread
   // (here: the master's barrier()) that completed the episode.
   dsm::TraceLog log;
-  dsm::HomeOptions hopts;
-  hopts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), hopts);
+  dsm::ShardedHomeOptions hopts;
+  hopts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   home.set_barrier_count(0, 2);
   auto [home_side, remote_side] = msg::make_channel_pair();
   msg::FaultOptions f;
   f.send.reset_after = 2;  // home sends: grant, ack, then reset
-  home.attach_endpoint(1, msg::make_faulty(std::move(home_side), f));
+  home.attach_endpoint(1, 0, msg::make_faulty(std::move(home_side), f));
   home.start();
   const std::string tag = home.space().image_tag_text();
 

@@ -6,11 +6,11 @@
 
 #include <random>
 
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "dsm/update.hpp"
 #include "mig/io_state.hpp"
 #include "mig/thread_state.hpp"
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
 #include "msg/message.hpp"
 #include "tags/tag.hpp"
 
@@ -202,11 +202,11 @@ TEST(Fuzz, MalformedPayloadsDetachPeerNotHome) {
   namespace hdsm_dsm = hdsm::dsm;
   const tags::TypePtr gthv = tags::TypeDesc::struct_of(
       "G", {{"A", tags::TypeDesc::array(tags::t_int(), 16)}});
-  hdsm_dsm::HomeNode home(gthv, plat::linux_ia32());
-  auto evil_ep = home.attach(1);
+  hdsm_dsm::ShardedHome home(gthv, plat::linux_ia32());
+  msg::EndpointPtr evil_ep = std::move(home.attach(1)[0]);
   auto good_ep = home.attach(2);
-  hdsm_dsm::RemoteThread good(gthv, plat::solaris_sparc32(), 2,
-                              std::move(good_ep));
+  hdsm_dsm::ShardedRemote good(gthv, plat::solaris_sparc32(), 2,
+                               std::move(good_ep));
   home.start();
 
   // The evil peer sends an unlock for a lock it does not hold, with a

@@ -8,13 +8,14 @@
 
 #include <thread>
 
-#include "dsm/cluster.hpp"
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_cluster.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "mig/roles.hpp"
 #include "mig/runner.hpp"
 #include "mig/thread_state.hpp"
 #include "msg/tcp.hpp"
+#include "test_util.hpp"
 #include "workloads/experiment.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -36,12 +37,12 @@ tags::TypePtr counter_gthv() {
 }  // namespace
 
 TEST(Integration, DsdOverLoopbackTcp) {
-  dsm::HomeNode home(counter_gthv(), plat::solaris_sparc32());
+  dsm::ShardedHome home(counter_gthv(), plat::solaris_sparc32());
   msg::TcpListener listener(0);
 
   std::thread remote_thread([port = listener.port()] {
-    dsm::RemoteThread remote(counter_gthv(), plat::linux_ia32(), 1,
-                             msg::tcp_connect(port));
+    dsm::ShardedRemote remote(counter_gthv(), plat::linux_ia32(), 1,
+                              hdsm::test::one_session(msg::tcp_connect(port)));
     remote.lock(0);
     auto c = remote.space().view<std::int32_t>("counters");
     for (int i = 0; i < 32; ++i) c.set(i, i * 3);
@@ -50,7 +51,7 @@ TEST(Integration, DsdOverLoopbackTcp) {
     remote.join();
   });
 
-  home.attach_endpoint(1, listener.accept());
+  home.attach_endpoint(1, 0, listener.accept());
   home.start();
   home.barrier(0);
   remote_thread.join();
@@ -72,7 +73,7 @@ tags::TypePtr worker_locals() {
 // with a migration point before each element.
 mig::StepOutcome counting_body(mig::ThreadState& state,
                                const std::atomic<bool>& migrate,
-                               dsm::RemoteThread& dsd) {
+                               dsm::ShardedRemote& dsd) {
   mig::Frame& f = state.top();
   std::int32_t i = f.locals.get<std::int32_t>("i");
   const std::int32_t limit = f.locals.get<std::int32_t>("limit");
@@ -99,7 +100,7 @@ TEST(Integration, ThreadMigratesBetweenHeterogeneousNodesMidWork) {
   // migrates after 10 elements to a big-endian SPARC node (iso-computing:
   // same rank resumes there), and finishes.  All 32 shared counters must
   // end up written exactly once.
-  dsm::HomeNode home(counter_gthv(), plat::linux_ia32());
+  dsm::ShardedHome home(counter_gthv(), plat::linux_ia32());
   home.start();
 
   mig::StateSchema schema;
@@ -113,8 +114,8 @@ TEST(Integration, ThreadMigratesBetweenHeterogeneousNodesMidWork) {
   std::atomic<bool> migrate{false};
 
   std::thread source_node([&] {
-    dsm::RemoteThread dsd(counter_gthv(), plat::linux_ia32(), 1,
-                          home.attach(1));
+    dsm::ShardedRemote dsd(counter_gthv(), plat::linux_ia32(), 1,
+                           home.attach(1));
     mig::ThreadState state;
     state.rank = 1;
     state.frames.push_back(mig::Frame{
@@ -152,8 +153,8 @@ TEST(Integration, ThreadMigratesBetweenHeterogeneousNodesMidWork) {
     // re-attaches to the home node with the same rank, and finishes.
     mig::ThreadState state =
         mig::receive_state(*mig_dst, schema, plat::solaris_sparc32());
-    dsm::RemoteThread dsd(counter_gthv(), plat::solaris_sparc32(),
-                          state.rank, home.attach(state.rank));
+    dsm::ShardedRemote dsd(counter_gthv(), plat::solaris_sparc32(),
+                           state.rank, home.attach(state.rank));
     std::atomic<bool> never{false};
     const auto body = [&dsd](mig::ThreadState& s,
                              const std::atomic<bool>& m) {
@@ -183,7 +184,7 @@ TEST(Integration, AdaptiveLateJoinTakesOverWork) {
   // the master works alone, then a new node joins mid-run and computes the
   // second half.
   tags::TypePtr gthv = counter_gthv();
-  dsm::HomeNode home(gthv, plat::linux_ia32());
+  dsm::ShardedHome home(gthv, plat::linux_ia32());
   home.start();
 
   home.lock(0);
@@ -192,7 +193,7 @@ TEST(Integration, AdaptiveLateJoinTakesOverWork) {
   home.unlock(0);
 
   std::thread late_node([&] {
-    dsm::RemoteThread dsd(gthv, plat::solaris_sparc64(), 3, home.attach(3));
+    dsm::ShardedRemote dsd(gthv, plat::solaris_sparc64(), 3, home.attach(3));
     dsd.lock(0);
     auto c = dsd.space().view<std::int32_t>("counters");
     for (int i = 0; i < 16; ++i) {
@@ -213,7 +214,7 @@ TEST(Integration, MatmulOverMixedTransports) {
   // platforms everywhere; the product must still be exact.
   const std::uint32_t n = 12;
   tags::TypePtr gthv = work::matmul_gthv(n);
-  dsm::HomeNode home(gthv, plat::solaris_sparc32());
+  dsm::ShardedHome home(gthv, plat::solaris_sparc32());
   // Rank 2 attaches from its own thread, racing the master's first
   // barrier: fix both barrier counts (pthread_barrier_init semantics) so
   // membership cannot be inferred short.
@@ -222,8 +223,8 @@ TEST(Integration, MatmulOverMixedTransports) {
   msg::TcpListener listener(0);
 
   std::thread tcp_remote([&, port = listener.port()] {
-    dsm::RemoteThread remote(gthv, plat::linux_ia32(), 1,
-                             msg::tcp_connect(port));
+    dsm::ShardedRemote remote(gthv, plat::linux_ia32(), 1,
+                              hdsm::test::one_session(msg::tcp_connect(port)));
     remote.barrier(0);
     auto a = remote.space().view<std::int32_t>("A");
     auto b = remote.space().view<std::int32_t>("B");
@@ -240,10 +241,10 @@ TEST(Integration, MatmulOverMixedTransports) {
     remote.barrier(1);
     remote.join();
   });
-  home.attach_endpoint(1, listener.accept());
+  home.attach_endpoint(1, 0, listener.accept());
 
   std::thread chan_remote([&] {
-    dsm::RemoteThread remote(gthv, plat::linux_x86_64(), 2, home.attach(2));
+    dsm::ShardedRemote remote(gthv, plat::linux_x86_64(), 2, home.attach(2));
     remote.barrier(0);
     auto a = remote.space().view<std::int32_t>("A");
     auto b = remote.space().view<std::int32_t>("B");

@@ -10,10 +10,10 @@
 #include <thread>
 #include <vector>
 
-#include "dsm/cluster.hpp"
-#include "dsm/home.hpp"
 #include "dsm/rehome.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_cluster.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "dsm/trace.hpp"
 #include "tags/describe.hpp"
 
@@ -79,17 +79,17 @@ const obs::NodeSnapshot* node_of(const obs::ClusterTelemetry& ct,
 }  // namespace
 
 TEST(ObsCluster, ScrapeEqualsSumOfNodeSnapshots) {
-  dsm::HomeOptions opts;
+  dsm::ShardedHomeOptions opts;
   opts.obs = obs_on();
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32(), opts);
-  dsm::RemoteOptions ropts;
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32(), opts);
+  dsm::ShardedRemoteOptions ropts;
   ropts.obs = obs_on();
-  msg::EndpointPtr e1 = home.attach(1);
-  msg::EndpointPtr e2 = home.attach(2);
-  dsm::RemoteThread r1(small_gthv(), plat::linux_ia32(), 1, std::move(e1),
-                       ropts);
-  dsm::RemoteThread r2(small_gthv(), plat::solaris_sparc32(), 2, std::move(e2),
-                       ropts);
+  std::vector<msg::EndpointPtr> e1 = home.attach(1);
+  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  dsm::ShardedRemote r1(small_gthv(), plat::linux_ia32(), 1, std::move(e1),
+                        ropts);
+  dsm::ShardedRemote r2(small_gthv(), plat::solaris_sparc32(), 2, std::move(e2),
+                        ropts);
   home.start();
 
   std::thread t1([&] {
@@ -146,10 +146,10 @@ TEST(ObsCluster, ScrapeEqualsSumOfNodeSnapshots) {
 TEST(ObsCluster, ScrapeWorksWithObsDisabled) {
   // No Telemetry object anywhere: the scrape still answers, carrying the
   // ShareStats mirror only.
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32());
-  msg::EndpointPtr ep = home.attach(1);
-  dsm::RemoteThread remote(small_gthv(), plat::linux_ia32(), 1,
-                           std::move(ep));
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
+  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
+                            std::move(ep));
   home.start();
   EXPECT_EQ(home.telemetry(), nullptr);
   EXPECT_EQ(remote.telemetry(), nullptr);
@@ -170,18 +170,18 @@ TEST(ObsCluster, ScrapeWorksWithObsDisabled) {
 }
 
 TEST(ObsCluster, ReattachArchivesOldIncarnation) {
-  dsm::HomeOptions opts;
+  dsm::ShardedHomeOptions opts;
   opts.obs = obs_on();
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32(), opts);
-  dsm::RemoteOptions ropts;
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32(), opts);
+  dsm::ShardedRemoteOptions ropts;
   ropts.obs = obs_on();
   home.start();
 
   std::uint64_t first_epoch = 0;
   {
-    msg::EndpointPtr ep = home.attach(1);
-    dsm::RemoteThread remote(small_gthv(), plat::linux_ia32(), 1,
-                             std::move(ep), ropts);
+    std::vector<msg::EndpointPtr> ep = home.attach(1);
+    dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
+                              std::move(ep), ropts);
     for (int i = 0; i < 3; ++i) {
       remote.lock(1);
       remote.unlock(1);
@@ -193,9 +193,9 @@ TEST(ObsCluster, ReattachArchivesOldIncarnation) {
   home.wait_all_joined();
 
   // Same rank re-attaches as a fresh incarnation (new epoch nonce).
-  msg::EndpointPtr ep = home.attach(1);
-  dsm::RemoteThread reborn(small_gthv(), plat::linux_ia32(), 1,
-                           std::move(ep), ropts);
+  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  dsm::ShardedRemote reborn(small_gthv(), plat::linux_ia32(), 1,
+                            std::move(ep), ropts);
   for (int i = 0; i < 2; ++i) {
     reborn.lock(1);
     reborn.unlock(1);
@@ -222,15 +222,15 @@ TEST(ObsCluster, ReattachArchivesOldIncarnation) {
 
 TEST(ObsCluster, ScrapeEventsPassTraceValidation) {
   dsm::TraceLog log;
-  dsm::HomeOptions opts;
+  dsm::ShardedHomeOptions opts;
   opts.obs = obs_on();
-  opts.trace = &log;
-  dsm::HomeNode home(small_gthv(), plat::linux_ia32(), opts);
-  msg::EndpointPtr ep = home.attach(1);
-  dsm::RemoteOptions ropts;
+  opts.shard_traces = {&log};
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32(), opts);
+  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  dsm::ShardedRemoteOptions ropts;
   ropts.obs = obs_on();
-  dsm::RemoteThread remote(small_gthv(), plat::linux_ia32(), 1,
-                           std::move(ep), ropts);
+  dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
+                            std::move(ep), ropts);
   home.start();
 
   remote.lock(0);
@@ -253,19 +253,20 @@ TEST(ObsCluster, ScrapeEventsPassTraceValidation) {
 
 TEST(ObsCluster, ClusterFacadeScrapesAndRecordsSpans) {
   const auto gthv = small_gthv(256);
-  dsm::HomeOptions opts;
+  dsm::ShardedHomeOptions opts;
   opts.obs = obs_on();
-  dsm::Cluster cluster(gthv, plat::linux_ia32(),
-                       {&plat::linux_ia32(), &plat::solaris_sparc32()}, opts);
+  dsm::ShardedCluster cluster(
+      gthv, plat::linux_ia32(),
+      {&plat::linux_ia32(), &plat::solaris_sparc32()}, opts);
   cluster.run(
-      [&](dsm::HomeNode& home) {
+      [&](dsm::ShardedHome& home) {
         home.lock(0);
         home.space().view<std::int32_t>("A").set(0, 1);
         home.unlock(0);
         home.barrier(0);
         home.wait_all_joined();
       },
-      [&](dsm::RemoteThread& remote) {
+      [&](dsm::ShardedRemote& remote) {
         remote.lock(remote.rank());
         auto a = remote.space().view<std::int32_t>("A");
         a.set(remote.rank(), static_cast<std::int32_t>(remote.rank()));
@@ -313,8 +314,8 @@ constexpr std::uint64_t kChunk = 16;
 /// thread rewrites all of its chunks, so every page is fully dirty and
 /// crosses any promotion threshold while the inter-chunk gaps (128 B)
 /// stay beyond the coalescer's reach.
-void dense_barrier_workload(dsm::HomeNode& home, dsm::RemoteThread* r1,
-                            dsm::RemoteThread* r2, std::uint32_t rounds,
+void dense_barrier_workload(dsm::ShardedHome& home, dsm::ShardedRemote* r1,
+                            dsm::ShardedRemote* r2, std::uint32_t rounds,
                             std::uint64_t n) {
   const auto write_stripe = [n](auto view, std::uint64_t owner,
                                 std::uint32_t round) {
@@ -355,16 +356,18 @@ TEST(RehomeAdaptive, PromotedWholePagesSurviveRehomeByteIdentical) {
   constexpr std::uint32_t kRounds = 6;
   const auto gthv = small_gthv(kN);
 
-  const auto run = [&](dsm::HomeOptions opts, dsm::ShareStats* stats_out)
-      -> std::vector<std::byte> {
-    dsm::HomeNode home(gthv, plat::linux_ia32(), opts);
-    dsm::RemoteOptions ropts;
+  // `log` (may be null) collects the home's and both remotes' events.
+  const auto run = [&](dsm::ShardedHomeOptions opts, dsm::TraceLog* log,
+                       dsm::ShareStats* stats_out) -> std::vector<std::byte> {
+    opts.shard_traces = {log};
+    dsm::ShardedHome home(gthv, plat::linux_ia32(), opts);
+    dsm::ShardedRemoteOptions ropts;
     ropts.dsd = opts.dsd;
-    ropts.trace = opts.trace;
-    msg::EndpointPtr e1 = home.attach(1);
-    msg::EndpointPtr e2 = home.attach(2);
-    dsm::RemoteThread r1(gthv, plat::linux_ia32(), 1, std::move(e1), ropts);
-    dsm::RemoteThread r2(gthv, plat::linux_ia32(), 2, std::move(e2), ropts);
+    ropts.trace = log;
+    std::vector<msg::EndpointPtr> e1 = home.attach(1);
+    std::vector<msg::EndpointPtr> e2 = home.attach(2);
+    dsm::ShardedRemote r1(gthv, plat::linux_ia32(), 1, std::move(e1), ropts);
+    dsm::ShardedRemote r2(gthv, plat::linux_ia32(), 2, std::move(e2), ropts);
     home.start();
     dense_barrier_workload(home, &r1, &r2, kRounds, kN);
     if (stats_out != nullptr) {
@@ -384,21 +387,20 @@ TEST(RehomeAdaptive, PromotedWholePagesSurviveRehomeByteIdentical) {
     return image;
   };
 
-  dsm::HomeOptions off;  // adaptive off: the reference bytes
+  dsm::ShardedHomeOptions off;  // adaptive off: the reference bytes
 
   dsm::TraceLog log;
-  dsm::HomeOptions on;  // adaptive on, promotion forced
+  dsm::ShardedHomeOptions on;  // adaptive on, promotion forced
   on.dsd.adaptive = true;
   on.dsd.tuner.warmup = 1;
   on.dsd.tuner.dwell = 1;
   // Pin the threshold so every dense page is promoted to whole-page mode
   // from the first tunable episode — the maximally different traffic shape.
   on.dsd.tuner.pin_whole_page_threshold = 0.05;
-  on.trace = &log;
 
-  const std::vector<std::byte> image_off = run(off, nullptr);
+  const std::vector<std::byte> image_off = run(off, nullptr, nullptr);
   dsm::ShareStats stats_on;
-  const std::vector<std::byte> image_on = run(on, &stats_on);
+  const std::vector<std::byte> image_on = run(on, &log, &stats_on);
 
   // Promotion actually fired — this test exercised the path it claims to.
   EXPECT_GT(stats_on.whole_page_promotions, 0u);

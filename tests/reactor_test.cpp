@@ -1,8 +1,8 @@
 // Transport-shell tests (docs/TRANSPORT.md): the SPSC ring the reactor's
 // handoff is built on, the reactor itself — multiplexing, delivery order,
 // close semantics, the flush settlement barrier, slow-consumer
-// backpressure over real TCP — and the SessionShell mode switch that keeps
-// the legacy threaded shell working behind the same directories.
+// backpressure over real TCP — and the SessionShell running the full
+// protocol behind the home directory.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,8 +17,8 @@
 #include <utility>
 #include <vector>
 
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "msg/faulty.hpp"
 #include "msg/reactor.hpp"
 #include "msg/spsc_ring.hpp"
@@ -379,21 +379,21 @@ TEST(Reactor, SlowTcpConsumerEvictedWhileHealthyPeerProgresses) {
   reactor.stop();
 }
 
-// ---- SessionShell mode switch ----------------------------------------------
+// ---- SessionShell under the home directory ---------------------------------
 
 tags::TypePtr gthv() {
   return tags::TypeDesc::struct_of(
       "G", {{"A", tags::TypeDesc::array(tags::t_longlong(), 8)}});
 }
 
-void exercise_home(dsm::HomeOptions opts) {
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), opts);
+TEST(SessionShell, ReactorModeRunsTheProtocol) {
+  dsm::ShardedHome home(gthv(), plat::linux_ia32());
   home.start();
   home.set_barrier_count(0, 3);
 
   auto worker = [&](std::uint32_t rank) {
-    dsm::RemoteThread remote(gthv(), plat::linux_ia32(), rank,
-                             home.attach(rank));
+    dsm::ShardedRemote remote(gthv(), plat::linux_ia32(), rank,
+                              home.attach(rank));
     for (int i = 0; i < 5; ++i) {
       remote.lock(0);
       auto a = remote.space().view<std::int64_t>("A");
@@ -413,18 +413,6 @@ void exercise_home(dsm::HomeOptions opts) {
   EXPECT_TRUE(home.active_ranks().empty());
   auto a = home.space().view<std::int64_t>("A");
   EXPECT_EQ(a.get(0), 10);
-}
-
-TEST(SessionShell, ReactorModeRunsTheProtocol) {
-  dsm::HomeOptions opts;
-  opts.shell.mode = dsm::ShellOptions::Mode::Reactor;
-  exercise_home(opts);
-}
-
-TEST(SessionShell, ThreadedModeStillRunsTheProtocol) {
-  dsm::HomeOptions opts;
-  opts.shell.mode = dsm::ShellOptions::Mode::Threaded;
-  exercise_home(opts);
 }
 
 }  // namespace

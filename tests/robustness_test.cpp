@@ -7,12 +7,13 @@
 #include <thread>
 #include <unistd.h>
 
-#include "dsm/home.hpp"
 #include "dsm/image_io.hpp"
-#include "mig/io_state.hpp"
-#include "dsm/remote.hpp"
 #include "dsm/scoped_lock.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
+#include "mig/io_state.hpp"
 #include "tags/describe.hpp"
+#include "test_util.hpp"
 #include "workloads/experiment.hpp"
 #include "workloads/sor.hpp"
 
@@ -43,7 +44,7 @@ tags::TypePtr all_kinds_gthv() {
 
 TEST(ScopedLock, LocksAndUnlocksViaRaii) {
   tags::TypePtr gthv = tags::describe_struct("G").field<int>("x").build();
-  dsm::HomeNode home(gthv, plat::linux_ia32());
+  dsm::ShardedHome home(gthv, plat::linux_ia32());
   home.start();
   {
     dsm::ScopedLock guard(home, 0);
@@ -123,7 +124,7 @@ TEST(ImageIo, CheckpointRestartResumesSharedComputation) {
   tags::TypePtr gthv =
       tags::describe_struct("G").array<long long>("acc", 32).build();
   {
-    dsm::HomeNode home(gthv, plat::linux_ia32());
+    dsm::ShardedHome home(gthv, plat::linux_ia32());
     home.start();
     home.lock(0);
     auto acc = home.space().view<std::int64_t>("acc");
@@ -132,7 +133,7 @@ TEST(ImageIo, CheckpointRestartResumesSharedComputation) {
     dsm::save_image(home.space(), path);
     home.stop();
   }
-  dsm::HomeNode restarted(gthv, plat::solaris_sparc32());
+  dsm::ShardedHome restarted(gthv, plat::solaris_sparc32());
   dsm::load_image(restarted.space(), path);
   restarted.start();
   restarted.lock(0);
@@ -146,8 +147,8 @@ TEST(ImageIo, CheckpointRestartResumesSharedComputation) {
 
 TEST(DsdEndToEnd, EveryScalarCategoryCrossesTheBoundary) {
   tags::TypePtr gthv = all_kinds_gthv();
-  dsm::HomeNode home(gthv, plat::linux_ia32());
-  dsm::RemoteThread remote(gthv, plat::solaris_sparc64(), 1, home.attach(1));
+  dsm::ShardedHome home(gthv, plat::linux_ia32());
+  dsm::ShardedRemote remote(gthv, plat::solaris_sparc64(), 1, home.attach(1));
   home.start();
   std::thread t([&] {
     remote.lock(0);
@@ -183,7 +184,7 @@ TEST(Options, MatmulCorrectUnderEveryOptionCombination) {
   for (const bool binary_tags : {false, true}) {
     for (const bool bulk_swap : {false, true}) {
       for (const bool coalesce : {false, true}) {
-        dsm::HomeOptions opts;
+        dsm::ShardedHomeOptions opts;
         opts.dsd.binary_tags = binary_tags;
         opts.dsd.bulk_swap_fastpath = bulk_swap;
         opts.dsd.coalesce_runs = coalesce;
@@ -198,10 +199,10 @@ TEST(Options, MatmulCorrectUnderEveryOptionCombination) {
 }
 
 TEST(Options, SorCorrectWithMergeSlack) {
-  dsm::HomeOptions opts;
+  dsm::ShardedHomeOptions opts;
   opts.dsd.merge_slack = 8;  // ships some untouched bytes — must stay exact
-  dsm::Cluster cluster(work::sor_gthv(10), plat::solaris_sparc32(),
-                       {&plat::linux_ia32(), &plat::linux_ia32()}, opts);
+  dsm::ShardedCluster cluster(work::sor_gthv(10), plat::solaris_sparc32(),
+                              {&plat::linux_ia32(), &plat::linux_ia32()}, opts);
   const auto grid = work::run_sor(cluster, 10, 6, 1.4);
   const auto ref = work::sor_reference(10, 6, 1.4);
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -211,9 +212,9 @@ TEST(Options, SorCorrectWithMergeSlack) {
 
 TEST(Shutdown, StopWithActiveRemotesUnblocksThem) {
   tags::TypePtr gthv = tags::describe_struct("G").field<int>("x").build();
-  auto home = std::make_unique<dsm::HomeNode>(gthv, plat::linux_ia32());
+  auto home = std::make_unique<dsm::ShardedHome>(gthv, plat::linux_ia32());
   auto ep = home->attach(1);
-  dsm::RemoteThread remote(gthv, plat::linux_ia32(), 1, std::move(ep));
+  dsm::ShardedRemote remote(gthv, plat::linux_ia32(), 1, std::move(ep));
   home->start();
   home->lock(0);  // master holds the lock forever
   std::thread blocked([&] {
@@ -230,8 +231,8 @@ TEST(Shutdown, RemoteProtocolViolationSurfacesAsLogicError) {
   // Feed the remote an unexpected reply type through a raw channel.
   tags::TypePtr gthv = tags::describe_struct("G").field<int>("x").build();
   auto [fake_home, remote_side] = msg::make_channel_pair();
-  dsm::RemoteThread remote(gthv, plat::linux_ia32(), 1,
-                           std::move(remote_side));
+  dsm::ShardedRemote remote(gthv, plat::linux_ia32(), 1,
+                            hdsm::test::one_session(std::move(remote_side)));
   (void)fake_home->recv();  // the Hello
   std::thread responder([&] {
     (void)fake_home->recv();  // the LockRequest
@@ -250,10 +251,10 @@ TEST(Negotiation, MismatchedGthvRejectedAtAttach) {
       tags::describe_struct("G").array<int>("A", 16).build();
   tags::TypePtr wrong_gthv =
       tags::describe_struct("G").array<int>("A", 17).build();
-  dsm::HomeNode home(home_gthv, plat::linux_ia32());
+  dsm::ShardedHome home(home_gthv, plat::linux_ia32());
   home.start();
   auto ep = home.attach(1);
-  dsm::RemoteThread wrong(wrong_gthv, plat::linux_ia32(), 1, std::move(ep));
+  dsm::ShardedRemote wrong(wrong_gthv, plat::linux_ia32(), 1, std::move(ep));
   EXPECT_THROW(wrong.lock(0), msg::ChannelClosed);
   home.wait_all_joined();  // the offender was detached
   home.stop();
@@ -265,8 +266,8 @@ TEST(Negotiation, SameShapeDifferentPlatformAccepted) {
                            .pointer("p")
                            .array<long>("A", 8)
                            .build();
-  dsm::HomeNode home(gthv, plat::linux_ia32());
-  dsm::RemoteThread remote(gthv, plat::solaris_sparc64(), 1, home.attach(1));
+  dsm::ShardedHome home(gthv, plat::linux_ia32());
+  dsm::ShardedRemote remote(gthv, plat::solaris_sparc64(), 1, home.attach(1));
   home.start();
   remote.lock(0);
   remote.space().view<std::int64_t>("A").set(0, 5);

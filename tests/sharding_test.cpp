@@ -1,12 +1,13 @@
 // The sharded home directory (docs/SHARDING.md): deterministic shard-map
 // placement pinned by golden values, map-epoch revalidation on the wire,
-// single-shard parity with the classic home, cross-shard release
+// the one-shard wire contract (the paper's home node), cross-shard release
 // consistency via pending-mask drains, online region migration, and the
 // scheduler wiring that turns per-shard busy telemetry into migrations.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -99,6 +100,45 @@ void expect_valid(const dsm::TraceLog& log, const char* which) {
   const auto err = dsm::validate_trace(log.snapshot());
   EXPECT_FALSE(err.has_value()) << which << ": " << *err;
 }
+
+/// Every frame the home sent, as its remotes received them.
+struct FrameLog {
+  std::mutex mu;
+  std::vector<msg::Message> frames;
+};
+
+/// Remote-side decorator that records each frame the remote receives.
+class RecordingEndpoint final : public msg::Endpoint {
+ public:
+  RecordingEndpoint(msg::EndpointPtr inner, FrameLog& log)
+      : inner_(std::move(inner)), log_(log) {}
+
+  void send(const msg::Message& m) override { inner_->send(m); }
+  msg::Message recv() override {
+    msg::Message m = inner_->recv();
+    note(m);
+    return m;
+  }
+  bool recv_for(msg::Message& out, std::chrono::milliseconds t) override {
+    if (!inner_->recv_for(out, t)) return false;
+    note(out);
+    return true;
+  }
+  void close() override { inner_->close(); }
+  std::uint64_t bytes_sent() const override { return inner_->bytes_sent(); }
+  std::uint64_t bytes_received() const override {
+    return inner_->bytes_received();
+  }
+
+ private:
+  void note(const msg::Message& m) {
+    std::lock_guard<std::mutex> lock(log_.mu);
+    log_.frames.push_back(m);
+  }
+
+  msg::EndpointPtr inner_;
+  FrameLog& log_;
+};
 
 }  // namespace
 
@@ -237,16 +277,23 @@ TEST(ShardMap, FrameHeaderCarriesEpochAndAux) {
 // ---- single-shard parity ---------------------------------------------------
 
 TEST(ShardedHome, OneShardBehavesLikeSingleHome) {
-  // num_shards == 1 must be behaviorally identical to HomeNode: no
-  // redirects, no pending masks, no pulls — just the classic DSD protocol
-  // with the same converged image.
+  // num_shards == 1 is the paper's single home node: one session per
+  // remote, no redirects, no pulls, and no sharding state on the wire —
+  // every frame a remote receives carries aux == 0 (no pending mask) and
+  // map_epoch == 1 (the map never changes), and none is a WrongShard or
+  // PendingReply.  The classic DSD protocol converges to the same image.
   dsm::TraceLog log;
   dsm::ShardedHomeOptions opts;
   opts.num_shards = 1;
   opts.shard_traces = {&log};
-  dsm::ShardedCluster cluster(gthv(), plat::linux_ia32(),
-                              {&plat::linux_ia32(), &plat::linux_ia32()},
-                              opts);
+  FrameLog received;
+  dsm::ShardedCluster cluster(
+      gthv(), plat::linux_ia32(), {&plat::linux_ia32(), &plat::linux_ia32()},
+      opts, [&received](std::uint32_t, std::uint32_t shard,
+                        msg::EndpointPtr ep) -> msg::EndpointPtr {
+        EXPECT_EQ(shard, 0u);
+        return std::make_unique<RecordingEndpoint>(std::move(ep), received);
+      });
   constexpr int kOps = 12;
   cluster.run(
       [&](dsm::ShardedHome& home) {
@@ -262,6 +309,19 @@ TEST(ShardedHome, OneShardBehavesLikeSingleHome) {
   EXPECT_EQ(total.pending_pulls, 0u);
   EXPECT_EQ(total.region_migrations, 0u);
   expect_valid(log, "shard 0");
+
+  std::lock_guard<std::mutex> lock(received.mu);
+  std::size_t grants = 0;
+  for (const msg::Message& m : received.frames) {
+    EXPECT_EQ(m.aux, 0u) << msg::msg_type_name(m.type) << " #" << m.seq;
+    EXPECT_EQ(m.map_epoch, 1u) << msg::msg_type_name(m.type) << " #" << m.seq;
+    EXPECT_NE(m.type, msg::MsgType::WrongShard);
+    EXPECT_NE(m.type, msg::MsgType::PendingReply);
+    grants += m.type == msg::MsgType::LockGrant;
+  }
+  // Every lock, barrier, and join was answered through the recorder.
+  EXPECT_EQ(grants, 2u * kOps);
+  EXPECT_EQ(received.frames.size(), 2u * (2 * kOps + 2));
 }
 
 // ---- failure containment ---------------------------------------------------

@@ -6,8 +6,8 @@
 #include <random>
 #include <thread>
 
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "dsm/trace.hpp"
 #include "dsm/update.hpp"
 
@@ -41,15 +41,15 @@ const plat::PlatformDesc& platform_for(std::uint32_t rank) {
 
 TEST(Stress, RandomIncrementsUnderOneLockSumExactly) {
   dsm::TraceLog log;
-  dsm::HomeOptions opts;
-  opts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), opts);
+  dsm::ShardedHomeOptions opts;
+  opts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), opts);
   constexpr std::uint32_t kRemotes = 4;
   constexpr int kOpsPerThread = 40;
 
-  std::vector<std::unique_ptr<dsm::RemoteThread>> remotes;
+  std::vector<std::unique_ptr<dsm::ShardedRemote>> remotes;
   for (std::uint32_t r = 1; r <= kRemotes; ++r) {
-    remotes.push_back(std::make_unique<dsm::RemoteThread>(
+    remotes.push_back(std::make_unique<dsm::ShardedRemote>(
         gthv(), platform_for(r), r, home.attach(r)));
   }
   home.start();
@@ -72,7 +72,7 @@ TEST(Stress, RandomIncrementsUnderOneLockSumExactly) {
   std::vector<std::thread> threads;
   for (std::uint32_t r = 1; r <= kRemotes; ++r) {
     threads.emplace_back([&, r] {
-      dsm::RemoteThread& remote = *remotes[r - 1];
+      dsm::ShardedRemote& remote = *remotes[r - 1];
       for (const auto& [idx, delta] : ops_of(r)) {
         remote.lock(0);
         auto a = remote.space().view<std::int64_t>("A");
@@ -104,17 +104,17 @@ TEST(Stress, DisjointSegmentsUnderStripedLocks) {
   // Each mutex protects one segment; threads hop between segments in
   // deterministic pseudo-random order.
   dsm::TraceLog log;
-  dsm::HomeOptions opts;
-  opts.trace = &log;
+  dsm::ShardedHomeOptions opts;
+  opts.shard_traces = {&log};
   opts.num_locks = 8;
-  dsm::HomeNode home(gthv(), plat::solaris_sparc32(), opts);
+  dsm::ShardedHome home(gthv(), plat::solaris_sparc32(), opts);
   constexpr std::uint32_t kRemotes = 3;
   constexpr std::uint64_t kSegments = 8;
   constexpr std::uint64_t kSegLen = kElems / kSegments;
 
-  std::vector<std::unique_ptr<dsm::RemoteThread>> remotes;
+  std::vector<std::unique_ptr<dsm::ShardedRemote>> remotes;
   for (std::uint32_t r = 1; r <= kRemotes; ++r) {
-    remotes.push_back(std::make_unique<dsm::RemoteThread>(
+    remotes.push_back(std::make_unique<dsm::ShardedRemote>(
         gthv(), platform_for(r + 1), r, home.attach(r)));
   }
   home.start();
@@ -122,7 +122,7 @@ TEST(Stress, DisjointSegmentsUnderStripedLocks) {
   std::vector<std::thread> threads;
   for (std::uint32_t r = 1; r <= kRemotes; ++r) {
     threads.emplace_back([&, r] {
-      dsm::RemoteThread& remote = *remotes[r - 1];
+      dsm::ShardedRemote& remote = *remotes[r - 1];
       std::mt19937_64 rng(77 * r);
       for (int op = 0; op < 50; ++op) {
         const std::uint32_t seg = static_cast<std::uint32_t>(rng() % kSegments);
@@ -172,16 +172,16 @@ TEST(Stress, BarrierPhasesDoubleBufferedStencil) {
   // double buffering is the correct SPMD idiom here, exactly as on real
   // relaxed-consistency DSMs.
   dsm::TraceLog log;
-  dsm::HomeOptions opts;
-  opts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), opts);
+  dsm::ShardedHomeOptions opts;
+  opts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), opts);
   constexpr std::uint32_t kRemotes = 2;
   constexpr std::uint32_t kThreads = kRemotes + 1;
   constexpr int kPhases = 12;
 
-  std::vector<std::unique_ptr<dsm::RemoteThread>> remotes;
+  std::vector<std::unique_ptr<dsm::ShardedRemote>> remotes;
   for (std::uint32_t r = 1; r <= kRemotes; ++r) {
-    remotes.push_back(std::make_unique<dsm::RemoteThread>(
+    remotes.push_back(std::make_unique<dsm::ShardedRemote>(
         gthv(), platform_for(r), r, home.attach(r)));
   }
   home.start();
@@ -202,7 +202,7 @@ TEST(Stress, BarrierPhasesDoubleBufferedStencil) {
   std::vector<std::thread> threads;
   for (std::uint32_t r = 1; r <= kRemotes; ++r) {
     threads.emplace_back([&, r] {
-      dsm::RemoteThread& remote = *remotes[r - 1];
+      dsm::ShardedRemote& remote = *remotes[r - 1];
       remote.barrier(0);
       for (int p = 0; p < kPhases; ++p) {
         phase_work(remote, r, p);
@@ -244,15 +244,15 @@ TEST(Stress, ThreadChurnJoinAndReplace) {
   // Generations of short-lived remote threads reusing ranks — the adaptive
   // join/leave pattern.
   dsm::TraceLog log;
-  dsm::HomeOptions opts;
-  opts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), opts);
+  dsm::ShardedHomeOptions opts;
+  opts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), opts);
   home.start();
 
   for (int generation = 0; generation < 6; ++generation) {
     std::thread worker([&, generation] {
-      dsm::RemoteThread remote(gthv(), platform_for(generation), 1,
-                               home.attach(1));
+      dsm::ShardedRemote remote(gthv(), platform_for(generation), 1,
+                                home.attach(1));
       remote.lock(0);
       auto a = remote.space().view<std::int64_t>("A");
       a.set(generation, a.get(generation) + 100 + generation);
@@ -278,20 +278,20 @@ TEST(Stress, ThreadChurnJoinAndReplace) {
 // mutex must drive the first rank's count to exactly zero.
 TEST(Stress, RecoveryWindowsStayBoundedAcrossCrashCycles) {
   constexpr std::uint32_t kLocks = 16;
-  dsm::HomeOptions opts;
+  dsm::ShardedHomeOptions opts;
   opts.num_locks = kLocks;
-  dsm::HomeNode home(gthv(), plat::linux_x86_64(), opts);
+  dsm::ShardedHome home(gthv(), plat::linux_x86_64(), opts);
   home.start();
 
   const auto summary = msg::PlatformSummary::of(home.space().platform());
   const std::string tag = home.space().image_tag_text();
 
   // Rank 1: 3 crash cycles per mutex, always dying while holding.  Raw
-  // messages (no RemoteThread) so the "crash" is a plain endpoint close
+  // messages (no ShardedRemote) so the "crash" is a plain endpoint close
   // with the lock held and the unlock forever outstanding.
   std::uint32_t seq = 0;
   for (std::uint32_t cycle = 0; cycle < 3 * kLocks; ++cycle) {
-    msg::EndpointPtr ep = home.attach(1);
+    msg::EndpointPtr ep = std::move(home.attach(1)[0]);
     msg::Message hello;
     hello.type = msg::MsgType::Hello;
     hello.rank = 1;
@@ -322,7 +322,7 @@ TEST(Stress, RecoveryWindowsStayBoundedAcrossCrashCycles) {
 
   // Rank 2 cycles through every mutex: each grant closes rank 1's window
   // for that mutex (its stale recovery diffs could never be honored again).
-  msg::EndpointPtr ep2 = home.attach(2);
+  msg::EndpointPtr ep2 = std::move(home.attach(2)[0]);
   msg::Message hello2;
   hello2.type = msg::MsgType::Hello;
   hello2.rank = 2;

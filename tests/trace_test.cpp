@@ -4,8 +4,8 @@
 
 #include <thread>
 
-#include "dsm/home.hpp"
-#include "dsm/remote.hpp"
+#include "dsm/sharded_home.hpp"
+#include "dsm/sharded_remote.hpp"
 #include "dsm/trace.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -234,13 +234,13 @@ TEST(TraceLog, RendersReqWhenSequenced) {
 
 TEST(TraceEndToEnd, LiveLockTrafficValidates) {
   dsm::TraceLog log;
-  dsm::HomeOptions opts;
-  opts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::solaris_sparc32(), opts);
-  msg::EndpointPtr e1 = home.attach(1);
-  msg::EndpointPtr e2 = home.attach(2);
-  dsm::RemoteThread r1(gthv(), plat::linux_ia32(), 1, std::move(e1));
-  dsm::RemoteThread r2(gthv(), plat::linux_ia32(), 2, std::move(e2));
+  dsm::ShardedHomeOptions opts;
+  opts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::solaris_sparc32(), opts);
+  std::vector<msg::EndpointPtr> e1 = home.attach(1);
+  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  dsm::ShardedRemote r1(gthv(), plat::linux_ia32(), 1, std::move(e1));
+  dsm::ShardedRemote r2(gthv(), plat::linux_ia32(), 2, std::move(e2));
   home.start();
 
   std::thread t1([&] {
@@ -288,9 +288,9 @@ TEST(TraceEndToEnd, LiveLockTrafficValidates) {
 
 TEST(TraceEndToEnd, TamperedTraceFails) {
   dsm::TraceLog log;
-  dsm::HomeOptions opts;
-  opts.trace = &log;
-  dsm::HomeNode home(gthv(), plat::linux_ia32(), opts);
+  dsm::ShardedHomeOptions opts;
+  opts.shard_traces = {&log};
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), opts);
   home.start();
   home.lock(0);
   home.unlock(0);

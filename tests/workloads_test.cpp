@@ -28,8 +28,8 @@ class MatmulPairs : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(MatmulPairs, DistributedMatchesSerial) {
   const work::PairSpec& pair = work::paper_pairs()[GetParam()];
   for (const std::uint32_t n : {5u, 16u, 33u}) {
-    dsm::Cluster cluster(work::matmul_gthv(n), *pair.home,
-                         {pair.remote, pair.remote});
+    dsm::ShardedCluster cluster(work::matmul_gthv(n), *pair.home,
+                                {pair.remote, pair.remote});
     const auto c = work::run_matmul(cluster, n);
     EXPECT_EQ(c, work::matmul_reference(n)) << pair.name << " n=" << n;
   }
@@ -39,13 +39,13 @@ INSTANTIATE_TEST_SUITE_P(AllPairs, MatmulPairs,
                          ::testing::Values(0, 1, 2));  // LL, SS, SL
 
 TEST(MatmulWorkload, SingleRemote) {
-  dsm::Cluster cluster(work::matmul_gthv(9), plat::linux_ia32(),
-                       {&plat::solaris_sparc32()});
+  dsm::ShardedCluster cluster(work::matmul_gthv(9), plat::linux_ia32(),
+                              {&plat::solaris_sparc32()});
   EXPECT_EQ(work::run_matmul(cluster, 9), work::matmul_reference(9));
 }
 
 TEST(MatmulWorkload, FourThreads) {
-  dsm::Cluster cluster(
+  dsm::ShardedCluster cluster(
       work::matmul_gthv(17), plat::solaris_sparc32(),
       {&plat::linux_ia32(), &plat::solaris_sparc32(), &plat::linux_x86_64()});
   EXPECT_EQ(work::run_matmul(cluster, 17), work::matmul_reference(17));
@@ -84,8 +84,8 @@ class LuPairs : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(LuPairs, DistributedMatchesSerialExactly) {
   const work::PairSpec& pair = work::paper_pairs()[GetParam()];
   for (const std::uint32_t n : {4u, 13u, 24u}) {
-    dsm::Cluster cluster(work::lu_gthv(n), *pair.home,
-                         {pair.remote, pair.remote});
+    dsm::ShardedCluster cluster(work::lu_gthv(n), *pair.home,
+                                {pair.remote, pair.remote});
     const auto m = work::run_lu(cluster, n);
     const auto ref = work::lu_reference(n);
     ASSERT_EQ(m.size(), ref.size());
@@ -114,8 +114,8 @@ class SorPairs : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(SorPairs, DistributedMatchesSerialExactly) {
   const work::PairSpec& pair = work::paper_pairs()[GetParam()];
   for (const std::uint32_t n : {6u, 15u}) {
-    dsm::Cluster cluster(work::sor_gthv(n), *pair.home,
-                         {pair.remote, pair.remote});
+    dsm::ShardedCluster cluster(work::sor_gthv(n), *pair.home,
+                                {pair.remote, pair.remote});
     const auto grid = work::run_sor(cluster, n, 8, 1.5);
     const auto ref = work::sor_reference(n, 8, 1.5);
     ASSERT_EQ(grid.size(), ref.size());
@@ -129,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(AllPairs, SorPairs, ::testing::Values(0, 1, 2));
 
 TEST(SorWorkload, FourThreadsMixedPlatforms) {
   const std::uint32_t n = 13;
-  dsm::Cluster cluster(
+  dsm::ShardedCluster cluster(
       work::sor_gthv(n), plat::linux_ia32(),
       {&plat::solaris_sparc32(), &plat::windows_x64(), &plat::mips64_be()});
   const auto grid = work::run_sor(cluster, n, 6, 1.25);
