@@ -4,7 +4,7 @@
 // tags").
 //
 // Measures tag generation + parsing throughput for both encodings and the
-// full unlock/apply round trip with DsdOptions::binary_tags toggled.
+// full unlock/apply round trip with SyncOptions::binary_tags toggled.
 #include <benchmark/benchmark.h>
 
 #include "dsm/global_space.hpp"
@@ -49,7 +49,7 @@ tags::TypePtr gthv() {
 }
 
 void round_trip(benchmark::State& state, bool binary) {
-  dsm::DsdOptions opts;
+  dsm::SyncOptions opts;
   opts.binary_tags = binary;
   dsm::GlobalSpace sender(gthv(), plat::solaris_sparc32());
   dsm::GlobalSpace receiver(gthv(), plat::linux_ia32());

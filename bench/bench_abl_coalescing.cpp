@@ -39,7 +39,7 @@ void write_pattern(dsm::GlobalSpace& g, std::uint64_t n, bool strided) {
 
 void run(benchmark::State& state, bool coalesce, bool strided) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
-  dsm::DsdOptions opts;
+  dsm::SyncOptions opts;
   opts.coalesce_runs = coalesce;
   dsm::GlobalSpace g(gthv(n), plat::linux_ia32());
   dsm::ShareStats stats;

@@ -94,7 +94,6 @@ void report_transport(benchmark::State& state, const dsm::ShardedHome& home) {
   state.counters["frames_in"] = static_cast<double>(s.frames_in);
   state.counters["frames_out"] = static_cast<double>(s.frames_out);
   state.counters["flush_batches"] = static_cast<double>(s.flush_batches);
-  state.counters["ring_stalls"] = static_cast<double>(s.ring_stalls);
 }
 
 void throughput(benchmark::State& state, bool tcp) {

@@ -109,10 +109,11 @@ std::chrono::nanoseconds run_replicated(std::uint32_t num_shards, int ops,
   repl.set_barrier_count(0, kRemotes + 1);
   repl.start();
   std::atomic<int> ops_done{0};
+  std::atomic<std::uint32_t> remotes_up{0};
   std::vector<std::thread> threads;
   for (std::uint32_t rank = 1; rank <= kRemotes; ++rank) {
     std::vector<msg::EndpointPtr> eps = repl.attach(rank);
-    threads.emplace_back([&repl, &ops_done, ops, rank,
+    threads.emplace_back([&repl, &ops_done, &remotes_up, ops, rank,
                           eps = std::move(eps)]() mutable {
       dsm::ShardedRemoteOptions ropts;
       ropts.retry = bench_retry();
@@ -122,13 +123,17 @@ std::chrono::nanoseconds run_replicated(std::uint32_t num_shards, int ops,
       };
       dsm::ShardedRemote remote(gthv(), plat::linux_ia32(), rank,
                                 std::move(eps), ropts);
+      remotes_up.fetch_add(1);
       remote_body(remote, ops, &ops_done);
     });
   }
   std::chrono::nanoseconds pause{0};
   if (failover) {
+    // Fail over mid-workload with every remote attached: the constructor's
+    // Hello has no reconnect path, so a remote still starting up when the
+    // primary dies would fail instead of re-dialing.
     const int threshold = static_cast<int>(kRemotes) * ops / 2;
-    while (ops_done.load() < threshold) {
+    while (remotes_up.load() < kRemotes || ops_done.load() < threshold) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     pause = repl.fail_over();

@@ -3,10 +3,12 @@
 //
 //   BM_DisjointLocks/S    - four remotes, each hammering its own mutex,
 //                           with the four regions spread across S home
-//                           shards (S = 1, 2, 4, 8).  The control planes
-//                           run in parallel, so throughput should rise
-//                           with S until the remote count is the limit;
-//                           S=1 is the paper's single home node.
+//                           shards (S = 1, 2, 4, 8); S=1 is the paper's
+//                           single home node.  Time rises with S, since
+//                           each acquire must pull the other ranks'
+//                           pending updates from their shards: on a
+//                           4-core container 78 / 110 / 148 / 150 ms at
+//                           S = 1 / 2 / 4 / 8 (docs/SHARDING.md).
 //   BM_ContendedLock/S    - four remotes all on mutex 0: one region, one
 //                           shard does all the work whatever S is.  The
 //                           directory must not tax the contended case —
@@ -24,8 +26,6 @@
 // pins, the full-image grants — stays outside the measurement.
 //
 // Set HDSM_BENCH_FAST=1 for a smoke-sized run (CI's bench-smoke target).
-// On a single-core container the S>1 scaling flattens (more shard threads,
-// not more cores); the pause numbers are per-handoff and show regardless.
 #include <benchmark/benchmark.h>
 
 #include <chrono>

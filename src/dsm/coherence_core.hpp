@@ -11,8 +11,8 @@
 // the generation-guarded unlock reset-recovery rules — is a transition of
 // this class, steppable from a unit test without spawning a thread or
 // opening an endpoint.  `ShardedHome` (sharded_home.{hpp,cpp}) is only the
-// I/O shell, one core per shard: it feeds events from the reactor's worker
-// lanes and executes the returned actions (sends happen outside the state
+// I/O shell, one core per shard: it feeds events from the reactor's io
+// thread and executes the returned actions (sends happen outside the state
 // lock).
 //
 // The one dependency is `UpdateCodec`, a narrow data-plane interface

@@ -43,16 +43,10 @@ void SessionShell::ReactorBridge::on_peer_closed(msg::PeerId peer) {
   shell->reactor_closed(gen16_of(peer), group_of(peer), rank_of(peer));
 }
 
-SessionShell::SessionShell(const ShellOptions& opts, Callbacks cbs,
-                           obs::Telemetry* telemetry)
+SessionShell::SessionShell(Callbacks cbs, obs::Telemetry* telemetry)
     : cbs_(std::move(cbs)) {
   bridge_.shell = this;
   msg::ReactorOptions ro;
-  ro.io_threads = opts.io_threads;
-  ro.lanes = opts.lanes == 0 ? 1 : opts.lanes;
-  ro.ring_capacity = opts.ring_capacity;
-  ro.max_write_queue_bytes = opts.max_write_queue_bytes;
-  ro.flush_delay = opts.flush_delay;
   ro.telemetry = telemetry;
   reactor_ = std::make_unique<msg::Reactor>(ro, bridge_);
 }
@@ -70,8 +64,8 @@ void SessionShell::retire_session(std::uint32_t group, std::uint32_t rank) {
   close_locked(*s);
   if (s->started) {
     // The reactor delivers the closed event (after any messages the old
-    // transport already queued) on a lane; wait until that incarnation's
-    // on_closed has fully run.
+    // transport already queued) on its io thread; wait until that
+    // incarnation's on_closed has fully run.
     cv_.wait(lk, [&s, gen, this] { return s->closed_gen >= gen || stopped_; });
   }
   s->started = false;
@@ -100,7 +94,7 @@ void SessionShell::start_session(std::uint32_t group, std::uint32_t rank) {
   }
   Session& s = *it->second;
   s.started = true;
-  reactor_->add_peer(peer_of(s.gen, group, rank), s.endpoint, /*lane=*/group);
+  reactor_->add_peer(peer_of(s.gen, group, rank), s.endpoint);
 }
 
 // ---- sending ----------------------------------------------------------------
@@ -158,7 +152,7 @@ void SessionShell::stop() {
     }
   }
   // Retires every peer; queued messages and closed events still deliver to
-  // the callbacks before the lanes exit.
+  // the callbacks before the io thread exits.
   reactor_->stop();
   cv_.notify_all();
 }

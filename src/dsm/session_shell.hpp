@@ -6,22 +6,19 @@
 // (group, rank): a group is a directory shard, and one session is one
 // remote's connection to one group.
 //
-// Sessions are peers of one shared `msg::Reactor` (docs/TRANSPORT.md): a
-// fixed pool of io threads multiplexes every endpoint, worker lanes deliver
-// messages, and sends are asynchronous (failures surface as the session's
-// closed callback, never as a send error).  A group's sessions share a
-// lane, so per-group callbacks are serialized exactly like per-shard
-// receiver threads contending on one state mutex — minus the
-// thread-per-peer cost.
+// Sessions are peers of one shared `msg::Reactor` (docs/TRANSPORT.md): one
+// io thread multiplexes every endpoint of every group and runs the
+// callbacks inline, and sends are asynchronous (failures surface as the
+// session's closed callback, never as a send error).  One thread running
+// every callback serializes them, per group and across groups alike.
 //
 // Callback contract: on_message / on_closed are invoked with NO shell lock
 // held; implementations take their own state locks and may call handle(),
 // send(), and close_session() from inside.  They must NOT call
 // retire_session(), install_session(), start_session(), or stop() (those
-// wait on the very threads the callbacks run on).
+// wait on the very thread the callbacks run on).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -37,20 +34,6 @@ class Telemetry;
 }
 
 namespace hdsm::dsm {
-
-struct ShellOptions {
-  /// Reactor io threads.
-  std::uint32_t io_threads = 1;
-  /// Reactor worker lanes; 0 = auto (the home picks one lane per shard,
-  /// capped).
-  std::uint32_t lanes = 0;
-  /// Reactor ring capacity per (io, lane) direction.
-  std::size_t ring_capacity = 1024;
-  /// Per-session outbound byte bound before slow-consumer eviction.
-  std::size_t max_write_queue_bytes = std::size_t{64} << 20;
-  /// Reactor write-coalescing window (0 = flush every wakeup).
-  std::chrono::microseconds flush_delay{0};
-};
 
 class SessionShell {
  public:
@@ -74,8 +57,7 @@ class SessionShell {
   };
 
   /// `telemetry` may be null; it must outlive the shell.
-  SessionShell(const ShellOptions& opts, Callbacks cbs,
-               obs::Telemetry* telemetry);
+  SessionShell(Callbacks cbs, obs::Telemetry* telemetry);
   ~SessionShell();  // stop()s
 
   SessionShell(const SessionShell&) = delete;
@@ -83,7 +65,7 @@ class SessionShell {
 
   // -- The three-phase attach discipline.  Caller holds its state lock for
   //    install/start (so no message precedes its peer_attached transition)
-  //    but NOT for retire (which waits on the callback lanes). --
+  //    but NOT for retire (which waits on the callback thread). --
 
   /// Phase 2: close the previous incarnation's transport (if any) and wait
   /// until its closed event was fully delivered.

@@ -86,14 +86,6 @@ CoherenceConfig shard_core_config(const ShardedHomeOptions& opts,
   return cfg;
 }
 
-ShellOptions resolve_shell(ShellOptions s, std::uint32_t num_shards) {
-  // One lane per shard keeps per-shard event delivery serialized (a lane
-  // never runs two callbacks at once); past 8 shards lanes are shared —
-  // correct either way, since every callback takes its shard's state lock.
-  if (s.lanes == 0) s.lanes = std::min(num_shards, 8u);
-  return s;
-}
-
 }  // namespace
 
 ShardedHome::Shard::Shard(std::uint32_t idx, ShardedHome& owner)
@@ -127,7 +119,6 @@ ShardedHome::ShardedHome(tags::TypePtr gthv,
   engine_.set_trace(shards_[0]->trace, kMasterRank);
   engine_.set_obs(telemetry_.get());
   shell_ = std::make_unique<SessionShell>(
-      resolve_shell(opts_.shell, opts_.num_shards),
       SessionShell::Callbacks{
           [this](std::uint32_t group, std::uint32_t rank, msg::Message&& m) {
             if (rank == kReplSessionRank) {

@@ -2,10 +2,10 @@
 // duties partitioned across N independent shards, each a full sans-I/O
 // `CoherenceCore` behind its own state mutex, served by the shared
 // transport shell (`SessionShell`, docs/TRANSPORT.md — an epoll reactor
-// with each shard's sessions pinned to one worker lane so per-shard event
-// delivery stays serialized).  A
-// region (mutex index i + barrier index i) is owned by exactly one shard at
-// a time; the authoritative region→shard map is a `ShardMap` whose epoch
+// whose one io thread runs every shard's handlers inline, so event
+// delivery is serialized per shard and across shards).  A region (mutex
+// index i + barrier index i) is owned by exactly one shard at a time; the
+// authoritative region→shard map is a `ShardMap` whose epoch
 // travels in every frame header, so remotes revalidate lazily — a request
 // routed by a stale map is bounced with `WrongShard` (carrying the fresh
 // map) instead of executing at the wrong shard.
@@ -60,7 +60,7 @@ struct ShardedHomeOptions {
   /// Home shards (1..ShardMap::kMaxShards).  1 = a single directory shard:
   /// the paper's home node, with no masks, redirects, or pulls.
   std::uint32_t num_shards = 1;
-  DsdOptions dsd;
+  SyncOptions dsd;
   /// Optional per-shard protocol trace sinks: entry s traces shard s (a
   /// shorter vector, or a null entry, disables tracing for that shard).
   /// Keep the logs separate — each shard's log validates on its own, with
@@ -69,9 +69,6 @@ struct ShardedHomeOptions {
   std::vector<TraceLog*> shard_traces;
   /// Telemetry (docs/OBSERVABILITY.md); the scrape anchor is shard 0.
   obs::ObsOptions obs;
-  /// Transport shell (docs/TRANSPORT.md).  lanes == 0 resolves to one
-  /// reactor lane per shard (capped), preserving per-shard serialization.
-  ShellOptions shell;
   /// Primary/standby replication client (docs/REPLICATION.md); not owned.
   /// When set, every event each shard applies is appended to the standby's
   /// log — synchronously, before the event's sends externalize — and a

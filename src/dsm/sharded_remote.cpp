@@ -81,7 +81,7 @@ ShardedRemote::ShardedRemote(tags::TypePtr gthv,
                              const plat::PlatformDesc& platform,
                              std::uint32_t rank,
                              std::vector<msg::EndpointPtr> endpoints,
-                             DsdOptions opts)
+                             SyncOptions opts)
     : ShardedRemote(gthv, platform, rank, std::move(endpoints),
                     ShardedRemoteOptions{.dsd = opts}) {}
 

@@ -51,7 +51,7 @@ class HomeUnreachable : public msg::ChannelClosed {
 };
 
 struct ShardedRemoteOptions {
-  DsdOptions dsd;
+  SyncOptions dsd;
   RetryPolicy retry;
   /// Optional reliability trace sink; not owned.  Keep it separate from
   /// the home shards' logs.
@@ -80,7 +80,7 @@ class ShardedRemote {
                 ShardedRemoteOptions opts);
   ShardedRemote(tags::TypePtr gthv, const plat::PlatformDesc& platform,
                 std::uint32_t rank, std::vector<msg::EndpointPtr> endpoints,
-                DsdOptions opts = {});
+                SyncOptions opts = {});
   ~ShardedRemote();
 
   ShardedRemote(const ShardedRemote&) = delete;

@@ -99,9 +99,6 @@ struct SyncOptions {
   CodecMode codec = CodecMode::Off;
 };
 
-/// Historic name (DSD = the paper's distributed-shared-data layer).
-using DsdOptions = SyncOptions;
-
 /// Update runs produced by the object-granularity path (docs/OBJECTS.md):
 /// the element runs covering exactly the dirty objects, plus how many
 /// objects those runs cover — the per-episode object count the adaptive

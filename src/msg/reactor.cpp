@@ -4,46 +4,40 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
-#include <cerrno>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "msg/spsc_ring.hpp"
 #include "obs/telemetry.hpp"
 
 namespace hdsm::msg {
 
 namespace {
 
-/// Ceiling on io threads / lanes so dirty sets fit one 64-bit mask.
-constexpr std::uint32_t kMaxThreads = 64;
-
-std::uint32_t clamp_threads(std::uint32_t n) {
-  return std::max(1u, std::min(n, kMaxThreads));
-}
+/// Cadence of Endpoint::service() for hooks that request it.
+constexpr std::chrono::milliseconds kServiceInterval{5};
 
 }  // namespace
 
 struct Reactor::Impl {
   struct Peer;
 
-  /// The wake funnel for one io thread.  Owned jointly by the reactor and
-  /// by every endpoint ready-callback that captured it: a callback firing
+  /// The io thread's wake funnel.  Owned jointly by the reactor and by
+  /// every endpoint ready-callback that captured it: a callback firing
   /// after the reactor died still finds live state (the eventfd write goes
   /// nowhere, harmlessly) instead of dangling pointers.
   struct IoSignal {
     std::mutex mu;
     std::vector<std::shared_ptr<Peer>> ready;
-    /// Set (under `mu`) once the io threads are joined.  `ready` entries
-    /// own their Peer, the Peer owns its endpoint, and the endpoint's
+    /// Set (under `mu`) once the io thread is joined.  `ready` entries own
+    /// their Peer, the Peer owns its endpoint, and the endpoint's
     /// ready-callback owns this signal — a cycle no destructor runs for.
     /// stop() clears the vector and closes the funnel so a late callback
     /// cannot re-park a peer in it.
@@ -60,13 +54,11 @@ struct Reactor::Impl {
     }
   };
 
-  /// Per-connection state.  Fields below the marker are owned by the
-  /// peer's io thread; other threads only touch `id`/`lane`/`io`/`ep`
-  /// (immutable after add) and the `ready` latch.
+  /// Per-connection state.  Fields below the marker are owned by the io
+  /// thread; other threads only touch `id`/`ep` (immutable after add) and
+  /// the `ready`/`dead` latches.
   struct Peer {
     PeerId id = 0;
-    std::uint32_t lane = 0;
-    std::uint32_t io = 0;
     std::shared_ptr<Endpoint> ep;
     ReactorHook hook;
     /// Callback latch: set on ready-signal, cleared by the io thread just
@@ -74,28 +66,25 @@ struct Reactor::Impl {
     std::atomic<bool> ready{false};
     /// Set by remove_peer before the Remove command posts: sends observed
     /// after a close must be dropped, not transmitted — the async analogue
-    /// of the blocking shells' send-after-close ChannelClosed.  Inbound
-    /// frames the endpoint already queued still deliver (drain-then-retire).
+    /// of a blocking send-after-close ChannelClosed.  Inbound frames the
+    /// endpoint already queued still deliver (drain-then-retire).
     std::atomic<bool> dead{false};
 
     // -- io-thread-owned from here --
     std::vector<Message> out;  ///< outbound FIFO (contiguous for send_some)
     std::size_t out_head = 0;
     std::size_t out_bytes = 0;
-    std::chrono::steady_clock::time_point flush_deadline{};
-    bool in_flush = false;
-    bool in_redrain = false;
+    bool in_flush = false;  ///< listed in flush_list_
     bool epollout = false;
     bool registered = false;  ///< fd present in the epoll set
-    bool closed = false;      ///< retired (closed marker emitted or queued)
+    bool closed = false;      ///< retired (closed event queued)
   };
 
-  /// One flush() barrier: counts the sentinel acks still outstanding
-  /// (io_threads × lanes of them).
+  /// One flush() barrier, settled by the io thread.
   struct FlushTicket {
     std::mutex mu;
     std::condition_variable cv;
-    std::size_t remaining = 0;
+    bool settled = false;
   };
 
   struct Command {
@@ -106,95 +95,38 @@ struct Reactor::Impl {
     std::shared_ptr<FlushTicket> ticket;  ///< Flush only
   };
 
-  /// Inbound handoff: one decoded frame (or the closed marker) on its way
-  /// from an io thread to a lane.  A null peer with a ticket is a flush
-  /// sentinel: everything the io queued before it has been delivered.
-  struct InItem {
-    std::shared_ptr<Peer> peer;
-    Message m;
-    bool closed = false;
-    std::shared_ptr<FlushTicket> ticket;
-  };
-
-  /// Completion: a message a lane queued for transmission.
-  struct OutItem {
-    std::shared_ptr<Peer> peer;
-    Message m;
-  };
-
-  struct Io {
-    std::uint32_t index = 0;
-    int epfd = -1;
-    std::shared_ptr<IoSignal> signal;
-    std::mutex inbox_mu;
-    std::vector<Command> inbox;
-    std::thread thr;
-
-    // -- io-thread-local --
-    std::unordered_map<PeerId, std::shared_ptr<Peer>> peers;
-    std::vector<std::shared_ptr<Peer>> service;   ///< needs_service hooks
-    std::vector<std::shared_ptr<Peer>> redrain;   ///< inbound ring was full
-    std::vector<std::shared_ptr<Peer>> closed_backlog;  ///< marker retry
-    std::vector<std::shared_ptr<Peer>> flush_list;      ///< queued output
-    std::vector<std::shared_ptr<FlushTicket>> flush_waiters;  ///< barriers
-    /// Peers retired this iteration: keeps epoll_event.data.ptr valid for
-    /// the rest of the batch; cleared at the top of the next iteration.
-    std::vector<std::shared_ptr<Peer>> retired;
-    std::uint64_t lane_dirty = 0;  ///< lanes with fresh ring pushes
-    /// This iteration's timestamp; inline-mode handler sends reuse it
-    /// instead of taking another clock reading per reply.
-    std::chrono::steady_clock::time_point now{};
-  };
-
-  struct Lane {
-    std::thread thr;
-    std::mutex mu;
-    std::condition_variable cv;
-    bool signaled = false;
-  };
-
-  /// Set while a lane thread runs its loop; routes handler-issued sends
-  /// onto the lock-free completion rings instead of the command inbox.
-  struct LaneCtx {
-    Impl* impl = nullptr;
-    std::uint32_t lane = 0;
-    std::unordered_map<PeerId, std::shared_ptr<Peer>>* cache = nullptr;
-    std::uint64_t pending_io_wakes = 0;
-  };
-  static thread_local LaneCtx* tl_lane;
-
-  /// Set while an io thread runs its loop (inline mode): handler-issued
-  /// replies enqueue straight onto the peer's write queue — the io thread
-  /// owns all io state, so no ring and no wake are needed.
-  struct IoCtx {
-    Impl* impl = nullptr;
-    Io* io = nullptr;
-  };
-  static thread_local IoCtx* tl_io;
+  /// Set while the io thread runs its loop: a handler's replies enqueue
+  /// straight onto the peer's write queue — the io thread owns all io
+  /// state, so no command and no wake are needed.
+  static thread_local const Impl* tl_self;
 
   ReactorOptions opts_;
   ReactorHandler& handler_;
-  /// Inline mode: with one io thread and one lane there is nothing to
-  /// overlap, so the io thread invokes the handler directly — no rings, no
-  /// lane thread, and two fewer context switches per round trip (on a
-  /// single core that halves the happy-path latency).  Closed events are
-  /// still deferred through closed_backlog so an eviction triggered by a
-  /// handler-issued send never re-enters the handler.
-  bool inline_ = false;
 
   std::mutex registry_mu_;
   std::unordered_map<PeerId, std::shared_ptr<Peer>> registry_;
-  std::atomic<std::uint32_t> next_io_{0};
 
-  std::vector<std::unique_ptr<Io>> ios_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  /// in_rings_[io][lane]: producer = io thread, consumer = lane.
-  std::vector<std::vector<std::unique_ptr<SpscRing<InItem>>>> in_rings_;
-  /// out_rings_[lane][io]: producer = lane, consumer = io thread.
-  std::vector<std::vector<std::unique_ptr<SpscRing<OutItem>>>> out_rings_;
+  int epfd_ = -1;
+  std::shared_ptr<IoSignal> signal_ = std::make_shared<IoSignal>();
+  std::mutex inbox_mu_;
+  std::vector<Command> inbox_;
+  std::thread thr_;
+
+  // -- io-thread-local --
+  std::unordered_map<PeerId, std::shared_ptr<Peer>> peers_;
+  std::vector<std::shared_ptr<Peer>> service_;  ///< needs_service hooks
+  /// Retired peers whose on_peer_closed is still to run.  Closed events
+  /// are deferred to the top of the loop: retire_peer may run inside a
+  /// handler (a reply that trips the backpressure bound), and the handler
+  /// must not be re-entered.
+  std::vector<std::shared_ptr<Peer>> closed_backlog_;
+  std::vector<std::shared_ptr<Peer>> flush_list_;  ///< queued output
+  std::vector<std::shared_ptr<FlushTicket>> flush_waiters_;
+  /// Peers retired this iteration: keeps epoll_event.data.ptr valid for
+  /// the rest of the batch; cleared at the top of the next iteration.
+  std::vector<std::shared_ptr<Peer>> retired_;
 
   std::atomic<bool> stop_{false};
-  std::atomic<std::uint32_t> ios_running_{0};
   std::mutex join_mu_;
   bool joined_ = false;
 
@@ -202,82 +134,41 @@ struct Reactor::Impl {
   std::atomic<std::uint64_t> frames_out_{0};
   std::atomic<std::uint64_t> wakeups_{0};
   std::atomic<std::uint64_t> flush_batches_{0};
-  std::atomic<std::uint64_t> ring_stalls_{0};
   std::atomic<std::uint64_t> backpressure_closes_{0};
 
   obs::Counter* c_frames_in_ = nullptr;
   obs::Counter* c_frames_out_ = nullptr;
   obs::Counter* c_flush_batches_ = nullptr;
-  obs::Counter* c_ring_stalls_ = nullptr;
   obs::Counter* c_backpressure_ = nullptr;
   obs::Gauge* g_queue_bytes_ = nullptr;
 
   Impl(const ReactorOptions& opts, ReactorHandler& handler)
       : opts_(opts), handler_(handler) {
-    opts_.io_threads = clamp_threads(opts_.io_threads);
-    opts_.lanes = clamp_threads(opts_.lanes);
-    inline_ = opts_.io_threads == 1 && opts_.lanes == 1;
-    if (opts_.ring_capacity < 2) opts_.ring_capacity = 2;
     if (obs::Telemetry* t = opts_.telemetry) {
       c_frames_in_ = &t->registry().counter("reactor.frames_in");
       c_frames_out_ = &t->registry().counter("reactor.frames_out");
       c_flush_batches_ = &t->registry().counter("reactor.flush_batches");
-      c_ring_stalls_ = &t->registry().counter("reactor.ring_stalls");
       c_backpressure_ = &t->registry().counter("reactor.backpressure_closes");
       g_queue_bytes_ = &t->registry().gauge("reactor.write_queue_bytes");
     }
-    in_rings_.resize(opts_.io_threads);
-    for (auto& row : in_rings_) {
-      row.reserve(opts_.lanes);
-      for (std::uint32_t l = 0; l < opts_.lanes; ++l) {
-        row.push_back(std::make_unique<SpscRing<InItem>>(opts_.ring_capacity));
-      }
+    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epfd_ < 0 || signal_->evfd < 0) {
+      throw std::runtime_error("reactor: epoll/eventfd creation failed");
     }
-    out_rings_.resize(opts_.lanes);
-    for (auto& row : out_rings_) {
-      row.reserve(opts_.io_threads);
-      for (std::uint32_t i = 0; i < opts_.io_threads; ++i) {
-        row.push_back(
-            std::make_unique<SpscRing<OutItem>>(opts_.ring_capacity));
-      }
-    }
-    for (std::uint32_t i = 0; i < opts_.io_threads; ++i) {
-      auto io = std::make_unique<Io>();
-      io->index = i;
-      io->signal = std::make_shared<IoSignal>();
-      io->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-      if (io->epfd < 0 || io->signal->evfd < 0) {
-        throw std::runtime_error("reactor: epoll/eventfd creation failed");
-      }
-      epoll_event ev{};
-      // Edge-triggered: each write posts one wake and the counter value is
-      // never consumed (the ready funnel / inbox carry the actual work), so
-      // the io thread never has to spend read() syscalls draining the
-      // eventfd — those reads sat directly on the wakeup-to-handler path.
-      ev.events = EPOLLIN | EPOLLET;
-      ev.data.ptr = nullptr;  // nullptr = the wake eventfd
-      ::epoll_ctl(io->epfd, EPOLL_CTL_ADD, io->signal->evfd, &ev);
-      ios_.push_back(std::move(io));
-    }
-    for (std::uint32_t l = 0; l < opts_.lanes; ++l) {
-      lanes_.push_back(std::make_unique<Lane>());
-    }
-    ios_running_.store(opts_.io_threads);
-    for (std::uint32_t i = 0; i < opts_.io_threads; ++i) {
-      ios_[i]->thr = std::thread([this, i] { io_loop(i); });
-    }
-    if (!inline_) {
-      for (std::uint32_t l = 0; l < opts_.lanes; ++l) {
-        lanes_[l]->thr = std::thread([this, l] { lane_loop(l); });
-      }
-    }
+    epoll_event ev{};
+    // Edge-triggered: each write posts one wake and the counter value is
+    // never consumed (the ready funnel / inbox carry the actual work), so
+    // the io thread never has to spend read() syscalls draining the
+    // eventfd — those reads sat directly on the wakeup-to-handler path.
+    ev.events = EPOLLIN | EPOLLET;
+    ev.data.ptr = nullptr;  // nullptr = the wake eventfd
+    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, signal_->evfd, &ev);
+    thr_ = std::thread([this] { io_loop(); });
   }
 
   ~Impl() {
     stop();
-    for (auto& io : ios_) {
-      if (io->epfd >= 0) ::close(io->epfd);
-    }
+    if (epfd_ >= 0) ::close(epfd_);
   }
 
   // -- counters ---------------------------------------------------------------
@@ -290,15 +181,12 @@ struct Reactor::Impl {
 
   // -- public API -------------------------------------------------------------
 
-  void add_peer(PeerId id, std::shared_ptr<Endpoint> ep, std::uint32_t lane) {
+  void add_peer(PeerId id, std::shared_ptr<Endpoint> ep) {
     if (stop_.load(std::memory_order_acquire)) {
       throw std::logic_error("reactor: add_peer after stop");
     }
     auto p = std::make_shared<Peer>();
     p->id = id;
-    p->lane = lane % opts_.lanes;
-    p->io = next_io_.fetch_add(1, std::memory_order_relaxed) %
-            opts_.io_threads;
     p->ep = std::move(ep);
     {
       std::lock_guard<std::mutex> lk(registry_mu_);
@@ -309,7 +197,7 @@ struct Reactor::Impl {
     // Install the hook before posting the add: a message already queued on
     // the endpoint latches the funnel right away, so nothing is missed in
     // the window before the io thread installs the peer.
-    std::shared_ptr<IoSignal> sig = ios_[p->io]->signal;
+    std::shared_ptr<IoSignal> sig = signal_;
     std::weak_ptr<Peer> wp = p;
     p->hook = p->ep->reactor_hook([sig, wp] {
       std::shared_ptr<Peer> sp = wp.lock();
@@ -331,8 +219,7 @@ struct Reactor::Impl {
       registry_.erase(id);
       throw std::invalid_argument("reactor: endpoint is not reactor-capable");
     }
-    const std::uint32_t io = p->io;  // read before the move empties p
-    post(io, Command{Command::Kind::Add, std::move(p), {}, {}});
+    post(Command{Command::Kind::Add, std::move(p), {}, {}});
   }
 
   void remove_peer(PeerId id) {
@@ -347,48 +234,25 @@ struct Reactor::Impl {
     // reply its handler produces moments later must not beat the Remove
     // command to the wire.
     p->dead.store(true, std::memory_order_release);
-    const std::uint32_t io = p->io;  // read before the move empties p
-    post(io, Command{Command::Kind::Remove, std::move(p), {}, {}});
+    post(Command{Command::Kind::Remove, std::move(p), {}, {}});
   }
 
   void send(PeerId id, Message m) {
+    if (tl_self == this) {
+      // The handler is running on the io thread itself, which owns every
+      // peer's write queue — enqueue directly, no command, no wake.  This
+      // holds after stop() too: the iteration flushes the queue before the
+      // loop exits, so a reply racing a stop (the handler woke a thread
+      // that then stopped the reactor) still reaches its peer.
+      auto it = peers_.find(id);
+      if (it != peers_.end()) {
+        enqueue_out(it->second, std::move(m));
+        return;
+      }
+      // Not installed yet (Add still in the inbox): fall through to the
+      // command path, which lands after the Add.
+    }
     if (stop_.load(std::memory_order_acquire)) return;
-    IoCtx* ictx = tl_io;
-    if (ictx != nullptr && ictx->impl == this) {
-      // Inline mode: the handler is running on the io thread itself, which
-      // owns every peer's write queue — enqueue directly, no ring, no wake.
-      auto it = ictx->io->peers.find(id);
-      if (it != ictx->io->peers.end()) {
-        enqueue_out(*ictx->io, it->second, std::move(m), ictx->io->now);
-        return;
-      }
-      // Not installed on this io yet (Add still in the inbox): fall through
-      // to the command path, which lands after the Add.
-    }
-    LaneCtx* ctx = tl_lane;
-    if (ctx != nullptr && ctx->impl == this) {
-      auto it = ctx->cache->find(id);
-      if (it != ctx->cache->end()) {
-        if (it->second->dead.load(std::memory_order_acquire)) return;
-        // Hot path: handler reply on the lane that processed the request —
-        // straight onto the lock-free completion ring.
-        const std::uint32_t io = it->second->io;
-        auto& ring = *out_rings_[ctx->lane][io];
-        OutItem item{it->second, std::move(m)};
-        while (!ring.push(std::move(item))) {
-          // Ring full: nudge the consumer and retry — completions must not
-          // drop.  The io thread never blocks, so this drains.
-          ios_[io]->signal->wake();
-          if (stop_.load(std::memory_order_acquire)) return;
-          std::this_thread::yield();
-        }
-        ctx->pending_io_wakes |= std::uint64_t{1} << io;
-        return;
-      }
-      // Cache miss: this lane has never handled a message from `id` (and
-      // so has queued nothing ahead of this send) — the inbox path below
-      // keeps per-peer FIFO order.
-    }
     std::shared_ptr<Peer> p;
     {
       std::lock_guard<std::mutex> lk(registry_mu_);
@@ -397,24 +261,18 @@ struct Reactor::Impl {
       p = it->second;
     }
     if (p->dead.load(std::memory_order_acquire)) return;
-    const std::uint32_t io = p->io;  // read before the move empties p
-    post(io, Command{Command::Kind::Send, std::move(p), std::move(m), {}});
+    post(Command{Command::Kind::Send, std::move(p), std::move(m), {}});
   }
 
   /// Settlement barrier: returns once every command posted before the call
-  /// has executed, its queued writes were attempted (coalescing deadlines
-  /// overridden), and every resulting message / closed event was delivered
-  /// by the lanes.  Events triggered by handlers running concurrently with
-  /// the flush are NOT covered.  Never call from a reactor thread.
+  /// has executed, its queued writes were attempted, and every resulting
+  /// message / closed event was delivered.  Never call from the io thread.
   void flush() {
     if (stop_.load(std::memory_order_acquire)) return;
     auto t = std::make_shared<FlushTicket>();
-    t->remaining = static_cast<std::size_t>(opts_.io_threads) * opts_.lanes;
-    for (std::uint32_t i = 0; i < opts_.io_threads; ++i) {
-      post(i, Command{Command::Kind::Flush, nullptr, {}, t});
-    }
+    post(Command{Command::Kind::Flush, nullptr, {}, t});
     std::unique_lock<std::mutex> lk(t->mu);
-    while (t->remaining != 0 && !stop_.load(std::memory_order_acquire)) {
+    while (!t->settled && !stop_.load(std::memory_order_acquire)) {
       t->cv.wait_for(lk, std::chrono::milliseconds(50));
     }
   }
@@ -424,19 +282,11 @@ struct Reactor::Impl {
     std::lock_guard<std::mutex> lk(join_mu_);
     if (joined_) return;
     joined_ = true;
-    for (auto& io : ios_) io->signal->wake();
-    for (auto& io : ios_) {
-      if (io->thr.joinable()) io->thr.join();
-    }
-    for (auto& io : ios_) {
-      std::lock_guard<std::mutex> lk(io->signal->mu);
-      io->signal->closed = true;
-      io->signal->ready.clear();
-    }
-    for (auto& ln : lanes_) wake_lane(*ln);
-    for (auto& ln : lanes_) {
-      if (ln->thr.joinable()) ln->thr.join();
-    }
+    signal_->wake();
+    if (thr_.joinable()) thr_.join();
+    std::lock_guard<std::mutex> slk(signal_->mu);
+    signal_->closed = true;
+    signal_->ready.clear();
   }
 
   ReactorStats stats() const {
@@ -445,29 +295,17 @@ struct Reactor::Impl {
     s.frames_out = frames_out_.load(std::memory_order_relaxed);
     s.wakeups = wakeups_.load(std::memory_order_relaxed);
     s.flush_batches = flush_batches_.load(std::memory_order_relaxed);
-    s.ring_stalls = ring_stalls_.load(std::memory_order_relaxed);
     s.backpressure_closes =
         backpressure_closes_.load(std::memory_order_relaxed);
     return s;
   }
 
-  // -- wake plumbing ----------------------------------------------------------
-
-  void post(std::uint32_t io, Command cmd) {
-    Io& target = *ios_[io];
+  void post(Command cmd) {
     {
-      std::lock_guard<std::mutex> lk(target.inbox_mu);
-      target.inbox.push_back(std::move(cmd));
+      std::lock_guard<std::mutex> lk(inbox_mu_);
+      inbox_.push_back(std::move(cmd));
     }
-    target.signal->wake();
-  }
-
-  void wake_lane(Lane& ln) {
-    {
-      std::lock_guard<std::mutex> lk(ln.mu);
-      ln.signaled = true;
-    }
-    ln.cv.notify_one();
+    signal_->wake();
   }
 
   // -- io-thread internals ----------------------------------------------------
@@ -490,25 +328,9 @@ struct Reactor::Impl {
     }
   }
 
-  bool push_in(Io& io, const std::shared_ptr<Peer>& p, Message&& m,
-               bool closed) {
-    if (inline_) {
-      // Messages run the handler right here (drain_peer and the command
-      // loop are never inside a handler); closed markers are deferred by
-      // retire_peer instead of reaching this path.
-      dispatch_message(p->id, std::move(m));
-      return true;
-    }
-    auto& ring = *in_rings_[io.index][p->lane];
-    InItem item{p, std::move(m), closed, {}};
-    if (!ring.push(std::move(item))) return false;
-    io.lane_dirty |= std::uint64_t{1} << p->lane;
-    return true;
-  }
-
-  /// Close and unhook `p`, dropping queued output; the closed marker rides
-  /// the inbound ring so it lands after every already-delivered message.
-  void retire_peer(Io& io, const std::shared_ptr<Peer>& p) {
+  /// Close and unhook `p`, dropping queued output; its closed event is
+  /// deferred to closed_backlog_, after every already-delivered message.
+  void retire_peer(const std::shared_ptr<Peer>& p) {
     if (p->closed) return;
     p->closed = true;
     try {
@@ -516,7 +338,7 @@ struct Reactor::Impl {
     } catch (...) {
     }
     if (p->registered && p->hook.fd >= 0) {
-      ::epoll_ctl(io.epfd, EPOLL_CTL_DEL, p->hook.fd, nullptr);
+      ::epoll_ctl(epfd_, EPOLL_CTL_DEL, p->hook.fd, nullptr);
     }
     p->registered = false;
     p->out.clear();
@@ -527,80 +349,59 @@ struct Reactor::Impl {
       auto it = registry_.find(p->id);
       if (it != registry_.end() && it->second == p) registry_.erase(it);
     }
-    auto it = io.peers.find(p->id);
-    if (it != io.peers.end() && it->second == p) {
-      io.retired.push_back(p);  // keep alive through this event batch
-      io.peers.erase(it);
+    auto it = peers_.find(p->id);
+    if (it != peers_.end() && it->second == p) {
+      retired_.push_back(p);  // keep alive through this event batch
+      peers_.erase(it);
     }
-    if (inline_) {
-      // Defer: retire_peer may run inside a handler (a reply that trips
-      // the backpressure bound), and on_peer_closed must not re-enter.
-      // The io loop delivers the backlog at top level.
-      io.closed_backlog.push_back(p);
-    } else if (!push_in(io, p, Message{}, /*closed=*/true)) {
-      io.closed_backlog.push_back(p);
-    }
+    closed_backlog_.push_back(p);
   }
 
-  /// Pull every decodable frame off `p` into its lane ring (frame
-  /// batching).  A full ring parks the peer on the redrain list — no drop,
-  /// no block.
-  void drain_peer(Io& io, const std::shared_ptr<Peer>& p) {
+  /// Run the handler on every decodable frame queued on `p` (frame
+  /// batching: one wakeup drains the whole burst).
+  void drain_peer(const std::shared_ptr<Peer>& p) {
     if (p->closed) return;
     p->ready.store(false, std::memory_order_release);
     for (;;) {
-      if (!inline_) {
-        auto& ring = *in_rings_[io.index][p->lane];
-        if (!ring.can_push()) {
-          bump(ring_stalls_, c_ring_stalls_);
-          if (!p->in_redrain) {
-            p->in_redrain = true;
-            io.redrain.push_back(p);
-          }
-          return;
-        }
-      }
       Message m;
       bool got = false;
       try {
         got = p->ep->try_recv(m);
       } catch (const ChannelClosed&) {
-        retire_peer(io, p);
+        retire_peer(p);
         return;
       } catch (const std::exception& e) {
         // Frame-decode error from a misbehaving transport: close and let
         // the shell detach it like a crashed cluster member.
         std::fprintf(stderr, "hdsm reactor: closing peer %llu: %s\n",
                      static_cast<unsigned long long>(p->id), e.what());
-        retire_peer(io, p);
+        retire_peer(p);
         return;
       }
       if (!got) return;
       bump(frames_in_, c_frames_in_);
-      push_in(io, p, std::move(m), false);
+      dispatch_message(p->id, std::move(m));
     }
   }
 
-  void arm_epollout(Io& io, Peer& p) {
-    if (p.hook.fd < 0 || p.epollout || !p.registered) return;
-    epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLOUT;
-    ev.data.ptr = &p;
-    ::epoll_ctl(io.epfd, EPOLL_CTL_MOD, p.hook.fd, &ev);
-    p.epollout = true;
+  void deliver_closed() {
+    while (!closed_backlog_.empty()) {
+      std::vector<std::shared_ptr<Peer>> list;
+      list.swap(closed_backlog_);
+      for (const auto& p : list) dispatch_closed(p->id);
+    }
   }
 
-  void disarm_epollout(Io& io, Peer& p) {
-    if (p.hook.fd < 0 || !p.epollout || !p.registered) return;
+  void set_epollout(Peer& p, bool on) {
+    if (p.hook.fd < 0 || p.epollout == on || !p.registered) return;
     epoll_event ev{};
-    ev.events = EPOLLIN;
+    ev.events = on ? EPOLLIN | EPOLLOUT : EPOLLIN;
     ev.data.ptr = &p;
-    ::epoll_ctl(io.epfd, EPOLL_CTL_MOD, p.hook.fd, &ev);
-    p.epollout = false;
+    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, p.hook.fd, &ev);
+    p.epollout = on;
   }
 
-  void enqueue_out(Io& io, const std::shared_ptr<Peer>& p, Message&& m,
-                   std::chrono::steady_clock::time_point now) {
+  void enqueue_out(const std::shared_ptr<Peer>& p, Message&& m) {
     if (p->closed || p->dead.load(std::memory_order_acquire)) return;
     const std::size_t sz = m.wire_size();
     if (p->out_bytes + sz > opts_.max_write_queue_bytes) {
@@ -612,27 +413,25 @@ struct Reactor::Impl {
                    "hdsm reactor: evicting slow consumer peer %llu "
                    "(%zu queued bytes)\n",
                    static_cast<unsigned long long>(p->id), p->out_bytes);
-      retire_peer(io, p);
+      retire_peer(p);
       return;
     }
     p->out.push_back(std::move(m));
     p->out_bytes += sz;
     if (!p->in_flush) {
       p->in_flush = true;
-      p->flush_deadline =
-          opts_.flush_delay.count() == 0 ? now : now + opts_.flush_delay;
-      io.flush_list.push_back(p);
+      flush_list_.push_back(p);
     }
   }
 
   /// Hand the queued FIFO to the endpoint in gathered batches.  Partial
   /// progress (kernel buffer full) arms EPOLLOUT and leaves the tail
   /// queued.
-  void flush_peer(Io& io, const std::shared_ptr<Peer>& p) {
+  void flush_peer(const std::shared_ptr<Peer>& p) {
     if (p->closed) return;
     try {
       if (p->ep->wants_write() && !p->ep->flush_writes()) {
-        arm_epollout(io, *p);
+        set_epollout(*p, true);
         return;
       }
       while (p->out_head < p->out.size()) {
@@ -647,18 +446,18 @@ struct Reactor::Impl {
           p->out_head += k;
         }
         if (k < n || p->ep->wants_write()) {
-          arm_epollout(io, *p);
+          set_epollout(*p, true);
           break;
         }
       }
     } catch (const std::exception&) {
-      retire_peer(io, p);
+      retire_peer(p);
       return;
     }
     if (p->out_head >= p->out.size()) {
       p->out.clear();
       p->out_head = 0;
-      if (!p->ep->wants_write()) disarm_epollout(io, *p);
+      if (!p->ep->wants_write()) set_epollout(*p, false);
     } else if (p->out_head > 1024) {
       p->out.erase(p->out.begin(),
                    p->out.begin() + static_cast<std::ptrdiff_t>(p->out_head));
@@ -666,387 +465,201 @@ struct Reactor::Impl {
     }
   }
 
-  void install_peer(Io& io, const std::shared_ptr<Peer>& p) {
-    io.peers[p->id] = p;
-    if (p->hook.fd >= 0) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;  // level-triggered: pre-add data re-fires
-      ev.data.ptr = p.get();
-      if (::epoll_ctl(io.epfd, EPOLL_CTL_ADD, p->hook.fd, &ev) != 0) {
-        retire_peer(io, p);
-        return;
-      }
-      p->registered = true;
-    }
-    if (p->hook.needs_service) io.service.push_back(p);
-    drain_peer(io, p);  // anything that arrived before the install
-  }
-
-  int compute_timeout(const Io& io,
-                      std::chrono::steady_clock::time_point next_service) {
-    if (stop_.load(std::memory_order_acquire) || io.lane_dirty != 0 ||
-        !io.redrain.empty() || !io.closed_backlog.empty() ||
-        !io.flush_waiters.empty()) {
-      return 0;
-    }
-    auto best = std::chrono::steady_clock::time_point::max();
-    if (!io.service.empty()) best = next_service;
-    for (const auto& p : io.flush_list) {
-      if (!p->closed && p->flush_deadline < best) best = p->flush_deadline;
-    }
-    // Only take a clock reading when a deadline is actually pending: on a
-    // single core every instruction between the last reply and re-blocking
-    // delays the next request, and the common happy-path iteration re-blocks
-    // with nothing queued.
-    if (best == std::chrono::steady_clock::time_point::max()) return -1;
-    const auto now = std::chrono::steady_clock::now();
-    if (best <= now) return 0;
-    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        best - now)
-                        .count() +
-                    1;
-    return static_cast<int>(std::min<long long>(ms, 60'000));
-  }
-
-  /// Deliver one flush barrier's sentinels to every lane ring of this io —
-  /// all-or-nothing, so a full ring just retries next iteration.
-  bool push_flush_sentinels(Io& io, const std::shared_ptr<FlushTicket>& t) {
-    for (std::uint32_t l = 0; l < opts_.lanes; ++l) {
-      if (!in_rings_[io.index][l]->can_push()) return false;
-    }
-    for (std::uint32_t l = 0; l < opts_.lanes; ++l) {
-      InItem item;
-      item.ticket = t;
-      in_rings_[io.index][l]->push(std::move(item));
-      io.lane_dirty |= std::uint64_t{1} << l;
-    }
-    return true;
-  }
-
-  void service_flush_waiters(Io& io) {
-    if (io.flush_waiters.empty() || !io.closed_backlog.empty() ||
-        !io.redrain.empty()) {
-      return;
-    }
-    if (inline_) {
-      // No lanes to chase: every event queued before this point already ran
-      // its handler on this thread, so the barrier settles right here.
-      for (auto& t : io.flush_waiters) {
-        std::lock_guard<std::mutex> lk(t->mu);
-        if (t->remaining > 0) --t->remaining;
-        if (t->remaining == 0) t->cv.notify_all();
-      }
-      io.flush_waiters.clear();
-      return;
-    }
-    std::vector<std::shared_ptr<FlushTicket>> keep;
-    for (auto& t : io.flush_waiters) {
-      if (!push_flush_sentinels(io, t)) keep.push_back(std::move(t));
-    }
-    io.flush_waiters = std::move(keep);
-  }
-
-  void flush_due(Io& io, std::chrono::steady_clock::time_point now,
-                 bool force) {
-    if (force) {
-      // A flush() barrier overrides coalescing deadlines: attempt every
-      // queued write now so its outcome (sent or retired) is settled.
-      for (const auto& p : io.flush_list) {
-        p->flush_deadline = now;
-      }
-    }
-    if (io.flush_list.empty()) return;
+  /// Attempt every write this iteration queued.
+  void flush_queued() {
+    if (flush_list_.empty()) return;
     if (g_queue_bytes_ != nullptr) {
       std::int64_t total = 0;
-      for (const auto& p : io.flush_list) {
+      for (const auto& p : flush_list_) {
         if (!p->closed) total += static_cast<std::int64_t>(p->out_bytes);
       }
       g_queue_bytes_->set(total);
     }
-    obs::SpanScope span(opts_.telemetry, obs::SpanKind::ReactorFlush,
-                        io.index);
-    // Compact in place: a fresh `keep` vector here would free and
-    // reallocate the list's buffer on every flush — a malloc/free pair per
-    // message on the happy path.  Nothing appends during the walk
-    // (flush_peer never calls enqueue_out), so two indices suffice.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < io.flush_list.size(); ++i) {
-      std::shared_ptr<Peer>& p = io.flush_list[i];
-      if (p->closed) {
-        p->in_flush = false;
-        continue;
-      }
-      if (p->flush_deadline <= now) {
-        p->in_flush = false;
-        flush_peer(io, p);
-      } else {
-        if (kept != i) io.flush_list[kept] = std::move(p);
-        ++kept;
-      }
+    obs::SpanScope span(opts_.telemetry, obs::SpanKind::ReactorFlush, 0);
+    // Nothing appends during the walk (flush_peer never calls enqueue_out),
+    // and clear() keeps the buffer: no malloc/free per message on the
+    // happy path.
+    for (const auto& p : flush_list_) {
+      p->in_flush = false;
+      flush_peer(p);
     }
-    io.flush_list.resize(kept);
+    flush_list_.clear();
   }
 
-  void io_loop(std::uint32_t index) {
-    Io& io = *ios_[index];
+  void install_peer(const std::shared_ptr<Peer>& p) {
+    peers_[p->id] = p;
+    if (p->hook.fd >= 0) {
+      epoll_event ev{};
+      ev.events = EPOLLIN;  // level-triggered: pre-add data re-fires
+      ev.data.ptr = p.get();
+      if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, p->hook.fd, &ev) != 0) {
+        retire_peer(p);
+        return;
+      }
+      p->registered = true;
+    }
+    if (p->hook.needs_service) service_.push_back(p);
+    drain_peer(p);  // anything that arrived before the install
+  }
+
+  /// Foreign commands (attach / detach / master sends / flush barriers).
+  void run_commands(std::vector<Command>& cmds) {
+    {
+      std::lock_guard<std::mutex> lk(inbox_mu_);
+      cmds.swap(inbox_);
+    }
+    for (Command& c : cmds) {
+      switch (c.kind) {
+        case Command::Kind::Add:
+          install_peer(c.peer);
+          break;
+        case Command::Kind::Remove:
+          // Deliver what the endpoint already queued, then retire:
+          // drain-then-ChannelClosed, like a blocking endpoint.
+          drain_peer(c.peer);
+          retire_peer(c.peer);
+          break;
+        case Command::Kind::Send:
+          enqueue_out(c.peer, std::move(c.m));
+          break;
+        case Command::Kind::Flush:
+          // Settled at the end of the iteration, after the writes the
+          // earlier commands queued have been attempted.
+          flush_waiters_.push_back(std::move(c.ticket));
+          break;
+      }
+    }
+    cmds.clear();
+  }
+
+  /// Periodic endpoint maintenance (fault holdback flushes).
+  void run_service() {
+    std::vector<std::shared_ptr<Peer>> keep;
+    for (const auto& p : service_) {
+      if (p->closed) continue;
+      try {
+        p->ep->service();
+      } catch (const std::exception&) {
+        retire_peer(p);
+        continue;
+      }
+      drain_peer(p);
+      keep.push_back(p);
+    }
+    service_ = std::move(keep);
+  }
+
+  void settle_flush_waiters() {
+    for (auto& t : flush_waiters_) {
+      std::lock_guard<std::mutex> lk(t->mu);
+      t->settled = true;
+      t->cv.notify_all();
+    }
+    flush_waiters_.clear();
+  }
+
+  int compute_timeout(std::chrono::steady_clock::time_point next_service) {
+    if (stop_.load(std::memory_order_acquire) || !closed_backlog_.empty() ||
+        !flush_waiters_.empty()) {
+      return 0;
+    }
+    // Only take a clock reading when service is actually pending: every
+    // instruction between the last reply and re-blocking delays the next
+    // request, and the common happy-path iteration has no service hooks.
+    if (service_.empty()) return -1;
+    const auto now = std::chrono::steady_clock::now();
+    if (next_service <= now) return 0;
+    return static_cast<int>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(next_service -
+                                                              now)
+            .count() +
+        1);
+  }
+
+  void io_loop() {
     if (opts_.telemetry != nullptr) {
-      opts_.telemetry->set_thread_label("io-" + std::to_string(index));
+      opts_.telemetry->set_thread_label("io-0");
     }
-    IoCtx ioctx;
-    if (inline_) {
-      ioctx.impl = this;
-      ioctx.io = &io;
-      tl_io = &ioctx;
-    }
+    tl_self = this;
     std::vector<std::shared_ptr<Peer>> local_ready;
     std::vector<Command> cmds;
-    auto next_service =
-        std::chrono::steady_clock::now() + opts_.service_interval;
+    auto next_service = std::chrono::steady_clock::now() + kServiceInterval;
     for (;;) {
-      const int timeout = compute_timeout(io, next_service);
+      const int timeout = compute_timeout(next_service);
       std::array<epoll_event, 64> events;
-      int ne = ::epoll_wait(io.epfd, events.data(),
+      int ne = ::epoll_wait(epfd_, events.data(),
                             static_cast<int>(events.size()), timeout);
       wakeups_.fetch_add(1, std::memory_order_relaxed);
-      io.retired.clear();  // previous batch's pointers are dead now
+      retired_.clear();  // previous batch's pointers are dead now
       if (ne < 0) ne = 0;  // EINTR
-      const auto now = std::chrono::steady_clock::now();
-      io.now = now;
       const bool stopping = stop_.load(std::memory_order_acquire);
       {
         obs::SpanScope span(ne > 0 ? opts_.telemetry : nullptr,
-                            obs::SpanKind::ReactorWake, index);
+                            obs::SpanKind::ReactorWake, 0);
         for (int i = 0; i < ne; ++i) {
           if (events[i].data.ptr == nullptr) {
             continue;  // wake eventfd (edge-triggered, never read)
           }
           Peer* praw = static_cast<Peer*>(events[i].data.ptr);
-          auto it = io.peers.find(praw->id);
-          if (it == io.peers.end() || it->second.get() != praw) continue;
+          auto it = peers_.find(praw->id);
+          if (it == peers_.end() || it->second.get() != praw) continue;
           std::shared_ptr<Peer> p = it->second;
-          if ((events[i].events & EPOLLOUT) != 0) flush_peer(io, p);
+          if ((events[i].events & EPOLLOUT) != 0) flush_peer(p);
           if ((events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) {
-            drain_peer(io, p);
+            drain_peer(p);
           }
         }
-        // Foreign commands (attach / detach / master sends).
-        {
-          std::lock_guard<std::mutex> lk(io.inbox_mu);
-          cmds.swap(io.inbox);
-        }
-        for (Command& c : cmds) {
-          switch (c.kind) {
-            case Command::Kind::Add:
-              install_peer(io, c.peer);
-              break;
-            case Command::Kind::Remove:
-              // Deliver what the endpoint already queued, then retire: the
-              // blocking shells' drain-then-ChannelClosed semantics.
-              drain_peer(io, c.peer);
-              retire_peer(io, c.peer);
-              break;
-            case Command::Kind::Send:
-              enqueue_out(io, c.peer, std::move(c.m), now);
-              break;
-            case Command::Kind::Flush:
-              // Serviced at the end of the iteration, after the writes the
-              // earlier commands queued have been attempted and any failure
-              // retires pushed their closed markers.
-              io.flush_waiters.push_back(std::move(c.ticket));
-              break;
-          }
-        }
-        cmds.clear();
+        run_commands(cmds);
         // Callback-funnel peers (in-process channels).
         {
-          std::lock_guard<std::mutex> lk(io.signal->mu);
-          local_ready.swap(io.signal->ready);
+          std::lock_guard<std::mutex> lk(signal_->mu);
+          local_ready.swap(signal_->ready);
         }
-        for (const auto& p : local_ready) drain_peer(io, p);
+        for (const auto& p : local_ready) drain_peer(p);
         local_ready.clear();
-        // Completions from every lane.
-        for (std::uint32_t l = 0; l < opts_.lanes; ++l) {
-          auto& ring = *out_rings_[l][index];
-          OutItem item;
-          while (ring.pop(item)) {
-            enqueue_out(io, item.peer, std::move(item.m), now);
-            item.peer.reset();
+        // Top level of the loop — safe to run on_peer_closed directly.
+        deliver_closed();
+        if (!service_.empty()) {
+          const auto now = std::chrono::steady_clock::now();
+          if (now >= next_service) {
+            next_service = now + kServiceInterval;
+            run_service();
           }
         }
-        // Ring-full retries.
-        if (!io.redrain.empty()) {
-          std::vector<std::shared_ptr<Peer>> list;
-          list.swap(io.redrain);
-          for (const auto& p : list) {
-            p->in_redrain = false;
-            drain_peer(io, p);
-          }
-        }
-        if (!io.closed_backlog.empty()) {
-          std::vector<std::shared_ptr<Peer>> list;
-          list.swap(io.closed_backlog);
-          for (const auto& p : list) {
-            if (inline_) {
-              // Top level of the loop — safe to run the handler directly.
-              dispatch_closed(p->id);
-            } else if (!push_in(io, p, Message{}, true)) {
-              io.closed_backlog.push_back(p);
-            }
-          }
-        }
-        // Periodic endpoint maintenance (fault holdback flushes).
-        if (!io.service.empty() && now >= next_service) {
-          next_service = now + opts_.service_interval;
-          std::vector<std::shared_ptr<Peer>> keep;
-          for (const auto& p : io.service) {
-            if (p->closed) continue;
-            try {
-              p->ep->service();
-            } catch (const std::exception&) {
-              retire_peer(io, p);
-              continue;
-            }
-            drain_peer(io, p);
-            keep.push_back(p);
-          }
-          io.service = std::move(keep);
-        }
-        flush_due(io, now, /*force=*/!io.flush_waiters.empty());
-        service_flush_waiters(io);
-      }
-      // Wake every lane that got ring pushes this iteration.
-      while (io.lane_dirty != 0) {
-        const int l = __builtin_ctzll(io.lane_dirty);
-        io.lane_dirty &= io.lane_dirty - 1;
-        wake_lane(*lanes_[static_cast<std::uint32_t>(l)]);
+        flush_queued();
+        // A write failure above retires its peer; the barrier then waits a
+        // (zero-timeout) iteration for that closed event to deliver.
+        if (closed_backlog_.empty()) settle_flush_waiters();
       }
       if (stopping) break;
     }
-    // Shutdown: retire every live peer (their queued inbound frames and
-    // closed markers still flow to the lanes), then hand off and exit.
+    // Shutdown: retire every live peer; their queued inbound frames and
+    // closed events still reach the handler.
     std::vector<std::shared_ptr<Peer>> live;
-    live.reserve(io.peers.size());
-    for (auto& [id, p] : io.peers) live.push_back(p);
+    live.reserve(peers_.size());
+    for (auto& [id, p] : peers_) live.push_back(p);
     for (const auto& p : live) {
-      drain_peer(io, p);
-      retire_peer(io, p);
+      drain_peer(p);
+      retire_peer(p);
     }
-    for (;;) {
-      while (io.lane_dirty != 0) {
-        const int l = __builtin_ctzll(io.lane_dirty);
-        io.lane_dirty &= io.lane_dirty - 1;
-        wake_lane(*lanes_[static_cast<std::uint32_t>(l)]);
-      }
-      if (io.closed_backlog.empty() && io.redrain.empty()) break;
-      std::vector<std::shared_ptr<Peer>> list;
-      list.swap(io.redrain);
-      for (const auto& p : list) {
-        p->in_redrain = false;
-        drain_peer(io, p);
-        retire_peer(io, p);
-      }
-      list.clear();
-      list.swap(io.closed_backlog);
-      for (const auto& p : list) {
-        if (inline_) {
-          dispatch_closed(p->id);
-        } else if (!push_in(io, p, Message{}, true)) {
-          io.closed_backlog.push_back(p);
-        }
-      }
-      std::this_thread::yield();
-    }
-    io.retired.clear();
+    deliver_closed();
+    retired_.clear();
     // Release any barrier still parked here: its guarantee is moot once the
     // reactor is stopping, and the caller must not hang.
-    for (auto& t : io.flush_waiters) {
-      std::lock_guard<std::mutex> lk(t->mu);
-      t->remaining = 0;
-      t->cv.notify_all();
-    }
-    io.flush_waiters.clear();
-    ios_running_.fetch_sub(1, std::memory_order_acq_rel);
-    for (auto& ln : lanes_) wake_lane(*ln);
-    tl_io = nullptr;
-  }
-
-  // -- lane internals ---------------------------------------------------------
-
-  void lane_loop(std::uint32_t lane) {
-    if (opts_.telemetry != nullptr) {
-      opts_.telemetry->set_thread_label("lane-" + std::to_string(lane));
-    }
-    std::unordered_map<PeerId, std::shared_ptr<Peer>> cache;
-    LaneCtx ctx;
-    ctx.impl = this;
-    ctx.lane = lane;
-    ctx.cache = &cache;
-    tl_lane = &ctx;
-    Lane& ln = *lanes_[lane];
-    for (;;) {
-      bool any = false;
-      for (std::uint32_t i = 0; i < opts_.io_threads; ++i) {
-        auto& ring = *in_rings_[i][lane];
-        InItem item;
-        while (ring.pop(item)) {
-          any = true;
-          if (item.ticket) {  // flush sentinel: everything before it landed
-            std::lock_guard<std::mutex> lk(item.ticket->mu);
-            if (item.ticket->remaining > 0) --item.ticket->remaining;
-            if (item.ticket->remaining == 0) item.ticket->cv.notify_all();
-            item.ticket.reset();
-            continue;
-          }
-          const PeerId id = item.peer->id;
-          try {
-            if (item.closed) {
-              cache.erase(id);
-              handler_.on_peer_closed(id);
-            } else {
-              cache.emplace(id, item.peer);
-              handler_.on_message(id, std::move(item.m));
-            }
-          } catch (const std::exception& e) {
-            std::fprintf(stderr, "hdsm reactor: handler threw for peer "
-                                 "%llu: %s\n",
-                         static_cast<unsigned long long>(id), e.what());
-          }
-          item.peer.reset();
-        }
-      }
-      // Batched io wakes for the completions this sweep produced.
-      while (ctx.pending_io_wakes != 0) {
-        const int i = __builtin_ctzll(ctx.pending_io_wakes);
-        ctx.pending_io_wakes &= ctx.pending_io_wakes - 1;
-        ios_[static_cast<std::uint32_t>(i)]->signal->wake();
-      }
-      if (any) continue;
-      if (stop_.load(std::memory_order_acquire) &&
-          ios_running_.load(std::memory_order_acquire) == 0) {
-        break;
-      }
-      std::unique_lock<std::mutex> lk(ln.mu);
-      if (!ln.signaled) {
-        ln.cv.wait_for(lk, std::chrono::milliseconds(100),
-                       [&ln] { return ln.signaled; });
-      }
-      ln.signaled = false;
-    }
-    tl_lane = nullptr;
+    settle_flush_waiters();
+    tl_self = nullptr;
   }
 };
 
-thread_local Reactor::Impl::LaneCtx* Reactor::Impl::tl_lane = nullptr;
-thread_local Reactor::Impl::IoCtx* Reactor::Impl::tl_io = nullptr;
+thread_local const Reactor::Impl* Reactor::Impl::tl_self = nullptr;
 
 Reactor::Reactor(const ReactorOptions& opts, ReactorHandler& handler)
     : impl_(std::make_unique<Impl>(opts, handler)) {}
 
 Reactor::~Reactor() { impl_->stop(); }
 
-void Reactor::add_peer(PeerId id, std::shared_ptr<Endpoint> ep,
-                       std::uint32_t lane) {
-  impl_->add_peer(id, std::move(ep), lane);
+void Reactor::add_peer(PeerId id, std::shared_ptr<Endpoint> ep) {
+  impl_->add_peer(id, std::move(ep));
 }
 
 void Reactor::remove_peer(PeerId id) { impl_->remove_peer(id); }

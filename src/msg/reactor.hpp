@@ -1,29 +1,16 @@
 // msg::Reactor — the event-driven transport shell (docs/TRANSPORT.md).
 //
-// One small fixed pool of io threads multiplexes every remote connection:
-// fd-backed endpoints (TCP) sit in an epoll set, queue-backed endpoints
-// (in-process channels) signal readiness through a callback that funnels
-// into the io thread's one wake eventfd — so a thousand simulated remotes
-// cost one descriptor, not a thousand.  Each EPOLLIN wakeup drains *every*
-// decodable frame from the endpoint (frame batching) into a lock-free SPSC
-// ring toward the peer's worker lane; the lane invokes the handler (the
-// DSM shell's protocol step) and its replies flow back over a second SPSC
-// ring to the io thread, which merges consecutive messages to the same
-// peer into one gathered send (write coalescing, bounded by
-// `flush_delay`).
-//
-// Ring discipline: every ring has exactly one producer thread and one
-// consumer thread by construction — rings are allocated per (io thread,
-// lane) pair, one per direction.  A full inbound ring never drops or
-// blocks: the io thread parks the peer on a redrain list and retries after
-// the lane catches up.
-//
-// Inline mode: with io_threads == 1 and lanes == 1 (the defaults) there is
-// no pipeline to overlap, so the io thread invokes the handler directly —
-// no rings, no lane thread, two fewer context switches per round trip.
-// Delivery guarantees are identical; closed events are still deferred to
-// the top of the io loop so an eviction triggered by a handler-issued send
-// never re-enters the handler.
+// One io thread multiplexes every remote connection: fd-backed endpoints
+// (TCP) sit in an epoll set, queue-backed endpoints (in-process channels)
+// signal readiness through a callback that funnels into the thread's one
+// wake eventfd — so a thousand simulated remotes cost one descriptor, not
+// a thousand.  Each wakeup drains *every* decodable frame from a ready
+// endpoint (frame batching) and runs the handler (the DSM shell's protocol
+// step) inline on the io thread.  Replies the handler sends land straight
+// on the peer's write queue; at the end of each loop iteration every
+// queued FIFO goes out as one gathered send (write coalescing).  Closed
+// events are deferred to the top of the loop, so an eviction triggered by
+// a handler-issued send never re-enters the handler.
 //
 // Backpressure: per-peer outbound queues are bounded by
 // `max_write_queue_bytes`; a peer that stops draining (dead TCP window)
@@ -32,17 +19,15 @@
 // to the tested detach/reconnect path and every other peer keeps
 // progressing.
 //
-// Delivery guarantees: per peer, on_message calls preserve transport
-// receive order and run on one fixed lane; on_peer_closed is delivered at
-// most once, after that peer's last on_message, on the same lane.
-// Messages queued by a peer before close are still delivered first
-// (matching the blocking endpoints' drain-then-throw semantics).
+// Delivery guarantees: handler calls are serialized (one thread runs them
+// all); per peer, on_message calls preserve transport receive order, and
+// on_peer_closed is delivered at most once, after that peer's last
+// on_message.  Messages queued by a peer before close are still delivered
+// first (matching the blocking endpoints' drain-then-throw semantics).
 #pragma once
 
-#include <atomic>
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "msg/endpoint.hpp"
@@ -58,34 +43,17 @@ namespace hdsm::msg {
 using PeerId = std::uint64_t;
 
 struct ReactorOptions {
-  /// Io threads sharing the epoll/wake work.  One is right for loopback
-  /// and simulated clusters; the pool stays small by design.
-  std::uint32_t io_threads = 1;
-  /// Worker lanes executing the handler.  A peer's lane is fixed at
-  /// add_peer, so per-lane handler calls are serialized.
-  std::uint32_t lanes = 1;
-  /// Capacity of each inbound/completion ring (rounded up to a power of
-  /// two).  Full rings redrain, they never drop.
-  std::size_t ring_capacity = 1024;
   /// Bound on a peer's queued outbound bytes before it is evicted
   /// (closed) as a slow consumer.
   std::size_t max_write_queue_bytes = std::size_t{64} << 20;
-  /// Write-coalescing window: queued messages to a peer may sit this long
-  /// waiting for more before the flush.  0 = flush on every enqueue batch
-  /// (latency-first; batching still happens whenever a lane emits several
-  /// messages to one peer in one burst).
-  std::chrono::microseconds flush_delay{0};
-  /// Cadence of Endpoint::service() for hooks that request it.
-  std::chrono::milliseconds service_interval{5};
   /// Optional telemetry: reactor spans + counters (docs/OBSERVABILITY.md).
   obs::Telemetry* telemetry = nullptr;
 };
 
-/// Handler invoked on worker lanes.  Calls for one peer are serialized and
-/// in order; calls for peers on different lanes run concurrently.  The
-/// handler may call Reactor::send from inside a callback (the common case:
-/// protocol replies), from which it returns immediately — transmission is
-/// asynchronous.
+/// Handler invoked on the io thread.  Calls are serialized, and calls for
+/// one peer are in order.  The handler may call Reactor::send from inside
+/// a callback (the common case: protocol replies), from which it returns
+/// immediately — transmission is asynchronous.
 class ReactorHandler {
  public:
   virtual ~ReactorHandler() = default;
@@ -102,7 +70,6 @@ struct ReactorStats {
   std::uint64_t frames_out = 0;     ///< messages handed to send_some
   std::uint64_t wakeups = 0;        ///< io-thread epoll returns
   std::uint64_t flush_batches = 0;  ///< send_some calls with >= 1 message
-  std::uint64_t ring_stalls = 0;    ///< inbound-ring-full redrain events
   std::uint64_t backpressure_closes = 0;  ///< slow consumers evicted
 };
 
@@ -114,11 +81,11 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Register `ep` under `id` and start serving it on `lane`
-  /// (lane % options.lanes).  The endpoint must be reactor-capable
-  /// (Endpoint::reactor_hook); throws std::invalid_argument otherwise.
-  /// `id` must not currently be registered.
-  void add_peer(PeerId id, std::shared_ptr<Endpoint> ep, std::uint32_t lane);
+  /// Register `ep` under `id` and start serving it.  The endpoint must be
+  /// reactor-capable (Endpoint::reactor_hook); throws
+  /// std::invalid_argument otherwise.  `id` must not currently be
+  /// registered.
+  void add_peer(PeerId id, std::shared_ptr<Endpoint> ep);
 
   /// Close `id`'s endpoint and retire it: already-received messages still
   /// deliver, then on_peer_closed fires.  No-op for unknown ids.
@@ -131,16 +98,16 @@ class Reactor {
   void send(PeerId id, Message m);
 
   /// Settlement barrier: blocks until every add/remove/send posted before
-  /// this call has executed, queued writes were attempted (coalescing
-  /// deadlines overridden), and all resulting handler callbacks — messages
-  /// and closed events — have returned.  Events produced by handlers that
-  /// run concurrently with the flush are not covered.  Must not be called
-  /// from inside a handler; returns early if the reactor is stopping.
+  /// this call has executed, queued writes were attempted, and all
+  /// resulting handler callbacks — messages and closed events — have
+  /// returned.  Frames that reach an endpoint after the call are not
+  /// covered.  Must not be called from inside a handler; returns early if
+  /// the reactor is stopping.
   void flush();
 
-  /// Stop all io threads and lanes (idempotent).  In-flight inbound
-  /// messages and closed events are still delivered to the handler before
-  /// the lanes exit; endpoints are closed.
+  /// Stop the io thread (idempotent).  In-flight inbound messages and
+  /// closed events are still delivered to the handler before it exits;
+  /// endpoints are closed.
   void stop();
 
   ReactorStats stats() const;

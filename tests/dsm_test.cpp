@@ -180,7 +180,7 @@ TEST(SyncEngine, PackThenApplyHeterogeneous) {
 }
 
 TEST(SyncEngine, BinaryTagsOption) {
-  dsm::DsdOptions opts;
+  dsm::SyncOptions opts;
   opts.binary_tags = true;
   dsm::GlobalSpace sender(small_gthv(), plat::linux_ia32());
   dsm::GlobalSpace receiver(small_gthv(), plat::linux_ia32());

@@ -1,8 +1,7 @@
-// Transport-shell tests (docs/TRANSPORT.md): the SPSC ring the reactor's
-// handoff is built on, the reactor itself — multiplexing, delivery order,
-// close semantics, the flush settlement barrier, slow-consumer
-// backpressure over real TCP — and the SessionShell running the full
-// protocol behind the home directory.
+// Transport-shell tests (docs/TRANSPORT.md): the reactor — multiplexing,
+// delivery order, close semantics, the flush settlement barrier and write
+// coalescing, slow-consumer backpressure over real TCP — and the
+// SessionShell running the full protocol behind the home directory.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,7 +20,6 @@
 #include "dsm/sharded_remote.hpp"
 #include "msg/faulty.hpp"
 #include "msg/reactor.hpp"
-#include "msg/spsc_ring.hpp"
 #include "msg/tcp.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -50,84 +48,6 @@ bool wait_until(Pred pred, std::chrono::milliseconds limit = 2s) {
     std::this_thread::sleep_for(1ms);
   }
   return pred();
-}
-
-// ---- SpscRing ---------------------------------------------------------------
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(msg::SpscRing<int>(0).capacity(), 2u);
-  EXPECT_EQ(msg::SpscRing<int>(1).capacity(), 2u);
-  EXPECT_EQ(msg::SpscRing<int>(2).capacity(), 2u);
-  EXPECT_EQ(msg::SpscRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(msg::SpscRing<int>(1000).capacity(), 1024u);
-}
-
-TEST(SpscRing, FullAndEmptyBoundaries) {
-  msg::SpscRing<int> ring(4);
-  int out = 0;
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.pop(out));
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring.can_push());
-    EXPECT_TRUE(ring.push(int{i}));
-  }
-  EXPECT_FALSE(ring.can_push());
-  EXPECT_FALSE(ring.push(99));  // full: item untouched, no overwrite
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.pop(out));
-}
-
-TEST(SpscRing, WraparoundPreservesOrderPastCapacity) {
-  msg::SpscRing<int> ring(4);
-  int next_push = 0, next_pop = 0, out = 0;
-  // Mixed-occupancy cycles drive the counters far past the capacity so
-  // slot indexing exercises the `counter & mask` wrap repeatedly.
-  for (int cycle = 0; cycle < 1000; ++cycle) {
-    const int burst = 1 + cycle % 4;
-    for (int i = 0; i < burst; ++i) ASSERT_TRUE(ring.push(int{next_push++}));
-    for (int i = 0; i < burst; ++i) {
-      ASSERT_TRUE(ring.pop(out));
-      ASSERT_EQ(out, next_pop++);
-    }
-  }
-  EXPECT_TRUE(ring.empty());
-  EXPECT_GT(next_pop, 1000);
-}
-
-TEST(SpscRing, MoveOnlyElements) {
-  msg::SpscRing<std::unique_ptr<int>> ring(2);
-  ASSERT_TRUE(ring.push(std::make_unique<int>(7)));
-  std::unique_ptr<int> out;
-  ASSERT_TRUE(ring.pop(out));
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(*out, 7);
-}
-
-TEST(SpscRing, TwoThreadStress) {
-  // One producer, one consumer, a deliberately tiny ring: every value must
-  // come out exactly once and in order.  Run under TSan via -L faults.
-  msg::SpscRing<std::uint64_t> ring(8);
-  constexpr std::uint64_t kCount = 200000;
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kCount; ++i) {
-      while (!ring.push(std::uint64_t{i})) std::this_thread::yield();
-    }
-  });
-  std::uint64_t expected = 0, out = 0;
-  while (expected < kCount) {
-    if (ring.pop(out)) {
-      ASSERT_EQ(out, expected);
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
 }
 
 // ---- Reactor ---------------------------------------------------------------
@@ -163,7 +83,7 @@ TEST(Reactor, DeliversInOrderAndRepliesOverChannel) {
   Recorder rec;
   msg::Reactor reactor({}, rec);
   auto [home, remote] = msg::make_channel_pair();
-  reactor.add_peer(1, std::move(home), 0);
+  reactor.add_peer(1, std::move(home));
 
   for (std::uint32_t i = 0; i < 32; ++i) remote->send(tagged(i));
   ASSERT_TRUE(wait_until([&] { return rec.count(1) == 32; }));
@@ -183,14 +103,12 @@ TEST(Reactor, DeliversInOrderAndRepliesOverChannel) {
 
 TEST(Reactor, MultiplexesManyChannelPeers) {
   Recorder rec;
-  msg::ReactorOptions opts;
-  opts.lanes = 4;
-  msg::Reactor reactor(opts, rec);
+  msg::Reactor reactor({}, rec);
   constexpr std::uint32_t kPeers = 128;
   std::vector<msg::EndpointPtr> remotes;
   for (std::uint32_t p = 0; p < kPeers; ++p) {
     auto [home, remote] = msg::make_channel_pair();
-    reactor.add_peer(p, std::move(home), /*lane=*/p);
+    reactor.add_peer(p, std::move(home));
     remotes.push_back(std::move(remote));
   }
   for (std::uint32_t p = 0; p < kPeers; ++p) {
@@ -210,26 +128,11 @@ TEST(Reactor, MultiplexesManyChannelPeers) {
   }
 }
 
-TEST(Reactor, TinyRingsRedrainWithoutDropping) {
-  Recorder rec;
-  msg::ReactorOptions opts;
-  opts.ring_capacity = 2;  // force inbound-ring-full redrain cycles
-  opts.lanes = 2;          // ring mode (one io thread + one lane is inline)
-  msg::Reactor reactor(opts, rec);
-  auto [home, remote] = msg::make_channel_pair();
-  reactor.add_peer(1, std::move(home), 0);
-  constexpr std::uint32_t kCount = 500;
-  for (std::uint32_t i = 0; i < kCount; ++i) remote->send(tagged(i));
-  ASSERT_TRUE(wait_until([&] { return rec.count(1) == kCount; }, 5s));
-  std::lock_guard<std::mutex> lk(rec.mu);
-  for (std::uint32_t i = 0; i < kCount; ++i) EXPECT_EQ(rec.received[1][i], i);
-}
-
 TEST(Reactor, RemovePeerDeliversQueuedMessagesThenClosedOnce) {
   Recorder rec;
   msg::Reactor reactor({}, rec);
   auto [home, remote] = msg::make_channel_pair();
-  reactor.add_peer(7, std::move(home), 0);
+  reactor.add_peer(7, std::move(home));
 
   for (std::uint32_t i = 0; i < 5; ++i) remote->send(tagged(i));
   reactor.remove_peer(7);
@@ -250,16 +153,54 @@ TEST(Reactor, RemovePeerDeliversQueuedMessagesThenClosedOnce) {
   EXPECT_EQ(rec.closes(7), 1);
 }
 
-TEST(Reactor, FlushSettlesPostedSendsWithoutPolling) {
-  Recorder rec;
-  msg::ReactorOptions opts;
-  opts.flush_delay = 10ms;  // coalescing window the barrier must override
-  msg::Reactor reactor(opts, rec);
-  auto [home, remote] = msg::make_channel_pair();
-  reactor.add_peer(1, std::move(home), 0);
+/// A Recorder whose handler parks the io thread on the first message from
+/// `gate_peer` until release() — so sends posted meanwhile pile up.
+struct GatedRecorder final : msg::ReactorHandler {
+  Recorder inner;
+  msg::PeerId gate_peer = 0;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
 
+  void on_message(msg::PeerId peer, msg::Message&& m) override {
+    if (peer == gate_peer) {
+      std::unique_lock<std::mutex> lk(mu);
+      entered = true;
+      cv.notify_all();
+      cv.wait(lk, [this] { return released; });
+    }
+    inner.on_message(peer, std::move(m));
+  }
+  void on_peer_closed(msg::PeerId peer) override {
+    inner.on_peer_closed(peer);
+  }
+  void wait_entered() {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [this] { return entered; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lk(mu);
+    released = true;
+    cv.notify_all();
+  }
+};
+
+TEST(Reactor, FlushSettlesPostedSendsWithoutPolling) {
+  GatedRecorder rec;
+  msg::Reactor reactor({}, rec);
+  auto [gate_home, gate_remote] = msg::make_channel_pair();
+  auto [home, remote] = msg::make_channel_pair();
+  reactor.add_peer(rec.gate_peer, std::move(gate_home));
+  reactor.add_peer(1, std::move(home));
+
+  // Park the io thread inside a handler, post every send, then let it go:
+  // the sends reach the loop as one command batch.
+  gate_remote->send(tagged(0));
+  rec.wait_entered();
   constexpr std::uint32_t kCount = 50;
   for (std::uint32_t i = 0; i < kCount; ++i) reactor.send(1, tagged(i));
+  rec.release();
   reactor.flush();
   // After the settlement barrier every queued write was attempted: all 50
   // frames are decodable on the remote side right now.
@@ -270,8 +211,8 @@ TEST(Reactor, FlushSettlesPostedSendsWithoutPolling) {
   }
   const msg::ReactorStats s = reactor.stats();
   EXPECT_EQ(s.frames_out, kCount);
-  // Write coalescing: consecutive messages to one peer merge into gathered
-  // sends, so batches number well below frames.
+  // Write coalescing: messages queued to one peer in one loop iteration
+  // merge into gathered sends, so batches number well below frames.
   EXPECT_LT(s.flush_batches, kCount);
   EXPECT_GE(s.flush_batches, 1u);
 }
@@ -280,7 +221,7 @@ TEST(Reactor, PeerEofDeliversClosed) {
   Recorder rec;
   msg::Reactor reactor({}, rec);
   auto [home, remote] = msg::make_channel_pair();
-  reactor.add_peer(3, std::move(home), 0);
+  reactor.add_peer(3, std::move(home));
   remote->send(tagged(1));
   remote->close();
   ASSERT_TRUE(wait_until([&] { return rec.closes(3) == 1; }));
@@ -294,7 +235,7 @@ TEST(Reactor, FaultyResetSurfacesAsClosed) {
   msg::FaultOptions fo;
   fo.seed = 42;
   fo.recv.reset_after = 3;  // the 4th frame pulled through the wrapper RSTs
-  reactor.add_peer(9, msg::make_faulty(std::move(home), fo), 0);
+  reactor.add_peer(9, msg::make_faulty(std::move(home), fo));
 
   for (std::uint32_t i = 0; i < 10; ++i) {
     try {
@@ -313,7 +254,7 @@ TEST(Reactor, StopDeliversClosedForEveryPeer) {
   std::vector<msg::EndpointPtr> remotes;
   for (std::uint32_t p = 0; p < 16; ++p) {
     auto [home, remote] = msg::make_channel_pair();
-    reactor.add_peer(p, std::move(home), 0);
+    reactor.add_peer(p, std::move(home));
     remotes.push_back(std::move(remote));
   }
   reactor.stop();
@@ -333,9 +274,9 @@ TEST(Reactor, SlowTcpConsumerEvictedWhileHealthyPeerProgresses) {
 
   msg::TcpListener listener(0);
   msg::EndpointPtr slow_client = msg::tcp_connect(listener.port());
-  reactor.add_peer(1, std::shared_ptr<msg::Endpoint>(listener.accept()), 0);
+  reactor.add_peer(1, std::shared_ptr<msg::Endpoint>(listener.accept()));
   msg::EndpointPtr fast_client = msg::tcp_connect(listener.port());
-  reactor.add_peer(2, std::shared_ptr<msg::Endpoint>(listener.accept()), 0);
+  reactor.add_peer(2, std::shared_ptr<msg::Endpoint>(listener.accept()));
 
   // The fast peer drains everything it is sent, concurrently.
   std::atomic<std::uint32_t> fast_received{0};

@@ -21,6 +21,7 @@
 #include "dsm/update.hpp"
 #include "msg/message.hpp"
 #include "obj/object_space.hpp"
+#include "obs/telemetry.hpp"
 #include "sched/shard_balance.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -373,15 +374,25 @@ TEST(ShardedCluster, RunJoinsRemotesWhenTheMasterThrows) {
 
 TEST(ShardedHome, FourShardsConvergeAcrossRegions) {
   // Three remotes each hammer a different mutex; with four shards the
-  // regions land on different directory shards (0→2, 1→3, 3→1), yet the
-  // shared data plane must merge every release into one coherent image.
+  // hash map pins their regions to three distinct directory shards
+  // (0→2, 1→3, 3→1), yet the shared data plane must merge every release
+  // into one coherent image — and one reactor thread serves every shard.
   std::vector<dsm::TraceLog> logs(4);
   dsm::ShardedHomeOptions opts;
   opts.num_shards = 4;
+  opts.obs.enabled = true;
   for (auto& l : logs) opts.shard_traces.push_back(&l);
   dsm::ShardedCluster cluster(
       gthv(), plat::linux_ia32(),
       {&plat::linux_ia32(), &plat::linux_ia32(), &plat::linux_ia32()}, opts);
+  // Indexed by rank; rank 0 is the master, which locks nothing here.
+  constexpr std::uint32_t kMutexOf[] = {0, 0, 1, 3};
+  const std::uint32_t shard1 = cluster.home().shard_of(kMutexOf[1]);
+  const std::uint32_t shard2 = cluster.home().shard_of(kMutexOf[2]);
+  const std::uint32_t shard3 = cluster.home().shard_of(kMutexOf[3]);
+  ASSERT_NE(shard1, shard2);
+  ASSERT_NE(shard1, shard3);
+  ASSERT_NE(shard2, shard3);
   // Each rank works under its own mutex, so nothing orders their critical
   // sections against each other — they must write disjoint elements (a
   // shared element under different locks is a data race by construction).
@@ -397,13 +408,14 @@ TEST(ShardedHome, FourShardsConvergeAcrossRegions) {
         home.wait_all_joined();
       },
       [&](dsm::ShardedRemote& remote) {
-        // Rank r works under mutex r - 1: ranks spread across shards.
+        // Each rank works under its own mutex, on its own shard.
+        const std::uint32_t mutex = kMutexOf[remote.rank()];
         for (const auto& [idx, delta] : ops_of(remote.rank(), kOps)) {
-          remote.lock(remote.rank() - 1);
+          remote.lock(mutex);
           auto a = remote.space().view<std::int64_t>("A");
           const std::uint64_t e = stripe_elem(remote.rank(), idx);
           a.set(e, a.get(e) + delta);
-          remote.unlock(remote.rank() - 1);
+          remote.unlock(mutex);
         }
         remote.barrier(0);
         remote.join();
@@ -418,6 +430,17 @@ TEST(ShardedHome, FourShardsConvergeAcrossRegions) {
   expect_image(cluster.home().space(), expected);
   EXPECT_EQ(cluster.total_stats().wrong_shard_redirects, 0u);
   for (int s = 0; s < 4; ++s) expect_valid(logs[s], "shard");
+
+  // Every shard's handlers ran on the reactor's one io thread: the home
+  // recorded exactly one io-* span lane and no worker-lane-* lanes.
+  int io_lanes = 0;
+  int worker_lanes = 0;
+  for (const auto& lane : cluster.home().telemetry()->spans().lanes) {
+    if (lane.label.starts_with("io-")) ++io_lanes;
+    if (lane.label.starts_with("lane-")) ++worker_lanes;
+  }
+  EXPECT_EQ(io_lanes, 1);
+  EXPECT_EQ(worker_lanes, 0);
 }
 
 TEST(ShardedHome, CrossShardReleaseIsVisibleAfterAcquire) {
