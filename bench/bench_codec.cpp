@@ -5,8 +5,9 @@
 //
 //   /0 off       - CodecMode::Off: the pre-codec wire, byte for byte
 //   /1 forced    - CodecMode::Forced: every eligible run compressed
-//   /2 adaptive  - CodecMode::Adaptive: the tuner's sixth knob decides per
-//                  link from the measured encode cost / ratio / bandwidth
+//   /2 adaptive  - CodecMode::Adaptive: the tuner's compress knob decides
+//                  per link from the measured encode cost / ratio /
+//                  bandwidth
 //
 // Workload shapes mirror the §5 kernels' update traffic: SOR-style smooth
 // double rows, LU-style integer ramps, and an incompressible white-noise

@@ -1,5 +1,5 @@
-// A/B bench for the parallel zero-copy data plane (SyncOptions::conv_threads,
-// parallel_grain, plan_cache).  Emitted as BENCH_data_plane.json:
+// A/B bench for the parallel zero-copy data plane (SyncOptions::conv_threads
+// and plan_cache).  Emitted as BENCH_data_plane.json:
 //
 //   BM_ApplyPayloadHetero/L   - multi-MB payload of ~1KB blocks from a
 //                               big-endian sender applied on L lanes (the
@@ -8,8 +8,9 @@
 //   BM_ApplyPayloadMemcpy/L   - same payload homogeneous: the zero-copy
 //                               route (payload bytes land directly in the
 //                               image, no scratch conversion buffer)
-//   BM_ApplySingleSmallRun/L  - one run far below parallel_grain; L=4 must
-//                               track L=1 (the pool must not engage)
+//   BM_ApplySingleSmallRun/L  - one run far below the fixed 64 KiB parallel
+//                               grain; L=4 must track L=1 (the pool must
+//                               not engage)
 //   BM_CollectDiff/L          - dirty-page diff + range->run mapping of a
 //                               multi-MB dirty set on L lanes
 //   BM_PackLegacyTwoCopy      - pack_runs + encode_update_blocks (the old
@@ -130,7 +131,7 @@ void BM_ApplyPayloadMemcpy(benchmark::State& state) {
 BENCHMARK(BM_ApplyPayloadMemcpy)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_ApplySingleSmallRun(benchmark::State& state) {
-  // One 64-element run, far below parallel_grain: the parallel engine must
+  // One 64-element run, far below the parallel grain: the parallel engine must
   // cost within noise of the sequential one.
   dsm::GlobalSpace sender(gthv(1 << 12), plat::linux_ia32());
   dsm::ShareStats ss;

@@ -3,17 +3,12 @@
 namespace hdsm::adapt {
 
 Probe::Probe(double alpha)
-    : diff_cost_(alpha),
-      per_run_ns_(alpha),
+    : per_run_ns_(alpha),
       pack_cost_(alpha),
       seq_cost_(alpha),
       par_cost_(alpha),
       par_dispatch_ns_(alpha),
-      plan_hit_rate_(alpha),
-      identity_rate_(alpha),
-      density_(alpha),
       bytes_per_episode_(alpha),
-      objects_per_episode_(alpha),
       encode_cost_(alpha),
       codec_ratio_(alpha),
       link_cost_(alpha),
@@ -22,18 +17,9 @@ Probe::Probe(double alpha)
 void Probe::observe(const Signal& s) {
   ++episodes_;
 
-  // Field groups are folded in independently: a diff-only episode leaves
-  // the pack models untouched and vice versa (the shell samples collect and
-  // pack at different points).
-  if (s.dirty_pages != 0) {
-    const double page_bytes =
-        static_cast<double>(s.dirty_pages) * static_cast<double>(s.page_size);
-    if (page_bytes > 0.0) {
-      if (s.diff_ns != 0)
-        diff_cost_.update(static_cast<double>(s.diff_ns) / page_bytes);
-      density_.update(static_cast<double>(s.diffed_bytes) / page_bytes);
-    }
-  }
+  // Field groups are folded in independently: an apply-only episode leaves
+  // the pack models untouched and vice versa (the shell samples pack and
+  // apply at different points).
   if (s.pack_ns != 0 && s.runs != 0) {
     // Split the pack time into a per-byte stream cost and a per-run fixed
     // cost.  With one pooled measurement we attribute proportionally:
@@ -42,18 +28,13 @@ void Probe::observe(const Signal& s) {
     // only a handful of runs carry no per-run signal — their cost is
     // per-byte work plus fixed allocation/encode overhead, and crediting
     // half of it to "per run" would inflate the estimate by orders of
-    // magnitude (and with it the promotion/coalescing appetite).
+    // magnitude (and with it the coalescing appetite).
     const double half = static_cast<double>(s.pack_ns) * 0.5;
     if (s.runs >= kMinRunsForPerRunModel)
       per_run_ns_.update(half / static_cast<double>(s.runs));
     if (s.bytes_packed != 0)
       pack_cost_.update(half / static_cast<double>(s.bytes_packed));
     bytes_per_episode_.update(static_cast<double>(s.bytes_packed));
-  }
-  // Object-mode episodes only (a zero count means a page-granularity
-  // episode, which must not drag the object model toward zero).
-  if (s.objects != 0) {
-    objects_per_episode_.update(static_cast<double>(s.objects));
   }
 
   // Codec cost models (docs/COMPRESSION.md).  The raw-bytes mean feeds the
@@ -100,11 +81,6 @@ void Probe::observe(const Signal& s) {
         seq_cost_.update(per_byte);
       }
     }
-    const double total_lookups =
-        static_cast<double>(s.plan_hits + s.plan_misses);
-    if (total_lookups > 0.0)
-      plan_hit_rate_.update(static_cast<double>(s.plan_hits) / total_lookups);
-    identity_rate_.update(s.identity_sender ? 1.0 : 0.0);
   }
 }
 

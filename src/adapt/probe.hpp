@@ -4,17 +4,12 @@
 // The probe turns noisy per-episode measurements into a small set of slowly
 // moving cost estimates the Tuner's decision rules can consume:
 //
-//   diff_ns_per_byte    cost of diffing one byte of a dirty page
 //   per_run_ns          fixed overhead of one update run (tag + header)
 //   pack_ns_per_byte    cost of packing one payload byte
 //   seq_ns_per_byte     per-byte conversion cost on the sequential path
 //   par_ns_per_byte     per-byte conversion cost on the parallel path
 //   par_dispatch_ns     fixed overhead of waking the worker pool once
-//   plan_hit_rate       plan-cache hit fraction
-//   identity_rate       fraction of applies from an identical-rep sender
-//   density             diffed bytes / (dirty pages * page size)
 //   bytes_per_episode   mean payload bytes moved per episode
-//   objects_per_episode mean dirty objects shipped per object-mode episode
 //   encode_ns_per_byte  codec encode cost per raw element byte
 //   codec_ratio         wire data bytes / raw data bytes with codec engaged
 //   link_ns_per_byte    measured wire cost per frame byte on this link
@@ -67,29 +62,22 @@ class Probe {
 
   /// Fold one episode's measurements into the models.  Fields with a zero
   /// denominator contribute nothing (an apply-only episode does not disturb
-  /// the diff model, and vice versa).
+  /// the pack models, and vice versa).
   void observe(const Signal& s);
 
   // Cost model accessors (0.0 until the first relevant sample arrives).
-  double diff_ns_per_byte() const { return diff_cost_.value(); }
   double per_run_ns() const { return per_run_ns_.value(); }
   double pack_ns_per_byte() const { return pack_cost_.value(); }
   double seq_ns_per_byte() const { return seq_cost_.value(); }
   double par_ns_per_byte() const { return par_cost_.value(); }
   double par_dispatch_ns() const { return par_dispatch_ns_.value(); }
-  double plan_hit_rate() const { return plan_hit_rate_.value(); }
-  double identity_rate() const { return identity_rate_.value(); }
-  double density() const { return density_.value(); }
   double bytes_per_episode() const { return bytes_per_episode_.value(); }
-  double objects_per_episode() const { return objects_per_episode_.value(); }
   double encode_ns_per_byte() const { return encode_cost_.value(); }
   double codec_ratio() const { return codec_ratio_.value(); }
   double link_ns_per_byte() const { return link_cost_.value(); }
   double raw_bytes_per_episode() const {
     return raw_bytes_per_episode_.value();
   }
-
-  bool has_object_model() const { return objects_per_episode_.seeded(); }
 
   bool has_seq_model() const { return seq_cost_.seeded(); }
   bool has_par_model() const { return par_cost_.seeded(); }
@@ -102,17 +90,12 @@ class Probe {
   std::uint64_t episodes() const { return episodes_; }
 
  private:
-  Ewma diff_cost_;
   Ewma per_run_ns_;
   Ewma pack_cost_;
   Ewma seq_cost_;
   Ewma par_cost_;
   Ewma par_dispatch_ns_;
-  Ewma plan_hit_rate_;
-  Ewma identity_rate_;
-  Ewma density_;
   Ewma bytes_per_episode_;
-  Ewma objects_per_episode_;
   Ewma encode_cost_;
   Ewma codec_ratio_;
   Ewma link_cost_;

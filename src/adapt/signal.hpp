@@ -1,10 +1,12 @@
 #pragma once
 // adapt::Signal — one episode's worth of raw measurements, as seen by the
-// data plane.  An "episode" is one synchronization step on one node: either
-// a collect (diff + pack on the sending side) or an apply (unpack + convert
-// on the receiving side).  The shell (SyncEngine) fills in whichever fields
-// the episode produced and leaves the rest zero; the Probe layer knows that
-// a zero denominator means "no sample this episode".
+// data plane.  An "episode" is one synchronization step on one node: a
+// collect (diff on the sending side), a pack, a timed payload send, or an
+// apply (unpack + convert on the receiving side).  The shell (SyncEngine)
+// fills in whichever fields the episode produced and leaves the rest zero;
+// the Probe layer knows that a zero denominator means "no sample this
+// episode".  A collect episode carries no field any model reads, but it
+// still counts toward the warmup and dwell windows.
 //
 // Everything here is plain data.  No clocks, no allocation, no I/O — the
 // same Signal sequence always produces the same Decision sequence
@@ -15,15 +17,10 @@
 namespace hdsm::adapt {
 
 struct Signal {
-  // ---- collect side (diff + pack) ----
-  std::uint64_t diff_ns = 0;       ///< wall time spent diffing twins
-  std::uint64_t dirty_pages = 0;   ///< pages inspected by the diff
-  std::uint64_t diffed_bytes = 0;  ///< bytes covered by produced ranges
+  // ---- pack side ----
   std::uint64_t pack_ns = 0;       ///< wall time spent packing the payload
-  std::uint64_t runs = 0;          ///< update runs produced this episode
+  std::uint64_t runs = 0;          ///< update runs packed this episode
   std::uint64_t bytes_packed = 0;  ///< payload bytes produced
-  std::uint64_t objects = 0;       ///< dirty objects shipped (object mode;
-                                   ///< 0 = page-granularity episode)
   std::uint64_t encode_ns = 0;     ///< wall time spent in codec encode calls
   std::uint64_t bytes_raw = 0;     ///< raw element bytes this pack episode
                                    ///  (pre-codec; 0 = codec not measured)
@@ -36,20 +33,12 @@ struct Signal {
   std::uint64_t wire_bytes = 0;    ///< frame bytes that send carried
 
   // ---- apply side (unpack + convert) ----
-  std::uint64_t unpack_ns = 0;        ///< wall time spent validating/decoding
   std::uint64_t conv_ns = 0;          ///< wall time spent converting/applying
   std::uint64_t blocks = 0;           ///< update blocks applied
   std::uint64_t bytes_applied = 0;    ///< destination bytes written
-  std::uint64_t plan_hits = 0;        ///< plan-cache hits this episode
-  std::uint64_t plan_misses = 0;      ///< plan-cache misses this episode
-  bool identity_sender = false;       ///< sender rep identical to ours?
   bool parallel = false;              ///< did the batch take the parallel path?
   std::uint32_t lanes_used = 1;       ///< lanes the batch actually ran on
 
-  // ---- environment ----
-  std::uint64_t page_size = 4096;  ///< tracking page size (for density math)
-
-  bool has_collect() const { return diff_ns != 0 || dirty_pages != 0; }
   bool has_apply() const { return blocks != 0; }
   bool has_wire() const { return wire_bytes != 0 && wire_ns != 0; }
 };

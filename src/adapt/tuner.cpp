@@ -1,58 +1,31 @@
 #include "adapt/tuner.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace hdsm::adapt {
 namespace {
 
 int knob_index(std::uint32_t bit) {
   switch (bit) {
-    case Decision::kThreshold: return 0;
-    case Decision::kFastpath: return 1;
-    case Decision::kLanes: return 2;
-    case Decision::kGrain: return 3;
-    case Decision::kSlack: return 4;
-    case Decision::kCodec: return 5;
+    case Decision::kLanes: return 0;
+    case Decision::kSlack: return 1;
+    case Decision::kCodec: return 2;
   }
   return 0;
-}
-
-/// Round to the nearest power of two within [lo, hi].
-std::size_t quantize_pow2(double value, std::size_t lo, std::size_t hi) {
-  if (value <= static_cast<double>(lo)) return lo;
-  if (value >= static_cast<double>(hi)) return hi;
-  std::size_t p = lo;
-  while (p < hi && static_cast<double>(p) * 1.5 < value) p <<= 1;
-  return std::min(p, hi);
-}
-
-/// Quantize a density threshold to 0.1-wide buckets in [0.1, 1.0] — the
-/// same buckets bench_abl_diff_threshold sweeps.
-double quantize_threshold(double t) {
-  const double q = std::round(t * 10.0) / 10.0;
-  return std::clamp(q, 0.1, 1.0);
 }
 
 }  // namespace
 
 Tuner::Tuner(const TunerConfig& cfg)
-    : cfg_(cfg), probe_(cfg.alpha), cur_(cfg.initial),
-      runs_per_page_(cfg.alpha) {
+    : cfg_(cfg), probe_(cfg.alpha), cur_(cfg.initial) {
   cur_.changed = 0;
   apply_pins();
 }
 
 void Tuner::apply_pins() {
-  if (cfg_.pin_whole_page_threshold >= 0.0)
-    cur_.whole_page_threshold = cfg_.pin_whole_page_threshold;
-  if (cfg_.pin_identity_fastpath >= 0)
-    cur_.identity_fastpath = cfg_.pin_identity_fastpath != 0;
   if (cfg_.pin_conv_threads >= 0)
     cur_.conv_threads =
         static_cast<std::uint32_t>(std::max(1, cfg_.pin_conv_threads));
-  if (cfg_.pin_parallel_grain >= 0)
-    cur_.parallel_grain = static_cast<std::size_t>(cfg_.pin_parallel_grain);
   if (cfg_.pin_merge_slack >= 0)
     cur_.merge_slack = std::min(static_cast<std::size_t>(cfg_.pin_merge_slack),
                                 cfg_.max_merge_slack);
@@ -73,80 +46,31 @@ void Tuner::mark_changed(std::uint32_t knob_bit) {
 
 const Decision& Tuner::step(const Signal& s) {
   probe_.observe(s);
-  if (s.has_collect() && s.dirty_pages != 0 && s.runs != 0)
-    runs_per_page_.update(static_cast<double>(s.runs) /
-                          static_cast<double>(s.dirty_pages));
 
   cur_.changed = 0;
   if (probe_.episodes() < cfg_.warmup) return cur_;
 
-  tune_threshold();
-  tune_fastpath();
   tune_lanes();
   tune_slack();
   tune_codec();
   return cur_;
 }
 
-void Tuner::tune_threshold() {
-  if (cfg_.pin_whole_page_threshold >= 0.0) return;
-  if (frozen(Decision::kThreshold)) return;
-  if (!runs_per_page_.seeded() || probe_.per_run_ns() <= 0.0) return;
-
-  const double byte_cost = probe_.pack_ns_per_byte() + cfg_.wire_ns_per_byte;
-  if (byte_cost <= 0.0) return;
-
-  // Shipping a page whole instead of r separate runs saves (r-1) per-run
-  // overheads but pays for the page's untouched bytes at the per-byte cost.
-  // Break-even density: 1 - (r-1)*per_run / (page * byte_cost).
-  const double r = std::max(1.0, runs_per_page_.value());
-  const double t_star =
-      1.0 - (r - 1.0) * probe_.per_run_ns() /
-                (static_cast<double>(cfg_.page_size) * byte_cost);
-  const double target = quantize_threshold(t_star);
-  if (std::abs(target - cur_.whole_page_threshold) >= 0.05) {
-    cur_.whole_page_threshold = target;
-    mark_changed(Decision::kThreshold);
-  }
-}
-
-void Tuner::tune_fastpath() {
-  if (cfg_.pin_identity_fastpath >= 0) return;
-  if (frozen(Decision::kFastpath)) return;
-
-  // Hysteresis band: engage at >= 0.5 identity traffic, release below 0.25.
-  const double rate = probe_.identity_rate();
-  if (!cur_.identity_fastpath && rate >= 0.5) {
-    cur_.identity_fastpath = true;
-    mark_changed(Decision::kFastpath);
-  } else if (cur_.identity_fastpath && rate < 0.25) {
-    cur_.identity_fastpath = false;
-    mark_changed(Decision::kFastpath);
-  }
-}
-
 void Tuner::tune_lanes() {
-  if (cfg_.pin_conv_threads >= 0 && cfg_.pin_parallel_grain >= 0) return;
+  if (cfg_.pin_conv_threads >= 0) return;
   if (cfg_.max_lanes <= 1) return;
-
-  const bool lanes_pinned = cfg_.pin_conv_threads >= 0;
-  const bool grain_pinned = cfg_.pin_parallel_grain >= 0;
+  if (frozen(Decision::kLanes)) return;
 
   // Bounded exploration: with only a sequential cost model and batches big
-  // enough to plausibly benefit, take the parallel path once to seed the
+  // enough to take the parallel path at all, take it once to seed the
   // parallel model.  Deterministic — fires exactly once.
-  if (!lanes_pinned && !explored_parallel_ && !probe_.has_par_model() &&
+  if (!explored_parallel_ && !probe_.has_par_model() &&
       probe_.has_seq_model() &&
-      probe_.bytes_per_episode() >= static_cast<double>(cfg_.min_grain) &&
-      !frozen(Decision::kLanes)) {
+      probe_.bytes_per_episode() >= static_cast<double>(kParallelGrain)) {
     explored_parallel_ = true;
     if (cur_.conv_threads <= 1) {
       cur_.conv_threads = cfg_.max_lanes;
       mark_changed(Decision::kLanes);
-    }
-    if (!grain_pinned && cur_.parallel_grain > cfg_.min_grain) {
-      cur_.parallel_grain = cfg_.min_grain;
-      mark_changed(Decision::kGrain);
     }
     return;
   }
@@ -157,30 +81,13 @@ void Tuner::tune_lanes() {
   const double cost_seq = b * probe_.seq_ns_per_byte();
   const double cost_par =
       b * probe_.par_ns_per_byte() + probe_.par_dispatch_ns();
-
-  if (!lanes_pinned && !frozen(Decision::kLanes)) {
-    if (cur_.conv_threads <= 1 && cost_par < cost_seq * (1.0 - cfg_.margin)) {
-      cur_.conv_threads = cfg_.max_lanes;
-      mark_changed(Decision::kLanes);
-    } else if (cur_.conv_threads > 1 &&
-               cost_seq < cost_par * (1.0 - cfg_.margin)) {
-      cur_.conv_threads = 1;
-      mark_changed(Decision::kLanes);
-    }
-  }
-
-  // Break-even batch size: below D / (c_seq - c_par) bytes the dispatch
-  // overhead eats the parallel speedup, so stay sequential under it.
-  if (!grain_pinned && !frozen(Decision::kGrain)) {
-    const double gain = probe_.seq_ns_per_byte() - probe_.par_ns_per_byte();
-    if (gain > 0.0 && probe_.par_dispatch_ns() > 0.0) {
-      const std::size_t target = quantize_pow2(
-          probe_.par_dispatch_ns() / gain, cfg_.min_grain, cfg_.max_grain);
-      if (target != cur_.parallel_grain) {
-        cur_.parallel_grain = target;
-        mark_changed(Decision::kGrain);
-      }
-    }
+  if (cur_.conv_threads <= 1 && cost_par < cost_seq * (1.0 - cfg_.margin)) {
+    cur_.conv_threads = cfg_.max_lanes;
+    mark_changed(Decision::kLanes);
+  } else if (cur_.conv_threads > 1 &&
+             cost_seq < cost_par * (1.0 - cfg_.margin)) {
+    cur_.conv_threads = 1;
+    mark_changed(Decision::kLanes);
   }
 }
 

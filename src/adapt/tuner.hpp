@@ -6,27 +6,20 @@
 // randomness — feeding a recorded signal trace back through a fresh Tuner
 // reproduces the decision trace bit-for-bit (tested in adapt_test.cpp).
 //
-// Four knobs are tuned online, each individually pinnable for A/B runs:
+// Three knobs are tuned online, each individually pinnable for A/B runs:
 //
-//   1. whole_page_threshold  diff-vs-whole-page transfer: a page whose dirty
-//                            density meets the threshold is shipped whole on
-//                            the (authoritative) barrier-release path.
-//   2. identity_fastpath     skip per-block tag parsing for senders whose
-//                            platform representation matches ours and whose
-//                            rows already validated as straight memcpy.
-//   3. conv_threads /        sequential vs parallel conversion, and the
-//      parallel_grain        batch size below which parallelism is not worth
-//                            the dispatch overhead.
-//   4. merge_slack           coalesce adjacent update runs when per-run
-//                            overhead dominates per-byte cost (bounded by
-//                            max_merge_slack; see docs/ADAPTIVITY.md for the
-//                            ownership-granularity safety argument).
-//   5. compress              predictive compression of update runs
-//                            (hdsm::codec, docs/COMPRESSION.md): engage when
-//                            encode cost + predicted wire cost at the link's
-//                            measured bandwidth beats raw wire cost.  Gated
-//                            by TunerConfig::enable_codec so sessions that
-//                            predate the knob see identical decisions.
+//   1. conv_threads    sequential vs parallel conversion; batches below
+//                      kParallelGrain stay sequential whatever the lanes.
+//   2. merge_slack     coalesce adjacent update runs when per-run overhead
+//                      dominates per-byte cost (bounded by max_merge_slack;
+//                      see docs/ADAPTIVITY.md for the ownership-granularity
+//                      safety argument).
+//   3. compress        predictive compression of update runs (hdsm::codec,
+//                      docs/COMPRESSION.md): engage when encode cost +
+//                      predicted wire cost at the link's measured bandwidth
+//                      beats raw wire cost.  Gated by
+//                      TunerConfig::enable_codec so sessions that predate
+//                      the knob see identical decisions.
 //
 // Hysteresis: after any knob changes, that knob is frozen for `dwell`
 // episodes, and cost-model comparisons must win by `margin` before a switch
@@ -40,32 +33,28 @@
 
 namespace hdsm::adapt {
 
+/// Minimum bytes of diff/conversion work before the worker pool engages;
+/// below it the sequential path runs (a single-run payload must not pay
+/// the dispatch cost).  Lane exploration waits for batches this large.
+inline constexpr std::size_t kParallelGrain = 64 * 1024;
+
 /// The tuner's current answer for every knob it owns.  `changed` carries
 /// which knobs moved in the step that produced this decision.
 struct Decision {
   enum Changed : std::uint32_t {
-    kThreshold = 1u << 0,
-    kFastpath = 1u << 1,
-    kLanes = 1u << 2,
-    kGrain = 1u << 3,
-    kSlack = 1u << 4,
-    kCodec = 1u << 5,
+    kLanes = 1u << 0,
+    kSlack = 1u << 1,
+    kCodec = 1u << 2,
   };
 
-  double whole_page_threshold = 1.0;  ///< density >= t -> ship page whole
-  bool identity_fastpath = false;     ///< memcpy shortcut for identical reps
   std::uint32_t conv_threads = 1;     ///< conversion lanes (1 = sequential)
-  std::size_t parallel_grain = 64 * 1024;  ///< min batch bytes to go parallel
   std::size_t merge_slack = 0;        ///< bytes of gap to coalesce across
   bool compress = false;              ///< run the update codec on pack
   std::uint32_t changed = 0;          ///< Changed bits for this step
 
   bool operator==(const Decision& o) const {
-    return whole_page_threshold == o.whole_page_threshold &&
-           identity_fastpath == o.identity_fastpath &&
-           conv_threads == o.conv_threads &&
-           parallel_grain == o.parallel_grain &&
-           merge_slack == o.merge_slack && compress == o.compress;
+    return conv_threads == o.conv_threads && merge_slack == o.merge_slack &&
+           compress == o.compress;
   }
 };
 
@@ -79,23 +68,19 @@ struct TunerConfig {
   // Episodes before the tuner may change anything at all.
   std::uint32_t warmup = 4;
 
-  // Environment / bounds.
-  std::uint64_t page_size = 4096;
+  // Bounds.
   std::uint32_t max_lanes = 4;
-  std::size_t min_grain = 4 * 1024;
-  std::size_t max_grain = 1024 * 1024;
   // Hard cap on adaptive coalescing: slack beyond the minimum ownership
   // granularity of concurrently-written pages would over-ship stale bytes
   // (see docs/ADAPTIVITY.md); one cache line is safe for our workloads.
   std::size_t max_merge_slack = 64;
   // Modeled cost of moving one extra payload byte across the wire, added to
-  // the measured pack cost when weighing whole-page promotion and slack.
-  // Also the codec knob's fallback link cost until a measured
-  // Signal::wire_ns/wire_bytes sample seeds the per-link model.
+  // the measured pack cost when weighing slack.  Also the codec knob's
+  // fallback link cost until a measured Signal::wire_ns/wire_bytes sample
+  // seeds the per-link model.
   double wire_ns_per_byte = 0.5;
-  // The sixth knob exists only when the shell opts in (SyncOptions::codec
-  // == Adaptive): off, tune_codec never runs and decisions are identical
-  // to a five-knob tuner fed the same signals.
+  // The codec knob exists only when the shell opts in (SyncOptions::codec
+  // == Adaptive): off, tune_codec never runs and compress never moves.
   bool enable_codec = false;
 
   // Initial knob values (what adaptive-off behavior would use).
@@ -103,10 +88,7 @@ struct TunerConfig {
 
   // Pins: a pinned knob keeps its pinned value forever (A/B isolation).
   // -1 = unpinned; for booleans 0/1 = force off/on.
-  double pin_whole_page_threshold = -1.0;
-  int pin_identity_fastpath = -1;
   int pin_conv_threads = -1;
-  long pin_parallel_grain = -1;
   long pin_merge_slack = -1;
   int pin_codec = -1;
 };
@@ -127,8 +109,6 @@ class Tuner {
 
  private:
   void apply_pins();
-  void tune_threshold();
-  void tune_fastpath();
   void tune_lanes();
   void tune_slack();
   void tune_codec();
@@ -138,10 +118,9 @@ class Tuner {
   TunerConfig cfg_;
   Probe probe_;
   Decision cur_;
-  Ewma runs_per_page_;
   std::uint64_t switches_ = 0;
   // Episode number at which each knob last changed (for dwell).
-  std::uint64_t last_change_[6] = {0, 0, 0, 0, 0, 0};
+  std::uint64_t last_change_[3] = {0, 0, 0};
   bool explored_parallel_ = false;  ///< one bounded exploration episode fired
   bool explored_codec_ = false;     ///< one codec exploration episode fired
 };

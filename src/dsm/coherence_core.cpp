@@ -441,7 +441,7 @@ void CoherenceCore::maybe_release_barrier(std::uint32_t index, Actions& out) {
     release_msg.rank = kMasterRank;
     release_msg.sender = cfg_.self;
     const std::size_t blocks = peer.pending.size();
-    release_msg.payload = codec_.pack_release(peer.pending);
+    release_msg.payload = codec_.pack(peer.pending);
     peer.pending.clear();
     trace(out, TraceEvent::Kind::UpdatesShipped, rank, index, blocks,
           release_msg.payload.size());

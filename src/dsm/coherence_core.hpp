@@ -54,17 +54,6 @@ class UpdateCodec {
   virtual std::vector<std::byte> pack(
       const std::vector<idx::UpdateRun>& runs) = 0;
 
-  /// Pack for a barrier release.  At this point every participant's
-  /// updates have merged into this node's image, so the image is
-  /// authoritative for whole pages — implementations may over-ship
-  /// (e.g. whole-page promotion when the adaptive tuner finds dense
-  /// pages); receivers apply releases onto a just-flushed interval.
-  /// Defaults to plain pack().
-  virtual std::vector<std::byte> pack_release(
-      const std::vector<idx::UpdateRun>& runs) {
-    return pack(runs);
-  }
-
   /// Decode a payload from `sender` and apply it to this node's image;
   /// returns the runs applied (for pending-set merging).
   virtual std::vector<idx::UpdateRun> apply(

@@ -42,16 +42,6 @@ std::vector<std::byte> ShardedHome::LockingCodec::pack(
   return out;
 }
 
-std::vector<std::byte> ShardedHome::LockingCodec::pack_release(
-    const std::vector<idx::UpdateRun>& runs) {
-  const auto t0 = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock(engine_mutex);
-  std::vector<std::byte> out =
-      engine.pack_payload(engine.promote_dense_runs(runs));
-  busy_ns.fetch_add(ns_since(t0), std::memory_order_relaxed);
-  return out;
-}
-
 std::vector<idx::UpdateRun> ShardedHome::LockingCodec::apply(
     const std::vector<std::byte>& payload, const msg::PlatformSummary& sender) {
   const auto t0 = std::chrono::steady_clock::now();

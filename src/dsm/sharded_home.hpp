@@ -231,8 +231,6 @@ class ShardedHome {
         : engine(e), engine_mutex(m), busy_ns(busy) {}
     std::vector<std::byte> pack(
         const std::vector<idx::UpdateRun>& runs) override;
-    std::vector<std::byte> pack_release(
-        const std::vector<idx::UpdateRun>& runs) override;
     std::vector<idx::UpdateRun> apply(
         const std::vector<std::byte>& payload,
         const msg::PlatformSummary& sender) override;

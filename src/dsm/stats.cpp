@@ -47,17 +47,16 @@ std::string ShareStats::to_string() const {
        << " reconnects=" << reconnects;
   }
   if (parallel_batches != 0 || plan_cache_hits != 0 ||
-      plan_cache_misses != 0) {
+      plan_cache_misses != 0 || fastpath_blocks != 0) {
     os << " par_batches=" << parallel_batches
        << " conv_threads=" << conv_threads
        << " plan_hits=" << plan_cache_hits
-       << " plan_misses=" << plan_cache_misses;
+       << " plan_misses=" << plan_cache_misses
+       << " fastpath_blocks=" << fastpath_blocks;
   }
   if (adapt_episodes != 0) {
     os << " adapt_episodes=" << adapt_episodes
-       << " adapt_switches=" << adapt_switches
-       << " page_promotions=" << whole_page_promotions
-       << " fastpath_blocks=" << fastpath_blocks;
+       << " adapt_switches=" << adapt_switches;
   }
   if (wrong_shard_redirects != 0 || pending_pulls != 0 ||
       region_migrations != 0) {

@@ -52,7 +52,6 @@ namespace hdsm::dsm {
   X(plan_cache_misses)             \
   X(adapt_episodes)                \
   X(adapt_switches)                \
-  X(whole_page_promotions)         \
   X(fastpath_blocks)               \
   X(wrong_shard_redirects)         \
   X(pending_pulls)                 \
@@ -108,10 +107,11 @@ struct ShareStats {
   // -- Adaptive policy engine (SyncOptions::adaptive, docs/ADAPTIVITY.md) --
   std::uint64_t adapt_episodes = 0;  ///< count: tuner steps (probe samples)
   std::uint64_t adapt_switches = 0;  ///< count: knob changes the tuner made
-  std::uint64_t whole_page_promotions = 0;  ///< count: pages shipped whole on
-                                            ///  the barrier-release path
   std::uint64_t fastpath_blocks = 0;  ///< count: blocks applied through the
-                                      ///  identity/memcpy fast path
+                                      ///  identity/memcpy fast path (the
+                                      ///  zero-copy Route::Memcpy apply),
+                                      ///  tuner on or off; listed here to
+                                      ///  keep its CSV column in place
 
   // -- Home directory / sharding (docs/SHARDING.md) --
   std::uint64_t wrong_shard_redirects = 0;  ///< count: stale-map requests

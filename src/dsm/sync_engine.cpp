@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -127,7 +126,6 @@ SyncEngine::SyncEngine(GlobalSpace& space, const SyncOptions& opts,
     : space_(space), opts_(opts), stats_(stats) {
   if (opts_.adaptive || opts_.codec == CodecMode::Adaptive) {
     adapt::TunerConfig cfg = opts_.tuner;
-    cfg.page_size = mem::Region::host_page_size();
     // Lanes the machine can actually run: exploring 4-way conversion on a
     // single hardware thread would pay the pool's dispatch cost with no
     // possible speedup, so the tuner's search space is clamped up front.
@@ -136,16 +134,12 @@ SyncEngine::SyncEngine(GlobalSpace& space, const SyncOptions& opts,
     // The tuner starts from the configured static behavior and moves the
     // knobs from there; its decisions then overwrite the live options.
     cfg.initial.conv_threads = effective_lanes();
-    cfg.initial.parallel_grain = opts_.parallel_grain;
     cfg.initial.merge_slack = std::min(opts_.merge_slack, cfg.max_merge_slack);
     cfg.enable_codec = opts_.codec == CodecMode::Adaptive;
     if (!opts_.adaptive) {
-      // Codec-only tuner (codec == Adaptive with `adaptive` off): pin every
-      // non-codec knob to the static options so only compress can move.
-      cfg.pin_whole_page_threshold = cfg.initial.whole_page_threshold;
-      cfg.pin_identity_fastpath = cfg.initial.identity_fastpath ? 1 : 0;
+      // Codec-only tuner (codec == Adaptive with `adaptive` off): pin the
+      // other knobs to the static options so only compress can move.
       cfg.pin_conv_threads = static_cast<int>(cfg.initial.conv_threads);
-      cfg.pin_parallel_grain = static_cast<long>(cfg.initial.parallel_grain);
       cfg.pin_merge_slack = static_cast<long>(cfg.initial.merge_slack);
     }
     tuner_ = std::make_unique<adapt::Tuner>(cfg);
@@ -157,13 +151,11 @@ SyncEngine::~SyncEngine() = default;
 
 void SyncEngine::apply_decision(const adapt::Decision& d) {
   opts_.conv_threads = std::max(1u, d.conv_threads);
-  opts_.parallel_grain = d.parallel_grain;
   opts_.merge_slack = d.merge_slack;
 }
 
-void SyncEngine::sample_episode(adapt::Signal& s) {
+void SyncEngine::sample_episode(const adapt::Signal& s) {
   if (tuner_ == nullptr) return;
-  s.page_size = mem::Region::host_page_size();
   const adapt::Decision& d = tuner_->step(s);
   ++stats_.adapt_episodes;
   const auto episode = static_cast<std::uint32_t>(tuner_->episodes());
@@ -175,10 +167,9 @@ void SyncEngine::sample_episode(adapt::Signal& s) {
   if (trace_ != nullptr) {
     // One event per affected subsystem, each in the same episode as (and
     // after) the ProbeSampled above — validator invariant 5.
-    if (d.changed & (adapt::Decision::kThreshold | adapt::Decision::kFastpath |
-                     adapt::Decision::kCodec))
+    if (d.changed & adapt::Decision::kCodec)
       trace_->append(TraceEvent::Kind::StrategySwitched, trace_rank_, episode);
-    if (d.changed & (adapt::Decision::kLanes | adapt::Decision::kGrain))
+    if (d.changed & adapt::Decision::kLanes)
       trace_->append(TraceEvent::Kind::LanesRetuned, trace_rank_, episode);
     if (d.changed & adapt::Decision::kSlack)
       trace_->append(TraceEvent::Kind::RunsCoalesced, trace_rank_, episode);
@@ -243,7 +234,7 @@ std::vector<idx::UpdateRun> SyncEngine::collect_runs() {
   std::vector<mem::ByteRange> ranges;
   const unsigned lanes = effective_lanes();
   if (lanes > 1 && dirty.size() > 1 &&
-      dirty.size() * ps >= opts_.parallel_grain) {
+      dirty.size() * ps >= adapt::kParallelGrain) {
     // Parallel diff: contiguous chunks of the (ascending) dirty-page list,
     // each scanned into its own range vector — every chunk alone satisfies
     // diff_bytes' ascending-order precondition — then concatenated in
@@ -275,18 +266,13 @@ std::vector<idx::UpdateRun> SyncEngine::collect_runs() {
   region.rearm();
   const std::uint64_t diff_ns = watch.lap();
   stats_.index_ns += diff_ns;
-  // One measurement, three consumers: the Eq.-1 bucket above, the obs span
-  // here, and the tuner signal below all see the same diff_ns.
+  // One measurement, two consumers: the Eq.-1 bucket above and the obs
+  // span here see the same diff_ns.
   obs_phase(obs::SpanKind::Diff, diff_ns, dirty.size());
 
-  if (tuner_ != nullptr) {
-    adapt::Signal s;
-    s.diff_ns = diff_ns;
-    s.dirty_pages = dirty.size();
-    for (const mem::ByteRange& r : ranges) s.diffed_bytes += r.end - r.begin;
-    s.runs = runs.size();
-    sample_episode(s);
-  }
+  // No model reads a collect episode's measurements, but the episode still
+  // counts toward the tuner's warmup and dwell windows.
+  sample_episode(adapt::Signal{});
   return runs;
 }
 
@@ -403,7 +389,6 @@ std::vector<std::byte> SyncEngine::pack_payload(
     s.pack_ns = pack_ns;
     s.runs = runs.size();
     s.bytes_packed = out.size();
-    s.objects = episode_objects;
     s.encode_ns = encode_ns;
     s.bytes_raw = bytes_raw;
     s.bytes_coded = bytes_coded;
@@ -420,11 +405,7 @@ bool SyncEngine::codec_engaged() const noexcept {
     case CodecMode::Forced:
       return true;
     case CodecMode::Adaptive:
-      // The identity/memcpy fast path bypasses the codec entirely: when
-      // the link's traffic is identical-representation memcpy, the receive
-      // side's zero-copy path matters more than wire bytes.
-      return tuner_ != nullptr && tuner_->decision().compress &&
-             !tuner_->decision().identity_fastpath;
+      return tuner_ != nullptr && tuner_->decision().compress;
   }
   return false;
 }
@@ -461,6 +442,7 @@ SyncEngine::ValidatedPayload SyncEngine::validate_payload(
   std::vector<BlockPlan>& plans = result.plans;
   std::uint64_t decode_ns = 0;
   std::uint64_t decoded_blocks = 0;
+  std::uint64_t memcpy_blocks = 0;
   plans.reserve(views.size());
   for (const UpdateBlockView& v : views) {
     if (v.row >= table.rows().size()) {
@@ -471,50 +453,36 @@ SyncEngine::ValidatedPayload SyncEngine::validate_payload(
       throw std::runtime_error("update block targets a padding row");
     }
 
+    // The paper's shortcut (§4, "a string comparison to ensure identical
+    // tags") is the plan-cache hit: every block's tag is either compared
+    // against the cached text or parsed, never skipped.
     RowPlan& rp = cache.rows[v.row];
-    std::uint64_t count = 0;
-    // Identity fast path (adaptive decision 2): once a (sender, row) pair
-    // has validated as a straight memcpy of same-size non-pointer elements
-    // (so rp.is_pointer == row.is_pointer() held when the plan was cached),
-    // the element count follows from the byte length alone — the tag
-    // compare and parse are pure overhead.  Bounds still checked below.
-    const bool fastpath =
-        !v.compressed &&
-        tuner_ != nullptr && tuner_->decision().identity_fastpath &&
-        rp.valid && rp.route == conv::Route::Memcpy && !rp.is_pointer &&
-        rp.elem_size == row.size && row.size != 0 &&
-        v.data_len % row.size == 0;
-    if (fastpath) {
-      count = v.data_len / row.size;
-      ++stats_.fastpath_blocks;
+    const bool hit = opts_.plan_cache && rp.valid && rp.tag_text == v.tag;
+    if (hit) {
+      ++stats_.plan_cache_hits;
     } else {
-      const bool hit = opts_.plan_cache && rp.valid && rp.tag_text == v.tag;
-      if (hit) {
-        ++stats_.plan_cache_hits;
-      } else {
-        const ParsedRunTag parsed = parse_run_tag(v.tag, opts_.binary_tags);
-        if (opts_.plan_cache) ++stats_.plan_cache_misses;
-        // The route depends only on (sender rep, row) facts, not the count,
-        // so it survives tag changes that merely re-run a different span.
-        if (!rp.valid || rp.elem_size != parsed.elem_size) {
-          rp.route = conv::plan_route(parsed.elem_size, cache.sender_platform,
-                                      row.size, my_platform, row.cat, row.kind,
-                                      opts_.bulk_swap_fastpath,
-                                      /*has_translator=*/false);
-        }
-        rp.valid = true;
-        rp.tag_text.assign(v.tag);
-        rp.elem_size = parsed.elem_size;
-        rp.count = parsed.count;
-        rp.is_pointer = parsed.is_pointer;
+      const ParsedRunTag parsed = parse_run_tag(v.tag, opts_.binary_tags);
+      if (opts_.plan_cache) ++stats_.plan_cache_misses;
+      // The route depends only on (sender rep, row) facts, not the count,
+      // so it survives tag changes that merely re-run a different span.
+      if (!rp.valid || rp.elem_size != parsed.elem_size) {
+        rp.route = conv::plan_route(parsed.elem_size, cache.sender_platform,
+                                    row.size, my_platform, row.cat, row.kind,
+                                    opts_.bulk_swap_fastpath,
+                                    /*has_translator=*/false);
       }
-
-      if (rp.is_pointer != row.is_pointer()) {
-        rp.valid = false;  // don't cache a plan that failed validation
-        throw std::runtime_error("update tag pointer-ness mismatch");
-      }
-      count = rp.count;
+      rp.valid = true;
+      rp.tag_text.assign(v.tag);
+      rp.elem_size = parsed.elem_size;
+      rp.count = parsed.count;
+      rp.is_pointer = parsed.is_pointer;
     }
+
+    if (rp.is_pointer != row.is_pointer()) {
+      rp.valid = false;  // don't cache a plan that failed validation
+      throw std::runtime_error("update tag pointer-ness mismatch");
+    }
+    const std::uint64_t count = rp.count;
     if (count > row.element_count() ||
         v.first_elem > row.element_count() - count) {
       rp.valid = false;
@@ -552,7 +520,7 @@ SyncEngine::ValidatedPayload SyncEngine::validate_payload(
       result.scratch.push_back(std::move(buf));
     }
     const bool len_ok =
-        fastpath || v.compressed ||  // decode_run pinned len to the tag
+        v.compressed ||  // decode_run pinned len to the tag
         (count == 0
              ? v.data_len == 0
              : rp.elem_size != 0 && v.data_len % rp.elem_size == 0 &&
@@ -577,7 +545,9 @@ SyncEngine::ValidatedPayload SyncEngine::validate_payload(
     p.run.first_elem = v.first_elem;
     p.run.count = count;
     plans.push_back(p);
+    if (!v.compressed && rp.route == conv::Route::Memcpy) ++memcpy_blocks;
   }
+  stats_.fastpath_blocks += memcpy_blocks;
   if (decoded_blocks != 0) {
     stats_.codec_decoded_blocks += decoded_blocks;
     stats_.codec_decode_ns += decode_ns;
@@ -634,7 +604,7 @@ unsigned SyncEngine::execute_plans(const std::vector<BlockPlan>& plans,
 
   const unsigned lanes = effective_lanes();
   const bool parallel = lanes > 1 && plans.size() > 1 &&
-                        total >= opts_.parallel_grain && !plans_overlap();
+                        total >= adapt::kParallelGrain && !plans_overlap();
   if (!parallel) {
     std::vector<std::byte> scratch;
     for (const BlockPlan& p : plans) apply_one(p, scratch);
@@ -675,44 +645,23 @@ unsigned SyncEngine::execute_plans(const std::vector<BlockPlan>& plans,
   return static_cast<unsigned>(chunks.size());
 }
 
-void SyncEngine::sample_apply(const std::vector<BlockPlan>& plans,
-                              unsigned lanes_used, std::uint64_t unpack_ns,
-                              std::uint64_t conv_ns,
-                              std::uint64_t hits_before,
-                              std::uint64_t misses_before) {
-  if (tuner_ == nullptr || plans.empty()) return;
-  adapt::Signal s;
-  s.unpack_ns = unpack_ns;
-  s.conv_ns = conv_ns;
-  s.blocks = plans.size();
-  bool identity = true;
-  for (const BlockPlan& p : plans) {
-    s.bytes_applied += p.dst_len;
-    if (p.route != conv::Route::Memcpy || p.src_elem != p.dst_elem) {
-      identity = false;
-    }
-  }
-  s.plan_hits = stats_.plan_cache_hits - hits_before;
-  s.plan_misses = stats_.plan_cache_misses - misses_before;
-  s.identity_sender = identity;
-  s.parallel = lanes_used > 1;
-  s.lanes_used = lanes_used;
-  sample_episode(s);
-}
-
-std::vector<idx::UpdateRun> SyncEngine::apply_payload(
+std::vector<idx::UpdateRun> SyncEngine::apply_episode(
     const std::vector<std::byte>& payload,
-    const msg::PlatformSummary& sender) {
+    const msg::PlatformSummary& sender, bool bulk) {
   // t_unpack: decode the payload, parse tags (plan cache), validate all
-  // (compressed blocks decompress into `validated.scratch` here).
+  // (compressed blocks decompress into `validated.scratch` here).  A
+  // malformed payload throws before the bulk window below ever opens.
   StopWatch watch;
-  const std::uint64_t hits0 = stats_.plan_cache_hits;
-  const std::uint64_t misses0 = stats_.plan_cache_misses;
   const ValidatedPayload validated = validate_payload(payload, sender);
   const std::vector<BlockPlan>& plans = validated.plans;
   const std::uint64_t unpack_ns = watch.lap();
   stats_.unpack_ns += unpack_ns;
   obs_phase(obs::SpanKind::Unpack, unpack_ns, plans.size());
+
+  mem::TrackedRegion& region = space_.region();
+  const bool was_tracking = bulk && region.tracking();
+  if (was_tracking) region.unprotect_for_apply();
+  RearmGuard rearm(was_tracking ? &region : nullptr);
 
   // t_conv: convert (or memcpy) each planned block into this node's image.
   const unsigned lanes_used = execute_plans(plans, sender);
@@ -722,48 +671,33 @@ std::vector<idx::UpdateRun> SyncEngine::apply_payload(
 
   std::vector<idx::UpdateRun> applied;
   applied.reserve(plans.size());
+  adapt::Signal s;
   for (const BlockPlan& p : plans) {
     stats_.update_bytes_received += p.src_len;
     ++stats_.updates_received;
+    s.bytes_applied += p.dst_len;
     applied.push_back(p.run);
   }
-  sample_apply(plans, lanes_used, unpack_ns, conv_ns, hits0, misses0);
+  if (!plans.empty()) {
+    s.conv_ns = conv_ns;
+    s.blocks = plans.size();
+    s.parallel = lanes_used > 1;
+    s.lanes_used = lanes_used;
+    sample_episode(s);
+  }
   return applied;
+}
+
+std::vector<idx::UpdateRun> SyncEngine::apply_payload(
+    const std::vector<std::byte>& payload,
+    const msg::PlatformSummary& sender) {
+  return apply_episode(payload, sender, /*bulk=*/false);
 }
 
 std::vector<idx::UpdateRun> SyncEngine::apply_payload_bulk(
     const std::vector<std::byte>& payload,
     const msg::PlatformSummary& sender) {
-  // Validate before the window opens: a malformed payload throws here and
-  // the region protection is never touched at all.
-  StopWatch watch;
-  const std::uint64_t hits0 = stats_.plan_cache_hits;
-  const std::uint64_t misses0 = stats_.plan_cache_misses;
-  const ValidatedPayload validated = validate_payload(payload, sender);
-  const std::vector<BlockPlan>& plans = validated.plans;
-  const std::uint64_t unpack_ns = watch.lap();
-  stats_.unpack_ns += unpack_ns;
-  obs_phase(obs::SpanKind::Unpack, unpack_ns, plans.size());
-
-  mem::TrackedRegion& region = space_.region();
-  const bool was_tracking = region.tracking();
-  if (was_tracking) region.unprotect_for_apply();
-  RearmGuard rearm(was_tracking ? &region : nullptr);
-
-  const unsigned lanes_used = execute_plans(plans, sender);
-  const std::uint64_t conv_ns = watch.lap();
-  stats_.conv_ns += conv_ns;
-  obs_phase(obs::SpanKind::Convert, conv_ns, plans.size());
-
-  std::vector<idx::UpdateRun> applied;
-  applied.reserve(plans.size());
-  for (const BlockPlan& p : plans) {
-    stats_.update_bytes_received += p.src_len;
-    ++stats_.updates_received;
-    applied.push_back(p.run);
-  }
-  sample_apply(plans, lanes_used, unpack_ns, conv_ns, hits0, misses0);
-  return applied;
+  return apply_episode(payload, sender, /*bulk=*/true);
 }
 
 std::vector<idx::UpdateRun> SyncEngine::full_image_runs(
@@ -779,69 +713,6 @@ std::vector<idx::UpdateRun> SyncEngine::full_image_runs(
     runs.push_back(run);
   }
   return runs;
-}
-
-std::vector<idx::UpdateRun> SyncEngine::promote_dense_runs(
-    const std::vector<idx::UpdateRun>& runs) {
-  if (tuner_ == nullptr || runs.empty()) return runs;
-  const double threshold = tuner_->decision().whole_page_threshold;
-  if (threshold >= 1.0) return runs;
-
-  const idx::IndexTable& table = space_.table();
-  const std::size_t ps = mem::Region::host_page_size();
-  const std::uint64_t image_size = table.image_size();
-
-  // Runs -> sorted disjoint byte ranges.
-  std::vector<mem::ByteRange> ranges;
-  ranges.reserve(runs.size());
-  for (const idx::UpdateRun& run : runs) {
-    const std::uint64_t off = idx::run_offset(table, run);
-    const std::uint64_t len = idx::run_byte_length(table, run);
-    if (len == 0) continue;
-    ranges.push_back({static_cast<std::size_t>(off),
-                      static_cast<std::size_t>(off + len)});
-  }
-  if (ranges.empty()) return runs;
-  std::sort(ranges.begin(), ranges.end(),
-            [](const mem::ByteRange& a, const mem::ByteRange& b) {
-              return a.begin < b.begin;
-            });
-  mem::coalesce_ranges(ranges, 0);
-
-  // Dirty-byte coverage per page.
-  std::map<std::size_t, std::size_t> covered;
-  for (const mem::ByteRange& r : ranges) {
-    for (std::size_t page = r.begin / ps; page * ps < r.end; ++page) {
-      const std::size_t lo = std::max(r.begin, page * ps);
-      const std::size_t hi = std::min(r.end, (page + 1) * ps);
-      covered[page] += hi - lo;
-    }
-  }
-
-  // Pages dense enough get their whole span shipped; the home image is
-  // authoritative here, so the extra (unchanged-at-home) bytes are the
-  // merged truth, not stale data.
-  bool any = false;
-  for (const auto& [page, bytes] : covered) {
-    const std::size_t base = page * ps;
-    const std::size_t span =
-        std::min(ps, static_cast<std::size_t>(image_size) - base);
-    if (bytes >= span) continue;  // already fully covered
-    if (static_cast<double>(bytes) >=
-        threshold * static_cast<double>(span)) {
-      ranges.push_back({base, base + span});
-      ++stats_.whole_page_promotions;
-      any = true;
-    }
-  }
-  if (!any) return runs;
-
-  std::sort(ranges.begin(), ranges.end(),
-            [](const mem::ByteRange& a, const mem::ByteRange& b) {
-              return a.begin < b.begin;
-            });
-  mem::coalesce_ranges(ranges, 0);
-  return idx::map_ranges_to_runs(table, ranges, opts_.coalesce_runs);
 }
 
 void merge_runs(std::vector<idx::UpdateRun>& into,

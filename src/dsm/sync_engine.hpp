@@ -40,8 +40,8 @@ namespace hdsm::dsm {
 enum class CodecMode {
   Off,       ///< never encode — byte-identical to the pre-codec wire
   Forced,    ///< encode every eligible run (A/B benches, fault suites)
-  Adaptive,  ///< sixth tuner knob: engage per link when the EWMA cost
-             ///  model says encode + compressed wire beats raw wire
+  Adaptive,  ///< tuner's compress knob: engage per link when the EWMA
+             ///  cost model says encode + compressed wire beats raw wire
 };
 
 /// Knobs for the data plane (diff/tag/pack/unpack/convert pipeline),
@@ -66,12 +66,9 @@ struct SyncOptions {
   /// Worker lanes for dirty-page diffing and per-block conversion.
   /// 0 = auto (hardware_concurrency, capped at 4); 1 = the sequential
   /// path, kept selectable for A/B benching; N > 1 = N-way (the calling
-  /// thread is one lane, N-1 pool threads are spawned lazily).
+  /// thread is one lane, N-1 pool threads are spawned lazily).  Batches
+  /// below adapt::kParallelGrain bytes run sequentially whatever the lanes.
   unsigned conv_threads = 0;
-  /// Minimum bytes of diff/conversion work before the pool engages; below
-  /// it the sequential path runs (a single-run payload must not pay the
-  /// dispatch cost).
-  std::size_t parallel_grain = 64 * 1024;
   /// Cache tag-parse + conversion-route decisions per (sender platform,
   /// row), so repeated blocks of the same row skip the parse (off = the
   /// 2006 once-per-block behaviour, for the ablation bench).
@@ -79,30 +76,28 @@ struct SyncOptions {
 
   // -- Adaptive policy engine (docs/ADAPTIVITY.md) --
 
-  /// Drive conv_threads / parallel_grain / merge_slack plus whole-page
-  /// promotion and the identity fast path from an online adapt::Tuner
-  /// instead of the static values above.  Off = today's exact behavior
-  /// (no tuner is constructed, no probe runs, no trace events).
+  /// Drive conv_threads / merge_slack from an online adapt::Tuner instead
+  /// of the static values above.  Off = today's exact behavior (no tuner
+  /// is constructed, no probe runs, no trace events).
   bool adaptive = false;
   /// Tuner configuration when `adaptive` is on: EWMA smoothing, hysteresis
   /// (dwell + margin), bounds, and per-knob pins for A/B isolation.  The
-  /// tuner's starting point for conv_threads / parallel_grain / merge_slack
-  /// is seeded from the static fields above.
+  /// tuner's starting point for conv_threads / merge_slack is seeded from
+  /// the static fields above.
   adapt::TunerConfig tuner;
 
   // -- Predictive update codec (hdsm::codec, docs/COMPRESSION.md) --
 
   /// Compression of update-run payloads.  Off is byte-identical on the wire
   /// to builds that predate the codec.  Adaptive constructs a tuner even
-  /// when `adaptive` is off — but with every non-codec knob pinned to the
-  /// static options, so only the compress decision moves.
+  /// when `adaptive` is off — but with conv_threads and merge_slack pinned
+  /// to the static options, so only the compress decision moves.
   CodecMode codec = CodecMode::Off;
 };
 
 /// Update runs produced by the object-granularity path (docs/OBJECTS.md):
 /// the element runs covering exactly the dirty objects, plus how many
-/// objects those runs cover — the per-episode object count the adaptive
-/// tuner folds into its cost models (adapt::Signal::objects).
+/// objects those runs cover (the per-node object ShareStats counters).
 struct ObjectRuns {
   std::vector<idx::UpdateRun> runs;
   std::uint64_t objects = 0;
@@ -121,8 +116,7 @@ class SyncEngine {
 
   /// Diff the tracked region against its twins and map the changes to
   /// element runs (t_index).  Restarts the tracking interval.  Dirty sets
-  /// past SyncOptions::parallel_grain are partitioned across the worker
-  /// pool.
+  /// past adapt::kParallelGrain are partitioned across the worker pool.
   std::vector<idx::UpdateRun> collect_runs();
 
   /// Tag (t_tag) and pack (t_pack) runs directly into one wire payload: a
@@ -160,15 +154,6 @@ class SyncEngine {
   static std::vector<idx::UpdateRun> full_image_runs(
       const idx::IndexTable& table);
 
-  /// Diff-vs-whole-page promotion (adaptive decision 1): expand runs on
-  /// pages whose dirty density meets the tuner's threshold to cover the
-  /// page completely.  Only safe where this node's image is authoritative
-  /// for the whole page — the barrier-release path at the home node after
-  /// all updates merged (see docs/ADAPTIVITY.md) — which is the only call
-  /// site.  Identity when the tuner is off or the threshold is 1.0.
-  std::vector<idx::UpdateRun> promote_dense_runs(
-      const std::vector<idx::UpdateRun>& runs);
-
   /// Emit adaptive decision events (ProbeSampled, StrategySwitched, ...)
   /// into `log` as this `rank`.  Null detaches.
   void set_trace(TraceLog* log, std::uint32_t rank) noexcept {
@@ -177,9 +162,9 @@ class SyncEngine {
   }
 
   /// Attach telemetry (docs/OBSERVABILITY.md): every Eq.-1 phase the
-  /// engine times — the same measurement that feeds ShareStats and the
-  /// adaptive tuner's Signal — is also recorded as an obs span and phase
-  /// histogram.  Null (the default) detaches; the off path is one null
+  /// engine times — the same measurement that feeds ShareStats (and, for
+  /// pack and convert, the adaptive tuner's Signal) — is also recorded as
+  /// an obs span and phase histogram.  Null (the default) detaches; the off path is one null
   /// check per phase.  Call before the first collect/apply: the worker
   /// pool captures the pointer when it spawns.
   void set_obs(obs::Telemetry* telemetry) noexcept { obs_ = telemetry; }
@@ -192,10 +177,10 @@ class SyncEngine {
   const adapt::Tuner* tuner() const noexcept { return tuner_.get(); }
 
   /// Object-granularity episodes (docs/OBJECTS.md): the shell stages the
-  /// number of dirty objects the next pack_payload call ships; the pack
-  /// episode's adapt::Signal carries it as `objects` and the per-node
-  /// ShareStats object counters advance.  Consumed (reset to zero) by that
-  /// pack; a no-op for the page-mode path, which never stages.
+  /// number of dirty objects the next pack_payload call ships, and the
+  /// per-node ShareStats object counters advance by it.  Consumed (reset to
+  /// zero) by that pack; a no-op for the page-mode path, which never
+  /// stages.
   void stage_episode_objects(std::uint64_t objects) noexcept {
     staged_objects_ = objects;
   }
@@ -242,12 +227,14 @@ class SyncEngine {
                          const msg::PlatformSummary& sender);
   /// Feed one episode's measurements to the tuner and act on its decision
   /// (no-op when the tuner is off).
-  void sample_episode(adapt::Signal& s);
-  /// Build + sample the apply-side episode signal (no-op when off).
-  void sample_apply(const std::vector<BlockPlan>& plans, unsigned lanes_used,
-                    std::uint64_t unpack_ns, std::uint64_t conv_ns,
-                    std::uint64_t hits_before, std::uint64_t misses_before);
-  /// Copy a tuner decision into the live options (lanes, grain, slack).
+  void sample_episode(const adapt::Signal& s);
+  /// The one body behind apply_payload and apply_payload_bulk: validate,
+  /// execute (with `bulk`, inside the unprotected window), account, and
+  /// sample the apply episode.
+  std::vector<idx::UpdateRun> apply_episode(
+      const std::vector<std::byte>& payload,
+      const msg::PlatformSummary& sender, bool bulk);
+  /// Copy a tuner decision into the live options (lanes, slack).
   void apply_decision(const adapt::Decision& d);
   /// Plan cache lookup for `sender` (creates the per-sender table).
   SenderPlanCache& cache_for(const msg::PlatformSummary& sender);

@@ -39,8 +39,8 @@ struct TraceEvent {
     // carries the tuner's episode number; decision events must follow a
     // ProbeSampled from the same rank in the same episode (invariant 5).
     ProbeSampled,      ///< the tuner folded one episode's signal in
-    StrategySwitched,  ///< diff-vs-whole-page or identity-fastpath changed
-    LanesRetuned,      ///< conv_threads / parallel_grain changed
+    StrategySwitched,  ///< the codec (compress) decision changed
+    LanesRetuned,      ///< conv_threads changed
     RunsCoalesced,     ///< adaptive merge_slack changed
     // Telemetry events (see docs/OBSERVABILITY.md).  Bookkeeping like the
     // reliability events: lifecycle-exempt, no protocol invariants.
@@ -106,10 +106,11 @@ class TraceLog {
 ///   4. Idempotency: UpdatesApplied events carrying a request sequence
 ///      number (req != 0) are strictly increasing per rank — the same
 ///      request's payload is never applied twice.
-///   5. Adaptive causality: a decision event (StrategySwitched,
-///      LanesRetuned, RunsCoalesced) is always preceded by a ProbeSampled
-///      from the same rank carrying the same episode number (sync_id) —
-///      the tuner never switches strategy without having sampled first.
+///   5. Adaptive causality: a decision event (StrategySwitched for the
+///      codec, LanesRetuned for conv_threads, RunsCoalesced for
+///      merge_slack) is always preceded by a ProbeSampled from the same
+///      rank carrying the same episode number (sync_id) — the tuner never
+///      moves a knob without having sampled first.
 ///      Adaptive events are lifecycle-exempt like reliability bookkeeping:
 ///      a detached remote's final collect may still sample its tuner.
 std::optional<std::string> validate_trace(

@@ -1,7 +1,7 @@
 // Deterministic pure-core tests for the adaptive policy engine: EWMA/probe
 // math, warmup, pins, hysteresis (no flapping on an oscillating signal),
-// the lanes/slack/threshold decision rules, and seeded replay (the same
-// signal trace always reproduces the same decision trace).  No I/O, no
+// the lanes/slack/codec decision rules, and seeded replay (the same signal
+// trace always reproduces the same decision trace).  No I/O, no
 // threads, no clocks — everything here is a function of the inputs.
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "adapt/probe.hpp"
 #include "adapt/signal.hpp"
 #include "adapt/tuner.hpp"
-#include "baseline/page_dsm.hpp"
 
 namespace adapt = hdsm::adapt;
 
@@ -27,15 +26,23 @@ adapt::TunerConfig fast_cfg() {
   return cfg;
 }
 
-/// Apply-side episode with an identity (or not) sender.
-adapt::Signal apply_signal(bool identity, std::uint64_t bytes = 512) {
+/// Sequential apply-side episode moving `bytes`.
+adapt::Signal apply_signal(std::uint64_t bytes = 512) {
   adapt::Signal s;
   s.blocks = 4;
   s.bytes_applied = bytes;
-  s.unpack_ns = 1000;
   s.conv_ns = 2000;
-  s.identity_sender = identity;
   s.lanes_used = 1;
+  return s;
+}
+
+/// Pack episode whose per-run overhead dwarfs its byte cost (5000 ns per
+/// run vs 50 ns/B): the slack rule wants the full max_merge_slack.
+adapt::Signal costly_runs_signal() {
+  adapt::Signal s;
+  s.pack_ns = 100000;
+  s.runs = 10;
+  s.bytes_packed = 1000;
   return s;
 }
 
@@ -55,15 +62,15 @@ TEST(Ewma, SeedsOnFirstSampleThenSmooths) {
 TEST(Probe, FieldGroupsFoldIndependently) {
   adapt::Probe p(0.5);
 
-  // Pack-only episode: diff and apply models untouched.
+  // Pack-only episode: apply models untouched.
   adapt::Signal pack;
   pack.pack_ns = 1000;
   pack.runs = 10;
   pack.bytes_packed = 1000;
   p.observe(pack);
-  EXPECT_GT(p.per_run_ns(), 0.0);
+  const double per_run = p.per_run_ns();
+  EXPECT_GT(per_run, 0.0);
   EXPECT_GT(p.pack_ns_per_byte(), 0.0);
-  EXPECT_DOUBLE_EQ(p.diff_ns_per_byte(), 0.0);
   EXPECT_FALSE(p.has_seq_model());
 
   // Apply-only episode: seq conversion model seeds, pack models unchanged.
@@ -71,55 +78,17 @@ TEST(Probe, FieldGroupsFoldIndependently) {
   apply.blocks = 2;
   apply.bytes_applied = 100;
   apply.conv_ns = 500;
-  apply.plan_hits = 3;
-  apply.plan_misses = 1;
   p.observe(apply);
   EXPECT_TRUE(p.has_seq_model());
   EXPECT_DOUBLE_EQ(p.seq_ns_per_byte(), 5.0);
-  EXPECT_DOUBLE_EQ(p.plan_hit_rate(), 0.75);
+  EXPECT_DOUBLE_EQ(p.per_run_ns(), per_run);
   EXPECT_EQ(p.episodes(), 2u);
 
-  // Collect-only episode: diff cost + density.
-  adapt::Signal coll;
-  coll.dirty_pages = 2;
-  coll.diff_ns = 8192;
-  coll.diffed_bytes = 4096;
-  coll.page_size = 4096;
-  p.observe(coll);
-  EXPECT_DOUBLE_EQ(p.diff_ns_per_byte(), 1.0);
-  EXPECT_DOUBLE_EQ(p.density(), 0.5);
-}
-
-TEST(Probe, ObjectEpisodesFoldWithoutPageDrag) {
-  adapt::Probe p(0.5);
-  EXPECT_FALSE(p.has_object_model());
-
-  // A page-granularity episode (objects == 0) must not seed the object
-  // model...
-  adapt::Signal page;
-  page.dirty_pages = 2;
-  page.diff_ns = 100;
-  page.diffed_bytes = 100;
-  page.page_size = 4096;
-  p.observe(page);
-  EXPECT_FALSE(p.has_object_model());
-
-  // ...an object-mode episode seeds it...
-  adapt::Signal objs;
-  objs.objects = 8;
-  p.observe(objs);
-  EXPECT_TRUE(p.has_object_model());
-  EXPECT_DOUBLE_EQ(p.objects_per_episode(), 8.0);
-
-  // ...later object episodes smooth it (alpha 0.5)...
-  objs.objects = 16;
-  p.observe(objs);
-  EXPECT_DOUBLE_EQ(p.objects_per_episode(), 12.0);
-
-  // ...and interleaved page episodes leave it untouched instead of
-  // dragging the mean toward zero.
-  p.observe(page);
-  EXPECT_DOUBLE_EQ(p.objects_per_episode(), 12.0);
+  // An episode with no measurement (a collect) counts, and moves nothing.
+  p.observe(adapt::Signal{});
+  EXPECT_EQ(p.episodes(), 3u);
+  EXPECT_DOUBLE_EQ(p.per_run_ns(), per_run);
+  EXPECT_DOUBLE_EQ(p.seq_ns_per_byte(), 5.0);
 }
 
 TEST(Tuner, WarmupFreezesAllDecisions) {
@@ -128,36 +97,45 @@ TEST(Tuner, WarmupFreezesAllDecisions) {
   cfg.dwell = 1;
   adapt::Tuner t(cfg);
   for (int i = 0; i < 4; ++i) {
-    const adapt::Decision& d = t.step(apply_signal(/*identity=*/true));
+    const adapt::Decision& d = t.step(costly_runs_signal());
     EXPECT_EQ(d.changed, 0u) << "episode " << i;
-    EXPECT_FALSE(d.identity_fastpath);
+    EXPECT_EQ(d.merge_slack, 0u);
   }
-  // Episode 5 reaches warmup; identity rate is pegged at 1.0 by now.
-  const adapt::Decision& d = t.step(apply_signal(true));
-  EXPECT_TRUE(d.identity_fastpath);
-  EXPECT_TRUE(d.changed & adapt::Decision::kFastpath);
+  // Episode 5 reaches warmup; the per-run model has wanted slack all along.
+  const adapt::Decision& d = t.step(costly_runs_signal());
+  EXPECT_EQ(d.merge_slack, cfg.max_merge_slack);
+  EXPECT_TRUE(d.changed & adapt::Decision::kSlack);
 }
 
 TEST(Tuner, PinnedKnobsNeverMove) {
   adapt::TunerConfig cfg = fast_cfg();
-  cfg.pin_identity_fastpath = 0;
+  cfg.enable_codec = true;
   cfg.pin_conv_threads = 2;
   cfg.pin_merge_slack = 0;
+  cfg.pin_codec = 0;
   adapt::Tuner t(cfg);
   EXPECT_EQ(t.decision().conv_threads, 2u);
+  // Each episode would move every unpinned knob: a big sequential batch
+  // (lane exploration), costly runs (slack), and raw bytes with no codec
+  // model yet (codec exploration).
+  adapt::Signal s = costly_runs_signal();
+  s.blocks = 4;
+  s.bytes_applied = 200000;
+  s.conv_ns = 2000000;
+  s.bytes_raw = 100000;
   for (int i = 0; i < 50; ++i) {
-    const adapt::Decision& d = t.step(apply_signal(true, 200000));
-    EXPECT_FALSE(d.identity_fastpath);
+    const adapt::Decision& d = t.step(s);
     EXPECT_EQ(d.conv_threads, 2u);
     EXPECT_EQ(d.merge_slack, 0u);
-    EXPECT_EQ(d.changed & adapt::Decision::kFastpath, 0u);
-    EXPECT_EQ(d.changed & adapt::Decision::kLanes, 0u);
+    EXPECT_FALSE(d.compress);
+    EXPECT_EQ(d.changed, 0u);
   }
+  EXPECT_EQ(t.switches(), 0u);
 }
 
 TEST(Tuner, CodecKnobGatedByEnableFlag) {
   // Sessions that never opt in (codec != Adaptive) must see the exact
-  // pre-codec five-knob decision trace: no exploration, no kCodec bit.
+  // pre-codec decision trace: no exploration, no kCodec bit.
   adapt::Tuner t(fast_cfg());
   adapt::Signal s;
   s.pack_ns = 1000;
@@ -235,16 +213,31 @@ TEST(Tuner, CodecPinNeverMoves) {
 }
 
 TEST(Tuner, NoFlappingOnOscillatingSignal) {
-  // Identity traffic alternating every episode: the EWMA hovers around
-  // 0.5, so without hysteresis the fast path would toggle constantly.
-  // With the engage>=0.5 / release<0.25 band it changes at most once.
-  adapt::Tuner t(adapt::TunerConfig{});  // default warmup/dwell
-  std::uint64_t fastpath_changes = 0;
+  // Codec episodes at 1 ns/B encode and 4x compression over a link whose
+  // measured cost alternates 0.83 / 1.83 ns/B.  The link EWMA hovers
+  // around 1.33 ns/B, exactly where encode + ratio * link == link, so
+  // without hysteresis compress would toggle every dwell window.  The 20%
+  // margin puts the engage edge at 1.82 and the release edge at 1.0, and
+  // the knob changes at most once.
+  adapt::TunerConfig cfg;  // default warmup/dwell/margin
+  cfg.enable_codec = true;
+  adapt::Tuner t(cfg);
+  adapt::Signal s;
+  s.pack_ns = 1000;
+  s.runs = 4;
+  s.bytes_packed = 100000;
+  s.bytes_raw = 100000;
+  s.codec_on = true;
+  s.encode_ns = 100000;
+  s.bytes_coded = 25000;
+  s.wire_bytes = 24000;
+  std::uint64_t codec_changes = 0;
   for (int i = 0; i < 200; ++i) {
-    const adapt::Decision& d = t.step(apply_signal(i % 2 == 0));
-    if (d.changed & adapt::Decision::kFastpath) ++fastpath_changes;
+    s.wire_ns = i % 2 == 0 ? 20000 : 44000;
+    const adapt::Decision& d = t.step(s);
+    if (d.changed & adapt::Decision::kCodec) ++codec_changes;
   }
-  EXPECT_LE(fastpath_changes, 1u);
+  EXPECT_LE(codec_changes, 1u);
 }
 
 TEST(Tuner, SeededReplayReproducesDecisionTrace) {
@@ -261,27 +254,25 @@ TEST(Tuner, SeededReplayReproducesDecisionTrace) {
     for (int i = 0; i < 300; ++i) {
       adapt::Signal s;
       switch (next() % 3) {
-        case 0:  // collect
-          s.dirty_pages = 1 + next() % 8;
-          s.diff_ns = 1000 + next() % 100000;
-          s.diffed_bytes = next() % (s.dirty_pages * 4096);
-          s.runs = 1 + next() % 64;
+        case 0:  // timed payload send
+          s.wire_bytes = 4096 + next() % 100000;
+          s.wire_ns = 1000 + next() % 400000;
           break;
         case 1:  // pack
           s.pack_ns = 1000 + next() % 50000;
           s.runs = 1 + next() % 64;
           s.bytes_packed = 100 + next() % 100000;
+          s.bytes_raw = s.bytes_packed;
+          s.codec_on = next() % 2 == 0;
+          s.encode_ns = s.codec_on ? 100 + next() % 200000 : 0;
+          s.bytes_coded = s.codec_on ? 1 + next() % s.bytes_raw : s.bytes_raw;
           break;
         default:  // apply
           s.blocks = 1 + next() % 32;
           s.bytes_applied = 100 + next() % 200000;
-          s.unpack_ns = 100 + next() % 10000;
           s.conv_ns = 100 + next() % 400000;
-          s.identity_sender = next() % 2 == 0;
           s.parallel = next() % 4 == 0;
           s.lanes_used = s.parallel ? 4 : 1;
-          s.plan_hits = next() % 32;
-          s.plan_misses = next() % 8;
           break;
       }
       trace.push_back(s);
@@ -291,6 +282,7 @@ TEST(Tuner, SeededReplayReproducesDecisionTrace) {
 
   const std::vector<adapt::Signal> trace = make_trace();
   adapt::TunerConfig cfg = fast_cfg();
+  cfg.enable_codec = true;
   adapt::Tuner a(cfg), b(cfg);
   for (const adapt::Signal& s : trace) {
     const adapt::Decision da = a.step(s);
@@ -299,24 +291,33 @@ TEST(Tuner, SeededReplayReproducesDecisionTrace) {
     ASSERT_EQ(da.changed, db.changed);
   }
   EXPECT_EQ(a.switches(), b.switches());
+  EXPECT_GT(a.switches(), 0u);  // the trace does move the knobs
 }
 
 TEST(Tuner, LanesFollowTheMeasuredCostModels) {
   adapt::TunerConfig cfg = fast_cfg();
   cfg.max_lanes = 4;
-  cfg.min_grain = 4096;
+
+  // Batches below the parallel grain never take the parallel path, so
+  // there is nothing to explore: the lanes stay sequential.
+  adapt::Tuner small(cfg);
+  adapt::Signal below = apply_signal(adapt::kParallelGrain / 2);
+  below.conv_ns = 10 * below.bytes_applied;
+  for (int i = 0; i < 20; ++i) small.step(below);
+  EXPECT_EQ(small.decision().conv_threads, 1u);
+
   adapt::Tuner t(cfg);
 
   // Sequential conversion measured expensive on big batches: the tuner's
   // bounded exploration kicks in and raises the lane count.
-  adapt::Signal seq = apply_signal(false, /*bytes=*/100000);
+  adapt::Signal seq = apply_signal(/*bytes=*/100000);
   seq.conv_ns = 1000000;  // 10 ns/B sequential
   t.step(seq);
   t.step(seq);
   EXPECT_EQ(t.decision().conv_threads, 4u) << "exploration should fire";
 
   // Parallel path measures much cheaper: lanes stay up.
-  adapt::Signal par = apply_signal(false, 100000);
+  adapt::Signal par = apply_signal(100000);
   par.conv_ns = 300000;  // 3 ns/B parallel
   par.parallel = true;
   par.lanes_used = 4;
@@ -352,9 +353,9 @@ TEST(Tuner, SlackIsCappedByTheSafetyBound) {
 
 TEST(Tuner, ChangedBitsClearOnStationaryEpisodes) {
   adapt::Tuner t(fast_cfg());
-  adapt::Signal s = apply_signal(true);
+  const adapt::Signal s = costly_runs_signal();
   t.step(s);
-  t.step(s);  // fastpath engages here or earlier
+  t.step(s);  // slack moves here or earlier
   // Once converged, further identical episodes change nothing.
   for (int i = 0; i < 10; ++i) {
     const adapt::Decision& d = t.step(s);
@@ -362,35 +363,4 @@ TEST(Tuner, ChangedBitsClearOnStationaryEpisodes) {
       EXPECT_EQ(d.changed, 0u);
     }
   }
-}
-
-// Satellite: the re-derived PageDsmOptions::whole_page_threshold default
-// came out of the bench_abl_diff_threshold sweep; on a stationary workload
-// with the cost profile that sweep measured (tens of runs per dirty page,
-// ~50 ns per-run overhead, sub-ns/byte stream cost), the online tuner must
-// land within one 0.1 bucket of that derived default.
-TEST(Tuner, ConvergesToTheDerivedStaticThreshold) {
-  adapt::TunerConfig cfg;
-  cfg.warmup = 2;
-  cfg.dwell = 2;
-  cfg.page_size = 4096;
-  cfg.wire_ns_per_byte = 0.5;
-  adapt::Tuner t(cfg);
-
-  // Stationary episode modeled on the sweep's moderate-density point:
-  // 53 runs/page, ~50.4 ns per run, ~0.3 ns/B pack cost
-  //   -> t* = 1 - 52 * 50.4 / (4096 * 0.8) ~= 0.20.
-  adapt::Signal s;
-  s.dirty_pages = 2;
-  s.diff_ns = 2000;
-  s.diffed_bytes = 1638;  // 20% density
-  s.runs = 106;
-  s.pack_ns = 10685;
-  s.bytes_packed = 17808;
-  s.page_size = 4096;
-  for (int i = 0; i < 40; ++i) t.step(s);
-
-  const double derived = hdsm::base::PageDsmOptions{}.whole_page_threshold;
-  EXPECT_NEAR(t.decision().whole_page_threshold, derived, 0.1 + 1e-9)
-      << "tuner must converge to within one bucket of the static default";
 }

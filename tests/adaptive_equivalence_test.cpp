@@ -1,6 +1,6 @@
 // Satellite equivalence suite for the adaptive policy engine: decisions
-// may change *traffic* (whole-page promotion, identity fast path, lane
-// retuning, run coalescing) but must never change *results*.  Every
+// may change *traffic* (lane retuning, run coalescing) but must never
+// change *results*.  Every
 // workload here runs twice over identical clusters — adaptivity off, then
 // on with an aggressive tuner so switches actually fire — and the final
 // master-image contents must be byte-identical (memcmp, so even a
@@ -99,9 +99,8 @@ TEST(AdaptiveEquivalence, MatmulHeterogeneousPair) {
 
 TEST(AdaptiveEquivalence, LuIsBitExactUnderAdaptivity) {
   // LU ships big per-barrier updates (the paper's "more data per update"
-  // workload) — the case where whole-page promotion and lane retuning are
-  // most likely to engage.  Doubles end to end, so memcmp is the only
-  // honest comparison.
+  // workload) — the case where lane retuning is most likely to engage.
+  // Doubles end to end, so memcmp is the only honest comparison.
   const work::PairSpec& pair = work::paper_pairs()[2];  // SL
   const std::uint32_t n = 40;
 
@@ -140,8 +139,7 @@ TEST(AdaptiveEquivalence, SorIsBitExactUnderAdaptivity) {
 
 TEST(AdaptiveEquivalence, LockRmwWorkloadIsDeterministic) {
   // Mutex-protected read-modify-write over a shared counter array: the
-  // grant/release path (pack, not pack_release — promotion must stay out
-  // of it) plus the identity fast path on the homogeneous pair.  Final
+  // lock grant/release path on the homogeneous pair (memcpy plans).  Final
   // sums are order-independent, so adaptivity must not perturb them.
   const auto gthv = tags::describe_struct("GThV_locks")
                         .pointer("GThP")

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dsm/global_space.hpp"
@@ -508,33 +509,59 @@ TEST(PlanCache, DisabledCacheCountsNothingAndStillApplies) {
 }
 
 TEST(PlanCache, RejectedBlockDoesNotPoisonTheCache) {
-  dsm::GlobalSpace receiver(small_gthv(), plat::linux_ia32());
-  dsm::ShareStats rs;
-  dsm::SyncEngine engine(receiver, {}, rs);
-  const auto summary = msg::PlatformSummary::of(plat::linux_ia32());
+  // Two receivers: the stock engine, and an adaptive one warmed on a
+  // stream of good same-platform payloads, so it holds a cached Memcpy
+  // plan for the row and a settled tuner.  A cached plan must never vouch
+  // for a block whose own tag is wrong.
+  dsm::SyncOptions adaptive;
+  adaptive.adaptive = true;
+  adaptive.tuner.warmup = 1;
+  const std::pair<dsm::SyncOptions, int> inputs[] = {{{}, 0}, {adaptive, 12}};
+  for (const auto& [opts, warm_payloads] : inputs) {
+    SCOPED_TRACE(opts.adaptive ? "adaptive" : "stock");
+    dsm::GlobalSpace receiver(small_gthv(), plat::linux_ia32());
+    dsm::ShareStats rs;
+    dsm::SyncEngine engine(receiver, opts, rs);
+    const auto summary = msg::PlatformSummary::of(plat::linux_ia32());
 
-  // A tag whose pointer-ness mismatches the row fails validation *after*
-  // parsing; the cache entry must not be left claiming it is valid.
-  dsm::UpdateBlock bad;
-  bad.row = 2;
-  bad.first_elem = 0;
-  bad.tag = "(4,-1)";  // pointer tag for the int row
-  bad.data.assign(4, std::byte{1});
-  EXPECT_THROW(engine.apply_payload(dsm::encode_update_blocks({bad}), summary),
-               std::runtime_error);
+    dsm::UpdateBlock warm;
+    warm.row = 2;  // "A"
+    warm.first_elem = 0;
+    warm.tag = "(4,4)";
+    warm.data.assign(16, std::byte{3});
+    for (int i = 0; i < warm_payloads; ++i) {
+      engine.apply_payload(dsm::encode_update_blocks({warm}), summary);
+    }
 
-  // An identical tag must re-validate (and fail again), not hit a cached
-  // plan and slip through.
-  EXPECT_THROW(engine.apply_payload(dsm::encode_update_blocks({bad}), summary),
-               std::runtime_error);
+    // Each tag fails validation: a pointer tag for the int row (after
+    // parsing), an unparsable tag, and a count the 16 data bytes do not
+    // carry.  The cache entry must not be left claiming it is valid.
+    for (const char* tag : {"(4,-1)", "garbage", "(4,9)"}) {
+      dsm::UpdateBlock bad = warm;
+      bad.tag = tag;
+      bad.data.assign(16, std::byte{1});
+      const std::vector<std::byte> before = image_snapshot(receiver);
+      EXPECT_THROW(
+          engine.apply_payload(dsm::encode_update_blocks({bad}), summary),
+          std::exception)
+          << tag;
+      // An identical tag must re-validate (and fail again), not hit a
+      // cached plan and slip through.
+      EXPECT_THROW(
+          engine.apply_payload(dsm::encode_update_blocks({bad}), summary),
+          std::exception)
+          << tag;
+      EXPECT_EQ(image_snapshot(receiver), before) << tag;
+    }
 
-  dsm::UpdateBlock good;
-  good.row = 2;
-  good.first_elem = 0;
-  good.tag = "(4,1)";
-  good.data.assign(4, std::byte{2});
-  engine.apply_payload(dsm::encode_update_blocks({good}), summary);
-  EXPECT_EQ(receiver.view<std::int32_t>("A").get(0), 0x02020202);
+    dsm::UpdateBlock good;
+    good.row = 2;
+    good.first_elem = 0;
+    good.tag = "(4,1)";
+    good.data.assign(4, std::byte{2});
+    engine.apply_payload(dsm::encode_update_blocks({good}), summary);
+    EXPECT_EQ(receiver.view<std::int32_t>("A").get(0), 0x02020202);
+  }
 }
 
 // ---- merge_runs edge cases -------------------------------------------------

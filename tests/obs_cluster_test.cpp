@@ -1,8 +1,8 @@
 // Cluster-wide telemetry through the real protocol: MetricsPull scrapes,
 // home-side aggregation (merged view == sum of per-node snapshots),
 // incarnation-epoch archiving across re-attach, trace validity of the
-// scrape events — plus the rehome() × adaptive interaction with whole-page
-// promotion forced on (byte-identical master image, validating trace).
+// scrape events — plus the rehome() × adaptive interaction (byte-identical
+// master image, validating trace).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -295,9 +295,8 @@ TEST(ObsCluster, ClusterFacadeScrapesAndRecordsSpans) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: rehome() × SyncOptions::adaptive with whole-page promotion
-// forced on.  Promotion changes traffic (pages ship whole on the
-// barrier-release path) but must never change bytes — including through a
+// rehome() × SyncOptions::adaptive.  The tuner changes traffic (lanes,
+// run coalescing) but must never change bytes — including through a
 // subsequent master migration onto a byte-flipped platform.
 
 namespace {
@@ -311,9 +310,8 @@ constexpr std::uint64_t kChunk = 16;
 
 /// Dense barrier-phase workload: the three threads own interleaved
 /// cache-line chunks (chunk index ≡ thread mod 3) and each round every
-/// thread rewrites all of its chunks, so every page is fully dirty and
-/// crosses any promotion threshold while the inter-chunk gaps (128 B)
-/// stay beyond the coalescer's reach.
+/// thread rewrites all of its chunks, so every page is fully dirty while
+/// the inter-chunk gaps (128 B) stay beyond the coalescer's reach.
 void dense_barrier_workload(dsm::ShardedHome& home, dsm::ShardedRemote* r1,
                             dsm::ShardedRemote* r2, std::uint32_t rounds,
                             std::uint64_t n) {
@@ -351,7 +349,7 @@ void dense_barrier_workload(dsm::ShardedHome& home, dsm::ShardedRemote* r1,
 
 }  // namespace
 
-TEST(RehomeAdaptive, PromotedWholePagesSurviveRehomeByteIdentical) {
+TEST(RehomeAdaptive, TunedDenseBarriersSurviveRehomeByteIdentical) {
   constexpr std::uint64_t kN = 4096;  // ~4 pages of int32 data
   constexpr std::uint32_t kRounds = 6;
   const auto gthv = small_gthv(kN);
@@ -390,27 +388,21 @@ TEST(RehomeAdaptive, PromotedWholePagesSurviveRehomeByteIdentical) {
   dsm::ShardedHomeOptions off;  // adaptive off: the reference bytes
 
   dsm::TraceLog log;
-  dsm::ShardedHomeOptions on;  // adaptive on, promotion forced
+  dsm::ShardedHomeOptions on;  // adaptive on from the first episode
   on.dsd.adaptive = true;
   on.dsd.tuner.warmup = 1;
   on.dsd.tuner.dwell = 1;
-  // Pin the threshold so every dense page is promoted to whole-page mode
-  // from the first tunable episode — the maximally different traffic shape.
-  on.dsd.tuner.pin_whole_page_threshold = 0.05;
 
   const std::vector<std::byte> image_off = run(off, nullptr, nullptr);
   dsm::ShareStats stats_on;
   const std::vector<std::byte> image_on = run(on, &log, &stats_on);
 
-  // Promotion actually fired — this test exercised the path it claims to.
-  EXPECT_GT(stats_on.whole_page_promotions, 0u);
   EXPECT_GT(stats_on.adapt_episodes, 0u);
 
   ASSERT_EQ(image_off.size(), image_on.size());
   EXPECT_EQ(std::memcmp(image_off.data(), image_on.data(), image_off.size()),
             0)
-      << "adaptive whole-page promotion changed master-image bytes across "
-         "rehome";
+      << "the adaptive tuner changed master-image bytes across rehome";
 
   const auto error = dsm::validate_trace(log.snapshot());
   EXPECT_FALSE(error.has_value()) << *error;
