@@ -110,9 +110,9 @@ struct RunResult {
 RunResult run_episodes(Shape shape, std::uint64_t bps, std::int64_t mode,
                        int episodes) {
   dsm::ShardedHome home(bench_gthv(), plat::linux_ia32(), {});
-  std::vector<msg::EndpointPtr> link = home.attach(1);
-  if (bps != 0) link[0] = msg::make_throttled(std::move(link[0]), bps);
-  msg::Endpoint* wire = link[0].get();
+  msg::EndpointPtr link = home.attach(1);
+  if (bps != 0) link = msg::make_throttled(std::move(link), bps);
+  msg::Endpoint* wire = link.get();
   dsm::ShardedRemoteOptions ropts;
   ropts.dsd.codec = mode_of(mode);
   // Short warmup/dwell so the adaptive knob can move within a bench run.

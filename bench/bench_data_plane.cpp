@@ -26,18 +26,25 @@
 //   BM_ApplyPlanCache/{0,1}   - many same-row blocks with the per-(sender,
 //                               row) conversion-plan cache off/on
 //
+// Times and bytes_per_second are wall clock (hdsm::bench::wall_clock): the
+// L=4 rows run on pool threads, whose work the benchmark thread's CPU time
+// does not see.  Measured on a lightly loaded 4-core container,
+// median of 3 runs, L=1 vs L=4 wall time: hetero apply 1.55 vs 1.08 ms,
+// memcpy apply 0.79 vs 0.65 ms, collect diff 0.99 vs 0.56 ms.  An isolated
+// microbench has idle cores to lend; a cluster node does not.
+//
 // Set HDSM_BENCH_FAST=1 for a smoke-sized run (CI's bench-smoke target).
 // On a single-core container the L=4 apply/diff numbers degrade to ~L=1
 // (the pool adds threads, not cores); the zero-copy and plan-cache wins
 // are per-core and show regardless.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "dsm/global_space.hpp"
 #include "dsm/sync_engine.hpp"
 #include "dsm/update.hpp"
@@ -49,10 +56,7 @@ namespace msg = hdsm::msg;
 
 namespace {
 
-bool fast_mode() {
-  const char* v = std::getenv("HDSM_BENCH_FAST");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
+using hdsm::bench::fast_mode;
 
 /// Element count for the big array: 4 MB of ints normally, 256 KB in fast
 /// mode.
@@ -123,12 +127,20 @@ void apply_bench(benchmark::State& state, const plat::PlatformDesc& sender) {
 void BM_ApplyPayloadHetero(benchmark::State& state) {
   apply_bench(state, plat::solaris_sparc32());  // bulk-swap route
 }
-BENCHMARK(BM_ApplyPayloadHetero)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ApplyPayloadHetero)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(hdsm::bench::wall_clock);
 
 void BM_ApplyPayloadMemcpy(benchmark::State& state) {
   apply_bench(state, plat::linux_ia32());  // zero-copy memcpy route
 }
-BENCHMARK(BM_ApplyPayloadMemcpy)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ApplyPayloadMemcpy)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(hdsm::bench::wall_clock);
 
 void BM_ApplySingleSmallRun(benchmark::State& state) {
   // One 64-element run, far below the parallel grain: the parallel engine must
@@ -154,7 +166,10 @@ void BM_ApplySingleSmallRun(benchmark::State& state) {
   state.counters["parallel_batches"] =
       static_cast<double>(rs.parallel_batches);  // must stay 0
 }
-BENCHMARK(BM_ApplySingleSmallRun)->Arg(1)->Arg(4);
+BENCHMARK(BM_ApplySingleSmallRun)
+    ->Arg(1)
+    ->Arg(4)
+    ->Apply(hdsm::bench::wall_clock);
 
 void BM_CollectDiff(benchmark::State& state) {
   dsm::GlobalSpace g(gthv(big_elems()), plat::linux_ia32());
@@ -176,7 +191,11 @@ void BM_CollectDiff(benchmark::State& state) {
   state.counters["parallel_batches"] =
       static_cast<double>(stats.parallel_batches);
 }
-BENCHMARK(BM_CollectDiff)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CollectDiff)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(hdsm::bench::wall_clock);
 
 void BM_PackZeroCopy(benchmark::State& state) {
   dsm::GlobalSpace g(gthv(big_elems()), plat::linux_ia32());
@@ -196,7 +215,9 @@ void BM_PackZeroCopy(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
   state.counters["runs"] = static_cast<double>(runs.size());
 }
-BENCHMARK(BM_PackZeroCopy)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PackZeroCopy)
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(hdsm::bench::wall_clock);
 
 /// Runs per BM_PackStride2 payload; bench_smoke.cmake pins the counter.
 constexpr std::uint64_t kStride2Runs = 8192;
@@ -228,7 +249,11 @@ void BM_PackStride2(benchmark::State& state) {
   state.counters["pack_ns"] = per_payload(stats.pack_ns);
   state.counters["tags_generated"] = per_payload(stats.tags_generated);
 }
-BENCHMARK(BM_PackStride2)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PackStride2)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond)
+    ->Apply(hdsm::bench::wall_clock);
 
 void BM_ApplyPlanCache(benchmark::State& state) {
   // Many blocks re-covering the same row: with the cache on, one tag parse
@@ -247,7 +272,11 @@ void BM_ApplyPlanCache(benchmark::State& state) {
                           static_cast<std::int64_t>(c.payload.size()));
   state.counters["plan_hits"] = static_cast<double>(stats.plan_cache_hits);
 }
-BENCHMARK(BM_ApplyPlanCache)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ApplyPlanCache)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(hdsm::bench::wall_clock);
 
 }  // namespace
 

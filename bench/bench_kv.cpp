@@ -1,21 +1,20 @@
 // Object-granularity vs page-granularity sharing on the Zipfian KV
 // workload (docs/OBJECTS.md).  Emitted as BENCH_kv.json:
 //
-//   BM_KvPage/S/T    - the KV workload over a ShardedCluster with
-//                      mprotect write tracking and twin diffing (the
-//                      paper's page machinery), S home shards, Zipfian
-//                      theta = T/100.
-//   BM_KvObject/S/T  - the identical workload (same GThV, same seeds,
-//                      same region locks) over an ObjectCluster shipping
-//                      dirty-object runs — no twins, no faults, no diff
-//                      scans.
+//   BM_KvPage/T    - the KV workload over a ShardedCluster with mprotect
+//                    write tracking and twin diffing (the paper's page
+//                    machinery), Zipfian theta = T/100.
+//   BM_KvObject/T  - the identical workload (same GThV, same seeds, same
+//                    region locks) over an ObjectCluster shipping
+//                    dirty-object runs — no twins, no faults, no diff
+//                    scans.
 //
 // Both modes verify the master image against the offline Zipfian replay
 // every iteration; a mismatch fails the benchmark.  Manual time is the
 // cluster run alone (construction and verification excluded), and the
 // `bytes` counter is stats.update_bytes_sent, so the object-mode win the
 // acceptance bar asks for shows up in latency AND bytes-on-wire at the
-// same S and T.
+// same T.
 //
 // Set HDSM_BENCH_FAST=1 for a smoke-sized run (CI's bench-smoke target).
 #include <benchmark/benchmark.h>
@@ -37,13 +36,11 @@ bool fast_mode() {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
-work::KvConfig kv_config(std::uint32_t shards, double theta,
-                         bool object_mode) {
+work::KvConfig kv_config(double theta, bool object_mode) {
   work::KvConfig cfg;
   cfg.num_objects = fast_mode() ? 4096 : 1'000'000;
   cfg.ops_per_rank = fast_mode() ? 100 : 1500;
   cfg.num_regions = 64;
-  cfg.num_shards = shards;
   cfg.theta = theta;
   cfg.object_mode = object_mode;
   // Three heterogeneous remotes plus the x86-64 master: both byte orders
@@ -55,12 +52,11 @@ work::KvConfig kv_config(std::uint32_t shards, double theta,
 }
 
 void kv_bench(benchmark::State& state, bool object_mode) {
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
-  const double theta = static_cast<double>(state.range(1)) / 100.0;
+  const double theta = static_cast<double>(state.range(0)) / 100.0;
   std::uint64_t ops = 0;
   std::uint64_t bytes = 0;
   for (auto _ : state) {
-    const work::KvResult r = run_kv(kv_config(shards, theta, object_mode));
+    const work::KvResult r = run_kv(kv_config(theta, object_mode));
     if (!r.verified) {
       state.SkipWithError("master image does not match the Zipfian replay");
       return;
@@ -70,7 +66,6 @@ void kv_bench(benchmark::State& state, bool object_mode) {
     bytes += r.bytes_on_wire;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-  state.counters["shards"] = static_cast<double>(shards);
   state.counters["theta"] = theta;
   state.counters["bytes"] = benchmark::Counter(
       static_cast<double>(bytes), benchmark::Counter::kAvgIterations);
@@ -80,11 +75,7 @@ void BM_KvPage(benchmark::State& state) { kv_bench(state, false); }
 void BM_KvObject(benchmark::State& state) { kv_bench(state, true); }
 
 void kv_args(benchmark::internal::Benchmark* b) {
-  for (int shards : {1, 2, 4}) {
-    for (int theta_pct : {0, 50, 99}) {
-      b->Args({shards, theta_pct});
-    }
-  }
+  for (int theta_pct : {0, 50, 99}) b->Arg(theta_pct);
   b->UseManualTime()->Unit(benchmark::kMillisecond);
 }
 

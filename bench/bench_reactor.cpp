@@ -54,15 +54,15 @@ struct Cluster {
   Cluster(std::uint32_t n, bool tcp) : home(gthv(), plat::linux_ia32()) {
     if (tcp) listener = std::make_unique<msg::TcpListener>(0);
     for (std::uint32_t r = 1; r <= n; ++r) {
-      std::vector<msg::EndpointPtr> eps;
+      msg::EndpointPtr ep;
       if (tcp) {
-        eps.push_back(msg::tcp_connect(listener->port()));
-        home.attach_endpoint(r, 0, listener->accept());
+        ep = msg::tcp_connect(listener->port());
+        home.attach_endpoint(r, listener->accept());
       } else {
-        eps = home.attach(r);
+        ep = home.attach(r);
       }
       remotes.push_back(std::make_unique<dsm::ShardedRemote>(
-          gthv(), plat::linux_ia32(), r, std::move(eps)));
+          gthv(), plat::linux_ia32(), r, std::move(ep)));
     }
     home.start();
     // Prime outside timing: the first grant per remote ships the full

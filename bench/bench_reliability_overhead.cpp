@@ -67,17 +67,17 @@ struct Cluster {
       : home(gthv(), plat::linux_ia32()) {
     dsm::ShardedRemoteOptions ropts;
     ropts.retry = bench_retry();
-    std::vector<msg::EndpointPtr> eps;
+    msg::EndpointPtr ep;
     if (tcp_opts != nullptr) {
       listener = std::make_unique<msg::TcpListener>(0, *tcp_opts);
-      eps.push_back(msg::tcp_connect(listener->port(), *tcp_opts));
-      home.attach_endpoint(1, 0, listener->accept());
+      ep = msg::tcp_connect(listener->port(), *tcp_opts);
+      home.attach_endpoint(1, listener->accept());
     } else {
-      eps = home.attach(1);
+      ep = home.attach(1);
     }
-    if (fault != nullptr) eps[0] = msg::make_faulty(std::move(eps[0]), *fault);
+    if (fault != nullptr) ep = msg::make_faulty(std::move(ep), *fault);
     remote = std::make_unique<dsm::ShardedRemote>(gthv(), plat::linux_ia32(),
-                                                  1, std::move(eps), ropts);
+                                                  1, std::move(ep), ropts);
     home.start();
   }
 };

@@ -1,23 +1,23 @@
 // Primary/standby replication bench (docs/REPLICATION.md).  Emitted as
 // BENCH_replication.json:
 //
-//   BM_UnreplicatedLockEpisodes/S - baseline: two remotes hammering mutex 0
-//                                   against a plain S-shard home.  The
-//                                   replication-off control plane is byte
-//                                   identical to pre-replication builds,
-//                                   so this is also the regression pin.
-//   BM_ReplicatedLockEpisodes/S   - same workload against a ReplicatedHome:
-//                                   every coherence event is appended to
-//                                   the standby's log and acked *before*
-//                                   the episode's replies flush
-//                                   (log-before-reply).  The delta over
-//                                   the baseline is the price of surviving
-//                                   a coordinator crash.
-//   BM_FailoverPause/S            - the handover window itself, measured
-//                                   from fail_over()'s own pause clock
-//                                   (fence -> reset_master -> serving)
-//                                   while two remotes are mid-run and
-//                                   re-dial through the promotion.
+//   BM_UnreplicatedLockEpisodes - baseline: two remotes hammering mutex 0
+//                                 against a plain home.  The
+//                                 replication-off control plane is byte
+//                                 identical to pre-replication builds, so
+//                                 this is also the regression pin.
+//   BM_ReplicatedLockEpisodes   - same workload against a ReplicatedHome:
+//                                 every coherence event is appended to the
+//                                 standby's log and acked *before* the
+//                                 episode's replies flush
+//                                 (log-before-reply).  The delta over the
+//                                 baseline is the price of surviving a
+//                                 coordinator crash.
+//   BM_FailoverPause            - the handover window itself, measured from
+//                                 fail_over()'s own pause clock (fence ->
+//                                 reset_master -> serving) while two
+//                                 remotes are mid-run and re-dial through
+//                                 the promotion.
 //
 // Set HDSM_BENCH_FAST=1 for a smoke-sized run (CI's bench-smoke target).
 #include <benchmark/benchmark.h>
@@ -77,20 +77,18 @@ void remote_body(dsm::ShardedRemote& remote, int ops,
   remote.join();
 }
 
-void run_unreplicated(std::uint32_t num_shards, int ops) {
-  dsm::ShardedHomeOptions opts;
-  opts.num_shards = num_shards;
-  dsm::ShardedHome home(gthv(), plat::linux_ia32(), opts);
+void run_unreplicated(int ops) {
+  dsm::ShardedHome home(gthv(), plat::linux_ia32());
   home.set_barrier_count(0, kRemotes + 1);
   home.start();
   std::vector<std::thread> threads;
   for (std::uint32_t rank = 1; rank <= kRemotes; ++rank) {
-    std::vector<msg::EndpointPtr> eps = home.attach(rank);
-    threads.emplace_back([ops, rank, eps = std::move(eps)]() mutable {
+    msg::EndpointPtr ep = home.attach(rank);
+    threads.emplace_back([ops, rank, ep = std::move(ep)]() mutable {
       dsm::ShardedRemoteOptions ropts;
       ropts.retry = bench_retry();
       dsm::ShardedRemote remote(gthv(), plat::linux_ia32(), rank,
-                                std::move(eps), ropts);
+                                std::move(ep), ropts);
       remote_body(remote, ops, nullptr);
     });
   }
@@ -101,39 +99,31 @@ void run_unreplicated(std::uint32_t num_shards, int ops) {
 }
 
 /// Returns the failover pause (zero when `failover` is false).
-std::chrono::nanoseconds run_replicated(std::uint32_t num_shards, int ops,
-                                        bool failover) {
-  dsm::ReplicatedHomeOptions opts;
-  opts.home.num_shards = num_shards;
-  dsm::ReplicatedHome repl(gthv(), plat::linux_ia32(), opts);
+std::chrono::nanoseconds run_replicated(int ops, bool failover) {
+  dsm::ReplicatedHome repl(gthv(), plat::linux_ia32());
   repl.set_barrier_count(0, kRemotes + 1);
   repl.start();
   std::atomic<int> ops_done{0};
-  std::atomic<std::uint32_t> remotes_up{0};
   std::vector<std::thread> threads;
   for (std::uint32_t rank = 1; rank <= kRemotes; ++rank) {
-    std::vector<msg::EndpointPtr> eps = repl.attach(rank);
-    threads.emplace_back([&repl, &ops_done, &remotes_up, ops, rank,
-                          eps = std::move(eps)]() mutable {
+    msg::EndpointPtr ep = repl.attach(rank);
+    threads.emplace_back([&repl, &ops_done, ops, rank,
+                          ep = std::move(ep)]() mutable {
       dsm::ShardedRemoteOptions ropts;
       ropts.retry = bench_retry();
       ropts.max_reconnects = 6;
-      ropts.reconnect = [&repl, rank](std::uint32_t shard) {
-        return repl.redial(rank, shard);
-      };
+      ropts.reconnect = [&repl, rank] { return repl.redial(rank); };
       dsm::ShardedRemote remote(gthv(), plat::linux_ia32(), rank,
-                                std::move(eps), ropts);
-      remotes_up.fetch_add(1);
+                                std::move(ep), ropts);
       remote_body(remote, ops, &ops_done);
     });
   }
   std::chrono::nanoseconds pause{0};
   if (failover) {
-    // Fail over mid-workload with every remote attached: the constructor's
-    // Hello has no reconnect path, so a remote still starting up when the
-    // primary dies would fail instead of re-dialing.
+    // Fail over mid-workload.  A remote still starting up when the primary
+    // dies re-dials from its constructor like from any request.
     const int threshold = static_cast<int>(kRemotes) * ops / 2;
-    while (remotes_up.load() < kRemotes || ops_done.load() < threshold) {
+    while (ops_done.load() < threshold) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     pause = repl.fail_over();
@@ -146,52 +136,40 @@ std::chrono::nanoseconds run_replicated(std::uint32_t num_shards, int ops,
 }
 
 void BM_UnreplicatedLockEpisodes(benchmark::State& state) {
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
   const int ops = ops_per_remote();
   for (auto _ : state) {
-    run_unreplicated(shards, ops);
+    run_unreplicated(ops);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kRemotes) * ops);
-  state.counters["shards"] = static_cast<double>(shards);
 }
 BENCHMARK(BM_UnreplicatedLockEpisodes)
-    ->Arg(1)
-    ->Arg(2)
     ->Apply(hdsm::bench::wall_clock)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ReplicatedLockEpisodes(benchmark::State& state) {
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
   const int ops = ops_per_remote();
   for (auto _ : state) {
-    run_replicated(shards, ops, /*failover=*/false);
+    run_replicated(ops, /*failover=*/false);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kRemotes) * ops);
-  state.counters["shards"] = static_cast<double>(shards);
 }
 BENCHMARK(BM_ReplicatedLockEpisodes)
-    ->Arg(1)
-    ->Arg(2)
     ->Apply(hdsm::bench::wall_clock)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FailoverPause(benchmark::State& state) {
   // Manual time: the pause fail_over itself reports — wall clock around
   // the loop would mostly measure the workload around the handover.
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
   const int ops = ops_per_remote();
   for (auto _ : state) {
     const std::chrono::nanoseconds pause =
-        run_replicated(shards, ops, /*failover=*/true);
+        run_replicated(ops, /*failover=*/true);
     state.SetIterationTime(std::chrono::duration<double>(pause).count());
   }
-  state.counters["shards"] = static_cast<double>(shards);
 }
 BENCHMARK(BM_FailoverPause)
-    ->Arg(1)
-    ->Arg(2)
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 

@@ -7,7 +7,7 @@
 #
 # Keep this list in sync with the binaries that default --benchmark_out.
 set(SMOKE_BINARIES bench_data_plane bench_reliability_overhead
-    bench_adaptive bench_obs_overhead bench_sharding bench_reactor
+    bench_adaptive bench_obs_overhead bench_reactor
     bench_replication bench_kv bench_codec)
 
 if(NOT DEFINED BENCH_DIR)

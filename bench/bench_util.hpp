@@ -43,7 +43,7 @@ inline double ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 /// For multi-threaded cluster series: `BENCHMARK(BM_X)->Apply(wall_clock)`
 /// makes google-benchmark compute times and items_per_second from wall
 /// clock.  Its default is the benchmark thread's CPU time, which a thread
-/// that mostly waits on the home barely uses (BM_DisjointLocks/1 read
+/// that mostly waits on the home barely uses (a cluster lock series read
 /// 1.25 M/s against about 25 k/s by wall clock).
 template <typename Benchmark>
 void wall_clock(Benchmark* b) {

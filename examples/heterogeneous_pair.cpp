@@ -57,10 +57,7 @@ int main() {
               home.space().table().to_table_string(0).c_str());
 
   std::thread remote_thread([&, port = listener.port()] {
-    // One session per home shard; the default home has one.
-    std::vector<msg::EndpointPtr> sessions;
-    sessions.push_back(msg::tcp_connect(port));
-    dsm::ShardedRemote remote(gthv(), remote_plat, 1, std::move(sessions));
+    dsm::ShardedRemote remote(gthv(), remote_plat, 1, msg::tcp_connect(port));
     remote.lock(0);
     auto data = remote.space().view<std::int32_t>("data");
     for (int i = 0; i < 8; ++i) data.set(i, 0x01020300 + i);
@@ -74,7 +71,7 @@ int main() {
     remote.join();
   });
 
-  home.attach_endpoint(1, /*shard=*/0, listener.accept());
+  home.attach_endpoint(1, listener.accept());
   home.start();
   remote_thread.join();
   home.wait_all_joined();

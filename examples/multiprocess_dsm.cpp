@@ -39,10 +39,7 @@ tags::TypePtr gthv() {
 int run_worker(std::uint16_t port, std::uint32_t rank,
                const std::string& platform_name) {
   const plat::PlatformDesc& platform = plat::preset_by_name(platform_name);
-  // One session per home shard; the default home has one.
-  std::vector<msg::EndpointPtr> sessions;
-  sessions.push_back(msg::tcp_connect(port));
-  dsm::ShardedRemote remote(gthv(), platform, rank, std::move(sessions));
+  dsm::ShardedRemote remote(gthv(), platform, rank, msg::tcp_connect(port));
   // Each worker adds rank*i to every element, under the distributed lock.
   for (int round = 0; round < 5; ++round) {
     remote.lock(0);
@@ -103,7 +100,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unexpected first message\n");
       return 1;
     }
-    home.attach_endpoint(hello.rank, /*shard=*/0, std::move(ep));
+    home.attach_endpoint(hello.rank, std::move(ep));
     std::printf("attached rank %u over TCP\n", hello.rank);
   }
   home.start();

@@ -186,7 +186,6 @@ void CoherenceCore::reset_master(Actions& out) {
     // application retries its interrupted barrier() call, and an episode
     // can only close after the master is in (barrier_complete).
     b.entered.erase(it);
-    b.enter_seq.erase(kMasterRank);
   }
 }
 
@@ -304,18 +303,6 @@ void CoherenceCore::grant(std::uint32_t index, std::uint32_t rank,
     return;
   }
   PeerState& peer = peers_.at(rank);
-  // Stamp the grant with the seq of the request it answers.  A waiter that
-  // queued at a previous owner of the region re-issued its request under
-  // seqs this shard never saw; granting under this shard's stale horizon
-  // would key the cached reply below the remote's claim floor, where the
-  // next fresh request's purge would destroy it while still undelivered.
-  // The recorded seq is an attempt of the rank's outstanding request, so
-  // adopting it as the horizon is sound (the remote issues serially).
-  const auto ws = ls.waiter_seq.find(rank);
-  if (ws != ls.waiter_seq.end()) {
-    if (ws->second > peer.last_seq) peer.last_seq = ws->second;
-    ls.waiter_seq.erase(ws);
-  }
   peer.granted_gen[index] = ls.generation;
   msg::Message grant_msg;
   grant_msg.type = msg::MsgType::LockGrant;
@@ -358,7 +345,6 @@ void CoherenceCore::release(std::uint32_t index, Actions& out) {
       grant(index, next, out);
       return;
     }
-    ls.waiter_seq.erase(next);  // departed before its turn came
   }
 }
 
@@ -428,13 +414,6 @@ void CoherenceCore::maybe_release_barrier(std::uint32_t index, Actions& out) {
     if (rank == kMasterRank) continue;
     PeerState& peer = peers_.at(rank);
     if (!peer.active) continue;
-    // Stamp the release with the seq of the BarrierEnter it answers — the
-    // entrant may have entered at a previous owner of the region, under a
-    // seq this shard never saw (see grant() for the full argument).
-    const auto es = b.enter_seq.find(rank);
-    if (es != b.enter_seq.end() && es->second > peer.last_seq) {
-      peer.last_seq = es->second;
-    }
     msg::Message release_msg;
     release_msg.type = msg::MsgType::BarrierRelease;
     release_msg.sync_id = index;
@@ -449,7 +428,6 @@ void CoherenceCore::maybe_release_barrier(std::uint32_t index, Actions& out) {
   }
   trace(out, TraceEvent::Kind::BarrierReleased, kMasterRank, index);
   b.entered.clear();
-  b.enter_seq.clear();
   b.participants.clear();
   ++b.generation;
   out.push_back(CoherenceAction::wake_master());
@@ -471,7 +449,6 @@ void CoherenceCore::detach(std::uint32_t rank, bool trace_detach,
     LockState& ls = locks_[i];
     ls.waiters.erase(std::remove(ls.waiters.begin(), ls.waiters.end(), rank),
                      ls.waiters.end());
-    ls.waiter_seq.erase(rank);
     if (ls.holder == static_cast<std::int64_t>(rank)) {
       release(i, out);
     }
@@ -499,56 +476,22 @@ bool CoherenceCore::handle_duplicate(std::uint32_t rank, PeerState& peer,
     dropped();  // stale retransmit of an already-answered request
     return true;
   }
-  // Retransmit of the outstanding request.  The reply may live in the
-  // migrated-in cache rather than last_reply: the request executed at a
-  // previous owner of the region, its reply was lost, and the region (with
-  // the cached reply keyed by this very seq) has since migrated here.
-  // Resend a copy — never erase: if the resend is lost too, the next
-  // retransmit must find it again (the remote's next fresh request purges
-  // it via the claim floor).
-  const auto resend_cached = [&](msg::MsgType want) {
-    const auto it = redirect_replies_.find({rank, m.seq});
-    if (it == redirect_replies_.end() || it->second.type != want ||
-        it->second.sync_id != m.sync_id) {
-      return false;
-    }
-    send_reply(rank, peer, msg::Message(it->second), out);
-    trace(out, TraceEvent::Kind::ReplyResent, rank, m.sync_id, 0, 0, m.seq);
-    return true;
-  };
+  // Retransmit of the outstanding request.
   if (m.type == msg::MsgType::LockRequest && m.sync_id < locks_.size()) {
     LockState& ls = locks_[m.sync_id];
     if (ls.holder == static_cast<std::int64_t>(rank)) {
+      dropped();
       if (peer.last_reply.has_value()) {
         // The grant was sent and lost: replay it.
-        dropped();
         send_reply(rank, peer, *peer.last_reply, out);
         trace(out, TraceEvent::Kind::ReplyResent, rank, m.sync_id, 0, 0,
               m.seq);
-        return true;
       }
-      dropped();
-      resend_cached(msg::MsgType::LockGrant);
-      // No cached grant either: it is still chasing the region through a
-      // migration chain.  Drop — rebuilding one here would consume pending
-      // updates into a grant the remote may not be waiting on.
       return true;
     }
     if (std::find(ls.waiters.begin(), ls.waiters.end(), rank) !=
         ls.waiters.end()) {
-      // Already queued; the eventual grant answers it.  The retransmit is
-      // the rank's current attempt — make sure the grant gets stamped with
-      // at least this seq (the queue entry may have migrated in recorded
-      // under an older attempt).
-      auto [it, inserted] = ls.waiter_seq.try_emplace(rank, m.seq);
-      if (!inserted && m.seq > it->second) it->second = m.seq;
-      dropped();
-      return true;
-    }
-    if (resend_cached(msg::MsgType::LockGrant)) {
-      // Granted at a previous owner; the episode state has not migrated
-      // here (or already moved on) but the reply has.
-      dropped();
+      dropped();  // already queued; the eventual grant answers it
       return true;
     }
     // Neither holder nor waiter: the grant (or queue slot) was invalidated
@@ -561,10 +504,6 @@ bool CoherenceCore::handle_duplicate(std::uint32_t rank, PeerState& peer,
   if (peer.last_reply.has_value()) {
     send_reply(rank, peer, *peer.last_reply, out);
     trace(out, TraceEvent::Kind::ReplyResent, rank, m.sync_id, 0, 0, m.seq);
-  } else if (m.type == msg::MsgType::UnlockRequest) {
-    resend_cached(msg::MsgType::UnlockAck);
-  } else if (m.type == msg::MsgType::BarrierEnter) {
-    resend_cached(msg::MsgType::BarrierRelease);
   }
   // else: the reply is still pending (lock queue / open barrier episode) —
   // the original request was recorded, so just drop the duplicate.
@@ -633,85 +572,14 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
       peer.last_reply.reset();
       peer.granted_gen.clear();
       peer.hello_epoch = m.sync_id;
-      // Replies migrated in for the previous incarnation can never be
-      // legitimately claimed again: its seq space restarted at #1.
-      for (auto it = redirect_replies_.begin();
-           it != redirect_replies_.end();) {
-        if (it->first.first == rank) {
-          it = redirect_replies_.erase(it);
-        } else {
-          ++it;
-        }
-      }
     }
     hello(rank, m, out);
     return;
   }
   if (handle_duplicate(rank, peer, m, out)) return;
-  // Saved before the horizon advance clears it: a request re-issued after a
-  // shard migration may need the reply this shard generated under the
-  // previous seq (orphan-grant resend in the LockRequest handler below).
-  const std::optional<msg::Message> prev_reply = peer.last_reply;
   if (m.seq != 0 && m.seq > peer.last_seq) {
     peer.last_seq = m.seq;
     peer.last_reply.reset();
-  }
-  if (m.seq != 0) {
-    // Hygiene for migrated reply caches (docs/SHARDING.md): a fresh
-    // sequenced request from this rank proves the remote has moved past
-    // every earlier request — its outstanding request's first attempt is
-    // `aux` when re-issued after a redirect, else this very seq.  Cached
-    // replies keyed below that horizon were already delivered in an
-    // earlier episode and can never be legitimately claimed again; purge
-    // them so a later redirect replay cannot resurrect a stale grant.
-    const std::uint32_t claim_floor = m.aux != 0 ? m.aux : m.seq;
-    for (auto it = redirect_replies_.begin();
-         it != redirect_replies_.end();) {
-      if (it->first.first == rank && it->first.second < claim_floor) {
-        it = redirect_replies_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  if (m.seq != 0 && m.aux != 0) {
-    // Redirect replay (docs/SHARDING.md): aux != 0 marks a request
-    // re-issued after a WrongShard redirect — it may already have executed
-    // at a previous owner of the region, whose cached reply traveled here
-    // with the region.  Match by (rank, region, reply type) among entries
-    // at or above the first attempt's seq (aux) and take the highest: a
-    // sharded remote numbers all its sessions from one counter, so every
-    // attempt of the outstanding request has seq >= aux while replies to
-    // completed earlier episodes sit below it.  Replay restamped to the
-    // fresh seq; never execute twice.
-    const msg::MsgType want = m.type == msg::MsgType::LockRequest
-                                  ? msg::MsgType::LockGrant
-                              : m.type == msg::MsgType::UnlockRequest
-                                  ? msg::MsgType::UnlockAck
-                                  : msg::MsgType::BarrierRelease;
-    auto best = redirect_replies_.end();
-    if (m.type == msg::MsgType::LockRequest ||
-        m.type == msg::MsgType::UnlockRequest ||
-        m.type == msg::MsgType::BarrierEnter) {
-      for (auto it = redirect_replies_.begin(); it != redirect_replies_.end();
-           ++it) {
-        if (it->first.first != rank || it->first.second < m.aux ||
-            it->second.sync_id != m.sync_id || it->second.type != want) {
-          continue;
-        }
-        if (best == redirect_replies_.end() ||
-            it->first.second > best->first.second) {
-          best = it;
-        }
-      }
-    }
-    if (best != redirect_replies_.end()) {
-      msg::Message reply = std::move(best->second);
-      redirect_replies_.erase(best);
-      trace(out, TraceEvent::Kind::ReplyResent, rank, m.sync_id, 0, 0, m.seq);
-      send_reply(rank, peer, std::move(reply), out);
-      return;
-    }
   }
   switch (m.type) {
     case msg::MsgType::LockRequest: {
@@ -722,47 +590,22 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
       trace(out, TraceEvent::Kind::LockRequested, rank, m.sync_id);
       LockState& ls = locks_[m.sync_id];
       if (ls.holder == static_cast<std::int64_t>(rank)) {
-        // Orphan grant (docs/SHARDING.md): the rank was granted this mutex
-        // — typically as a migrated-in waiter granted before it re-issued
-        // here — but the grant bytes were stamped with a seq it was not
-        // waiting on and dropped.  Resend the recorded grant under the
-        // fresh seq; if the cache was displaced, rebuild one from current
-        // pending (over-shipping relative to bound_rows is safe: the bytes
-        // are home-authoritative).  Never queue a holder behind itself.
-        if (prev_reply.has_value() &&
-            prev_reply->type == msg::MsgType::LockGrant &&
-            prev_reply->sync_id == m.sync_id) {
-          trace(out, TraceEvent::Kind::ReplyResent, rank, m.sync_id, 0, 0,
-                m.seq);
-          send_reply(rank, peer, *prev_reply, out);
-        } else {
-          peer.granted_gen[m.sync_id] = ls.generation;
-          msg::Message grant_msg;
-          grant_msg.type = msg::MsgType::LockGrant;
-          grant_msg.sync_id = m.sync_id;
-          grant_msg.rank = kMasterRank;
-          grant_msg.sender = cfg_.self;
-          const std::size_t blocks = peer.pending.size();
-          grant_msg.payload = codec_.pack(peer.pending);
-          peer.pending.clear();
-          trace(out, TraceEvent::Kind::UpdatesShipped, rank, m.sync_id,
-                blocks, grant_msg.payload.size());
-          send_reply(rank, peer, std::move(grant_msg), out);
-        }
+        // A fresh request for a mutex this rank already holds: re-locking a
+        // non-recursive mutex would queue the holder behind itself forever.
+        violation(rank, "remote lock while already holding it", out);
         return;
       }
       if (std::find(ls.waiters.begin(), ls.waiters.end(), rank) !=
           ls.waiters.end()) {
-        // Already queued (a waiter entry migrated in with the region): the
-        // re-issue just refreshed the seq the eventual grant will answer.
-        if (m.seq != 0) ls.waiter_seq[rank] = m.seq;
+        // A remote has one request outstanding, and retransmits reuse its
+        // seq: a fresh request from a queued waiter would queue it twice.
+        violation(rank, "remote lock while already waiting for it", out);
         return;
       }
       if (ls.holder == -1) {
         grant(m.sync_id, rank, out);
       } else {
         ls.waiters.push_back(rank);
-        if (m.seq != 0) ls.waiter_seq[rank] = m.seq;
       }
       return;
     }
@@ -833,15 +676,8 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
       BarrierState& bs = barriers_[m.sync_id];
       if (std::find(bs.entered.begin(), bs.entered.end(), rank) !=
           bs.entered.end()) {
-        // Already entered (the entry migrated in with the region): the
-        // re-issued request's diffs were applied at the previous owner, so
-        // don't re-apply — just let the eventual release answer the fresh
-        // seq recorded here.
-        if (m.seq != 0) bs.enter_seq[rank] = m.seq;
-        ++stats_.duplicates_dropped;
-        trace(out, TraceEvent::Kind::DuplicateDropped, rank, m.sync_id, 0, 0,
-              m.seq);
-        maybe_release_barrier(m.sync_id, out);
+        // Entering twice would count this rank twice toward the release.
+        violation(rank, "remote barrier entry while already entered", out);
         return;
       }
       std::vector<idx::UpdateRun> runs;
@@ -857,7 +693,6 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
       merge_pending(rank, runs);
       trace(out, TraceEvent::Kind::BarrierEntered, rank, m.sync_id);
       enter_barrier(bs, rank);
-      if (m.seq != 0) bs.enter_seq[rank] = m.seq;
       maybe_release_barrier(m.sync_id, out);
       return;
     }
@@ -886,25 +721,6 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
       telemetry().serialize(body);
       const std::byte* b = reinterpret_cast<const std::byte*>(body.data());
       reply.payload.assign(b, b + body.size());
-      send_reply(rank, peer, std::move(reply), out);
-      return;
-    }
-    case msg::MsgType::PendingPull: {
-      // Cross-shard data-plane drain (docs/SHARDING.md): a grant or release
-      // at a sibling shard flagged this shard in its `aux` bitmask; the
-      // remote drains its whole pending set here as part of the acquire.
-      // Sequenced and reply-cached like every other request.
-      std::vector<idx::UpdateRun> runs = std::move(peer.pending);
-      peer.pending.clear();
-      msg::Message reply;
-      reply.type = msg::MsgType::PendingReply;
-      reply.rank = kMasterRank;
-      reply.sender = cfg_.self;
-      const std::size_t blocks = runs.size();
-      reply.payload = codec_.pack(runs);
-      ++stats_.pending_pulls;
-      trace(out, TraceEvent::Kind::UpdatesShipped, rank, 0, blocks,
-            reply.payload.size());
       send_reply(rank, peer, std::move(reply), out);
       return;
     }
@@ -937,199 +753,12 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
   }
 }
 
-// ---- region ownership handoff ----------------------------------------------
-
-bool CoherenceCore::has_pending(std::uint32_t rank) const {
-  const auto it = peers_.find(rank);
-  return it != peers_.end() && it->second.active &&
-         !it->second.pending.empty();
-}
-
-void CoherenceCore::note_redirected(std::uint32_t rank, std::uint32_t seq) {
-  if (seq == 0) return;
-  auto it = peers_.find(rank);
-  if (it == peers_.end() || seq <= it->second.last_seq) return;
-  // The bounced seq is the remote's outstanding request; nothing older can
-  // legitimately arrive again, so the cached reply for the previous seq can
-  // never be re-asked either.  Drop it rather than risk replaying it for a
-  // fault-layer duplicate that sneaks past the horizon check.
-  it->second.last_seq = seq;
-  it->second.last_reply.reset();
-}
-
-CoherenceCore::RegionState CoherenceCore::export_region(
-    std::uint32_t region, std::vector<CoherenceAction>& out) {
-  RegionState st;
-  st.region = region;
-  if (region < locks_.size()) {
-    LockState& ls = locks_[region];
-    st.holder = ls.holder;
-    st.waiters = std::move(ls.waiters);
-    st.waiter_seq = std::move(ls.waiter_seq);
-    st.lock_generation = ls.generation;
-    st.bound_rows = std::move(ls.bound_rows);
-    ls = LockState{};
-  }
-  if (region < barriers_.size()) {
-    BarrierState& b = barriers_[region];
-    st.entered = std::move(b.entered);
-    st.enter_seq = std::move(b.enter_seq);
-    st.participants = std::move(b.participants);
-    st.expected = b.expected;
-    st.barrier_generation = b.generation;
-    b = BarrierState{};
-  }
-  for (auto& [rank, peer] : peers_) {
-    // Strict entry consistency (object mode): the pending runs guarded by
-    // this region's bound rows live only here — move them into the state
-    // blob so they chase the region instead of rotting at this shard.
-    if (cfg_.scoped_pending && !st.bound_rows.empty() &&
-        !peer.pending.empty()) {
-      std::vector<idx::UpdateRun> guarded;
-      std::vector<idx::UpdateRun> rest;
-      for (const idx::UpdateRun& run : peer.pending) {
-        const bool hit = std::find(st.bound_rows.begin(), st.bound_rows.end(),
-                                   run.row) != st.bound_rows.end();
-        (hit ? guarded : rest).push_back(run);
-      }
-      if (!guarded.empty()) {
-        st.pending[rank] = std::move(guarded);
-        peer.pending = std::move(rest);
-      }
-    }
-    const auto git = peer.granted_gen.find(region);
-    if (git != peer.granted_gen.end()) {
-      st.granted_gen[rank] = git->second;
-      peer.granted_gen.erase(git);
-    }
-    // Ship this shard's dedup horizon along: the importer folds it into its
-    // own so duplicates of requests this shard already answered stay
-    // recognizable wherever the region lands.
-    if (peer.last_seq != 0) {
-      st.peer_seqs[rank] = {peer.hello_epoch, peer.last_seq};
-    }
-    // A cached reply about this region travels with it, keyed by the seq
-    // it answered here, so the new owner can replay it for a redirected
-    // re-issue.  The dedup horizon (last_seq) stays: retransmits of the
-    // *old* request arriving here are still recognized as duplicates (and
-    // bounced by the shell's ownership check anyway).
-    if (peer.last_reply.has_value() && peer.last_reply->sync_id == region &&
-        (peer.last_reply->type == msg::MsgType::LockGrant ||
-         peer.last_reply->type == msg::MsgType::UnlockAck ||
-         peer.last_reply->type == msg::MsgType::BarrierRelease)) {
-      st.replies.emplace_back(rank, peer.last_seq,
-                              std::move(*peer.last_reply));
-      peer.last_reply.reset();
-    }
-  }
-  // Same for replies this shard itself imported earlier and has not yet
-  // replayed: they chase the region to its next owner.
-  for (auto it = redirect_replies_.begin(); it != redirect_replies_.end();) {
-    if (it->second.sync_id == region &&
-        (it->second.type == msg::MsgType::LockGrant ||
-         it->second.type == msg::MsgType::UnlockAck ||
-         it->second.type == msg::MsgType::BarrierRelease)) {
-      st.replies.emplace_back(it->first.first, it->first.second,
-                              std::move(it->second));
-      it = redirect_replies_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  trace(out, TraceEvent::Kind::RegionExported, kMasterRank, region);
-  return st;
-}
-
-void CoherenceCore::import_region(RegionState st,
-                                  std::vector<CoherenceAction>& out) {
-  trace(out, TraceEvent::Kind::RegionImported, kMasterRank, st.region);
-  if (st.region < locks_.size()) {
-    LockState& ls = locks_[st.region];
-    ls.holder = st.holder;
-    ls.waiters = std::move(st.waiters);
-    ls.waiter_seq = std::move(st.waiter_seq);
-    ls.generation = st.lock_generation;
-    ls.bound_rows = std::move(st.bound_rows);
-    if (ls.holder != -1) {
-      // Synthetic: re-opens the episode in this shard's log, which the
-      // exporter's RegionExported closed in its own.
-      trace(out, TraceEvent::Kind::LockGranted,
-            static_cast<std::uint32_t>(ls.holder), st.region);
-    }
-  }
-  bool reevaluate_barrier = false;
-  if (st.region < barriers_.size()) {
-    BarrierState& b = barriers_[st.region];
-    b.entered = std::move(st.entered);
-    b.enter_seq = std::move(st.enter_seq);
-    b.participants = std::move(st.participants);
-    b.expected = st.expected;
-    b.generation = st.barrier_generation;
-    for (const std::uint32_t r : b.entered) {
-      trace(out, TraceEvent::Kind::BarrierEntered, r, st.region);
-    }
-    reevaluate_barrier = !b.entered.empty();
-  }
-  for (const auto& [rank, gen] : st.granted_gen) {
-    peers_[rank].granted_gen[st.region] = gen;
-  }
-  for (const auto& [rank, es] : st.peer_seqs) {
-    const auto [hello_epoch, last_seq] = es;
-    PeerState& peer = peers_[rank];
-    if (peer.hello_epoch == 0 && peer.last_seq == 0) {
-      // This shard has not heard from the rank yet: adopt the exporter's
-      // view (the matching Hello, when it arrives, repeats this epoch and
-      // will not reset the horizon).
-      peer.hello_epoch = hello_epoch;
-    }
-    // Only horizons from the same incarnation are comparable; a mismatch
-    // means one side is stale, and the stale side's next Hello resets it.
-    if (peer.hello_epoch == hello_epoch && last_seq > peer.last_seq) {
-      peer.last_seq = last_seq;
-      // A higher horizon does NOT prove the cached reply was delivered:
-      // the exporter's horizon may have advanced on a later *attempt* of
-      // the very request this reply answers (each WrongShard re-issue gets
-      // a fresh seq).  Demote the reply into the redirect cache under its
-      // own stamp instead of destroying it — if it really was delivered,
-      // the rank's next fresh request's claim floor purges it.
-      if (peer.last_reply.has_value() &&
-          (peer.last_reply->type == msg::MsgType::LockGrant ||
-           peer.last_reply->type == msg::MsgType::UnlockAck ||
-           peer.last_reply->type == msg::MsgType::BarrierRelease)) {
-        redirect_replies_.emplace(
-            std::make_pair(rank, peer.last_reply->seq),
-            std::move(*peer.last_reply));
-      }
-      peer.last_reply.reset();
-    }
-  }
-  for (auto& [rank, orig_seq, reply] : st.replies) {
-    redirect_replies_[{rank, orig_seq}] = std::move(reply);
-  }
-  for (auto& [rank, runs] : st.pending) {
-    merge_runs(peers_[rank].pending, runs);
-  }
-  ++stats_.region_migrations;
-  if (reevaluate_barrier) {
-    // A participant may have detached at *this* shard while the region
-    // lived elsewhere — the episode may already be complete here.
-    maybe_release_barrier(st.region, out);
-  }
-  // Master waits poll predicates that just moved shards.
-  out.push_back(CoherenceAction::wake_master());
-}
-
 obs::ClusterTelemetry CoherenceCore::telemetry() const {
   obs::NodeSnapshot home;
   home.rank = kMasterRank;
   home.epoch = 0;  // the home never reincarnates within a session
   if (cfg_.telemetry != nullptr) home.metrics = cfg_.telemetry->metrics();
   append_share_stats(home.metrics, stats_);
-  return aggregator_.view(home);
-}
-
-obs::ClusterTelemetry CoherenceCore::telemetry_as(
-    obs::NodeSnapshot home) const {
   return aggregator_.view(home);
 }
 

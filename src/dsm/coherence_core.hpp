@@ -11,7 +11,7 @@
 // the generation-guarded unlock reset-recovery rules — is a transition of
 // this class, steppable from a unit test without spawning a thread or
 // opening an endpoint.  `ShardedHome` (sharded_home.{hpp,cpp}) is only the
-// I/O shell, one core per shard: it feeds events from the reactor's io
+// I/O shell around the one core: it feeds events from the reactor's io
 // thread and executes the returned actions (sends happen outside the state
 // lock).
 //
@@ -28,7 +28,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -131,14 +130,6 @@ struct CoherenceConfig {
   /// into the cluster view as rank 0, so scrape replies include the home
   /// even when obs recording is off.
   obs::Telemetry* telemetry = nullptr;
-  /// Strict entry consistency (object mode, docs/OBJECTS.md): every mutex
-  /// is bound and every row is guarded by exactly one mutex, so the pending
-  /// runs guarded by a region live only at the shard owning it.  With this
-  /// set, export_region carries each peer's guarded pending runs in
-  /// RegionState::pending and import_region merges them back — without it a
-  /// migration would leak the region's batched updates at the old shard.
-  /// Off (the default) is byte-identical to the page-mode protocol.
-  bool scoped_pending = false;
 };
 
 class CoherenceCore {
@@ -201,84 +192,6 @@ class CoherenceCore {
   /// exclusion as step() — it reads the ShareStats the shell mutates.
   obs::ClusterTelemetry telemetry() const;
 
-  /// Same merge, but around a caller-built home snapshot: the sharded
-  /// directory folds every shard's counters into one rank-0 row before
-  /// merging the remote reports this core collected (docs/SHARDING.md).
-  obs::ClusterTelemetry telemetry_as(obs::NodeSnapshot home) const;
-
-  /// True when `rank` is active with a non-empty pending update set.  The
-  /// sharded shell samples this after every step to maintain the per-rank
-  /// shard bitmask shipped in grant/release `aux` fields (docs/SHARDING.md).
-  bool has_pending(std::uint32_t rank) const;
-
-  /// The shell bounced request `seq` from `rank` with a WrongShard
-  /// redirect.  A sharded remote issues requests serially from one global
-  /// counter, so a bounced seq proves the remote is past every request
-  /// numbered below it — advance this shard's dedup horizon so a lingering
-  /// duplicate of the bounced attempt can never execute here after the
-  /// region migrates back (docs/SHARDING.md).  Call under the same
-  /// exclusion as step().
-  void note_redirected(std::uint32_t rank, std::uint32_t seq);
-
-  // -- Region ownership handoff (docs/SHARDING.md) --
-  /// Everything region `region` (mutex index + barrier index + their
-  /// reliability state) carries across a shard migration.
-  struct RegionState {
-    std::uint32_t region = 0;
-    // Mutex side.
-    std::int64_t holder = -1;
-    std::deque<std::uint32_t> waiters;
-    /// rank -> outstanding request seq per queued waiter (see
-    /// LockState::waiter_seq): the importer must stamp the eventual grant
-    /// with the seq the waiter is actually waiting on.
-    std::map<std::uint32_t, std::uint32_t> waiter_seq;
-    std::uint64_t lock_generation = 0;
-    std::vector<std::uint32_t> bound_rows;
-    /// rank -> generation: open reset-recovery windows for this mutex.
-    std::map<std::uint32_t, std::uint64_t> granted_gen;
-    // Barrier side.
-    std::vector<std::uint32_t> entered;
-    /// rank -> outstanding request seq per entrant (BarrierState::enter_seq).
-    std::map<std::uint32_t, std::uint32_t> enter_seq;
-    std::vector<std::uint32_t> participants;
-    std::uint32_t expected = 0;
-    std::uint64_t barrier_generation = 0;
-    /// Cached replies concerning this region, keyed by the seq the request
-    /// carried at the exporting shard: {rank, orig_seq, reply}.  The
-    /// importer answers a redirected re-issue (aux == orig_seq) from these
-    /// instead of re-executing it — no grant or ack is lost to a migration.
-    std::vector<std::tuple<std::uint32_t, std::uint32_t, msg::Message>>
-        replies;
-    /// Dedup horizons at the exporting shard: rank -> {hello_epoch,
-    /// last_seq}.  A remote numbers every session from one global counter,
-    /// so each shard's horizon is a lower bound on the same monotone
-    /// quantity; the importer max-merges these (per matching incarnation)
-    /// so a fault-layer duplicate of a request that already completed at
-    /// another shard can never look fresh here once the region arrives
-    /// (docs/SHARDING.md).
-    std::map<std::uint32_t, std::pair<std::uint32_t, std::uint32_t>>
-        peer_seqs;
-    /// Scoped pending (CoherenceConfig::scoped_pending only): rank -> the
-    /// pending runs guarded by this region's bound rows at the exporting
-    /// shard.  Under strict entry consistency those runs exist nowhere
-    /// else, so they must travel with the region; the importer merges them
-    /// into its own peers' pending sets.  Empty in page mode.
-    std::map<std::uint32_t, std::vector<idx::UpdateRun>> pending;
-  };
-
-  /// Strip region `region` out of this core: resets its lock and barrier
-  /// slots, closes every peer's reply-cache/recovery entry for it (dedup
-  /// horizons stay), and emits a RegionExported trace.  Call under the same
-  /// exclusion as step(); execute the actions like step() results.
-  RegionState export_region(std::uint32_t region,
-                            std::vector<CoherenceAction>& out);
-
-  /// Install an exported region into this core, emitting RegionImported
-  /// plus synthetic LockGranted / BarrierEntered traces so this shard's log
-  /// revalidates, then re-evaluates the barrier (a participant may have
-  /// detached here while the region lived elsewhere).
-  void import_region(RegionState state, std::vector<CoherenceAction>& out);
-
  private:
   struct PeerState {
     bool active = false;
@@ -305,14 +218,6 @@ class CoherenceCore {
   struct LockState {
     std::int64_t holder = -1;  // rank, or -1 when free
     std::deque<std::uint32_t> waiters;
-    /// rank -> latest request seq of that queued waiter.  A grant to a
-    /// waiter is stamped with (and advances the dedup horizon to) this seq
-    /// rather than the granting shard's possibly-stale horizon — a waiter
-    /// that queued at a previous owner of the region re-issued under seqs
-    /// this shard never saw, and a grant keyed below the remote's claim
-    /// floor would be purged while still undelivered.  Travels with the
-    /// region (RegionState::waiter_seq).
-    std::map<std::uint32_t, std::uint32_t> waiter_seq;
     /// Bumped on every grant.  A reset-recovery unlock (holder already
     /// reclaimed) is only safe while the generation still matches the one
     /// recorded at the sender's grant: a changed generation means another
@@ -325,11 +230,6 @@ class CoherenceCore {
 
   struct BarrierState {
     std::vector<std::uint32_t> entered;
-    /// rank -> latest request seq of that entrant's BarrierEnter; the
-    /// eventual BarrierRelease is stamped with it (see
-    /// LockState::waiter_seq for why).  Cleared when the episode closes;
-    /// travels with the region (RegionState::enter_seq).
-    std::map<std::uint32_t, std::uint32_t> enter_seq;
     /// Frozen at the episode's first entry: the ranks this episode waits
     /// for.  A node that attaches mid-episode is not a participant (it
     /// neither blocks the episode nor receives its release); one that
@@ -381,12 +281,6 @@ class CoherenceCore {
   std::map<std::uint32_t, PeerState> peers_;
   std::vector<LockState> locks_;
   std::vector<BarrierState> barriers_;
-  /// Replies migrated in with a region, keyed {rank, seq at the exporting
-  /// shard}.  A redirected request re-issued here carries that old seq in
-  /// `aux`; the match replays the reply (restamped to the fresh seq) and
-  /// erases the entry.  Purged per rank on a fresh-incarnation Hello.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, msg::Message>
-      redirect_replies_;
 };
 
 }  // namespace hdsm::dsm

@@ -13,7 +13,7 @@ ReplicatedHome::ReplicatedHome(tags::TypePtr gthv,
 
   ShardedHomeOptions standby_opts = opts_.home;
   standby_opts.replication = nullptr;
-  standby_opts.shard_traces = opts_.standby_traces;
+  standby_opts.trace = opts_.standby_trace;
   standby_ = std::make_unique<ShardedHome>(gthv, platform, standby_opts);
   standby_->attach_replication(std::move(standby_side));
 
@@ -35,20 +35,18 @@ ShardedHome& ReplicatedHome::serving() {
   return *serving_;
 }
 
-std::vector<msg::EndpointPtr> ReplicatedHome::attach(std::uint32_t rank) {
+msg::EndpointPtr ReplicatedHome::attach(std::uint32_t rank) {
   return serving().attach(rank);
 }
 
-void ReplicatedHome::attach_endpoint(std::uint32_t rank, std::uint32_t shard,
-                                     msg::EndpointPtr ep) {
-  serving().attach_endpoint(rank, shard, std::move(ep));
+void ReplicatedHome::attach_endpoint(std::uint32_t rank, msg::EndpointPtr ep) {
+  serving().attach_endpoint(rank, std::move(ep));
 }
 
-msg::EndpointPtr ReplicatedHome::redial(std::uint32_t rank,
-                                        std::uint32_t shard) {
+msg::EndpointPtr ReplicatedHome::redial(std::uint32_t rank) {
   ShardedHome& home = serving();
   auto [home_side, remote_side] = msg::make_channel_pair();
-  home.resume_endpoint(rank, shard, std::move(home_side));
+  home.resume_endpoint(rank, std::move(home_side));
   return std::move(remote_side);
 }
 

@@ -18,10 +18,10 @@
 //     reconnect credits) and the log link drops;
 //
 //   * `promote_standby()` fences the dead primary's epoch, resets its
-//     master state in the replayed cores (`CoherenceCore::reset_master`),
+//     master state in the replayed core (`CoherenceCore::reset_master`),
 //     and starts the standby serving;
 //
-//   * `redial(rank, shard)` is the remotes' reconnect hook: it blocks out
+//   * `redial(rank)` is the remotes' reconnect hook: it blocks out
 //     the handover window, then resumes the rank's session at whichever
 //     home is serving (`ShardedHome::resume_endpoint` — no peer event, the
 //     replayed peer state answers retransmits from the reply cache).
@@ -38,7 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <vector>
+#include <string>
 
 #include "dsm/replication.hpp"
 #include "dsm/sharded_home.hpp"
@@ -47,13 +47,13 @@ namespace hdsm::dsm {
 
 struct ReplicatedHomeOptions {
   /// Options applied to both homes (the standby's `replication` and
-  /// `shard_traces` fields are overridden; see `standby_traces`).
+  /// `trace` fields are overridden; see `standby_trace`).
   ShardedHomeOptions home;
   ReplicationOptions repl;
-  /// The standby's own trace sinks.  Keep them separate from the
-  /// primary's: a replayed event traces again, and one shared log would
-  /// double every episode.
-  std::vector<TraceLog*> standby_traces;
+  /// The standby's own trace sink.  Keep it separate from the primary's:
+  /// a replayed event traces again, and one shared log would double every
+  /// episode.
+  TraceLog* standby_trace = nullptr;
 };
 
 class ReplicatedHome {
@@ -64,17 +64,16 @@ class ReplicatedHome {
   ReplicatedHome(const ReplicatedHome&) = delete;
   ReplicatedHome& operator=(const ReplicatedHome&) = delete;
 
-  /// Attach remote `rank` to the (current) primary: one endpoint per
-  /// shard, as ShardedHome::attach.  Wire the same rank's reconnect hook
-  /// to `redial` so the remote survives the failover.
-  std::vector<msg::EndpointPtr> attach(std::uint32_t rank);
-  void attach_endpoint(std::uint32_t rank, std::uint32_t shard,
-                       msg::EndpointPtr ep);
+  /// Attach remote `rank` to the (current) primary, as
+  /// ShardedHome::attach.  Wire the same rank's reconnect hook to `redial`
+  /// so the remote survives the failover.
+  msg::EndpointPtr attach(std::uint32_t rank);
+  void attach_endpoint(std::uint32_t rank, msg::EndpointPtr ep);
 
   /// The remotes' re-dial hook: waits out an in-progress handover, then
   /// resumes the rank's session at the serving home over a fresh channel
   /// pair and returns the remote half.
-  msg::EndpointPtr redial(std::uint32_t rank, std::uint32_t shard);
+  msg::EndpointPtr redial(std::uint32_t rank);
 
   void start();
   void stop();

@@ -123,7 +123,7 @@ CoherenceEvent decode_event(Reader& r) {
 std::vector<std::byte> encode_record(const LogRecord& r) {
   std::vector<std::byte> out;
   put_u8(out, static_cast<std::uint8_t>(r.kind));
-  put_u32(out, r.shard);
+  put_u32(out, 0);  // reserved: the retired directory-shard index
   switch (r.kind) {
     case LogRecord::Kind::Event:
       encode_event(out, r.event);
@@ -134,7 +134,6 @@ std::vector<std::byte> encode_record(const LogRecord& r) {
       break;
     case LogRecord::Kind::SetBarrierCount:
     case LogRecord::Kind::BindLock:
-    case LogRecord::Kind::NoteRedirected:
       put_u32(out, r.index);
       put_u32(out, r.value);
       break;
@@ -147,11 +146,13 @@ LogRecord decode_record(const std::vector<std::byte>& payload) {
   LogRecord r;
   const std::uint8_t kind = rd.u8();
   if (kind < static_cast<std::uint8_t>(LogRecord::Kind::Event) ||
-      kind > static_cast<std::uint8_t>(LogRecord::Kind::NoteRedirected)) {
+      kind > static_cast<std::uint8_t>(LogRecord::Kind::BindLock)) {
     throw std::runtime_error("LogRecord: bad record kind");
   }
   r.kind = static_cast<LogRecord::Kind>(kind);
-  r.shard = rd.u32();
+  if (rd.u32() != 0) {
+    throw std::runtime_error("LogRecord: record from a multi-shard primary");
+  }
   switch (r.kind) {
     case LogRecord::Kind::Event: {
       r.event = decode_event(rd);
@@ -168,7 +169,6 @@ LogRecord decode_record(const std::vector<std::byte>& payload) {
     }
     case LogRecord::Kind::SetBarrierCount:
     case LogRecord::Kind::BindLock:
-    case LogRecord::Kind::NoteRedirected:
       r.index = rd.u32();
       r.value = rd.u32();
       break;
@@ -213,11 +213,10 @@ ReplicationClient::Result ReplicationSender::append(const LogRecord& r) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (deposed_) return Result::Deposed;
   if (degraded_ || link_ == nullptr) return Result::Degraded;
-  obs::SpanScope span(telemetry_, obs::SpanKind::ReplAppend, r.shard);
+  obs::SpanScope span(telemetry_, obs::SpanKind::ReplAppend, next_index_);
 
   msg::Message m;
   m.type = msg::MsgType::ReplAppend;
-  m.sync_id = r.shard;
   m.seq = next_index_;
   m.aux = opts_.epoch;
   m.payload = encode_record(r);

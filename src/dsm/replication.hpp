@@ -37,19 +37,17 @@
 namespace hdsm::dsm {
 
 /// One entry of the replicated event log.  Besides coherence events, the
-/// out-of-band state transitions the shells apply directly to their cores
-/// must replicate too, or the replicas diverge: barrier counts, lock-row
-/// bindings, and the dedup-horizon advance a WrongShard bounce performs.
+/// out-of-band state transitions the shell applies directly to its core
+/// must replicate too, or the replicas diverge: barrier counts and lock-row
+/// bindings.
 struct LogRecord {
   enum class Kind : std::uint8_t {
-    Event = 1,        ///< a CoherenceEvent the primary applied to `shard`
-    SetBarrierCount,  ///< set_barrier_count(index, value) on every shard
-    BindLock,         ///< bind_lock(index, row=value) on every shard
-    NoteRedirected,   ///< note_redirected(rank=index, seq=value) on `shard`
+    Event = 1,        ///< a CoherenceEvent the primary applied
+    SetBarrierCount,  ///< set_barrier_count(index, value)
+    BindLock,         ///< bind_lock(index, row=value)
   };
 
   Kind kind = Kind::Event;
-  std::uint32_t shard = 0;
   CoherenceEvent event;
   /// Master events only: the event's runs packed from the primary's image
   /// (bytes exist nowhere else), applied to the standby's image before the
@@ -57,7 +55,7 @@ struct LogRecord {
   std::vector<std::byte> master_payload;
   /// Sender platform for decoding `master_payload` at the standby.
   msg::PlatformSummary master_sender;
-  // SetBarrierCount / BindLock / NoteRedirected operands.
+  // SetBarrierCount / BindLock operands.
   std::uint32_t index = 0;
   std::uint32_t value = 0;
 };
@@ -81,8 +79,8 @@ struct ReplicationOptions {
   std::uint32_t epoch = 1;
 };
 
-/// Synchronous append interface the primary's shell calls under its shard
-/// state lock, after the core stepped the event and before any of its Send
+/// Synchronous append interface the primary's shell calls under its state
+/// lock, after the core stepped the event and before any of its Send
 /// actions externalize (log-before-reply).
 class ReplicationClient {
  public:
@@ -97,7 +95,7 @@ class ReplicationClient {
 };
 
 /// The production client: one endpoint to the standby, one append at a
-/// time (a mutex serializes concurrent shards), each append a synchronous
+/// time (a mutex serializes concurrent callers), each append a synchronous
 /// ReplAppend -> ReplAck round trip with bounded retry.
 class ReplicationSender : public ReplicationClient {
  public:

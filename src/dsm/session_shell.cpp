@@ -8,39 +8,30 @@ namespace hdsm::dsm {
 
 namespace {
 
-std::uint64_t key_of(std::uint32_t group, std::uint32_t rank) {
-  return (static_cast<std::uint64_t>(group) << 32) | rank;
-}
-
-// PeerId layout: gen(16) | group(16) | rank(32).  The generation bits make
-// a re-attached rank a brand-new reactor peer, so sends and closes aimed at
-// the old incarnation can never touch the new one.  (16 bits of generation
-// wrap after 65536 re-attaches of one rank — far past any real session.)
-msg::PeerId peer_of(std::uint64_t gen, std::uint32_t group,
-                    std::uint32_t rank) {
-  return ((gen & 0xffffu) << 48) |
-         ((static_cast<std::uint64_t>(group) & 0xffffu) << 32) | rank;
+// PeerId layout: gen(32) | rank(32).  The generation bits make a re-attached
+// rank a brand-new reactor peer, so sends and closes aimed at the old
+// incarnation can never touch the new one.
+msg::PeerId peer_of(std::uint32_t gen, std::uint32_t rank) {
+  return (static_cast<std::uint64_t>(gen) << 32) | rank;
 }
 
 std::uint32_t rank_of(msg::PeerId id) {
   return static_cast<std::uint32_t>(id & 0xffffffffu);
 }
 
-std::uint32_t group_of(msg::PeerId id) {
-  return static_cast<std::uint32_t>((id >> 32) & 0xffffu);
+std::uint32_t gen_of(msg::PeerId id) {
+  return static_cast<std::uint32_t>(id >> 32);
 }
-
-std::uint64_t gen16_of(msg::PeerId id) { return id >> 48; }
 
 }  // namespace
 
 void SessionShell::ReactorBridge::on_message(msg::PeerId peer,
                                              msg::Message&& m) {
-  shell->cbs_.on_message(group_of(peer), rank_of(peer), std::move(m));
+  shell->cbs_.on_message(rank_of(peer), std::move(m));
 }
 
 void SessionShell::ReactorBridge::on_peer_closed(msg::PeerId peer) {
-  shell->reactor_closed(gen16_of(peer), group_of(peer), rank_of(peer));
+  shell->reactor_closed(gen_of(peer), rank_of(peer));
 }
 
 SessionShell::SessionShell(Callbacks cbs, obs::Telemetry* telemetry)
@@ -55,12 +46,12 @@ SessionShell::~SessionShell() { stop(); }
 
 // ---- attach phases ----------------------------------------------------------
 
-void SessionShell::retire_session(std::uint32_t group, std::uint32_t rank) {
+void SessionShell::retire_session(std::uint32_t rank) {
   std::unique_lock<std::mutex> lk(mu_);
-  auto it = sessions_.find(key_of(group, rank));
+  auto it = sessions_.find(rank);
   if (it == sessions_.end() || !it->second->endpoint) return;
   std::shared_ptr<Session> s = it->second;
-  const std::uint64_t gen = s->gen;
+  const std::uint32_t gen = s->gen;
   close_locked(*s);
   if (s->started) {
     // The reactor delivers the closed event (after any messages the old
@@ -71,14 +62,13 @@ void SessionShell::retire_session(std::uint32_t group, std::uint32_t rank) {
   s->started = false;
 }
 
-void SessionShell::install_session(std::uint32_t group, std::uint32_t rank,
+void SessionShell::install_session(std::uint32_t rank,
                                    std::shared_ptr<msg::Endpoint> ep) {
   std::lock_guard<std::mutex> lk(mu_);
   if (stopped_) throw std::logic_error("install_session after stop()");
-  std::shared_ptr<Session>& sp = sessions_[key_of(group, rank)];
+  std::shared_ptr<Session>& sp = sessions_[rank];
   if (!sp) {
     sp = std::make_shared<Session>();
-    sp->group = group;
     sp->rank = rank;
   }
   sp->endpoint = std::move(ep);
@@ -86,27 +76,26 @@ void SessionShell::install_session(std::uint32_t group, std::uint32_t rank,
   sp->started = false;
 }
 
-void SessionShell::start_session(std::uint32_t group, std::uint32_t rank) {
+void SessionShell::start_session(std::uint32_t rank) {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = sessions_.find(key_of(group, rank));
+  auto it = sessions_.find(rank);
   if (it == sessions_.end() || !it->second->endpoint) {
     throw std::logic_error("start_session without install_session");
   }
   Session& s = *it->second;
   s.started = true;
-  reactor_->add_peer(peer_of(s.gen, group, rank), s.endpoint);
+  reactor_->add_peer(peer_of(s.gen, rank), s.endpoint);
 }
 
 // ---- sending ----------------------------------------------------------------
 
-SessionShell::SendHandle SessionShell::handle(std::uint32_t group,
-                                              std::uint32_t rank) const {
+SessionShell::SendHandle SessionShell::handle(std::uint32_t rank) const {
   SendHandle h;
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = sessions_.find(key_of(group, rank));
+  auto it = sessions_.find(rank);
   if (it == sessions_.end() || !it->second->endpoint) return h;
   h.valid = true;
-  h.peer = peer_of(it->second->gen, group, rank);
+  h.peer = peer_of(it->second->gen, rank);
   return h;
 }
 
@@ -122,7 +111,7 @@ void SessionShell::close_locked(Session& s) {
   if (s.started) {
     // remove_peer closes the endpoint from the io thread and funnels the
     // closed event through the ordinary delivery path.
-    reactor_->remove_peer(peer_of(s.gen, s.group, s.rank));
+    reactor_->remove_peer(peer_of(s.gen, s.rank));
     return;
   }
   try {
@@ -131,9 +120,9 @@ void SessionShell::close_locked(Session& s) {
   }
 }
 
-void SessionShell::close_session(std::uint32_t group, std::uint32_t rank) {
+void SessionShell::close_session(std::uint32_t rank) {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = sessions_.find(key_of(group, rank));
+  auto it = sessions_.find(rank);
   if (it == sessions_.end()) return;
   close_locked(*it->second);
 }
@@ -165,28 +154,21 @@ msg::ReactorStats SessionShell::reactor_stats() const {
 
 // ---- reactor closed-event bookkeeping ---------------------------------------
 
-void SessionShell::reactor_closed(std::uint64_t gen16, std::uint32_t group,
-                                  std::uint32_t rank) {
-  const std::uint64_t key = key_of(group, rank);
+void SessionShell::reactor_closed(std::uint32_t gen, std::uint32_t rank) {
   std::shared_ptr<Session> s;
-  std::uint64_t full_gen = gen16;
   bool deliver = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = sessions_.find(key);
+    auto it = sessions_.find(rank);
     if (it != sessions_.end()) {
       s = it->second;
-      // Widen the PeerId's 16 generation bits against the session's full
-      // counter (closes never come from a future generation).
-      full_gen = (s->gen & ~0xffffull) | gen16;
-      if (full_gen > s->gen) full_gen -= 0x10000;
-      deliver = full_gen == s->gen;
+      deliver = gen == s->gen;
     }
   }
-  if (deliver && cbs_.on_closed) cbs_.on_closed(group, rank);
+  if (deliver && cbs_.on_closed) cbs_.on_closed(rank);
   if (s) {
     std::lock_guard<std::mutex> lk(mu_);
-    s->closed_gen = std::max(s->closed_gen, full_gen);
+    s->closed_gen = std::max(s->closed_gen, gen);
   }
   cv_.notify_all();
 }

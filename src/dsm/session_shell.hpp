@@ -3,14 +3,13 @@
 // It owns the session machinery — the three-phase re-attach discipline
 // (wait out the active window, reap the old incarnation, install the new
 // one) and attach-generation filtering of stale transport events — keyed by
-// (group, rank): a group is a directory shard, and one session is one
-// remote's connection to one group.
+// rank: one session is one remote's connection to the home.
 //
 // Sessions are peers of one shared `msg::Reactor` (docs/TRANSPORT.md): one
-// io thread multiplexes every endpoint of every group and runs the
-// callbacks inline, and sends are asynchronous (failures surface as the
-// session's closed callback, never as a send error).  One thread running
-// every callback serializes them, per group and across groups alike.
+// io thread multiplexes every endpoint and runs the callbacks inline, and
+// sends are asynchronous (failures surface as the session's closed
+// callback, never as a send error).  One thread running every callback
+// serializes them.
 //
 // Callback contract: on_message / on_closed are invoked with NO shell lock
 // held; implementations take their own state locks and may call handle(),
@@ -38,13 +37,11 @@ namespace hdsm::dsm {
 class SessionShell {
  public:
   struct Callbacks {
-    std::function<void(std::uint32_t group, std::uint32_t rank,
-                       msg::Message&&)>
-        on_message;
+    std::function<void(std::uint32_t rank, msg::Message&&)> on_message;
     /// The session's transport is gone (close, EOF, send failure, slow-
     /// consumer eviction).  Delivered once per installed incarnation, after
     /// its last on_message.
-    std::function<void(std::uint32_t group, std::uint32_t rank)> on_closed;
+    std::function<void(std::uint32_t rank)> on_closed;
   };
 
   /// A send target captured under the caller's state lock, used after it is
@@ -69,17 +66,17 @@ class SessionShell {
 
   /// Phase 2: close the previous incarnation's transport (if any) and wait
   /// until its closed event was fully delivered.
-  void retire_session(std::uint32_t group, std::uint32_t rank);
+  void retire_session(std::uint32_t rank);
   /// Phase 3a: adopt `ep` as the session's new transport (generation
   /// bumps); nothing is received until start_session.
-  void install_session(std::uint32_t group, std::uint32_t rank,
+  void install_session(std::uint32_t rank,
                        std::shared_ptr<msg::Endpoint> ep);
   /// Phase 3b: begin receiving (register the reactor peer).
-  void start_session(std::uint32_t group, std::uint32_t rank);
+  void start_session(std::uint32_t rank);
 
   /// Capture the current incarnation as a send target (invalid handle if
   /// the session is unknown).  Cheap; callable under the caller's lock.
-  SendHandle handle(std::uint32_t group, std::uint32_t rank) const;
+  SendHandle handle(std::uint32_t rank) const;
 
   /// Send on a captured handle, outside the caller's state lock.  Sends
   /// are asynchronous: failures arrive as on_closed.  Invalid handles drop
@@ -88,7 +85,7 @@ class SessionShell {
 
   /// Close the session's transport (Detach action).  Asynchronous; safe
   /// under the caller's state lock.
-  void close_session(std::uint32_t group, std::uint32_t rank);
+  void close_session(std::uint32_t rank);
 
   /// Close every session and stop all shell threads (idempotent).  Pending
   /// received messages and closed events still deliver first.  Do not call
@@ -106,14 +103,13 @@ class SessionShell {
 
  private:
   struct Session {
-    std::uint32_t group = 0;
     std::uint32_t rank = 0;
     std::shared_ptr<msg::Endpoint> endpoint;
     /// Bumped per install; stale-incarnation filter for sends and closes.
-    std::uint64_t gen = 0;
+    std::uint32_t gen = 0;
     /// Highest generation whose closed event has fully delivered
     /// (bookkeeping for retire_session).
-    std::uint64_t closed_gen = 0;
+    std::uint32_t closed_gen = 0;
     bool started = false;
   };
 
@@ -123,8 +119,7 @@ class SessionShell {
     void on_peer_closed(msg::PeerId peer) override;
   };
 
-  void reactor_closed(std::uint64_t gen, std::uint32_t group,
-                      std::uint32_t rank);
+  void reactor_closed(std::uint32_t gen, std::uint32_t rank);
   /// Close a session's transport; call with mu_ held.
   void close_locked(Session& s);
 
@@ -134,7 +129,7 @@ class SessionShell {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;  ///< by key
+  std::map<std::uint32_t, std::shared_ptr<Session>> sessions_;  ///< by rank
   bool stopped_ = false;
 };
 

@@ -15,14 +15,10 @@ ShardedCluster::ShardedCluster(
   if (remote_opts.obs.enabled == false) remote_opts.obs = opts.obs;
   for (std::size_t i = 0; i < remote_platforms.size(); ++i) {
     const std::uint32_t rank = static_cast<std::uint32_t>(i + 1);
-    std::vector<msg::EndpointPtr> eps = home_->attach(rank);
-    if (wrap) {
-      for (std::uint32_t s = 0; s < eps.size(); ++s) {
-        eps[s] = wrap(rank, s, std::move(eps[s]));
-      }
-    }
+    msg::EndpointPtr ep = home_->attach(rank);
+    if (wrap) ep = wrap(rank, /*shard=*/0, std::move(ep));
     remotes_.push_back(std::make_unique<ShardedRemote>(
-        gthv, *remote_platforms[i], rank, std::move(eps), remote_opts));
+        gthv, *remote_platforms[i], rank, std::move(ep), remote_opts));
   }
 }
 

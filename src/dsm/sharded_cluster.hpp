@@ -1,10 +1,9 @@
 // Simulated heterogeneous cluster, standing in for the paper's testbed
-// (Sun Fire V440 + Pentium 4 over a LAN): a ShardedHome (one shard by
-// default) plus remote threads on their own virtual platforms, each
-// connected to every shard over in-process channels.  The optional `wrap`
-// hook interposes on each (rank, shard) channel before the remote sees it
-// — the fault suites wrap shard sessions in msg::FaultyEndpoint to drop,
-// duplicate, and reset frames per shard (docs/SHARDING.md §testing).
+// (Sun Fire V440 + Pentium 4 over a LAN): a ShardedHome plus remote threads
+// on their own virtual platforms, each connected to the home over an
+// in-process channel.  The optional `wrap` hook interposes on each
+// remote's channel before the remote sees it — the fault suites wrap the
+// sessions in msg::FaultyEndpoint to drop, duplicate, and reset frames.
 #pragma once
 
 #include <functional>
@@ -18,9 +17,9 @@ namespace hdsm::dsm {
 
 class ShardedCluster {
  public:
-  /// Interposer for a remote's shard session: receives the endpoint
-  /// connected to (rank, shard) and returns the endpoint the remote will
-  /// actually use.
+  /// Interposer for a remote's session: receives the endpoint connected to
+  /// `rank` and returns the endpoint the remote will actually use.  `shard`
+  /// is always 0; the parameter stays for existing interposers.
   using WrapFn = std::function<msg::EndpointPtr(
       std::uint32_t rank, std::uint32_t shard, msg::EndpointPtr ep)>;
 
@@ -42,11 +41,11 @@ class ShardedCluster {
   void run(const std::function<void(ShardedHome&)>& master_fn,
            const std::function<void(ShardedRemote&)>& remote_fn);
 
-  /// Sum of every node's Eq.-1 stats (home = data plane + all shards).
+  /// Sum of every node's Eq.-1 stats.
   ShareStats total_stats() const;
 
   /// Cluster-wide telemetry: scrape every live remote, then the home's
-  /// merged per-shard view (see ShardedHome::cluster_telemetry).
+  /// merged view (see ShardedHome::cluster_telemetry).
   obs::ClusterTelemetry telemetry();
 
  private:

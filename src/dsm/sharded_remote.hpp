@@ -1,24 +1,6 @@
-// The remote-thread side of the sharded home directory
-// (docs/SHARDING.md): one retry-driven session per home shard, a cached
-// region→shard map for routing, and the two client halves of the sharding
-// protocol —
-//
-//   * **Lazy map revalidation.**  Requests carry the cached map's epoch;
-//     a request that lands at a shard which no longer owns the region is
-//     bounced with WrongShard + the authoritative map.  The remote
-//     installs the newer map and re-issues at the new owner with `aux` =
-//     the first bounced attempt's seq, so the owner can answer from the
-//     reply cache that migrated with the region (no grant or ack is lost,
-//     and none is executed twice).
-//
-//   * **Cross-shard pending drains.**  A LockGrant / BarrierRelease ships
-//     only the granting shard's pending bytes; its `aux` bitmask names
-//     the other shards still holding pending updates for this rank.  The
-//     remote drains each with PendingPull before the acquire returns —
-//     release consistency holds cluster-wide, not just per shard.
-//
-// With one shard (the default) this is the plain remote thread of the
-// paper: no masks (always 0), no redirects, one session.
+// The remote-thread side of the home directory: one retry-driven session
+// to the home (docs/RELIABILITY.md), the paper's remote thread (§4).  The
+// type keeps its historical name (docs/SHARDING.md).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +11,6 @@
 
 #include "dsm/global_space.hpp"
 #include "dsm/retry_core.hpp"
-#include "dsm/shard_map.hpp"
 #include "dsm/stats.hpp"
 #include "dsm/sync_engine.hpp"
 #include "dsm/trace.hpp"
@@ -54,12 +35,11 @@ struct ShardedRemoteOptions {
   SyncOptions dsd;
   RetryPolicy retry;
   /// Optional reliability trace sink; not owned.  Keep it separate from
-  /// the home shards' logs.
+  /// the home's log.
   TraceLog* trace = nullptr;
-  /// Re-dial hook per shard session (null = a dead session is fatal after
-  /// the retry budget).
-  std::function<msg::EndpointPtr(std::uint32_t shard)> reconnect;
-  std::uint32_t max_reconnects = 3;  ///< reconnect budget per session
+  /// Re-dial hook (null = a dead session is fatal after the retry budget).
+  std::function<msg::EndpointPtr()> reconnect;
+  std::uint32_t max_reconnects = 3;  ///< reconnect budget of the session
   obs::ObsOptions obs;
 
   /// Object-granularity sharing mode (hdsm::obj, docs/OBJECTS.md): when
@@ -73,13 +53,16 @@ struct ShardedRemoteOptions {
 
 class ShardedRemote {
  public:
-  /// `endpoints[s]` must be connected to shard s of a ShardedHome that
-  /// attached `rank` (the vector ShardedHome::attach returns).
+  /// `endpoint` must be connected to a ShardedHome that attached `rank`
+  /// (the endpoint ShardedHome::attach returns).  The constructor sends
+  /// the session's Hello through the same reconnect path as every request:
+  /// a dead endpoint is redialed, or the constructor throws
+  /// HomeUnreachable.
   ShardedRemote(tags::TypePtr gthv, const plat::PlatformDesc& platform,
-                std::uint32_t rank, std::vector<msg::EndpointPtr> endpoints,
+                std::uint32_t rank, msg::EndpointPtr endpoint,
                 ShardedRemoteOptions opts);
   ShardedRemote(tags::TypePtr gthv, const plat::PlatformDesc& platform,
-                std::uint32_t rank, std::vector<msg::EndpointPtr> endpoints,
+                std::uint32_t rank, msg::EndpointPtr endpoint,
                 SyncOptions opts = {});
   ~ShardedRemote();
 
@@ -90,48 +73,30 @@ class ShardedRemote {
   void lock(std::uint32_t index);
   void unlock(std::uint32_t index);
   void barrier(std::uint32_t index);
-  /// Ships final writes to shard 0, then detaches from every shard.
+  /// Ships final writes home, then detaches.
   void join();
 
   GlobalSpace& space() noexcept { return space_; }
   const ShareStats& stats() const noexcept { return stats_; }
   std::uint32_t rank() const noexcept { return rank_; }
-  std::uint32_t num_shards() const noexcept {
-    return static_cast<std::uint32_t>(sessions_.size());
-  }
   bool joined() const noexcept { return joined_; }
   bool detached() const noexcept { return detached_; }
 
-  /// This remote's cached region→shard map (updated on WrongShard).
-  const ShardMap& shard_map() const noexcept { return map_; }
-
   obs::Telemetry* telemetry() noexcept { return telemetry_.get(); }
-  /// Scrape via shard 0, the directory's telemetry anchor.
+  /// Push this remote's snapshot home and return the cluster view.
   obs::ClusterTelemetry pull_cluster_metrics();
 
  private:
-  struct Session {
-    msg::EndpointPtr endpoint;
-    RetryCore retry;
-  };
-
-  /// Bounded-hop routed request: route by the cached map, intercept
-  /// WrongShard, install the fresher map, re-issue at the new owner.
-  msg::Message routed_rpc(msg::Message req, msg::MsgType want);
-  /// One request/reply exchange on shard `shard`: send, then wait,
-  /// retransmitting and reconnecting as the session's RetryCore decides.
-  /// When `allow_redirect`, a WrongShard echoing this request's seq is
-  /// returned to the caller instead of raising ProtocolError.
-  msg::Message rpc(std::uint32_t shard, msg::Message req, msg::MsgType want,
-                   bool allow_redirect);
-  /// Drain every shard flagged in `mask` (and any shard a PendingReply
-  /// flags in turn) via PendingPull — part of the acquire.
-  void drain_pending(std::uint32_t mask);
+  /// One request/reply exchange: send, then wait, retransmitting and
+  /// reconnecting as the RetryCore decides.
+  msg::Message rpc(msg::Message req, msg::MsgType want);
   /// One release episode's payload: page mode diffs the tracked region,
   /// object mode packs the run_source's dirty-object runs for `region`.
   std::vector<std::byte> collect_episode(std::uint32_t region);
-  void send_hello(std::uint32_t shard, bool resume);
-  bool try_reconnect(std::uint32_t shard);
+  void send_hello(bool resume);
+  /// Redial through the reconnect hook until a fresh transport takes a
+  /// resume Hello; false when the reconnect budget is spent.
+  bool try_reconnect();
   void detach_self();
   void trace(TraceEvent::Kind kind, std::uint32_t sync_id, std::uint64_t req);
 
@@ -140,16 +105,13 @@ class ShardedRemote {
   std::unique_ptr<obs::Telemetry> telemetry_;
   SyncEngine engine_;
   std::uint32_t rank_;
-  /// One incarnation epoch for all sessions: to the home this is one
-  /// logical rank, whichever shard a request reaches.
+  /// Nonzero incarnation nonce carried by every Hello.
   std::uint32_t epoch_;
   ShardedRemoteOptions opts_;
-  std::vector<Session> sessions_;
-  ShardMap map_;
-  /// One request sequence across every session: each shard sees a gapped
-  /// but strictly increasing stream, and — crucial for redirect replay —
-  /// the seqs a migrating region's reply cache is keyed by are totally
-  /// ordered with the re-issued attempts' seqs (docs/SHARDING.md).
+  msg::EndpointPtr endpoint_;
+  RetryCore retry_;
+  /// Request sequence: strictly increasing across the session's life, so
+  /// the home's dedup horizon survives reconnects.
   std::uint32_t send_seq_ = 0;
   bool joined_ = false;
   bool detached_ = false;

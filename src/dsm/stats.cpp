@@ -58,12 +58,6 @@ std::string ShareStats::to_string() const {
     os << " adapt_episodes=" << adapt_episodes
        << " adapt_switches=" << adapt_switches;
   }
-  if (wrong_shard_redirects != 0 || pending_pulls != 0 ||
-      region_migrations != 0) {
-    os << " wrong_shard=" << wrong_shard_redirects
-       << " pending_pulls=" << pending_pulls
-       << " migrations=" << region_migrations;
-  }
   if (object_episodes != 0) {
     os << " object_episodes=" << object_episodes
        << " objects_shipped=" << objects_shipped;

@@ -53,9 +53,6 @@ namespace hdsm::dsm {
   X(adapt_episodes)                \
   X(adapt_switches)                \
   X(fastpath_blocks)               \
-  X(wrong_shard_redirects)         \
-  X(pending_pulls)                 \
-  X(region_migrations)             \
   X(object_episodes)               \
   X(objects_shipped)               \
   X(codec_blocks)                  \
@@ -112,14 +109,6 @@ struct ShareStats {
                                       ///  zero-copy Route::Memcpy apply),
                                       ///  tuner on or off; listed here to
                                       ///  keep its CSV column in place
-
-  // -- Home directory / sharding (docs/SHARDING.md) --
-  std::uint64_t wrong_shard_redirects = 0;  ///< count: stale-map requests
-                                            ///  bounced with WrongShard
-  std::uint64_t pending_pulls = 0;  ///< count: cross-shard pending drains
-                                    ///  served (PendingPull requests)
-  std::uint64_t region_migrations = 0;  ///< count: regions imported by this
-                                        ///  shard (ownership handoffs)
 
   // -- Object-granularity sharing mode (hdsm::obj, docs/OBJECTS.md) --
   std::uint64_t object_episodes = 0;  ///< count: pack episodes that shipped

@@ -28,8 +28,6 @@ const char* trace_kind_name(TraceEvent::Kind k) noexcept {
     case TraceEvent::Kind::LanesRetuned: return "LanesRetuned";
     case TraceEvent::Kind::RunsCoalesced: return "RunsCoalesced";
     case TraceEvent::Kind::MetricsScraped: return "MetricsScraped";
-    case TraceEvent::Kind::RegionExported: return "RegionExported";
-    case TraceEvent::Kind::RegionImported: return "RegionImported";
   }
   return "?";
 }
@@ -212,23 +210,12 @@ std::optional<std::string> validate_trace(
         }
         break;
       }
-      case TraceEvent::Kind::RegionExported: {
-        // Ownership handoff (docs/SHARDING.md): any lock or barrier episode
-        // open for this region continues at the importing shard, not here.
-        // Close it in this log; the importer's log re-opens it with
-        // synthetic LockGranted / BarrierEntered events.
-        auto it = holder.find(e.sync_id);
-        if (it != holder.end()) it->second = -1;
-        entered[e.sync_id].clear();
-        break;
-      }
       case TraceEvent::Kind::RetrySent:
       case TraceEvent::Kind::DuplicateDropped:
       case TraceEvent::Kind::ReplyResent:
       case TraceEvent::Kind::Reconnected:
       case TraceEvent::Kind::UpdatesShipped:
       case TraceEvent::Kind::MetricsScraped:
-      case TraceEvent::Kind::RegionImported:
         break;
     }
   }

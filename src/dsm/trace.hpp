@@ -45,13 +45,6 @@ struct TraceEvent {
     // Telemetry events (see docs/OBSERVABILITY.md).  Bookkeeping like the
     // reliability events: lifecycle-exempt, no protocol invariants.
     MetricsScraped,    ///< home folded a MetricsPull snapshot (bytes = size)
-    // Home-directory events (see docs/SHARDING.md).  A migration hands a
-    // region's coherence state to another shard: the exporting shard logs
-    // RegionExported (which closes any open lock/barrier episode in *this*
-    // log — the episode continues in the importer's log, rebuilt there by
-    // synthetic LockGranted/BarrierEntered events after RegionImported).
-    RegionExported,    ///< sync_id = region; this shard gave up ownership
-    RegionImported,    ///< sync_id = region; this shard took ownership
   };
 
   std::uint64_t seq = 0;  ///< global order at the home node

@@ -52,9 +52,6 @@ const char* msg_type_name(MsgType t) noexcept {
     case MsgType::Shutdown: return "Shutdown";
     case MsgType::MetricsPull: return "MetricsPull";
     case MsgType::MetricsReport: return "MetricsReport";
-    case MsgType::WrongShard: return "WrongShard";
-    case MsgType::PendingPull: return "PendingPull";
-    case MsgType::PendingReply: return "PendingReply";
     case MsgType::ReplAppend: return "ReplAppend";
     case MsgType::ReplAck: return "ReplAck";
   }
@@ -98,7 +95,9 @@ bool FrameDecoder::next(Message& out) {
   }
   const std::uint8_t type = std::to_integer<std::uint8_t>(p[4]);
   if (type < static_cast<std::uint8_t>(MsgType::Hello) ||
-      type > static_cast<std::uint8_t>(MsgType::ReplAck)) {
+      type > static_cast<std::uint8_t>(MsgType::ReplAck) ||
+      (type > static_cast<std::uint8_t>(MsgType::MetricsReport) &&
+       type < static_cast<std::uint8_t>(MsgType::ReplAppend))) {
     throw std::runtime_error("FrameDecoder: bad message type");
   }
   const std::uint8_t endian = std::to_integer<std::uint8_t>(p[5]);

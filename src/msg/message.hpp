@@ -39,30 +39,26 @@ enum class MsgType : std::uint8_t {
   /// cluster view.  Sequenced like every other request.
   MetricsPull,
   MetricsReport,
-  /// Home-directory redirects (docs/SHARDING.md, docs/PROTOCOL.md §8): a
-  /// request routed by a stale shard map is bounced with WrongShard, whose
-  /// payload carries the serialized authoritative dsm::ShardMap and whose
-  /// map_epoch field carries its epoch.  Shell-level and unsequenced: it
-  /// never touches the shard's dedup/reply-cache state.
-  WrongShard,
-  /// Cross-shard data-plane pull (docs/SHARDING.md): on an acquire, a
-  /// remote drains the pending update set it has accumulated at a sibling
-  /// shard flagged in the grant's `aux` mask.  Sequenced and reply-cached
-  /// like every other request.
-  PendingPull,
-  PendingReply,
+  // 15-17 are reserved: they carried the retired multi-shard directory's
+  // redirect and pending-pull frames (docs/PROTOCOL.md §8).  FrameDecoder
+  // rejects them.
   /// Primary→standby state-machine replication (docs/REPLICATION.md,
   /// docs/PROTOCOL.md §9): the payload is one serialized dsm::LogRecord,
-  /// `seq` the per-shard log index, `sync_id` the shard, `aux` the
-  /// sender's primaryship epoch.  The standby replays the record through
-  /// its own core and answers ReplAck echoing seq/sync_id; an ack with
+  /// `seq` the log index, `aux` the sender's primaryship epoch.  The
+  /// standby replays the record through its own core and answers ReplAck
+  /// echoing seq/sync_id; an ack with
   /// `aux` != 0 tells the sender it has been deposed (a newer epoch was
   /// promoted) and must stop externalizing actions.
-  ReplAppend,
+  ReplAppend = 18,
   ReplAck,
 };
 
 const char* msg_type_name(MsgType t) noexcept;
+
+/// The value of Message::map_epoch on coherence frames.  It was the epoch
+/// of the retired shard map, which never changed with one directory; the
+/// constant keeps the wire byte-identical.
+inline constexpr std::uint32_t kMapEpoch = 1;
 
 /// The sender-platform facts a receiver needs to "make right": byte order
 /// and extended-float format.  Element sizes travel in the tags.
@@ -84,16 +80,12 @@ struct Message {
   /// remote on requests, echoed on the matching reply.  0 = unsequenced
   /// (legacy application traffic; exempt from duplicate detection).
   std::uint32_t seq = 0;
-  /// Shard-map epoch (docs/SHARDING.md).  On requests: the sender's cached
-  /// map epoch (advisory).  On a WrongShard redirect: the authoritative
-  /// epoch of the map carried in the payload.  0 = single-home traffic.
+  /// Header word fixed at kMapEpoch on every coherence frame the home
+  /// sends and on every lock/unlock/barrier request (docs/PROTOCOL.md §8);
+  /// 0 on Hello, join and scrape requests.
   std::uint32_t map_epoch = 0;
-  /// Auxiliary word, meaning fixed per message type (docs/PROTOCOL.md §8):
-  /// on a request re-issued after a WrongShard redirect, the sequence
-  /// number the request carried at the previous shard (lets the new owner
-  /// replay a migrated cached reply); on LockGrant / BarrierRelease /
-  /// PendingReply, the bitmask of shards holding pending updates for the
-  /// receiver.  0 otherwise.
+  /// Auxiliary word (docs/PROTOCOL.md §8): the primaryship epoch on
+  /// ReplAppend, the fence epoch on a rejecting ReplAck, 0 otherwise.
   std::uint32_t aux = 0;
   PlatformSummary sender;
   std::string tag;                 ///< ASCII (m,n) tag text

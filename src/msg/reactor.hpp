@@ -39,7 +39,7 @@ class Telemetry;
 namespace hdsm::msg {
 
 /// Opaque peer handle chosen by the caller at add_peer (the DSM shells
-/// encode (attach generation, shard, rank) so stale completions filter).
+/// encode (attach generation, rank) so stale completions filter).
 using PeerId = std::uint64_t;
 
 struct ReactorOptions {

@@ -32,9 +32,6 @@ ObjectHome::ObjectHome(ObjectLayoutPtr layout,
   opts.run_source = [this](std::uint32_t region) {
     return objects_->take_dirty(region);
   };
-  opts.row_region = [layout = layout_](std::uint32_t row) {
-    return layout->region_of_row(row);
-  };
   home_ = std::make_unique<dsm::ShardedHome>(layout_->gthv(), platform,
                                              std::move(opts));
   objects_ = std::make_unique<ObjectSpace>(home_->space(), layout_);
@@ -44,14 +41,14 @@ ObjectHome::ObjectHome(ObjectLayoutPtr layout,
 ObjectRemote::ObjectRemote(ObjectLayoutPtr layout,
                            const plat::PlatformDesc& platform,
                            std::uint32_t rank,
-                           std::vector<msg::EndpointPtr> endpoints,
+                           msg::EndpointPtr endpoint,
                            dsm::ShardedRemoteOptions opts)
     : layout_(std::move(layout)) {
   opts.run_source = [this](std::uint32_t region) {
     return objects_->take_dirty(region);
   };
   remote_ = std::make_unique<dsm::ShardedRemote>(
-      layout_->gthv(), platform, rank, std::move(endpoints), std::move(opts));
+      layout_->gthv(), platform, rank, std::move(endpoint), std::move(opts));
   objects_ = std::make_unique<ObjectSpace>(remote_->space(), layout_);
 }
 
@@ -65,14 +62,10 @@ ObjectCluster::ObjectCluster(
   home_ = std::make_unique<ObjectHome>(layout_, home_platform, std::move(opts));
   for (std::size_t i = 0; i < remote_platforms.size(); ++i) {
     const std::uint32_t rank = static_cast<std::uint32_t>(i + 1);
-    std::vector<msg::EndpointPtr> eps = home_->node().attach(rank);
-    if (wrap) {
-      for (std::uint32_t s = 0; s < eps.size(); ++s) {
-        eps[s] = wrap(rank, s, std::move(eps[s]));
-      }
-    }
+    msg::EndpointPtr ep = home_->node().attach(rank);
+    if (wrap) ep = wrap(rank, /*shard=*/0, std::move(ep));
     remotes_.push_back(std::make_unique<ObjectRemote>(
-        layout_, *remote_platforms[i], rank, std::move(eps), remote_opts));
+        layout_, *remote_platforms[i], rank, std::move(ep), remote_opts));
   }
 }
 

@@ -1,16 +1,15 @@
 // Object-granularity DSM nodes (docs/OBJECTS.md): thin shells pairing the
-// sharded coherence machinery with an ObjectSpace per node.
+// coherence machinery with an ObjectSpace per node.
 //
 // Each node's ObjectSpace is wired in as the shell's run_source — release
 // episodes ship exactly the dirty objects' element runs through the
 // unchanged zero-copy pack_payload + plan-cache pipeline, and write
 // tracking (mprotect twins, page diffing) is never armed.  Every coherence
 // region's lock is bound to that region's stripe fields, so the grant path
-// ships only the acquired region's guarded rows (strict entry consistency)
-// and the cross-shard pending-drain masks stay 0 by construction.  The
-// control plane — sharding, WrongShard redirects, retries, migration,
-// replication — is the ordinary ShardedHome/ShardedRemote protocol,
-// completely unchanged.
+// ships only the acquired region's guarded rows (strict entry
+// consistency).  The control plane — retries, reconnects, thread
+// migration, replication — is the ordinary ShardedHome/ShardedRemote
+// protocol, completely unchanged.
 #pragma once
 
 #include <functional>
@@ -64,7 +63,7 @@ class ObjectHome {
 class ObjectRemote {
  public:
   ObjectRemote(ObjectLayoutPtr layout, const plat::PlatformDesc& platform,
-               std::uint32_t rank, std::vector<msg::EndpointPtr> endpoints,
+               std::uint32_t rank, msg::EndpointPtr endpoint,
                dsm::ShardedRemoteOptions opts = {});
 
   ObjectRemote(const ObjectRemote&) = delete;
@@ -94,9 +93,9 @@ class ObjectRemote {
 
 /// Simulated object-mode cluster, the hdsm::obj twin of ShardedCluster:
 /// an ObjectHome plus one ObjectRemote per virtual platform, each remote
-/// connected to every home shard over in-process channels.  The `wrap`
-/// hook interposes per (rank, shard) — the fault suites inject
-/// msg::FaultyEndpoint here exactly as they do in page mode.
+/// connected to the home over an in-process channel.  The `wrap` hook
+/// interposes per rank — the fault suites inject msg::FaultyEndpoint here
+/// exactly as they do in page mode.
 class ObjectCluster {
  public:
   using WrapFn = dsm::ShardedCluster::WrapFn;
@@ -120,7 +119,7 @@ class ObjectCluster {
   void run(const std::function<void(ObjectHome&)>& master_fn,
            const std::function<void(ObjectRemote&)>& remote_fn);
 
-  /// Sum of every node's Eq.-1 stats (home = data plane + all shards).
+  /// Sum of every node's Eq.-1 stats.
   dsm::ShareStats total_stats() const;
 
  private:

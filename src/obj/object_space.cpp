@@ -19,8 +19,8 @@ std::uint64_t dirty_key(std::uint32_t cls, std::uint64_t slot) {
 
 std::uint32_t ObjectLayout::hash_region(std::uint64_t id,
                                         std::uint32_t num_regions) {
-  // 64-bit FNV-1a over the id's little-endian bytes, xor-folded — the same
-  // discipline as ShardMap::hash_shard, and like it NEVER std::hash.
+  // 64-bit FNV-1a over the id's little-endian bytes, xor-folded — NEVER
+  // std::hash, whose result differs between platforms and libraries.
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (int i = 0; i < 8; ++i) {
     h ^= (id >> (8 * i)) & 0xffu;

@@ -3,10 +3,9 @@
 //
 // An ObjectLayout registers N object *classes* (name, scalar element type,
 // words per object, object count) and stripes every object across
-// `num_regions` coherence regions by FNV-1a over its id — the same hashing
-// discipline ShardMap uses for region→shard placement, so object→region→
-// shard routing composes deterministically on every platform and compiler
-// (never std::hash).  Each (class, region) stripe materializes as one
+// `num_regions` coherence regions by FNV-1a over its id, so object→region
+// placement is identical on every platform and compiler (never
+// std::hash).  Each (class, region) stripe materializes as one
 // array field of the generated GThV structure, which means the existing
 // index table, (m,n) tag grammar, and CGT-RMR converter already operate on
 // object boundaries: an update run covering one object's words IS the
@@ -60,9 +59,9 @@ class ObjectLayout {
   explicit ObjectLayout(ObjectLayoutConfig cfg);
 
   /// FNV-1a (64-bit, offset 0xcbf29ce484222325, prime 0x100000001b3) over
-  /// the eight little-endian bytes of `id`, xor-folded — the 64-bit twin of
-  /// ShardMap::hash_shard, and like it NEVER std::hash: placements are
-  /// golden-pinned in sharding_test.cpp and must not vary across compilers.
+  /// the eight little-endian bytes of `id`, xor-folded — NEVER std::hash:
+  /// placements are golden-pinned in object_test.cpp and must not vary
+  /// across compilers.
   static std::uint32_t hash_region(std::uint64_t id,
                                    std::uint32_t num_regions);
 
@@ -104,8 +103,7 @@ class ObjectLayout {
     return row_of_[cls][region];
   }
   /// The region guarding index-table row `row`; dsm::kAllRegions when the
-  /// row is no stripe (padding rows).  This is ShardedHomeOptions::
-  /// row_region — it scopes each shard's initial image seed.
+  /// row is no stripe (padding rows).
   std::uint32_t region_of_row(std::uint32_t row) const;
 
  private:

@@ -45,7 +45,7 @@ enum class SpanKind : std::uint8_t {
   Scrape,        ///< MetricsPull round trip / aggregation
   ReactorWake,   ///< one reactor io-thread wakeup's event processing
   ReactorFlush,  ///< one coalesced outbound flush sweep (id = io index)
-  ReplAppend,    ///< one log append round trip to the standby (id = shard)
+  ReplAppend,    ///< one log append round trip to the standby (id = log index)
   Failover,      ///< standby promotion: fence + master reset + start
   CodecEncode,   ///< codec encode inside a pack episode (id = blocks)
   CodecDecode,   ///< codec decode inside a validate pass (id = blocks)

@@ -120,7 +120,6 @@ bool kv_verify(const KvConfig& cfg,
 KvResult run_kv_object(const KvConfig& cfg, obj::ObjectLayoutPtr layout,
                        const plat::PlatformDesc& home_plat) {
   dsm::ShardedHomeOptions opts;
-  opts.num_shards = cfg.num_shards;
   opts.dsd = cfg.dsd;
   obj::ObjectCluster cluster(layout, home_plat, cfg.remotes, opts);
 
@@ -197,18 +196,14 @@ KvResult run_kv_page(const KvConfig& cfg, obj::ObjectLayoutPtr layout,
   dsm::ShardedHomeOptions opts;
   opts.num_locks = cfg.num_regions;
   opts.num_barriers = cfg.num_regions;
-  opts.num_shards = cfg.num_shards;
   opts.dsd = cfg.dsd;
-  // Same entry-consistency regime as object mode: each region's lock
-  // guards that region's stripe and pending stays region-scoped, so the
-  // comparison isolates the sharing machinery itself.  Scoping is also
-  // what makes concurrent hot-key writers race-free: every image access
-  // for a region serializes through its DSM lock or its owning shard.
-  opts.row_region = [layout](std::uint32_t row) {
-    return layout->region_of_row(row);
-  };
-  opts.scoped_pending = true;
   dsm::ShardedCluster cluster(layout->gthv(), home_plat, cfg.remotes, opts);
+  // Same entry-consistency regime as object mode: each region's lock
+  // guards that region's stripe, so the comparison isolates the sharing
+  // machinery itself.  Strict entry consistency is also what makes
+  // concurrent hot-key writers race-free: a grant ships only the acquired
+  // region's rows, so every image access for a region serializes through
+  // its DSM lock.
   for (std::uint32_t r = 0; r < cfg.num_regions; ++r) {
     cluster.home().bind_lock(r, layout->field_name(kKvClass, r));
   }

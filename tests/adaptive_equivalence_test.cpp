@@ -37,7 +37,7 @@ dsm::ShardedHomeOptions adaptive_on(dsm::TraceLog* trace = nullptr) {
   opts.dsd.tuner.dwell = 1;
   opts.dsd.tuner.alpha = 0.5;
   opts.dsd.tuner.margin = 0.05;
-  opts.shard_traces = {trace};
+  opts.trace = trace;
   return opts;
 }
 

@@ -75,14 +75,12 @@ struct CoreHarness {
   dsm::CoherenceCore core;
   dsm::TraceLog log;
 
-  explicit CoreHarness(std::uint32_t locks = 4, std::uint32_t barriers = 2,
-                       bool scoped = false)
+  explicit CoreHarness(std::uint32_t locks = 4, std::uint32_t barriers = 2)
       : core(
             [&] {
               dsm::CoherenceConfig cfg;
               cfg.num_locks = locks;
               cfg.num_barriers = barriers;
-              cfg.scoped_pending = scoped;
               // layout_runs stays empty: Hello shape negotiation is the
               // data plane's concern, not these protocol tests'.
               return cfg;
@@ -364,6 +362,75 @@ TEST(CoherenceCore, OutOfRangeIndexesDetachTheSender) {
   EXPECT_FALSE(h.core.peer_active(2));
 }
 
+// A remote has one request outstanding and retransmits under the same seq,
+// so a fresh-seq LockRequest for a mutex the rank already holds or already
+// waits for is a protocol violation: the sender is detached, never queued
+// behind itself or queued twice.
+TEST(CoherenceCore, FreshLockRequestFromTheHolderDetachesIt) {
+  CoreHarness h;
+  h.attach(1);
+  h.attach(2);
+  auto actions = h.step(
+      Event::msg_received(1, make_msg(msg::MsgType::LockRequest, 1, 1, 0)));
+  ASSERT_NE(find_send(actions, 1, msg::MsgType::LockGrant), nullptr);
+  h.step(Event::msg_received(2, make_msg(msg::MsgType::LockRequest, 2, 1, 0)));
+  ASSERT_EQ(h.core.lock_holder(0), 1);
+
+  actions = h.step(
+      Event::msg_received(1, make_msg(msg::MsgType::LockRequest, 1, 2, 0)));
+  EXPECT_EQ(count_kind(actions, Action::Kind::Detach), 1);
+  EXPECT_FALSE(h.core.peer_active(1));
+  EXPECT_EQ(h.core.lock_holder(0), 2);  // handed to the next waiter
+  EXPECT_NE(find_send(actions, 2, msg::MsgType::LockGrant), nullptr);
+  EXPECT_EQ(find_send(actions, 1, msg::MsgType::LockGrant), nullptr);
+  h.expect_valid_trace();
+}
+
+TEST(CoherenceCore, FreshLockRequestFromAQueuedWaiterDetachesIt) {
+  CoreHarness h;
+  h.attach(1);
+  h.attach(2);
+  h.step(Event::msg_received(1, make_msg(msg::MsgType::LockRequest, 1, 1, 0)));
+  h.step(Event::msg_received(2, make_msg(msg::MsgType::LockRequest, 2, 1, 0)));
+
+  auto actions = h.step(
+      Event::msg_received(2, make_msg(msg::MsgType::LockRequest, 2, 2, 0)));
+  EXPECT_EQ(count_kind(actions, Action::Kind::Detach), 1);
+  EXPECT_FALSE(h.core.peer_active(2));
+  EXPECT_EQ(h.core.lock_holder(0), 1);
+
+  // The detached waiter left the queue: the release finds nobody to grant.
+  actions = h.step(Event::msg_received(
+      1, make_msg(msg::MsgType::UnlockRequest, 1, 2, 0, fake_payload({}))));
+  EXPECT_NE(find_send(actions, 1, msg::MsgType::UnlockAck), nullptr);
+  EXPECT_EQ(find_send(actions, 2, msg::MsgType::LockGrant), nullptr);
+  EXPECT_EQ(h.core.lock_holder(0), -1);
+  h.expect_valid_trace();
+}
+
+TEST(CoherenceCore, FreshBarrierEnterFromAnEnteredRankDetachesIt) {
+  CoreHarness h;
+  h.attach(1);
+  h.attach(2);
+  h.step(Event::msg_received(
+      1, make_msg(msg::MsgType::BarrierEnter, 1, 1, 0, fake_payload({}))));
+  auto actions = h.step(Event::msg_received(
+      1, make_msg(msg::MsgType::BarrierEnter, 1, 2, 0, fake_payload({}))));
+  EXPECT_EQ(count_kind(actions, Action::Kind::Detach), 1);
+  EXPECT_FALSE(h.core.peer_active(1));
+  EXPECT_EQ(h.codec.apply_calls, 1);  // the second entry's diffs not applied
+
+  // The episode still waits for the master and rank 2, not a double count.
+  h.step(Event::master_barrier(0, {}));
+  EXPECT_EQ(h.core.barrier_generation(0), 0u);
+  actions = h.step(Event::msg_received(
+      2, make_msg(msg::MsgType::BarrierEnter, 2, 1, 0, fake_payload({}))));
+  EXPECT_EQ(h.core.barrier_generation(0), 1u);
+  EXPECT_NE(find_send(actions, 2, msg::MsgType::BarrierRelease), nullptr);
+  EXPECT_EQ(find_send(actions, 1, msg::MsgType::BarrierRelease), nullptr);
+  h.expect_valid_trace();
+}
+
 // ---- barriers --------------------------------------------------------------
 
 TEST(CoherenceCore, MidEpisodeAttachIsNotAParticipant) {
@@ -533,154 +600,7 @@ TEST(CoherenceCoreSchedules, AllBarrierEntryOrdersRelease) {
   EXPECT_EQ(permutations, 6);
 }
 
-// ---- sharded directory: migration at every causally-valid point ------------
-
-namespace {
-
-/// Two home shards, two remotes contending on mutex 0, and a migration
-/// agent that hands the region between the shards (docs/SHARDING.md).  The
-/// sim models exactly what the sharded shells do around the cores: requests
-/// route by the remote's cached map, a request landing at the non-owner is
-/// bounced (shell-level — no core interaction) and re-issued at the owner
-/// with `aux` = the bounced attempt's seq, and a migration is an
-/// export_region at the owner followed by an import_region at the other
-/// shard.  The DFS below drives this through every causally-valid
-/// interleaving, so the handoff fires with the mutex free, held, held with
-/// a queued waiter, and mid-release — and each schedule must converge with
-/// every request executed exactly once and both shard logs valid.
-struct ShardedLockSim {
-  static constexpr int kMigrations = 2;
-
-  std::array<CoreHarness, 2> h;
-  int owner = 0;                  // shard currently owning region 0
-  int migs = 0;                   // migration steps fired so far
-  int bounces = 0;                // stale-map re-issues the sim performed
-  std::array<int, 2> pc{};        // per remote: 0 = lock, 1 = unlock, 2 = done
-  std::array<int, 2> replies{};   // grant/ack sends observed per remote
-  std::array<int, 2> cached{};    // each remote's cached owner shard
-  std::array<std::uint32_t, 2> seq{};
-
-  ShardedLockSim() {
-    for (CoreHarness& shard : h) {
-      shard.attach(1);
-      shard.attach(2);
-    }
-  }
-
-  void observe(CoreHarness& shard, const std::vector<Action>& actions) {
-    for (const Action& a : actions) {
-      if (a.kind == Action::Kind::Trace) {
-        shard.log.append(a.trace.kind, a.trace.rank, a.trace.sync_id,
-                         a.trace.blocks, a.trace.bytes, a.trace.req);
-      }
-      if (a.kind == Action::Kind::Send &&
-          (a.message.type == msg::MsgType::LockGrant ||
-           a.message.type == msg::MsgType::UnlockAck)) {
-        ++replies[a.rank - 1];
-      }
-    }
-  }
-
-  void fire_remote(int i) {
-    const auto rank = static_cast<std::uint32_t>(i + 1);
-    std::uint32_t aux = 0;
-    if (cached[i] != owner) {
-      // The stale-routed attempt reaches the old owner's shell and is
-      // bounced with WrongShard + the fresh map — the core never sees it.
-      // The re-issue below carries the bounced attempt's seq in aux.
-      ++bounces;
-      aux = ++seq[i];
-      cached[i] = owner;
-    }
-    msg::Message m =
-        pc[i] == 0
-            ? make_msg(msg::MsgType::LockRequest, rank, ++seq[i])
-            : make_msg(msg::MsgType::UnlockRequest, rank, ++seq[i], 0,
-                       fake_payload({idx::UpdateRun{}}));
-    m.aux = aux;
-    // The actions of this step are produced (and observed) at the owner:
-    // a waiter's deferred grant rides the unlocking step's action batch.
-    std::vector<Action> actions =
-        h[owner].core.step(Event::msg_received(rank, std::move(m)));
-    observe(h[owner], actions);
-    ++pc[i];
-  }
-
-  void fire_migration() {
-    std::vector<Action> out;
-    dsm::CoherenceCore::RegionState st = h[owner].core.export_region(0, out);
-    observe(h[owner], out);
-    out.clear();
-    h[1 - owner].core.import_region(std::move(st), out);
-    observe(h[1 - owner], out);
-    owner = 1 - owner;
-    ++migs;
-  }
-
-  // Agents 0..1 are the remotes, agent 2 the migration driver.
-  bool enabled(int agent) const {
-    if (agent == 2) return migs < kMigrations;
-    if (pc[agent] >= 2) return false;
-    return pc[agent] == 0 || replies[agent] >= 1;
-  }
-
-  void fire(int agent) { agent == 2 ? fire_migration() : fire_remote(agent); }
-
-  bool done() const {
-    return pc[0] == 2 && pc[1] == 2 && migs == kMigrations;
-  }
-};
-
-void dfs_sharded_schedules(std::vector<int>& path, int& schedules) {
-  ShardedLockSim sim;
-  for (const int agent : path) {
-    ASSERT_TRUE(sim.enabled(agent));
-    sim.fire(agent);
-  }
-  bool any = false;
-  for (int agent = 0; agent < 3; ++agent) {
-    if (!sim.enabled(agent)) continue;
-    any = true;
-    path.push_back(agent);
-    dfs_sharded_schedules(path, schedules);
-    path.pop_back();
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-  if (any) return;
-  // A maximal schedule: both episodes and both migrations completed, no
-  // interleaving may deadlock the handoff.
-  ASSERT_TRUE(sim.done()) << "schedule deadlocked after " << path.size()
-                          << " steps";
-  EXPECT_EQ(sim.replies[0], 2);
-  EXPECT_EQ(sim.replies[1], 2);
-  EXPECT_EQ(sim.h[0].core.lock_holder(0), -1);
-  EXPECT_EQ(sim.h[1].core.lock_holder(0), -1);
-  // Each unlock's diffs applied exactly once, whichever shard ended up
-  // executing it — never lost to a handoff, never double-applied.
-  EXPECT_EQ(sim.h[0].codec.apply_calls + sim.h[1].codec.apply_calls, 2);
-  // The importer counts each handoff exactly once.
-  EXPECT_EQ(sim.h[0].stats.region_migrations +
-                sim.h[1].stats.region_migrations,
-            static_cast<std::uint64_t>(ShardedLockSim::kMigrations));
-  for (CoreHarness& shard : sim.h) {
-    const auto err = dsm::validate_trace(shard.log.snapshot());
-    ASSERT_FALSE(err.has_value()) << *err;
-  }
-  ++schedules;
-}
-
-}  // namespace
-
-TEST(CoherenceCoreSchedules, AllShardMigrationInterleavingsConverge) {
-  std::vector<int> path;
-  int schedules = 0;
-  dfs_sharded_schedules(path, schedules);
-  // 4 causally-valid remote orders × C(6,2) migration placements: the DFS
-  // must reach every one of them.
-  EXPECT_EQ(schedules, 60);
-}
-
-// ---- object mode: scoped grants + pending travel at every interleaving -----
+// ---- object mode: scoped grants at every interleaving ----------------------
 
 namespace {
 
@@ -690,117 +610,59 @@ std::vector<idx::UpdateRun> decode_runs(const std::vector<std::byte>& p) {
   return runs;
 }
 
-/// The object-granularity twin of ShardedLockSim (docs/OBJECTS.md): two
-/// shards running scoped-pending cores with mutex 0 bound to row 0 and
-/// mutex 1 to row 1 — each row standing for one (class, region) object
-/// stripe.  Remote 1 works objects guarded by region 0, remote 2 objects
-/// guarded by region 1, and a migration agent hands region 0 between the
-/// shards.  The DFS drives every interleaving and each one must keep the
-/// strict-entry-consistency bars: a grant ships ONLY its bound row's
-/// pending runs (never another region's objects), the initial pending for
-/// region 0 is delivered exactly once no matter how many handoffs precede
-/// the grant (it travels in RegionState::pending), and every exported
-/// pending run belongs to the exported region's bound row.
+/// Strict entry consistency (docs/OBJECTS.md) on the one core: mutex 0 is
+/// bound to row 0 and mutex 1 to row 1 — each row standing for one
+/// (class, region) object stripe.  Remote 1 works objects guarded by
+/// region 0, remote 2 objects guarded by region 1, and every rank starts
+/// with both rows pending.  The DFS drives every interleaving and each one
+/// must keep the scoping bars: a grant ships ONLY its bound row's pending
+/// runs (never another region's objects), and region 0's initial pending
+/// reaches remote 1 exactly once.
 struct ObjectLockSim {
-  static constexpr int kMigrations = 2;
-
-  std::array<CoreHarness, 2> h{CoreHarness{2, 2, /*scoped=*/true},
-                               CoreHarness{2, 2, /*scoped=*/true}};
-  int owner = 0;                 // shard currently owning region 0
-  int migs = 0;
+  CoreHarness h{2, 2};
   std::array<int, 2> pc{};       // per remote: 0 = lock, 1 = unlock, 2 = done
   std::array<int, 2> replies{};
-  std::array<int, 2> cached{};   // remote 1's cached owner of region 0
   std::array<std::uint32_t, 2> seq{};
   std::vector<idx::UpdateRun> grant0_runs;  // pending delivered on mutex 0
 
   ObjectLockSim() {
-    for (CoreHarness& shard : h) {
-      shard.core.bind_lock(0, 0);
-      shard.core.bind_lock(1, 1);
-    }
-    // Scoped initial seeds, as the sharded attach does in object mode:
-    // each shard's attach carries only the pending of the rows its
-    // regions guard.  Region 0 starts at shard 0, region 1 lives on
-    // shard 1 for good.
+    h.core.bind_lock(0, 0);
+    h.core.bind_lock(1, 1);
     for (std::uint32_t rank : {1u, 2u}) {
-      h[0].attach(rank, {{0, 0, 4}});
-      h[1].attach(rank, {{1, 0, 4}});
+      h.attach(rank, {{0, 0, 4}, {1, 0, 4}});
     }
   }
 
-  void observe(CoreHarness& shard, const std::vector<Action>& actions) {
-    for (const Action& a : actions) {
-      if (a.kind == Action::Kind::Trace) {
-        shard.log.append(a.trace.kind, a.trace.rank, a.trace.sync_id,
-                         a.trace.blocks, a.trace.bytes, a.trace.req);
-      }
-      if (a.kind != Action::Kind::Send) continue;
-      if (a.message.type == msg::MsgType::LockGrant ||
-          a.message.type == msg::MsgType::UnlockAck) {
-        ++replies[a.rank - 1];
-      }
-      if (a.message.type == msg::MsgType::LockGrant) {
-        // The scoping bar: nothing outside the granted region's bound row
-        // may ride the grant, whichever shard issues it.
-        for (const idx::UpdateRun& run : decode_runs(a.message.payload)) {
-          EXPECT_EQ(run.row, a.message.sync_id)
-              << "grant of mutex " << a.message.sync_id
-              << " shipped row " << run.row;
-          if (a.message.sync_id == 0) grant0_runs.push_back(run);
-        }
-      }
-    }
-  }
-
-  void fire_remote(int i) {
+  void fire(int i) {
     const auto rank = static_cast<std::uint32_t>(i + 1);
     const auto mutex = static_cast<std::uint32_t>(i);
-    const int at = i == 0 ? owner : 1;  // region 1 never moves off shard 1
-    if (i == 0 && cached[0] != owner) {
-      ++seq[0];  // the bounced stale-map attempt burns a seq (WrongShard)
-      cached[0] = owner;
-    }
     msg::Message m =
         pc[i] == 0
             ? make_msg(msg::MsgType::LockRequest, rank, ++seq[i], mutex)
             : make_msg(msg::MsgType::UnlockRequest, rank, ++seq[i], mutex,
                        fake_payload({{mutex, 0, 2}}));
-    observe(h[at], h[at].core.step(Event::msg_received(rank, std::move(m))));
+    for (const Action& a : h.step(Event::msg_received(rank, std::move(m)))) {
+      if (a.kind != Action::Kind::Send) continue;
+      ++replies[a.rank - 1];
+      if (a.message.type != msg::MsgType::LockGrant) continue;
+      // The scoping bar: nothing outside the granted region's bound row
+      // may ride the grant.
+      for (const idx::UpdateRun& run : decode_runs(a.message.payload)) {
+        EXPECT_EQ(run.row, a.message.sync_id)
+            << "grant of mutex " << a.message.sync_id << " shipped row "
+            << run.row;
+        if (a.message.sync_id == 0) grant0_runs.push_back(run);
+      }
+    }
     ++pc[i];
   }
 
-  void fire_migration() {
-    std::vector<Action> out;
-    dsm::CoherenceCore::RegionState st = h[owner].core.export_region(0, out);
-    observe(h[owner], out);
-    // Pending travels scoped: every run riding the export belongs to the
-    // exported region's bound row.
-    for (const auto& [rank, runs] : st.pending) {
-      for (const idx::UpdateRun& run : runs) {
-        EXPECT_EQ(run.row, 0u) << "export of region 0 carried row "
-                               << run.row << " for rank " << rank;
-      }
-    }
-    out.clear();
-    h[1 - owner].core.import_region(std::move(st), out);
-    observe(h[1 - owner], out);
-    owner = 1 - owner;
-    ++migs;
+  bool enabled(int i) const {
+    if (pc[i] >= 2) return false;
+    return pc[i] == 0 || replies[i] >= 1;
   }
 
-  // Agents 0..1 are the remotes, agent 2 the migration driver.
-  bool enabled(int agent) const {
-    if (agent == 2) return migs < kMigrations;
-    if (pc[agent] >= 2) return false;
-    return pc[agent] == 0 || replies[agent] >= 1;
-  }
-
-  void fire(int agent) { agent == 2 ? fire_migration() : fire_remote(agent); }
-
-  bool done() const {
-    return pc[0] == 2 && pc[1] == 2 && migs == kMigrations;
-  }
+  bool done() const { return pc[0] == 2 && pc[1] == 2; }
 };
 
 void dfs_object_schedules(std::vector<int>& path, int& schedules) {
@@ -810,7 +672,7 @@ void dfs_object_schedules(std::vector<int>& path, int& schedules) {
     sim.fire(agent);
   }
   bool any = false;
-  for (int agent = 0; agent < 3; ++agent) {
+  for (int agent = 0; agent < 2; ++agent) {
     if (!sim.enabled(agent)) continue;
     any = true;
     path.push_back(agent);
@@ -823,26 +685,16 @@ void dfs_object_schedules(std::vector<int>& path, int& schedules) {
                           << " steps";
   EXPECT_EQ(sim.replies[0], 2);
   EXPECT_EQ(sim.replies[1], 2);
-  EXPECT_EQ(sim.h[0].core.lock_holder(0), -1);
-  EXPECT_EQ(sim.h[1].core.lock_holder(0), -1);
-  EXPECT_EQ(sim.h[1].core.lock_holder(1), -1);
-  // Remote 1's grant delivered region 0's initial pending exactly once —
-  // the run survived every preceding handoff, and no handoff duplicated
-  // it.
+  EXPECT_EQ(sim.h.core.lock_holder(0), -1);
+  EXPECT_EQ(sim.h.core.lock_holder(1), -1);
+  // Remote 1's grant delivered region 0's initial pending exactly once.
   ASSERT_EQ(sim.grant0_runs.size(), 1u);
   EXPECT_EQ(sim.grant0_runs[0].row, 0u);
   EXPECT_EQ(sim.grant0_runs[0].first_elem, 0u);
   EXPECT_EQ(sim.grant0_runs[0].count, 4u);
-  // Each unlock's runs applied exactly once, at whichever shard executed
-  // it.
-  EXPECT_EQ(sim.h[0].codec.apply_calls + sim.h[1].codec.apply_calls, 2);
-  EXPECT_EQ(sim.h[0].stats.region_migrations +
-                sim.h[1].stats.region_migrations,
-            static_cast<std::uint64_t>(ObjectLockSim::kMigrations));
-  for (CoreHarness& shard : sim.h) {
-    const auto err = dsm::validate_trace(shard.log.snapshot());
-    ASSERT_FALSE(err.has_value()) << *err;
-  }
+  // Each unlock's runs applied exactly once.
+  EXPECT_EQ(sim.h.codec.apply_calls, 2);
+  sim.h.expect_valid_trace();
   ++schedules;
 }
 
@@ -852,10 +704,10 @@ TEST(CoherenceCoreSchedules, AllObjectModeInterleavingsStayScoped) {
   std::vector<int> path;
   int schedules = 0;
   dfs_object_schedules(path, schedules);
-  // The two remotes touch disjoint regions, so every merge of the three
-  // agents' step sequences (2 + 2 + 2 steps) is causally valid:
-  // 6! / (2! 2! 2!) = 90 distinct schedules, each replayed and validated.
-  EXPECT_EQ(schedules, 90);
+  // The two remotes touch disjoint regions, so every merge of their step
+  // sequences (2 + 2 steps) is causally valid: 4! / (2! 2!) = 6 schedules,
+  // each replayed and validated.
+  EXPECT_EQ(schedules, 6);
 }
 
 // ---- replicated pair: primary crash at every causally-valid step -----------

@@ -181,9 +181,9 @@ TEST(AtomicApply, HomeDetachesSenderOfMalformedPayload) {
   // and detach the sender.
   dsm::TraceLog log;
   dsm::ShardedHomeOptions hopts;
-  hopts.shard_traces = {&log};
+  hopts.trace = &log;
   dsm::ShardedHome home(small_gthv(), plat::linux_ia32(), hopts);
-  msg::EndpointPtr ep = std::move(home.attach(1)[0]);
+  msg::EndpointPtr ep = home.attach(1);
   home.start();
   const std::string tag = home.space().image_tag_text();
 

@@ -259,7 +259,7 @@ class DsdProtocol : public ::testing::TestWithParam<const plat::PlatformDesc*> {
 TEST_P(DsdProtocol, LockTransfersUpdatesBothWays) {
   const plat::PlatformDesc& remote_platform = *GetParam();
   dsm::ShardedHome home(small_gthv(), plat::solaris_sparc32());
-  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  msg::EndpointPtr ep = home.attach(1);
   dsm::ShardedRemote remote(small_gthv(), remote_platform, 1, std::move(ep));
   home.start();
 
@@ -295,8 +295,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DsdProtocolMisc, MutualExclusionAcrossThreads) {
   dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
-  std::vector<msg::EndpointPtr> e1 = home.attach(1);
-  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  msg::EndpointPtr e1 = home.attach(1);
+  msg::EndpointPtr e2 = home.attach(2);
   dsm::ShardedRemote r1(small_gthv(), plat::linux_ia32(), 1, std::move(e1));
   dsm::ShardedRemote r2(small_gthv(), plat::solaris_sparc32(), 2,
                         std::move(e2));
@@ -331,8 +331,8 @@ TEST(DsdProtocolMisc, MutualExclusionAcrossThreads) {
 
 TEST(DsdProtocolMisc, BarrierPropagatesAllUpdates) {
   dsm::ShardedHome home(small_gthv(), plat::solaris_sparc32());
-  std::vector<msg::EndpointPtr> e1 = home.attach(1);
-  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  msg::EndpointPtr e1 = home.attach(1);
+  msg::EndpointPtr e2 = home.attach(2);
   dsm::ShardedRemote r1(small_gthv(), plat::linux_ia32(), 1, std::move(e1));
   dsm::ShardedRemote r2(small_gthv(), plat::linux_ia32(), 2, std::move(e2));
   home.start();
@@ -363,7 +363,7 @@ TEST(DsdProtocolMisc, BarrierPropagatesAllUpdates) {
 
 TEST(DsdProtocolMisc, JoinShipsFinalWrites) {
   dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
-  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  msg::EndpointPtr ep = home.attach(1);
   dsm::ShardedRemote remote(small_gthv(), plat::solaris_sparc32(), 1,
                             std::move(ep));
   home.start();
@@ -390,7 +390,7 @@ TEST(DsdProtocolMisc, LateAttachPullsFullImage) {
   home.space().view<std::int32_t>("n").set(64);
   home.unlock(0);
 
-  std::vector<msg::EndpointPtr> ep = home.attach(5);
+  msg::EndpointPtr ep = home.attach(5);
   dsm::ShardedRemote late(small_gthv(), plat::solaris_sparc64(), 5,
                           std::move(ep));
   late.lock(0);
@@ -404,7 +404,7 @@ TEST(DsdProtocolMisc, LateAttachPullsFullImage) {
 
 TEST(DsdProtocolMisc, StatsAccumulatePerEq1Buckets) {
   dsm::ShardedHome home(small_gthv(), plat::solaris_sparc32());
-  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  msg::EndpointPtr ep = home.attach(1);
   dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
                             std::move(ep));
   home.start();
@@ -534,7 +534,7 @@ TEST(EntryConsistency, BoundLockShipsOnlyItsFields) {
   dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   home.bind_lock(1, "A");
   home.bind_lock(2, "D");
-  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  msg::EndpointPtr ep = home.attach(1);
   dsm::ShardedRemote remote(small_gthv(), plat::solaris_sparc32(), 1,
                             std::move(ep));
   home.start();
@@ -560,7 +560,7 @@ TEST(EntryConsistency, BoundLockShipsOnlyItsFields) {
 TEST(EntryConsistency, BarrierStillShipsEverything) {
   dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   home.bind_lock(1, "A");
-  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  msg::EndpointPtr ep = home.attach(1);
   dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
                             std::move(ep));
   home.start();
@@ -587,8 +587,8 @@ TEST(EntryConsistency, FineGrainedLockingStaysCorrect) {
   dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   home.bind_lock(1, "A");
   home.bind_lock(2, "D");
-  std::vector<msg::EndpointPtr> e1 = home.attach(1);
-  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  msg::EndpointPtr e1 = home.attach(1);
+  msg::EndpointPtr e2 = home.attach(2);
   dsm::ShardedRemote r1(small_gthv(), plat::solaris_sparc32(), 1,
                         std::move(e1));
   dsm::ShardedRemote r2(small_gthv(), plat::linux_x86_64(), 2, std::move(e2));
@@ -651,7 +651,7 @@ TEST(Rehome, MasterImageConvertsToNewPlatform) {
   EXPECT_EQ(new_home->space().view<double>("D").get(5), 7.125);
 
   // The new home is fully operational: a remote attaches and syncs.
-  std::vector<msg::EndpointPtr> ep = new_home->attach(1);
+  msg::EndpointPtr ep = new_home->attach(1);
   dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
                             std::move(ep));
   remote.lock(0);
@@ -666,7 +666,7 @@ TEST(Rehome, MasterImageConvertsToNewPlatform) {
 
 TEST(Rehome, RefusesWhileRemotesAttached) {
   dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
-  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  msg::EndpointPtr ep = home.attach(1);
   dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
                             std::move(ep));
   home.start();
@@ -696,7 +696,7 @@ TEST(DsdProtocolMisc, MidEpisodeJoinerNeitherBlocksNorReceivesRelease) {
   // the episode must complete with just {master, r1}, and r2 must not be
   // handed a BarrierRelease it never asked for.
   dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
-  std::vector<msg::EndpointPtr> e1 = home.attach(1);
+  msg::EndpointPtr e1 = home.attach(1);
   dsm::ShardedRemote r1(small_gthv(), plat::solaris_sparc32(), 1,
                         std::move(e1));
   home.start();
@@ -711,7 +711,7 @@ TEST(DsdProtocolMisc, MidEpisodeJoinerNeitherBlocksNorReceivesRelease) {
   });
   // Give r1 time to enter the episode, then attach the latecomer.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  msg::EndpointPtr e2 = home.attach(2);
   dsm::ShardedRemote r2(small_gthv(), plat::linux_x86_64(), 2, std::move(e2));
 
   home.barrier(0);  // completes without r2
@@ -737,7 +737,7 @@ TEST(DsdProtocolMisc, ExplicitBarrierCountWaitsForLateAttacher) {
   // has not attached yet when the episode opens.
   dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   home.set_barrier_count(0, 3);
-  std::vector<msg::EndpointPtr> e1 = home.attach(1);
+  msg::EndpointPtr e1 = home.attach(1);
   dsm::ShardedRemote r1(small_gthv(), plat::linux_ia32(), 1, std::move(e1));
   home.start();
 
@@ -753,7 +753,7 @@ TEST(DsdProtocolMisc, ExplicitBarrierCountWaitsForLateAttacher) {
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_FALSE(master_released.load());  // still waiting on the count
 
-  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  msg::EndpointPtr e2 = home.attach(2);
   dsm::ShardedRemote r2(small_gthv(), plat::solaris_sparc32(), 2,
                         std::move(e2));
   std::thread t2([&] {
@@ -776,7 +776,7 @@ TEST(DsdProtocolMisc, BarrierCountValidation) {
 TEST(DsdProtocolMisc, DisconnectWithoutJoinDetaches) {
   dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
   {
-    std::vector<msg::EndpointPtr> ep = home.attach(1);
+    msg::EndpointPtr ep = home.attach(1);
     dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
                               std::move(ep));
     home.start();

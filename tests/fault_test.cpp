@@ -18,7 +18,6 @@
 #include "msg/faulty.hpp"
 #include "msg/tcp.hpp"
 #include "test_time.hpp"
-#include "test_util.hpp"
 
 namespace dsm = hdsm::dsm;
 namespace tags = hdsm::tags;
@@ -62,13 +61,10 @@ msg::Message raw(msg::MsgType t, std::uint32_t seq, std::uint32_t sync_id,
 /// An UnlockRequest/BarrierEnter payload carrying zero update blocks.
 std::vector<std::byte> no_blocks() { return dsm::encode_update_blocks({}); }
 
-/// Attach `rank` to the one-shard `home`, its session wrapped in a
-/// FaultyEndpoint.
-std::vector<msg::EndpointPtr> faulty_attach(dsm::ShardedHome& home,
-                                            std::uint32_t rank,
-                                            const msg::FaultOptions& f) {
-  return hdsm::test::one_session(
-      msg::make_faulty(std::move(home.attach(rank)[0]), f));
+/// Attach `rank` to `home`, its session wrapped in a FaultyEndpoint.
+msg::EndpointPtr faulty_attach(dsm::ShardedHome& home, std::uint32_t rank,
+                               const msg::FaultOptions& f) {
+  return msg::make_faulty(home.attach(rank), f);
 }
 
 /// Poll `log` until `pred(snapshot)` holds (the home's reactor handles
@@ -135,7 +131,7 @@ void converge_under(const msg::FaultOptions& fault, std::uint32_t num_remotes,
                     int ops, dsm::CodecMode codec = dsm::CodecMode::Off) {
   dsm::TraceLog log;
   dsm::ShardedHomeOptions hopts;
-  hopts.shard_traces = {&log};
+  hopts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   home.set_barrier_count(0, num_remotes + 1);
 
@@ -417,7 +413,7 @@ TEST(Reliability, CorruptPayloadRejectedDetachedAndClusterProgresses) {
   // keeps working.
   dsm::TraceLog log;
   dsm::ShardedHomeOptions hopts;
-  hopts.shard_traces = {&log};
+  hopts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   msg::FaultOptions f;
   f.seed = 3;
@@ -474,7 +470,7 @@ TEST(Reliability, DuplicatedRequestsApplyExactlyOnce) {
   // (the second copies really arrived and were dropped).
   dsm::TraceLog log;
   dsm::ShardedHomeOptions hopts;
-  hopts.shard_traces = {&log};
+  hopts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   msg::FaultOptions f;
   f.send.duplicate = 1.0;
@@ -570,7 +566,7 @@ TEST(Reliability, HomeReclaimsLocksOfDeadRemoteAndClusterProgresses) {
   // the mutex so the master and remote 2 keep working.
   dsm::TraceLog log;
   dsm::ShardedHomeOptions hopts;
-  hopts.shard_traces = {&log};
+  hopts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   msg::FaultOptions f;
   f.send.drop = 1.0;
@@ -613,10 +609,10 @@ TEST(Reliability, HomeReclaimsLocksOfDeadRemoteAndClusterProgresses) {
 TEST(Reliability, TcpConvergesUnderDropAndDuplication) {
   dsm::TraceLog log;
   dsm::ShardedHomeOptions hopts;
-  hopts.shard_traces = {&log};
+  hopts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   msg::TcpListener listener(0);
-  std::thread acceptor([&] { home.attach_endpoint(1, 0, listener.accept()); });
+  std::thread acceptor([&] { home.attach_endpoint(1, listener.accept()); });
   msg::FaultOptions f;
   f.send.drop = 0.25;
   f.send.duplicate = 0.5;
@@ -625,8 +621,7 @@ TEST(Reliability, TcpConvergesUnderDropAndDuplication) {
   ropts.retry = fast_retry();
   dsm::ShardedRemote remote(
       gthv(), plat::linux_ia32(), 1,
-      hdsm::test::one_session(
-          msg::make_faulty(msg::tcp_connect(listener.port()), f)),
+      msg::make_faulty(msg::tcp_connect(listener.port()), f),
       ropts);
   acceptor.join();
   home.start();
@@ -659,14 +654,14 @@ TEST(Reliability, TcpResetRecoversThroughReconnect) {
   dsm::TraceLog log;
   dsm::TraceLog remote_log;
   dsm::ShardedHomeOptions hopts;
-  hopts.shard_traces = {&log};
+  hopts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   msg::TcpListener listener(0);
   // The home keeps accepting: each new connection re-attaches rank 1
   // (dedup state survives, so a retransmitted in-flight request is safe).
   std::thread acceptor([&] {
     for (int conn = 0; conn < 2; ++conn) {
-      home.attach_endpoint(1, 0, listener.accept());
+      home.attach_endpoint(1, listener.accept());
     }
   });
 
@@ -675,15 +670,14 @@ TEST(Reliability, TcpResetRecoversThroughReconnect) {
   dsm::ShardedRemoteOptions ropts;
   ropts.retry = fast_retry();
   ropts.trace = &remote_log;
-  ropts.reconnect = [&listener](std::uint32_t) {
+  ropts.reconnect = [&listener] {
     // Resume hint travels in the Hello; a plain (fault-free) endpoint is
     // fine for the second life.
     return msg::tcp_connect_retry(listener.port());
   };
   dsm::ShardedRemote remote(
       gthv(), plat::linux_ia32(), 1,
-      hdsm::test::one_session(
-          msg::make_faulty(msg::tcp_connect(listener.port()), f)),
+      msg::make_faulty(msg::tcp_connect(listener.port()), f),
       ropts);
   home.start();
 
@@ -749,9 +743,9 @@ TEST(Reliability, DuplicatedHelloDoesNotResetDedup) {
   // request is still answered from the reply cache, not re-executed.
   dsm::TraceLog log;
   dsm::ShardedHomeOptions hopts;
-  hopts.shard_traces = {&log};
+  hopts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
-  msg::EndpointPtr ep = std::move(home.attach(1)[0]);
+  msg::EndpointPtr ep = home.attach(1);
   home.start();
   const std::string tag = home.space().image_tag_text();
 
@@ -795,7 +789,7 @@ TEST(Reliability, StaleUnlockAfterMutexMovedOnIsDropped) {
   // drops the stale diffs and detaches remote 1.
   dsm::TraceLog log;
   dsm::ShardedHomeOptions hopts;
-  hopts.shard_traces = {&log};
+  hopts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   std::promise<void> gate;
   std::shared_future<void> gate_f = gate.get_future().share();
@@ -804,9 +798,9 @@ TEST(Reliability, StaleUnlockAfterMutexMovedOnIsDropped) {
   dsm::ShardedRemoteOptions r1opts;
   r1opts.retry = fast_retry();
   r1opts.max_reconnects = 1;
-  r1opts.reconnect = [&gate_f, &home](std::uint32_t) {
+  r1opts.reconnect = [&gate_f, &home] {
     gate_f.wait();  // hold the reconnect until remote 2 is done
-    return std::move(home.attach(1)[0]);
+    return home.attach(1);
   };
   dsm::ShardedRemote r1(gthv(), plat::linux_ia32(), 1,
                         faulty_attach(home, 1, f), r1opts);
@@ -839,12 +833,12 @@ TEST(Reliability, DeadWaiterGrantDoesNotUnwindIntoMaster) {
   // healthy rank's receiver was executing the release).
   dsm::TraceLog log;
   dsm::ShardedHomeOptions hopts;
-  hopts.shard_traces = {&log};
+  hopts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   auto [home_side, remote_side] = msg::make_channel_pair();
   msg::FaultOptions f;
   f.send.reset_after = 2;  // home sends: grant, ack, then reset
-  home.attach_endpoint(1, 0, msg::make_faulty(std::move(home_side), f));
+  home.attach_endpoint(1, msg::make_faulty(std::move(home_side), f));
   home.start();
   const std::string tag = home.space().image_tag_text();
 
@@ -884,13 +878,13 @@ TEST(Reliability, DeadBarrierPeerDoesNotUnwindIntoMaster) {
   // (here: the master's barrier()) that completed the episode.
   dsm::TraceLog log;
   dsm::ShardedHomeOptions hopts;
-  hopts.shard_traces = {&log};
+  hopts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
   home.set_barrier_count(0, 2);
   auto [home_side, remote_side] = msg::make_channel_pair();
   msg::FaultOptions f;
   f.send.reset_after = 2;  // home sends: grant, ack, then reset
-  home.attach_endpoint(1, 0, msg::make_faulty(std::move(home_side), f));
+  home.attach_endpoint(1, msg::make_faulty(std::move(home_side), f));
   home.start();
   const std::string tag = home.space().image_tag_text();
 

@@ -203,7 +203,7 @@ TEST(Fuzz, MalformedPayloadsDetachPeerNotHome) {
   const tags::TypePtr gthv = tags::TypeDesc::struct_of(
       "G", {{"A", tags::TypeDesc::array(tags::t_int(), 16)}});
   hdsm_dsm::ShardedHome home(gthv, plat::linux_ia32());
-  msg::EndpointPtr evil_ep = std::move(home.attach(1)[0]);
+  msg::EndpointPtr evil_ep = home.attach(1);
   auto good_ep = home.attach(2);
   hdsm_dsm::ShardedRemote good(gthv, plat::solaris_sparc32(), 2,
                                std::move(good_ep));

@@ -15,7 +15,6 @@
 #include "mig/runner.hpp"
 #include "mig/thread_state.hpp"
 #include "msg/tcp.hpp"
-#include "test_util.hpp"
 #include "workloads/experiment.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -42,7 +41,7 @@ TEST(Integration, DsdOverLoopbackTcp) {
 
   std::thread remote_thread([port = listener.port()] {
     dsm::ShardedRemote remote(counter_gthv(), plat::linux_ia32(), 1,
-                              hdsm::test::one_session(msg::tcp_connect(port)));
+                              msg::tcp_connect(port));
     remote.lock(0);
     auto c = remote.space().view<std::int32_t>("counters");
     for (int i = 0; i < 32; ++i) c.set(i, i * 3);
@@ -51,7 +50,7 @@ TEST(Integration, DsdOverLoopbackTcp) {
     remote.join();
   });
 
-  home.attach_endpoint(1, 0, listener.accept());
+  home.attach_endpoint(1, listener.accept());
   home.start();
   home.barrier(0);
   remote_thread.join();
@@ -224,7 +223,7 @@ TEST(Integration, MatmulOverMixedTransports) {
 
   std::thread tcp_remote([&, port = listener.port()] {
     dsm::ShardedRemote remote(gthv, plat::linux_ia32(), 1,
-                              hdsm::test::one_session(msg::tcp_connect(port)));
+                              msg::tcp_connect(port));
     remote.barrier(0);
     auto a = remote.space().view<std::int32_t>("A");
     auto b = remote.space().view<std::int32_t>("B");
@@ -241,7 +240,7 @@ TEST(Integration, MatmulOverMixedTransports) {
     remote.barrier(1);
     remote.join();
   });
-  home.attach_endpoint(1, 0, listener.accept());
+  home.attach_endpoint(1, listener.accept());
 
   std::thread chan_remote([&] {
     dsm::ShardedRemote remote(gthv, plat::linux_x86_64(), 2, home.attach(2));

@@ -92,13 +92,42 @@ TEST(Framing, BadMagicRejected) {
 }
 
 TEST(Framing, BadTypeRejected) {
+  // 0 and 200 were never types; 15-17 are the retired multi-shard
+  // directory's redirect and pending-pull frames (docs/PROTOCOL.md §8).
+  for (const std::uint8_t type : {0, 15, 16, 17, 200}) {
+    msg::Message m = sample_message();
+    std::vector<std::byte> frame = msg::encode_frame(m);
+    frame[4] = std::byte{type};  // type field
+    msg::FrameDecoder dec;
+    dec.feed(frame.data(), frame.size());
+    msg::Message out;
+    EXPECT_THROW(dec.next(out), std::runtime_error) << int{type};
+  }
+  // The types around the reserved gap keep their numbers.
+  EXPECT_EQ(static_cast<int>(msg::MsgType::MetricsReport), 14);
+  EXPECT_EQ(static_cast<int>(msg::MsgType::ReplAppend), 18);
+  EXPECT_EQ(static_cast<int>(msg::MsgType::ReplAck), 19);
+}
+
+TEST(Framing, FrameHeaderCarriesEpochAndAux) {
+  // map_epoch and aux ride the 40-byte frame header (docs/PROTOCOL.md §1)
+  // and must survive an encode/decode round trip bit-exactly.
   msg::Message m = sample_message();
-  std::vector<std::byte> frame = msg::encode_frame(m);
-  frame[4] = std::byte{200};  // type field
+  m.type = msg::MsgType::LockGrant;
+  m.seq = 17;
+  m.map_epoch = 0x01020304u;
+  m.aux = 0xa5a50f0fu;
+  const std::vector<std::byte> frame = msg::encode_frame(m);
+  EXPECT_EQ(frame.size(), 40 + m.tag.size() + m.payload.size());
   msg::FrameDecoder dec;
   dec.feed(frame.data(), frame.size());
   msg::Message out;
-  EXPECT_THROW(dec.next(out), std::runtime_error);
+  ASSERT_TRUE(dec.next(out));
+  EXPECT_EQ(out.type, msg::MsgType::LockGrant);
+  EXPECT_EQ(out.seq, 17u);
+  EXPECT_EQ(out.sync_id, 3u);
+  EXPECT_EQ(out.map_epoch, 0x01020304u);
+  EXPECT_EQ(out.aux, 0xa5a50f0fu);
 }
 
 TEST(Framing, EmptyTagAndPayload) {

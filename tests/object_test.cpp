@@ -48,11 +48,10 @@ work::KvConfig small_kv() {
 TEST(ObjectLayout, GoldenObjectIdPlacementsArePinned) {
   // FNV-1a (64-bit, offset 0xcbf29ce484222325, prime 0x100000001b3) over
   // the object id's eight little-endian bytes, xor-folded, mod num_regions
-  // — the 64-bit twin of ShardMap::hash_shard, and like it part of the
-  // wire protocol: every node, whatever its platform or standard library,
-  // must stripe objects identically (never std::hash).  If this test
-  // fails, the hash changed and mixed-version clusters will corrupt
-  // object→region→shard routing — bump the protocol instead.
+  // — part of the wire protocol: every node, whatever its platform or
+  // standard library, must stripe objects identically (never std::hash).
+  // If this test fails, the hash changed and mixed-version clusters will
+  // corrupt object→region routing — bump the protocol instead.
   const auto id = [](std::uint32_t cls, std::uint64_t index) {
     return (static_cast<std::uint64_t>(cls + 1) << 48) | index;
   };
@@ -228,9 +227,8 @@ TEST(ZipfianGenerator, DeterministicBoundedAndSkewed) {
 
 // ---- KV workload: exactly-once convergence in both modes -------------------
 
-TEST(KvWorkload, ObjectModeConvergesExactlyOnceAcrossShards) {
+TEST(KvWorkload, ObjectModeConvergesExactlyOnce) {
   work::KvConfig cfg = small_kv();
-  cfg.num_shards = 2;
   cfg.object_mode = true;
   const work::KvResult res = work::run_kv(cfg);
   EXPECT_TRUE(res.verified);
@@ -238,16 +236,12 @@ TEST(KvWorkload, ObjectModeConvergesExactlyOnceAcrossShards) {
   // Episodes really ran at object granularity...
   EXPECT_GT(res.stats.object_episodes, 0u);
   EXPECT_GE(res.stats.objects_shipped, res.stats.object_episodes);
-  // ...with no page machinery and no cross-shard pending drains: strict
-  // entry consistency keeps every row's pending at its guarding region's
-  // owner, so grant masks stay zero by construction.
+  // ...with no page machinery.
   EXPECT_EQ(res.stats.dirty_pages, 0u);
-  EXPECT_EQ(res.stats.pending_pulls, 0u);
 }
 
 TEST(KvWorkload, PageModeConvergesOnTheSameWorkload) {
   work::KvConfig cfg = small_kv();
-  cfg.num_shards = 2;
   cfg.object_mode = false;
   const work::KvResult res = work::run_kv(cfg);
   EXPECT_TRUE(res.verified);
@@ -258,9 +252,8 @@ TEST(KvWorkload, PageModeConvergesOnTheSameWorkload) {
   EXPECT_EQ(res.stats.objects_shipped, 0u);
 }
 
-TEST(KvWorkload, SingleShardObjectModeConverges) {
+TEST(KvWorkload, FewRegionsObjectModeConverges) {
   work::KvConfig cfg = small_kv();
-  cfg.num_shards = 1;
   cfg.num_regions = 4;
   cfg.object_mode = true;
   const work::KvResult res = work::run_kv(cfg);
@@ -269,10 +262,9 @@ TEST(KvWorkload, SingleShardObjectModeConverges) {
 }
 
 TEST(KvWorkload, AdaptiveEngineOnDoesNotChangeResults) {
-  // The tuner now sees per-episode object counts (adapt::Signal::objects);
-  // decisions may change traffic shape, never results.
+  // Object episodes run through the adaptive pack path like page episodes;
+  // tuner decisions may change traffic shape, never results.
   work::KvConfig cfg = small_kv();
-  cfg.num_shards = 2;
   cfg.object_mode = true;
   cfg.dsd.adaptive = true;
   const work::KvResult res = work::run_kv(cfg);
@@ -284,7 +276,6 @@ TEST(KvWorkload, AdaptiveEngineOnDoesNotChangeResults) {
 TEST(KvWorkload, UniformSkewAlsoConverges) {
   work::KvConfig cfg = small_kv();
   cfg.theta = 0.0;
-  cfg.num_shards = 2;
   cfg.object_mode = true;
   const work::KvResult res = work::run_kv(cfg);
   EXPECT_TRUE(res.verified);
@@ -295,13 +286,12 @@ TEST(KvWorkload, UniformSkewAlsoConverges) {
 TEST(ObjectCluster, HeterogeneousClusterShipsScopedInitialSeeds) {
   // A remote on a big-endian 64-bit platform reads what a little-endian
   // master populated before attach — through the guarding lock, each
-  // region's stripe arriving from that region's owner shard (the scoped
-  // initial seed), converted by the existing data plane.
+  // region's stripe arriving on that region's first grant (entry
+  // consistency scopes the initial seed), converted by the existing data
+  // plane.
   const auto layout = small_layout(4);
-  dsm::ShardedHomeOptions opts;
-  opts.num_shards = 2;
   obj::ObjectCluster cluster(layout, plat::linux_ia32(),
-                             {&plat::solaris_sparc64()}, opts);
+                             {&plat::solaris_sparc64()});
 
   auto master = cluster.home().accessor<std::int64_t>(1);
   for (std::uint64_t i = 0; i < 16; ++i) {
@@ -327,5 +317,4 @@ TEST(ObjectCluster, HeterogeneousClusterShipsScopedInitialSeeds) {
   for (std::uint64_t i = 0; i < 16; ++i) {
     EXPECT_EQ(master.get(i), static_cast<std::int64_t>(i * 1000 + 2));
   }
-  EXPECT_EQ(cluster.total_stats().pending_pulls, 0u);
 }

@@ -84,8 +84,8 @@ TEST(ObsCluster, ScrapeEqualsSumOfNodeSnapshots) {
   dsm::ShardedHome home(small_gthv(), plat::linux_ia32(), opts);
   dsm::ShardedRemoteOptions ropts;
   ropts.obs = obs_on();
-  std::vector<msg::EndpointPtr> e1 = home.attach(1);
-  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  msg::EndpointPtr e1 = home.attach(1);
+  msg::EndpointPtr e2 = home.attach(2);
   dsm::ShardedRemote r1(small_gthv(), plat::linux_ia32(), 1, std::move(e1),
                         ropts);
   dsm::ShardedRemote r2(small_gthv(), plat::solaris_sparc32(), 2, std::move(e2),
@@ -147,7 +147,7 @@ TEST(ObsCluster, ScrapeWorksWithObsDisabled) {
   // No Telemetry object anywhere: the scrape still answers, carrying the
   // ShareStats mirror only.
   dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
-  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  msg::EndpointPtr ep = home.attach(1);
   dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
                             std::move(ep));
   home.start();
@@ -179,7 +179,7 @@ TEST(ObsCluster, ReattachArchivesOldIncarnation) {
 
   std::uint64_t first_epoch = 0;
   {
-    std::vector<msg::EndpointPtr> ep = home.attach(1);
+    msg::EndpointPtr ep = home.attach(1);
     dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
                               std::move(ep), ropts);
     for (int i = 0; i < 3; ++i) {
@@ -193,7 +193,7 @@ TEST(ObsCluster, ReattachArchivesOldIncarnation) {
   home.wait_all_joined();
 
   // Same rank re-attaches as a fresh incarnation (new epoch nonce).
-  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  msg::EndpointPtr ep = home.attach(1);
   dsm::ShardedRemote reborn(small_gthv(), plat::linux_ia32(), 1,
                             std::move(ep), ropts);
   for (int i = 0; i < 2; ++i) {
@@ -224,9 +224,9 @@ TEST(ObsCluster, ScrapeEventsPassTraceValidation) {
   dsm::TraceLog log;
   dsm::ShardedHomeOptions opts;
   opts.obs = obs_on();
-  opts.shard_traces = {&log};
+  opts.trace = &log;
   dsm::ShardedHome home(small_gthv(), plat::linux_ia32(), opts);
-  std::vector<msg::EndpointPtr> ep = home.attach(1);
+  msg::EndpointPtr ep = home.attach(1);
   dsm::ShardedRemoteOptions ropts;
   ropts.obs = obs_on();
   dsm::ShardedRemote remote(small_gthv(), plat::linux_ia32(), 1,
@@ -357,13 +357,13 @@ TEST(RehomeAdaptive, TunedDenseBarriersSurviveRehomeByteIdentical) {
   // `log` (may be null) collects the home's and both remotes' events.
   const auto run = [&](dsm::ShardedHomeOptions opts, dsm::TraceLog* log,
                        dsm::ShareStats* stats_out) -> std::vector<std::byte> {
-    opts.shard_traces = {log};
+    opts.trace = log;
     dsm::ShardedHome home(gthv, plat::linux_ia32(), opts);
     dsm::ShardedRemoteOptions ropts;
     ropts.dsd = opts.dsd;
     ropts.trace = log;
-    std::vector<msg::EndpointPtr> e1 = home.attach(1);
-    std::vector<msg::EndpointPtr> e2 = home.attach(2);
+    msg::EndpointPtr e1 = home.attach(1);
+    msg::EndpointPtr e2 = home.attach(2);
     dsm::ShardedRemote r1(gthv, plat::linux_ia32(), 1, std::move(e1), ropts);
     dsm::ShardedRemote r2(gthv, plat::linux_ia32(), 2, std::move(e2), ropts);
     home.start();

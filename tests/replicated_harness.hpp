@@ -15,13 +15,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <random>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "dsm/replicated_home.hpp"
+#include "dsm/run_ranks.hpp"
 #include "dsm/sharded_remote.hpp"
 #include "dsm/trace.hpp"
 #include "msg/faulty.hpp"
@@ -65,52 +66,49 @@ inline std::vector<std::int64_t> repl_expected(std::uint32_t num_remotes,
   return e;
 }
 
-/// Validate one home's shard logs and assert the cross-shard exactly-once
-/// bar (a (rank, req) applied at two shards, or twice at one, is a doubled
-/// update).
-inline void check_logs(std::vector<dsm::TraceLog>& logs, const char* who) {
-  std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint32_t> applied;
-  for (std::uint32_t s = 0; s < logs.size(); ++s) {
-    const auto snap = logs[s].snapshot();
-    const auto err = dsm::validate_trace(snap);
-    EXPECT_FALSE(err.has_value()) << who << " shard " << s << ": " << *err;
-    for (const auto& ev : snap) {
-      if (ev.kind != dsm::TraceEvent::Kind::UpdatesApplied || ev.req == 0) {
-        continue;
-      }
-      const auto [it, fresh] =
-          applied.emplace(std::make_pair(ev.rank, ev.req), s);
-      EXPECT_TRUE(fresh) << who << ": rank " << ev.rank << " request #"
-                         << ev.req << " applied at shard " << it->second
-                         << " and again at shard " << s;
+/// Validate one home's log and assert the exactly-once bar across the
+/// whole run, re-attaches included: a (rank, req) applied twice is a
+/// doubled update.
+inline void check_log(const dsm::TraceLog& log, const char* who) {
+  const auto snap = log.snapshot();
+  const auto err = dsm::validate_trace(snap);
+  EXPECT_FALSE(err.has_value()) << who << ": " << *err;
+  std::set<std::pair<std::uint32_t, std::uint64_t>> applied;
+  for (const auto& ev : snap) {
+    if (ev.kind != dsm::TraceEvent::Kind::UpdatesApplied || ev.req == 0) {
+      continue;
     }
+    EXPECT_TRUE(applied.emplace(ev.rank, ev.req).second)
+        << who << ": rank " << ev.rank << " request #" << ev.req
+        << " applied twice";
   }
 }
 
 /// The driver.  `fault == nullptr` runs clean transports.  With
 /// `failover`, the primary is killed once roughly half the total ops have
 /// committed and the standby promoted; remotes re-dial through
-/// ReplicatedHome::redial (their reconnect hook).  Returns the failover
-/// pause (zero when `failover` is false).
+/// ReplicatedHome::redial (their reconnect hook).  A rank that throws —
+/// remote or master — fails the test with its rank named (dsm::run_ranks)
+/// instead of aborting the binary.  Returns the failover pause (zero when
+/// `failover` is false).
 inline std::chrono::nanoseconds converge_replicated(
-    const msg::FaultOptions* fault, std::uint32_t num_shards,
-    std::uint32_t num_remotes, int ops, bool failover) {
-  std::vector<dsm::TraceLog> plogs(num_shards);
-  std::vector<dsm::TraceLog> slogs(num_shards);
+    const msg::FaultOptions* fault, std::uint32_t num_remotes, int ops,
+    bool failover) {
+  dsm::TraceLog plog;
+  dsm::TraceLog slog;
   dsm::ReplicatedHomeOptions opts;
-  opts.home.num_shards = num_shards;
-  for (auto& l : plogs) opts.home.shard_traces.push_back(&l);
-  for (auto& l : slogs) opts.standby_traces.push_back(&l);
+  opts.home.trace = &plog;
+  opts.standby_trace = &slog;
   dsm::ReplicatedHome repl(repl_gthv(), hdsm::plat::linux_ia32(), opts);
 
   // Re-dialed transports inherit the session's fault schedule minus the
   // reset: each reset burns a finite reconnect credit, and an endless
   // reset→redial loop would test the budget, not the failover.
-  const auto wrap = [fault](std::uint32_t rank, std::uint32_t shard,
-                            bool redial, msg::EndpointPtr ep) {
+  const auto wrap = [fault](std::uint32_t rank, bool redial,
+                            msg::EndpointPtr ep) {
     if (fault == nullptr) return ep;
     msg::FaultOptions per = *fault;
-    per.seed = fault->seed + rank * 64 + shard + (redial ? 4096 : 0);
+    per.seed = fault->seed + rank * 64 + (redial ? 4096 : 0);
     if (redial) {
       per.send.reset_after = 0;
       per.recv.reset_after = 0;
@@ -121,49 +119,56 @@ inline std::chrono::nanoseconds converge_replicated(
   repl.set_barrier_count(0, num_remotes + 1);
   repl.start();
 
-  std::atomic<int> ops_done{0};
-  std::vector<std::thread> threads;
-  threads.reserve(num_remotes);
+  std::vector<msg::EndpointPtr> eps;
   for (std::uint32_t rank = 1; rank <= num_remotes; ++rank) {
-    std::vector<msg::EndpointPtr> eps = repl.attach(rank);
-    for (std::uint32_t s = 0; s < eps.size(); ++s) {
-      eps[s] = wrap(rank, s, /*redial=*/false, std::move(eps[s]));
-    }
-    threads.emplace_back([&repl, &wrap, &ops_done, rank, ops,
-                          eps = std::move(eps)]() mutable {
-      dsm::ShardedRemoteOptions ropts;
-      ropts.retry = repl_fast_retry();
-      ropts.max_reconnects = 6;
-      ropts.reconnect = [&repl, &wrap, rank](std::uint32_t shard) {
-        return wrap(rank, shard, /*redial=*/true, repl.redial(rank, shard));
-      };
-      dsm::ShardedRemote remote(repl_gthv(), hdsm::plat::linux_ia32(), rank,
-                                std::move(eps), ropts);
-      for (const auto& [idx, delta] : repl_ops_of(rank, ops)) {
-        remote.lock(0);
-        auto a = remote.space().view<std::int64_t>("A");
-        a.set(idx, a.get(idx) + delta);
-        remote.unlock(0);
-        ops_done.fetch_add(1);
-      }
-      remote.barrier(0);
-      remote.join();
-    });
+    eps.push_back(wrap(rank, /*redial=*/false, repl.attach(rank)));
   }
-
+  std::atomic<int> ops_done{0};
+  std::atomic<std::uint32_t> remotes_done{0};
   std::chrono::nanoseconds pause{0};
-  if (failover) {
-    const int threshold =
-        std::max(1, static_cast<int>(num_remotes) * ops / 2);
-    while (ops_done.load() < threshold) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    pause = repl.fail_over();
-    EXPECT_TRUE(repl.failed_over());
-  }
-  repl.barrier(0);
-  repl.wait_all_joined();
-  for (std::thread& t : threads) t.join();
+  EXPECT_NO_THROW(dsm::run_ranks(
+      num_remotes,
+      [&](std::size_t i) {
+        struct Finished {
+          std::atomic<std::uint32_t>& n;
+          ~Finished() { ++n; }
+        } finished{remotes_done};
+        const auto rank = static_cast<std::uint32_t>(i + 1);
+        dsm::ShardedRemoteOptions ropts;
+        ropts.retry = repl_fast_retry();
+        ropts.max_reconnects = 6;
+        ropts.reconnect = [&repl, &wrap, rank] {
+          return wrap(rank, /*redial=*/true, repl.redial(rank));
+        };
+        dsm::ShardedRemote remote(repl_gthv(), hdsm::plat::linux_ia32(), rank,
+                                  std::move(eps[i]), ropts);
+        for (const auto& [idx, delta] : repl_ops_of(rank, ops)) {
+          remote.lock(0);
+          auto a = remote.space().view<std::int64_t>("A");
+          a.set(idx, a.get(idx) + delta);
+          remote.unlock(0);
+          ops_done.fetch_add(1);
+        }
+        remote.barrier(0);
+        remote.join();
+      },
+      [&] {
+        if (failover) {
+          // Stop waiting for the threshold once every remote finished: a
+          // remote that died early must fail the test, not hang it.
+          const int threshold =
+              std::max(1, static_cast<int>(num_remotes) * ops / 2);
+          while (ops_done.load() < threshold &&
+                 remotes_done.load() < num_remotes) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          pause = repl.fail_over();
+          EXPECT_TRUE(repl.failed_over());
+        }
+        repl.barrier(0);
+        repl.wait_all_joined();
+      },
+      [&] { repl.stop(); }));
 
   const std::vector<std::int64_t> expected = repl_expected(num_remotes, ops);
   auto a = repl.space().view<std::int64_t>("A");
@@ -175,10 +180,10 @@ inline std::chrono::nanoseconds converge_replicated(
     // The primary's log stops mid-run (open episodes at the crash point);
     // the standby's must validate end to end — the replayed prefix plus
     // the post-promotion suffix form one seamless history.
-    check_logs(slogs, "standby");
+    check_log(slog, "standby");
   } else {
-    check_logs(plogs, "primary");
-    check_logs(slogs, "standby");
+    check_log(plog, "primary");
+    check_log(slog, "standby");
     // Without a failover the standby replayed everything the primary
     // executed: its image is byte-for-byte the converged state too.
     auto sa = repl.standby().space().view<std::int64_t>("A");

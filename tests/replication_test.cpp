@@ -27,7 +27,6 @@ using namespace std::chrono_literals;
 TEST(ReplicationCodec, EventRecordRoundTrips) {
   dsm::LogRecord r;
   r.kind = dsm::LogRecord::Kind::Event;
-  r.shard = 3;
   msg::Message m;
   m.type = msg::MsgType::UnlockRequest;
   m.sync_id = 7;
@@ -39,7 +38,6 @@ TEST(ReplicationCodec, EventRecordRoundTrips) {
 
   const dsm::LogRecord back = dsm::decode_record(dsm::encode_record(r));
   EXPECT_EQ(back.kind, dsm::LogRecord::Kind::Event);
-  EXPECT_EQ(back.shard, 3u);
   EXPECT_EQ(back.event.kind, dsm::CoherenceEvent::Kind::MsgReceived);
   EXPECT_EQ(back.event.rank, 2u);
   EXPECT_EQ(back.event.message.type, msg::MsgType::UnlockRequest);
@@ -64,16 +62,13 @@ TEST(ReplicationCodec, MasterEventCarriesRuns) {
 
 TEST(ReplicationCodec, ControlRecordsRoundTrip) {
   for (const auto kind : {dsm::LogRecord::Kind::SetBarrierCount,
-                          dsm::LogRecord::Kind::BindLock,
-                          dsm::LogRecord::Kind::NoteRedirected}) {
+                          dsm::LogRecord::Kind::BindLock}) {
     dsm::LogRecord r;
     r.kind = kind;
-    r.shard = 1;
     r.index = 9;
     r.value = 77;
     const dsm::LogRecord back = dsm::decode_record(dsm::encode_record(r));
     EXPECT_EQ(back.kind, kind);
-    EXPECT_EQ(back.shard, 1u);
     EXPECT_EQ(back.index, 9u);
     EXPECT_EQ(back.value, 77u);
   }
@@ -81,12 +76,23 @@ TEST(ReplicationCodec, ControlRecordsRoundTrip) {
 
 TEST(ReplicationCodec, MalformedRecordsThrow) {
   EXPECT_THROW(dsm::decode_record({}), std::runtime_error);
-  // Bad record kind.
+  // Bad record kind (4 was the retired dedup-horizon record).
   EXPECT_THROW(dsm::decode_record({std::byte{0x00}}), std::runtime_error);
+  EXPECT_THROW(dsm::decode_record({std::byte{0x04}, std::byte{0},
+                                   std::byte{0}, std::byte{0}, std::byte{0},
+                                   std::byte{0}, std::byte{0}, std::byte{0},
+                                   std::byte{0}}),
+               std::runtime_error);
   // Truncated mid-header.
   dsm::LogRecord r;
   r.kind = dsm::LogRecord::Kind::SetBarrierCount;
   std::vector<std::byte> wire = dsm::encode_record(r);
+  // A nonzero reserved word: a record a multi-shard primary addressed to
+  // shard 1.
+  std::vector<std::byte> sharded = wire;
+  ASSERT_EQ(sharded.size(), 13u);
+  sharded[4] = std::byte{1};
+  EXPECT_THROW(dsm::decode_record(sharded), std::runtime_error);
   wire.pop_back();
   EXPECT_THROW(dsm::decode_record(wire), std::runtime_error);
   // Trailing garbage.
@@ -98,20 +104,14 @@ TEST(ReplicationCodec, MalformedRecordsThrow) {
 // ---- standby convergence ---------------------------------------------------
 
 TEST(Replication, StandbyConvergesWithoutFailover) {
-  test::converge_replicated(nullptr, 2, 2, 10, /*failover=*/false);
-}
-
-TEST(Replication, StandbyConvergesSingleShard) {
-  test::converge_replicated(nullptr, 1, 2, 10, /*failover=*/false);
+  test::converge_replicated(nullptr, 2, 10, /*failover=*/false);
 }
 
 TEST(Replication, MasterWritesReplicateThroughPackedRuns) {
   // Master mutations exist only in the primary's image until an unlock
   // names their runs; the appended record must carry the bytes themselves
   // (master_payload) for the standby's image to converge.
-  dsm::ReplicatedHomeOptions opts;
-  opts.home.num_shards = 2;
-  dsm::ReplicatedHome repl(test::repl_gthv(), plat::linux_ia32(), opts);
+  dsm::ReplicatedHome repl(test::repl_gthv(), plat::linux_ia32());
   repl.start();
 
   repl.lock(0);
@@ -131,16 +131,12 @@ TEST(Replication, MasterWritesReplicateThroughPackedRuns) {
 
 TEST(Replication, FailoverMidRunLosesNothing) {
   const auto pause =
-      test::converge_replicated(nullptr, 2, 2, 12, /*failover=*/true);
+      test::converge_replicated(nullptr, 2, 12, /*failover=*/true);
   EXPECT_GT(pause.count(), 0);
 }
 
-TEST(Replication, FailoverSingleShard) {
-  test::converge_replicated(nullptr, 1, 2, 12, /*failover=*/true);
-}
-
-TEST(Replication, FailoverFourShardsThreeRemotes) {
-  test::converge_replicated(nullptr, 4, 3, 8, /*failover=*/true);
+TEST(Replication, FailoverThreeRemotes) {
+  test::converge_replicated(nullptr, 3, 8, /*failover=*/true);
 }
 
 TEST(Replication, PromotedStandbyReleasesDeadMastersLocks) {
@@ -149,7 +145,7 @@ TEST(Replication, PromotedStandbyReleasesDeadMastersLocks) {
   // LockReleased) so the standby's remotes are not wedged forever.
   dsm::TraceLog slog;
   dsm::ReplicatedHomeOptions opts;
-  opts.standby_traces = {&slog};
+  opts.standby_trace = &slog;
   dsm::ReplicatedHome repl(test::repl_gthv(), plat::linux_ia32(), opts);
   repl.start();
   repl.lock(3);  // held at the crash
@@ -219,16 +215,5 @@ TEST(Replication, StandbyDeathDegradesToUnreplicated) {
   EXPECT_TRUE(repl.sender().degraded());
   EXPECT_FALSE(repl.primary().fenced());  // degraded, not deposed
   EXPECT_EQ(repl.standby().replicated_log_index(), replicated);
-  repl.stop();
-}
-
-// ---- composition guards ----------------------------------------------------
-
-TEST(Replication, MigrationRefusedUnderReplication) {
-  dsm::ReplicatedHomeOptions opts;
-  opts.home.num_shards = 2;
-  dsm::ReplicatedHome repl(test::repl_gthv(), plat::linux_ia32(), opts);
-  repl.start();
-  EXPECT_THROW(repl.primary().migrate_region(0, 1), std::logic_error);
   repl.stop();
 }

@@ -13,7 +13,6 @@
 #include "dsm/sharded_remote.hpp"
 #include "mig/io_state.hpp"
 #include "tags/describe.hpp"
-#include "test_util.hpp"
 #include "workloads/experiment.hpp"
 #include "workloads/sor.hpp"
 
@@ -232,7 +231,7 @@ TEST(Shutdown, RemoteProtocolViolationSurfacesAsLogicError) {
   tags::TypePtr gthv = tags::describe_struct("G").field<int>("x").build();
   auto [fake_home, remote_side] = msg::make_channel_pair();
   dsm::ShardedRemote remote(gthv, plat::linux_ia32(), 1,
-                            hdsm::test::one_session(std::move(remote_side)));
+                            std::move(remote_side));
   (void)fake_home->recv();  // the Hello
   std::thread responder([&] {
     (void)fake_home->recv();  // the LockRequest

@@ -42,7 +42,7 @@ const plat::PlatformDesc& platform_for(std::uint32_t rank) {
 TEST(Stress, RandomIncrementsUnderOneLockSumExactly) {
   dsm::TraceLog log;
   dsm::ShardedHomeOptions opts;
-  opts.shard_traces = {&log};
+  opts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), opts);
   constexpr std::uint32_t kRemotes = 4;
   constexpr int kOpsPerThread = 40;
@@ -105,7 +105,7 @@ TEST(Stress, DisjointSegmentsUnderStripedLocks) {
   // deterministic pseudo-random order.
   dsm::TraceLog log;
   dsm::ShardedHomeOptions opts;
-  opts.shard_traces = {&log};
+  opts.trace = &log;
   opts.num_locks = 8;
   dsm::ShardedHome home(gthv(), plat::solaris_sparc32(), opts);
   constexpr std::uint32_t kRemotes = 3;
@@ -173,7 +173,7 @@ TEST(Stress, BarrierPhasesDoubleBufferedStencil) {
   // relaxed-consistency DSMs.
   dsm::TraceLog log;
   dsm::ShardedHomeOptions opts;
-  opts.shard_traces = {&log};
+  opts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), opts);
   constexpr std::uint32_t kRemotes = 2;
   constexpr std::uint32_t kThreads = kRemotes + 1;
@@ -245,7 +245,7 @@ TEST(Stress, ThreadChurnJoinAndReplace) {
   // join/leave pattern.
   dsm::TraceLog log;
   dsm::ShardedHomeOptions opts;
-  opts.shard_traces = {&log};
+  opts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), opts);
   home.start();
 
@@ -291,7 +291,7 @@ TEST(Stress, RecoveryWindowsStayBoundedAcrossCrashCycles) {
   // with the lock held and the unlock forever outstanding.
   std::uint32_t seq = 0;
   for (std::uint32_t cycle = 0; cycle < 3 * kLocks; ++cycle) {
-    msg::EndpointPtr ep = std::move(home.attach(1)[0]);
+    msg::EndpointPtr ep = home.attach(1);
     msg::Message hello;
     hello.type = msg::MsgType::Hello;
     hello.rank = 1;
@@ -322,7 +322,7 @@ TEST(Stress, RecoveryWindowsStayBoundedAcrossCrashCycles) {
 
   // Rank 2 cycles through every mutex: each grant closes rank 1's window
   // for that mutex (its stale recovery diffs could never be honored again).
-  msg::EndpointPtr ep2 = std::move(home.attach(2)[0]);
+  msg::EndpointPtr ep2 = home.attach(2);
   msg::Message hello2;
   hello2.type = msg::MsgType::Hello;
   hello2.rank = 2;

@@ -1,5 +1,5 @@
-// Shared test helpers: random TypeDesc generation, random typed-image
-// filling, and session lists for one-shard homes.
+// Shared test helpers: random TypeDesc generation and random typed-image
+// filling.
 #pragma once
 
 #include <cstdint>
@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "msg/endpoint.hpp"
 #include "platform/float_codec.hpp"
 #include "platform/int_codec.hpp"
 #include "tags/layout.hpp"
@@ -94,15 +93,6 @@ inline void fill_random_image(std::byte* image, const tags::Layout& layout,
       }
     }
   }
-}
-
-/// A ShardedRemote takes one session per home shard; a remote of the
-/// default one-shard home has exactly `ep` (e.g. a TCP dial, or a faulty
-/// wrapper around `home.attach(rank)[0]`).
-inline std::vector<msg::EndpointPtr> one_session(msg::EndpointPtr ep) {
-  std::vector<msg::EndpointPtr> sessions;
-  sessions.push_back(std::move(ep));
-  return sessions;
 }
 
 }  // namespace hdsm::test

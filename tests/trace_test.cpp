@@ -235,10 +235,10 @@ TEST(TraceLog, RendersReqWhenSequenced) {
 TEST(TraceEndToEnd, LiveLockTrafficValidates) {
   dsm::TraceLog log;
   dsm::ShardedHomeOptions opts;
-  opts.shard_traces = {&log};
+  opts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::solaris_sparc32(), opts);
-  std::vector<msg::EndpointPtr> e1 = home.attach(1);
-  std::vector<msg::EndpointPtr> e2 = home.attach(2);
+  msg::EndpointPtr e1 = home.attach(1);
+  msg::EndpointPtr e2 = home.attach(2);
   dsm::ShardedRemote r1(gthv(), plat::linux_ia32(), 1, std::move(e1));
   dsm::ShardedRemote r2(gthv(), plat::linux_ia32(), 2, std::move(e2));
   home.start();
@@ -289,7 +289,7 @@ TEST(TraceEndToEnd, LiveLockTrafficValidates) {
 TEST(TraceEndToEnd, TamperedTraceFails) {
   dsm::TraceLog log;
   dsm::ShardedHomeOptions opts;
-  opts.shard_traces = {&log};
+  opts.trace = &log;
   dsm::ShardedHome home(gthv(), plat::linux_ia32(), opts);
   home.start();
   home.lock(0);
