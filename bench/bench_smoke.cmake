@@ -5,10 +5,11 @@
 # Invoked as:
 #   cmake -DBENCH_DIR=<dir-with-binaries> -P bench_smoke.cmake
 #
-# Keep this list in sync with the binaries that default --benchmark_out.
+# The benches whose JSON CI checks.  Each run gets an explicit
+# --benchmark_out, so a bench with a plain BENCHMARK_MAIN() can be listed.
 set(SMOKE_BINARIES bench_data_plane bench_reliability_overhead
     bench_adaptive bench_obs_overhead bench_reactor
-    bench_replication bench_kv bench_codec)
+    bench_replication bench_kv bench_codec bench_micro_trap)
 
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "bench_smoke: pass -DBENCH_DIR=<dir>")

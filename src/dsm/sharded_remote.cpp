@@ -234,11 +234,7 @@ void ShardedRemote::lock(std::uint32_t index) {
   req.sync_id = index;
   req.map_epoch = msg::kMapEpoch;
   const msg::Message grant = rpc(std::move(req), msg::MsgType::LockGrant);
-  if (space_.region().dirty_pages().empty()) {
-    engine_.apply_payload_bulk(grant.payload, grant.sender);
-  } else {
-    engine_.apply_payload(grant.payload, grant.sender);
-  }
+  engine_.apply_payload(grant.payload, grant.sender);
   ++stats_.locks;
 }
 
@@ -264,7 +260,7 @@ void ShardedRemote::barrier(std::uint32_t index) {
   enter.payload = collect_episode(kAllRegions);
   const msg::Message release =
       rpc(std::move(enter), msg::MsgType::BarrierRelease);
-  engine_.apply_payload_bulk(release.payload, release.sender);
+  engine_.apply_payload(release.payload, release.sender);
   ++stats_.barriers;
 }
 

@@ -50,28 +50,6 @@ ParsedRunTag parse_run_tag(std::string_view text, bool binary) {
   return out;
 }
 
-/// Re-arms a tracked region on scope exit — apply_payload_bulk's window
-/// must close on *every* path; an exception that skipped rearm() would
-/// leave the region unprotected (writes untracked) for the rest of the run.
-class RearmGuard {
- public:
-  explicit RearmGuard(mem::TrackedRegion* region) : region_(region) {}
-  ~RearmGuard() {
-    if (region_ == nullptr) return;
-    try {
-      region_->rearm();
-    } catch (...) {
-      // rearm() only throws if mprotect itself fails — unrecoverable, but
-      // a destructor must not propagate during unwinding.
-    }
-  }
-  RearmGuard(const RearmGuard&) = delete;
-  RearmGuard& operator=(const RearmGuard&) = delete;
-
- private:
-  mem::TrackedRegion* region_;
-};
-
 }  // namespace
 
 plat::PlatformDesc wire_platform(const msg::PlatformSummary& s) {
@@ -645,12 +623,12 @@ unsigned SyncEngine::execute_plans(const std::vector<BlockPlan>& plans,
   return static_cast<unsigned>(chunks.size());
 }
 
-std::vector<idx::UpdateRun> SyncEngine::apply_episode(
+std::vector<idx::UpdateRun> SyncEngine::apply_payload(
     const std::vector<std::byte>& payload,
-    const msg::PlatformSummary& sender, bool bulk) {
+    const msg::PlatformSummary& sender) {
   // t_unpack: decode the payload, parse tags (plan cache), validate all
   // (compressed blocks decompress into `validated.scratch` here).  A
-  // malformed payload throws before the bulk window below ever opens.
+  // malformed payload throws before any byte lands.
   StopWatch watch;
   const ValidatedPayload validated = validate_payload(payload, sender);
   const std::vector<BlockPlan>& plans = validated.plans;
@@ -658,12 +636,8 @@ std::vector<idx::UpdateRun> SyncEngine::apply_episode(
   stats_.unpack_ns += unpack_ns;
   obs_phase(obs::SpanKind::Unpack, unpack_ns, plans.size());
 
-  mem::TrackedRegion& region = space_.region();
-  const bool was_tracking = bulk && region.tracking();
-  if (was_tracking) region.unprotect_for_apply();
-  RearmGuard rearm(was_tracking ? &region : nullptr);
-
-  // t_conv: convert (or memcpy) each planned block into this node's image.
+  // t_conv: convert (or memcpy) each planned block into this node's image
+  // through the alias view, which leaves page protection untouched.
   const unsigned lanes_used = execute_plans(plans, sender);
   const std::uint64_t conv_ns = watch.lap();
   stats_.conv_ns += conv_ns;
@@ -686,18 +660,6 @@ std::vector<idx::UpdateRun> SyncEngine::apply_episode(
     sample_episode(s);
   }
   return applied;
-}
-
-std::vector<idx::UpdateRun> SyncEngine::apply_payload(
-    const std::vector<std::byte>& payload,
-    const msg::PlatformSummary& sender) {
-  return apply_episode(payload, sender, /*bulk=*/false);
-}
-
-std::vector<idx::UpdateRun> SyncEngine::apply_payload_bulk(
-    const std::vector<std::byte>& payload,
-    const msg::PlatformSummary& sender) {
-  return apply_episode(payload, sender, /*bulk=*/true);
 }
 
 std::vector<idx::UpdateRun> SyncEngine::full_image_runs(

@@ -10,8 +10,9 @@
 // *before any byte lands*; phase 2 executes the planned conversions —
 // optionally fanned out over a worker pool (SyncOptions::conv_threads).
 // Application is therefore all-or-nothing: a payload with one malformed
-// block changes nothing, and apply_payload_bulk's unprotected window is
-// re-armed by an RAII guard on every exit path.
+// block changes nothing.  Apply never changes page protection: every byte
+// lands through TrackedRegion::apply_update's alias view, so write tracking
+// stays armed on every path.
 //
 // All work is accounted into the Eq.-1 ShareStats buckets of the owning
 // node.  A SyncEngine is not internally synchronized: callers serialize
@@ -141,15 +142,6 @@ class SyncEngine {
       const std::vector<std::byte>& payload,
       const msg::PlatformSummary& sender);
 
-  /// apply_payload through an unprotected window (no per-page faults) —
-  /// for barrier-release batches, where the applying thread is blocked and
-  /// the interval was just re-armed.  Re-arms the region afterwards on
-  /// every path, including exceptions (RAII guard), so a rejected payload
-  /// can never leave write tracking disabled.
-  std::vector<idx::UpdateRun> apply_payload_bulk(
-      const std::vector<std::byte>& payload,
-      const msg::PlatformSummary& sender);
-
   /// Runs covering every data row completely (initial full-image sync).
   static std::vector<idx::UpdateRun> full_image_runs(
       const idx::IndexTable& table);
@@ -228,12 +220,6 @@ class SyncEngine {
   /// Feed one episode's measurements to the tuner and act on its decision
   /// (no-op when the tuner is off).
   void sample_episode(const adapt::Signal& s);
-  /// The one body behind apply_payload and apply_payload_bulk: validate,
-  /// execute (with `bulk`, inside the unprotected window), account, and
-  /// sample the apply episode.
-  std::vector<idx::UpdateRun> apply_episode(
-      const std::vector<std::byte>& payload,
-      const msg::PlatformSummary& sender, bool bulk);
   /// Copy a tuner decision into the live options (lanes, slack).
   void apply_decision(const adapt::Decision& d);
   /// Plan cache lookup for `sender` (creates the per-sender table).

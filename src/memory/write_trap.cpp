@@ -147,10 +147,6 @@ void TrackedRegion::rearm() {
   region_.protect(PROT_READ);
 }
 
-void TrackedRegion::unprotect_for_apply() {
-  region_.protect(PROT_READ | PROT_WRITE);
-}
-
 std::vector<std::size_t> TrackedRegion::dirty_pages() const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < region_.page_count(); ++i) {

@@ -53,16 +53,11 @@ class TrackedRegion {
 
   /// Start the next interval without leaving tracking: clear dirty state
   /// and re-protect the whole region with a single mprotect (much cheaper
-  /// than end+begin when most pages are dirty).  Caller must guarantee no
+  /// than end+begin when most pages are dirty).  The diff engine calls this
+  /// once per collected interval; incoming updates never need it, because
+  /// apply_update leaves protection alone.  Caller must guarantee no
   /// concurrent application writes.
   void rearm();
-
-  /// Open an unprotected window for bulk update application (e.g. a
-  /// barrier-release batch) while tracking stays logically on.  Dirty
-  /// state is preserved; follow with rearm() (or more tracking after
-  /// faults).  Caller must guarantee no concurrent application writes in
-  /// the window.
-  void unprotect_for_apply();
 
   /// Ascending page indices dirtied since begin_tracking()/clear_dirty().
   std::vector<std::size_t> dirty_pages() const;
@@ -74,6 +69,11 @@ class TrackedRegion {
   /// Write bytes that must NOT appear as local modifications (incoming DSM
   /// updates): stores into the data image and mirrors into any live twin so
   /// the next diff is silent about them.  Safe whether or not tracking.
+  /// The store goes through the alias view and never changes page
+  /// protection, so a clean page stays write-protected and the next
+  /// application write to it still faults.  (Without a dual mapping the
+  /// alias is the primary view: the store faults like an application
+  /// write, and the twin mirror still keeps the diff silent.)
   void apply_update(std::size_t offset, const void* src, std::size_t n);
 
   /// Count of SIGSEGV faults absorbed (one per first-write page).

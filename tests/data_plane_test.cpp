@@ -1,6 +1,6 @@
 // Tests for the two-phase (validate-then-apply) parallel data plane:
-// all-or-nothing payload application, the RAII re-arm guarantee of
-// apply_payload_bulk, zero-copy single-buffer packing, the worker pool,
+// all-or-nothing payload application that leaves write tracking armed,
+// zero-copy single-buffer packing, the worker pool,
 // the per-(sender, row) conversion-plan cache, and sequential/parallel
 // equivalence of both collect and apply.
 #include <gtest/gtest.h>
@@ -134,7 +134,7 @@ TEST(AtomicApply, ValidPrefixIsNotAppliedWhenALaterBlockIsMalformed) {
   EXPECT_EQ(receiver.view<std::int32_t>("A").get(0), 0x5a5a5a5a);
 }
 
-TEST(AtomicApply, BulkRearmsTrackingOnThrow) {
+TEST(AtomicApply, RejectedPayloadLeavesTrackingArmed) {
   dsm::GlobalSpace receiver(small_gthv(), plat::linux_ia32());
   dsm::ShareStats rs;
   dsm::SyncEngine engine(receiver, {}, rs);
@@ -144,8 +144,8 @@ TEST(AtomicApply, BulkRearmsTrackingOnThrow) {
   receiver.view<std::int32_t>("A").set(1, 11);
   (void)engine.collect_runs();  // consume the interval; region re-armed
 
-  // Mid-interval, a malformed payload arrives on the bulk path: one valid
-  // block, then one whose data length disagrees with its tag.
+  // Mid-interval, a malformed payload arrives: one valid block, then one
+  // whose data length disagrees with its tag.
   dsm::UpdateBlock good;
   good.row = 2;
   good.first_elem = 3;
@@ -158,13 +158,12 @@ TEST(AtomicApply, BulkRearmsTrackingOnThrow) {
   torn.data.assign(4, std::byte{0x13});  // 4 bytes, tag says 8
 
   const std::vector<std::byte> before = image_snapshot(receiver);
-  EXPECT_THROW(engine.apply_payload_bulk(
-                   dsm::encode_update_blocks({good, torn}), summary),
+  EXPECT_THROW(engine.apply_payload(dsm::encode_update_blocks({good, torn}),
+                                    summary),
                std::runtime_error);
 
-  // No torn bytes, and write tracking is still armed (the pre-guard code
-  // skipped rearm() on the exception path, leaving every later write
-  // untracked for the rest of the run).
+  // No torn bytes, and write tracking is still armed: a rejected payload
+  // must not leave any later write untracked for the rest of the run.
   EXPECT_EQ(image_snapshot(receiver), before);
   EXPECT_TRUE(receiver.region().tracking());
   receiver.view<std::int32_t>("A").set(5, 55);

@@ -9,12 +9,15 @@
 #include <mutex>
 #include <random>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "dsm/sharded_cluster.hpp"
 #include "dsm/sharded_home.hpp"
 #include "dsm/sharded_remote.hpp"
 #include "dsm/trace.hpp"
+#include "dsm/update.hpp"
+#include "memory/write_trap.hpp"
 #include "msg/message.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -82,21 +85,26 @@ struct FrameLog {
   std::vector<msg::Message> frames;
 };
 
-/// Remote-side decorator that records each frame the remote receives.
+/// Remote-side decorator that records each frame the remote receives and,
+/// given a `sent` log, each frame it sends.
 class RecordingEndpoint final : public msg::Endpoint {
  public:
-  RecordingEndpoint(msg::EndpointPtr inner, FrameLog& log)
-      : inner_(std::move(inner)), log_(log) {}
+  RecordingEndpoint(msg::EndpointPtr inner, FrameLog& log,
+                    FrameLog* sent = nullptr)
+      : inner_(std::move(inner)), log_(log), sent_(sent) {}
 
-  void send(const msg::Message& m) override { inner_->send(m); }
+  void send(const msg::Message& m) override {
+    if (sent_ != nullptr) note(*sent_, m);
+    inner_->send(m);
+  }
   msg::Message recv() override {
     msg::Message m = inner_->recv();
-    note(m);
+    note(log_, m);
     return m;
   }
   bool recv_for(msg::Message& out, std::chrono::milliseconds t) override {
     if (!inner_->recv_for(out, t)) return false;
-    note(out);
+    note(log_, out);
     return true;
   }
   void close() override { inner_->close(); }
@@ -106,13 +114,14 @@ class RecordingEndpoint final : public msg::Endpoint {
   }
 
  private:
-  void note(const msg::Message& m) {
-    std::lock_guard<std::mutex> lock(log_.mu);
-    log_.frames.push_back(m);
+  static void note(FrameLog& log, const msg::Message& m) {
+    std::lock_guard<std::mutex> lock(log.mu);
+    log.frames.push_back(m);
   }
 
   msg::EndpointPtr inner_;
   FrameLog& log_;
+  FrameLog* sent_;
 };
 
 }  // namespace
@@ -266,6 +275,110 @@ TEST(ShardedHome, DisjointMutexesConvergeOnOneIoThread) {
   }
   EXPECT_EQ(io_lanes, 1);
   EXPECT_EQ(worker_lanes, 0);
+}
+
+// ---- incoming updates leave write protection alone -------------------------
+
+TEST(ShardedRemote, GrantsAndReleasesLeaveCleanPagesWriteProtected) {
+  // Page mode: a lock grant or barrier release that updates a clean page
+  // lands through the alias view.  The page stays clean and protected, so
+  // the next application write to it faults exactly once and the following
+  // release ships exactly that write.
+  constexpr std::uint64_t kPagedElems = 2048;  // 16 KB: several host pages
+  const auto paged = [] {
+    return tags::TypeDesc::struct_of(
+        "G", {{"A", tags::TypeDesc::array(tags::t_longlong(), kPagedElems)}});
+  };
+  dsm::ShardedHome home(paged(), plat::linux_ia32());
+  home.set_barrier_count(0, 3);  // the master and both remotes
+  msg::EndpointPtr ep1 = home.attach(1);
+  msg::EndpointPtr ep2 = home.attach(2);
+  home.start();
+  FrameLog received;
+  FrameLog sent;
+  dsm::ShardedRemote writer(paged(), plat::linux_ia32(), 1, std::move(ep1));
+  dsm::ShardedRemote reader(
+      paged(), plat::linux_ia32(), 2,
+      std::make_unique<RecordingEndpoint>(std::move(ep2), received, &sent));
+
+  hdsm::mem::TrackedRegion& region = reader.space().region();
+  ASSERT_TRUE(region.tracking());
+  const std::size_t row = reader.space().table().row_of_field("A");
+  const std::uint64_t offset = reader.space().table().rows()[row].offset;
+  const std::size_t ps = hdsm::mem::Region::host_page_size();
+  const auto page_of = [&](std::uint64_t e) {
+    return static_cast<std::size_t>((offset + e * 8) / ps);
+  };
+  // The first element on the last page of A, and the one after it.
+  const std::uint64_t last_page = (offset + kPagedElems * 8 - 1) / ps * ps;
+  const std::uint64_t e = (last_page - offset) / 8;
+  const std::size_t p = page_of(e);
+  ASSERT_EQ(page_of(e + 1), p);
+
+  // What `reader` sent since `from`: its one UnlockRequest must carry only
+  // `elem`.
+  const auto expect_unlock_ships_only = [&](std::size_t from,
+                                            std::uint64_t elem) {
+    std::lock_guard<std::mutex> lock(sent.mu);
+    ASSERT_EQ(sent.frames.size(), from + 2);  // LockRequest, UnlockRequest
+    const msg::Message& m = sent.frames.back();
+    ASSERT_EQ(m.type, msg::MsgType::UnlockRequest);
+    const auto blocks = dsm::decode_update_blocks(m.payload);
+    ASSERT_EQ(blocks.size(), 1u);
+    EXPECT_EQ(blocks[0].row, row);
+    EXPECT_EQ(blocks[0].first_elem, elem);
+    EXPECT_EQ(blocks[0].data.size(), 8u);
+  };
+  const auto frames_sent = [&] {
+    std::lock_guard<std::mutex> lock(sent.mu);
+    return sent.frames.size();
+  };
+
+  // Lock grant.
+  writer.lock(0);
+  writer.space().view<std::int64_t>("A").set(e, 7);
+  writer.unlock(0);
+  std::size_t before_frames = frames_sent();
+  std::uint64_t faults = region.fault_count();
+  reader.lock(0);
+  auto a = reader.space().view<std::int64_t>("A");
+  EXPECT_EQ(a.get(e), 7);  // the grant updated page p...
+  EXPECT_FALSE(region.page_dirty(p));  // ...which stayed clean
+  EXPECT_EQ(region.fault_count(), faults);
+  a.set(e + 1, 8);
+  EXPECT_EQ(region.fault_count(), faults + 1);
+  a.set(e + 1, 9);  // twinned and writable now: no second fault
+  EXPECT_EQ(region.fault_count(), faults + 1);
+  reader.unlock(0);
+  expect_unlock_ships_only(before_frames, e + 1);
+
+  // Barrier release.
+  faults = region.fault_count();
+  std::thread master([&] { home.barrier(0); });
+  std::thread writer_thread([&] {
+    writer.space().view<std::int64_t>("A").set(e, 70);
+    writer.barrier(0);
+  });
+  reader.barrier(0);
+  writer_thread.join();
+  master.join();
+  EXPECT_EQ(a.get(e), 70);
+  EXPECT_FALSE(region.page_dirty(p));
+  EXPECT_EQ(region.fault_count(), faults);
+  before_frames = frames_sent();
+  reader.lock(0);
+  EXPECT_EQ(region.fault_count(), faults);
+  a.set(e + 1, 90);
+  EXPECT_EQ(region.fault_count(), faults + 1);
+  reader.unlock(0);
+  expect_unlock_ships_only(before_frames, e + 1);
+
+  writer.join();
+  reader.join();
+  home.wait_all_joined();
+  EXPECT_EQ(home.space().view<std::int64_t>("A").get(e), 70);
+  EXPECT_EQ(home.space().view<std::int64_t>("A").get(e + 1), 90);
+  home.stop();
 }
 
 // ---- the constructor Hello rides the reconnect path ------------------------
