@@ -1,32 +1,31 @@
 // A/B bench for the adaptive policy engine (SyncOptions::adaptive), emitted
 // as BENCH_adaptive.json: each paper workload runs end-to-end on a cluster
-// under three data-plane configurations drawn from the tuner's own decision
-// space —
+// under two data-plane configurations —
 //
-//   /0 static_worst  - lanes=4 with byte-exact diffs: every batch past
-//                      the 64 KiB parallel grain pays pool dispatch
-//   /1 static_best   - the sequential path with stock slack: the usual
-//                      static call for small-payload cluster runs
-//   /2 adaptive      - stock defaults with the tuner on: lanes and run
-//                      coalescing follow the measured costs
+//   /0 static    - stock defaults, tuner off
+//   /1 adaptive  - stock defaults with the tuner on: run coalescing
+//                  (merge_slack) follows the measured costs
 //
-// Measured shape (4-core container, RelWithDebInfo, three runs of three
-// repetitions; host load moved whole runs by up to 4x, so only the order
-// inside one run means anything): on matmul and LU the three
-// configurations stay within each other's spread; on SOR, adaptive is the
-// fastest of the three on LL in every run (run coalescing), and on SL both
-// adaptive and static_worst beat static_best in every run.  Pairs LL
-// (homogeneous, memcpy plans) and SL (heterogeneous, conversion on the
-// critical path) both run.
+// Times are wall clock (hdsm::bench::wall_clock): the benchmark thread is
+// the master, which spends most of a run waiting on the remotes.
+//
+// Measured shape (4-core container, RelWithDebInfo, ten full-size runs,
+// median ms [quartiles]; EXPERIMENTS.md, "One lane per node"): on SOR the
+// tuner's run coalescing wins in every run, LL 7.75 [7.54-8.57] static vs
+// 5.77 [5.39-6.88] adaptive and SL 8.69 [8.10-10.1] vs 6.21 [5.86-7.73];
+// on LU adaptive is lower in 7 (LL) and 9 (SL) of ten runs, 42.3 vs
+// 47.4 ms on LL (inside the static quartiles) and 39.2 vs 44.0 ms on SL;
+// on matmul the two stay within each other's spread (3.2-3.4 ms).  Pairs LL (homogeneous, memcpy plans) and SL
+// (heterogeneous, conversion on the critical path) both run.
 //
 // Set HDSM_BENCH_FAST=1 for a smoke-sized run (CI's bench-smoke target).
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "workloads/experiment.hpp"
 #include "workloads/sor.hpp"
 
@@ -35,35 +34,19 @@ namespace work = hdsm::work;
 
 namespace {
 
-bool fast_mode() {
-  const char* v = std::getenv("HDSM_BENCH_FAST");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
+using hdsm::bench::fast_mode;
 
-constexpr std::int64_t kWorst = 0;
-constexpr std::int64_t kBest = 1;
-constexpr std::int64_t kAdaptive = 2;
+constexpr std::int64_t kStatic = 0;
+constexpr std::int64_t kAdaptive = 1;
 
 dsm::ShardedHomeOptions config(std::int64_t kind) {
   dsm::ShardedHomeOptions opts;
-  switch (kind) {
-    case kWorst:
-      // Four lanes: every batch past the parallel grain pays the pool's
-      // dispatch cost.
-      opts.dsd.conv_threads = 4;
-      opts.dsd.merge_slack = 0;
-      break;
-    case kBest:
-      opts.dsd.conv_threads = 1;
-      break;
-    case kAdaptive:
-    default:
-      // Stock defaults with the tuner on: warmup shortened so the short
-      // matmul run adapts at all, hysteresis (dwell/margin) left at the
-      // defaults so it doesn't flap.
-      opts.dsd.adaptive = true;
-      opts.dsd.tuner.warmup = 2;
-      break;
+  if (kind == kAdaptive) {
+    // Stock defaults with the tuner on: warmup shortened so the short
+    // matmul run adapts at all, hysteresis (dwell/margin) left at the
+    // defaults so it doesn't flap.
+    opts.dsd.adaptive = true;
+    opts.dsd.tuner.warmup = 2;
   }
   return opts;
 }
@@ -96,13 +79,12 @@ void BM_AdaptiveMatmul(benchmark::State& state) {
 }
 BENCHMARK(BM_AdaptiveMatmul)
     ->ArgNames({"pair", "config"})
-    ->Args({0, kWorst})
-    ->Args({0, kBest})
+    ->Args({0, kStatic})
     ->Args({0, kAdaptive})
-    ->Args({1, kWorst})
-    ->Args({1, kBest})
+    ->Args({1, kStatic})
     ->Args({1, kAdaptive})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(hdsm::bench::wall_clock);
 
 void BM_AdaptiveLu(benchmark::State& state) {
   // One barrier per elimination step: the episode stream is long, the
@@ -123,13 +105,12 @@ void BM_AdaptiveLu(benchmark::State& state) {
 }
 BENCHMARK(BM_AdaptiveLu)
     ->ArgNames({"pair", "config"})
-    ->Args({0, kWorst})
-    ->Args({0, kBest})
+    ->Args({0, kStatic})
     ->Args({0, kAdaptive})
-    ->Args({1, kWorst})
-    ->Args({1, kBest})
+    ->Args({1, kStatic})
     ->Args({1, kAdaptive})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(hdsm::bench::wall_clock);
 
 void BM_AdaptiveSor(benchmark::State& state) {
   // Two barriers per iteration, interleaved red/black dirty runs: the
@@ -151,13 +132,12 @@ void BM_AdaptiveSor(benchmark::State& state) {
 }
 BENCHMARK(BM_AdaptiveSor)
     ->ArgNames({"pair", "config"})
-    ->Args({0, kWorst})
-    ->Args({0, kBest})
+    ->Args({0, kStatic})
     ->Args({0, kAdaptive})
-    ->Args({1, kWorst})
-    ->Args({1, kBest})
+    ->Args({1, kStatic})
     ->Args({1, kAdaptive})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(hdsm::bench::wall_clock);
 
 }  // namespace
 

@@ -1,22 +1,17 @@
-// A/B bench for the parallel zero-copy data plane (SyncOptions::conv_threads
-// and plan_cache).  Emitted as BENCH_data_plane.json:
+// Bench for the zero-copy data plane (single-gather packing, the
+// per-(sender, row) conversion-plan cache).  Emitted as
+// BENCH_data_plane.json:
 //
-//   BM_ApplyPayloadHetero/L   - multi-MB payload of ~1KB blocks from a
-//                               big-endian sender applied on L lanes (the
-//                               bulk-swap conversion route; L=1 is the
-//                               sequential baseline, L=4 the pooled path)
-//   BM_ApplyPayloadMemcpy/L   - same payload homogeneous: the zero-copy
+//   BM_ApplyPayloadHetero     - multi-MB payload of ~1KB blocks from a
+//                               big-endian sender (the bulk-swap
+//                               conversion route)
+//   BM_ApplyPayloadMemcpy     - same payload homogeneous: the zero-copy
 //                               route (payload bytes land directly in the
 //                               image, no scratch conversion buffer)
-//   BM_ApplySingleSmallRun/L  - one run far below the fixed 64 KiB parallel
-//                               grain; L=4 must track L=1 (the pool must
-//                               not engage)
-//   BM_CollectDiff/L          - dirty-page diff + range->run mapping of a
-//                               multi-MB dirty set on L lanes
-//   BM_PackLegacyTwoCopy      - pack_runs + encode_update_blocks (the old
-//                               image -> blocks -> payload double copy)
+//   BM_CollectDiff            - dirty-page diff + range->run mapping of a
+//                               multi-MB dirty set
 //   BM_PackZeroCopy           - pack_payload (single gather into the wire
-//                               buffer); byte-identical output
+//                               buffer)
 //   BM_PackStride2/{0,1}      - pack_payload of kStride2Runs one-double
 //                               runs (the red/black SOR shape coalescing
 //                               cannot merge) with ASCII/binary tags:
@@ -26,17 +21,11 @@
 //   BM_ApplyPlanCache/{0,1}   - many same-row blocks with the per-(sender,
 //                               row) conversion-plan cache off/on
 //
-// Times and bytes_per_second are wall clock (hdsm::bench::wall_clock): the
-// L=4 rows run on pool threads, whose work the benchmark thread's CPU time
-// does not see.  Measured on a lightly loaded 4-core container,
-// median of 3 runs, L=1 vs L=4 wall time: hetero apply 1.55 vs 1.08 ms,
-// memcpy apply 0.79 vs 0.65 ms, collect diff 0.99 vs 0.56 ms.  An isolated
-// microbench has idle cores to lend; a cluster node does not.
+// Every node diffs and converts on its own thread, so each series runs on
+// the benchmark thread; times and bytes_per_second are still wall clock
+// (hdsm::bench::wall_clock), like the cluster benches.
 //
 // Set HDSM_BENCH_FAST=1 for a smoke-sized run (CI's bench-smoke target).
-// On a single-core container the L=4 apply/diff numbers degrade to ~L=1
-// (the pool adds threads, not cores); the zero-copy and plan-cache wins
-// are per-core and show regardless.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -68,8 +57,7 @@ tags::TypePtr gthv(std::uint64_t elems) {
 }
 
 /// Write ~1KB element bursts separated by one-element gaps: the dirty set
-/// maps to many independent ~1KB runs, the shape the per-block parallel
-/// apply partitions across lanes.
+/// maps to many independent ~1KB runs.
 void write_bursts(dsm::GlobalSpace& g) {
   auto a = g.view<std::int32_t>("A");
   const std::uint64_t n = a.size();
@@ -88,9 +76,7 @@ struct Capture {
 Capture capture_payload(const plat::PlatformDesc& sender_platform) {
   dsm::GlobalSpace g(gthv(big_elems()), sender_platform);
   dsm::ShareStats stats;
-  dsm::SyncOptions opts;
-  opts.conv_threads = 1;
-  dsm::SyncEngine engine(g, opts, stats);
+  dsm::SyncEngine engine(g, {}, stats);
   g.region().begin_tracking();
   write_bursts(g);
   Capture c;
@@ -100,36 +86,23 @@ Capture capture_payload(const plat::PlatformDesc& sender_platform) {
   return c;
 }
 
-dsm::SyncOptions lanes(unsigned n) {
-  dsm::SyncOptions o;
-  o.conv_threads = n;
-  return o;
-}
-
 void apply_bench(benchmark::State& state, const plat::PlatformDesc& sender) {
   const Capture c = capture_payload(sender);
   dsm::GlobalSpace receiver(gthv(big_elems()), plat::linux_ia32());
   dsm::ShareStats stats;
-  dsm::SyncEngine engine(receiver, lanes(static_cast<unsigned>(state.range(0))),
-                         stats);
+  dsm::SyncEngine engine(receiver, {}, stats);
   for (auto _ : state) {
     const auto runs = engine.apply_payload(c.payload, c.sender);
     benchmark::DoNotOptimize(runs.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(c.payload.size()));
-  state.counters["lanes"] =
-      static_cast<double>(engine.effective_lanes());
-  state.counters["parallel_batches"] =
-      static_cast<double>(stats.parallel_batches);
 }
 
 void BM_ApplyPayloadHetero(benchmark::State& state) {
   apply_bench(state, plat::solaris_sparc32());  // bulk-swap route
 }
 BENCHMARK(BM_ApplyPayloadHetero)
-    ->Arg(1)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->Apply(hdsm::bench::wall_clock);
 
@@ -137,45 +110,13 @@ void BM_ApplyPayloadMemcpy(benchmark::State& state) {
   apply_bench(state, plat::linux_ia32());  // zero-copy memcpy route
 }
 BENCHMARK(BM_ApplyPayloadMemcpy)
-    ->Arg(1)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
-    ->Apply(hdsm::bench::wall_clock);
-
-void BM_ApplySingleSmallRun(benchmark::State& state) {
-  // One 64-element run, far below the parallel grain: the parallel engine must
-  // cost within noise of the sequential one.
-  dsm::GlobalSpace sender(gthv(1 << 12), plat::linux_ia32());
-  dsm::ShareStats ss;
-  dsm::SyncEngine se(sender, lanes(1), ss);
-  sender.region().begin_tracking();
-  auto a = sender.view<std::int32_t>("A");
-  for (int i = 0; i < 64; ++i) a.set(i, i);
-  const std::vector<std::byte> payload = se.collect_payload();
-  const auto summary = msg::PlatformSummary::of(plat::linux_ia32());
-  sender.region().end_tracking();
-
-  dsm::GlobalSpace receiver(gthv(1 << 12), plat::linux_ia32());
-  dsm::ShareStats rs;
-  dsm::SyncEngine engine(receiver, lanes(static_cast<unsigned>(state.range(0))),
-                         rs);
-  for (auto _ : state) {
-    const auto runs = engine.apply_payload(payload, summary);
-    benchmark::DoNotOptimize(runs.data());
-  }
-  state.counters["parallel_batches"] =
-      static_cast<double>(rs.parallel_batches);  // must stay 0
-}
-BENCHMARK(BM_ApplySingleSmallRun)
-    ->Arg(1)
-    ->Arg(4)
     ->Apply(hdsm::bench::wall_clock);
 
 void BM_CollectDiff(benchmark::State& state) {
   dsm::GlobalSpace g(gthv(big_elems()), plat::linux_ia32());
   dsm::ShareStats stats;
-  dsm::SyncEngine engine(g, lanes(static_cast<unsigned>(state.range(0))),
-                         stats);
+  dsm::SyncEngine engine(g, {}, stats);
   g.region().begin_tracking();
   std::uint64_t bytes = 0;
   for (auto _ : state) {
@@ -188,19 +129,15 @@ void BM_CollectDiff(benchmark::State& state) {
   }
   g.region().end_tracking();
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-  state.counters["parallel_batches"] =
-      static_cast<double>(stats.parallel_batches);
 }
 BENCHMARK(BM_CollectDiff)
-    ->Arg(1)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->Apply(hdsm::bench::wall_clock);
 
 void BM_PackZeroCopy(benchmark::State& state) {
   dsm::GlobalSpace g(gthv(big_elems()), plat::linux_ia32());
   dsm::ShareStats stats;
-  dsm::SyncEngine engine(g, lanes(1), stats);
+  dsm::SyncEngine engine(g, {}, stats);
   g.region().begin_tracking();
   write_bursts(g);
   const std::vector<hdsm::idx::UpdateRun> runs = engine.collect_runs();
@@ -223,7 +160,7 @@ BENCHMARK(BM_PackZeroCopy)
 constexpr std::uint64_t kStride2Runs = 8192;
 
 void BM_PackStride2(benchmark::State& state) {
-  dsm::SyncOptions opts = lanes(1);
+  dsm::SyncOptions opts;
   opts.binary_tags = state.range(0) != 0;
   dsm::GlobalSpace g(
       tags::TypeDesc::struct_of(
@@ -259,7 +196,7 @@ void BM_ApplyPlanCache(benchmark::State& state) {
   // Many blocks re-covering the same row: with the cache on, one tag parse
   // + route plan serves the whole payload.
   const Capture c = capture_payload(plat::solaris_sparc32());
-  dsm::SyncOptions opts = lanes(1);
+  dsm::SyncOptions opts;
   opts.plan_cache = state.range(0) != 0;
   dsm::GlobalSpace receiver(gthv(big_elems()), plat::linux_ia32());
   dsm::ShareStats stats;

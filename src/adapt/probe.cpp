@@ -5,10 +5,6 @@ namespace hdsm::adapt {
 Probe::Probe(double alpha)
     : per_run_ns_(alpha),
       pack_cost_(alpha),
-      seq_cost_(alpha),
-      par_cost_(alpha),
-      par_dispatch_ns_(alpha),
-      bytes_per_episode_(alpha),
       encode_cost_(alpha),
       codec_ratio_(alpha),
       link_cost_(alpha),
@@ -17,9 +13,9 @@ Probe::Probe(double alpha)
 void Probe::observe(const Signal& s) {
   ++episodes_;
 
-  // Field groups are folded in independently: an apply-only episode leaves
+  // Field groups are folded in independently: a wire-only episode leaves
   // the pack models untouched and vice versa (the shell samples pack and
-  // apply at different points).
+  // send at different points).
   if (s.pack_ns != 0 && s.runs != 0) {
     // Split the pack time into a per-byte stream cost and a per-run fixed
     // cost.  With one pooled measurement we attribute proportionally:
@@ -34,7 +30,6 @@ void Probe::observe(const Signal& s) {
       per_run_ns_.update(half / static_cast<double>(s.runs));
     if (s.bytes_packed != 0)
       pack_cost_.update(half / static_cast<double>(s.bytes_packed));
-    bytes_per_episode_.update(static_cast<double>(s.bytes_packed));
   }
 
   // Codec cost models (docs/COMPRESSION.md).  The raw-bytes mean feeds the
@@ -59,28 +54,6 @@ void Probe::observe(const Signal& s) {
   if (s.has_wire()) {
     link_cost_.update(static_cast<double>(s.wire_ns) /
                       static_cast<double>(s.wire_bytes));
-  }
-
-  if (s.has_apply()) {
-    bytes_per_episode_.update(static_cast<double>(s.bytes_applied));
-    if (s.bytes_applied != 0) {
-      const double per_byte = static_cast<double>(s.conv_ns) /
-                              static_cast<double>(s.bytes_applied);
-      if (s.parallel) {
-        par_cost_.update(per_byte);
-        // Rough dispatch estimate: lanes-1 wakeups at ~the observed batch
-        // cost share.  Refined below only when both models exist.
-        if (seq_cost_.seeded()) {
-          const double seq_est =
-              seq_cost_.value() * static_cast<double>(s.bytes_applied) /
-              static_cast<double>(s.lanes_used > 0 ? s.lanes_used : 1);
-          const double overhead = static_cast<double>(s.conv_ns) - seq_est;
-          if (overhead > 0.0) par_dispatch_ns_.update(overhead);
-        }
-      } else {
-        seq_cost_.update(per_byte);
-      }
-    }
   }
 }
 

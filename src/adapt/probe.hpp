@@ -6,10 +6,6 @@
 //
 //   per_run_ns          fixed overhead of one update run (tag + header)
 //   pack_ns_per_byte    cost of packing one payload byte
-//   seq_ns_per_byte     per-byte conversion cost on the sequential path
-//   par_ns_per_byte     per-byte conversion cost on the parallel path
-//   par_dispatch_ns     fixed overhead of waking the worker pool once
-//   bytes_per_episode   mean payload bytes moved per episode
 //   encode_ns_per_byte  codec encode cost per raw element byte
 //   codec_ratio         wire data bytes / raw data bytes with codec engaged
 //   link_ns_per_byte    measured wire cost per frame byte on this link
@@ -61,17 +57,13 @@ class Probe {
   explicit Probe(double alpha = 0.25);
 
   /// Fold one episode's measurements into the models.  Fields with a zero
-  /// denominator contribute nothing (an apply-only episode does not disturb
+  /// denominator contribute nothing (a wire-only episode does not disturb
   /// the pack models, and vice versa).
   void observe(const Signal& s);
 
   // Cost model accessors (0.0 until the first relevant sample arrives).
   double per_run_ns() const { return per_run_ns_.value(); }
   double pack_ns_per_byte() const { return pack_cost_.value(); }
-  double seq_ns_per_byte() const { return seq_cost_.value(); }
-  double par_ns_per_byte() const { return par_cost_.value(); }
-  double par_dispatch_ns() const { return par_dispatch_ns_.value(); }
-  double bytes_per_episode() const { return bytes_per_episode_.value(); }
   double encode_ns_per_byte() const { return encode_cost_.value(); }
   double codec_ratio() const { return codec_ratio_.value(); }
   double link_ns_per_byte() const { return link_cost_.value(); }
@@ -79,23 +71,18 @@ class Probe {
     return raw_bytes_per_episode_.value();
   }
 
-  bool has_seq_model() const { return seq_cost_.seeded(); }
-  bool has_par_model() const { return par_cost_.seeded(); }
   bool has_codec_model() const {
     return encode_cost_.seeded() && codec_ratio_.seeded();
   }
   bool has_link_model() const { return link_cost_.seeded(); }
 
-  /// Episodes observed so far (collect + apply both count).
+  /// Episodes observed so far (every kind counts, including the collect
+  /// and apply episodes that carry no measurement).
   std::uint64_t episodes() const { return episodes_; }
 
  private:
   Ewma per_run_ns_;
   Ewma pack_cost_;
-  Ewma seq_cost_;
-  Ewma par_cost_;
-  Ewma par_dispatch_ns_;
-  Ewma bytes_per_episode_;
   Ewma encode_cost_;
   Ewma codec_ratio_;
   Ewma link_cost_;

@@ -5,8 +5,8 @@
 // apply (unpack + convert on the receiving side).  The shell (SyncEngine)
 // fills in whichever fields the episode produced and leaves the rest zero;
 // the Probe layer knows that a zero denominator means "no sample this
-// episode".  A collect episode carries no field any model reads, but it
-// still counts toward the warmup and dwell windows.
+// episode".  Collect and apply episodes carry no field any model reads, but
+// they still count toward the warmup and dwell windows.
 //
 // Everything here is plain data.  No clocks, no allocation, no I/O — the
 // same Signal sequence always produces the same Decision sequence
@@ -32,14 +32,6 @@ struct Signal {
   std::uint64_t wire_ns = 0;       ///< wall time a payload send blocked for
   std::uint64_t wire_bytes = 0;    ///< frame bytes that send carried
 
-  // ---- apply side (unpack + convert) ----
-  std::uint64_t conv_ns = 0;          ///< wall time spent converting/applying
-  std::uint64_t blocks = 0;           ///< update blocks applied
-  std::uint64_t bytes_applied = 0;    ///< destination bytes written
-  bool parallel = false;              ///< did the batch take the parallel path?
-  std::uint32_t lanes_used = 1;       ///< lanes the batch actually ran on
-
-  bool has_apply() const { return blocks != 0; }
   bool has_wire() const { return wire_bytes != 0 && wire_ns != 0; }
 };
 

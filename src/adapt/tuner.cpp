@@ -6,12 +6,7 @@ namespace hdsm::adapt {
 namespace {
 
 int knob_index(std::uint32_t bit) {
-  switch (bit) {
-    case Decision::kLanes: return 0;
-    case Decision::kSlack: return 1;
-    case Decision::kCodec: return 2;
-  }
-  return 0;
+  return bit == Decision::kCodec ? 1 : 0;
 }
 
 }  // namespace
@@ -23,9 +18,6 @@ Tuner::Tuner(const TunerConfig& cfg)
 }
 
 void Tuner::apply_pins() {
-  if (cfg_.pin_conv_threads >= 0)
-    cur_.conv_threads =
-        static_cast<std::uint32_t>(std::max(1, cfg_.pin_conv_threads));
   if (cfg_.pin_merge_slack >= 0)
     cur_.merge_slack = std::min(static_cast<std::size_t>(cfg_.pin_merge_slack),
                                 cfg_.max_merge_slack);
@@ -50,45 +42,9 @@ const Decision& Tuner::step(const Signal& s) {
   cur_.changed = 0;
   if (probe_.episodes() < cfg_.warmup) return cur_;
 
-  tune_lanes();
   tune_slack();
   tune_codec();
   return cur_;
-}
-
-void Tuner::tune_lanes() {
-  if (cfg_.pin_conv_threads >= 0) return;
-  if (cfg_.max_lanes <= 1) return;
-  if (frozen(Decision::kLanes)) return;
-
-  // Bounded exploration: with only a sequential cost model and batches big
-  // enough to take the parallel path at all, take it once to seed the
-  // parallel model.  Deterministic — fires exactly once.
-  if (!explored_parallel_ && !probe_.has_par_model() &&
-      probe_.has_seq_model() &&
-      probe_.bytes_per_episode() >= static_cast<double>(kParallelGrain)) {
-    explored_parallel_ = true;
-    if (cur_.conv_threads <= 1) {
-      cur_.conv_threads = cfg_.max_lanes;
-      mark_changed(Decision::kLanes);
-    }
-    return;
-  }
-
-  if (!probe_.has_seq_model() || !probe_.has_par_model()) return;
-
-  const double b = probe_.bytes_per_episode();
-  const double cost_seq = b * probe_.seq_ns_per_byte();
-  const double cost_par =
-      b * probe_.par_ns_per_byte() + probe_.par_dispatch_ns();
-  if (cur_.conv_threads <= 1 && cost_par < cost_seq * (1.0 - cfg_.margin)) {
-    cur_.conv_threads = cfg_.max_lanes;
-    mark_changed(Decision::kLanes);
-  } else if (cur_.conv_threads > 1 &&
-             cost_seq < cost_par * (1.0 - cfg_.margin)) {
-    cur_.conv_threads = 1;
-    mark_changed(Decision::kLanes);
-  }
 }
 
 void Tuner::tune_slack() {

@@ -6,15 +6,13 @@
 // randomness — feeding a recorded signal trace back through a fresh Tuner
 // reproduces the decision trace bit-for-bit (tested in adapt_test.cpp).
 //
-// Three knobs are tuned online, each individually pinnable for A/B runs:
+// Two knobs are tuned online, each individually pinnable for A/B runs:
 //
-//   1. conv_threads    sequential vs parallel conversion; batches below
-//                      kParallelGrain stay sequential whatever the lanes.
-//   2. merge_slack     coalesce adjacent update runs when per-run overhead
+//   1. merge_slack     coalesce adjacent update runs when per-run overhead
 //                      dominates per-byte cost (bounded by max_merge_slack;
 //                      see docs/ADAPTIVITY.md for the ownership-granularity
 //                      safety argument).
-//   3. compress        predictive compression of update runs (hdsm::codec,
+//   2. compress        predictive compression of update runs (hdsm::codec,
 //                      docs/COMPRESSION.md): engage when encode cost +
 //                      predicted wire cost at the link's measured bandwidth
 //                      beats raw wire cost.  Gated by
@@ -33,28 +31,20 @@
 
 namespace hdsm::adapt {
 
-/// Minimum bytes of diff/conversion work before the worker pool engages;
-/// below it the sequential path runs (a single-run payload must not pay
-/// the dispatch cost).  Lane exploration waits for batches this large.
-inline constexpr std::size_t kParallelGrain = 64 * 1024;
-
 /// The tuner's current answer for every knob it owns.  `changed` carries
 /// which knobs moved in the step that produced this decision.
 struct Decision {
   enum Changed : std::uint32_t {
-    kLanes = 1u << 0,
-    kSlack = 1u << 1,
-    kCodec = 1u << 2,
+    kSlack = 1u << 0,
+    kCodec = 1u << 1,
   };
 
-  std::uint32_t conv_threads = 1;     ///< conversion lanes (1 = sequential)
   std::size_t merge_slack = 0;        ///< bytes of gap to coalesce across
   bool compress = false;              ///< run the update codec on pack
   std::uint32_t changed = 0;          ///< Changed bits for this step
 
   bool operator==(const Decision& o) const {
-    return conv_threads == o.conv_threads && merge_slack == o.merge_slack &&
-           compress == o.compress;
+    return merge_slack == o.merge_slack && compress == o.compress;
   }
 };
 
@@ -68,8 +58,6 @@ struct TunerConfig {
   // Episodes before the tuner may change anything at all.
   std::uint32_t warmup = 4;
 
-  // Bounds.
-  std::uint32_t max_lanes = 4;
   // Hard cap on adaptive coalescing: slack beyond the minimum ownership
   // granularity of concurrently-written pages would over-ship stale bytes
   // (see docs/ADAPTIVITY.md); one cache line is safe for our workloads.
@@ -88,6 +76,8 @@ struct TunerConfig {
 
   // Pins: a pinned knob keeps its pinned value forever (A/B isolation).
   // -1 = unpinned; for booleans 0/1 = force off/on.
+  // pin_conv_threads names no knob: the data plane has one lane, so the
+  // SyncEngine accepts only -1 through 1 here and throws for more.
   int pin_conv_threads = -1;
   long pin_merge_slack = -1;
   int pin_codec = -1;
@@ -109,7 +99,6 @@ class Tuner {
 
  private:
   void apply_pins();
-  void tune_lanes();
   void tune_slack();
   void tune_codec();
   bool frozen(std::uint32_t knob_bit) const;
@@ -120,9 +109,8 @@ class Tuner {
   Decision cur_;
   std::uint64_t switches_ = 0;
   // Episode number at which each knob last changed (for dwell).
-  std::uint64_t last_change_[3] = {0, 0, 0};
-  bool explored_parallel_ = false;  ///< one bounded exploration episode fired
-  bool explored_codec_ = false;     ///< one codec exploration episode fired
+  std::uint64_t last_change_[2] = {0, 0};
+  bool explored_codec_ = false;  ///< one codec exploration episode fired
 };
 
 }  // namespace hdsm::adapt

@@ -46,11 +46,9 @@ std::string ShareStats::to_string() const {
        << " dups_dropped=" << duplicates_dropped
        << " reconnects=" << reconnects;
   }
-  if (parallel_batches != 0 || plan_cache_hits != 0 ||
-      plan_cache_misses != 0 || fastpath_blocks != 0) {
-    os << " par_batches=" << parallel_batches
-       << " conv_threads=" << conv_threads
-       << " plan_hits=" << plan_cache_hits
+  if (plan_cache_hits != 0 || plan_cache_misses != 0 ||
+      fastpath_blocks != 0) {
+    os << " plan_hits=" << plan_cache_hits
        << " plan_misses=" << plan_cache_misses
        << " fastpath_blocks=" << fastpath_blocks;
   }

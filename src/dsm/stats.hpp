@@ -46,8 +46,6 @@ namespace hdsm::dsm {
   X(timeouts)                      \
   X(duplicates_dropped)            \
   X(reconnects)                    \
-  X(conv_threads)                  \
-  X(parallel_batches)              \
   X(plan_cache_hits)               \
   X(plan_cache_misses)             \
   X(adapt_episodes)                \
@@ -91,11 +89,7 @@ struct ShareStats {
   std::uint64_t duplicates_dropped = 0;  ///< count: sequenced dups discarded
   std::uint64_t reconnects = 0;  ///< count: transport re-establishments
 
-  // -- Parallel data plane (SyncOptions::conv_threads, docs/PROTOCOL.md §2) --
-  std::uint64_t conv_threads = 0;  ///< count: worker lanes engaged, summed
-                                   ///  over parallel diff/apply batches
-  std::uint64_t parallel_batches = 0;  ///< count: diff scans + payload applies
-                                       ///  that ran on the worker pool
+  // -- Conversion-plan cache (SyncOptions::plan_cache, docs/PROTOCOL.md §2) --
   std::uint64_t plan_cache_hits = 0;    ///< count: blocks applied through a
                                         ///  cached (sender,row) conv plan
   std::uint64_t plan_cache_misses = 0;  ///< count: blocks that parsed their

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "codec/codec.hpp"
 #include "convert/converter.hpp"
@@ -65,7 +63,7 @@ plat::PlatformDesc wire_platform(const msg::PlatformSummary& s) {
 /// One validated block, resolved to a concrete write: where the sender
 /// bytes live in the payload, where they land in the image, and which
 /// conversion route carries them there.  Built in phase 1 (validate),
-/// executed in phase 2 (apply) — possibly on a different thread.
+/// executed in phase 2 (apply).
 struct SyncEngine::BlockPlan {
   const std::byte* src = nullptr;  ///< element bytes inside the payload
   std::uint64_t src_len = 0;
@@ -102,22 +100,20 @@ struct SyncEngine::SenderPlanCache {
 SyncEngine::SyncEngine(GlobalSpace& space, const SyncOptions& opts,
                        ShareStats& stats)
     : space_(space), opts_(opts), stats_(stats) {
+  if (opts_.conv_threads > 1 || opts_.tuner.pin_conv_threads > 1) {
+    throw std::invalid_argument(
+        "SyncOptions: the data plane runs one lane per node "
+        "(conv_threads and tuner.pin_conv_threads accept at most 1)");
+  }
   if (opts_.adaptive || opts_.codec == CodecMode::Adaptive) {
     adapt::TunerConfig cfg = opts_.tuner;
-    // Lanes the machine can actually run: exploring 4-way conversion on a
-    // single hardware thread would pay the pool's dispatch cost with no
-    // possible speedup, so the tuner's search space is clamped up front.
-    cfg.max_lanes = std::min(
-        cfg.max_lanes, std::clamp(std::thread::hardware_concurrency(), 1u, 4u));
     // The tuner starts from the configured static behavior and moves the
     // knobs from there; its decisions then overwrite the live options.
-    cfg.initial.conv_threads = effective_lanes();
     cfg.initial.merge_slack = std::min(opts_.merge_slack, cfg.max_merge_slack);
     cfg.enable_codec = opts_.codec == CodecMode::Adaptive;
     if (!opts_.adaptive) {
       // Codec-only tuner (codec == Adaptive with `adaptive` off): pin the
-      // other knobs to the static options so only compress can move.
-      cfg.pin_conv_threads = static_cast<int>(cfg.initial.conv_threads);
+      // slack to the static option so only compress can move.
       cfg.pin_merge_slack = static_cast<long>(cfg.initial.merge_slack);
     }
     tuner_ = std::make_unique<adapt::Tuner>(cfg);
@@ -128,7 +124,6 @@ SyncEngine::SyncEngine(GlobalSpace& space, const SyncOptions& opts,
 SyncEngine::~SyncEngine() = default;
 
 void SyncEngine::apply_decision(const adapt::Decision& d) {
-  opts_.conv_threads = std::max(1u, d.conv_threads);
   opts_.merge_slack = d.merge_slack;
 }
 
@@ -147,8 +142,6 @@ void SyncEngine::sample_episode(const adapt::Signal& s) {
     // after) the ProbeSampled above — validator invariant 5.
     if (d.changed & adapt::Decision::kCodec)
       trace_->append(TraceEvent::Kind::StrategySwitched, trace_rank_, episode);
-    if (d.changed & adapt::Decision::kLanes)
-      trace_->append(TraceEvent::Kind::LanesRetuned, trace_rank_, episode);
     if (d.changed & adapt::Decision::kSlack)
       trace_->append(TraceEvent::Kind::RunsCoalesced, trace_rank_, episode);
   }
@@ -168,24 +161,6 @@ SyncEngine::SenderPlanCache& SyncEngine::cache_for(
   return *plan_caches_.back();
 }
 
-unsigned SyncEngine::effective_lanes() const noexcept {
-  if (opts_.conv_threads == 1) return 1;
-  if (opts_.conv_threads > 1) return opts_.conv_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp(hw, 1u, 4u);
-}
-
-WorkerPool* SyncEngine::pool() {
-  const unsigned lanes = effective_lanes();
-  if (lanes <= 1) return nullptr;
-  if (pool_ == nullptr || pool_->lanes() != lanes) {
-    // The pool captures the telemetry pointer before its workers spawn
-    // (set_obs after the first parallel batch would race them under TSan).
-    pool_ = std::make_unique<WorkerPool>(lanes - 1, obs_);
-  }
-  return pool_.get();
-}
-
 // -- Send side ---------------------------------------------------------------
 
 std::vector<idx::UpdateRun> SyncEngine::collect_runs() {
@@ -201,42 +176,13 @@ std::vector<idx::UpdateRun> SyncEngine::collect_runs() {
   const std::vector<std::size_t> dirty = region.dirty_pages();
   stats_.dirty_pages += dirty.size();
 
-  const auto diff_one = [&](std::size_t page, std::vector<mem::ByteRange>& out) {
+  std::vector<mem::ByteRange> ranges;
+  for (const std::size_t page : dirty) {
     const std::size_t base = page * ps;
-    if (base >= image_size) return;
+    if (base >= image_size) continue;
     const std::size_t len = std::min(ps, image_size - base);
     mem::diff_bytes(region.data() + base, region.twin_page(page), len, base,
-                    out, opts_.merge_slack);
-  };
-
-  std::vector<mem::ByteRange> ranges;
-  const unsigned lanes = effective_lanes();
-  if (lanes > 1 && dirty.size() > 1 &&
-      dirty.size() * ps >= adapt::kParallelGrain) {
-    // Parallel diff: contiguous chunks of the (ascending) dirty-page list,
-    // each scanned into its own range vector — every chunk alone satisfies
-    // diff_bytes' ascending-order precondition — then concatenated in
-    // order and re-coalesced so chunk seams merge exactly as the
-    // sequential scan would have merged them.
-    const std::size_t nchunks = std::min<std::size_t>(lanes, dirty.size());
-    const std::size_t per = (dirty.size() + nchunks - 1) / nchunks;
-    std::vector<std::vector<mem::ByteRange>> partial(nchunks);
-    pool()->run(nchunks, [&](std::size_t c) {
-      const std::size_t begin = c * per;
-      const std::size_t end = std::min(dirty.size(), begin + per);
-      for (std::size_t i = begin; i < end; ++i) diff_one(dirty[i], partial[c]);
-    });
-    std::size_t total = 0;
-    for (const auto& p : partial) total += p.size();
-    ranges.reserve(total);
-    for (const auto& p : partial) {
-      ranges.insert(ranges.end(), p.begin(), p.end());
-    }
-    mem::coalesce_ranges(ranges, opts_.merge_slack);
-    ++stats_.parallel_batches;
-    stats_.conv_threads += nchunks;
-  } else {
-    for (const std::size_t page : dirty) diff_one(page, ranges);
+                    ranges, opts_.merge_slack);
   }
 
   std::vector<idx::UpdateRun> runs =
@@ -536,91 +482,30 @@ SyncEngine::ValidatedPayload SyncEngine::validate_payload(
 
 // -- Receive side: phase 2 (execute) -----------------------------------------
 
-unsigned SyncEngine::execute_plans(const std::vector<BlockPlan>& plans,
-                                   const msg::PlatformSummary& sender) {
-  if (plans.empty()) return 1;
+void SyncEngine::execute_plans(const std::vector<BlockPlan>& plans,
+                               const msg::PlatformSummary& sender) {
+  if (plans.empty()) return;
   const plat::PlatformDesc sender_platform = wire_platform(sender);
   const plat::PlatformDesc& my_platform = space_.platform();
   mem::TrackedRegion& region = space_.region();
 
-  const auto apply_one = [&](const BlockPlan& p,
-                             std::vector<std::byte>& scratch) {
+  // Payload order, so overlapping (duplicate or adversarial) blocks land
+  // last-writer-wins exactly as the sender packed them.
+  std::vector<std::byte> scratch;
+  for (const BlockPlan& p : plans) {
     if (p.route == conv::Route::Memcpy) {
       // Zero-copy fast path: the wire bytes go straight from the payload
       // into the image ("a string comparison to ensure identical tags"
       // suffices, paper §4).
       region.apply_update(p.dst_off, p.src, p.dst_len);
-      return;
+      continue;
     }
     scratch.resize(p.dst_len);
     conv::convert_run_routed(p.route, p.src, p.src_elem, sender_platform,
                              scratch.data(), p.dst_elem, my_platform, p.count,
                              p.cat, p.kind, nullptr, nullptr);
     region.apply_update(p.dst_off, scratch.data(), p.dst_len);
-  };
-
-  std::uint64_t total = 0;
-  for (const BlockPlan& p : plans) total += p.dst_len;
-
-  // Plans whose destination ranges overlap (duplicate or adversarial
-  // blocks) must apply in payload order — parallel execution would race
-  // the overlap.  Sorted-sweep check; plans are usually ascending already.
-  const auto plans_overlap = [&plans]() {
-    std::vector<std::uint32_t> order(plans.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(),
-              [&plans](std::uint32_t a, std::uint32_t b) {
-                return plans[a].dst_off < plans[b].dst_off;
-              });
-    for (std::size_t i = 1; i < order.size(); ++i) {
-      const BlockPlan& prev = plans[order[i - 1]];
-      const BlockPlan& cur = plans[order[i]];
-      if (cur.dst_off < prev.dst_off + prev.dst_len) return true;
-    }
-    return false;
-  };
-
-  const unsigned lanes = effective_lanes();
-  const bool parallel = lanes > 1 && plans.size() > 1 &&
-                        total >= adapt::kParallelGrain && !plans_overlap();
-  if (!parallel) {
-    std::vector<std::byte> scratch;
-    for (const BlockPlan& p : plans) apply_one(p, scratch);
-    return 1;
   }
-
-  // Partition plans into byte-balanced contiguous chunks, one task per
-  // chunk; every chunk writes disjoint image bytes (checked above), and
-  // TrackedRegion::apply_update is safe for concurrent disjoint writes.
-  const std::uint64_t target = (total + lanes - 1) / lanes;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  std::size_t begin = 0;
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    acc += plans[i].dst_len;
-    if (acc >= target && chunks.size() + 1 < lanes) {
-      chunks.emplace_back(begin, i + 1);
-      begin = i + 1;
-      acc = 0;
-    }
-  }
-  if (begin < plans.size()) chunks.emplace_back(begin, plans.size());
-
-  if (chunks.size() < 2) {
-    std::vector<std::byte> scratch;
-    for (const BlockPlan& p : plans) apply_one(p, scratch);
-    return 1;
-  }
-
-  pool()->run(chunks.size(), [&](std::size_t c) {
-    std::vector<std::byte> scratch;
-    for (std::size_t i = chunks[c].first; i < chunks[c].second; ++i) {
-      apply_one(plans[i], scratch);
-    }
-  });
-  ++stats_.parallel_batches;
-  stats_.conv_threads += chunks.size();
-  return static_cast<unsigned>(chunks.size());
 }
 
 std::vector<idx::UpdateRun> SyncEngine::apply_payload(
@@ -638,27 +523,21 @@ std::vector<idx::UpdateRun> SyncEngine::apply_payload(
 
   // t_conv: convert (or memcpy) each planned block into this node's image
   // through the alias view, which leaves page protection untouched.
-  const unsigned lanes_used = execute_plans(plans, sender);
+  execute_plans(plans, sender);
   const std::uint64_t conv_ns = watch.lap();
   stats_.conv_ns += conv_ns;
   obs_phase(obs::SpanKind::Convert, conv_ns, plans.size());
 
   std::vector<idx::UpdateRun> applied;
   applied.reserve(plans.size());
-  adapt::Signal s;
   for (const BlockPlan& p : plans) {
     stats_.update_bytes_received += p.src_len;
     ++stats_.updates_received;
-    s.bytes_applied += p.dst_len;
     applied.push_back(p.run);
   }
-  if (!plans.empty()) {
-    s.conv_ns = conv_ns;
-    s.blocks = plans.size();
-    s.parallel = lanes_used > 1;
-    s.lanes_used = lanes_used;
-    sample_episode(s);
-  }
+  // No model reads an apply episode's measurements, but, as with a collect,
+  // the episode still counts toward the tuner's warmup and dwell windows.
+  if (!plans.empty()) sample_episode(adapt::Signal{});
   return applied;
 }
 

@@ -7,12 +7,13 @@
 // The receive side is a two-phase validate-then-apply pipeline: phase 1
 // decodes the payload zero-copy, parses tags through a per-(sender, row)
 // conversion-plan cache, and validates every block against the index table
-// *before any byte lands*; phase 2 executes the planned conversions —
-// optionally fanned out over a worker pool (SyncOptions::conv_threads).
-// Application is therefore all-or-nothing: a payload with one malformed
-// block changes nothing.  Apply never changes page protection: every byte
-// lands through TrackedRegion::apply_update's alias view, so write tracking
-// stays armed on every path.
+// *before any byte lands*; phase 2 executes the planned conversions in
+// payload order.  Application is therefore all-or-nothing: a payload with
+// one malformed block changes nothing.  Apply never changes page
+// protection: every byte lands through TrackedRegion::apply_update's alias
+// view, so write tracking stays armed on every path.  Each node diffs and
+// converts on its own thread (one lane per node), so Eq. 1's costs are
+// that thread's CPU time.
 //
 // All work is accounted into the Eq.-1 ShareStats buckets of the owning
 // node.  A SyncEngine is not internally synchronized: callers serialize
@@ -30,7 +31,6 @@
 #include "dsm/stats.hpp"
 #include "dsm/trace.hpp"
 #include "dsm/update.hpp"
-#include "dsm/worker_pool.hpp"
 #include "msg/message.hpp"
 #include "obs/telemetry.hpp"
 
@@ -46,7 +46,7 @@ enum class CodecMode {
 };
 
 /// Knobs for the data plane (diff/tag/pack/unpack/convert pipeline),
-/// exposed for the ablation benches and the parallel-path A/B bench.
+/// exposed for the ablation benches.
 struct SyncOptions {
   /// Group consecutive modified array elements into one tag (paper §5:
   /// "distill many indexes into a single tag").
@@ -62,14 +62,11 @@ struct SyncOptions {
   /// (what Figures 10/11 measure); on = this library's default.
   bool bulk_swap_fastpath = true;
 
-  // -- Parallel data plane (this library's extension) --
-
-  /// Worker lanes for dirty-page diffing and per-block conversion.
-  /// 0 = auto (hardware_concurrency, capped at 4); 1 = the sequential
-  /// path, kept selectable for A/B benching; N > 1 = N-way (the calling
-  /// thread is one lane, N-1 pool threads are spawned lazily).  Batches
-  /// below adapt::kParallelGrain bytes run sequentially whatever the lanes.
-  unsigned conv_threads = 0;
+  /// Data-plane lanes per node.  Every node diffs and converts on its own
+  /// thread, so the only accepted values are 0 and 1 (both sequential);
+  /// anything larger makes the SyncEngine constructor throw
+  /// std::invalid_argument.  Kept as a field for callers that set it to 1.
+  unsigned conv_threads = 1;
   /// Cache tag-parse + conversion-route decisions per (sender platform,
   /// row), so repeated blocks of the same row skip the parse (off = the
   /// 2006 once-per-block behaviour, for the ablation bench).
@@ -77,22 +74,23 @@ struct SyncOptions {
 
   // -- Adaptive policy engine (docs/ADAPTIVITY.md) --
 
-  /// Drive conv_threads / merge_slack from an online adapt::Tuner instead
-  /// of the static values above.  Off = today's exact behavior (no tuner
+  /// Drive merge_slack from an online adapt::Tuner instead of the static
+  /// value above.  Off = today's exact behavior (no tuner
   /// is constructed, no probe runs, no trace events).
   bool adaptive = false;
   /// Tuner configuration when `adaptive` is on: EWMA smoothing, hysteresis
   /// (dwell + margin), bounds, and per-knob pins for A/B isolation.  The
-  /// tuner's starting point for conv_threads / merge_slack is seeded from
-  /// the static fields above.
+  /// tuner's starting merge_slack is seeded from the static field above.
+  /// tuner.pin_conv_threads accepts only -1 (unpinned) through 1; larger
+  /// values throw like conv_threads does.
   adapt::TunerConfig tuner;
 
   // -- Predictive update codec (hdsm::codec, docs/COMPRESSION.md) --
 
   /// Compression of update-run payloads.  Off is byte-identical on the wire
   /// to builds that predate the codec.  Adaptive constructs a tuner even
-  /// when `adaptive` is off — but with conv_threads and merge_slack pinned
-  /// to the static options, so only the compress decision moves.
+  /// when `adaptive` is off — but with merge_slack pinned to the static
+  /// option, so only the compress decision moves.
   CodecMode codec = CodecMode::Off;
 };
 
@@ -111,13 +109,13 @@ inline constexpr std::uint32_t kAllRegions = 0xffffffffu;
 class SyncEngine {
  public:
   // Constructor/destructor out of line: plan-cache member types are
-  // defined in the .cpp.
+  // defined in the .cpp.  Throws std::invalid_argument when opts asks for
+  // more than one data-plane lane (conv_threads or tuner.pin_conv_threads).
   SyncEngine(GlobalSpace& space, const SyncOptions& opts, ShareStats& stats);
   ~SyncEngine();
 
   /// Diff the tracked region against its twins and map the changes to
-  /// element runs (t_index).  Restarts the tracking interval.  Dirty sets
-  /// past adapt::kParallelGrain are partitioned across the worker pool.
+  /// element runs (t_index).  Restarts the tracking interval.
   std::vector<idx::UpdateRun> collect_runs();
 
   /// Tag (t_tag) and pack (t_pack) runs directly into one wire payload: a
@@ -155,10 +153,9 @@ class SyncEngine {
 
   /// Attach telemetry (docs/OBSERVABILITY.md): every Eq.-1 phase the
   /// engine times — the same measurement that feeds ShareStats (and, for
-  /// pack and convert, the adaptive tuner's Signal) — is also recorded as
-  /// an obs span and phase histogram.  Null (the default) detaches; the off path is one null
-  /// check per phase.  Call before the first collect/apply: the worker
-  /// pool captures the pointer when it spawns.
+  /// pack, the adaptive tuner's Signal) — is also recorded as an obs span
+  /// and phase histogram.  Null (the default) detaches; the off
+  /// path is one null check per phase.
   void set_obs(obs::Telemetry* telemetry) noexcept { obs_ = telemetry; }
   obs::Telemetry* obs() const noexcept { return obs_; }
 
@@ -176,10 +173,6 @@ class SyncEngine {
   void stage_episode_objects(std::uint64_t objects) noexcept {
     staged_objects_ = objects;
   }
-
-  /// The parallelism collect/apply can reach under current options
-  /// (resolves conv_threads = 0 to the auto value).
-  unsigned effective_lanes() const noexcept;
 
   /// Feed one timed payload send into the per-link cost model (the codec
   /// knob's measured wire bandwidth).  No-op unless codec == Adaptive.
@@ -213,14 +206,13 @@ class SyncEngine {
   /// corrupt compressed stream, which therefore rejects the whole payload.
   ValidatedPayload validate_payload(const std::vector<std::byte>& payload,
                                     const msg::PlatformSummary& sender);
-  /// Phase 2: execute validated plans (sequential or on the pool).
-  /// Returns the number of lanes the batch actually ran on (1 = sequential).
-  unsigned execute_plans(const std::vector<BlockPlan>& plans,
+  /// Phase 2: execute validated plans in payload order.
+  void execute_plans(const std::vector<BlockPlan>& plans,
                          const msg::PlatformSummary& sender);
   /// Feed one episode's measurements to the tuner and act on its decision
   /// (no-op when the tuner is off).
   void sample_episode(const adapt::Signal& s);
-  /// Copy a tuner decision into the live options (lanes, slack).
+  /// Copy a tuner decision into the live options (slack).
   void apply_decision(const adapt::Decision& d);
   /// Plan cache lookup for `sender` (creates the per-sender table).
   SenderPlanCache& cache_for(const msg::PlatformSummary& sender);
@@ -235,14 +227,10 @@ class SyncEngine {
                          id);
     }
   }
-  /// The pool sized per opts_.conv_threads (created lazily; null while the
-  /// effective lane count is 1).
-  WorkerPool* pool();
 
   GlobalSpace& space_;
   SyncOptions opts_;
   ShareStats& stats_;
-  std::unique_ptr<WorkerPool> pool_;
   std::vector<std::unique_ptr<SenderPlanCache>> plan_caches_;
   std::unique_ptr<adapt::Tuner> tuner_;  ///< null = adaptive off
   TraceLog* trace_ = nullptr;            ///< decision-event sink (optional)

@@ -40,7 +40,9 @@ struct TraceEvent {
     // ProbeSampled from the same rank in the same episode (invariant 5).
     ProbeSampled,      ///< the tuner folded one episode's signal in
     StrategySwitched,  ///< the codec (compress) decision changed
-    LanesRetuned,      ///< conv_threads changed
+    LanesRetuned,      ///< conv_threads changed (no longer emitted: the
+                       ///  lane knob is gone; kept so older traces
+                       ///  validate and later kinds keep their values)
     RunsCoalesced,     ///< adaptive merge_slack changed
     // Telemetry events (see docs/OBSERVABILITY.md).  Bookkeeping like the
     // reliability events: lifecycle-exempt, no protocol invariants.
@@ -100,10 +102,11 @@ class TraceLog {
 ///      number (req != 0) are strictly increasing per rank — the same
 ///      request's payload is never applied twice.
 ///   5. Adaptive causality: a decision event (StrategySwitched for the
-///      codec, LanesRetuned for conv_threads, RunsCoalesced for
-///      merge_slack) is always preceded by a ProbeSampled from the same
-///      rank carrying the same episode number (sync_id) — the tuner never
-///      moves a knob without having sampled first.
+///      codec, RunsCoalesced for merge_slack, and LanesRetuned in traces
+///      recorded before the lane knob was removed) is always preceded by a
+///      ProbeSampled from the same rank carrying the same episode number
+///      (sync_id) — the tuner never moves a knob without having sampled
+///      first.
 ///      Adaptive events are lifecycle-exempt like reliability bookkeeping:
 ///      a detached remote's final collect may still sample its tuner.
 std::optional<std::string> validate_trace(

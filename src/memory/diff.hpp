@@ -30,9 +30,7 @@ struct ByteRange {
 /// Precondition: successive calls appending into the same `out` must scan
 /// ascending, non-overlapping windows — `base_offset` must be at or after
 /// the begin of `out.back()` — or the in-place merge would corrupt the
-/// range list.  Violations throw std::invalid_argument.  (The parallel
-/// diff path satisfies this per worker chunk and coalesces chunk seams
-/// with coalesce_ranges afterwards.)
+/// range list.  Violations throw std::invalid_argument.
 void diff_bytes(const std::byte* current, const std::byte* twin,
                 std::size_t len, std::size_t base_offset,
                 std::vector<ByteRange>& out, std::size_t merge_slack = 0);

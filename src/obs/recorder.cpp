@@ -13,7 +13,6 @@ const char* span_kind_name(SpanKind k) noexcept {
     case SpanKind::Pack: return "pack";
     case SpanKind::Unpack: return "unpack";
     case SpanKind::Convert: return "convert";
-    case SpanKind::PoolLane: return "pool_lane";
     case SpanKind::Retry: return "retry";
     case SpanKind::Reconnect: return "reconnect";
     case SpanKind::Scrape: return "scrape";

@@ -39,7 +39,6 @@ enum class SpanKind : std::uint8_t {
   Pack,          ///< packing runs into wire blocks (t_pack)
   Unpack,        ///< payload decode + tag parse (t_unpack)
   Convert,       ///< conversion / memcpy apply (t_conv)
-  PoolLane,      ///< one worker-pool lane draining a parallel batch
   Retry,         ///< instant: a request was retransmitted (id = attempt)
   Reconnect,     ///< instant: transport re-established (id = count)
   Scrape,        ///< MetricsPull round trip / aggregation
@@ -122,7 +121,7 @@ class SpanRing {
 /// One thread's lane in a recorder snapshot.
 struct LaneSnapshot {
   std::uint32_t lane = 0;  ///< stable small integer (Chrome trace tid)
-  std::string label;       ///< e.g. "master", "recv-rank1", "pool-2"
+  std::string label;       ///< e.g. "master", "recv-rank1", "io-0"
   std::uint64_t pushed = 0;
   std::uint64_t dropped = 0;
   std::vector<SpanRecord> spans;  ///< oldest first

@@ -1,6 +1,6 @@
 // Deterministic pure-core tests for the adaptive policy engine: EWMA/probe
 // math, warmup, pins, hysteresis (no flapping on an oscillating signal),
-// the lanes/slack/codec decision rules, and seeded replay (the same signal
+// the slack/codec decision rules, and seeded replay (the same signal
 // trace always reproduces the same decision trace).  No I/O, no
 // threads, no clocks — everything here is a function of the inputs.
 
@@ -24,16 +24,6 @@ adapt::TunerConfig fast_cfg() {
   cfg.warmup = 1;
   cfg.dwell = 1;
   return cfg;
-}
-
-/// Sequential apply-side episode moving `bytes`.
-adapt::Signal apply_signal(std::uint64_t bytes = 512) {
-  adapt::Signal s;
-  s.blocks = 4;
-  s.bytes_applied = bytes;
-  s.conv_ns = 2000;
-  s.lanes_used = 1;
-  return s;
 }
 
 /// Pack episode whose per-run overhead dwarfs its byte cost (5000 ns per
@@ -62,33 +52,36 @@ TEST(Ewma, SeedsOnFirstSampleThenSmooths) {
 TEST(Probe, FieldGroupsFoldIndependently) {
   adapt::Probe p(0.5);
 
-  // Pack-only episode: apply models untouched.
+  // Pack-only episode: link model untouched.
   adapt::Signal pack;
   pack.pack_ns = 1000;
   pack.runs = 10;
   pack.bytes_packed = 1000;
   p.observe(pack);
   const double per_run = p.per_run_ns();
+  const double per_byte = p.pack_ns_per_byte();
   EXPECT_GT(per_run, 0.0);
-  EXPECT_GT(p.pack_ns_per_byte(), 0.0);
-  EXPECT_FALSE(p.has_seq_model());
+  EXPECT_GT(per_byte, 0.0);
+  EXPECT_FALSE(p.has_link_model());
 
-  // Apply-only episode: seq conversion model seeds, pack models unchanged.
-  adapt::Signal apply;
-  apply.blocks = 2;
-  apply.bytes_applied = 100;
-  apply.conv_ns = 500;
-  p.observe(apply);
-  EXPECT_TRUE(p.has_seq_model());
-  EXPECT_DOUBLE_EQ(p.seq_ns_per_byte(), 5.0);
+  // Wire-only episode: link model seeds, pack models unchanged.
+  adapt::Signal wire;
+  wire.wire_bytes = 100;
+  wire.wire_ns = 500;
+  p.observe(wire);
+  EXPECT_TRUE(p.has_link_model());
+  EXPECT_DOUBLE_EQ(p.link_ns_per_byte(), 5.0);
   EXPECT_DOUBLE_EQ(p.per_run_ns(), per_run);
+  EXPECT_DOUBLE_EQ(p.pack_ns_per_byte(), per_byte);
   EXPECT_EQ(p.episodes(), 2u);
 
-  // An episode with no measurement (a collect) counts, and moves nothing.
+  // An episode with no measurement (a collect or an apply) counts, and
+  // moves nothing.
   p.observe(adapt::Signal{});
   EXPECT_EQ(p.episodes(), 3u);
   EXPECT_DOUBLE_EQ(p.per_run_ns(), per_run);
-  EXPECT_DOUBLE_EQ(p.seq_ns_per_byte(), 5.0);
+  EXPECT_DOUBLE_EQ(p.pack_ns_per_byte(), per_byte);
+  EXPECT_DOUBLE_EQ(p.link_ns_per_byte(), 5.0);
 }
 
 TEST(Tuner, WarmupFreezesAllDecisions) {
@@ -110,22 +103,15 @@ TEST(Tuner, WarmupFreezesAllDecisions) {
 TEST(Tuner, PinnedKnobsNeverMove) {
   adapt::TunerConfig cfg = fast_cfg();
   cfg.enable_codec = true;
-  cfg.pin_conv_threads = 2;
   cfg.pin_merge_slack = 0;
   cfg.pin_codec = 0;
   adapt::Tuner t(cfg);
-  EXPECT_EQ(t.decision().conv_threads, 2u);
-  // Each episode would move every unpinned knob: a big sequential batch
-  // (lane exploration), costly runs (slack), and raw bytes with no codec
-  // model yet (codec exploration).
+  // Each episode would move every unpinned knob: costly runs (slack) and
+  // raw bytes with no codec model yet (codec exploration).
   adapt::Signal s = costly_runs_signal();
-  s.blocks = 4;
-  s.bytes_applied = 200000;
-  s.conv_ns = 2000000;
   s.bytes_raw = 100000;
   for (int i = 0; i < 50; ++i) {
     const adapt::Decision& d = t.step(s);
-    EXPECT_EQ(d.conv_threads, 2u);
     EXPECT_EQ(d.merge_slack, 0u);
     EXPECT_FALSE(d.compress);
     EXPECT_EQ(d.changed, 0u);
@@ -267,12 +253,7 @@ TEST(Tuner, SeededReplayReproducesDecisionTrace) {
           s.encode_ns = s.codec_on ? 100 + next() % 200000 : 0;
           s.bytes_coded = s.codec_on ? 1 + next() % s.bytes_raw : s.bytes_raw;
           break;
-        default:  // apply
-          s.blocks = 1 + next() % 32;
-          s.bytes_applied = 100 + next() % 200000;
-          s.conv_ns = 100 + next() % 400000;
-          s.parallel = next() % 4 == 0;
-          s.lanes_used = s.parallel ? 4 : 1;
+        default:  // collect or apply: counts, carries no measurement
           break;
       }
       trace.push_back(s);
@@ -292,43 +273,6 @@ TEST(Tuner, SeededReplayReproducesDecisionTrace) {
   }
   EXPECT_EQ(a.switches(), b.switches());
   EXPECT_GT(a.switches(), 0u);  // the trace does move the knobs
-}
-
-TEST(Tuner, LanesFollowTheMeasuredCostModels) {
-  adapt::TunerConfig cfg = fast_cfg();
-  cfg.max_lanes = 4;
-
-  // Batches below the parallel grain never take the parallel path, so
-  // there is nothing to explore: the lanes stay sequential.
-  adapt::Tuner small(cfg);
-  adapt::Signal below = apply_signal(adapt::kParallelGrain / 2);
-  below.conv_ns = 10 * below.bytes_applied;
-  for (int i = 0; i < 20; ++i) small.step(below);
-  EXPECT_EQ(small.decision().conv_threads, 1u);
-
-  adapt::Tuner t(cfg);
-
-  // Sequential conversion measured expensive on big batches: the tuner's
-  // bounded exploration kicks in and raises the lane count.
-  adapt::Signal seq = apply_signal(/*bytes=*/100000);
-  seq.conv_ns = 1000000;  // 10 ns/B sequential
-  t.step(seq);
-  t.step(seq);
-  EXPECT_EQ(t.decision().conv_threads, 4u) << "exploration should fire";
-
-  // Parallel path measures much cheaper: lanes stay up.
-  adapt::Signal par = apply_signal(100000);
-  par.conv_ns = 300000;  // 3 ns/B parallel
-  par.parallel = true;
-  par.lanes_used = 4;
-  for (int i = 0; i < 5; ++i) t.step(par);
-  EXPECT_EQ(t.decision().conv_threads, 4u);
-
-  // Parallel path turns expensive (e.g. contended machine): fall back.
-  adapt::Signal slow_par = par;
-  slow_par.conv_ns = 4000000;  // 40 ns/B parallel
-  for (int i = 0; i < 10; ++i) t.step(slow_par);
-  EXPECT_EQ(t.decision().conv_threads, 1u);
 }
 
 TEST(Tuner, SlackIsCappedByTheSafetyBound) {

@@ -1,6 +1,5 @@
 // Satellite equivalence suite for the adaptive policy engine: decisions
-// may change *traffic* (lane retuning, run coalescing) but must never
-// change *results*.  Every
+// may change *traffic* (run coalescing) but must never change *results*.  Every
 // workload here runs twice over identical clusters — adaptivity off, then
 // on with an aggressive tuner so switches actually fire — and the final
 // master-image contents must be byte-identical (memcmp, so even a
@@ -99,7 +98,7 @@ TEST(AdaptiveEquivalence, MatmulHeterogeneousPair) {
 
 TEST(AdaptiveEquivalence, LuIsBitExactUnderAdaptivity) {
   // LU ships big per-barrier updates (the paper's "more data per update"
-  // workload) — the case where lane retuning is most likely to engage.
+  // workload), and its per-step payloads shrink as elimination proceeds.
   // Doubles end to end, so memcmp is the only honest comparison.
   const work::PairSpec& pair = work::paper_pairs()[2];  // SL
   const std::uint32_t n = 40;

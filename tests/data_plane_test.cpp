@@ -1,11 +1,10 @@
-// Tests for the two-phase (validate-then-apply) parallel data plane:
-// all-or-nothing payload application that leaves write tracking armed,
-// zero-copy single-buffer packing, the worker pool,
-// the per-(sender, row) conversion-plan cache, and sequential/parallel
-// equivalence of both collect and apply.
+// Tests for the two-phase (validate-then-apply) data plane: all-or-nothing
+// payload application that leaves write tracking armed, zero-copy
+// single-buffer packing, the run lists of multi-page collects, a multi-page
+// heterogeneous apply, the one-lane option check, and the per-(sender, row)
+// conversion-plan cache.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
@@ -18,7 +17,6 @@
 #include "dsm/sync_engine.hpp"
 #include "dsm/trace.hpp"
 #include "dsm/update.hpp"
-#include "dsm/worker_pool.hpp"
 #include "msg/message.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -36,7 +34,7 @@ tags::TypePtr small_gthv(std::uint64_t n = 64) {
                                    {"n", tags::t_int()}});
 }
 
-/// A multi-page GThV big enough to clear the default parallel grain.
+/// A multi-page GThV: 1 MiB of ints plus 32 KiB of doubles.
 tags::TypePtr big_gthv(std::uint64_t ints = 1 << 18) {
   return TypeDesc::struct_of(
       "G", {{"A", TypeDesc::array(tags::t_int(), ints)},
@@ -48,60 +46,7 @@ std::vector<std::byte> image_snapshot(const dsm::GlobalSpace& g) {
   return std::vector<std::byte>(base, base + g.table().image_size());
 }
 
-dsm::SyncOptions lanes(unsigned n) {
-  dsm::SyncOptions o;
-  o.conv_threads = n;
-  return o;
-}
-
 }  // namespace
-
-// ---- worker pool -----------------------------------------------------------
-
-TEST(WorkerPool, RunsEveryIndexExactlyOnce) {
-  dsm::WorkerPool pool(3);
-  EXPECT_EQ(pool.workers(), 3u);
-  EXPECT_EQ(pool.lanes(), 4u);
-  constexpr std::size_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.run(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(WorkerPool, ReusableAcrossJobs) {
-  dsm::WorkerPool pool(2);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int> sum{0};
-    pool.run(17, [&](std::size_t i) { sum += static_cast<int>(i); });
-    EXPECT_EQ(sum.load(), 17 * 16 / 2);
-  }
-}
-
-TEST(WorkerPool, FirstExceptionRethrownAfterDrain) {
-  dsm::WorkerPool pool(2);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(
-      pool.run(64,
-               [&](std::size_t i) {
-                 ++ran;
-                 if (i == 7) throw std::runtime_error("boom");
-               }),
-      std::runtime_error);
-  // Every index was still claimed and finished: no task left behind.
-  EXPECT_EQ(ran.load(), 64);
-  // The pool is fully usable afterwards.
-  std::atomic<int> ok{0};
-  pool.run(8, [&](std::size_t) { ++ok; });
-  EXPECT_EQ(ok.load(), 8);
-}
-
-TEST(WorkerPool, ZeroWorkersRunsOnCaller) {
-  dsm::WorkerPool pool(0);
-  EXPECT_EQ(pool.lanes(), 1u);
-  int sum = 0;  // no atomics needed: everything runs on this thread
-  pool.run(10, [&](std::size_t i) { sum += static_cast<int>(i); });
-  EXPECT_EQ(sum, 45);
-}
 
 // ---- atomic (all-or-nothing) application -----------------------------------
 
@@ -313,69 +258,74 @@ TEST(ZeroCopyPack, Stride2RunsByteIdenticalToGoldenEncoding) {
   }
 }
 
-// ---- sequential / parallel equivalence -------------------------------------
+// ---- multi-page collect and apply ------------------------------------------
 
-TEST(ParallelDataPlane, CollectMatchesSequential) {
-  // Same writes on two identical spaces; one collects sequentially, one
-  // with 4 lanes.  The run lists must be identical, including runs that
-  // span worker-chunk seams (the full-array write makes every page dirty,
-  // so the seam-coalescing path is exercised).
-  dsm::GlobalSpace g_seq(big_gthv(), plat::linux_ia32());
-  dsm::GlobalSpace g_par(big_gthv(), plat::linux_ia32());
-  dsm::ShareStats s_seq, s_par;
-  dsm::SyncEngine e_seq(g_seq, lanes(1), s_seq);
-  dsm::SyncEngine e_par(g_par, lanes(4), s_par);
-  ASSERT_EQ(e_par.effective_lanes(), 4u);
+TEST(CollectRuns, DenseMultiPageWriteIsOneRunPerRow) {
+  // Every element of A rewritten (every page dirty) plus every third D:
+  // the diff of each page must join across the page seams into one A run,
+  // and the sparse D writes stay one run each.
+  dsm::GlobalSpace g(big_gthv(), plat::linux_ia32());
+  dsm::ShareStats s;
+  dsm::SyncEngine engine(g, {}, s);
+  g.region().begin_tracking();
+  auto a = g.view<std::int32_t>("A");
+  for (std::uint64_t i = 0; i < a.size(); ++i) {
+    a.set(i, static_cast<std::int32_t>(i * 2654435761u) | 1);
+  }
+  auto d = g.view<double>("D");
+  for (std::uint64_t i = 0; i < d.size(); i += 3) d.set(i, 0.5 * i + 1.0);
+  const auto runs = engine.collect_runs();
+  g.region().end_tracking();
 
-  for (dsm::GlobalSpace* g : {&g_seq, &g_par}) {
-    g->region().begin_tracking();
-    auto a = g->view<std::int32_t>("A");
-    for (std::uint64_t i = 0; i < a.size(); ++i) {
-      a.set(i, static_cast<std::int32_t>(i * 2654435761u));
+  const auto row_a = static_cast<std::uint32_t>(g.table().row_of_field("A"));
+  const auto row_d = static_cast<std::uint32_t>(g.table().row_of_field("D"));
+  std::vector<hdsm::idx::UpdateRun> expected = {{row_a, 0, a.size()}};
+  for (std::uint64_t i = 0; i < d.size(); i += 3) {
+    expected.push_back({row_d, i, 1});
+  }
+  EXPECT_EQ(runs, expected);
+  EXPECT_EQ(s.dirty_pages,
+            (g.table().image_size() + hdsm::mem::Region::host_page_size() -
+             1) / hdsm::mem::Region::host_page_size());
+}
+
+TEST(CollectRuns, ScatteredWritesAndADenseBand) {
+  // Scattered single-element writes across many pages, plus a dense band
+  // that crosses page boundaries: one run per scattered element outside
+  // the band, and the band as one run.
+  dsm::GlobalSpace g(big_gthv(), plat::linux_ia32());
+  dsm::ShareStats s;
+  dsm::SyncEngine engine(g, {}, s);
+  g.region().begin_tracking();
+  auto a = g.view<std::int32_t>("A");
+  constexpr std::uint64_t kBandBegin = 40000;
+  constexpr std::uint64_t kBandEnd = 48000;
+  for (std::uint64_t i = 0; i < a.size(); i += 997) a.set(i, 7);
+  for (std::uint64_t i = kBandBegin; i < kBandEnd; ++i) a.set(i, -1);
+  const auto runs = engine.collect_runs();
+  g.region().end_tracking();
+
+  const auto row_a = static_cast<std::uint32_t>(g.table().row_of_field("A"));
+  std::vector<hdsm::idx::UpdateRun> expected;
+  bool band_added = false;
+  for (std::uint64_t i = 0; i < a.size(); i += 997) {
+    if (i >= kBandBegin && i < kBandEnd) continue;
+    if (i > kBandBegin && !band_added) {
+      expected.push_back({row_a, kBandBegin, kBandEnd - kBandBegin});
+      band_added = true;
     }
-    auto d = g->view<double>("D");
-    for (std::uint64_t i = 0; i < d.size(); i += 3) d.set(i, 0.5 * i);
+    expected.push_back({row_a, i, 1});
   }
-  const auto runs_seq = e_seq.collect_runs();
-  const auto runs_par = e_par.collect_runs();
-  g_seq.region().end_tracking();
-  g_par.region().end_tracking();
-
-  EXPECT_EQ(runs_par, runs_seq);
-  EXPECT_EQ(s_seq.parallel_batches, 0u);
-  EXPECT_GT(s_par.parallel_batches, 0u);
-  EXPECT_GT(s_par.conv_threads, 1u);
+  EXPECT_EQ(runs, expected);
 }
 
-TEST(ParallelDataPlane, ScatteredCollectMatchesSequential) {
-  dsm::GlobalSpace g_seq(big_gthv(), plat::linux_ia32());
-  dsm::GlobalSpace g_par(big_gthv(), plat::linux_ia32());
-  dsm::ShareStats s_seq, s_par;
-  dsm::SyncEngine e_seq(g_seq, lanes(1), s_seq);
-  dsm::SyncEngine e_par(g_par, lanes(3), s_par);
-
-  for (dsm::GlobalSpace* g : {&g_seq, &g_par}) {
-    g->region().begin_tracking();
-    auto a = g->view<std::int32_t>("A");
-    // Scattered single-element writes across many pages, plus a dense
-    // band, so runs of every shape cross the chunking.
-    for (std::uint64_t i = 0; i < a.size(); i += 997) a.set(i, 7);
-    for (std::uint64_t i = 40000; i < 48000; ++i) a.set(i, -1);
-  }
-  const auto runs_seq = e_seq.collect_runs();
-  const auto runs_par = e_par.collect_runs();
-  g_seq.region().end_tracking();
-  g_par.region().end_tracking();
-  EXPECT_EQ(runs_par, runs_seq);
-}
-
-TEST(ParallelDataPlane, ApplyMatchesSequentialHeterogeneous) {
-  // Big-endian sender, little-endian receivers: the bulk-swap route runs
-  // on every block.  A 4-lane receiver must produce the same image as a
-  // sequential one.
+TEST(HeterogeneousApply, BigEndianPayloadLandsInEveryElement) {
+  // Big-endian sender, little-endian receiver: the bulk-swap route runs on
+  // every block of a 1 MiB payload, and every A and D element must read
+  // back as the sender wrote it.
   dsm::GlobalSpace sender(big_gthv(), plat::solaris_sparc32());
   dsm::ShareStats ss;
-  dsm::SyncEngine se(sender, lanes(1), ss);
+  dsm::SyncEngine se(sender, {}, ss);
   sender.region().begin_tracking();
   auto a = sender.view<std::int32_t>("A");
   for (std::uint64_t i = 0; i < a.size(); i += 2) {
@@ -383,46 +333,52 @@ TEST(ParallelDataPlane, ApplyMatchesSequentialHeterogeneous) {
   }
   auto d = sender.view<double>("D");
   for (std::uint64_t i = 0; i < d.size(); ++i) d.set(i, i * 1.25 - 3.0);
-  const std::vector<std::byte> payload = se.collect_payload();
+  std::vector<hdsm::idx::UpdateRun> sent;
+  const std::vector<std::byte> payload = se.collect_payload(&sent);
   sender.region().end_tracking();
 
-  const auto summary = msg::PlatformSummary::of(plat::solaris_sparc32());
-  dsm::GlobalSpace r_seq(big_gthv(), plat::linux_ia32());
-  dsm::GlobalSpace r_par(big_gthv(), plat::linux_ia32());
-  dsm::ShareStats s_seq, s_par;
-  dsm::SyncEngine e_seq(r_seq, lanes(1), s_seq);
-  dsm::SyncEngine e_par(r_par, lanes(4), s_par);
+  dsm::GlobalSpace receiver(big_gthv(), plat::linux_ia32());
+  dsm::ShareStats rs;
+  dsm::SyncEngine re(receiver, {}, rs);
+  const auto applied = re.apply_payload(
+      payload, msg::PlatformSummary::of(plat::solaris_sparc32()));
+  EXPECT_EQ(applied, sent);
+  EXPECT_EQ(rs.updates_received, sent.size());
 
-  const auto runs_seq = e_seq.apply_payload(payload, summary);
-  const auto runs_par = e_par.apply_payload(payload, summary);
-  EXPECT_EQ(runs_par, runs_seq);
-  EXPECT_EQ(image_snapshot(r_par), image_snapshot(r_seq));
-  EXPECT_EQ(s_seq.parallel_batches, 0u);
-  EXPECT_GT(s_par.parallel_batches, 0u);
-
-  auto ra = r_par.view<std::int32_t>("A");
-  EXPECT_EQ(ra.get(0), 0 ^ 0x55aa);
-  EXPECT_EQ(ra.get(1000), static_cast<std::int32_t>(1000 ^ 0x55aa));
-  EXPECT_EQ(r_par.view<double>("D").get(5), 5 * 1.25 - 3.0);
+  auto ra = receiver.view<std::int32_t>("A");
+  for (std::uint64_t i = 0; i < ra.size(); ++i) {
+    ASSERT_EQ(ra.get(i), a.get(i)) << "A[" << i << "]";
+  }
+  auto rd = receiver.view<double>("D");
+  for (std::uint64_t i = 0; i < rd.size(); ++i) {
+    ASSERT_EQ(rd.get(i), d.get(i)) << "D[" << i << "]";
+  }
 }
 
-TEST(ParallelDataPlane, SmallPayloadStaysSequential) {
-  // A single run below the grain must not pay pool dispatch.
-  dsm::GlobalSpace sender(small_gthv(), plat::linux_ia32());
-  dsm::GlobalSpace receiver(small_gthv(), plat::linux_ia32());
-  dsm::ShareStats ss, rs;
-  dsm::SyncEngine se(sender, lanes(4), ss);
-  dsm::SyncEngine re(receiver, lanes(4), rs);
-
-  sender.region().begin_tracking();
-  sender.view<std::int32_t>("A").set(0, 1);
-  const std::vector<std::byte> payload = se.collect_payload();
-  sender.region().end_tracking();
-  re.apply_payload(payload, msg::PlatformSummary::of(plat::linux_ia32()));
-
-  EXPECT_EQ(ss.parallel_batches, 0u);
-  EXPECT_EQ(rs.parallel_batches, 0u);
-  EXPECT_EQ(receiver.view<std::int32_t>("A").get(0), 1);
+TEST(OneLane, ConvThreadsAboveOneThrows) {
+  // The data plane has one lane per node.  The old option values that
+  // meant one lane (conv_threads 0/1, pin -1/1) still construct; values
+  // that asked for a worker pool are refused, not silently ignored.
+  dsm::GlobalSpace g(small_gthv(), plat::linux_ia32());
+  dsm::ShareStats s;
+  for (const unsigned lanes : {0u, 1u}) {
+    dsm::SyncOptions o;
+    o.conv_threads = lanes;
+    EXPECT_NO_THROW((dsm::SyncEngine{g, o, s})) << "conv_threads=" << lanes;
+  }
+  for (const int pin : {-1, 1}) {
+    dsm::SyncOptions o;
+    o.adaptive = true;
+    o.tuner.pin_conv_threads = pin;
+    EXPECT_NO_THROW((dsm::SyncEngine{g, o, s})) << "pin_conv_threads=" << pin;
+  }
+  dsm::SyncOptions four;
+  four.conv_threads = 4;
+  EXPECT_THROW((dsm::SyncEngine{g, four, s}), std::invalid_argument);
+  dsm::SyncOptions pinned;
+  pinned.adaptive = true;
+  pinned.tuner.pin_conv_threads = 2;
+  EXPECT_THROW((dsm::SyncEngine{g, pinned, s}), std::invalid_argument);
 }
 
 // ---- conversion-plan cache -------------------------------------------------

@@ -295,8 +295,8 @@ TEST(ObsCluster, ClusterFacadeScrapesAndRecordsSpans) {
 }
 
 // ---------------------------------------------------------------------------
-// rehome() × SyncOptions::adaptive.  The tuner changes traffic (lanes,
-// run coalescing) but must never change bytes — including through a
+// rehome() × SyncOptions::adaptive.  The tuner changes traffic (run
+// coalescing, compression) but must never change bytes — including through a
 // subsequent master migration onto a byte-flipped platform.
 
 namespace {
