@@ -1,6 +1,6 @@
 // Microbenchmark: the twin/diff engine — throughput of the byte-exact
 // word-at-a-time scan (the heart of t_index) under various modification
-// densities, plus range coalescing.
+// densities.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -61,27 +61,10 @@ void BM_DiffDenseRun(benchmark::State& state) {
                           static_cast<std::int64_t>(len));
 }
 
-void BM_CoalesceRanges(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<mem::ByteRange> ranges;
-  ranges.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ranges.push_back({i * 8, i * 8 + 4});
-  }
-  for (auto _ : state) {
-    std::vector<mem::ByteRange> work = ranges;
-    mem::coalesce_ranges(work, 4);
-    benchmark::DoNotOptimize(work.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-
 }  // namespace
 
 BENCHMARK(BM_DiffCleanPages)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK(BM_DiffScatteredWrites)->Arg(1)->Arg(10)->Arg(50);
 BENCHMARK(BM_DiffDenseRun);
-BENCHMARK(BM_CoalesceRanges)->Arg(1 << 10)->Arg(1 << 14);
 
 BENCHMARK_MAIN();

@@ -62,12 +62,6 @@ CoherenceEvent CoherenceEvent::peer_detached(std::uint32_t rank) {
   return e;
 }
 
-CoherenceEvent CoherenceEvent::timeout() {
-  CoherenceEvent e;
-  e.kind = Kind::Timeout;
-  return e;
-}
-
 CoherenceAction CoherenceAction::send(std::uint32_t rank, msg::Message m) {
   CoherenceAction a;
   a.kind = Kind::Send;
@@ -233,9 +227,6 @@ std::vector<CoherenceAction> CoherenceCore::step(const CoherenceEvent& e) {
       break;
     case CoherenceEvent::Kind::PeerDetached:
       detach(e.rank, /*trace_detach=*/true, out);
-      break;
-    case CoherenceEvent::Kind::Timeout:
-      // Reserved: no home-side timers yet (they arrive with the reactor).
       break;
   }
   return out;

@@ -12,8 +12,7 @@
 // this class, steppable from a unit test without spawning a thread or
 // opening an endpoint.  `ShardedHome` (sharded_home.{hpp,cpp}) is only the
 // I/O shell around the one core: it feeds events from the reactor's io
-// thread and executes the returned actions (sends happen outside the state
-// lock).
+// thread and executes the returned actions, all under one state lock.
 //
 // The one dependency is `UpdateCodec`, a narrow data-plane interface
 // (pack runs -> payload bytes, apply payload -> runs) backed by the
@@ -72,10 +71,9 @@ struct CoherenceEvent {
     MasterUnlock,   ///< master releases mutex `index`; `runs` = its diffs
     MasterBarrier,  ///< master enters barrier `index`; `runs` = its diffs
     PeerDetached,   ///< rank's transport died (recv or send failure)
-    Timeout,        ///< reserved for the timer wheel of the epoll reactor
   };
 
-  Kind kind = Kind::Timeout;
+  Kind kind = Kind::PeerAttached;
   std::uint32_t rank = 0;
   std::uint32_t index = 0;
   msg::Message message;
@@ -90,12 +88,11 @@ struct CoherenceEvent {
   static CoherenceEvent master_barrier(std::uint32_t index,
                                        std::vector<idx::UpdateRun> runs);
   static CoherenceEvent peer_detached(std::uint32_t rank);
-  static CoherenceEvent timeout();
 };
 
-/// One output of the protocol engine.  The shell executes actions in list
-/// order: Trace/WakeMaster/Detach under its state lock, Send outside it
-/// (a failed Send is fed back as a PeerDetached event).
+/// One output of the protocol engine.  The home executes actions in list
+/// order under its state lock.  Sends are asynchronous: a dead transport
+/// comes back later as a PeerDetached event.
 struct CoherenceAction {
   enum class Kind : std::uint8_t {
     Send,        ///< transmit `message` to `rank`

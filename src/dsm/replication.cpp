@@ -87,7 +87,7 @@ void encode_event(std::vector<std::byte>& out, const CoherenceEvent& e) {
 CoherenceEvent decode_event(Reader& r) {
   CoherenceEvent e;
   const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(CoherenceEvent::Kind::Timeout)) {
+  if (kind > static_cast<std::uint8_t>(CoherenceEvent::Kind::PeerDetached)) {
     throw std::runtime_error("LogRecord: bad event kind");
   }
   e.kind = static_cast<CoherenceEvent::Kind>(kind);

@@ -1,5 +1,6 @@
 #include "dsm/sharded_home.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -7,17 +8,15 @@
 
 namespace hdsm::dsm {
 
-// ---- the data plane ----------------------------------------------------------
+// ---- the data plane --------------------------------------------------------
 
-std::vector<std::byte> ShardedHome::LockingCodec::pack(
+std::vector<std::byte> ShardedHome::EngineCodec::pack(
     const std::vector<idx::UpdateRun>& runs) {
-  std::lock_guard<std::mutex> lock(engine_mutex);
   return engine.pack_payload(runs);
 }
 
-std::vector<idx::UpdateRun> ShardedHome::LockingCodec::apply(
+std::vector<idx::UpdateRun> ShardedHome::EngineCodec::apply(
     const std::vector<std::byte>& payload, const msg::PlatformSummary& sender) {
-  std::lock_guard<std::mutex> lock(engine_mutex);
   return engine.apply_payload(payload, sender);
 }
 
@@ -38,6 +37,21 @@ CoherenceConfig core_config(const ShardedHomeOptions& opts,
   return cfg;
 }
 
+// PeerId layout: gen(32) | rank(32).  The generation bits make a re-attached
+// rank a brand-new reactor peer, so sends and closes aimed at the old
+// incarnation can never touch the new one.
+msg::PeerId peer_of(std::uint32_t gen, std::uint32_t rank) {
+  return (static_cast<std::uint64_t>(gen) << 32) | rank;
+}
+
+std::uint32_t rank_of(msg::PeerId id) {
+  return static_cast<std::uint32_t>(id & 0xffffffffu);
+}
+
+std::uint32_t gen_of(msg::PeerId id) {
+  return static_cast<std::uint32_t>(id >> 32);
+}
+
 }  // namespace
 
 ShardedHome::ShardedHome(tags::TypePtr gthv,
@@ -49,36 +63,71 @@ ShardedHome::ShardedHome(tags::TypePtr gthv,
                      ? std::make_unique<obs::Telemetry>(opts_.obs)
                      : nullptr),
       engine_(space_, opts_.dsd, stats_),
-      codec_(engine_, engine_mutex_),
+      codec_(engine_),
       core_(core_config(opts_, space_, telemetry_.get()), codec_, stats_) {
   engine_.set_trace(opts_.trace, kMasterRank);
   engine_.set_obs(telemetry_.get());
-  shell_ = std::make_unique<SessionShell>(
-      SessionShell::Callbacks{
-          [this](std::uint32_t rank, msg::Message&& m) {
-            if (rank == kReplSessionRank) {
-              // The primary→standby log link (docs/REPLICATION.md): replay
-              // and ack, never feed the core a peer event.
-              if (m.type == msg::MsgType::ReplAppend) {
-                handle_repl_append(std::move(m));
-              }
-              return;
-            }
-            std::unique_lock<std::mutex> lock(mutex_);
-            process_event(lock,
-                          CoherenceEvent::msg_received(rank, std::move(m)));
-          },
-          [this](std::uint32_t rank) {
-            if (rank == kReplSessionRank) return;  // log link died: no peer
-            std::unique_lock<std::mutex> lock(mutex_);
-            process_event(lock, CoherenceEvent::peer_detached(rank));
-          }},
-      telemetry_.get());
+  msg::ReactorOptions ro;
+  ro.telemetry = telemetry_.get();
+  reactor_ = std::make_unique<msg::Reactor>(
+      ro, static_cast<msg::ReactorHandler&>(*this));
 }
 
 ShardedHome::~ShardedHome() { stop(); }
 
+// ---- the reactor's handler -------------------------------------------------
+
+void ShardedHome::on_message(msg::PeerId peer, msg::Message&& m) {
+  const std::uint32_t rank = rank_of(peer);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (rank == kReplSessionRank) {
+    // The primary→standby log link (docs/REPLICATION.md): replay and ack,
+    // never feed the core a peer event.
+    if (m.type == msg::MsgType::ReplAppend) {
+      handle_repl_append(std::move(m));
+    }
+    return;
+  }
+  process_event(CoherenceEvent::msg_received(rank, std::move(m)));
+}
+
+void ShardedHome::on_peer_closed(msg::PeerId peer) {
+  const std::uint32_t rank = rank_of(peer);
+  const std::uint32_t gen = gen_of(peer);
+  std::lock_guard<std::mutex> lock(mutex_);
+  Session& s = sessions_[rank];
+  // Recorded first: a retiring attach waits on it, and it must not stay
+  // behind if the step below throws.
+  s.closed_gen = std::max(s.closed_gen, gen);
+  cv_.notify_all();
+  // Only the current incarnation's loss is the rank's loss; the replication
+  // link's is no peer's.
+  if (gen == s.gen && rank != kReplSessionRank) {
+    process_event(CoherenceEvent::peer_detached(rank));
+  }
+}
+
 // ---- attach / lifecycle ----------------------------------------------------
+
+void ShardedHome::install_session(std::unique_lock<std::mutex>& lock,
+                                  std::uint32_t rank, msg::EndpointPtr ep) {
+  Session& s = sessions_[rank];  // std::map: stable across the wait below
+  const std::uint32_t old_gen = s.gen;
+  if (s.closed_gen < old_gen) {
+    // The reactor delivers the closed event (after any messages the old
+    // transport already queued) on its io thread, which needs the state
+    // lock: the wait releases it.
+    reactor_->remove_peer(peer_of(old_gen, rank));
+    cv_.wait(lock, [&] { return s.closed_gen >= old_gen || stopped_.load(); });
+  }
+  if (stopped_.load()) throw std::logic_error("attach after stop()");
+  // Registered before any event steps: the io thread cannot deliver its
+  // first message (or its closed event) until this caller releases the
+  // state lock.
+  reactor_->add_peer(peer_of(old_gen + 1, rank),
+                     std::shared_ptr<msg::Endpoint>(std::move(ep)));
+  s.gen = old_gen + 1;
+}
 
 msg::EndpointPtr ShardedHome::attach(std::uint32_t rank) {
   auto [home_side, remote_side] = msg::make_channel_pair();
@@ -90,29 +139,19 @@ void ShardedHome::attach_endpoint(std::uint32_t rank, msg::EndpointPtr ep) {
   if (rank == kMasterRank) {
     throw std::invalid_argument("rank 0 is the master thread at home");
   }
-  // A migrating thread re-attaches its rank from the destination node
-  // moments after the source detached: wait out that window, then reap the
-  // old incarnation outside the state lock (its final closed callback needs
-  // the lock on its way out).
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (stopped_.load()) throw std::logic_error("attach after stop()");
-    if (!cv_.wait_for(lock, std::chrono::seconds(30), [this, rank] {
-          return !core_.peer_active(rank);
-        })) {
-      throw std::invalid_argument("rank already attached: " +
-                                  std::to_string(rank));
-    }
-  }
-  shell_->retire_session(rank);
   std::unique_lock<std::mutex> lock(mutex_);
   if (stopped_.load()) throw std::logic_error("attach after stop()");
-  shell_->install_session(rank, std::shared_ptr<msg::Endpoint>(std::move(ep)));
-  // The event runs between install and start, so no message can observe a
-  // half-attached peer.
-  process_event(lock, CoherenceEvent::peer_attached(
-                          rank, SyncEngine::full_image_runs(space_.table())));
-  shell_->start_session(rank);
+  // A migrating thread re-attaches its rank from the destination node
+  // moments after the source detached: wait out that window.
+  if (!cv_.wait_for(lock, std::chrono::seconds(30), [this, rank] {
+        return !core_.peer_active(rank);
+      })) {
+    throw std::invalid_argument("rank already attached: " +
+                                std::to_string(rank));
+  }
+  install_session(lock, rank, std::move(ep));
+  process_event(CoherenceEvent::peer_attached(
+      rank, SyncEngine::full_image_runs(space_.table())));
 }
 
 void ShardedHome::start() {
@@ -130,9 +169,9 @@ void ShardedHome::stop() {
     core_.shutdown();
   }
   cv_.notify_all();
-  // Close every session and quiesce the shell's thread; its final closed
-  // callbacks re-enter the (now released) state lock.
-  shell_->stop();
+  // Close every session and stop the io thread; its final closed callbacks
+  // re-enter the (now released) state lock.
+  reactor_->stop();
   if (space_.region().tracking()) space_.region().end_tracking();
 }
 
@@ -154,11 +193,6 @@ void ShardedHome::replicate(const CoherenceEvent& e) {
   dispatch_append(r);
 }
 
-void ShardedHome::replicate_record(const LogRecord& r) {
-  if (opts_.replication == nullptr) return;
-  dispatch_append(r);
-}
-
 void ShardedHome::dispatch_append(const LogRecord& r) {
   switch (opts_.replication->append(r)) {
     case ReplicationClient::Result::Ok:
@@ -177,10 +211,8 @@ void ShardedHome::dispatch_append(const LogRecord& r) {
 // ---- replication: standby side ---------------------------------------------
 
 void ShardedHome::attach_replication(msg::EndpointPtr ep) {
-  shell_->retire_session(kReplSessionRank);
-  shell_->install_session(kReplSessionRank,
-                          std::shared_ptr<msg::Endpoint>(std::move(ep)));
-  shell_->start_session(kReplSessionRank);
+  std::unique_lock<std::mutex> lock(mutex_);
+  install_session(lock, kReplSessionRank, std::move(ep));
 }
 
 void ShardedHome::handle_repl_append(msg::Message m) {
@@ -217,13 +249,11 @@ void ShardedHome::handle_repl_append(msg::Message m) {
     }
     // m.seq <= last: a retransmit of a replayed record — re-ack only.
   }
-  SessionShell::SendHandle h = shell_->handle(kReplSessionRank);
-  if (!h.valid) return;
-  shell_->send(h, std::move(ack));
+  reactor_->send(peer_of(sessions_[kReplSessionRank].gen, kReplSessionRank),
+                 std::move(ack));
 }
 
 void ShardedHome::replay_record(const LogRecord& r) {
-  std::unique_lock<std::mutex> lock(mutex_);
   switch (r.kind) {
     case LogRecord::Kind::Event:
       if (!r.master_payload.empty()) {
@@ -232,9 +262,9 @@ void ShardedHome::replay_record(const LogRecord& r) {
         codec_.apply(r.master_payload, r.master_sender);
       }
       // The replay drives the same executor as live traffic; its sends find
-      // no session (invalid handles) and drop, which is the point — only a
-      // promoted standby externalizes.
-      process_event(lock, r.event);
+      // no session and drop, which is the point — only a promoted standby
+      // externalizes.
+      process_event(r.event);
       break;
     case LogRecord::Kind::SetBarrierCount:
       core_.set_barrier_count(r.index, r.value);
@@ -251,18 +281,16 @@ void ShardedHome::resume_endpoint(std::uint32_t rank, msg::EndpointPtr ep) {
   if (rank == kMasterRank) {
     throw std::invalid_argument("rank 0 is the master thread at home");
   }
-  // Reap whatever session the rank had here.  If one was still live, its
-  // final on_closed runs now and detaches the peer — retire_session waits
-  // for it — so the peer_active check below sees the settled state.
-  shell_->retire_session(rank);
   std::unique_lock<std::mutex> lock(mutex_);
-  if (stopped_.load()) throw std::logic_error("attach after stop()");
-  shell_->install_session(rank, std::shared_ptr<msg::Endpoint>(std::move(ep)));
+  // Reaps whatever session the rank had here.  If one was still live, its
+  // closed callback detaches the peer during the install's wait, so the
+  // peer_active check below sees the settled state.
+  install_session(lock, rank, std::move(ep));
   if (!core_.peer_active(rank)) {
     // The core saw this rank leave (or never saw it): a plain attach is the
     // right protocol-level event, exactly as attach_endpoint.
-    process_event(lock, CoherenceEvent::peer_attached(
-                            rank, SyncEngine::full_image_runs(space_.table())));
+    process_event(CoherenceEvent::peer_attached(
+        rank, SyncEngine::full_image_runs(space_.table())));
   }
   // Active peer (the failover case): the replayed core never observed the
   // rank's transport die, so NO peer event fires.  A PeerDetached here
@@ -270,7 +298,6 @@ void ShardedHome::resume_endpoint(std::uint32_t rank, msg::EndpointPtr ep) {
   // granted before the rank's in-flight unlock retransmits, losing its
   // update (docs/REPLICATION.md).  The reply cache answers whatever the
   // rank retransmits through the new transport.
-  shell_->start_session(rank);
 }
 
 void ShardedHome::promote(std::uint32_t fence_epoch) {
@@ -279,32 +306,25 @@ void ShardedHome::promote(std::uint32_t fence_epoch) {
   // rejected before this core diverges from the replicated log.
   repl_fence_epoch_.store(fence_epoch);
   {
-    std::unique_lock<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<CoherenceAction> actions;
     core_.reset_master(actions);
-    drain(lock, std::move(actions));
+    drain(std::move(actions));
   }
   start();
 }
 
 // ---- the action executor ---------------------------------------------------
 
-void ShardedHome::process_event(std::unique_lock<std::mutex>& lock,
-                                CoherenceEvent e) {
+void ShardedHome::process_event(CoherenceEvent e) {
   std::vector<CoherenceAction> actions = core_.step(e);
   // Log-before-reply (docs/REPLICATION.md): the record must be durable at
-  // the standby before any of this event's sends flush in drain().
+  // the standby before any of this event's sends are queued in drain().
   if (opts_.replication != nullptr) replicate(e);
-  drain(lock, std::move(actions));
+  drain(std::move(actions));
 }
 
-void ShardedHome::drain(std::unique_lock<std::mutex>& lock,
-                        std::vector<CoherenceAction> actions) {
-  struct PendingSend {
-    SessionShell::SendHandle handle;
-    msg::Message message;
-  };
-  std::vector<PendingSend> sends;
+void ShardedHome::drain(std::vector<CoherenceAction> actions) {
   for (CoherenceAction& a : actions) {
     switch (a.kind) {
       case CoherenceAction::Kind::Trace:
@@ -316,44 +336,34 @@ void ShardedHome::drain(std::unique_lock<std::mutex>& lock,
       case CoherenceAction::Kind::WakeMaster:
         cv_.notify_all();
         break;
-      case CoherenceAction::Kind::Detach:
+      case CoherenceAction::Kind::Detach: {
         std::fprintf(stderr, "hdsm home: detaching rank %u: %s\n", a.rank,
                      a.reason.c_str());
-        shell_->close_session(a.rank);
+        auto it = sessions_.find(a.rank);
+        if (it != sessions_.end()) {
+          reactor_->remove_peer(peer_of(it->second.gen, a.rank));
+        }
         break;
+      }
       case CoherenceAction::Kind::Send: {
-        // The handle pins the current incarnation: a re-attach while the
-        // lock is released below routes this message to (or buries it
-        // with) the old transport, never the new one.
-        SessionShell::SendHandle h = shell_->handle(a.rank);
-        if (!h.valid) break;
+        // A deposed primary (a newer epoch is serving) never externalizes
+        // another frame — the remotes' retransmits are answered by the new
+        // primary's replicated reply cache (docs/REPLICATION.md).
+        if (fenced_.load()) break;
+        auto it = sessions_.find(a.rank);
+        if (it == sessions_.end()) break;  // no session (a standby's replay)
         a.message.map_epoch = msg::kMapEpoch;
-        sends.push_back({h, std::move(a.message)});
+        reactor_->send(peer_of(it->second.gen, a.rank), std::move(a.message));
         break;
       }
     }
   }
-  // A deposed primary (a newer epoch is serving) never externalizes another
-  // frame — the remotes' retransmits are answered by the new primary's
-  // replicated reply cache (docs/REPLICATION.md).
-  if (sends.empty() || fenced_.load()) return;
-  // Flush outside the state lock.  Concurrent events may interleave here —
-  // safe, because the per-peer request/reply discipline means any
-  // concurrent send to the same peer is an identical cached reply.  Sends
-  // are asynchronous: a dead peer's failure arrives as on_closed, which
-  // steps the core with PeerDetached like any other transport loss.
-  lock.unlock();
-  for (PendingSend& ps : sends) {
-    shell_->send(ps.handle, std::move(ps.message));
-  }
-  lock.lock();
 }
 
 // ---- master-thread API -----------------------------------------------------
 
 std::vector<idx::UpdateRun> ShardedHome::collect_master_runs(
     std::uint32_t region) {
-  std::lock_guard<std::mutex> eng(engine_mutex_);
   if (!opts_.run_source) return engine_.collect_runs();
   ObjectRuns obj = opts_.run_source(region);
   if (obj.objects != 0) {
@@ -383,7 +393,7 @@ void ShardedHome::lock(std::uint32_t index) {
                             std::to_string(index));
   }
   std::unique_lock<std::mutex> lk(mutex_);
-  process_event(lk, CoherenceEvent::master_lock(index));
+  process_event(CoherenceEvent::master_lock(index));
   // The master image is authoritative: nothing to pull on acquire.
   obs::SpanScope wait(telemetry_.get(), obs::SpanKind::LockWait, index);
   wait_master(lk, "lock", index, [&] { return core_.master_holds(index); });
@@ -395,12 +405,12 @@ void ShardedHome::unlock(std::uint32_t index) {
     throw std::out_of_range("mutex index out of range: " +
                             std::to_string(index));
   }
-  std::unique_lock<std::mutex> lk(mutex_);
+  std::lock_guard<std::mutex> lk(mutex_);
   // Validate before collecting: collecting restarts the tracking interval,
   // so an exception must fire before that side effect.
   core_.check_master_unlock(index);
-  process_event(lk,
-                CoherenceEvent::master_unlock(index, collect_master_runs(index)));
+  process_event(
+      CoherenceEvent::master_unlock(index, collect_master_runs(index)));
 }
 
 void ShardedHome::barrier(std::uint32_t index) {
@@ -411,8 +421,8 @@ void ShardedHome::barrier(std::uint32_t index) {
   }
   std::unique_lock<std::mutex> lk(mutex_);
   const std::uint64_t gen = core_.barrier_generation(index);
-  process_event(lk, CoherenceEvent::master_barrier(
-                        index, collect_master_runs(kAllRegions)));
+  process_event(
+      CoherenceEvent::master_barrier(index, collect_master_runs(kAllRegions)));
   obs::SpanScope wait(telemetry_.get(), obs::SpanKind::BarrierWait, index);
   wait_master(lk, "barrier", index,
               [&] { return core_.barrier_generation(index) != gen; });
@@ -436,13 +446,13 @@ obs::ClusterTelemetry ShardedHome::cluster_telemetry() const {
 }
 
 std::vector<std::uint32_t> ShardedHome::active_ranks() const {
-  shell_->quiesce();  // in-flight transport failures must already count
+  reactor_->flush();  // in-flight transport failures must already count
   std::lock_guard<std::mutex> lk(mutex_);
   return core_.active_ranks();
 }
 
 bool ShardedHome::quiesced() const {
-  shell_->quiesce();
+  reactor_->flush();
   std::lock_guard<std::mutex> lk(mutex_);
   return core_.quiesced();
 }
@@ -453,29 +463,27 @@ std::size_t ShardedHome::recovery_entries(std::uint32_t rank) const {
 }
 
 void ShardedHome::set_barrier_count(std::uint32_t index, std::uint32_t count) {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    core_.set_barrier_count(index, count);
-  }
+  std::lock_guard<std::mutex> lk(mutex_);
+  core_.set_barrier_count(index, count);
+  if (opts_.replication == nullptr) return;
   LogRecord r;
   r.kind = LogRecord::Kind::SetBarrierCount;
   r.index = index;
   r.value = count;
-  replicate_record(r);
+  dispatch_append(r);
 }
 
 void ShardedHome::bind_lock(std::uint32_t index, const std::string& field) {
   const auto row =
       static_cast<std::uint32_t>(space_.table().row_of_field(field));
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    core_.bind_lock(index, row);
-  }
+  std::lock_guard<std::mutex> lk(mutex_);
+  core_.bind_lock(index, row);
+  if (opts_.replication == nullptr) return;
   LogRecord r;
   r.kind = LogRecord::Kind::BindLock;
   r.index = index;
   r.value = row;
-  replicate_record(r);
+  dispatch_append(r);
 }
 
 }  // namespace hdsm::dsm

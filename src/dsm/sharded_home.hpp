@@ -1,14 +1,16 @@
 // The home directory (docs/PROTOCOL.md): the paper's home node (§3.1, §4)
-// as one sans-I/O `CoherenceCore` behind one state mutex, served by the
-// transport shell (`SessionShell`, docs/TRANSPORT.md — an epoll reactor
-// whose one io thread runs every handler inline).  One directory serves
-// every lock, barrier and pending-update set, so every frame carries
-// aux == 0 and map_epoch == msg::kMapEpoch.  The type keeps its historical
-// name; docs/SHARDING.md records why the multi-shard directory was retired.
+// as one sans-I/O `CoherenceCore` behind one state mutex.  The home is the
+// handler of its own `msg::Reactor` (docs/TRANSPORT.md): the reactor's one
+// io thread runs every callback inline, each callback steps the core under
+// the state lock, and every resulting action — sends included — executes
+// under that same lock.  One directory serves every lock, barrier and
+// pending-update set, so every frame carries aux == 0 and
+// map_epoch == msg::kMapEpoch.  The type keeps its historical name;
+// docs/SHARDING.md records why the multi-shard directory was retired.
 //
 // The data plane is one GlobalSpace image and one SyncEngine, reached by
-// the core through a mutex-wrapped codec (the master thread collects diffs
-// from the same engine).
+// the core through a forwarding codec; every engine call (the core's
+// pack/apply and the master's diff collection) holds the state lock.
 #pragma once
 
 #include <atomic>
@@ -16,6 +18,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,11 +27,11 @@
 #include "dsm/coherence_core.hpp"
 #include "dsm/global_space.hpp"
 #include "dsm/replication.hpp"
-#include "dsm/session_shell.hpp"
 #include "dsm/stats.hpp"
 #include "dsm/sync_engine.hpp"
 #include "dsm/trace.hpp"
 #include "msg/endpoint.hpp"
+#include "msg/reactor.hpp"
 
 namespace hdsm::dsm {
 
@@ -57,13 +60,13 @@ struct ShardedHomeOptions {
   std::function<ObjectRuns(std::uint32_t region)> run_source;
 };
 
-class ShardedHome {
+class ShardedHome : private msg::ReactorHandler {
  public:
   static constexpr std::uint32_t kMasterRank = CoherenceCore::kMasterRank;
 
   ShardedHome(tags::TypePtr gthv, const plat::PlatformDesc& platform,
               ShardedHomeOptions opts = {});
-  ~ShardedHome();
+  ~ShardedHome() override;
 
   ShardedHome(const ShardedHome&) = delete;
   ShardedHome& operator=(const ShardedHome&) = delete;
@@ -89,7 +92,7 @@ class ShardedHome {
   /// a valid remote rank; its close is a no-op detach).
   static constexpr std::uint32_t kReplSessionRank = 0xffffffffu;
 
-  /// Install the replication link into the shell: ReplAppend frames arrive
+  /// Install the replication link as a session: ReplAppend frames arrive
   /// through it, replay through the core, and are acked back.  The
   /// standby stays passive (start() not called) until promote().
   void attach_replication(msg::EndpointPtr ep);
@@ -132,7 +135,7 @@ class ShardedHome {
 
   obs::Telemetry* telemetry() noexcept { return telemetry_.get(); }
   /// Transport counters.
-  msg::ReactorStats transport_stats() const { return shell_->reactor_stats(); }
+  msg::ReactorStats transport_stats() const { return reactor_->stats(); }
   /// Cluster view: the home's rank-0 row (telemetry plus stats()) and the
   /// remote snapshots the core collected from MetricsPull scrapes.
   obs::ClusterTelemetry cluster_telemetry() const;
@@ -147,27 +150,48 @@ class ShardedHome {
   void bind_lock(std::uint32_t index, const std::string& field);
 
  private:
-  /// The data plane behind a mutex: the core packs and applies through the
-  /// one SyncEngine, serialized with the master's diff collection.
-  struct LockingCodec final : UpdateCodec {
-    LockingCodec(SyncEngine& e, std::mutex& m) : engine(e), engine_mutex(m) {}
+  /// The data plane as the core sees it: packs and applies through the one
+  /// SyncEngine.  Every call arrives under the state lock.
+  struct EngineCodec final : UpdateCodec {
+    explicit EngineCodec(SyncEngine& e) : engine(e) {}
     std::vector<std::byte> pack(
         const std::vector<idx::UpdateRun>& runs) override;
     std::vector<idx::UpdateRun> apply(
         const std::vector<std::byte>& payload,
         const msg::PlatformSummary& sender) override;
     SyncEngine& engine;
-    std::mutex& engine_mutex;
   };
 
-  /// Step the core with `e` (replicating it first when a standby is
-  /// attached) and execute the resulting actions via drain().
-  void process_event(std::unique_lock<std::mutex>& lock, CoherenceEvent e);
-  /// Execute `actions`: Trace/WakeMaster/Detach under the held state lock,
-  /// then — after stamping map_epoch on every outgoing frame — Sends
-  /// outside it.  Returns with the lock re-held.
-  void drain(std::unique_lock<std::mutex>& lock,
-             std::vector<CoherenceAction> actions);
+  /// One remote's (or the replication link's) connection to the home.
+  /// Every attach installs a new incarnation: `gen` bumps and the
+  /// transport joins the reactor as peer (gen << 32) | rank, so a send or
+  /// closed event aimed at an older incarnation never touches the new one.
+  struct Session {
+    std::uint32_t gen = 0;
+    /// Highest generation whose closed event has been delivered.
+    std::uint32_t closed_gen = 0;
+  };
+
+  // -- msg::ReactorHandler: called on the io thread, which takes the state
+  //    lock for each callback. --
+  void on_message(msg::PeerId peer, msg::Message&& m) override;
+  void on_peer_closed(msg::PeerId peer) override;
+
+  /// Retire `rank`'s live incarnation (close it and wait, releasing the
+  /// state lock, until its closed event was delivered), then make `ep` the
+  /// rank's new incarnation.  Call with the state lock held and the caller
+  /// off the io thread.
+  void install_session(std::unique_lock<std::mutex>& lock, std::uint32_t rank,
+                       msg::EndpointPtr ep);
+
+  /// Step the core with `e` (replicating it when a standby is attached)
+  /// and execute the resulting actions via drain().  Call with the state
+  /// lock held, like every private member below.
+  void process_event(CoherenceEvent e);
+  /// Execute `actions` in list order under the held state lock.  Sends are
+  /// asynchronous (queued on the reactor); a dead transport arrives later
+  /// as on_peer_closed.
+  void drain(std::vector<CoherenceAction> actions);
   /// The master's update runs for one unlock (`region`) or barrier
   /// (kAllRegions) episode: the run source's dirty objects in object mode,
   /// the tracked region's diffs in page mode.
@@ -180,11 +204,10 @@ class ShardedHome {
 
   /// Append one event to the replication log (docs/REPLICATION.md): called
   /// under the state lock right after the core stepped it, so the record is
-  /// durable at the standby before any of the event's sends flush.  Master
-  /// events additionally pack their runs' image bytes into the record.
+  /// durable at the standby before any of the event's sends are queued.
+  /// Master events additionally pack their runs' image bytes into the
+  /// record.
   void replicate(const CoherenceEvent& e);
-  /// Ship a configuration record (barrier count / lock binding).
-  void replicate_record(const LogRecord& r);
   void dispatch_append(const LogRecord& r);
   /// Standby side: dedup by log index, replay, ack (reject with the fence
   /// epoch once promoted).
@@ -197,15 +220,15 @@ class ShardedHome {
   /// core's protocol counters.  Every writer holds mutex_.
   ShareStats stats_;
   std::unique_ptr<obs::Telemetry> telemetry_;
-  /// Nested inside mutex_ wherever both are held.
-  mutable std::mutex engine_mutex_;
   SyncEngine engine_;
-  LockingCodec codec_;
+  EngineCodec codec_;
 
-  /// The state lock: guards core_, stats_ and the master waits.
+  /// The state lock, the home's only lock: guards core_, engine_, stats_,
+  /// sessions_ and the waits on cv_ (the master's and retiring attaches').
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   CoherenceCore core_;
+  std::map<std::uint32_t, Session> sessions_;  ///< by rank
 
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
@@ -218,9 +241,9 @@ class ShardedHome {
   /// Set when an append came back Deposed: suppress every outgoing send.
   std::atomic<bool> fenced_{false};
 
-  /// Declared last: its io thread calls back into the core above, and
-  /// stop() must quiesce it before anything else unwinds.
-  std::unique_ptr<SessionShell> shell_;
+  /// Declared last: its io thread calls back into the state above, and
+  /// stop() must stop it before anything else unwinds.
+  std::unique_ptr<msg::Reactor> reactor_;
 };
 
 }  // namespace hdsm::dsm

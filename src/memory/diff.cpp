@@ -70,19 +70,6 @@ void diff_bytes(const std::byte* current, const std::byte* twin,
   }
 }
 
-void coalesce_ranges(std::vector<ByteRange>& ranges, std::size_t merge_slack) {
-  if (ranges.size() < 2) return;
-  std::size_t w = 0;
-  for (std::size_t r = 1; r < ranges.size(); ++r) {
-    if (ranges[r].begin <= ranges[w].end + merge_slack) {
-      if (ranges[r].end > ranges[w].end) ranges[w].end = ranges[r].end;
-    } else {
-      ranges[++w] = ranges[r];
-    }
-  }
-  ranges.resize(w + 1);
-}
-
 std::size_t total_bytes(const std::vector<ByteRange>& ranges) noexcept {
   std::size_t n = 0;
   for (const ByteRange& r : ranges) n += r.length();

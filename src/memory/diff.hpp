@@ -35,10 +35,6 @@ void diff_bytes(const std::byte* current, const std::byte* twin,
                 std::size_t len, std::size_t base_offset,
                 std::vector<ByteRange>& out, std::size_t merge_slack = 0);
 
-/// Merge sorted, possibly-adjacent ranges in place (gap <= merge_slack).
-void coalesce_ranges(std::vector<ByteRange>& ranges,
-                     std::size_t merge_slack = 0);
-
 /// Total byte count covered by `ranges`.
 std::size_t total_bytes(const std::vector<ByteRange>& ranges) noexcept;
 

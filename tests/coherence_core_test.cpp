@@ -148,13 +148,6 @@ const msg::Message* find_send(const std::vector<Action>& actions,
 
 // ---- basics ----------------------------------------------------------------
 
-TEST(CoherenceCore, TimeoutIsANoOp) {
-  CoreHarness h;
-  h.attach(1);
-  EXPECT_TRUE(h.step(Event::timeout()).empty());
-  EXPECT_TRUE(h.core.peer_active(1));
-}
-
 TEST(CoherenceCore, MasterChecksThrowBeforeAnyTransition) {
   CoreHarness h(2, 2);
   EXPECT_THROW(h.core.check_lock_index(2), std::out_of_range);

@@ -781,6 +781,40 @@ TEST(Reliability, DuplicatedHelloDoesNotResetDedup) {
   home.stop();
 }
 
+TEST(Reliability, DetachedRankReattachesAtOnce) {
+  // Rank 1's first incarnation sends a frame the core rejects, and the
+  // rank re-attaches right away — before the home has necessarily even
+  // stepped that frame.  The attach waits out the Detach, retires the old
+  // transport, and installs the new one under the state lock: the old
+  // endpoint gets nothing after its Detach, and the new incarnation runs a
+  // normal lock/unlock/join.
+  dsm::TraceLog log;
+  dsm::ShardedHomeOptions hopts;
+  hopts.trace = &log;
+  dsm::ShardedHome home(gthv(), plat::linux_ia32(), hopts);
+  msg::EndpointPtr old_ep = home.attach(1);
+  home.start();
+  const std::string tag = home.space().image_tag_text();
+
+  old_ep->send(raw(msg::MsgType::Hello, 0, /*epoch=*/7, tag));
+  old_ep->send(raw(msg::MsgType::LockRequest, 1, /*mutex=*/999));
+
+  dsm::ShardedRemote remote(gthv(), plat::linux_ia32(), 1, home.attach(1));
+  remote.lock(0);
+  remote.space().view<std::int64_t>("A").set(3, 33);
+  remote.unlock(0);
+  remote.join();
+  home.wait_all_joined();
+
+  // The Detach closed the old transport; a frame sent after it would
+  // surface here instead of the close.
+  EXPECT_THROW(old_ep->recv(), msg::ChannelClosed);
+  EXPECT_EQ(home.space().view<std::int64_t>("A").get(3), 33);
+  const auto err = dsm::validate_trace(log.snapshot());
+  EXPECT_FALSE(err.has_value()) << *err;
+  home.stop();
+}
+
 TEST(Reliability, StaleUnlockAfterMutexMovedOnIsDropped) {
   // Remote 1's UnlockRequest dies with its connection; while it is away
   // reconnecting, the home reclaims the mutex and remote 2 acquires,

@@ -355,6 +355,7 @@ TEST(Diff, FinalPartialPageWindow) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], (mem::ByteRange{3, 4}));
   EXPECT_EQ(out[1], (mem::ByteRange{36, 37}));
+  EXPECT_EQ(mem::total_bytes(out), 2u);
 }
 
 TEST(Diff, OutOfOrderWindowsRejected) {
@@ -373,13 +374,3 @@ TEST(Diff, OutOfOrderWindowsRejected) {
   EXPECT_EQ(out[0], (mem::ByteRange{66, 67}));
 }
 
-TEST(Diff, CoalesceRanges) {
-  std::vector<mem::ByteRange> r = {{0, 4}, {4, 8}, {10, 12}, {13, 20}};
-  mem::coalesce_ranges(r, 0);
-  ASSERT_EQ(r.size(), 3u);
-  EXPECT_EQ(r[0], (mem::ByteRange{0, 8}));
-  mem::coalesce_ranges(r, 1);
-  ASSERT_EQ(r.size(), 2u);
-  EXPECT_EQ(r[1], (mem::ByteRange{10, 20}));
-  EXPECT_EQ(mem::total_bytes(r), 18u);
-}

@@ -1,7 +1,7 @@
 // Transport-shell tests (docs/TRANSPORT.md): the reactor — multiplexing,
 // delivery order, close semantics, the flush settlement barrier and write
-// coalescing, slow-consumer backpressure over real TCP — and the
-// SessionShell running the full protocol behind the home directory.
+// coalescing, slow-consumer backpressure over real TCP — and the home
+// directory running the full protocol as the reactor's handler.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -320,14 +320,14 @@ TEST(Reactor, SlowTcpConsumerEvictedWhileHealthyPeerProgresses) {
   reactor.stop();
 }
 
-// ---- SessionShell under the home directory ---------------------------------
+// ---- the home directory on the reactor -------------------------------------
 
 tags::TypePtr gthv() {
   return tags::TypeDesc::struct_of(
       "G", {{"A", tags::TypeDesc::array(tags::t_longlong(), 8)}});
 }
 
-TEST(SessionShell, ReactorModeRunsTheProtocol) {
+TEST(ShardedHome, ReactorModeRunsTheProtocol) {
   dsm::ShardedHome home(gthv(), plat::linux_ia32());
   home.start();
   home.set_barrier_count(0, 3);

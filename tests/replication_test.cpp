@@ -99,6 +99,16 @@ TEST(ReplicationCodec, MalformedRecordsThrow) {
   wire = dsm::encode_record(r);
   wire.push_back(std::byte{0xff});
   EXPECT_THROW(dsm::decode_record(wire), std::runtime_error);
+  // An event kind past PeerDetached (6 was the never-produced Timeout).
+  dsm::LogRecord ev;
+  ev.kind = dsm::LogRecord::Kind::Event;
+  ev.event = dsm::CoherenceEvent::peer_detached(1);
+  wire = dsm::encode_record(ev);
+  EXPECT_NO_THROW(dsm::decode_record(wire));
+  // The event kind follows the record kind byte and the reserved word.
+  ASSERT_EQ(wire[5], std::byte{5});
+  wire[5] = std::byte{6};
+  EXPECT_THROW(dsm::decode_record(wire), std::runtime_error);
 }
 
 // ---- standby convergence ---------------------------------------------------
