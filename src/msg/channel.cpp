@@ -1,13 +1,24 @@
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
 
 #include "msg/endpoint.hpp"
+#include "msg/spin.hpp"
 
 namespace hdsm::msg {
 
 namespace {
+
+/// How long a blocked consumer polls before it sleeps on the condvar.  A
+/// home's reply usually lands inside it, so the round trip pays no futex
+/// sleep and wakeup; a longer wait burns at most this much CPU first.
+constexpr std::chrono::microseconds kSpinBudget{30};
+
+using Clock = std::chrono::steady_clock;
 
 /// One direction of an in-process duplex channel.
 class Queue {
@@ -16,8 +27,9 @@ class Queue {
     std::shared_ptr<const std::function<void()>> cb;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) throw ChannelClosed();
+      if (closed_.load(std::memory_order_relaxed)) throw ChannelClosed();
       items_.push_back(std::move(m));
+      count_.store(items_.size(), std::memory_order_release);
       cb = ready_cb_;
     }
     cv_.notify_one();
@@ -27,12 +39,9 @@ class Queue {
   }
 
   Message pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return !items_.empty() || closed_; });
-    if (items_.empty()) throw ChannelClosed();
-    Message m = std::move(items_.front());
-    items_.pop_front();
-    return m;
+    std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
+    wait(lock, Clock::time_point::max());
+    return take();
   }
 
   /// Nonblocking pop with the drain-then-throw close semantics.  NOT
@@ -42,24 +51,17 @@ class Queue {
   /// are-we-empty probe, which would dominate channel round-trip latency.
   bool try_pop(Message& out) {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) {
-      if (closed_) throw ChannelClosed();
+    if (items_.empty() && !closed_.load(std::memory_order_relaxed)) {
       return false;
     }
-    out = std::move(items_.front());
-    items_.pop_front();
+    out = take();
     return true;
   }
 
   bool pop_for(Message& out, std::chrono::milliseconds timeout) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!cv_.wait_for(lock, timeout,
-                      [this] { return !items_.empty() || closed_; })) {
-      return false;
-    }
-    if (items_.empty()) throw ChannelClosed();
-    out = std::move(items_.front());
-    items_.pop_front();
+    std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
+    if (!wait(lock, Clock::now() + timeout)) return false;
+    out = take();
     return true;
   }
 
@@ -67,7 +69,7 @@ class Queue {
     std::shared_ptr<const std::function<void()>> cb;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
+      closed_.store(true, std::memory_order_release);
       cb = ready_cb_;
     }
     cv_.notify_all();
@@ -86,10 +88,37 @@ class Queue {
   }
 
  private:
+  /// The one blocking wait behind pop/pop_for: spin on the lock-free
+  /// mirrors for up to kSpinBudget, then sleep on the condvar.  Returns
+  /// with `lock` held; false once `deadline` passed with nothing ready.
+  bool wait(std::unique_lock<std::mutex>& lock, Clock::time_point deadline) {
+    spin_until(
+        [this] {
+          return count_.load(std::memory_order_acquire) != 0 ||
+                 closed_.load(std::memory_order_acquire);
+        },
+        std::min(Clock::now() + kSpinBudget, deadline));
+    lock.lock();
+    return cv_.wait_until(lock, deadline, [this] {
+      return !items_.empty() || closed_.load(std::memory_order_relaxed);
+    });
+  }
+
+  /// Pop the front item (mutex held); drained and closed throws.
+  Message take() {
+    if (items_.empty()) throw ChannelClosed();
+    Message m = std::move(items_.front());
+    items_.pop_front();
+    count_.store(items_.size(), std::memory_order_release);
+    return m;
+  }
+
   std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Message> items_;
-  bool closed_ = false;
+  /// Written under `mutex_`; read lock-free by a spinning consumer.
+  std::atomic<std::size_t> count_{0};  ///< items_.size()
+  std::atomic<bool> closed_{false};
   std::shared_ptr<const std::function<void()>> ready_cb_;
 };
 

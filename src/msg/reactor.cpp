@@ -15,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "msg/spin.hpp"
 #include "obs/telemetry.hpp"
 
 namespace hdsm::msg {
@@ -23,6 +24,12 @@ namespace {
 
 /// Cadence of Endpoint::service() for hooks that request it.
 constexpr std::chrono::milliseconds kServiceInterval{5};
+
+/// How long an idle io thread polls its work flag before it parks in
+/// epoll_wait.  Short on purpose: a spinning thread takes the TLB-shootdown
+/// IPIs of every remote write fault, so a longer spin slows page-mode
+/// episodes (docs/TRANSPORT.md §2.1).
+constexpr std::chrono::microseconds kIoSpinBudget{5};
 
 }  // namespace
 
@@ -33,6 +40,12 @@ struct Reactor::Impl {
   /// every endpoint ready-callback that captured it: a callback firing
   /// after the reactor died still finds live state (the eventfd write goes
   /// nowhere, harmlessly) instead of dangling pointers.
+  ///
+  /// `work` and `parked` are a Dekker handshake, seq_cst on both sides:
+  /// wake() stores `work` then reads `parked`; the io thread stores
+  /// `parked` then reads `work`.  At least one side sees the other, so a
+  /// wake is never lost, and the eventfd is written only when the io
+  /// thread has (or is about to have) blocked in epoll_wait.
   struct IoSignal {
     std::mutex mu;
     std::vector<std::shared_ptr<Peer>> ready;
@@ -43,14 +56,20 @@ struct Reactor::Impl {
     /// cannot re-park a peer in it.
     bool closed = false;
     int evfd = -1;
+    std::atomic<bool> work{false};    ///< posted since the io thread looked
+    std::atomic<bool> parked{false};  ///< io thread is heading into epoll
 
     IoSignal() { evfd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC); }
     ~IoSignal() {
       if (evfd >= 0) ::close(evfd);
     }
-    void wake() const {
-      std::uint64_t one = 1;
-      [[maybe_unused]] const ssize_t r = ::write(evfd, &one, sizeof(one));
+    void wake() {
+      work.store(true, std::memory_order_seq_cst);
+      // exchange, not load: of a burst of wakers only the first writes.
+      if (parked.exchange(false, std::memory_order_seq_cst)) {
+        std::uint64_t one = 1;
+        [[maybe_unused]] const ssize_t r = ::write(evfd, &one, sizeof(one));
+      }
     }
   };
 
@@ -125,6 +144,9 @@ struct Reactor::Impl {
   /// Peers retired this iteration: keeps epoll_event.data.ptr valid for
   /// the rest of the batch; cleared at the top of the next iteration.
   std::vector<std::shared_ptr<Peer>> retired_;
+  /// Peers with an fd in the epoll set: while any exist the loop never
+  /// spins, so socket readiness is never left waiting behind the budget.
+  std::size_t fd_peers_ = 0;
 
   std::atomic<bool> stop_{false};
   std::mutex join_mu_;
@@ -133,11 +155,13 @@ struct Reactor::Impl {
   std::atomic<std::uint64_t> frames_in_{0};
   std::atomic<std::uint64_t> frames_out_{0};
   std::atomic<std::uint64_t> wakeups_{0};
+  std::atomic<std::uint64_t> parks_{0};
   std::atomic<std::uint64_t> flush_batches_{0};
   std::atomic<std::uint64_t> backpressure_closes_{0};
 
   obs::Counter* c_frames_in_ = nullptr;
   obs::Counter* c_frames_out_ = nullptr;
+  obs::Counter* c_parks_ = nullptr;
   obs::Counter* c_flush_batches_ = nullptr;
   obs::Counter* c_backpressure_ = nullptr;
   obs::Gauge* g_queue_bytes_ = nullptr;
@@ -147,6 +171,7 @@ struct Reactor::Impl {
     if (obs::Telemetry* t = opts_.telemetry) {
       c_frames_in_ = &t->registry().counter("reactor.frames_in");
       c_frames_out_ = &t->registry().counter("reactor.frames_out");
+      c_parks_ = &t->registry().counter("reactor.parks");
       c_flush_batches_ = &t->registry().counter("reactor.flush_batches");
       c_backpressure_ = &t->registry().counter("reactor.backpressure_closes");
       g_queue_bytes_ = &t->registry().gauge("reactor.write_queue_bytes");
@@ -294,6 +319,7 @@ struct Reactor::Impl {
     s.frames_in = frames_in_.load(std::memory_order_relaxed);
     s.frames_out = frames_out_.load(std::memory_order_relaxed);
     s.wakeups = wakeups_.load(std::memory_order_relaxed);
+    s.parks = parks_.load(std::memory_order_relaxed);
     s.flush_batches = flush_batches_.load(std::memory_order_relaxed);
     s.backpressure_closes =
         backpressure_closes_.load(std::memory_order_relaxed);
@@ -337,8 +363,9 @@ struct Reactor::Impl {
       p->ep->close();
     } catch (...) {
     }
-    if (p->registered && p->hook.fd >= 0) {
+    if (p->registered) {
       ::epoll_ctl(epfd_, EPOLL_CTL_DEL, p->hook.fd, nullptr);
+      --fd_peers_;
     }
     p->registered = false;
     p->out.clear();
@@ -497,6 +524,7 @@ struct Reactor::Impl {
         return;
       }
       p->registered = true;
+      ++fd_peers_;
     }
     if (p->hook.needs_service) service_.push_back(p);
     drain_peer(p);  // anything that arrived before the install
@@ -576,6 +604,22 @@ struct Reactor::Impl {
         1);
   }
 
+  /// Spin, then park.  True when work was posted within the spin budget or
+  /// raced the handshake; false once `parked` is published with nothing
+  /// pending, and the caller must block in epoll_wait.
+  bool await_work() {
+    IoSignal& s = *signal_;
+    if (fd_peers_ == 0 &&
+        spin_until([&s] { return s.work.load(std::memory_order_relaxed); },
+                   std::chrono::steady_clock::now() + kIoSpinBudget)) {
+      return true;
+    }
+    s.parked.store(true, std::memory_order_seq_cst);
+    if (!s.work.load(std::memory_order_seq_cst)) return false;
+    s.parked.store(false, std::memory_order_relaxed);
+    return true;
+  }
+
   void io_loop() {
     if (opts_.telemetry != nullptr) {
       opts_.telemetry->set_thread_label("io-0");
@@ -586,15 +630,31 @@ struct Reactor::Impl {
     auto next_service = std::chrono::steady_clock::now() + kServiceInterval;
     for (;;) {
       const int timeout = compute_timeout(next_service);
+      const bool park = timeout != 0 && !await_work();
       std::array<epoll_event, 64> events;
-      int ne = ::epoll_wait(epfd_, events.data(),
-                            static_cast<int>(events.size()), timeout);
+      int ne = 0;
+      // With no fd peers the epoll set holds only the wake eventfd, which
+      // has nothing to report unless the thread parked.
+      if (park || fd_peers_ != 0) {
+        ne = ::epoll_wait(epfd_, events.data(),
+                          static_cast<int>(events.size()), park ? timeout : 0);
+      }
+      if (park) {
+        signal_->parked.store(false, std::memory_order_relaxed);
+        bump(parks_, c_parks_);
+      }
       wakeups_.fetch_add(1, std::memory_order_relaxed);
       retired_.clear();  // previous batch's pointers are dead now
       if (ne < 0) ne = 0;  // EINTR
+      // Cleared before the inbox and the funnel are read: a post that
+      // misses those reads sets it again, so the next iteration sees it.
+      const bool busy =
+          signal_->work.exchange(false, std::memory_order_seq_cst) || ne > 0;
       const bool stopping = stop_.load(std::memory_order_acquire);
       {
-        obs::SpanScope span(ne > 0 ? opts_.telemetry : nullptr,
+        // Every iteration that handled work, whether it came out of the
+        // spin or out of epoll_wait (this span is the home's handle time).
+        obs::SpanScope span(busy ? opts_.telemetry : nullptr,
                             obs::SpanKind::ReactorWake, 0);
         for (int i = 0; i < ne; ++i) {
           if (events[i].data.ptr == nullptr) {

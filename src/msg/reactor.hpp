@@ -4,13 +4,16 @@
 // (TCP) sit in an epoll set, queue-backed endpoints (in-process channels)
 // signal readiness through a callback that funnels into the thread's one
 // wake eventfd — so a thousand simulated remotes cost one descriptor, not
-// a thousand.  Each wakeup drains *every* decodable frame from a ready
-// endpoint (frame batching) and runs the handler (the DSM shell's protocol
-// step) inline on the io thread.  Replies the handler sends land straight
-// on the peer's write queue; at the end of each loop iteration every
-// queued FIFO goes out as one gathered send (write coalescing).  Closed
-// events are deferred to the top of the loop, so an eviction triggered by
-// a handler-issued send never re-enters the handler.
+// a thousand.  An idle io thread spins briefly on a work flag before it
+// parks in epoll_wait, and posters write the eventfd only while it is
+// parked, so a request that lands inside the spin costs no wakeup (spin,
+// then park; TRANSPORT.md §2.1).  Each wakeup drains *every* decodable
+// frame from a ready endpoint (frame batching) and runs the handler (the
+// DSM shell's protocol step) inline on the io thread.  Replies the handler
+// sends land straight on the peer's write queue; at the end of each loop
+// iteration every queued FIFO goes out as one gathered send (write
+// coalescing).  Closed events are deferred to the top of the loop, so an
+// eviction triggered by a handler-issued send never re-enters the handler.
 //
 // Backpressure: per-peer outbound queues are bounded by
 // `max_write_queue_bytes`; a peer that stops draining (dead TCP window)
@@ -68,7 +71,10 @@ class ReactorHandler {
 struct ReactorStats {
   std::uint64_t frames_in = 0;      ///< messages decoded off endpoints
   std::uint64_t frames_out = 0;     ///< messages handed to send_some
-  std::uint64_t wakeups = 0;        ///< io-thread epoll returns
+  std::uint64_t wakeups = 0;        ///< io-loop iterations
+  /// Iterations that blocked in epoll_wait because the spin budget ran
+  /// out; wakeups - parks came straight out of the spin.
+  std::uint64_t parks = 0;
   std::uint64_t flush_batches = 0;  ///< send_some calls with >= 1 message
   std::uint64_t backpressure_closes = 0;  ///< slow consumers evicted
 };

@@ -2,6 +2,8 @@
 // loopback TCP transport.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "msg/endpoint.hpp"
@@ -186,6 +188,52 @@ TEST(Channel, RecvForTimesOut) {
   EXPECT_FALSE(b->recv_for(out, std::chrono::milliseconds(20)));
   a->send(sample_message());
   EXPECT_TRUE(b->recv_for(out, std::chrono::milliseconds(1000)));
+}
+
+// The reply wait spins before it parks on the condvar; a timeout shorter
+// or longer than the spin still means "nothing came for this long".
+TEST(Channel, RecvForStillTimesOut) {
+  auto [a, b] = msg::make_channel_pair();
+  msg::Message out;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(b->recv_for(out, std::chrono::milliseconds(2)));
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(2));
+}
+
+// A frame that arrives long after the spin budget still wakes a parked
+// recv(), which must not mistake its own wait for a close.
+TEST(Channel, RecvWaitsPastTheSpin) {
+  auto [a, b] = msg::make_channel_pair();
+  std::thread t([ep = a.get()] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ep->send(sample_message());
+  });
+  expect_equal(sample_message(), b->recv());
+  t.join();
+}
+
+// Each round's close lands somewhere in the consumer's wait — before it,
+// inside the spin, or after the park — and every one must surface as
+// ChannelClosed, for the blocking and the timed receive alike.
+TEST(Channel, CloseDuringSpinThrows) {
+  for (int round = 0; round < 200; ++round) {
+    auto [a, b] = msg::make_channel_pair();
+    std::atomic<bool> waiting{false};
+    std::thread t([ep = b.get(), &waiting, timed = round % 2 == 1] {
+      waiting.store(true);
+      msg::Message out;
+      if (timed) {
+        EXPECT_THROW(ep->recv_for(out, std::chrono::seconds(30)),
+                     msg::ChannelClosed);
+      } else {
+        EXPECT_THROW(ep->recv(), msg::ChannelClosed);
+      }
+    });
+    while (!waiting.load()) std::this_thread::yield();
+    a->close();
+    t.join();
+  }
 }
 
 TEST(Channel, CloseUnblocksPeer) {

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "msg/faulty.hpp"
 #include "msg/reactor.hpp"
 #include "msg/tcp.hpp"
+#include "obs/telemetry.hpp"
 
 namespace dsm = hdsm::dsm;
 namespace msg = hdsm::msg;
@@ -260,6 +262,121 @@ TEST(Reactor, StopDeliversClosedForEveryPeer) {
   reactor.stop();
   std::lock_guard<std::mutex> lk(rec.mu);
   for (std::uint32_t p = 0; p < 16; ++p) EXPECT_EQ(rec.closed[p], 1);
+}
+
+// ---- Spin, then park --------------------------------------------------------
+
+/// Echoes rank-0 frames back to their sender and counts every frame.  A
+/// frame from `gate_peer` holds the io thread inside the handler until the
+/// test opens the gate, so a post made meanwhile finds the thread awake.
+struct Echo final : msg::ReactorHandler {
+  msg::Reactor* reactor = nullptr;
+  msg::PeerId gate_peer = ~msg::PeerId{0};
+  std::atomic<std::uint32_t> seen{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  int entered = 0;
+  int opened = 0;
+
+  void on_message(msg::PeerId peer, msg::Message&& m) override {
+    if (peer == gate_peer) {
+      std::unique_lock<std::mutex> lk(mu);
+      ++entered;
+      cv.notify_all();
+      cv.wait(lk, [this] { return opened >= entered; });
+    }
+    seen.fetch_add(1, std::memory_order_release);
+    if (m.rank == 0) reactor->send(peer, std::move(m));
+  }
+  void on_peer_closed(msg::PeerId) override {}
+};
+
+// The ReactorWake span is the home's handle time: it must cover every
+// iteration that handled a request, whether the io thread found the work
+// while spinning or after it parked in epoll_wait.  Each round posts the
+// second request while the io thread is held inside the first one's
+// handler, so the second is always picked up by the spin, never by
+// epoll_wait: two handling iterations per round.
+TEST(Reactor, WakeSpanCoversEveryRoundTrip) {
+  hdsm::obs::ObsOptions oo;
+  oo.enabled = true;
+  hdsm::obs::Telemetry tel(oo);
+  Echo echo;
+  echo.gate_peer = 1;
+  msg::ReactorOptions opts;
+  opts.telemetry = &tel;
+  msg::Reactor reactor(opts, echo);
+  echo.reactor = &reactor;
+  auto [gate_home, gate_remote] = msg::make_channel_pair();
+  auto [home, remote] = msg::make_channel_pair();
+  reactor.add_peer(1, std::move(gate_home));
+  reactor.add_peer(2, std::move(home));
+  reactor.flush();  // both installed: no round's frame rides an Add
+
+  constexpr int kRounds = 100;
+  for (int i = 0; i < kRounds; ++i) {
+    gate_remote->send(tagged(static_cast<std::uint32_t>(i)));
+    {
+      std::unique_lock<std::mutex> lk(echo.mu);
+      echo.cv.wait(lk, [&] { return echo.entered == i + 1; });
+    }
+    remote->send(tagged(static_cast<std::uint32_t>(i)));
+    {
+      std::lock_guard<std::mutex> lk(echo.mu);
+      ++echo.opened;
+      echo.cv.notify_all();
+    }
+    EXPECT_EQ(gate_remote->recv().sync_id, static_cast<std::uint32_t>(i));
+    EXPECT_EQ(remote->recv().sync_id, static_cast<std::uint32_t>(i));
+  }
+  reactor.stop();  // the last span closes after its reply went out
+  const hdsm::obs::MetricsSnapshot m = tel.metrics();
+  EXPECT_GE(m.histograms.at("phase.reactor_wake.ns").count, 2u * kRounds);
+  const msg::ReactorStats s = reactor.stats();
+  EXPECT_EQ(m.counters.at("reactor.parks"), s.parks);
+  EXPECT_LE(s.parks + kRounds, s.wakeups);
+}
+
+// Lost-wakeup check for the work/parked handshake.  Posts alternate
+// between a reactor send (inbox) and an inbound frame (ready funnel), with
+// seeded gaps on both sides of the io spin budget, so they race the io
+// thread as it spins, parks and unparks.  Each post must be delivered
+// before the next one is made, so a lost wake is never rescued by a later
+// post; the waits are safety nets far beyond any scheduling delay.
+TEST(Reactor, NoWakeupLostAcrossPark) {
+  Echo echo;
+  msg::Reactor reactor({}, echo);
+  echo.reactor = &reactor;
+  auto [home, remote] = msg::make_channel_pair();
+  reactor.add_peer(1, std::move(home));
+
+  constexpr std::uint32_t kPosts = 20000;
+  std::mt19937 rng(1009);
+  std::uniform_int_distribution<int> gap_us(0, 20);
+  std::uint32_t inbound = 0;
+  for (std::uint32_t i = 0; i < kPosts; ++i) {
+    if (i % 2 == 0) {
+      reactor.send(1, tagged(i));
+      msg::Message m;
+      ASSERT_TRUE(remote->recv_for(m, 10s)) << "post " << i << " lost";
+      ASSERT_EQ(m.sync_id, i);
+    } else {
+      remote->send(tagged(i, /*rank=*/1));  // rank 1: no echo
+      ++inbound;
+      const auto limit = std::chrono::steady_clock::now() + 10s;
+      while (echo.seen.load(std::memory_order_acquire) != inbound &&
+             std::chrono::steady_clock::now() < limit) {
+      }
+      ASSERT_EQ(echo.seen.load(), inbound) << "frame " << i << " lost";
+    }
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::microseconds(gap_us(rng));
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+  reactor.flush();
+  EXPECT_EQ(echo.seen.load(), kPosts / 2);
+  EXPECT_EQ(reactor.stats().frames_out, kPosts / 2);
 }
 
 // ---- Backpressure over real TCP --------------------------------------------
