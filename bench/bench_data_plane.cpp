@@ -160,15 +160,13 @@ BENCHMARK(BM_PackZeroCopy)
 constexpr std::uint64_t kStride2Runs = 8192;
 
 void BM_PackStride2(benchmark::State& state) {
-  dsm::SyncOptions opts;
-  opts.binary_tags = state.range(0) != 0;
   dsm::GlobalSpace g(
       tags::TypeDesc::struct_of(
           "G", {{"D", tags::TypeDesc::array(tags::t_double(),
                                             2 * kStride2Runs)}}),
       plat::linux_ia32());
   dsm::ShareStats stats;
-  dsm::SyncEngine engine(g, opts, stats);
+  dsm::SyncEngine engine(g, {}, stats);
   g.region().begin_tracking();
   auto d = g.view<double>("D");
   for (std::uint64_t i = 0; i < kStride2Runs; ++i) d.set(2 * i, 1.0 + i);
@@ -187,8 +185,6 @@ void BM_PackStride2(benchmark::State& state) {
   state.counters["tags_generated"] = per_payload(stats.tags_generated);
 }
 BENCHMARK(BM_PackStride2)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMicrosecond)
     ->Apply(hdsm::bench::wall_clock);
 

@@ -74,7 +74,7 @@ endforeach()
 
 # BM_PackStride2 packs a fixed set of one-element runs, so its tags per
 # payload is an exact counter (kStride2Runs in bench_data_plane.cpp): the
-# SOR-shaped pack path must tag every run, once, in both tag encodings.
+# SOR-shaped pack path must tag every run, once.
 set(stride2_tags 8192)
 if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   file(READ "${BENCH_DIR}/BENCH_data_plane.json" json)
@@ -92,8 +92,8 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
       math(EXPR n_stride2 "${n_stride2} + 1")
     endif()
   endforeach()
-  if(NOT n_stride2 EQUAL 2)
-    message(FATAL_ERROR "bench_smoke: expected 2 BM_PackStride2 entries in "
+  if(NOT n_stride2 EQUAL 1)
+    message(FATAL_ERROR "bench_smoke: expected 1 BM_PackStride2 entry in "
             "BENCH_data_plane.json, found ${n_stride2}")
   endif()
   message(STATUS "bench_smoke: BM_PackStride2 tags_generated ok")

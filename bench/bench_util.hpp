@@ -53,8 +53,8 @@ void wall_clock(Benchmark* b) {
 /// The paper-faithful DSD configuration: element-wise heterogeneous
 /// conversion (no bulk byte-swap), ASCII tags, coalescing on — matching
 /// the 2006 implementation whose costs Figures 6-11 report.  The library's
-/// *default* enables the bulk-swap fast path; bench_abl_array_fastpath and
-/// bench_abl_binary_tags quantify the difference.
+/// *default* enables the bulk-swap fast path; bench_abl_array_fastpath
+/// quantifies the difference.
 inline dsm::ShardedHomeOptions paper_options() {
   dsm::ShardedHomeOptions opts;
   opts.dsd.bulk_swap_fastpath = false;

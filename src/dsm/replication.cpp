@@ -4,27 +4,13 @@
 #include <stdexcept>
 #include <utility>
 
+#include "platform/int_codec.hpp"
+
 namespace hdsm::dsm {
 
 // ---- record wire form (docs/PROTOCOL.md §9) --------------------------------
 
 namespace {
-
-void put_u8(std::vector<std::byte>& out, std::uint8_t v) {
-  out.push_back(static_cast<std::byte>(v));
-}
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::byte>(v >> 24));
-  out.push_back(static_cast<std::byte>(v >> 16));
-  out.push_back(static_cast<std::byte>(v >> 8));
-  out.push_back(static_cast<std::byte>(v));
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
 
 /// Bounds-checked big-endian reader over the record payload.
 struct Reader {
@@ -37,21 +23,14 @@ struct Reader {
       throw std::runtime_error("LogRecord: truncated record");
     }
   }
-  std::uint8_t u8() {
-    need(1);
-    return std::to_integer<std::uint8_t>(p[off++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v = (v << 8) | std::to_integer<std::uint32_t>(p[off++]);
-    }
+  std::uint8_t u8() { return static_cast<std::uint8_t>(be(1)); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(be(4)); }
+  std::uint64_t u64() { return be(8); }
+  std::uint64_t be(std::size_t n) {
+    need(n);
+    const std::uint64_t v = plat::read_be(p + off, n);
+    off += n;
     return v;
-  }
-  std::uint64_t u64() {
-    const std::uint64_t hi = u32();
-    return (hi << 32) | u32();
   }
   std::vector<std::byte> bytes(std::uint64_t n) {
     if (n > len - off) {
@@ -64,23 +43,23 @@ struct Reader {
 };
 
 void encode_event(std::vector<std::byte>& out, const CoherenceEvent& e) {
-  put_u8(out, static_cast<std::uint8_t>(e.kind));
-  put_u32(out, e.rank);
-  put_u32(out, e.index);
+  plat::append_be(out, 1, static_cast<std::uint8_t>(e.kind));
+  plat::append_be(out, 4, e.rank);
+  plat::append_be(out, 4, e.index);
   const bool has_message = e.kind == CoherenceEvent::Kind::MsgReceived;
-  put_u8(out, has_message ? 1 : 0);
+  plat::append_be(out, 1, has_message ? 1 : 0);
   if (has_message) {
     // The embedded message reuses the self-delimiting protocol framing —
     // one wire form, one decoder.
     const std::vector<std::byte> frame = msg::encode_frame(e.message);
-    put_u64(out, frame.size());
+    plat::append_be(out, 8, frame.size());
     out.insert(out.end(), frame.begin(), frame.end());
   }
-  put_u32(out, static_cast<std::uint32_t>(e.runs.size()));
+  plat::append_be(out, 4, static_cast<std::uint32_t>(e.runs.size()));
   for (const idx::UpdateRun& run : e.runs) {
-    put_u32(out, run.row);
-    put_u64(out, run.first_elem);
-    put_u64(out, run.count);
+    plat::append_be(out, 4, run.row);
+    plat::append_be(out, 8, run.first_elem);
+    plat::append_be(out, 8, run.count);
   }
 }
 
@@ -100,6 +79,10 @@ CoherenceEvent decode_event(Reader& r) {
     dec.feed(frame.data(), frame.size());
     if (!dec.next(e.message)) {
       throw std::runtime_error("LogRecord: truncated embedded message");
+    }
+    if (e.message.wire_size() != frame.size()) {
+      throw std::runtime_error(
+          "LogRecord: embedded message shorter than its length");
     }
   }
   const std::uint32_t nruns = r.u32();
@@ -122,20 +105,20 @@ CoherenceEvent decode_event(Reader& r) {
 
 std::vector<std::byte> encode_record(const LogRecord& r) {
   std::vector<std::byte> out;
-  put_u8(out, static_cast<std::uint8_t>(r.kind));
-  put_u32(out, 0);  // reserved: the retired directory-shard index
+  plat::append_be(out, 1, static_cast<std::uint8_t>(r.kind));
   switch (r.kind) {
     case LogRecord::Kind::Event:
       encode_event(out, r.event);
-      put_u64(out, r.master_payload.size());
+      plat::append_be(out, 8, r.master_payload.size());
       out.insert(out.end(), r.master_payload.begin(), r.master_payload.end());
-      put_u8(out, static_cast<std::uint8_t>(r.master_sender.endian));
-      put_u8(out, static_cast<std::uint8_t>(r.master_sender.long_double_format));
+      plat::append_be(out, 1, static_cast<std::uint8_t>(r.master_sender.endian));
+      plat::append_be(
+          out, 1, static_cast<std::uint8_t>(r.master_sender.long_double_format));
       break;
     case LogRecord::Kind::SetBarrierCount:
     case LogRecord::Kind::BindLock:
-      put_u32(out, r.index);
-      put_u32(out, r.value);
+      plat::append_be(out, 4, r.index);
+      plat::append_be(out, 4, r.value);
       break;
   }
   return out;
@@ -150,9 +133,6 @@ LogRecord decode_record(const std::vector<std::byte>& payload) {
     throw std::runtime_error("LogRecord: bad record kind");
   }
   r.kind = static_cast<LogRecord::Kind>(kind);
-  if (rd.u32() != 0) {
-    throw std::runtime_error("LogRecord: record from a multi-shard primary");
-  }
   switch (r.kind) {
     case LogRecord::Kind::Event: {
       r.event = decode_event(rd);

@@ -352,7 +352,6 @@ void ShardedHome::drain(std::vector<CoherenceAction> actions) {
         if (fenced_.load()) break;
         auto it = sessions_.find(a.rank);
         if (it == sessions_.end()) break;  // no session (a standby's replay)
-        a.message.map_epoch = msg::kMapEpoch;
         reactor_->send(peer_of(it->second.gen, a.rank), std::move(a.message));
         break;
       }

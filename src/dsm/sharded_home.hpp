@@ -4,9 +4,9 @@
 // io thread runs every callback inline, each callback steps the core under
 // the state lock, and every resulting action — sends included — executes
 // under that same lock.  One directory serves every lock, barrier and
-// pending-update set, so every frame carries aux == 0 and
-// map_epoch == msg::kMapEpoch.  The type keeps its historical name;
-// docs/SHARDING.md records why the multi-shard directory was retired.
+// pending-update set, so every coherence frame carries aux == 0.  The type
+// keeps its historical name; docs/SHARDING.md records why the multi-shard
+// directory was retired.
 //
 // The data plane is one GlobalSpace image and one SyncEngine, reached by
 // the core through a forwarding codec; every engine call (the core's

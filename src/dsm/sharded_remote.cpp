@@ -224,15 +224,11 @@ std::vector<std::byte> ShardedRemote::collect_episode(std::uint32_t region) {
   return engine_.pack_payload(obj.runs);
 }
 
-// Lock, unlock and barrier requests carry map_epoch = kMapEpoch, as they
-// always have on the wire (docs/PROTOCOL.md §8).
-
 void ShardedRemote::lock(std::uint32_t index) {
   obs::SpanScope episode(telemetry_.get(), obs::SpanKind::Episode, index);
   msg::Message req;
   req.type = msg::MsgType::LockRequest;
   req.sync_id = index;
-  req.map_epoch = msg::kMapEpoch;
   const msg::Message grant = rpc(std::move(req), msg::MsgType::LockGrant);
   engine_.apply_payload(grant.payload, grant.sender);
   ++stats_.locks;
@@ -243,7 +239,6 @@ void ShardedRemote::unlock(std::uint32_t index) {
   msg::Message req;
   req.type = msg::MsgType::UnlockRequest;
   req.sync_id = index;
-  req.map_epoch = msg::kMapEpoch;
   // Collect exactly once: retransmits must carry the same payload, not a
   // fresh (empty) one.
   req.payload = collect_episode(index);
@@ -256,7 +251,6 @@ void ShardedRemote::barrier(std::uint32_t index) {
   msg::Message enter;
   enter.type = msg::MsgType::BarrierEnter;
   enter.sync_id = index;
-  enter.map_epoch = msg::kMapEpoch;
   enter.payload = collect_episode(kAllRegions);
   const msg::Message release =
       rpc(std::move(enter), msg::MsgType::BarrierRelease);

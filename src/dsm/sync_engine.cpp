@@ -9,6 +9,7 @@
 #include "codec/codec.hpp"
 #include "convert/converter.hpp"
 #include "memory/diff.hpp"
+#include "platform/int_codec.hpp"
 
 namespace hdsm::dsm {
 
@@ -21,14 +22,8 @@ struct ParsedRunTag {
   bool is_pointer = false;
 };
 
-ParsedRunTag parse_run_tag(std::string_view text, bool binary) {
-  tags::Tag tag;
-  if (binary) {
-    tag = tags::Tag::from_binary(
-        reinterpret_cast<const std::byte*>(text.data()), text.size());
-  } else {
-    tag = tags::Tag::parse(text);
-  }
+ParsedRunTag parse_run_tag(std::string_view text) {
+  const tags::Tag tag = tags::Tag::parse(text);
   if (tag.items().size() != 1) {
     throw std::runtime_error("update tag must contain exactly one run");
   }
@@ -212,8 +207,7 @@ std::vector<std::byte> SyncEngine::pack_payload(
   tag_offs_.assign(1, 0);
   for (const idx::UpdateRun& run : runs) {
     const idx::IndexRow& row = table.rows().at(run.row);
-    tags::append_run_tag(tag_arena_, row.size, run.count, row.is_pointer(),
-                         opts_.binary_tags);
+    tags::append_run_tag(tag_arena_, row.size, run.count, row.is_pointer());
     tag_offs_.push_back(tag_arena_.size());
   }
   const std::uint64_t tag_ns = watch.lap();
@@ -240,7 +234,7 @@ std::vector<std::byte> SyncEngine::pack_payload(
   std::uint64_t coded_blocks = 0;
   std::vector<std::byte> out;
   out.reserve(total);
-  wire::put_u32be(out, static_cast<std::uint32_t>(runs.size()));
+  plat::append_be(out, 4, static_cast<std::uint32_t>(runs.size()));
   const std::byte* image = space_.region().data();
   const auto* tag_bytes =
       reinterpret_cast<const std::byte*>(tag_arena_.data());
@@ -252,12 +246,12 @@ std::vector<std::byte> SyncEngine::pack_payload(
     const std::size_t tag_begin = tag_offs_[i];
     const std::size_t tag_end = tag_offs_[i + 1];
     const auto tag_len = static_cast<std::uint32_t>(tag_end - tag_begin);
-    wire::put_u32be(out, run.row);
-    wire::put_u64be(out, run.first_elem);
+    plat::append_be(out, 4, run.row);
+    plat::append_be(out, 8, run.first_elem);
     const std::size_t tag_len_pos = out.size();
-    wire::put_u32be(out, tag_len);
+    plat::append_be(out, 4, tag_len);
     const std::size_t data_len_pos = out.size();
-    wire::put_u64be(out, len);
+    plat::append_be(out, 8, len);
     out.insert(out.end(), tag_bytes + tag_begin, tag_bytes + tag_end);
     bytes_raw += len;
     bool encoded = false;
@@ -272,8 +266,10 @@ std::vector<std::byte> SyncEngine::pack_payload(
       if (enc.encoded) {
         // Patch the already-written header: flag the block compressed and
         // shrink its data length to the encoded stream.
-        wire::patch_u32be(out, tag_len_pos, tag_len | kCompressedTagFlag);
-        wire::patch_u64be(out, data_len_pos, enc.bytes);
+        plat::write_uint(out.data() + tag_len_pos, 4, plat::Endian::Big,
+                         tag_len | kCompressedTagFlag);
+        plat::write_uint(out.data() + data_len_pos, 8, plat::Endian::Big,
+                         enc.bytes);
         encoded = true;
         ++coded_blocks;
         bytes_coded += enc.bytes;
@@ -385,7 +381,7 @@ SyncEngine::ValidatedPayload SyncEngine::validate_payload(
     if (hit) {
       ++stats_.plan_cache_hits;
     } else {
-      const ParsedRunTag parsed = parse_run_tag(v.tag, opts_.binary_tags);
+      const ParsedRunTag parsed = parse_run_tag(v.tag);
       if (opts_.plan_cache) ++stats_.plan_cache_misses;
       // The route depends only on (sender rep, row) facts, not the count,
       // so it survives tag changes that merely re-run a different span.

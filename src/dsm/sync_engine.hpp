@@ -54,9 +54,6 @@ struct SyncOptions {
   /// Merge diff ranges separated by gaps of at most this many unchanged
   /// bytes (0 = byte-exact diffs, the paper's default).
   std::size_t merge_slack = 0;
-  /// Ship tags in the compact binary encoding instead of ASCII (the
-  /// string-work reduction the paper's future-work section anticipates).
-  bool binary_tags = false;
   /// Allow the vectorizable bulk byte-swap for same-width cross-endian
   /// runs.  Off = the paper's 2006 element-wise conversion cost profile
   /// (what Figures 10/11 measure); on = this library's default.

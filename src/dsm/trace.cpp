@@ -25,7 +25,6 @@ const char* trace_kind_name(TraceEvent::Kind k) noexcept {
     case TraceEvent::Kind::TimeoutDetached: return "TimeoutDetached";
     case TraceEvent::Kind::ProbeSampled: return "ProbeSampled";
     case TraceEvent::Kind::StrategySwitched: return "StrategySwitched";
-    case TraceEvent::Kind::LanesRetuned: return "LanesRetuned";
     case TraceEvent::Kind::RunsCoalesced: return "RunsCoalesced";
     case TraceEvent::Kind::MetricsScraped: return "MetricsScraped";
   }
@@ -110,7 +109,6 @@ std::optional<std::string> validate_trace(
     // (e.g. after a TimeoutDetached) still samples its local tuner.
     return k == TraceEvent::Kind::ProbeSampled ||
            k == TraceEvent::Kind::StrategySwitched ||
-           k == TraceEvent::Kind::LanesRetuned ||
            k == TraceEvent::Kind::RunsCoalesced;
   };
 
@@ -196,7 +194,6 @@ std::optional<std::string> validate_trace(
         probed_episode[e.rank] = e.sync_id;
         break;
       case TraceEvent::Kind::StrategySwitched:
-      case TraceEvent::Kind::LanesRetuned:
       case TraceEvent::Kind::RunsCoalesced: {
         auto it = probed_episode.find(e.rank);
         if (it == probed_episode.end()) {

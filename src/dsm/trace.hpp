@@ -40,9 +40,6 @@ struct TraceEvent {
     // ProbeSampled from the same rank in the same episode (invariant 5).
     ProbeSampled,      ///< the tuner folded one episode's signal in
     StrategySwitched,  ///< the codec (compress) decision changed
-    LanesRetuned,      ///< conv_threads changed (no longer emitted: the
-                       ///  lane knob is gone; kept so older traces
-                       ///  validate and later kinds keep their values)
     RunsCoalesced,     ///< adaptive merge_slack changed
     // Telemetry events (see docs/OBSERVABILITY.md).  Bookkeeping like the
     // reliability events: lifecycle-exempt, no protocol invariants.
@@ -102,8 +99,7 @@ class TraceLog {
 ///      number (req != 0) are strictly increasing per rank — the same
 ///      request's payload is never applied twice.
 ///   5. Adaptive causality: a decision event (StrategySwitched for the
-///      codec, RunsCoalesced for merge_slack, and LanesRetuned in traces
-///      recorded before the lane knob was removed) is always preceded by a
+///      codec, RunsCoalesced for merge_slack) is always preceded by a
 ///      ProbeSampled from the same rank carrying the same episode number
 ///      (sync_id) — the tuner never moves a knob without having sampled
 ///      first.

@@ -2,37 +2,9 @@
 
 #include <stdexcept>
 
+#include "platform/int_codec.hpp"
+
 namespace hdsm::dsm {
-
-namespace wire {
-
-void put_u32be(std::vector<std::byte>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::byte>(v >> 24));
-  out.push_back(static_cast<std::byte>(v >> 16));
-  out.push_back(static_cast<std::byte>(v >> 8));
-  out.push_back(static_cast<std::byte>(v));
-}
-
-void put_u64be(std::vector<std::byte>& out, std::uint64_t v) {
-  put_u32be(out, static_cast<std::uint32_t>(v >> 32));
-  put_u32be(out, static_cast<std::uint32_t>(v));
-}
-
-void patch_u32be(std::vector<std::byte>& buf, std::size_t pos,
-                 std::uint32_t v) {
-  buf[pos] = static_cast<std::byte>(v >> 24);
-  buf[pos + 1] = static_cast<std::byte>(v >> 16);
-  buf[pos + 2] = static_cast<std::byte>(v >> 8);
-  buf[pos + 3] = static_cast<std::byte>(v);
-}
-
-void patch_u64be(std::vector<std::byte>& buf, std::size_t pos,
-                 std::uint64_t v) {
-  patch_u32be(buf, pos, static_cast<std::uint32_t>(v >> 32));
-  patch_u32be(buf, pos + 4, static_cast<std::uint32_t>(v));
-}
-
-}  // namespace wire
 
 namespace {
 
@@ -40,20 +12,8 @@ class Reader {
  public:
   explicit Reader(const std::vector<std::byte>& buf) : buf_(buf) {}
 
-  std::uint32_t u32() {
-    need(4);
-    const std::byte* p = buf_.data() + pos_;
-    pos_ += 4;
-    return (std::to_integer<std::uint32_t>(p[0]) << 24) |
-           (std::to_integer<std::uint32_t>(p[1]) << 16) |
-           (std::to_integer<std::uint32_t>(p[2]) << 8) |
-           std::to_integer<std::uint32_t>(p[3]);
-  }
-
-  std::uint64_t u64() {
-    const std::uint64_t hi = u32();
-    return (hi << 32) | u32();
-  }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(be(4)); }
+  std::uint64_t u64() { return be(8); }
 
   /// Borrow `n` bytes in place (no copy); the pointer aliases the payload.
   const std::byte* view(std::size_t n) {
@@ -66,6 +26,8 @@ class Reader {
   bool done() const { return pos_ == buf_.size(); }
 
  private:
+  std::uint64_t be(std::size_t n) { return plat::read_be(view(n), n); }
+
   void need(std::size_t n) const {
     if (buf_.size() - pos_ < n) {
       throw std::runtime_error("update payload truncated");
@@ -86,12 +48,12 @@ std::vector<std::byte> encode_update_blocks(
     total += update_block_wire_size(b.tag.size(), b.data.size());
   }
   out.reserve(total);
-  wire::put_u32be(out, static_cast<std::uint32_t>(blocks.size()));
+  plat::append_be(out, 4, static_cast<std::uint32_t>(blocks.size()));
   for (const UpdateBlock& b : blocks) {
-    wire::put_u32be(out, b.row);
-    wire::put_u64be(out, b.first_elem);
-    wire::put_u32be(out, static_cast<std::uint32_t>(b.tag.size()));
-    wire::put_u64be(out, b.data.size());
+    plat::append_be(out, 4, b.row);
+    plat::append_be(out, 8, b.first_elem);
+    plat::append_be(out, 4, static_cast<std::uint32_t>(b.tag.size()));
+    plat::append_be(out, 8, b.data.size());
     const std::byte* t = reinterpret_cast<const std::byte*>(b.tag.data());
     out.insert(out.end(), t, t + b.tag.size());
     out.insert(out.end(), b.data.begin(), b.data.end());

@@ -61,19 +61,6 @@ std::vector<UpdateBlock> decode_update_blocks(
 std::vector<UpdateBlockView> decode_update_block_views(
     const std::vector<std::byte>& payload);
 
-/// Big-endian wire primitives shared by the block codec and the zero-copy
-/// single-buffer packer in SyncEngine.
-namespace wire {
-void put_u32be(std::vector<std::byte>& out, std::uint32_t v);
-void put_u64be(std::vector<std::byte>& out, std::uint64_t v);
-/// Overwrite an already-written big-endian field in place — how the packer
-/// patches a block's tag_len/data_len after the codec shrank its data.
-void patch_u32be(std::vector<std::byte>& buf, std::size_t pos,
-                 std::uint32_t v);
-void patch_u64be(std::vector<std::byte>& buf, std::size_t pos,
-                 std::uint64_t v);
-}  // namespace wire
-
 /// Wire size of one block with `tag_len` tag bytes and `data_len` data
 /// bytes (the per-block fixed header is 24 bytes).
 constexpr std::size_t update_block_wire_size(std::size_t tag_len,

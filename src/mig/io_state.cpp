@@ -8,33 +8,21 @@
 #include <system_error>
 #include <utility>
 
+#include "platform/int_codec.hpp"
+
 namespace hdsm::mig {
 
 namespace {
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 24; i >= 0; i -= 8) {
-    out.push_back(static_cast<std::byte>((v >> i) & 0xff));
+/// Read a big-endian field of `n` bytes at `p` and advance past it.
+std::uint64_t get_be(const std::byte*& p, const std::byte* end,
+                     std::size_t n) {
+  if (static_cast<std::size_t>(end - p) < n) {
+    throw std::invalid_argument("record truncated");
   }
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-std::uint32_t get_u32(const std::byte*& p, const std::byte* end) {
-  if (end - p < 4) throw std::invalid_argument("record truncated");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v = (v << 8) | std::to_integer<std::uint32_t>(*p++);
-  }
+  const std::uint64_t v = plat::read_be(p, n);
+  p += n;
   return v;
-}
-
-std::uint64_t get_u64(const std::byte*& p, const std::byte* end) {
-  const std::uint64_t hi = get_u32(p, end);
-  return (hi << 32) | get_u32(p, end);
 }
 
 int open_flags(FileMode mode) {
@@ -64,11 +52,11 @@ int reopen_flags(FileMode mode) {
 
 std::vector<std::byte> FileStateRecord::pack() const {
   std::vector<std::byte> out;
-  put_u32(out, static_cast<std::uint32_t>(path.size()));
+  plat::append_be(out, 4, static_cast<std::uint32_t>(path.size()));
   const std::byte* p = reinterpret_cast<const std::byte*>(path.data());
   out.insert(out.end(), p, p + path.size());
   out.push_back(static_cast<std::byte>(mode));
-  put_u64(out, offset);
+  plat::append_be(out, 8, offset);
   return out;
 }
 
@@ -77,7 +65,7 @@ FileStateRecord FileStateRecord::unpack(const std::byte* data,
   const std::byte* p = data;
   const std::byte* end = data + len;
   FileStateRecord r;
-  const std::uint32_t n = get_u32(p, end);
+  const std::uint32_t n = static_cast<std::uint32_t>(get_be(p, end, 4));
   if (static_cast<std::size_t>(end - p) < n + 1 + 8) {
     throw std::invalid_argument("FileStateRecord: truncated");
   }
@@ -88,7 +76,7 @@ FileStateRecord FileStateRecord::unpack(const std::byte* data,
     throw std::invalid_argument("FileStateRecord: bad mode");
   }
   r.mode = static_cast<FileMode>(mode);
-  r.offset = get_u64(p, end);
+  r.offset = get_be(p, end, 8);
   if (p != end) throw std::invalid_argument("FileStateRecord: trailing bytes");
   return r;
 }
@@ -180,9 +168,9 @@ FileStateRecord MigratableFile::capture() const {
 
 std::vector<std::byte> SessionRecord::pack() const {
   std::vector<std::byte> out;
-  put_u32(out, port);
-  put_u32(out, rank);
-  put_u64(out, next_seq);
+  plat::append_be(out, 4, port);
+  plat::append_be(out, 4, rank);
+  plat::append_be(out, 8, next_seq);
   return out;
 }
 
@@ -190,9 +178,9 @@ SessionRecord SessionRecord::unpack(const std::byte* data, std::size_t len) {
   const std::byte* p = data;
   const std::byte* end = data + len;
   SessionRecord r;
-  r.port = static_cast<std::uint16_t>(get_u32(p, end));
-  r.rank = get_u32(p, end);
-  r.next_seq = get_u64(p, end);
+  r.port = static_cast<std::uint16_t>(get_be(p, end, 4));
+  r.rank = static_cast<std::uint32_t>(get_be(p, end, 4));
+  r.next_seq = get_be(p, end, 8);
   if (p != end) throw std::invalid_argument("SessionRecord: trailing bytes");
   return r;
 }
@@ -217,7 +205,7 @@ void MigratableSession::send(const std::vector<std::byte>& payload) {
   m.rank = record_.rank;
   // The sequence number travels in the first 8 payload bytes.
   std::vector<std::byte> framed;
-  put_u64(framed, record_.next_seq);
+  plat::append_be(framed, 8, record_.next_seq);
   framed.insert(framed.end(), payload.begin(), payload.end());
   m.payload = std::move(framed);
   ep_->send(m);
@@ -262,7 +250,7 @@ SessionMessage parse_session_message(const msg::Message& m) {
   out.rank = m.rank;
   const std::byte* p = m.payload.data();
   const std::byte* end = p + 8;
-  out.seq = get_u64(p, end);
+  out.seq = get_be(p, end, 8);
   out.payload.assign(m.payload.begin() + 8, m.payload.end());
   return out;
 }

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "mig/tagged_convert.hpp"
+#include "platform/int_codec.hpp"
 
 namespace hdsm::mig {
 
@@ -33,26 +34,14 @@ const tags::TypePtr& StateSchema::heap_type(const std::string& name) const {
 
 namespace {
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::byte>(v >> 24));
-  out.push_back(static_cast<std::byte>(v >> 16));
-  out.push_back(static_cast<std::byte>(v >> 8));
-  out.push_back(static_cast<std::byte>(v));
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
 void put_str(std::vector<std::byte>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
+  plat::append_be(out, 4, static_cast<std::uint32_t>(s.size()));
   const std::byte* p = reinterpret_cast<const std::byte*>(s.data());
   out.insert(out.end(), p, p + s.size());
 }
 
 void put_bytes(std::vector<std::byte>& out, const std::vector<std::byte>& b) {
-  put_u64(out, b.size());
+  plat::append_be(out, 8, b.size());
   out.insert(out.end(), b.begin(), b.end());
 }
 
@@ -60,20 +49,8 @@ class Reader {
  public:
   explicit Reader(const std::vector<std::byte>& buf) : buf_(buf) {}
 
-  std::uint32_t u32() {
-    need(4);
-    const std::byte* p = buf_.data() + pos_;
-    pos_ += 4;
-    return (std::to_integer<std::uint32_t>(p[0]) << 24) |
-           (std::to_integer<std::uint32_t>(p[1]) << 16) |
-           (std::to_integer<std::uint32_t>(p[2]) << 8) |
-           std::to_integer<std::uint32_t>(p[3]);
-  }
-
-  std::uint64_t u64() {
-    const std::uint64_t hi = u32();
-    return (hi << 32) | u32();
-  }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(be(4)); }
+  std::uint64_t u64() { return be(8); }
 
   std::string str() {
     const std::uint32_t n = u32();
@@ -94,6 +71,13 @@ class Reader {
   bool done() const { return pos_ == buf_.size(); }
 
  private:
+  std::uint64_t be(std::size_t n) {
+    need(n);
+    const std::uint64_t v = plat::read_be(buf_.data() + pos_, n);
+    pos_ += n;
+    return v;
+  }
+
   void need(std::size_t n) const {
     if (buf_.size() - pos_ < n) {
       throw std::runtime_error("thread state payload truncated");
@@ -123,17 +107,17 @@ StructImage convert_in(const std::vector<std::byte>& data,
 
 std::vector<std::byte> pack_state(const ThreadState& state) {
   std::vector<std::byte> out;
-  put_u32(out, state.rank);
-  put_u32(out, static_cast<std::uint32_t>(state.frames.size()));
+  plat::append_be(out, 4, state.rank);
+  plat::append_be(out, 4, static_cast<std::uint32_t>(state.frames.size()));
   for (const Frame& f : state.frames) {
     put_str(out, f.function);
-    put_u32(out, f.label);
+    plat::append_be(out, 4, f.label);
     put_str(out, f.locals.tag_text());
     put_bytes(out, f.locals.bytes());
   }
-  put_u32(out, static_cast<std::uint32_t>(state.heap.size()));
+  plat::append_be(out, 4, static_cast<std::uint32_t>(state.heap.size()));
   for (const HeapObject& h : state.heap) {
-    put_u64(out, h.id);
+    plat::append_be(out, 8, h.id);
     put_str(out, h.type_name);
     put_str(out, h.image.tag_text());
     put_bytes(out, h.image.bytes());

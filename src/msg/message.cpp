@@ -1,37 +1,20 @@
 #include "msg/message.hpp"
 
-#include <cstring>
+#include <limits>
+
+#include "platform/int_codec.hpp"
 
 namespace hdsm::msg {
 
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4844534du;  // "HDSM"
-// magic, type, endian, ldf, reserved, sync_id, rank, seq, map_epoch, aux,
-// tag_len, payload_len — docs/PROTOCOL.md §1 documents the exact layout.
-constexpr std::size_t kHeaderSize = 4 + 1 + 1 + 1 + 1 + 4 + 4 + 4 + 4 + 4 + 4 + 8;
+// magic, type, endian, ldf, version, sync_id, rank, seq, aux, tag_len,
+// payload_len — docs/PROTOCOL.md §1 documents the exact layout.
+constexpr std::size_t kHeaderSize = 4 + 1 + 1 + 1 + 1 + 4 + 4 + 4 + 4 + 4 + 4;
 
-void put_u32be(std::vector<std::byte>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::byte>(v >> 24));
-  out.push_back(static_cast<std::byte>(v >> 16));
-  out.push_back(static_cast<std::byte>(v >> 8));
-  out.push_back(static_cast<std::byte>(v));
-}
-
-void put_u64be(std::vector<std::byte>& out, std::uint64_t v) {
-  put_u32be(out, static_cast<std::uint32_t>(v >> 32));
-  put_u32be(out, static_cast<std::uint32_t>(v));
-}
-
-std::uint32_t get_u32be(const std::byte* p) {
-  return (std::to_integer<std::uint32_t>(p[0]) << 24) |
-         (std::to_integer<std::uint32_t>(p[1]) << 16) |
-         (std::to_integer<std::uint32_t>(p[2]) << 8) |
-         std::to_integer<std::uint32_t>(p[3]);
-}
-
-std::uint64_t get_u64be(const std::byte* p) {
-  return (static_cast<std::uint64_t>(get_u32be(p)) << 32) | get_u32be(p + 4);
+std::uint32_t get_u32(const std::byte* p) {
+  return static_cast<std::uint32_t>(plat::read_be(p, 4));
 }
 
 }  // namespace
@@ -63,20 +46,23 @@ std::size_t Message::wire_size() const noexcept {
 }
 
 std::vector<std::byte> encode_frame(const Message& m) {
+  constexpr std::size_t kMaxLen = std::numeric_limits<std::uint32_t>::max();
+  if (m.tag.size() > kMaxLen || m.payload.size() > kMaxLen) {
+    throw std::length_error("encode_frame: tag or payload exceeds 4 GiB");
+  }
   std::vector<std::byte> out;
   out.reserve(m.wire_size());
-  put_u32be(out, kMagic);
+  plat::append_be(out, 4, kMagic);
   out.push_back(static_cast<std::byte>(m.type));
   out.push_back(static_cast<std::byte>(m.sender.endian));
   out.push_back(static_cast<std::byte>(m.sender.long_double_format));
-  out.push_back(std::byte{0});  // reserved
-  put_u32be(out, m.sync_id);
-  put_u32be(out, m.rank);
-  put_u32be(out, m.seq);
-  put_u32be(out, m.map_epoch);
-  put_u32be(out, m.aux);
-  put_u32be(out, static_cast<std::uint32_t>(m.tag.size()));
-  put_u64be(out, m.payload.size());
+  out.push_back(static_cast<std::byte>(kFrameVersion));
+  plat::append_be(out, 4, m.sync_id);
+  plat::append_be(out, 4, m.rank);
+  plat::append_be(out, 4, m.seq);
+  plat::append_be(out, 4, m.aux);
+  plat::append_be(out, 4, m.tag.size());
+  plat::append_be(out, 4, m.payload.size());
   const std::byte* tag_bytes = reinterpret_cast<const std::byte*>(m.tag.data());
   out.insert(out.end(), tag_bytes, tag_bytes + m.tag.size());
   out.insert(out.end(), m.payload.begin(), m.payload.end());
@@ -90,7 +76,7 @@ void FrameDecoder::feed(const std::byte* data, std::size_t len) {
 bool FrameDecoder::next(Message& out) {
   if (buf_.size() < kHeaderSize) return false;
   const std::byte* p = buf_.data();
-  if (get_u32be(p) != kMagic) {
+  if (get_u32(p) != kMagic) {
     throw std::runtime_error("FrameDecoder: bad magic");
   }
   const std::uint8_t type = std::to_integer<std::uint8_t>(p[4]);
@@ -105,13 +91,16 @@ bool FrameDecoder::next(Message& out) {
   if (endian > 1 || ldf > 2) {
     throw std::runtime_error("FrameDecoder: bad platform summary");
   }
-  const std::uint32_t sync_id = get_u32be(p + 8);
-  const std::uint32_t rank = get_u32be(p + 12);
-  const std::uint32_t seq = get_u32be(p + 16);
-  const std::uint32_t map_epoch = get_u32be(p + 20);
-  const std::uint32_t aux = get_u32be(p + 24);
-  const std::uint32_t tag_len = get_u32be(p + 28);
-  const std::uint64_t payload_len = get_u64be(p + 32);
+  if (std::to_integer<std::uint8_t>(p[7]) != kFrameVersion) {
+    throw std::runtime_error("FrameDecoder: unsupported frame version");
+  }
+  const std::uint32_t sync_id = get_u32(p + 8);
+  const std::uint32_t rank = get_u32(p + 12);
+  const std::uint32_t seq = get_u32(p + 16);
+  const std::uint32_t aux = get_u32(p + 20);
+  const std::uint32_t tag_len = get_u32(p + 24);
+  const std::uint32_t payload_len = get_u32(p + 28);
+  // Two u32 lengths: the sum cannot wrap a 64-bit size_t.
   const std::size_t total = kHeaderSize + tag_len + payload_len;
   if (buf_.size() < total) return false;
 
@@ -121,7 +110,6 @@ bool FrameDecoder::next(Message& out) {
   out.sync_id = sync_id;
   out.rank = rank;
   out.seq = seq;
-  out.map_epoch = map_epoch;
   out.aux = aux;
   out.tag.assign(reinterpret_cast<const char*>(p + kHeaderSize), tag_len);
   out.payload.assign(buf_.begin() + kHeaderSize + tag_len,

@@ -55,10 +55,10 @@ enum class MsgType : std::uint8_t {
 
 const char* msg_type_name(MsgType t) noexcept;
 
-/// The value of Message::map_epoch on coherence frames.  It was the epoch
-/// of the retired shard map, which never changed with one directory; the
-/// constant keeps the wire byte-identical.
-inline constexpr std::uint32_t kMapEpoch = 1;
+/// Byte 7 of every frame header (docs/PROTOCOL.md §1).  FrameDecoder
+/// refuses any other value, so a frame of an older layout (the 40-byte
+/// header, which carried 0 there) is rejected instead of misparsed.
+inline constexpr std::uint8_t kFrameVersion = 2;
 
 /// The sender-platform facts a receiver needs to "make right": byte order
 /// and extended-float format.  Element sizes travel in the tags.
@@ -80,11 +80,7 @@ struct Message {
   /// remote on requests, echoed on the matching reply.  0 = unsequenced
   /// (legacy application traffic; exempt from duplicate detection).
   std::uint32_t seq = 0;
-  /// Header word fixed at kMapEpoch on every coherence frame the home
-  /// sends and on every lock/unlock/barrier request (docs/PROTOCOL.md §8);
-  /// 0 on Hello, join and scrape requests.
-  std::uint32_t map_epoch = 0;
-  /// Auxiliary word (docs/PROTOCOL.md §8): the primaryship epoch on
+  /// Auxiliary word (docs/PROTOCOL.md §9): the primaryship epoch on
   /// ReplAppend, the fence epoch on a rejecting ReplAck, 0 otherwise.
   std::uint32_t aux = 0;
   PlatformSummary sender;
@@ -94,7 +90,8 @@ struct Message {
   std::size_t wire_size() const noexcept;
 };
 
-/// Serialize `m` into a self-delimiting frame.
+/// Serialize `m` into a self-delimiting frame.  Throws std::length_error
+/// when the tag or the payload exceeds UINT32_MAX bytes.
 std::vector<std::byte> encode_frame(const Message& m);
 
 /// Incremental frame decoder for stream transports.

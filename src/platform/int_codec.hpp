@@ -3,11 +3,18 @@
 // the receiver reads the sender's representation (size + endianness from the
 // tag) and re-encodes in its own, applying sign or zero extension when the
 // widths differ.
+//
+// append_be/read_be fix the byte order to big-endian, the order of every
+// hdsm wire header, update block and state record (docs/PROTOCOL.md), and
+// move a field as one swapped word rather than byte by byte: every packed
+// update block goes through them.  Each decoder checks its own bounds
+// before reading.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "platform/byteswap.hpp"
 #include "platform/platform.hpp"
@@ -65,6 +72,25 @@ inline void write_uint(std::byte* p, std::size_t size, Endian e,
 inline void write_sint(std::byte* p, std::size_t size, Endian e,
                        std::int64_t v) noexcept {
   write_uint(p, size, e, static_cast<std::uint64_t>(v));
+}
+
+/// Append the low `size` bytes (1..8) of `v` to `out`, big-endian.
+inline void append_be(std::vector<std::byte>& out, std::size_t size,
+                      std::uint64_t v) {
+  if (host_endian() == Endian::Little) v = bswap64(v);
+  const auto* be = reinterpret_cast<const std::byte*>(&v);
+  const std::size_t at = out.size();
+  out.resize(at + size);
+  std::memcpy(out.data() + at, be + 8 - size, size);
+}
+
+/// Read a `size`-byte (1..8) big-endian unsigned integer at `p`.
+inline std::uint64_t read_be(const std::byte* p, std::size_t size) noexcept {
+  std::byte be[8] = {};
+  std::memcpy(be + 8 - size, p, size);
+  std::uint64_t v;
+  std::memcpy(&v, be, sizeof v);
+  return host_endian() == Endian::Little ? bswap64(v) : v;
 }
 
 }  // namespace hdsm::plat

@@ -134,68 +134,6 @@ std::uint64_t item_bytes(const TagItem& it) {
   return 0;
 }
 
-// ---- binary codec ---------------------------------------------------------
-// Generic over the sink, so Tag::to_binary (byte vector) and append_run_tag
-// (char string) share one encoder.
-
-template <typename Out>
-void put_u64(Out& out, std::uint64_t v) {
-  typename Out::value_type le[8];
-  for (auto& b : le) {
-    b = static_cast<typename Out::value_type>(v & 0xff);
-    v >>= 8;
-  }
-  out.insert(out.end(), le, le + 8);
-}
-
-std::uint64_t get_u64(const std::byte*& p, const std::byte* end) {
-  if (end - p < 8) throw std::invalid_argument("Tag::from_binary: truncated");
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | std::to_integer<std::uint64_t>(p[i]);
-  }
-  p += 8;
-  return v;
-}
-
-template <typename Out>
-void encode_item(Out& out, const TagItem& it) {
-  out.push_back(static_cast<typename Out::value_type>(it.kind));
-  put_u64(out, it.size);
-  put_u64(out, it.count);
-  if (it.kind == TagItem::Kind::Aggregate) {
-    put_u64(out, it.children.size());
-    for (const TagItem& c : it.children) encode_item(out, c);
-  }
-}
-
-TagItem decode_item(const std::byte*& p, const std::byte* end, int depth) {
-  if (depth > 64) throw std::invalid_argument("Tag::from_binary: too deep");
-  if (p == end) throw std::invalid_argument("Tag::from_binary: truncated");
-  TagItem it;
-  const auto kind = std::to_integer<std::uint8_t>(*p++);
-  if (kind > static_cast<std::uint8_t>(TagItem::Kind::Aggregate)) {
-    throw std::invalid_argument("Tag::from_binary: bad kind");
-  }
-  it.kind = static_cast<TagItem::Kind>(kind);
-  it.size = get_u64(p, end);
-  it.count = get_u64(p, end);
-  if (it.kind == TagItem::Kind::Aggregate) {
-    const std::uint64_t n = get_u64(p, end);
-    // Every encoded item takes >= 17 bytes (kind + size + count), so a
-    // count the remaining buffer cannot hold is malformed — reject before
-    // reserving, or a hostile frame forces an arbitrary allocation.
-    if (n > static_cast<std::uint64_t>(end - p) / 17) {
-      throw std::invalid_argument("Tag::from_binary: count exceeds buffer");
-    }
-    it.children.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      it.children.push_back(decode_item(p, end, depth + 1));
-    }
-  }
-  return it;
-}
-
 }  // namespace
 
 std::string Tag::to_string() const {
@@ -207,29 +145,6 @@ std::string Tag::to_string() const {
 Tag Tag::parse(std::string_view text) {
   Parser p(text);
   return Tag(p.parse_sequence(/*top_level=*/true));
-}
-
-std::vector<std::byte> Tag::to_binary() const {
-  std::vector<std::byte> out;
-  put_u64(out, items_.size());
-  for (const TagItem& it : items_) encode_item(out, it);
-  return out;
-}
-
-Tag Tag::from_binary(const std::byte* data, std::size_t len) {
-  const std::byte* p = data;
-  const std::byte* end = data + len;
-  const std::uint64_t n = get_u64(p, end);
-  if (n > static_cast<std::uint64_t>(end - p) / 17) {
-    throw std::invalid_argument("Tag::from_binary: count exceeds buffer");
-  }
-  std::vector<TagItem> items;
-  items.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    items.push_back(decode_item(p, end, 0));
-  }
-  if (p != end) throw std::invalid_argument("Tag::from_binary: trailing data");
-  return Tag(std::move(items));
 }
 
 std::uint64_t Tag::described_bytes() const {
@@ -370,14 +285,8 @@ Tag make_run_tag(std::uint32_t elem_size, std::uint64_t count,
 }
 
 void append_run_tag(std::string& out, std::uint32_t elem_size,
-                    std::uint64_t count, bool is_pointer, bool binary) {
-  const TagItem it = run_item(elem_size, count, is_pointer);
-  if (binary) {
-    put_u64(out, 1);  // item count, as Tag::to_binary writes it
-    encode_item(out, it);
-  } else {
-    append_item(out, it);
-  }
+                    std::uint64_t count, bool is_pointer) {
+  append_item(out, run_item(elem_size, count, is_pointer));
 }
 
 Tag concat(const std::vector<Tag>& tags) {

@@ -13,9 +13,9 @@
 // Tags serve two roles in the DSM: (1) a full-image tag describes a whole
 // GThV / thread-state image; (2) small per-update tags describe the element
 // runs shipped by MTh_unlock.  Homogeneity between two nodes is detected by
-// comparing tag strings for equality, exactly as in the paper; a binary tag
-// encoding is provided for the "less string work" ablation the paper's
-// future-work section speculates about.
+// comparing tag strings for equality, exactly as in the paper.  Tags travel
+// only in this text form: a binary encoding (the paper's §5 future work)
+// was measured slower than the text and removed.
 #pragma once
 
 #include <cstddef>
@@ -58,10 +58,6 @@ class Tag {
   /// Parse the text form; throws std::invalid_argument on malformed input.
   static Tag parse(std::string_view text);
 
-  /// Compact binary form (ablation: avoids sprintf/parse string work).
-  std::vector<std::byte> to_binary() const;
-  static Tag from_binary(const std::byte* data, std::size_t len);
-
   /// Total number of data bytes the tag describes (padding included).
   std::uint64_t described_bytes() const;
 
@@ -81,11 +77,11 @@ Tag make_run_tag(std::uint32_t elem_size, std::uint64_t count,
                  bool is_pointer);
 
 /// Append the tag of one update run to `out` — exactly the bytes of
-/// make_run_tag(elem_size, count, is_pointer).to_string(), or of its
-/// to_binary() when `binary` — without building a Tag.  The send side
-/// renders every run of a payload through this into one reused buffer.
+/// make_run_tag(elem_size, count, is_pointer).to_string() — without
+/// building a Tag.  The send side renders every run of a payload through
+/// this into one reused buffer.
 void append_run_tag(std::string& out, std::uint32_t elem_size,
-                    std::uint64_t count, bool is_pointer, bool binary);
+                    std::uint64_t count, bool is_pointer);
 
 /// Concatenate several run tags into one update tag.
 Tag concat(const std::vector<Tag>& tags);

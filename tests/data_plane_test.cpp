@@ -191,28 +191,23 @@ TEST(ZeroCopyPack, PayloadByteIdenticalToGoldenEncoding) {
   // pack_payload writes blocks straight into the wire buffer; pin its byte
   // form against the reference block codec: decoding the payload and
   // re-encoding the blocks must reproduce the exact same bytes.
-  for (const bool binary : {false, true}) {
-    dsm::SyncOptions opts;
-    opts.binary_tags = binary;
-    dsm::GlobalSpace g(small_gthv(), plat::solaris_sparc32());
-    dsm::ShareStats s1;
-    dsm::SyncEngine engine(g, opts, s1);
+  dsm::GlobalSpace g(small_gthv(), plat::solaris_sparc32());
+  dsm::ShareStats s1;
+  dsm::SyncEngine engine(g, {}, s1);
 
-    g.region().begin_tracking();
-    auto a = g.view<std::int32_t>("A");
-    for (int i = 0; i < 20; ++i) a.set(i * 3, i - 9);
-    g.view<double>("D").set(4, 0.125);
-    g.view<std::uint64_t>("GThP").set(0xbeef);
-    const auto runs = engine.collect_runs();
-    g.region().end_tracking();
-    ASSERT_FALSE(runs.empty());
+  g.region().begin_tracking();
+  auto a = g.view<std::int32_t>("A");
+  for (int i = 0; i < 20; ++i) a.set(i * 3, i - 9);
+  g.view<double>("D").set(4, 0.125);
+  g.view<std::uint64_t>("GThP").set(0xbeef);
+  const auto runs = engine.collect_runs();
+  g.region().end_tracking();
+  ASSERT_FALSE(runs.empty());
 
-    const std::vector<std::byte> wire = engine.pack_payload(runs);
-    const auto blocks = dsm::decode_update_blocks(wire);
-    EXPECT_EQ(blocks.size(), runs.size());
-    EXPECT_EQ(wire, dsm::encode_update_blocks(blocks))
-        << (binary ? "binary tags" : "ascii tags");
-  }
+  const std::vector<std::byte> wire = engine.pack_payload(runs);
+  const auto blocks = dsm::decode_update_blocks(wire);
+  EXPECT_EQ(blocks.size(), runs.size());
+  EXPECT_EQ(wire, dsm::encode_update_blocks(blocks));
 }
 
 TEST(ZeroCopyPack, Stride2RunsByteIdenticalToGoldenEncoding) {
@@ -221,41 +216,30 @@ TEST(ZeroCopyPack, Stride2RunsByteIdenticalToGoldenEncoding) {
   // of tags share the engine's render buffer; a second pack of the same
   // runs must reuse it and come out byte-identical.
   constexpr std::uint64_t kRuns = 4096;
-  for (const bool binary : {false, true}) {
-    dsm::SyncOptions opts;
-    opts.binary_tags = binary;
-    dsm::GlobalSpace g(
-        TypeDesc::struct_of(
-            "G", {{"D", TypeDesc::array(tags::t_double(), 2 * kRuns)}}),
-        plat::solaris_sparc32());
-    dsm::ShareStats s;
-    dsm::SyncEngine engine(g, opts, s);
+  dsm::GlobalSpace g(
+      TypeDesc::struct_of(
+          "G", {{"D", TypeDesc::array(tags::t_double(), 2 * kRuns)}}),
+      plat::solaris_sparc32());
+  dsm::ShareStats s;
+  dsm::SyncEngine engine(g, {}, s);
 
-    g.region().begin_tracking();
-    auto d = g.view<double>("D");
-    for (std::uint64_t i = 0; i < kRuns; ++i) d.set(2 * i, 0.5 + i);
-    const auto runs = engine.collect_runs();
-    g.region().end_tracking();
-    ASSERT_EQ(runs.size(), kRuns);
+  g.region().begin_tracking();
+  auto d = g.view<double>("D");
+  for (std::uint64_t i = 0; i < kRuns; ++i) d.set(2 * i, 0.5 + i);
+  const auto runs = engine.collect_runs();
+  g.region().end_tracking();
+  ASSERT_EQ(runs.size(), kRuns);
 
-    const std::vector<std::byte> wire = engine.pack_payload(runs);
-    const auto blocks = dsm::decode_update_blocks(wire);
-    ASSERT_EQ(blocks.size(), kRuns);
-    const std::vector<std::byte> bin =
-        tags::make_run_tag(8, 1, false).to_binary();
-    const std::string tag =
-        binary ? std::string(reinterpret_cast<const char*>(bin.data()),
-                             bin.size())
-               : "(8,1)";
-    for (std::uint64_t i = 0; i < kRuns; ++i) {
-      EXPECT_EQ(blocks[i].first_elem, 2 * i);
-      EXPECT_EQ(blocks[i].tag, tag);
-    }
-    EXPECT_EQ(wire, dsm::encode_update_blocks(blocks))
-        << (binary ? "binary tags" : "ascii tags");
-    EXPECT_EQ(engine.pack_payload(runs), wire);
-    EXPECT_EQ(s.tags_generated, 2 * kRuns);
+  const std::vector<std::byte> wire = engine.pack_payload(runs);
+  const auto blocks = dsm::decode_update_blocks(wire);
+  ASSERT_EQ(blocks.size(), kRuns);
+  for (std::uint64_t i = 0; i < kRuns; ++i) {
+    EXPECT_EQ(blocks[i].first_elem, 2 * i);
+    EXPECT_EQ(blocks[i].tag, "(8,1)");
   }
+  EXPECT_EQ(wire, dsm::encode_update_blocks(blocks));
+  EXPECT_EQ(engine.pack_payload(runs), wire);
+  EXPECT_EQ(s.tags_generated, 2 * kRuns);
 }
 
 // ---- multi-page collect and apply ------------------------------------------

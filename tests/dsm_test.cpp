@@ -179,21 +179,6 @@ TEST(SyncEngine, PackThenApplyHeterogeneous) {
   EXPECT_EQ(rs.updates_received, 2u);
 }
 
-TEST(SyncEngine, BinaryTagsOption) {
-  dsm::SyncOptions opts;
-  opts.binary_tags = true;
-  dsm::GlobalSpace sender(small_gthv(), plat::linux_ia32());
-  dsm::GlobalSpace receiver(small_gthv(), plat::linux_ia32());
-  dsm::ShareStats ss, rs;
-  dsm::SyncEngine se(sender, opts, ss), re(receiver, opts, rs);
-  sender.region().begin_tracking();
-  sender.view<std::int32_t>("A").set(1, 11);
-  const auto payload = se.collect_payload();
-  sender.region().end_tracking();
-  re.apply_payload(payload, msg::PlatformSummary::of(plat::linux_ia32()));
-  EXPECT_EQ(receiver.view<std::int32_t>("A").get(1), 11);
-}
-
 TEST(SyncEngine, MalformedBlocksRejected) {
   dsm::GlobalSpace receiver(small_gthv(), plat::linux_ia32());
   dsm::ShareStats rs;

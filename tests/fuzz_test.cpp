@@ -53,20 +53,6 @@ TEST(Fuzz, TagParseNeverCrashes) {
   }
 }
 
-TEST(Fuzz, TagFromBinaryNeverCrashes) {
-  std::mt19937_64 rng(102);
-  for (int iter = 0; iter < 3000; ++iter) {
-    const std::vector<std::byte> buf = random_bytes(rng, rng() % 128);
-    try {
-      (void)tags::Tag::from_binary(buf.data(), buf.size());
-    } catch (const std::invalid_argument&) {
-    } catch (const std::bad_alloc&) {
-      // huge bogus counts may provoke allocation failure paths
-    } catch (const std::length_error&) {
-    }
-  }
-}
-
 TEST(Fuzz, FrameDecoderRejectsGarbageStreams) {
   std::mt19937_64 rng(103);
   for (int iter = 0; iter < 1000; ++iter) {

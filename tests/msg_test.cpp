@@ -28,6 +28,12 @@ msg::Message sample_message() {
   return m;
 }
 
+std::vector<std::byte> bytes(std::initializer_list<int> values) {
+  std::vector<std::byte> out;
+  for (const int v : values) out.push_back(static_cast<std::byte>(v));
+  return out;
+}
+
 void expect_equal(const msg::Message& a, const msg::Message& b) {
   EXPECT_EQ(a.type, b.type);
   EXPECT_EQ(a.sync_id, b.sync_id);
@@ -111,16 +117,16 @@ TEST(Framing, BadTypeRejected) {
   EXPECT_EQ(static_cast<int>(msg::MsgType::ReplAck), 19);
 }
 
-TEST(Framing, FrameHeaderCarriesEpochAndAux) {
-  // map_epoch and aux ride the 40-byte frame header (docs/PROTOCOL.md §1)
-  // and must survive an encode/decode round trip bit-exactly.
+TEST(Framing, FrameHeaderCarriesAux) {
+  // aux rides the 32-byte frame header (docs/PROTOCOL.md §1) and must
+  // survive an encode/decode round trip bit-exactly.
   msg::Message m = sample_message();
   m.type = msg::MsgType::LockGrant;
   m.seq = 17;
-  m.map_epoch = 0x01020304u;
   m.aux = 0xa5a50f0fu;
   const std::vector<std::byte> frame = msg::encode_frame(m);
-  EXPECT_EQ(frame.size(), 40 + m.tag.size() + m.payload.size());
+  EXPECT_EQ(frame.size(), 32 + m.tag.size() + m.payload.size());
+  EXPECT_EQ(m.wire_size(), frame.size());
   msg::FrameDecoder dec;
   dec.feed(frame.data(), frame.size());
   msg::Message out;
@@ -128,8 +134,98 @@ TEST(Framing, FrameHeaderCarriesEpochAndAux) {
   EXPECT_EQ(out.type, msg::MsgType::LockGrant);
   EXPECT_EQ(out.seq, 17u);
   EXPECT_EQ(out.sync_id, 3u);
-  EXPECT_EQ(out.map_epoch, 0x01020304u);
   EXPECT_EQ(out.aux, 0xa5a50f0fu);
+}
+
+TEST(Framing, GoldenHeaderBytes) {
+  // The exact header docs/PROTOCOL.md §1 specifies, byte for byte.
+  msg::Message m;
+  m.type = msg::MsgType::LockGrant;
+  m.sender.endian = plat::Endian::Big;
+  m.sender.long_double_format = plat::LongDoubleFormat::X87Extended;
+  m.sync_id = 0x01020304u;
+  m.rank = 0x05060708u;
+  m.seq = 0x090a0b0cu;
+  m.aux = 0x0d0e0f10u;
+  m.tag = "(4,1)";
+  m.payload = {std::byte{0xaa}, std::byte{0xbb}, std::byte{0xcc}};
+  const std::vector<std::byte> frame = msg::encode_frame(m);
+  const std::vector<std::byte> golden = bytes({
+      0x48, 0x44, 0x53, 0x4d,  // magic "HDSM"
+      0x03, 0x01, 0x01, 0x02,  // type, endian, ld format, version
+      0x01, 0x02, 0x03, 0x04,  // sync_id
+      0x05, 0x06, 0x07, 0x08,  // rank
+      0x09, 0x0a, 0x0b, 0x0c,  // seq
+      0x0d, 0x0e, 0x0f, 0x10,  // aux
+      0x00, 0x00, 0x00, 0x05,  // tag length
+      0x00, 0x00, 0x00, 0x03,  // payload length
+      '(', '4', ',', '1', ')', 0xaa, 0xbb, 0xcc});
+  EXPECT_EQ(frame, golden);
+}
+
+TEST(Framing, OlderFrameVersionRefused) {
+  // A well-formed frame of the 40-byte layout (byte 7 = 0, a u32
+  // shard-map epoch word, a u64 payload length) must be refused, not
+  // misparsed.
+  const std::vector<std::byte> old = bytes({
+      0x48, 0x44, 0x53, 0x4d, 0x02, 0x00, 0x00, 0x00,  // LockRequest, v0
+      0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02,  // sync_id, rank
+      0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01,  // seq, epoch word
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // aux, tag length
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00});  // payload length
+  msg::FrameDecoder dec;
+  dec.feed(old.data(), old.size());
+  msg::Message out;
+  EXPECT_THROW(dec.next(out), std::runtime_error);
+}
+
+TEST(Framing, HostileLengthsNeverReadPastTheBuffer) {
+  // A peer controls both length fields.  Whatever they claim, the decoder
+  // must refuse the frame (std::runtime_error) or wait for more bytes —
+  // never wrap the frame size and read past the 40 bytes it was fed.
+  const auto expect_refused_or_pending = [](const std::vector<std::byte>& b) {
+    msg::FrameDecoder dec;
+    dec.feed(b.data(), b.size());
+    msg::Message out;
+    try {
+      EXPECT_FALSE(dec.next(out));
+    } catch (const std::runtime_error&) {
+    }
+  };
+  const std::vector<std::byte> head = bytes({
+      0x48, 0x44, 0x53, 0x4d, 0x02, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00});
+  const auto frame = [&head](std::initializer_list<int> tail) {
+    std::vector<std::byte> f = head;
+    const std::vector<std::byte> t = bytes(tail);
+    f.insert(f.end(), t.begin(), t.end());
+    return f;
+  };
+  // The 40-byte layout: tag length 1000 and payload length 2^64 - 1000
+  // sum to 40 modulo 2^64; tag length 0 and payload length 2^64 - 1 ask
+  // for a frame no vector can hold.
+  expect_refused_or_pending(frame({0x00, 0x00, 0x00, 0x00,
+                                   0x00, 0x00, 0x03, 0xe8,
+                                   0xff, 0xff, 0xff, 0xff,
+                                   0xff, 0xff, 0xfc, 0x18}));
+  expect_refused_or_pending(frame({0x00, 0x00, 0x00, 0x00,
+                                   0x00, 0x00, 0x00, 0x00,
+                                   0xff, 0xff, 0xff, 0xff,
+                                   0xff, 0xff, 0xff, 0xff}));
+  // The 32-byte layout (version 2): u32 tag length 2^32 - 1 and payload
+  // length 1000, followed by tag bytes that the 40-byte layout would read
+  // as the wrapping u64 payload length above; then both lengths maximal.
+  std::vector<std::byte> v2 = frame({0xff, 0xff, 0xff, 0xff,
+                                     0x00, 0x00, 0x03, 0xe8,
+                                     0xff, 0xff, 0xff, 0xff,
+                                     0xff, 0xff, 0xfc, 0x18});
+  v2[7] = std::byte{2};
+  expect_refused_or_pending(v2);
+  v2 = frame({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+              0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00});
+  v2[7] = std::byte{2};
+  expect_refused_or_pending(v2);
 }
 
 TEST(Framing, EmptyTagAndPayload) {

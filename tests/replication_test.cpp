@@ -5,6 +5,7 @@
 // handover-window cases live in sharded_fault_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -87,12 +88,7 @@ TEST(ReplicationCodec, MalformedRecordsThrow) {
   dsm::LogRecord r;
   r.kind = dsm::LogRecord::Kind::SetBarrierCount;
   std::vector<std::byte> wire = dsm::encode_record(r);
-  // A nonzero reserved word: a record a multi-shard primary addressed to
-  // shard 1.
-  std::vector<std::byte> sharded = wire;
-  ASSERT_EQ(sharded.size(), 13u);
-  sharded[4] = std::byte{1};
-  EXPECT_THROW(dsm::decode_record(sharded), std::runtime_error);
+  ASSERT_EQ(wire.size(), 9u);  // kind, index, value
   wire.pop_back();
   EXPECT_THROW(dsm::decode_record(wire), std::runtime_error);
   // Trailing garbage.
@@ -105,9 +101,43 @@ TEST(ReplicationCodec, MalformedRecordsThrow) {
   ev.event = dsm::CoherenceEvent::peer_detached(1);
   wire = dsm::encode_record(ev);
   EXPECT_NO_THROW(dsm::decode_record(wire));
-  // The event kind follows the record kind byte and the reserved word.
-  ASSERT_EQ(wire[5], std::byte{5});
-  wire[5] = std::byte{6};
+  // The event kind follows the record kind byte.
+  ASSERT_EQ(wire[1], std::byte{5});
+  wire[1] = std::byte{6};
+  EXPECT_THROW(dsm::decode_record(wire), std::runtime_error);
+}
+
+TEST(ReplicationCodec, EmbeddedFrameMustFillItsLength) {
+  // A received message rides the record as [u64 frame length][frame].  A
+  // length that claims more bytes than the frame uses is malformed: the
+  // slack would be silently skipped.
+  dsm::LogRecord r;
+  r.kind = dsm::LogRecord::Kind::Event;
+  msg::Message m;
+  m.type = msg::MsgType::LockRequest;
+  m.rank = 3;
+  m.tag = "(4,1)";
+  r.event = dsm::CoherenceEvent::msg_received(3, std::move(m));
+  std::vector<std::byte> wire = dsm::encode_record(r);
+  EXPECT_NO_THROW(dsm::decode_record(wire));
+
+  // Find the frame by its magic; its length is the u64 just before it.
+  const std::byte magic[] = {std::byte{'H'}, std::byte{'D'}, std::byte{'S'},
+                             std::byte{'M'}};
+  const auto at = std::search(wire.begin(), wire.end(), std::begin(magic),
+                              std::end(magic));
+  ASSERT_NE(at, wire.end());
+  const std::size_t frame_pos = static_cast<std::size_t>(at - wire.begin());
+  ASSERT_GE(frame_pos, 8u);
+  std::uint64_t frame_len = 0;
+  for (std::size_t i = frame_pos - 8; i < frame_pos; ++i) {
+    frame_len = (frame_len << 8) | std::to_integer<std::uint64_t>(wire[i]);
+  }
+  ASSERT_LT(frame_len, 256u);
+  // One byte of slack after the frame, counted in its length.
+  wire[frame_pos - 1] = static_cast<std::byte>(frame_len + 1);
+  wire.insert(wire.begin() + static_cast<std::ptrdiff_t>(frame_pos + frame_len),
+              std::byte{0});
   EXPECT_THROW(dsm::decode_record(wire), std::runtime_error);
 }
 

@@ -180,19 +180,15 @@ TEST(DsdEndToEnd, EveryScalarCategoryCrossesTheBoundary) {
 }
 
 TEST(Options, MatmulCorrectUnderEveryOptionCombination) {
-  for (const bool binary_tags : {false, true}) {
-    for (const bool bulk_swap : {false, true}) {
-      for (const bool coalesce : {false, true}) {
-        dsm::ShardedHomeOptions opts;
-        opts.dsd.binary_tags = binary_tags;
-        opts.dsd.bulk_swap_fastpath = bulk_swap;
-        opts.dsd.coalesce_runs = coalesce;
-        const auto r =
-            work::run_matmul_experiment(work::paper_pairs()[2], 12, opts);
-        EXPECT_TRUE(r.verified)
-            << "binary=" << binary_tags << " bulk=" << bulk_swap
-            << " coalesce=" << coalesce;
-      }
+  for (const bool bulk_swap : {false, true}) {
+    for (const bool coalesce : {false, true}) {
+      dsm::ShardedHomeOptions opts;
+      opts.dsd.bulk_swap_fastpath = bulk_swap;
+      opts.dsd.coalesce_runs = coalesce;
+      const auto r =
+          work::run_matmul_experiment(work::paper_pairs()[2], 12, opts);
+      EXPECT_TRUE(r.verified) << "bulk=" << bulk_swap
+                              << " coalesce=" << coalesce;
     }
   }
 }

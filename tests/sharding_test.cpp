@@ -131,8 +131,7 @@ class RecordingEndpoint final : public msg::Endpoint {
 TEST(ShardedHome, OneShardBehavesLikeSingleHome) {
   // One directory is the paper's single home node: one session per
   // remote and no directory state on the wire — every frame a remote
-  // receives carries aux == 0 and map_epoch == 1 (msg::kMapEpoch), the
-  // bytes the retired multi-shard home sent with one shard.  The classic
+  // receives carries aux == 0 behind the bare 32-byte header.  The classic
   // DSD protocol converges to the same image.
   dsm::TraceLog log;
   dsm::ShardedHomeOptions opts;
@@ -161,7 +160,8 @@ TEST(ShardedHome, OneShardBehavesLikeSingleHome) {
   std::size_t grants = 0;
   for (const msg::Message& m : received.frames) {
     EXPECT_EQ(m.aux, 0u) << msg::msg_type_name(m.type) << " #" << m.seq;
-    EXPECT_EQ(m.map_epoch, 1u) << msg::msg_type_name(m.type) << " #" << m.seq;
+    EXPECT_EQ(m.wire_size(), 32 + m.tag.size() + m.payload.size())
+        << msg::msg_type_name(m.type) << " #" << m.seq;
     grants += m.type == msg::MsgType::LockGrant;
   }
   // Every lock, barrier, and join was answered through the recorder.

@@ -263,16 +263,6 @@ TEST(Tag, ParseRoundTripProperty) {
   }
 }
 
-TEST(Tag, BinaryRoundTripProperty) {
-  std::mt19937_64 rng(777);
-  for (int iter = 0; iter < 300; ++iter) {
-    const tags::TypePtr t = hdsm::test::random_type(rng);
-    const tags::Tag tag = tags::make_tag(*t, plat::linux_ia32());
-    const std::vector<std::byte> bin = tag.to_binary();
-    EXPECT_EQ(tags::Tag::from_binary(bin.data(), bin.size()), tag);
-  }
-}
-
 TEST(Tag, ParseRejectsMalformedInput) {
   EXPECT_THROW(tags::Tag::parse("(4,1"), std::invalid_argument);
   EXPECT_THROW(tags::Tag::parse("(4;1)"), std::invalid_argument);
@@ -284,11 +274,6 @@ TEST(Tag, ParseRejectsMalformedInput) {
   EXPECT_NO_THROW(tags::Tag::parse("(0,0)"));
 }
 
-TEST(Tag, FromBinaryRejectsGarbage) {
-  const std::byte junk[3] = {std::byte{9}, std::byte{9}, std::byte{9}};
-  EXPECT_THROW(tags::Tag::from_binary(junk, 3), std::invalid_argument);
-}
-
 TEST(Tag, RunTags) {
   EXPECT_EQ(tags::make_run_tag(4, 120, false).to_string(), "(4,120)");
   EXPECT_EQ(tags::make_run_tag(8, 3, true).to_string(), "(8,-3)");
@@ -296,29 +281,22 @@ TEST(Tag, RunTags) {
 
 TEST(Tag, AppendRunTagMatchesMakeRunTag) {
   // The send side renders run tags straight into a shared buffer; its bytes
-  // must be exactly what the Tag object path produces, in both encodings,
-  // across every digit-count boundary of the count.
+  // must be exactly what the Tag object path produces, across every
+  // digit-count boundary of the count.
   constexpr std::uint64_t kCounts[] = {
       1, 9, 10, 99, 100, (1ull << 32) - 1, 1ull << 32, UINT64_MAX};
   for (const std::uint32_t size : {1u, 2u, 4u, 8u, 12u, 16u}) {
     for (const std::uint64_t count : kCounts) {
       for (const bool pointer : {false, true}) {
         const tags::Tag tag = tags::make_run_tag(size, count, pointer);
-        const std::vector<std::byte> bin = tag.to_binary();
         std::string text = "prefix";
-        tags::append_run_tag(text, size, count, pointer, /*binary=*/false);
+        tags::append_run_tag(text, size, count, pointer);
         EXPECT_EQ(text, "prefix" + tag.to_string());
-        std::string binary = "prefix";
-        tags::append_run_tag(binary, size, count, pointer, /*binary=*/true);
-        EXPECT_EQ(binary,
-                  "prefix" + std::string(reinterpret_cast<const char*>(
-                                             bin.data()),
-                                         bin.size()));
       }
     }
   }
   std::string max;
-  tags::append_run_tag(max, 16, UINT64_MAX, true, false);
+  tags::append_run_tag(max, 16, UINT64_MAX, true);
   EXPECT_EQ(max, "(16,-18446744073709551615)");
 }
 

@@ -336,10 +336,9 @@ TEST(Validator, StrategySwitchRequiresAProbeSample) {
 TEST(Validator, ProbeThenDecisionsOfTheSameEpisodeValidate) {
   const auto events = make_events({{Kind::ProbeSampled, 1, 7},
                                    {Kind::StrategySwitched, 1, 7},
-                                   {Kind::LanesRetuned, 1, 7},
                                    {Kind::RunsCoalesced, 1, 7},
                                    {Kind::ProbeSampled, 1, 8},
-                                   {Kind::LanesRetuned, 1, 8}});
+                                   {Kind::RunsCoalesced, 1, 8}});
   const auto err = dsm::validate_trace(events);
   EXPECT_FALSE(err.has_value()) << *err;
 }
