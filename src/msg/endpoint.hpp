@@ -29,9 +29,6 @@ struct ReactorHook {
   /// True when arrival/close is signaled by invoking the `on_ready`
   /// callback passed to reactor_hook() instead of via the fd.
   bool uses_callback = false;
-  /// True when the reactor must call service() periodically (fault
-  /// decorators flush time-bounded holdbacks there).
-  bool needs_service = false;
 
   bool reactor_capable() const noexcept { return fd >= 0 || uses_callback; }
 };
@@ -55,8 +52,8 @@ class Endpoint {
 
   // -- Reactor integration (reactor.hpp).  An endpoint joins a reactor at
   //    most once; from then on the reactor's io thread is the only caller
-  //    of try_recv/send_some/flush_writes/service on it.  close() may still
-  //    race in from any thread, exactly as with the blocking API. --
+  //    of try_recv/send_some/flush_writes on it.  close() may still race
+  //    in from any thread, exactly as with the blocking API. --
 
   /// Prepare for reactor service and describe how readiness is signaled.
   /// `on_ready` must be cheap, non-blocking, and safe to invoke from any
@@ -88,9 +85,6 @@ class Endpoint {
   virtual bool wants_write() const { return false; }
   /// Push buffered write bytes; true = fully drained.
   virtual bool flush_writes() { return true; }
-  /// Periodic maintenance when the hook sets needs_service (e.g. flushing
-  /// expired reorder holdbacks).  Must not block.
-  virtual void service() {}
 };
 
 using EndpointPtr = std::unique_ptr<Endpoint>;

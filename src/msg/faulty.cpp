@@ -4,7 +4,6 @@
 #include <chrono>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <random>
 #include <thread>
 
@@ -67,9 +66,7 @@ class FaultyEndpointImpl final : public FaultyEndpoint {
         }
         if (d.reorder && opts_.send.reorder_window > 0) {
           bump([](FaultCounters& c) { ++c.reordered; });
-          held_.push_back({wire, 0,
-                           std::chrono::steady_clock::now() +
-                               opts_.send.reorder_hold_ms});
+          held_.push_back({wire, 0});
         } else {
           inner_->send(wire);
           if (d.duplicate) {
@@ -88,19 +85,26 @@ class FaultyEndpointImpl final : public FaultyEndpoint {
   }
 
   Message recv() override {
-    for (;;) {
-      Message m;
-      if (recv_step(m, nullptr)) return m;
-    }
+    Message m;
+    receive(m, [this](Message& in) {
+      in = inner_->recv();
+      return true;
+    });
+    return m;
   }
 
   bool recv_for(Message& out, std::chrono::milliseconds timeout) override {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
-    for (;;) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) return false;
-      if (recv_step(out, &deadline)) return true;
-    }
+    return receive(out, [this, deadline](Message& in) {
+      const auto left = deadline - std::chrono::steady_clock::now();
+      return left > left.zero() &&
+             inner_->recv_for(
+                 in, std::chrono::ceil<std::chrono::milliseconds>(left));
+    });
+  }
+
+  bool try_recv(Message& out) override {
+    return receive(out, [this](Message& in) { return inner_->try_recv(in); });
   }
 
   void close() override {
@@ -117,67 +121,9 @@ class FaultyEndpointImpl final : public FaultyEndpoint {
     inner_->close();
   }
 
-  // -- reactor mode ----------------------------------------------------------
-
-  /// Delegate readiness to the wrapped transport, but ask for periodic
-  /// service(): with no blocking recv to piggyback on, expired reorder
-  /// holdbacks need the reactor's timer tick to flush.
   ReactorHook reactor_hook(std::function<void()> on_ready) override {
-    ReactorHook hook = inner_->reactor_hook(std::move(on_ready));
-    hook.needs_service = true;
-    return hook;
+    return inner_->reactor_hook(std::move(on_ready));
   }
-
-  /// Nonblocking recv_step: same fault schedule and draw order as the
-  /// blocking path, pulling from the inner endpoint's try_recv.
-  bool try_recv(Message& out) override {
-    std::unique_lock<std::mutex> lock(recv_mutex_);
-    for (;;) {
-      if (!pending_.empty()) {
-        out = std::move(pending_.front());
-        pending_.pop_front();
-        return true;
-      }
-      maybe_reset(opts_.recv, recv_ops_);
-      flush_expired();
-      Message m;
-      if (!inner_->try_recv(m)) return false;
-      ++recv_ops_;
-      const Draws d = draw(recv_rng_, opts_.recv);
-      if (!kind_eligible(opts_.recv, m.type)) {
-        out = std::move(m);
-        return true;
-      }
-      if (d.drop) {
-        bump([](FaultCounters& c) { ++c.dropped; });
-        continue;  // the bytes vanished; see if another frame is decodable
-      }
-      if (d.delay) {
-        bump([](FaultCounters& c) { ++c.delayed; });
-        std::this_thread::sleep_for(opts_.recv.delay_ms);
-      }
-      Message mangled;
-      if (corrupt_message(m, opts_.recv, corrupt_recv_rng_, mangled)) {
-        m = std::move(mangled);
-      }
-      if (d.duplicate) {
-        bump([](FaultCounters& c) { ++c.duplicated; });
-        pending_.push_back(m);
-      }
-      out = std::move(m);
-      return true;
-    }
-  }
-
-  std::size_t send_some(const Message* msgs, std::size_t n) override {
-    // Per-message send() keeps the fault schedule identical to the
-    // blocking shell: every frame gets its own drop/dup/delay/reorder
-    // draws and its own reset check.
-    for (std::size_t i = 0; i < n; ++i) send(msgs[i]);
-    return n;
-  }
-
-  void service() override { flush_expired(); }
 
   std::uint64_t bytes_sent() const override { return inner_->bytes_sent(); }
   std::uint64_t bytes_received() const override {
@@ -195,8 +141,6 @@ class FaultyEndpointImpl final : public FaultyEndpoint {
   struct Held {
     Message m;
     std::uint32_t age;
-    /// Force-flush time: a held message may not outlive reorder_hold_ms.
-    std::chrono::steady_clock::time_point expiry;
   };
 
   template <typename Fn>
@@ -238,84 +182,49 @@ class FaultyEndpointImpl final : public FaultyEndpoint {
   }
 
   void flush_aged() {
-    const auto now = std::chrono::steady_clock::now();
-    while (!held_.empty() && (held_.front().age >= opts_.send.reorder_window ||
-                              now >= held_.front().expiry)) {
+    while (!held_.empty() && held_.front().age >= opts_.send.reorder_window) {
       inner_->send(held_.front().m);
       held_.pop_front();
     }
   }
 
-  /// Flush holdback entries past their time bound and report the next
-  /// expiry (entries are FIFO with a uniform hold, so the front expires
-  /// first).  Called from the recv path: a held message may be the very
-  /// request whose reply the caller is waiting for.
-  std::optional<std::chrono::steady_clock::time_point> flush_expired() {
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    const auto now = std::chrono::steady_clock::now();
-    while (!held_.empty() && now >= held_.front().expiry) {
-      inner_->send(held_.front().m);
-      held_.pop_front();
-    }
-    if (held_.empty()) return std::nullopt;
-    return held_.front().expiry;
-  }
-
-  /// One receive attempt: pops a pending duplicate or pulls from the inner
-  /// endpoint (bounded by `deadline` if given).  Returns false when the
-  /// pulled message was dropped (caller loops) or the wait timed out at the
-  /// inner layer (caller re-checks the deadline).
-  bool recv_step(Message& out,
-                 const std::chrono::steady_clock::time_point* deadline) {
-    std::unique_lock<std::mutex> lock(recv_mutex_);
-    if (!pending_.empty()) {
-      out = std::move(pending_.front());
-      pending_.pop_front();
-      return true;
-    }
-    maybe_reset(opts_.recv, recv_ops_);
-    // Release any expired send-holdback entries and bound the wait below
-    // to the next expiry: the held message may be the request whose reply
-    // this recv is waiting for, and nothing else would flush it.
-    const auto hold = flush_expired();
-    Message m;
-    if (deadline == nullptr && !hold.has_value()) {
-      m = inner_->recv();
-    } else {
-      const auto now = std::chrono::steady_clock::now();
-      if (deadline != nullptr && now >= *deadline) return false;
-      auto until = deadline != nullptr ? *deadline : now + std::chrono::hours(1);
-      if (hold.has_value() && *hold < until) until = *hold;
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          until - now);
-      if (!inner_->recv_for(m, std::max(left, std::chrono::milliseconds(1)))) {
-        return false;  // timed out: the caller loops, re-checking both bounds
+  /// The receive-direction schedule, shared by recv, recv_for and try_recv:
+  /// a pending duplicate goes first, then messages pulled by `pull` (false
+  /// = nothing arrived in time) are drawn against in the order drop,
+  /// delay, corrupt, duplicate until one survives.  Returns false only
+  /// when `pull` does.
+  template <typename Pull>
+  bool receive(Message& out, Pull pull) {
+    std::lock_guard<std::mutex> lock(recv_mutex_);
+    for (;;) {
+      if (!pending_.empty()) {
+        out = std::move(pending_.front());
+        pending_.pop_front();
+        return true;
       }
-    }
-    ++recv_ops_;
-    const Draws d = draw(recv_rng_, opts_.recv);
-    if (!kind_eligible(opts_.recv, m.type)) {
-      out = std::move(m);
+      maybe_reset(opts_.recv, recv_ops_);
+      if (!pull(out)) return false;
+      ++recv_ops_;
+      const Draws d = draw(recv_rng_, opts_.recv);
+      if (!kind_eligible(opts_.recv, out.type)) return true;
+      if (d.drop) {
+        bump([](FaultCounters& c) { ++c.dropped; });
+        continue;  // the bytes vanished; pull the next frame
+      }
+      if (d.delay) {
+        bump([](FaultCounters& c) { ++c.delayed; });
+        std::this_thread::sleep_for(opts_.recv.delay_ms);
+      }
+      Message mangled;
+      if (corrupt_message(out, opts_.recv, corrupt_recv_rng_, mangled)) {
+        out = std::move(mangled);
+      }
+      if (d.duplicate) {
+        bump([](FaultCounters& c) { ++c.duplicated; });
+        pending_.push_back(out);
+      }
       return true;
     }
-    if (d.drop) {
-      bump([](FaultCounters& c) { ++c.dropped; });
-      return false;
-    }
-    if (d.delay) {
-      bump([](FaultCounters& c) { ++c.delayed; });
-      std::this_thread::sleep_for(opts_.recv.delay_ms);
-    }
-    Message mangled;
-    if (corrupt_message(m, opts_.recv, corrupt_recv_rng_, mangled)) {
-      m = std::move(mangled);
-    }
-    if (d.duplicate) {
-      bump([](FaultCounters& c) { ++c.duplicated; });
-      pending_.push_back(m);
-    }
-    out = std::move(m);
-    return true;
   }
 
   EndpointPtr inner_;

@@ -34,16 +34,14 @@ struct FaultSpec {
   double delay = 0.0;      ///< P(message delayed by `delay_ms`)
   std::chrono::milliseconds delay_ms{5};
   /// P(message held back and delivered after up to `reorder_window` later
-  /// messages) — send direction only; the recv path stays FIFO.
+  /// messages) — send direction only; the recv path stays FIFO.  A held
+  /// message leaves once later sends have aged it by `reorder_window`, or
+  /// at close(); no clock is involved, so the schedule depends only on the
+  /// seed and the message order.  The DSD protocol stays live under it:
+  /// every request is retransmitted until answered and every reply is
+  /// re-sent with it, so a held message is always followed by more sends.
   double reorder = 0.0;
   std::uint32_t reorder_window = 2;
-  /// Ceiling on how long a reordered message may sit in the holdback: an
-  /// entry older than this is force-flushed by the next send(), by any
-  /// recv()/recv_for() attempt on this wrapper (whose wait is bounded to
-  /// the next expiry), or by close() — so held traffic is delivered even
-  /// when it is the last message in its direction and the caller never
-  /// retransmits.
-  std::chrono::milliseconds reorder_hold_ms{50};
   /// Reset the connection after this many messages have passed through this
   /// direction (0 = never): the Nth+1 operation throws ChannelClosed and
   /// closes the inner endpoint, so the peer observes EOF.

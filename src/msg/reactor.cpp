@@ -22,9 +22,6 @@ namespace hdsm::msg {
 
 namespace {
 
-/// Cadence of Endpoint::service() for hooks that request it.
-constexpr std::chrono::milliseconds kServiceInterval{5};
-
 /// How long an idle io thread polls its work flag before it parks in
 /// epoll_wait.  Short on purpose: a spinning thread takes the TLB-shootdown
 /// IPIs of every remote write fault, so a longer spin slows page-mode
@@ -133,7 +130,6 @@ struct Reactor::Impl {
 
   // -- io-thread-local --
   std::unordered_map<PeerId, std::shared_ptr<Peer>> peers_;
-  std::vector<std::shared_ptr<Peer>> service_;  ///< needs_service hooks
   /// Retired peers whose on_peer_closed is still to run.  Closed events
   /// are deferred to the top of the loop: retire_peer may run inside a
   /// handler (a reply that trips the backpressure bound), and the handler
@@ -526,7 +522,6 @@ struct Reactor::Impl {
       p->registered = true;
       ++fd_peers_;
     }
-    if (p->hook.needs_service) service_.push_back(p);
     drain_peer(p);  // anything that arrived before the install
   }
 
@@ -560,23 +555,6 @@ struct Reactor::Impl {
     cmds.clear();
   }
 
-  /// Periodic endpoint maintenance (fault holdback flushes).
-  void run_service() {
-    std::vector<std::shared_ptr<Peer>> keep;
-    for (const auto& p : service_) {
-      if (p->closed) continue;
-      try {
-        p->ep->service();
-      } catch (const std::exception&) {
-        retire_peer(p);
-        continue;
-      }
-      drain_peer(p);
-      keep.push_back(p);
-    }
-    service_ = std::move(keep);
-  }
-
   void settle_flush_waiters() {
     for (auto& t : flush_waiters_) {
       std::lock_guard<std::mutex> lk(t->mu);
@@ -586,22 +564,11 @@ struct Reactor::Impl {
     flush_waiters_.clear();
   }
 
-  int compute_timeout(std::chrono::steady_clock::time_point next_service) {
-    if (stop_.load(std::memory_order_acquire) || !closed_backlog_.empty() ||
-        !flush_waiters_.empty()) {
-      return 0;
-    }
-    // Only take a clock reading when service is actually pending: every
-    // instruction between the last reply and re-blocking delays the next
-    // request, and the common happy-path iteration has no service hooks.
-    if (service_.empty()) return -1;
-    const auto now = std::chrono::steady_clock::now();
-    if (next_service <= now) return 0;
-    return static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(next_service -
-                                                              now)
-            .count() +
-        1);
+  /// The loop polls instead of parking while it is stopping or still owes
+  /// a closed event or a flush settlement; otherwise it parks until woken.
+  bool must_poll() const {
+    return stop_.load(std::memory_order_acquire) ||
+           !closed_backlog_.empty() || !flush_waiters_.empty();
   }
 
   /// Spin, then park.  True when work was posted within the spin budget or
@@ -627,17 +594,15 @@ struct Reactor::Impl {
     tl_self = this;
     std::vector<std::shared_ptr<Peer>> local_ready;
     std::vector<Command> cmds;
-    auto next_service = std::chrono::steady_clock::now() + kServiceInterval;
     for (;;) {
-      const int timeout = compute_timeout(next_service);
-      const bool park = timeout != 0 && !await_work();
+      const bool park = !must_poll() && !await_work();
       std::array<epoll_event, 64> events;
       int ne = 0;
       // With no fd peers the epoll set holds only the wake eventfd, which
       // has nothing to report unless the thread parked.
       if (park || fd_peers_ != 0) {
         ne = ::epoll_wait(epfd_, events.data(),
-                          static_cast<int>(events.size()), park ? timeout : 0);
+                          static_cast<int>(events.size()), park ? -1 : 0);
       }
       if (park) {
         signal_->parked.store(false, std::memory_order_relaxed);
@@ -679,13 +644,6 @@ struct Reactor::Impl {
         local_ready.clear();
         // Top level of the loop — safe to run on_peer_closed directly.
         deliver_closed();
-        if (!service_.empty()) {
-          const auto now = std::chrono::steady_clock::now();
-          if (now >= next_service) {
-            next_service = now + kServiceInterval;
-            run_service();
-          }
-        }
         flush_queued();
         // A write failure above retires its peer; the barrier then waits a
         // (zero-timeout) iteration for that closed event to deliver.

@@ -50,16 +50,11 @@ class ThrottledEndpoint final : public Endpoint {
   ReactorHook reactor_hook(std::function<void()> on_ready) override {
     return inner_->reactor_hook(std::move(on_ready));
   }
+  // send_some keeps Endpoint's per-message send() loop, so the modeled link
+  // clock stays exact: the reactor's coalescing does not beat the cap.
   bool try_recv(Message& out) override { return inner_->try_recv(out); }
-  std::size_t send_some(const Message* msgs, std::size_t n) override {
-    // Per-message send() keeps the modeled link clock exact; the reactor's
-    // coalescing does not beat the bandwidth cap.
-    for (std::size_t i = 0; i < n; ++i) send(msgs[i]);
-    return n;
-  }
   bool wants_write() const override { return inner_->wants_write(); }
   bool flush_writes() override { return inner_->flush_writes(); }
-  void service() override { inner_->service(); }
 
  private:
   EndpointPtr inner_;

@@ -66,27 +66,6 @@ std::optional<MigrationDecision> AdaptationPolicy::decide(
   return MigrationDecision{slot, src, dst};
 }
 
-std::vector<MigrationDecision> AdaptationPolicy::rebalance(
-    mig::RoleTracker& roles, const LoadModel& model,
-    std::size_t max_moves) const {
-  // Compute the load vector once; every migration moves exactly one
-  // computing thread, so only two entries change per iteration.
-  std::vector<double> loads(roles.num_nodes());
-  for (std::size_t n = 0; n < roles.num_nodes(); ++n) {
-    loads[n] = model(roles, n);
-  }
-  std::vector<MigrationDecision> taken;
-  for (std::size_t i = 0; i < max_moves; ++i) {
-    const std::optional<MigrationDecision> d = decide(roles, loads);
-    if (!d) break;
-    roles.migrate(d->slot, d->src, d->dst);
-    loads[d->src] -= model.per_thread_cost();
-    loads[d->dst] += model.per_thread_cost();
-    taken.push_back(*d);
-  }
-  return taken;
-}
-
 void LoadModel::set_external(std::size_t node, double load) {
   external_.at(node) = load;
 }

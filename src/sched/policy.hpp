@@ -20,15 +20,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "dsm/stats.hpp"
 #include "mig/roles.hpp"
 
 namespace hdsm::sched {
-
-class LoadModel;
 
 struct PolicyConfig {
   /// A node whose load exceeds this is a migration source.
@@ -65,12 +62,10 @@ class AdaptationPolicy {
 
   /// Apply decide() repeatedly (each application updates the role map and
   /// re-estimates load via `load_of_node`) until balanced or `max_moves`
-  /// reached.  Returns the decisions taken, in order.  An arbitrary load
-  /// functor is opaque, so each iteration re-evaluates every node; pass a
-  /// LoadModel to get the incremental overload below instead.
-  template <typename LoadFn,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<LoadFn>, LoadModel>>>
+  /// reached.  Returns the decisions taken, in order.  `load_of_node` is
+  /// any `(roles, node) -> double`, a LoadModel included; each iteration
+  /// re-evaluates every node.
+  template <typename LoadFn>
   std::vector<MigrationDecision> rebalance(mig::RoleTracker& roles,
                                            LoadFn&& load_of_node,
                                            std::size_t max_moves = 16) const {
@@ -87,15 +82,6 @@ class AdaptationPolicy {
     }
     return taken;
   }
-
-  /// LoadModel-aware rebalance: the load vector is computed once, then
-  /// adjusted incrementally — a migration moves exactly one computing
-  /// thread, so only the source and destination shift (by the model's
-  /// per-thread cost).  Works with synthetic external loads and with
-  /// measured loads fed in via LoadModel::set_measured.
-  std::vector<MigrationDecision> rebalance(mig::RoleTracker& roles,
-                                           const LoadModel& model,
-                                           std::size_t max_moves = 16) const;
 
  private:
   PolicyConfig cfg_;
@@ -129,9 +115,6 @@ class LoadModel {
                     std::uint64_t wall_ns) {
     set_measured(node, stats.share_ns(), wall_ns);
   }
-
-  /// Load added by one computing thread (for incremental rebalancing).
-  double per_thread_cost() const noexcept { return per_thread_; }
 
   /// Total load of `node` under the current role map.
   double operator()(const mig::RoleTracker& roles, std::size_t node) const;

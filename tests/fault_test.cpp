@@ -708,32 +708,52 @@ TEST(Reliability, TcpResetRecoversThroughReconnect) {
 
 // ---- targeted regressions for reliability edge cases -----------------------
 
-TEST(FaultyEndpoint, HeldReorderMessageFlushedByTimeBound) {
-  // A reorder-held message whose window never fills (no later sends) must
-  // still be delivered: the time bound flushes it during the sender's next
-  // recv wait, without relying on a retrying peer.
-  auto [a, b] = msg::make_channel_pair();
+TEST(FaultyEndpoint, HeldReorderMessageReleasedByWindowOrClose) {
+  // A reorder-held message leaves the holdback in exactly two ways, and
+  // neither reads a clock: later sends age it by `reorder_window`, or the
+  // wrapper closes.  Only LockRequests are eligible, so the Hellos below
+  // pass straight through and do the aging.
   msg::FaultOptions opts;
   opts.send.reorder = 1.0;
-  opts.send.reorder_window = 8;  // never fills in this test
-  opts.send.reorder_hold_ms = 10ms;
-  auto faulty = msg::make_faulty(std::move(a), opts);
-  std::thread echo([&b] {
-    try {
-      for (;;) {
-        msg::Message m = b->recv();
-        b->send(m);
-      }
-    } catch (const msg::ChannelClosed&) {
-    }
-  });
-  faulty->send(tagged(7));  // held back; no further sends will age it out
+  opts.send.reorder_window = 3;
+  opts.send.only = {msg::MsgType::LockRequest};
+  msg::Message lock_req;
+  lock_req.type = msg::MsgType::LockRequest;
+  lock_req.sync_id = 7;
   msg::Message m;
-  ASSERT_TRUE(faulty->recv_for(m, 2000ms));  // echo proves delivery
-  EXPECT_EQ(m.sync_id, 7u);
-  EXPECT_EQ(faulty->counters().reordered, 1u);
-  faulty->close();
-  echo.join();
+
+  // Released by the window: the held message counts its own send, so it
+  // leaves right after the second later send.
+  {
+    auto [a, b] = msg::make_channel_pair();
+    auto faulty = msg::make_faulty(std::move(a), opts);
+    faulty->send(lock_req);
+    EXPECT_FALSE(b->try_recv(m));  // held
+    faulty->send(tagged(1));
+    ASSERT_TRUE(b->try_recv(m));
+    EXPECT_EQ(m.type, msg::MsgType::Hello);
+    EXPECT_FALSE(b->try_recv(m));  // still held: the window is not full
+    faulty->send(tagged(2));
+    std::vector<std::uint32_t> seen;
+    while (b->try_recv(m)) seen.push_back(m.sync_id);
+    EXPECT_EQ(seen, (std::vector<std::uint32_t>{2, 7}));
+    EXPECT_EQ(faulty->counters().reordered, 1u);
+  }
+
+  // Released by close: with no later sends the window never fills, and
+  // close() delivers the held message before the peer sees EOF.
+  {
+    auto [a, b] = msg::make_channel_pair();
+    auto faulty = msg::make_faulty(std::move(a), opts);
+    faulty->send(lock_req);
+    EXPECT_FALSE(b->try_recv(m));
+    faulty->close();
+    ASSERT_TRUE(b->try_recv(m));
+    EXPECT_EQ(m.type, msg::MsgType::LockRequest);
+    EXPECT_EQ(m.sync_id, 7u);
+    EXPECT_THROW(b->recv(), msg::ChannelClosed);
+    EXPECT_EQ(faulty->counters().reordered, 1u);
+  }
 }
 
 TEST(Reliability, DuplicatedHelloDoesNotResetDedup) {

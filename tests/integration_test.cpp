@@ -15,6 +15,7 @@
 #include "mig/runner.hpp"
 #include "mig/thread_state.hpp"
 #include "msg/tcp.hpp"
+#include "test_util.hpp"
 #include "workloads/experiment.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -113,6 +114,9 @@ TEST(Integration, ThreadMigratesBetweenHeterogeneousNodesMidWork) {
   std::atomic<bool> migrate{false};
 
   std::thread source_node([&] {
+    // Closed on every exit path: when an ASSERT below returns before
+    // send_state, the destination sees EOF instead of waiting forever.
+    const hdsm::test::OnExit close_channel{[&] { mig_src->close(); }};
     dsm::ShardedRemote dsd(counter_gthv(), plat::linux_ia32(), 1,
                            home.attach(1));
     mig::ThreadState state;
@@ -150,8 +154,13 @@ TEST(Integration, ThreadMigratesBetweenHeterogeneousNodesMidWork) {
   std::thread destination_node([&] {
     // The skeleton thread: receives the state on a big-endian platform,
     // re-attaches to the home node with the same rank, and finishes.
-    mig::ThreadState state =
-        mig::receive_state(*mig_dst, schema, plat::solaris_sparc32());
+    mig::ThreadState state;
+    try {
+      state = mig::receive_state(*mig_dst, schema, plat::solaris_sparc32());
+    } catch (const msg::ChannelClosed&) {
+      ADD_FAILURE() << "the source node closed without shipping its state";
+      return;
+    }
     dsm::ShardedRemote dsd(counter_gthv(), plat::solaris_sparc32(),
                            state.rank, home.attach(state.rank));
     std::atomic<bool> never{false};

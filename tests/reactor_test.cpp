@@ -23,6 +23,7 @@
 #include "msg/reactor.hpp"
 #include "msg/tcp.hpp"
 #include "obs/telemetry.hpp"
+#include "test_util.hpp"
 
 namespace dsm = hdsm::dsm;
 namespace msg = hdsm::msg;
@@ -250,6 +251,36 @@ TEST(Reactor, FaultyResetSurfacesAsClosed) {
   EXPECT_LE(rec.count(9), 3u);
 }
 
+// The home-side holdback: a reply the fault layer holds back is released
+// by the next send to that peer, with no timer in the reactor.  In the
+// protocol that next send is always there, because the remote retransmits
+// its request until the reply arrives and the home re-sends the reply.
+TEST(Reactor, FaultyPeerHeldReplyReleasedByNextSend) {
+  Recorder rec;
+  msg::Reactor reactor({}, rec);
+  auto [home, remote] = msg::make_channel_pair();
+  msg::FaultOptions fo;
+  fo.send.reorder = 1.0;
+  fo.send.reorder_window = 2;
+  fo.send.only = {msg::MsgType::LockGrant};
+  reactor.add_peer(4, msg::make_faulty(std::move(home), fo));
+
+  msg::Message grant = tagged(1);
+  grant.type = msg::MsgType::LockGrant;
+  reactor.send(4, grant);
+  reactor.flush();
+  msg::Message m;
+  EXPECT_FALSE(remote->try_recv(m));  // held, and nothing will time it out
+
+  reactor.send(4, tagged(2));  // a Hello: not eligible, sent at once
+  reactor.flush();
+  ASSERT_TRUE(remote->try_recv(m));
+  EXPECT_EQ(m.type, msg::MsgType::Hello);
+  ASSERT_TRUE(remote->try_recv(m));
+  EXPECT_EQ(m.type, msg::MsgType::LockGrant);
+  EXPECT_EQ(m.sync_id, 1u);
+}
+
 TEST(Reactor, StopDeliversClosedForEveryPeer) {
   Recorder rec;
   msg::Reactor reactor({}, rec);
@@ -395,7 +426,8 @@ TEST(Reactor, SlowTcpConsumerEvictedWhileHealthyPeerProgresses) {
   msg::EndpointPtr fast_client = msg::tcp_connect(listener.port());
   reactor.add_peer(2, std::shared_ptr<msg::Endpoint>(listener.accept()));
 
-  // The fast peer drains everything it is sent, concurrently.
+  // The fast peer drains everything it is sent, concurrently, until the
+  // guard closes its client.
   std::atomic<std::uint32_t> fast_received{0};
   std::thread fast_reader([&] {
     try {
@@ -406,6 +438,10 @@ TEST(Reactor, SlowTcpConsumerEvictedWhileHealthyPeerProgresses) {
     } catch (const msg::ChannelClosed&) {
     }
   });
+  const hdsm::test::OnExit stop_reader{[&] {
+    fast_client->close();
+    fast_reader.join();
+  }};
 
   // The slow peer never reads: once the kernel buffers fill, its reactor
   // write queue grows past the bound and it is evicted.
@@ -431,10 +467,6 @@ TEST(Reactor, SlowTcpConsumerEvictedWhileHealthyPeerProgresses) {
       [&] { return fast_received.load(std::memory_order_relaxed) >= kFastFrames; },
       10s));
   EXPECT_EQ(rec.closes(2), 0);
-
-  fast_client->close();
-  fast_reader.join();
-  reactor.stop();
 }
 
 // ---- the home directory on the reactor -------------------------------------

@@ -144,7 +144,7 @@ TEST(Roles, AddAndRemoveNodes) {
   EXPECT_THROW(roles.remove_node(0), std::logic_error);
 }
 
-// ---- measured-load bridge + incremental rebalance ---------------------------
+// ---- measured-load bridge ---------------------------------------------------
 
 TEST(LoadModel, MeasuredBusyFractionReplacesTheSyntheticLoad) {
   sched::LoadModel model({0.9, 0.3}, 0.1);
@@ -164,29 +164,4 @@ TEST(LoadModel, MeasuredBusyFractionReplacesTheSyntheticLoad) {
   // Parallel lanes can make busy exceed wall: clamped to 1.
   model.set_measured(1, 3000, 1000);
   EXPECT_DOUBLE_EQ(model.external(1), 1.0);
-}
-
-TEST(Policy, IncrementalRebalanceMatchesTheGenericPath) {
-  // The LoadModel overload computes the load vector once and adjusts it by
-  // per_thread_cost per move; it must take exactly the moves the generic
-  // recompute-everything path takes.
-  const auto build = [](mig::RoleTracker& roles, sched::LoadModel& model) {
-    roles.add_node();
-    model.add_node(0.05);
-    roles.add_node();
-    model.add_node(0.0);
-  };
-  mig::RoleTracker r1(1, 5), r2(1, 5);
-  sched::LoadModel m1({0.1}, 0.22), m2({0.1}, 0.22);
-  build(r1, m1);
-  build(r2, m2);
-
-  sched::AdaptationPolicy policy;
-  const auto generic = policy.rebalance(
-      r1, [&](const mig::RoleTracker& roles, std::size_t n) {
-        return m1(roles, n);
-      });
-  const auto incremental = policy.rebalance(r2, m2);
-  EXPECT_EQ(generic, incremental);
-  EXPECT_FALSE(incremental.empty());
 }

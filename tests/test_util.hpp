@@ -1,5 +1,5 @@
-// Shared test helpers: random TypeDesc generation and random typed-image
-// filling.
+// Shared test helpers: random TypeDesc generation, random typed-image
+// filling, and a scope guard for tests that own threads.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +13,15 @@
 #include "tags/type_desc.hpp"
 
 namespace hdsm::test {
+
+/// Runs `fn` when the scope ends, on every exit path.  A test that starts
+/// a thread uses it to unblock and join that thread, so a failed ASSERT
+/// reports a failure instead of reaching std::terminate or a hang.
+template <typename Fn>
+struct OnExit {
+  Fn fn;
+  ~OnExit() { fn(); }
+};
 
 /// A random TypeDesc of bounded depth/size: scalars, pointers, arrays,
 /// nested structs, reserved slots.
