@@ -1,12 +1,17 @@
-// Microbenchmark: the mprotect/SIGSEGV write-trap — cost of the first
-// (faulting, twinning) write to a page vs subsequent writes, interval
-// re-arm cost, and fault-free update application through the alias view.
+// Microbenchmark: the write trap on both backends — cost of the first
+// (detected) write to a page vs subsequent writes, the collect that ends a
+// one-page interval and re-protects the page, and fault-free update
+// application through the alias view.
 //
-// The fault and re-arm cases take a sibling-thread count: 0, or 3 threads
-// of this process spinning on other cores.  Every simulated node runs in
-// one process, so a protection change must also flush the TLBs of the
-// cores the other nodes' threads occupy; the busy rows price that
-// shootdown, which separate machines would not pay.
+// `uffd` selects the backend: 0 is the paper's mprotect/SIGSEGV trap
+// (fault, twin copy, unprotect), 1 the userfaultfd async write-protect
+// trap (the kernel clears the page's write-protect bit; PAGEMAP_SCAN
+// collects and re-protects).  The first-write and collect cases also take
+// a sibling-thread count: 0, or 3 threads of this process spinning on
+// other cores.  Every simulated node runs in one process, so a protection
+// change must also flush the TLBs of the cores the other nodes' threads
+// occupy; the busy rows price that shootdown, which separate machines
+// would not pay.
 #include <benchmark/benchmark.h>
 #include <pthread.h>
 #include <sched.h>
@@ -14,6 +19,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <memory>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -62,85 +69,109 @@ class BusySiblings {
   std::vector<std::thread> threads_;
 };
 
-void BM_FirstWriteFaultAndTwin(benchmark::State& state) {
+mem::TrapBackend backend_arg(std::int64_t uffd) {
+  return uffd != 0 ? mem::TrapBackend::Uffd : mem::TrapBackend::Sigsegv;
+}
+
+/// A region on the requested backend, or null (and the row skipped) when
+/// the kernel refuses userfaultfd.
+std::unique_ptr<mem::TrackedRegion> make_region(benchmark::State& state,
+                                                std::size_t bytes,
+                                                std::int64_t uffd) {
+  try {
+    return std::make_unique<mem::TrackedRegion>(bytes, backend_arg(uffd));
+  } catch (const std::system_error& e) {
+    state.SkipWithError(e.what());
+    return nullptr;
+  }
+}
+
+void BM_FirstWrite(benchmark::State& state) {
   const std::size_t ps = mem::Region::host_page_size();
   const std::size_t pages = 64;
   BusySiblings siblings(static_cast<unsigned>(state.range(0)));
-  mem::TrackedRegion region(pages * ps);
-  region.begin_tracking();
+  const auto region = make_region(state, pages * ps, state.range(1));
+  if (!region) return;
+  region->begin_tracking();
   std::size_t page = 0;
   for (auto _ : state) {
-    region.data()[page * ps] = std::byte{1};  // fault + twin + unprotect
+    region->data()[page * ps] = std::byte{1};  // the trap fires here
     page = (page + 1) % pages;
     if (page == 0) {
       state.PauseTiming();
-      region.rearm();
+      region->collect([](std::size_t, const std::byte*) {});
       state.ResumeTiming();
     }
   }
-  region.end_tracking();
+  region->end_tracking();
   state.SetItemsProcessed(state.iterations());
 }
 
 void BM_SubsequentWritesNoFault(benchmark::State& state) {
   const std::size_t ps = mem::Region::host_page_size();
-  mem::TrackedRegion region(ps);
-  region.begin_tracking();
-  region.data()[0] = std::byte{1};  // fault once
+  const auto region = make_region(state, ps, state.range(0));
+  if (!region) return;
+  region->begin_tracking();
+  region->data()[0] = std::byte{1};  // detected once
   std::size_t i = 1;
   for (auto _ : state) {
-    region.data()[i % ps] = std::byte{2};
+    region->data()[i % ps] = std::byte{2};
     ++i;
   }
-  region.end_tracking();
+  region->end_tracking();
   state.SetItemsProcessed(state.iterations());
 }
 
-// The re-arm that closes a one-page interval (a lock_small episode): the
-// first page was written, so the whole-region mprotect downgrades it.
-void BM_RearmWholeRegion(benchmark::State& state) {
+// The collect that closes a one-page interval (a lock_small episode): find
+// the written page and re-protect it (Sigsegv re-protects the whole
+// region with one mprotect; Uffd, only the written page).
+void BM_CollectOnePage(benchmark::State& state) {
   const std::size_t ps = mem::Region::host_page_size();
   const std::size_t pages = static_cast<std::size_t>(state.range(0));
   BusySiblings siblings(static_cast<unsigned>(state.range(1)));
-  mem::TrackedRegion region(pages * ps);
-  region.begin_tracking();
+  const auto region = make_region(state, pages * ps, state.range(2));
+  if (!region) return;
+  region->begin_tracking();
   for (auto _ : state) {
     state.PauseTiming();
-    region.data()[0] = std::byte{1};  // fault + twin + unprotect
+    region->data()[0] = std::byte{1};  // the trap fires here
     state.ResumeTiming();
-    region.rearm();
+    region->collect([](std::size_t, const std::byte*) {});
   }
-  region.end_tracking();
+  region->end_tracking();
   state.SetItemsProcessed(state.iterations());
 }
 
 void BM_ApplyUpdateThroughAlias(benchmark::State& state) {
   const std::size_t ps = mem::Region::host_page_size();
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-  mem::TrackedRegion region(64 * ps);
-  region.begin_tracking();
+  const auto region = make_region(state, 64 * ps, state.range(1));
+  if (!region) return;
+  region->begin_tracking();
   std::vector<std::byte> update(bytes, std::byte{0x5A});
   for (auto _ : state) {
-    // Lands without faulting even though every page is protected.
-    region.apply_update(0, update.data(), update.size());
+    // Lands without a trap even though every page is protected (Uffd also
+    // mirrors it into the standing shadow).
+    region->apply_update(0, update.data(), update.size());
   }
-  region.end_tracking();
+  region->end_tracking();
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
 }
 
 }  // namespace
 
-BENCHMARK(BM_FirstWriteFaultAndTwin)
-    ->ArgName("siblings")
-    ->Arg(0)
-    ->Arg(3)
+BENCHMARK(BM_FirstWrite)
+    ->ArgNames({"siblings", "uffd"})
+    ->ArgsProduct({{0, 3}, {0, 1}})
     ->Apply(hdsm::bench::wall_clock);
-BENCHMARK(BM_SubsequentWritesNoFault);
-BENCHMARK(BM_RearmWholeRegion)
-    ->ArgNames({"pages", "siblings"})
-    ->ArgsProduct({{3, 256}, {0, 3}})
+BENCHMARK(BM_SubsequentWritesNoFault)->ArgName("uffd")->Arg(0)->Arg(1);
+BENCHMARK(BM_CollectOnePage)
+    ->ArgNames({"pages", "siblings", "uffd"})
+    ->ArgsProduct({{3, 256}, {0, 3}, {0, 1}})
     ->Apply(hdsm::bench::wall_clock);
-BENCHMARK(BM_ApplyUpdateThroughAlias)->Arg(4096)->Arg(1 << 18);
+BENCHMARK(BM_ApplyUpdateThroughAlias)
+    ->ArgNames({"bytes", "uffd"})
+    ->ArgsProduct({{4096, 1 << 18}, {0, 1}});
 
 BENCHMARK_MAIN();

@@ -20,16 +20,14 @@ std::vector<PageUpdate> PageDsmNode::collect_updates() {
   const std::size_t ps = mem::Region::host_page_size();
   std::vector<PageUpdate> out;
 
-  region_.end_tracking();
-  for (const std::size_t page : region_.dirty_pages()) {
+  region_.collect([&](std::size_t page, const std::byte* twin) {
     const std::size_t base = page * ps;
-    if (base >= image_size_) continue;
+    if (base >= image_size_) return;
     const std::size_t len = std::min(ps, image_size_ - base);
     ++stats_.dirty_pages;
 
     std::vector<mem::ByteRange> ranges;
-    mem::diff_bytes(region_.data() + base, region_.twin_page(page), len, base,
-                    ranges);
+    mem::diff_bytes(region_.data() + base, twin, len, base, ranges);
     const std::size_t changed = mem::total_bytes(ranges);
     if (opts_.whole_page_optimization &&
         static_cast<double>(changed) >
@@ -42,7 +40,7 @@ std::vector<PageUpdate> PageDsmNode::collect_updates() {
       ++stats_.whole_pages;
       ++stats_.updates;
       out.push_back(std::move(u));
-      continue;
+      return;
     }
     for (const mem::ByteRange& r : ranges) {
       PageUpdate u;
@@ -52,8 +50,7 @@ std::vector<PageUpdate> PageDsmNode::collect_updates() {
       ++stats_.updates;
       out.push_back(std::move(u));
     }
-  }
-  region_.begin_tracking();
+  });
   const std::uint64_t dur = ScopedTimer::now_ns() - t0;
   stats_.diff_ns += dur;
   if (obs_ != nullptr) {

@@ -8,8 +8,8 @@
 //
 // Workload code reads and writes elements through typed views that
 // transcode between host values and the node's virtual representation on
-// the fly; stores are ordinary memory writes into the region, so mprotect
-// write detection sees them exactly as it would on the real machine.
+// the fly; stores are ordinary memory writes into the region, so the
+// write trap sees them exactly as it would on the real machine.
 #pragma once
 
 #include <cstring>
@@ -78,9 +78,11 @@ class View {
 
 class GlobalSpace {
  public:
-  GlobalSpace(tags::TypePtr gthv, const plat::PlatformDesc& platform)
+  /// `trap` picks the region's write-trap backend (tests run both).
+  GlobalSpace(tags::TypePtr gthv, const plat::PlatformDesc& platform,
+              mem::TrapBackend trap = mem::TrapBackend::Auto)
       : table_(gthv, platform),
-        region_(table_.image_size()),
+        region_(table_.image_size(), trap),
         image_tag_(tags::make_tag(*gthv, platform)),
         image_tag_text_(image_tag_.to_string()) {
     std::memset(region_.data(), 0, region_.length());

@@ -33,14 +33,14 @@ class HomeUnreachable : public msg::ChannelClosed {
 
 struct ShardedRemoteOptions {
   SyncOptions dsd;
-  RetryPolicy retry;
+  RetryPolicy retry{};
   /// Optional reliability trace sink; not owned.  Keep it separate from
   /// the home's log.
   TraceLog* trace = nullptr;
   /// Re-dial hook (null = a dead session is fatal after the retry budget).
-  std::function<msg::EndpointPtr()> reconnect;
+  std::function<msg::EndpointPtr()> reconnect{};
   std::uint32_t max_reconnects = 3;  ///< reconnect budget of the session
-  obs::ObsOptions obs;
+  obs::ObsOptions obs{};
 
   /// Object-granularity sharing mode (hdsm::obj, docs/OBJECTS.md): when
   /// set, unlock/barrier/join collect their update runs from this source
@@ -48,7 +48,7 @@ struct ShardedRemoteOptions {
   /// released region, barrier and join pass kAllRegions — and write
   /// tracking is never armed (no mprotect, no faults, no page diffs).
   /// Null = the page-mode path, byte-identical to before.
-  std::function<ObjectRuns(std::uint32_t region)> run_source;
+  std::function<ObjectRuns(std::uint32_t region)> run_source{};
 };
 
 class ShardedRemote {

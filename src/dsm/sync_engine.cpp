@@ -165,29 +165,26 @@ std::vector<idx::UpdateRun> SyncEngine::collect_runs() {
   const std::size_t ps = mem::Region::host_page_size();
   const std::uint64_t image_size = table.image_size();
 
-  // Dirty pages are unprotected and this thread owns the interval, so the
-  // image can be diffed in place; one mprotect then re-arms the region for
-  // the next interval.
-  const std::vector<std::size_t> dirty = region.dirty_pages();
-  stats_.dirty_pages += dirty.size();
-
+  // This thread owns the interval, so each written page is diffed in
+  // place against its twin as the region hands it over re-protected.
   std::vector<mem::ByteRange> ranges;
-  for (const std::size_t page : dirty) {
-    const std::size_t base = page * ps;
-    if (base >= image_size) continue;
-    const std::size_t len = std::min(ps, image_size - base);
-    mem::diff_bytes(region.data() + base, region.twin_page(page), len, base,
-                    ranges, opts_.merge_slack);
-  }
+  const std::size_t dirty = region.collect(
+      [&](std::size_t page, const std::byte* twin) {
+        const std::size_t base = page * ps;
+        if (base >= image_size) return;
+        const std::size_t len = std::min(ps, image_size - base);
+        mem::diff_bytes(region.data() + base, twin, len, base, ranges,
+                        opts_.merge_slack);
+      });
+  stats_.dirty_pages += dirty;
 
   std::vector<idx::UpdateRun> runs =
       idx::map_ranges_to_runs(table, ranges, opts_.coalesce_runs);
-  region.rearm();
   const std::uint64_t diff_ns = watch.lap();
   stats_.index_ns += diff_ns;
   // One measurement, two consumers: the Eq.-1 bucket above and the obs
   // span here see the same diff_ns.
-  obs_phase(obs::SpanKind::Diff, diff_ns, dirty.size());
+  obs_phase(obs::SpanKind::Diff, diff_ns, dirty);
 
   // No model reads a collect episode's measurements, but the episode still
   // counts toward the tuner's warmup and dwell windows.

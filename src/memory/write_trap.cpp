@@ -1,13 +1,69 @@
 #include "memory/write_trap.hpp"
 
+#include <fcntl.h>
+#include <linux/userfaultfd.h>
+#include <pthread.h>
 #include <signal.h>
+#include <sys/ioctl.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
+#include <cerrno>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <thread>
+
+// The installed uapi headers predate the asynchronous write-protect trap
+// (Linux 6.7).  These values are the kernel's own.
+#ifndef UFFD_FEATURE_WP_UNPOPULATED
+#define UFFD_FEATURE_WP_UNPOPULATED (1 << 13)
+#endif
+#ifndef UFFD_FEATURE_WP_ASYNC
+#define UFFD_FEATURE_WP_ASYNC (1 << 15)
+#endif
+#ifndef PAGEMAP_SCAN
+struct page_region {
+  __u64 start;
+  __u64 end;
+  __u64 categories;
+};
+struct pm_scan_arg {
+  __u64 size;
+  __u64 flags;
+  __u64 start;
+  __u64 end;
+  __u64 walk_end;
+  __u64 vec;
+  __u64 vec_len;
+  __u64 max_pages;
+  __u64 category_inverted;
+  __u64 category_mask;
+  __u64 category_anyof_mask;
+  __u64 return_mask;
+};
+#define PAGEMAP_SCAN _IOWR('f', 16, struct pm_scan_arg)
+#define PM_SCAN_WP_MATCHING (1 << 0)
+#define PM_SCAN_CHECK_WPASYNC (1 << 1)
+#define PAGE_IS_WRITTEN (1 << 1)
+#endif
+
+// ThreadSanitizer does not model page protection, so it cannot see that
+// the SIGSEGV handler's twin copy of a read-only page is ordered before
+// every store the page later admits.  The copy is hidden from it.
+#if defined(__SANITIZE_THREAD__)
+extern "C" void AnnotateIgnoreReadsBegin(const char* file, int line);
+extern "C" void AnnotateIgnoreReadsEnd(const char* file, int line);
+#define HDSM_PROTECTED_READ_BEGIN() AnnotateIgnoreReadsBegin(__FILE__, __LINE__)
+#define HDSM_PROTECTED_READ_END() AnnotateIgnoreReadsEnd(__FILE__, __LINE__)
+#else
+#define HDSM_PROTECTED_READ_BEGIN()
+#define HDSM_PROTECTED_READ_END()
+#endif
 
 namespace hdsm::mem {
 
@@ -21,7 +77,7 @@ constexpr std::size_t kMaxRegions = 4096;
 
 // Fixed-slot registry read lock-free from the signal handler.
 std::atomic<TrackedRegion*> g_slots[kMaxRegions];
-std::mutex g_registry_mutex;  // serializes register/unregister only
+std::mutex g_registry_mutex;  // serializes register/unregister and g_uffd
 
 struct sigaction g_prev_sigsegv;
 bool g_handler_installed = false;
@@ -67,6 +123,95 @@ void ensure_handler_installed() {
   g_handler_installed = true;
 }
 
+// One userfaultfd and one /proc/self/pagemap for the whole process, shared
+// by every Uffd region: a thousand-region bench must not hold two fds per
+// region.  Opened lazily by the first Uffd region.  Nobody reads the
+// userfaultfd: with WP_ASYNC the kernel resolves every fault itself.
+constexpr __u64 kUffdFeatures = UFFD_FEATURE_WP_ASYNC |
+                                UFFD_FEATURE_WP_HUGETLBFS_SHMEM |
+                                UFFD_FEATURE_WP_UNPOPULATED;
+
+struct UffdFds {
+  int uffd = -1;
+  int pagemap = -1;
+  int err = 0;             // errno of the refused step, 0 = usable
+  const char* step = "";   // which step the kernel refused
+  bool opened = false;
+};
+UffdFds g_uffd;
+
+// Both fds name the parent's address space, so a forked child must not
+// use them: it reopens its own on its first Uffd region.
+void reset_uffd_in_child() {
+  if (g_uffd.uffd >= 0) ::close(g_uffd.uffd);
+  if (g_uffd.pagemap >= 0) ::close(g_uffd.pagemap);
+  g_uffd = UffdFds{};
+}
+
+void refuse(UffdFds& s, const char* step) {
+  s.err = errno;
+  s.step = step;
+  if (s.uffd >= 0) ::close(s.uffd);
+  if (s.pagemap >= 0) ::close(s.pagemap);
+  s.uffd = s.pagemap = -1;
+}
+
+const UffdFds& shared_uffd() {
+  std::lock_guard<std::mutex> lock(g_registry_mutex);
+  UffdFds& s = g_uffd;
+  if (s.opened) return s;
+  s.opened = true;
+  static std::once_flag atfork_once;
+  std::call_once(atfork_once, [] {
+    ::pthread_atfork(nullptr, nullptr, reset_uffd_in_child);
+  });
+  s.uffd = static_cast<int>(::syscall(
+      SYS_userfaultfd, O_CLOEXEC | O_NONBLOCK | UFFD_USER_MODE_ONLY));
+  if (s.uffd < 0) {
+    refuse(s, "userfaultfd");
+    return s;
+  }
+  uffdio_api api{};
+  api.api = UFFD_API;
+  api.features = kUffdFeatures;
+  if (::ioctl(s.uffd, UFFDIO_API, &api) != 0) {
+    refuse(s, "UFFDIO_API");
+    return s;
+  }
+  if ((api.features & kUffdFeatures) != kUffdFeatures) {
+    errno = ENOTSUP;
+    refuse(s, "UFFDIO_API features");
+    return s;
+  }
+  s.pagemap = ::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
+  if (s.pagemap < 0) refuse(s, "open(/proc/self/pagemap)");
+  return s;
+}
+
+/// 0 when the kernel offers the async trap for `r`, else the errno of the
+/// refused step (named in `step`).
+int uffd_refusal(Region& r, const char*& step) {
+  if (!r.has_alias()) {
+    // Without a second view apply_update would be reported as written.
+    step = "dual mapping";
+    return ENOTSUP;
+  }
+  const UffdFds& s = shared_uffd();
+  if (s.err != 0) {
+    step = s.step;
+    return s.err;
+  }
+  pm_scan_arg arg{};
+  arg.size = sizeof(arg);
+  arg.start = reinterpret_cast<__u64>(r.data());
+  arg.end = arg.start + r.length();
+  if (::ioctl(s.pagemap, PAGEMAP_SCAN, &arg) < 0) {
+    step = "PAGEMAP_SCAN";  // ENOTTY: a kernel without PAGEMAP_SCAN
+    return errno;
+  }
+  return 0;
+}
+
 }  // namespace
 
 namespace trap_internal {
@@ -106,10 +251,22 @@ std::size_t registered_count() {
 
 }  // namespace trap_internal
 
-TrackedRegion::TrackedRegion(std::size_t length)
-    : region_(length),
-      twins_(new std::byte[region_.length()]),
-      page_state_(new std::atomic<std::uint8_t>[region_.page_count()]) {
+TrackedRegion::TrackedRegion(std::size_t length, TrapBackend want)
+    : region_(length), twins_(new std::byte[region_.length()]) {
+  if (want != TrapBackend::Sigsegv) {
+    const char* step = "";
+    const int err = uffd_refusal(region_, step);
+    if (err == 0) {
+      backend_ = TrapBackend::Uffd;
+      return;
+    }
+    if (want == TrapBackend::Uffd) {
+      throw std::system_error(err, std::generic_category(),
+                              std::string("write_trap: uffd refused at ") +
+                                  step);
+    }
+  }
+  page_state_.reset(new std::atomic<std::uint8_t>[region_.page_count()]);
   for (std::size_t i = 0; i < region_.page_count(); ++i) {
     page_state_[i].store(0, std::memory_order_relaxed);
   }
@@ -117,6 +274,8 @@ TrackedRegion::TrackedRegion(std::size_t length)
 }
 
 TrackedRegion::~TrackedRegion() {
+  // Uffd: unmapping the region drops its registration.
+  if (backend_ != TrapBackend::Sigsegv) return;
   trap_internal::unregister_region(this);
   // Leave pages writable so teardown of anything else touching the mapping
   // (none today) cannot fault.
@@ -127,8 +286,44 @@ TrackedRegion::~TrackedRegion() {
   }
 }
 
+void TrackedRegion::register_uffd() {
+  // Registration waits for the first begin_tracking(): a registered range
+  // loses the kernel's fault-around, which would cost a never-tracked
+  // region (object mode) a page fault per page it touches.
+  const UffdFds& s = shared_uffd();
+  uffdio_register reg{};
+  reg.range.start = reinterpret_cast<__u64>(region_.data());
+  reg.range.len = region_.length();
+  reg.mode = UFFDIO_REGISTER_MODE_WP;
+  if (::ioctl(s.uffd, UFFDIO_REGISTER, &reg) != 0) {
+    throw std::system_error(errno, std::generic_category(),
+                            "UFFDIO_REGISTER");
+  }
+  uffd_registered_ = true;
+}
+
+void TrackedRegion::write_protect(bool on) {
+  uffdio_writeprotect wp{};
+  wp.range.start = reinterpret_cast<__u64>(region_.data());
+  wp.range.len = region_.length();
+  wp.mode = on ? UFFDIO_WRITEPROTECT_MODE_WP : 0;
+  if (::ioctl(g_uffd.uffd, UFFDIO_WRITEPROTECT, &wp) != 0) {
+    throw std::system_error(errno, std::generic_category(),
+                            "UFFDIO_WRITEPROTECT");
+  }
+}
+
 void TrackedRegion::begin_tracking() {
-  clear_dirty();
+  if (backend_ == TrapBackend::Uffd) {
+    if (!uffd_registered_) register_uffd();
+    std::memcpy(twins_.get(), region_.data(), region_.length());
+    write_protect(true);
+    tracking_.store(true, std::memory_order_release);
+    return;
+  }
+  for (std::size_t i = 0; i < region_.page_count(); ++i) {
+    page_state_[i].store(0, std::memory_order_relaxed);
+  }
   // Arm the handler before any page can fault: a concurrent writer that
   // faults between protect() and a later store to tracking_ would otherwise
   // crash with an unhandled SIGSEGV.
@@ -138,16 +333,67 @@ void TrackedRegion::begin_tracking() {
 
 void TrackedRegion::end_tracking() {
   // Reverse order of begin_tracking for the same reason.
-  region_.protect(PROT_READ | PROT_WRITE);
+  if (backend_ == TrapBackend::Uffd) {
+    if (uffd_registered_) write_protect(false);
+  } else {
+    region_.protect(PROT_READ | PROT_WRITE);
+  }
   tracking_.store(false, std::memory_order_release);
 }
 
-void TrackedRegion::rearm() {
-  clear_dirty();
+std::vector<std::size_t> TrackedRegion::take_written() {
+  if (backend_ == TrapBackend::Uffd) {
+    return scan_written(0, region_.page_count(), /*reprotect=*/true);
+  }
+  // Dirty pages are unprotected and the caller owns the interval, so one
+  // mprotect re-arms the whole region; the twins stay valid until the next
+  // fault on their page.
+  std::vector<std::size_t> pages = dirty_pages();
+  for (std::size_t i = 0; i < region_.page_count(); ++i) {
+    page_state_[i].store(0, std::memory_order_relaxed);
+  }
   region_.protect(PROT_READ);
+  return pages;
+}
+
+std::vector<std::size_t> TrackedRegion::scan_written(std::size_t first,
+                                                     std::size_t last,
+                                                     bool reprotect) const {
+  const std::size_t ps = Region::host_page_size();
+  const __u64 base = reinterpret_cast<__u64>(region_.data());
+  // Each entry is a run of contiguous written pages; a full vector ends
+  // the walk early, and the next ioctl resumes at walk_end.
+  page_region vec[64];
+  pm_scan_arg arg{};
+  arg.size = sizeof(arg);
+  arg.flags = PM_SCAN_CHECK_WPASYNC | (reprotect ? PM_SCAN_WP_MATCHING : 0);
+  arg.start = base + first * ps;
+  arg.end = base + last * ps;
+  arg.vec = reinterpret_cast<__u64>(vec);
+  arg.vec_len = std::size(vec);
+  arg.category_mask = PAGE_IS_WRITTEN;
+  arg.return_mask = PAGE_IS_WRITTEN;
+  std::vector<std::size_t> out;
+  for (;;) {
+    const int n = ::ioctl(g_uffd.pagemap, PAGEMAP_SCAN, &arg);
+    if (n < 0) {
+      throw std::system_error(errno, std::generic_category(), "PAGEMAP_SCAN");
+    }
+    for (int i = 0; i < n; ++i) {
+      for (__u64 a = vec[i].start; a < vec[i].end; a += ps) {
+        out.push_back((a - base) / ps);
+      }
+    }
+    if (arg.walk_end >= arg.end) return out;
+    arg.start = arg.walk_end;
+  }
 }
 
 std::vector<std::size_t> TrackedRegion::dirty_pages() const {
+  if (backend_ == TrapBackend::Uffd) {
+    return tracking() ? scan_written(0, region_.page_count(), false)
+                      : std::vector<std::size_t>{};
+  }
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < region_.page_count(); ++i) {
     if (page_state_[i].load(std::memory_order_acquire) == 2) {
@@ -157,19 +403,11 @@ std::vector<std::size_t> TrackedRegion::dirty_pages() const {
   return out;
 }
 
-bool TrackedRegion::page_dirty(std::size_t page) const noexcept {
-  return page_state_[page].load(std::memory_order_acquire) == 2;
-}
-
-const std::byte* TrackedRegion::twin_page(std::size_t page) const noexcept {
-  return twins_.get() + page * Region::host_page_size();
-}
-
-void TrackedRegion::clear_dirty() {
-  for (std::size_t i = 0; i < region_.page_count(); ++i) {
-    page_state_[i].store(0, std::memory_order_relaxed);
+bool TrackedRegion::page_dirty(std::size_t page) const {
+  if (backend_ == TrapBackend::Uffd) {
+    return tracking() && !scan_written(page, page + 1, false).empty();
   }
-  faults_.store(0, std::memory_order_relaxed);
+  return page_state_[page].load(std::memory_order_acquire) == 2;
 }
 
 void TrackedRegion::apply_update(std::size_t offset, const void* src,
@@ -181,6 +419,11 @@ void TrackedRegion::apply_update(std::size_t offset, const void* src,
   // trips the write trap, so only genuine application writes get twinned.
   std::memcpy(region_.alias() + offset, src, n);
   if (!tracking_.load(std::memory_order_acquire)) return;
+  if (backend_ == TrapBackend::Uffd) {
+    // The standing shadow covers every page, written or clean.
+    std::memcpy(twins_.get() + offset, src, n);
+    return;
+  }
   // Mirror into the twins of already-dirty pages so the update is
   // invisible to the next diff.  Clean pages have no live twin: their
   // snapshot is taken on the first tracked application write, which will
@@ -223,8 +466,9 @@ bool TrackedRegion::on_fault(void* addr) noexcept {
                                                 std::memory_order_acq_rel)) {
     // We own the twin copy for this page.  The page is still read-only, so
     // its contents cannot change under us.
+    HDSM_PROTECTED_READ_BEGIN();
     std::memcpy(twins_.get() + page * ps, region_.data() + page * ps, ps);
-    faults_.fetch_add(1, std::memory_order_relaxed);
+    HDSM_PROTECTED_READ_END();
     ::mprotect(region_.data() + page * ps, ps, PROT_READ | PROT_WRITE);
     page_state_[page].store(2, std::memory_order_release);
     return true;

@@ -1,19 +1,30 @@
-// mprotect/SIGSEGV write detection with twin pages (paper §4, §4.1).
+// Write detection with twin pages (paper §4, §4.1), on one of two backends.
 //
 // "Upon writing to a page in the GThV structure, a copy of the unmodified
 //  page is made and the write is allowed to proceed.  This minimizes the
 //  time spent in the signal handler as subsequent writes to the same page
 //  will not trigger a segmentation fault."
 //
-// One process-wide SIGSEGV handler dispatches faults to the TrackedRegion
-// that owns the faulting address.  The registry is a fixed array of atomic
-// slots so the handler never allocates or locks; faults outside any tracked
-// region re-raise with the default disposition (a real crash stays a
-// crash).
+// Sigsegv is the paper's mechanism: mprotect the pages, catch the first
+// write to each with SIGSEGV, copy its twin.  One process-wide handler
+// dispatches faults to the TrackedRegion that owns the faulting address.
+// The registry is a fixed array of atomic slots so the handler never
+// allocates or locks; faults outside any tracked region re-raise with the
+// default disposition (a real crash stays a crash).
+//
+// Uffd is a userfaultfd asynchronous write-protect trap: the kernel clears
+// a page's write-protect bit itself on the first write (no signal, no
+// twin copy), and one PAGEMAP_SCAN ioctl returns the written pages and
+// re-protects them.  The twin is then a standing shadow of the whole
+// image, refreshed page by page after each collected page is diffed.
+// Auto picks Uffd whenever the kernel accepts every step and Sigsegv
+// otherwise.  A region whose tracking began before fork() is not tracked
+// in the child: the child does not inherit the userfaultfd registration.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -21,19 +32,30 @@
 
 namespace hdsm::mem {
 
+enum class TrapBackend : std::uint8_t {
+  Auto,     ///< Uffd when the kernel accepts it, else Sigsegv
+  Sigsegv,  ///< mprotect + SIGSEGV, first-write twins (paper §4)
+  Uffd,     ///< userfaultfd async write-protect + PAGEMAP_SCAN
+};
+
 /// A Region with twin/diff write tracking.
 ///
-/// Lifecycle per release-consistency interval:
-///   begin_tracking()  - write-protect all pages, clear dirty state
-///   ... application writes fault once per page, get twinned ...
-///   end_tracking()    - un-protect; dirty pages + twins stay readable
-///   dirty_pages()/twin_page() feed the diff engine
+/// Lifecycle:
+///   begin_tracking()  - protect all pages; the interval starts
+///   ... application writes are detected once per page ...
+///   collect(visit)    - visit each written page with its twin, re-protect
+///                       it; the next interval starts
+///   end_tracking()    - un-protect; writes are no longer detected
 ///
 /// Thread safety: any number of application threads may write concurrently
-/// while tracking; begin/end/clear must not race with each other.
+/// while tracking; begin/end/collect must not race with each other or with
+/// application writes.
 class TrackedRegion {
  public:
-  explicit TrackedRegion(std::size_t length);
+  /// `want` = Auto picks the backend; Uffd throws std::system_error when
+  /// the kernel refuses it.
+  explicit TrackedRegion(std::size_t length,
+                         TrapBackend want = TrapBackend::Auto);
   ~TrackedRegion();
 
   TrackedRegion(const TrackedRegion&) = delete;
@@ -44,6 +66,8 @@ class TrackedRegion {
   std::size_t length() const noexcept { return region_.length(); }
   std::size_t requested() const noexcept { return region_.requested(); }
   std::size_t page_count() const noexcept { return region_.page_count(); }
+  /// The backend in use: Sigsegv or Uffd, never Auto.
+  TrapBackend backend() const noexcept { return backend_; }
 
   void begin_tracking();
   void end_tracking();
@@ -51,51 +75,73 @@ class TrackedRegion {
     return tracking_.load(std::memory_order_acquire);
   }
 
-  /// Start the next interval without leaving tracking: clear dirty state
-  /// and re-protect the whole region with a single mprotect (much cheaper
-  /// than end+begin when most pages are dirty).  The diff engine calls this
-  /// once per collected interval; incoming updates never need it, because
-  /// apply_update leaves protection alone.  Caller must guarantee no
-  /// concurrent application writes.
-  void rearm();
-
-  /// Ascending page indices dirtied since begin_tracking()/clear_dirty().
-  std::vector<std::size_t> dirty_pages() const;
-  bool page_dirty(std::size_t page) const noexcept;
-  /// The pre-write snapshot of a dirty page (undefined for clean pages).
-  const std::byte* twin_page(std::size_t page) const noexcept;
-  void clear_dirty();
-
-  /// Write bytes that must NOT appear as local modifications (incoming DSM
-  /// updates): stores into the data image and mirrors into any live twin so
-  /// the next diff is silent about them.  Safe whether or not tracking.
-  /// The store goes through the alias view and never changes page
-  /// protection, so a clean page stays write-protected and the next
-  /// application write to it still faults.  (Without a dual mapping the
-  /// alias is the primary view: the store faults like an application
-  /// write, and the twin mirror still keeps the diff silent.)
-  void apply_update(std::size_t offset, const void* src, std::size_t n);
-
-  /// Count of SIGSEGV faults absorbed (one per first-write page).
-  std::uint64_t fault_count() const noexcept {
-    return faults_.load(std::memory_order_relaxed);
+  /// Ends the interval without leaving tracking: calls `visit(page, twin)`
+  /// for every page written since begin_tracking() or the last collect(),
+  /// in ascending order, where `twin` holds the page as the interval began
+  /// (with apply_update's bytes mirrored in).  The pages are re-protected
+  /// for the next interval.  Returns the number of pages visited; visits
+  /// nothing when not tracking.
+  template <typename Visit>
+  std::size_t collect(Visit&& visit) {
+    if (!tracking()) return 0;
+    const std::vector<std::size_t> pages = take_written();
+    const std::size_t ps = Region::host_page_size();
+    for (const std::size_t page : pages) {
+      std::byte* twin = twins_.get() + page * ps;
+      visit(page, static_cast<const std::byte*>(twin));
+      // The standing shadow catches up with the page just diffed.
+      if (backend_ == TrapBackend::Uffd) {
+        std::memcpy(twin, region_.data() + page * ps, ps);
+      }
+    }
+    return pages.size();
   }
 
-  /// Handler entry: returns true if this region owned and resolved `addr`.
+  /// Ascending pages written in the current interval, without ending it.
+  std::vector<std::size_t> dirty_pages() const;
+  bool page_dirty(std::size_t page) const;
+  /// Pages detected written in the current interval (on Sigsegv, one
+  /// fault each).
+  std::size_t fault_count() const { return dirty_pages().size(); }
+
+  /// Write bytes that must NOT appear as local modifications (incoming DSM
+  /// updates): stores into the data image through the alias view, which
+  /// no backend traps, and mirrors into the twin so the next diff is
+  /// silent about them.  A clean page stays protected, so the next
+  /// application write to it is still detected.  (Sigsegv without a dual
+  /// mapping: the alias is the primary view, the store faults like an
+  /// application write, and the twin mirror still keeps the diff silent.)
+  void apply_update(std::size_t offset, const void* src, std::size_t n);
+
+  /// Sigsegv handler entry: true if this region owned and resolved `addr`.
   bool on_fault(void* addr) noexcept;
 
  private:
+  /// The written pages, re-protected for the next interval.
+  std::vector<std::size_t> take_written();
+  /// Uffd: the written pages in [first, last) by PAGEMAP_SCAN, re-protected
+  /// when `reprotect`.
+  std::vector<std::size_t> scan_written(std::size_t first, std::size_t last,
+                                        bool reprotect) const;
+  void register_uffd();
+  void write_protect(bool on);
+
   Region region_;
+  TrapBackend backend_ = TrapBackend::Sigsegv;
+  bool uffd_registered_ = false;
+  // Sigsegv: first-write twins.  Uffd: the standing shadow, written only
+  // while tracking.  Default-initialised, so an untracked region (object
+  // mode) never touches these pages.
   std::unique_ptr<std::byte[]> twins_;
-  // Per page: 0 = clean, 1 = twin in progress, 2 = twinned + unprotected.
+  // Sigsegv only.  Per page: 0 = clean, 1 = twin in progress,
+  // 2 = twinned + unprotected.
   std::unique_ptr<std::atomic<std::uint8_t>[]> page_state_;
   std::atomic<bool> tracking_{false};
-  std::atomic<std::uint64_t> faults_{0};
 };
 
 namespace trap_internal {
-/// Registers/unregisters a region with the global fault dispatcher.
-/// Exposed for white-box tests only.
+/// Registers/unregisters a Sigsegv region with the global fault
+/// dispatcher.  Exposed for white-box tests only.
 void register_region(TrackedRegion* r);
 void unregister_region(TrackedRegion* r);
 std::size_t registered_count();

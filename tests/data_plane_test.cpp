@@ -1,7 +1,8 @@
 // Tests for the two-phase (validate-then-apply) data plane: all-or-nothing
 // payload application that leaves write tracking armed, zero-copy
 // single-buffer packing, the run lists of multi-page collects, a multi-page
-// heterogeneous apply, the one-lane option check, and the per-(sender, row)
+// heterogeneous apply (these page-mode round trips on both write-trap
+// backends), the one-lane option check, and the per-(sender, row)
 // conversion-plan cache.
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "dsm/trace.hpp"
 #include "dsm/update.hpp"
 #include "msg/message.hpp"
+#include "trap_backends.hpp"
 
 namespace dsm = hdsm::dsm;
 namespace tags = hdsm::tags;
@@ -47,6 +49,16 @@ std::vector<std::byte> image_snapshot(const dsm::GlobalSpace& g) {
 }
 
 }  // namespace
+
+// The page-mode diff/pack round trips run on both write-trap backends.
+class TrackedApply : public hdsm::test::TrapBackendTest {};
+class ZeroCopyPack : public hdsm::test::TrapBackendTest {};
+class CollectRuns : public hdsm::test::TrapBackendTest {};
+class HeterogeneousApply : public hdsm::test::TrapBackendTest {};
+HDSM_ON_BOTH_TRAP_BACKENDS(TrackedApply);
+HDSM_ON_BOTH_TRAP_BACKENDS(ZeroCopyPack);
+HDSM_ON_BOTH_TRAP_BACKENDS(CollectRuns);
+HDSM_ON_BOTH_TRAP_BACKENDS(HeterogeneousApply);
 
 // ---- atomic (all-or-nothing) application -----------------------------------
 
@@ -79,8 +91,8 @@ TEST(AtomicApply, ValidPrefixIsNotAppliedWhenALaterBlockIsMalformed) {
   EXPECT_EQ(receiver.view<std::int32_t>("A").get(0), 0x5a5a5a5a);
 }
 
-TEST(AtomicApply, RejectedPayloadLeavesTrackingArmed) {
-  dsm::GlobalSpace receiver(small_gthv(), plat::linux_ia32());
+TEST_P(TrackedApply, RejectedPayloadLeavesTrackingArmed) {
+  dsm::GlobalSpace receiver(small_gthv(), plat::linux_ia32(), GetParam());
   dsm::ShareStats rs;
   dsm::SyncEngine engine(receiver, {}, rs);
   const auto summary = msg::PlatformSummary::of(plat::linux_ia32());
@@ -187,11 +199,11 @@ TEST(AtomicApply, HomeDetachesSenderOfMalformedPayload) {
 
 // ---- zero-copy packing -----------------------------------------------------
 
-TEST(ZeroCopyPack, PayloadByteIdenticalToGoldenEncoding) {
+TEST_P(ZeroCopyPack, PayloadByteIdenticalToGoldenEncoding) {
   // pack_payload writes blocks straight into the wire buffer; pin its byte
   // form against the reference block codec: decoding the payload and
   // re-encoding the blocks must reproduce the exact same bytes.
-  dsm::GlobalSpace g(small_gthv(), plat::solaris_sparc32());
+  dsm::GlobalSpace g(small_gthv(), plat::solaris_sparc32(), GetParam());
   dsm::ShareStats s1;
   dsm::SyncEngine engine(g, {}, s1);
 
@@ -210,7 +222,7 @@ TEST(ZeroCopyPack, PayloadByteIdenticalToGoldenEncoding) {
   EXPECT_EQ(wire, dsm::encode_update_blocks(blocks));
 }
 
-TEST(ZeroCopyPack, Stride2RunsByteIdenticalToGoldenEncoding) {
+TEST_P(ZeroCopyPack, Stride2RunsByteIdenticalToGoldenEncoding) {
   // The red/black SOR shape: every other double dirty, so coalescing cannot
   // merge anything and each element ships as its own (8,1) run.  Thousands
   // of tags share the engine's render buffer; a second pack of the same
@@ -219,7 +231,7 @@ TEST(ZeroCopyPack, Stride2RunsByteIdenticalToGoldenEncoding) {
   dsm::GlobalSpace g(
       TypeDesc::struct_of(
           "G", {{"D", TypeDesc::array(tags::t_double(), 2 * kRuns)}}),
-      plat::solaris_sparc32());
+      plat::solaris_sparc32(), GetParam());
   dsm::ShareStats s;
   dsm::SyncEngine engine(g, {}, s);
 
@@ -244,11 +256,11 @@ TEST(ZeroCopyPack, Stride2RunsByteIdenticalToGoldenEncoding) {
 
 // ---- multi-page collect and apply ------------------------------------------
 
-TEST(CollectRuns, DenseMultiPageWriteIsOneRunPerRow) {
+TEST_P(CollectRuns, DenseMultiPageWriteIsOneRunPerRow) {
   // Every element of A rewritten (every page dirty) plus every third D:
   // the diff of each page must join across the page seams into one A run,
   // and the sparse D writes stay one run each.
-  dsm::GlobalSpace g(big_gthv(), plat::linux_ia32());
+  dsm::GlobalSpace g(big_gthv(), plat::linux_ia32(), GetParam());
   dsm::ShareStats s;
   dsm::SyncEngine engine(g, {}, s);
   g.region().begin_tracking();
@@ -273,11 +285,11 @@ TEST(CollectRuns, DenseMultiPageWriteIsOneRunPerRow) {
              1) / hdsm::mem::Region::host_page_size());
 }
 
-TEST(CollectRuns, ScatteredWritesAndADenseBand) {
+TEST_P(CollectRuns, ScatteredWritesAndADenseBand) {
   // Scattered single-element writes across many pages, plus a dense band
   // that crosses page boundaries: one run per scattered element outside
   // the band, and the band as one run.
-  dsm::GlobalSpace g(big_gthv(), plat::linux_ia32());
+  dsm::GlobalSpace g(big_gthv(), plat::linux_ia32(), GetParam());
   dsm::ShareStats s;
   dsm::SyncEngine engine(g, {}, s);
   g.region().begin_tracking();
@@ -303,11 +315,11 @@ TEST(CollectRuns, ScatteredWritesAndADenseBand) {
   EXPECT_EQ(runs, expected);
 }
 
-TEST(HeterogeneousApply, BigEndianPayloadLandsInEveryElement) {
+TEST_P(HeterogeneousApply, BigEndianPayloadLandsInEveryElement) {
   // Big-endian sender, little-endian receiver: the bulk-swap route runs on
   // every block of a 1 MiB payload, and every A and D element must read
   // back as the sender wrote it.
-  dsm::GlobalSpace sender(big_gthv(), plat::solaris_sparc32());
+  dsm::GlobalSpace sender(big_gthv(), plat::solaris_sparc32(), GetParam());
   dsm::ShareStats ss;
   dsm::SyncEngine se(sender, {}, ss);
   sender.region().begin_tracking();
@@ -321,7 +333,7 @@ TEST(HeterogeneousApply, BigEndianPayloadLandsInEveryElement) {
   const std::vector<std::byte> payload = se.collect_payload(&sent);
   sender.region().end_tracking();
 
-  dsm::GlobalSpace receiver(big_gthv(), plat::linux_ia32());
+  dsm::GlobalSpace receiver(big_gthv(), plat::linux_ia32(), GetParam());
   dsm::ShareStats rs;
   dsm::SyncEngine re(receiver, {}, rs);
   const auto applied = re.apply_payload(

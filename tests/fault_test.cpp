@@ -571,8 +571,11 @@ TEST(Reliability, HomeReclaimsLocksOfDeadRemoteAndClusterProgresses) {
   msg::FaultOptions f;
   f.send.drop = 1.0;
   f.send.only = {msg::MsgType::UnlockRequest};
+  // The doomed remote's LockRequest is never dropped, so its budget must
+  // outlast a loaded scheduler; every UnlockRequest is dropped, so that
+  // retry exhausts the budget whatever its size.
   dsm::RetryPolicy retry;
-  retry.timeout = 5ms;
+  retry.timeout = hdsm::test::scaled(25ms);
   retry.backoff = 1.0;
   retry.max_retries = 3;
   dsm::ShardedRemoteOptions faulty_opts;

@@ -1,15 +1,25 @@
-// Tests for the region / write-trap / twin-diff substrate: genuine
-// mprotect + SIGSEGV write detection, twin integrity, concurrent faulting,
-// and the diff engine's byte-exact range computation.
+// Tests for the region / write-trap / twin-diff substrate: genuine write
+// detection on both trap backends (mprotect + SIGSEGV, and the userfaultfd
+// async write-protect trap), twin integrity, concurrent writers, and the
+// diff engine's byte-exact range computation.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <linux/userfaultfd.h>
+#include <sys/syscall.h>
+#include <sys/utsname.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <random>
+#include <system_error>
 #include <thread>
 
 #include "memory/diff.hpp"
 #include "memory/region.hpp"
 #include "memory/write_trap.hpp"
+#include "trap_backends.hpp"
 
 namespace mem = hdsm::mem;
 
@@ -51,40 +61,81 @@ TEST(Region, WritableByDefault) {
   EXPECT_EQ(std::to_integer<int>(r.data()[255]), 0x5A);
 }
 
-// ---- TrackedRegion ---------------------------------------------------------
+// ---- TrackedRegion, on both backends -----------------------------------------
 
-TEST(TrackedRegion, FirstWriteFaultsOncePerPage) {
+namespace {
+
+class TrackedRegionTest : public hdsm::test::TrapBackendTest {};
+
+struct Collected {
+  std::vector<std::size_t> pages;
+  std::vector<std::vector<std::byte>> twins;  // one copy per visited page
+};
+
+Collected collect(mem::TrackedRegion& r) {
   const std::size_t ps = mem::Region::host_page_size();
-  mem::TrackedRegion r(4 * ps);
+  Collected c;
+  const std::size_t n = r.collect([&](std::size_t page, const std::byte* twin) {
+    c.pages.push_back(page);
+    c.twins.emplace_back(twin, twin + ps);
+  });
+  EXPECT_EQ(n, c.pages.size());
+  return c;
+}
+
+/// The byte ranges of `page` that differ from `twin`.
+std::vector<mem::ByteRange> diff_page(const mem::TrackedRegion& r,
+                                      std::size_t page,
+                                      const std::vector<std::byte>& twin) {
+  const std::size_t ps = mem::Region::host_page_size();
+  std::vector<mem::ByteRange> ranges;
+  mem::diff_bytes(r.data() + page * ps, twin.data(), ps, page * ps, ranges);
+  return ranges;
+}
+
+}  // namespace
+
+HDSM_ON_BOTH_TRAP_BACKENDS(TrackedRegionTest);
+
+TEST_P(TrackedRegionTest, ReportsTheBackendItWasAskedFor) {
+  mem::TrackedRegion r(64, GetParam());
+  EXPECT_EQ(r.backend(), GetParam());
+}
+
+TEST_P(TrackedRegionTest, FirstWriteDetectedOncePerPage) {
+  const std::size_t ps = mem::Region::host_page_size();
+  mem::TrackedRegion r(4 * ps, GetParam());
   r.begin_tracking();
   EXPECT_EQ(r.fault_count(), 0u);
   r.data()[0] = std::byte{1};
   EXPECT_EQ(r.fault_count(), 1u);
-  r.data()[1] = std::byte{2};  // same page: no new fault
+  r.data()[1] = std::byte{2};  // same page: detected once
   EXPECT_EQ(r.fault_count(), 1u);
   r.data()[2 * ps] = std::byte{3};  // third page
   EXPECT_EQ(r.fault_count(), 2u);
+  EXPECT_EQ(r.dirty_pages(), (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(collect(r).pages, (std::vector<std::size_t>{0, 2}));
   r.end_tracking();
-  const std::vector<std::size_t> dirty = r.dirty_pages();
-  EXPECT_EQ(dirty, (std::vector<std::size_t>{0, 2}));
 }
 
-TEST(TrackedRegion, TwinHoldsPreWriteContent) {
+TEST_P(TrackedRegionTest, TwinHoldsPreWriteContent) {
   const std::size_t ps = mem::Region::host_page_size();
-  mem::TrackedRegion r(ps);
+  mem::TrackedRegion r(ps, GetParam());
   std::memset(r.data(), 0x11, ps);
   r.begin_tracking();
   r.data()[7] = std::byte{0x99};
-  r.end_tracking();
   ASSERT_TRUE(r.page_dirty(0));
-  EXPECT_EQ(std::to_integer<int>(r.twin_page(0)[7]), 0x11);
+  const Collected c = collect(r);
+  ASSERT_EQ(c.pages, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(std::to_integer<int>(c.twins[0][7]), 0x11);
   EXPECT_EQ(std::to_integer<int>(r.data()[7]), 0x99);
   // Untouched bytes agree between twin and data.
-  EXPECT_EQ(std::memcmp(r.twin_page(0) + 8, r.data() + 8, ps - 8), 0);
+  EXPECT_EQ(std::memcmp(c.twins[0].data() + 8, r.data() + 8, ps - 8), 0);
+  r.end_tracking();
 }
 
-TEST(TrackedRegion, ReadsNeverFault) {
-  mem::TrackedRegion r(1024);
+TEST_P(TrackedRegionTest, ReadsNeverFault) {
+  mem::TrackedRegion r(1024, GetParam());
   std::memset(r.data(), 0x42, 1024);
   r.begin_tracking();
   int sum = 0;
@@ -92,51 +143,114 @@ TEST(TrackedRegion, ReadsNeverFault) {
   EXPECT_EQ(sum, 0x42 * 1024);
   EXPECT_EQ(r.fault_count(), 0u);
   EXPECT_TRUE(r.dirty_pages().empty());
+  EXPECT_TRUE(collect(r).pages.empty());
   r.end_tracking();
 }
 
-TEST(TrackedRegion, ClearDirtyResets) {
-  mem::TrackedRegion r(256);
+TEST_P(TrackedRegionTest, CollectStartsAFreshInterval) {
+  mem::TrackedRegion r(256, GetParam());
   r.begin_tracking();
   r.data()[0] = std::byte{1};
-  r.end_tracking();
-  EXPECT_FALSE(r.dirty_pages().empty());
-  r.clear_dirty();
+  EXPECT_EQ(collect(r).pages.size(), 1u);
   EXPECT_TRUE(r.dirty_pages().empty());
   EXPECT_EQ(r.fault_count(), 0u);
+  EXPECT_TRUE(collect(r).pages.empty());
+  r.end_tracking();
+  EXPECT_TRUE(collect(r).pages.empty());  // not tracking: visits nothing
 }
 
-TEST(TrackedRegion, RetrackingAfterEndWorks) {
-  mem::TrackedRegion r(256);
+TEST_P(TrackedRegionTest, RetrackingAfterEndWorks) {
+  mem::TrackedRegion r(256, GetParam());
   for (int round = 0; round < 5; ++round) {
     r.begin_tracking();
     r.data()[round] = static_cast<std::byte>(round + 1);
     EXPECT_EQ(r.fault_count(), 1u) << round;
+    EXPECT_EQ(collect(r).pages.size(), 1u) << round;
     r.end_tracking();
-    EXPECT_EQ(r.dirty_pages().size(), 1u);
+    r.data()[round + 8] = std::byte{9};  // untracked: never reported
   }
+  r.begin_tracking();
+  EXPECT_TRUE(r.dirty_pages().empty());
+  r.end_tracking();
 }
 
-TEST(TrackedRegion, ApplyUpdateIsInvisibleToDiff) {
+TEST_P(TrackedRegionTest, NextWriteAfterCollectIsDetectedAgain) {
   const std::size_t ps = mem::Region::host_page_size();
-  mem::TrackedRegion r(ps);
+  mem::TrackedRegion r(2 * ps, GetParam());
   r.begin_tracking();
-  // Local write first: page twinned.
+  r.data()[ps + 1] = std::byte{0x10};
+  EXPECT_EQ(collect(r).pages, (std::vector<std::size_t>{1}));
+  EXPECT_FALSE(r.page_dirty(1));
+  r.data()[ps + 2] = std::byte{0x20};
+  EXPECT_TRUE(r.page_dirty(1));
+  EXPECT_EQ(r.fault_count(), 1u);
+  // The twin is the page as the second interval began: only the second
+  // write differs.
+  const Collected c = collect(r);
+  ASSERT_EQ(c.pages, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(diff_page(r, 1, c.twins[0]),
+            (std::vector<mem::ByteRange>{{ps + 2, ps + 3}}));
+  r.end_tracking();
+}
+
+TEST_P(TrackedRegionTest, ScatteredWrittenPagesComeBackComplete) {
+  // 300 written pages, none adjacent, so each is its own run in the
+  // kernel's scan output: more runs than one scan call returns.
+  const std::size_t ps = mem::Region::host_page_size();
+  constexpr std::size_t kWritten = 300;
+  mem::TrackedRegion r(3 * kWritten * ps, GetParam());
+  std::memset(r.data(), 0x5C, r.length());
+  r.begin_tracking();
+  std::vector<std::size_t> expected;
+  for (std::size_t i = 0; i < kWritten; ++i) {
+    const std::size_t page = 3 * i + i % 2;
+    r.data()[page * ps + i % ps] = std::byte{0x01};
+    expected.push_back(page);
+  }
+  EXPECT_EQ(r.fault_count(), kWritten);
+  const Collected c = collect(r);
+  EXPECT_EQ(c.pages, expected);
+  for (std::size_t i = 0; i < c.twins.size(); ++i) {
+    ASSERT_EQ(std::to_integer<int>(c.twins[i][i % ps]), 0x5C) << i;
+  }
+  EXPECT_TRUE(r.dirty_pages().empty());
+  r.end_tracking();
+}
+
+TEST_P(TrackedRegionTest, AliasWritesAreNeverReportedWritten) {
+  const std::size_t ps = mem::Region::host_page_size();
+  mem::TrackedRegion r(8 * ps, GetParam());
+  r.begin_tracking();
+  const std::vector<std::byte> update(8 * ps, std::byte{0x7E});
+  r.apply_update(0, update.data(), update.size());
+  EXPECT_EQ(std::to_integer<int>(r.data()[5 * ps + 3]), 0x7E);
+  EXPECT_TRUE(r.dirty_pages().empty());
+  EXPECT_EQ(r.fault_count(), 0u);
+  EXPECT_TRUE(collect(r).pages.empty());
+  r.end_tracking();
+}
+
+TEST_P(TrackedRegionTest, ApplyUpdateIsInvisibleToDiff) {
+  const std::size_t ps = mem::Region::host_page_size();
+  mem::TrackedRegion r(ps, GetParam());
+  r.begin_tracking();
+  // Local write first: page written.
   r.data()[0] = std::byte{1};
   // Incoming DSM update elsewhere on the page.
   const std::byte upd[2] = {std::byte{0xAB}, std::byte{0xCD}};
   r.apply_update(100, upd, 2);
-  r.end_tracking();
-  std::vector<mem::ByteRange> ranges;
-  mem::diff_bytes(r.data(), r.twin_page(0), ps, 0, ranges);
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0], (mem::ByteRange{0, 1}));  // only the local write
+  const Collected c = collect(r);
+  ASSERT_EQ(c.pages.size(), 1u);
+  // Only the local write.
+  EXPECT_EQ(diff_page(r, 0, c.twins[0]),
+            (std::vector<mem::ByteRange>{{0, 1}}));
   EXPECT_EQ(std::to_integer<int>(r.data()[100]), 0xAB);
+  r.end_tracking();
 }
 
-TEST(TrackedRegion, ApplyUpdateOnCleanProtectedPage) {
+TEST_P(TrackedRegionTest, ApplyUpdateOnCleanProtectedPage) {
   const std::size_t ps = mem::Region::host_page_size();
-  mem::TrackedRegion r(2 * ps);
+  mem::TrackedRegion r(2 * ps, GetParam());
   r.begin_tracking();
   const std::byte upd[4] = {std::byte{1}, std::byte{2}, std::byte{3},
                             std::byte{4}};
@@ -145,27 +259,53 @@ TEST(TrackedRegion, ApplyUpdateOnCleanProtectedPage) {
   r.apply_update(ps + 8, upd, 4);
   EXPECT_FALSE(r.page_dirty(1));
   EXPECT_EQ(std::to_integer<int>(r.data()[ps + 8]), 1);
-  // A subsequent application write twins the *post-update* content, so the
-  // diff reports only the application write.
+  // A subsequent application write is diffed against the *post-update*
+  // content, so the diff reports only the application write.
   r.data()[ps + 100] = std::byte{0x55};
   ASSERT_TRUE(r.page_dirty(1));
-  std::vector<mem::ByteRange> ranges;
-  mem::diff_bytes(r.data() + ps, r.twin_page(1), ps, ps, ranges);
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0], (mem::ByteRange{ps + 100, ps + 101}));
+  const Collected c = collect(r);
+  ASSERT_EQ(c.pages, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(diff_page(r, 1, c.twins[0]),
+            (std::vector<mem::ByteRange>{{ps + 100, ps + 101}}));
   r.end_tracking();
 }
 
-TEST(TrackedRegion, ApplyUpdateBoundsChecked) {
-  mem::TrackedRegion r(128);
+TEST_P(TrackedRegionTest, ApplyUpdateLeavesTheNextDiffSilent) {
+  // An update on a written page and one on a clean page: neither shows in
+  // this interval's diff nor in the next one's.
+  const std::size_t ps = mem::Region::host_page_size();
+  mem::TrackedRegion r(2 * ps, GetParam());
+  r.begin_tracking();
+  r.data()[0] = std::byte{1};
+  const std::byte upd[2] = {std::byte{0xEE}, std::byte{0xEF}};
+  r.apply_update(10, upd, 2);       // page 0: written
+  r.apply_update(ps + 20, upd, 2);  // page 1: clean
+  Collected c = collect(r);
+  ASSERT_EQ(c.pages, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(diff_page(r, 0, c.twins[0]),
+            (std::vector<mem::ByteRange>{{0, 1}}));
+
+  r.data()[ps + 30] = std::byte{2};
+  r.data()[50] = std::byte{3};
+  c = collect(r);
+  ASSERT_EQ(c.pages, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(diff_page(r, 0, c.twins[0]),
+            (std::vector<mem::ByteRange>{{50, 51}}));
+  EXPECT_EQ(diff_page(r, 1, c.twins[1]),
+            (std::vector<mem::ByteRange>{{ps + 30, ps + 31}}));
+  r.end_tracking();
+}
+
+TEST_P(TrackedRegionTest, ApplyUpdateBoundsChecked) {
+  mem::TrackedRegion r(128, GetParam());
   const std::byte b{0};
   EXPECT_THROW(r.apply_update(r.length(), &b, 1), std::out_of_range);
 }
 
-TEST(TrackedRegion, ConcurrentWritersAllPagesTwinnedCorrectly) {
+TEST_P(TrackedRegionTest, ConcurrentWritersAllPagesTwinnedCorrectly) {
   const std::size_t ps = mem::Region::host_page_size();
   const std::size_t pages = 8;
-  mem::TrackedRegion r(pages * ps);
+  mem::TrackedRegion r(pages * ps, GetParam());
   std::memset(r.data(), 0x33, pages * ps);
   r.begin_tracking();
   std::vector<std::thread> threads;
@@ -180,18 +320,20 @@ TEST(TrackedRegion, ConcurrentWritersAllPagesTwinnedCorrectly) {
     });
   }
   for (auto& th : threads) th.join();
-  r.end_tracking();
   EXPECT_EQ(r.dirty_pages().size(), pages);
+  const Collected c = collect(r);
+  ASSERT_EQ(c.pages.size(), pages);
   for (std::size_t p = 0; p < pages; ++p) {
     // Twin is the pristine pre-write page regardless of race winners.
     for (std::size_t i = 0; i < ps; ++i) {
-      ASSERT_EQ(std::to_integer<int>(r.twin_page(p)[i]), 0x33);
+      ASSERT_EQ(std::to_integer<int>(c.twins[p][i]), 0x33);
     }
   }
+  r.end_tracking();
 }
 
-TEST(TrackedRegion, ManyRegionsIndependent) {
-  mem::TrackedRegion a(256), b(256);
+TEST_P(TrackedRegionTest, ManyRegionsIndependent) {
+  mem::TrackedRegion a(256, GetParam()), b(256, GetParam());
   a.begin_tracking();
   b.begin_tracking();
   a.data()[0] = std::byte{1};
@@ -199,19 +341,85 @@ TEST(TrackedRegion, ManyRegionsIndependent) {
   EXPECT_EQ(b.fault_count(), 0u);
   b.data()[10] = std::byte{2};
   EXPECT_EQ(b.fault_count(), 1u);
+  EXPECT_EQ(collect(a).pages.size(), 1u);
+  EXPECT_EQ(collect(b).pages.size(), 1u);
   a.end_tracking();
   b.end_tracking();
-  EXPECT_EQ(a.dirty_pages().size(), 1u);
-  EXPECT_EQ(b.dirty_pages().size(), 1u);
 }
 
-TEST(TrackedRegion, RegistryTracksLifetime) {
+TEST_P(TrackedRegionTest, RegistryTracksLifetime) {
+  // Only the Sigsegv backend enters the signal handler's registry.
   const std::size_t before = mem::trap_internal::registered_count();
+  const std::size_t held = GetParam() == mem::TrapBackend::Sigsegv ? 1 : 0;
   {
-    mem::TrackedRegion r(64);
-    EXPECT_EQ(mem::trap_internal::registered_count(), before + 1);
+    mem::TrackedRegion r(64, GetParam());
+    EXPECT_EQ(mem::trap_internal::registered_count(), before + held);
   }
   EXPECT_EQ(mem::trap_internal::registered_count(), before);
+}
+
+TEST(TrackedRegion, DefaultPicksUffdWhereTheKernelOffersIt) {
+  // Linux 6.7 added WP_ASYNC and PAGEMAP_SCAN.  Where the kernel is that
+  // new and lets this process open a userfaultfd, Auto must not fall back.
+  utsname u{};
+  ASSERT_EQ(::uname(&u), 0);
+  int major = 0;
+  int minor = 0;
+  std::sscanf(u.release, "%d.%d", &major, &minor);
+  const int fd = static_cast<int>(
+      ::syscall(SYS_userfaultfd, O_CLOEXEC | UFFD_USER_MODE_ONLY));
+  if (fd >= 0) ::close(fd);
+  mem::TrackedRegion r(64);
+  if (fd < 0 || major < 6 || (major == 6 && minor < 7)) {
+    EXPECT_EQ(r.backend(), mem::TrapBackend::Sigsegv);
+    GTEST_SKIP() << "kernel " << u.release << " offers no async uffd trap";
+  }
+  EXPECT_EQ(r.backend(), mem::TrapBackend::Uffd);
+}
+
+TEST(TrackedRegion, ForkedChildTracksOnlyRegionsItMakes) {
+  mem::TrackedRegion inherited(64);
+  if (inherited.backend() != mem::TrapBackend::Uffd) {
+    GTEST_SKIP() << "no uffd backend on this kernel";
+  }
+  inherited.begin_tracking();  // registers it with this process's uffd
+  inherited.end_tracking();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // The child reports through its exit code only.
+    int code = 0;
+    try {
+      mem::TrackedRegion own(64);
+      own.begin_tracking();
+      own.data()[0] = std::byte{1};
+      if (own.backend() != mem::TrapBackend::Uffd) code = 1;
+      if (own.fault_count() != 1) code = 2;
+      own.end_tracking();
+    } catch (...) {
+      code = 3;
+    }
+    try {
+      inherited.begin_tracking();  // not registered in this process
+      if (code == 0) code = 4;
+    } catch (const std::system_error&) {
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  // The parent's tracking is untouched by the child.
+  inherited.begin_tracking();
+  inherited.data()[3] = std::byte{3};
+  EXPECT_EQ(inherited.fault_count(), 1u);
+  inherited.end_tracking();
+}
+
+TEST(TrackedRegion, ExplicitSigsegvIsHonoured) {
+  mem::TrackedRegion r(64, mem::TrapBackend::Sigsegv);
+  EXPECT_EQ(r.backend(), mem::TrapBackend::Sigsegv);
 }
 
 // ---- diff engine -----------------------------------------------------------

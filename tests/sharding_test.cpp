@@ -282,8 +282,9 @@ TEST(ShardedHome, DisjointMutexesConvergeOnOneIoThread) {
 TEST(ShardedRemote, GrantsAndReleasesLeaveCleanPagesWriteProtected) {
   // Page mode: a lock grant or barrier release that updates a clean page
   // lands through the alias view.  The page stays clean and protected, so
-  // the next application write to it faults exactly once and the following
-  // release ships exactly that write.
+  // the next application write to it is detected exactly once (fault_count
+  // counts pages detected written) and the following release ships
+  // exactly that write.
   constexpr std::uint64_t kPagedElems = 2048;  // 16 KB: several host pages
   const auto paged = [] {
     return tags::TypeDesc::struct_of(
@@ -347,7 +348,7 @@ TEST(ShardedRemote, GrantsAndReleasesLeaveCleanPagesWriteProtected) {
   EXPECT_EQ(region.fault_count(), faults);
   a.set(e + 1, 8);
   EXPECT_EQ(region.fault_count(), faults + 1);
-  a.set(e + 1, 9);  // twinned and writable now: no second fault
+  a.set(e + 1, 9);  // already detected: no second detection
   EXPECT_EQ(region.fault_count(), faults + 1);
   reader.unlock(0);
   expect_unlock_ships_only(before_frames, e + 1);
