@@ -18,6 +18,11 @@
 //                               t_tag and t_pack ns per payload, and
 //                               tags_generated per payload (exact; checked
 //                               by bench_smoke)
+//   BM_ReleaseStride2         - the same kStride2Runs pending set released
+//                               by a solaris_sparc32 home to a linux_ia32
+//                               peer (fill_gaps + pack_payload): blocks
+//                               and payload bytes per release (blocks
+//                               exact; checked by bench_smoke)
 //   BM_ApplyPlanCache/{0,1}   - many same-row blocks with the per-(sender,
 //                               row) conversion-plan cache off/on
 //
@@ -35,6 +40,7 @@
 
 #include "bench_util.hpp"
 #include "dsm/global_space.hpp"
+#include "index/index_table.hpp"
 #include "dsm/sync_engine.hpp"
 #include "dsm/update.hpp"
 
@@ -185,6 +191,44 @@ void BM_PackStride2(benchmark::State& state) {
   state.counters["tags_generated"] = per_payload(stats.tags_generated);
 }
 BENCHMARK(BM_PackStride2)
+    ->Unit(benchmark::kMicrosecond)
+    ->Apply(hdsm::bench::wall_clock);
+
+void BM_ReleaseStride2(benchmark::State& state) {
+  const tags::TypePtr gthv = tags::TypeDesc::struct_of(
+      "G", {{"D", tags::TypeDesc::array(tags::t_double(), 2 * kStride2Runs)}});
+  dsm::GlobalSpace home(gthv, plat::solaris_sparc32());
+  dsm::ShareStats stats;
+  dsm::SyncEngine engine(home, {}, stats);
+  auto d = home.view<double>("D");
+  std::vector<hdsm::idx::UpdateRun> pending;
+  for (std::uint64_t i = 0; i < kStride2Runs; ++i) {
+    d.set(2 * i, 1.0 + i);
+    pending.push_back({0, 2 * i, 1});
+  }
+  // What the peer's Hello tells the home: its platform and row sizes.
+  dsm::PeerShape peer;
+  peer.platform = msg::PlatformSummary::of(plat::linux_ia32());
+  const hdsm::idx::IndexTable peer_table(gthv, plat::linux_ia32());
+  for (const hdsm::idx::IndexRow& row : peer_table.rows()) {
+    if (!row.is_padding()) peer.elem_sizes.push_back(row.size);
+  }
+
+  std::uint64_t bytes = 0;
+  for (auto _ : state) {
+    std::vector<hdsm::idx::UpdateRun> runs = pending;
+    engine.fill_gaps(runs, peer);
+    std::vector<std::byte> wire = engine.pack_payload(runs);
+    benchmark::DoNotOptimize(wire.data());
+    bytes += wire.size();
+  }
+  const auto per_release = [&state](std::uint64_t v) {
+    return static_cast<double>(v) / static_cast<double>(state.iterations());
+  };
+  state.counters["blocks"] = per_release(stats.updates_sent);
+  state.counters["payload_bytes"] = per_release(bytes);
+}
+BENCHMARK(BM_ReleaseStride2)
     ->Unit(benchmark::kMicrosecond)
     ->Apply(hdsm::bench::wall_clock);
 

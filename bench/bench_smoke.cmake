@@ -74,13 +74,18 @@ endforeach()
 
 # BM_PackStride2 packs a fixed set of one-element runs, so its tags per
 # payload is an exact counter (kStride2Runs in bench_data_plane.cpp): the
-# SOR-shaped pack path must tag every run, once.
+# SOR-shaped pack path must tag every run, once.  BM_ReleaseStride2
+# releases the same set over a sparc32 -> ia32 (bulk-swap) link, where the
+# barrier-release gap fill joins all of it into one block; per-run blocks
+# there mean the fill regressed.
 set(stride2_tags 8192)
+set(stride2_release_blocks 1)
 if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   file(READ "${BENCH_DIR}/BENCH_data_plane.json" json)
   string(JSON n_benchmarks LENGTH "${json}" benchmarks)
   math(EXPR last "${n_benchmarks} - 1")
   set(n_stride2 0)
+  set(n_release 0)
   foreach(i RANGE ${last})
     string(JSON name GET "${json}" benchmarks ${i} name)
     if(name MATCHES "^BM_PackStride2/")
@@ -90,13 +95,22 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
                 "expected ${stride2_tags}")
       endif()
       math(EXPR n_stride2 "${n_stride2} + 1")
+    elseif(name MATCHES "^BM_ReleaseStride2/")
+      string(JSON blocks GET "${json}" benchmarks ${i} blocks)
+      if(NOT blocks EQUAL stride2_release_blocks)
+        message(FATAL_ERROR "bench_smoke: ${name} blocks=${blocks}, "
+                "expected ${stride2_release_blocks}")
+      endif()
+      math(EXPR n_release "${n_release} + 1")
     endif()
   endforeach()
-  if(NOT n_stride2 EQUAL 1)
-    message(FATAL_ERROR "bench_smoke: expected 1 BM_PackStride2 entry in "
-            "BENCH_data_plane.json, found ${n_stride2}")
+  if(NOT n_stride2 EQUAL 1 OR NOT n_release EQUAL 1)
+    message(FATAL_ERROR "bench_smoke: expected 1 BM_PackStride2 and 1 "
+            "BM_ReleaseStride2 entry in BENCH_data_plane.json, found "
+            "${n_stride2} and ${n_release}")
   endif()
-  message(STATUS "bench_smoke: BM_PackStride2 tags_generated ok")
+  message(STATUS "bench_smoke: BM_PackStride2 tags_generated and "
+          "BM_ReleaseStride2 blocks ok")
 endif()
 
 # bench_obs_overhead additionally exports a Chrome trace-event file and the

@@ -29,13 +29,15 @@ inline std::vector<std::uint32_t> sweep_sizes() {
 }
 
 /// Repetitions per (pair, size) point; the least-noise (smallest C_share)
-/// run is reported.  Override with HDSM_BENCH_REPS.
-inline int repetitions() {
+/// run is reported.  Fast mode takes `fast_reps` (1 unless a figure's shape
+/// check compares single timings that one slow fault can flip).  Override
+/// with HDSM_BENCH_REPS.
+inline int repetitions(int fast_reps = 1) {
   if (const char* v = std::getenv("HDSM_BENCH_REPS")) {
     const int n = std::atoi(v);
     if (n > 0) return n;
   }
-  return fast_mode() ? 1 : 3;
+  return fast_mode() ? fast_reps : 3;
 }
 
 inline double ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
@@ -65,8 +67,7 @@ inline dsm::ShardedHomeOptions paper_options() {
 /// [pair][size].
 template <typename RunFn>
 inline std::vector<std::vector<work::ExperimentResult>> run_sweep(
-    RunFn&& run_one) {
-  const int reps = repetitions();
+    RunFn&& run_one, int reps = repetitions()) {
   std::vector<std::vector<work::ExperimentResult>> out;
   for (const work::PairSpec& pair : work::paper_pairs()) {
     std::vector<work::ExperimentResult> row;
@@ -90,10 +91,13 @@ inline std::vector<std::vector<work::ExperimentResult>> run_sweep(
   return out;
 }
 
-inline std::vector<std::vector<work::ExperimentResult>> run_matmul_sweep() {
-  return run_sweep([](const work::PairSpec& pair, std::uint32_t n) {
-    return work::run_matmul_experiment(pair, n, paper_options());
-  });
+inline std::vector<std::vector<work::ExperimentResult>> run_matmul_sweep(
+    int reps = repetitions()) {
+  return run_sweep(
+      [](const work::PairSpec& pair, std::uint32_t n) {
+        return work::run_matmul_experiment(pair, n, paper_options());
+      },
+      reps);
 }
 
 inline std::vector<std::vector<work::ExperimentResult>> run_lu_sweep() {

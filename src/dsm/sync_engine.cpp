@@ -95,6 +95,12 @@ struct SyncEngine::SenderPlanCache {
 SyncEngine::SyncEngine(GlobalSpace& space, const SyncOptions& opts,
                        ShareStats& stats)
     : space_(space), opts_(opts), stats_(stats) {
+  const std::vector<idx::IndexRow>& rows = space_.table().rows();
+  data_ordinal_.resize(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    data_ordinal_[i] = data_rows_;
+    if (!rows[i].is_padding()) ++data_rows_;
+  }
   if (opts_.conv_threads > 1 || opts_.tuner.pin_conv_threads > 1) {
     throw std::invalid_argument(
         "SyncOptions: the data plane runs one lane per node "
@@ -336,6 +342,40 @@ void SyncEngine::note_wire(std::uint64_t bytes, std::uint64_t ns) {
   sample_episode(s);
 }
 
+void SyncEngine::fill_gaps(std::vector<idx::UpdateRun>& runs,
+                           const PeerShape& peer) const {
+  if (runs.size() < 2 || peer.elem_sizes.size() != data_rows_) return;
+  const std::vector<idx::IndexRow>& rows = space_.table().rows();
+  const plat::PlatformDesc peer_platform = wire_platform(peer.platform);
+  constexpr std::uint64_t kMaxGap = update_block_wire_size(0, 0);
+  std::uint32_t planned_row = ~0u;  // none yet; no table has 2^32-1 rows
+  bool exact = false;  // planned_row's route round-trips every element
+  std::size_t w = 0;
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    idx::UpdateRun& prev = runs[w];
+    const idx::UpdateRun& cur = runs[r];
+    const std::uint64_t prev_end = prev.first_elem + prev.count;
+    if (cur.row == prev.row && cur.first_elem >= prev_end) {
+      const idx::IndexRow& row = rows[cur.row];
+      if (cur.row != planned_row) {
+        planned_row = cur.row;
+        exact = conv::plan_route(row.size, space_.platform(),
+                                 peer.elem_sizes[data_ordinal_[cur.row]],
+                                 peer_platform, row.cat, row.kind,
+                                 /*allow_bulk_swap=*/true,
+                                 /*has_translator=*/false) !=
+                conv::Route::Elementwise;
+      }
+      if (exact && (cur.first_elem - prev_end) * row.size <= kMaxGap) {
+        prev.count = cur.first_elem + cur.count - prev.first_elem;
+        continue;
+      }
+    }
+    runs[++w] = cur;
+  }
+  runs.resize(w + 1);
+}
+
 std::vector<std::byte> SyncEngine::collect_payload(
     std::vector<idx::UpdateRun>* runs_out) {
   const std::vector<idx::UpdateRun> runs = collect_runs();
@@ -552,26 +592,42 @@ std::vector<idx::UpdateRun> SyncEngine::full_image_runs(
 void merge_runs(std::vector<idx::UpdateRun>& into,
                 const std::vector<idx::UpdateRun>& add) {
   if (add.empty()) return;
-  into.insert(into.end(), add.begin(), add.end());
-  std::sort(into.begin(), into.end(),
-            [](const idx::UpdateRun& a, const idx::UpdateRun& b) {
-              return a.row != b.row ? a.row < b.row
-                                    : a.first_elem < b.first_elem;
-            });
-  std::size_t w = 0;
-  for (std::size_t r = 1; r < into.size(); ++r) {
-    idx::UpdateRun& prev = into[w];
-    const idx::UpdateRun& cur = into[r];
-    if (cur.row == prev.row &&
-        cur.first_elem <= prev.first_elem + prev.count) {
-      const std::uint64_t end =
-          std::max(prev.first_elem + prev.count, cur.first_elem + cur.count);
-      prev.count = end - prev.first_elem;
+  const auto before = [](const idx::UpdateRun& a, const idx::UpdateRun& b) {
+    return a.row != b.row ? a.row < b.row : a.first_elem < b.first_elem;
+  };
+  // A diff's runs arrive sorted; a remote's payload is untrusted and may
+  // list its blocks in any order.
+  std::vector<idx::UpdateRun> sorted_add;
+  const std::vector<idx::UpdateRun>* in = &add;
+  if (!std::is_sorted(add.begin(), add.end(), before)) {
+    sorted_add = add;
+    std::sort(sorted_add.begin(), sorted_add.end(), before);
+    in = &sorted_add;
+  }
+  std::vector<idx::UpdateRun> out;
+  out.reserve(into.size() + in->size());
+  const auto push = [&out](const idx::UpdateRun& cur) {
+    if (!out.empty()) {
+      idx::UpdateRun& prev = out.back();
+      const std::uint64_t prev_end = prev.first_elem + prev.count;
+      if (cur.row == prev.row && cur.first_elem <= prev_end) {
+        prev.count = std::max(prev_end, cur.first_elem + cur.count) -
+                     prev.first_elem;
+        return;
+      }
+    }
+    out.push_back(cur);
+  };
+  auto a = into.begin();
+  auto b = in->begin();
+  while (a != into.end() || b != in->end()) {
+    if (b == in->end() || (a != into.end() && !before(*b, *a))) {
+      push(*a++);
     } else {
-      into[++w] = cur;
+      push(*b++);
     }
   }
-  into.resize(w + 1);
+  into = std::move(out);
 }
 
 }  // namespace hdsm::dsm

@@ -124,6 +124,21 @@ class SyncEngine {
   /// place into the same buffer (hdsm::codec, docs/COMPRESSION.md).
   std::vector<std::byte> pack_payload(const std::vector<idx::UpdateRun>& runs);
 
+  /// Barrier-release gap fill (docs/PROTOCOL.md §6 invariant 5, §7): join
+  /// neighbouring runs of the sorted, disjoint `runs` that share a row when
+  /// the gap between them is at most one block header (24 B), so that
+  /// pack_payload ships the gap's bytes from this node's image instead of a
+  /// second header and tag.  Only rows whose route from this node to a
+  /// peer of shape `peer` is Memcpy or BulkSwap (planned with bulk swap
+  /// allowed) are joined: those routes round-trip every element exactly,
+  /// so a gap element the peer already holds, or wrote and shipped, lands
+  /// byte for byte as it was.  An Elementwise row (x87 `long double`
+  /// through `double`, a `long` of another width) is never joined.  A
+  /// release never grows: each join removes a 24 B header plus a tag and
+  /// adds at most 24 B of gap.  No-op when `peer` carries no shape.
+  void fill_gaps(std::vector<idx::UpdateRun>& runs,
+                 const PeerShape& peer) const;
+
   /// collect_runs() + pack_payload(): the zero-copy MTh_unlock send side.
   std::vector<std::byte> collect_payload(
       std::vector<idx::UpdateRun>* runs_out = nullptr);
@@ -238,10 +253,16 @@ class SyncEngine {
   /// their capacity: every run's tag back to back, and where each starts.
   std::string tag_arena_;
   std::vector<std::size_t> tag_offs_;
+  /// Position of each data row among the table's data rows (padding rows
+  /// skipped), which is how PeerShape::elem_sizes is indexed.
+  std::vector<std::uint32_t> data_ordinal_;
+  std::uint32_t data_rows_ = 0;
 };
 
 /// Merge `add` into the sorted, disjoint run set `into` (row-major order,
-/// overlapping/adjacent runs in the same row unified).
+/// overlapping/adjacent runs in the same row unified).  `add` may come in
+/// any order; it is sorted first only when it is not already, and the two
+/// sorted lists are then merged in one linear pass.
 void merge_runs(std::vector<idx::UpdateRun>& into,
                 const std::vector<idx::UpdateRun>& add);
 

@@ -61,6 +61,15 @@ std::vector<UpdateBlock> decode_update_blocks(
 std::vector<UpdateBlockView> decode_update_block_views(
     const std::vector<std::byte>& payload);
 
+/// What a peer's Hello tells the home about how it stores the image: its
+/// byte order and long-double format, and the element size of every data
+/// row there, in row order with padding rows skipped.  Empty `elem_sizes`
+/// means the home has not seen a Hello with a tag from this peer.
+struct PeerShape {
+  msg::PlatformSummary platform;
+  std::vector<std::uint32_t> elem_sizes;
+};
+
 /// Wire size of one block with `tag_len` tag bytes and `data_len` data
 /// bytes (the per-block fixed header is 24 bytes).
 constexpr std::size_t update_block_wire_size(std::size_t tag_len,

@@ -49,12 +49,13 @@ void SpanRing::snapshot(std::vector<SpanRecord>& out) const {
     const Slot& s = slots_[i & mask_];
     if (s.tag.load(std::memory_order_acquire) != i) continue;
     SpanRecord r;
-    r.start_ns = s.start.load(std::memory_order_relaxed);
-    r.dur_ns = s.dur.load(std::memory_order_relaxed);
-    const std::uint64_t meta = s.meta.load(std::memory_order_relaxed);
-    // Recheck: if the writer lapped us mid-copy it invalidated the tag
-    // before touching the fields, so a stable tag means a stable copy.
-    std::atomic_thread_fence(std::memory_order_acquire);
+    r.start_ns = s.start.load(std::memory_order_acquire);
+    r.dur_ns = s.dur.load(std::memory_order_acquire);
+    const std::uint64_t meta = s.meta.load(std::memory_order_acquire);
+    // Recheck: if the writer lapped us mid-copy, a field we read was
+    // release-stored after the tag's invalidation, and our acquire load of
+    // it makes that invalidation visible here — a stable tag means a
+    // stable copy.
     if (s.tag.load(std::memory_order_relaxed) != i) continue;
     r.id = meta >> 8;
     r.kind = static_cast<SpanKind>(meta & 0xFF);

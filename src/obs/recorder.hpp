@@ -8,10 +8,12 @@
 //
 // Concurrency: exactly one writer per ring (the owning thread); snapshots
 // may run concurrently from any thread.  Each slot is a per-slot seqlock
-// built from atomics (TSan-clean, no data races): the writer invalidates
-// the slot's sequence tag, publishes the fields, then republishes the tag
-// with release ordering; the reader copies the fields between two tag
-// loads and discards the copy if the tag moved.  A snapshot taken while
+// built from atomics with no fences, so TSan checks its ordering: the
+// writer invalidates the slot's sequence tag, release-stores the fields,
+// then release-stores the tag; the reader acquire-loads the fields
+// between two tag loads and discards the copy if the tag moved (a field
+// from the writer's next lap carries the invalidation with it).  On x86
+// every one of these is a plain move.  A snapshot taken while
 // the writer laps it loses only the slots actively being overwritten.
 #pragma once
 
@@ -74,12 +76,13 @@ class SpanRing {
             std::uint64_t id) noexcept {
     const std::uint64_t seq = pushed_.load(std::memory_order_relaxed);
     Slot& s = slots_[seq & mask_];
-    // Per-slot seqlock write protocol: invalidate → fields → publish.
+    // Per-slot seqlock write protocol: invalidate → fields → publish.  The
+    // fields are release stores, so a reader whose acquire load sees any
+    // of them also sees the invalidation ordered before it.
     s.tag.store(kInvalid, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    s.start.store(start_ns, std::memory_order_relaxed);
-    s.dur.store(dur_ns, std::memory_order_relaxed);
-    s.meta.store(pack_meta(kind, id), std::memory_order_relaxed);
+    s.start.store(start_ns, std::memory_order_release);
+    s.dur.store(dur_ns, std::memory_order_release);
+    s.meta.store(pack_meta(kind, id), std::memory_order_release);
     s.tag.store(seq, std::memory_order_release);
     pushed_.store(seq + 1, std::memory_order_release);
   }

@@ -2,18 +2,24 @@
 // payload application that leaves write tracking armed, zero-copy
 // single-buffer packing, the run lists of multi-page collects, a multi-page
 // heterogeneous apply (these page-mode round trips on both write-trap
-// backends), the one-lane option check, and the per-(sender, row)
-// conversion-plan cache.
+// backends), the one-lane option check, the per-(sender, row)
+// conversion-plan cache, the pending-set merge, and the barrier-release
+// gap fill.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
+#include <random>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "dsm/coherence_core.hpp"
 #include "dsm/global_space.hpp"
+#include "dsm/sharded_cluster.hpp"
 #include "dsm/sharded_home.hpp"
 #include "dsm/sync_engine.hpp"
 #include "dsm/trace.hpp"
@@ -559,4 +565,319 @@ TEST(MergeRunsEdges, ContainedAndSpanningRuns) {
   std::vector<hdsm::idx::UpdateRun> rows = {{2, 60, 4}};
   dsm::merge_runs(rows, {{3, 0, 2}});
   ASSERT_EQ(rows.size(), 2u);
+}
+
+TEST(MergeRunsEdges, LinearMergeMatchesASortOfTheUnion) {
+  // The sort-based merge the linear one replaced: append, sort the whole
+  // set, unify neighbours.
+  const auto sort_merge = [](std::vector<hdsm::idx::UpdateRun> into,
+                             const std::vector<hdsm::idx::UpdateRun>& add) {
+    if (add.empty()) return into;
+    into.insert(into.end(), add.begin(), add.end());
+    std::sort(into.begin(), into.end(), [](const auto& a, const auto& b) {
+      return a.row != b.row ? a.row < b.row : a.first_elem < b.first_elem;
+    });
+    std::size_t w = 0;
+    for (std::size_t r = 1; r < into.size(); ++r) {
+      hdsm::idx::UpdateRun& prev = into[w];
+      const hdsm::idx::UpdateRun& cur = into[r];
+      if (cur.row == prev.row &&
+          cur.first_elem <= prev.first_elem + prev.count) {
+        prev.count = std::max(prev.first_elem + prev.count,
+                              cur.first_elem + cur.count) -
+                     prev.first_elem;
+      } else {
+        into[++w] = cur;
+      }
+    }
+    into.resize(w + 1);
+    return into;
+  };
+
+  std::mt19937_64 rng(1234);
+  const auto draw = [&rng](std::size_t n) {
+    std::vector<hdsm::idx::UpdateRun> runs(n);
+    for (hdsm::idx::UpdateRun& r : runs) {
+      r.row = static_cast<std::uint32_t>(rng() % 4);
+      r.first_elem = rng() % 64;
+      r.count = 1 + rng() % 6;  // overlapping and adjacent runs are common
+    }
+    return runs;
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    // `into` is always a merged set; `add` is raw — unsorted half the
+    // time, sorted (as a diff's runs are) the other half.
+    const std::vector<hdsm::idx::UpdateRun> into =
+        sort_merge({}, draw(rng() % 12));
+    std::vector<hdsm::idx::UpdateRun> add = draw(rng() % 12);
+    if (trial % 2 == 0) add = sort_merge({}, add);
+    std::vector<hdsm::idx::UpdateRun> got = into;
+    dsm::merge_runs(got, add);
+    ASSERT_EQ(got, sort_merge(into, add)) << "trial " << trial;
+  }
+}
+
+// ---- barrier-release gap fill ----------------------------------------------
+
+namespace {
+
+/// One data row of each kind whose route can differ between platforms.
+tags::TypePtr fill_gthv() {
+  return TypeDesc::struct_of(
+      "G", {{"D", TypeDesc::array(tags::t_double(), 64)},
+            {"L", TypeDesc::array(tags::t_longdouble(), 8)},
+            {"W", TypeDesc::array(tags::t_long(), 8)}});
+}
+
+/// What a peer on `p` announces in its Hello: every data row's element
+/// size there.
+dsm::PeerShape shape_of(const tags::TypePtr& gthv,
+                        const plat::PlatformDesc& p) {
+  dsm::PeerShape shape;
+  shape.platform = msg::PlatformSummary::of(p);
+  const hdsm::idx::IndexTable table(gthv, p);
+  for (const hdsm::idx::IndexRow& row : table.rows()) {
+    if (!row.is_padding()) shape.elem_sizes.push_back(row.size);
+  }
+  return shape;
+}
+
+/// Two one-element runs of `row` with `gap` untouched elements between.
+std::vector<hdsm::idx::UpdateRun> split_pair(std::uint32_t row,
+                                             std::uint64_t gap) {
+  return {{row, 0, 1}, {row, 1 + gap, 1}};
+}
+
+}  // namespace
+
+TEST(FillGaps, JoinsOnlyShortGapsOnExactRoutes) {
+  dsm::GlobalSpace home(fill_gthv(), plat::solaris_sparc32());
+  dsm::ShareStats stats;
+  dsm::SyncEngine engine(home, {}, stats);
+  const std::uint32_t d = static_cast<std::uint32_t>(
+      home.table().row_of_field("D"));
+  const std::uint32_t l = static_cast<std::uint32_t>(
+      home.table().row_of_field("L"));
+  const std::uint32_t w = static_cast<std::uint32_t>(
+      home.table().row_of_field("W"));
+  const auto filled = [&](std::vector<hdsm::idx::UpdateRun> runs,
+                          const plat::PlatformDesc& peer) {
+    engine.fill_gaps(runs, shape_of(fill_gthv(), peer));
+    return runs.size();
+  };
+  const plat::PlatformDesc& ia32 = plat::linux_ia32();
+
+  // double sparc32 -> ia32 is BulkSwap: a gap of up to one block header
+  // (3 doubles = 24 B) is joined, 4 doubles is not.
+  EXPECT_EQ(filled(split_pair(d, 1), ia32), 1u);
+  EXPECT_EQ(filled(split_pair(d, 3), ia32), 1u);
+  EXPECT_EQ(filled(split_pair(d, 4), ia32), 2u);
+  // The same row to a sparc32 peer is Memcpy.
+  EXPECT_EQ(filled(split_pair(d, 3), plat::solaris_sparc32()), 1u);
+
+  // long double: binary128 (16 B) -> x87 (12 B) is Elementwise through
+  // double, so even a one-element gap stays; sparc32 -> sparc64 is Memcpy.
+  EXPECT_EQ(filled(split_pair(l, 1), ia32), 2u);
+  EXPECT_EQ(filled(split_pair(l, 1), plat::solaris_sparc64()), 1u);
+
+  // long: 4 B here, 4 B on ia32 (BulkSwap), 8 B on x86_64 (Elementwise).
+  EXPECT_EQ(filled(split_pair(w, 1), ia32), 1u);
+  EXPECT_EQ(filled(split_pair(w, 1), plat::linux_x86_64()), 2u);
+
+  // Never across rows; no shape (no Hello seen) joins nothing.
+  EXPECT_EQ(filled({{d, 63, 1}, {l, 0, 1}}, ia32), 2u);
+  std::vector<hdsm::idx::UpdateRun> runs = split_pair(d, 1);
+  engine.fill_gaps(runs, dsm::PeerShape{});
+  EXPECT_EQ(runs.size(), 2u);
+
+  // A join spans both runs and the gap, and the pass is linear over a
+  // whole pending set: runs in D and W, a far gap in D, L untouched.
+  runs = {{d, 0, 1}, {d, 2, 2}, {d, 7, 1}, {d, 40, 1}, {l, 0, 1},
+          {l, 2, 1}, {w, 1, 1}, {w, 3, 1}};
+  engine.fill_gaps(runs, shape_of(fill_gthv(), ia32));
+  const std::vector<hdsm::idx::UpdateRun> want = {
+      {d, 0, 8}, {d, 40, 1}, {l, 0, 1}, {l, 2, 1}, {w, 1, 3}};
+  EXPECT_EQ(runs, want);
+}
+
+namespace {
+
+/// The home's data plane behind a bare CoherenceCore.
+struct EngineCodec final : dsm::UpdateCodec {
+  explicit EngineCodec(dsm::SyncEngine& e) : engine(e) {}
+  std::vector<std::byte> pack(
+      const std::vector<hdsm::idx::UpdateRun>& runs) override {
+    return engine.pack_payload(runs);
+  }
+  std::vector<hdsm::idx::UpdateRun> apply(
+      const std::vector<std::byte>& payload,
+      const msg::PlatformSummary& sender) override {
+    return engine.apply_payload(payload, sender);
+  }
+  void fill_gaps(std::vector<hdsm::idx::UpdateRun>& runs,
+                 const dsm::PeerShape& peer) override {
+    engine.fill_gaps(runs, peer);
+  }
+  dsm::SyncEngine& engine;
+};
+
+/// The red/black SOR shape: one double written at every other index.
+constexpr std::uint64_t kStride2Runs = 512;
+
+tags::TypePtr stride2_gthv() {
+  return TypeDesc::struct_of(
+      "G", {{"D", TypeDesc::array(tags::t_double(), 2 * kStride2Runs)}});
+}
+
+/// A sparc32 home core with rank 1, an ia32 peer, attached and past its
+/// Hello, and a master pending set of kStride2Runs one-double runs.
+struct ReleaseHarness {
+  dsm::GlobalSpace home{stride2_gthv(), plat::solaris_sparc32()};
+  dsm::GlobalSpace peer{stride2_gthv(), plat::linux_ia32()};
+  dsm::ShareStats stats;
+  dsm::SyncEngine engine{home, {}, stats};
+  EngineCodec codec{engine};
+  dsm::CoherenceCore core{[this] {
+                            dsm::CoherenceConfig cfg;
+                            cfg.self = msg::PlatformSummary::of(
+                                home.platform());
+                            cfg.image_tag_text = home.image_tag_text();
+                            cfg.layout_runs = home.table().layout().runs;
+                            return cfg;
+                          }(),
+                          codec, stats};
+  std::vector<hdsm::idx::UpdateRun> runs;
+
+  ReleaseHarness() {
+    auto d = home.view<double>("D");
+    const auto row =
+        static_cast<std::uint32_t>(home.table().row_of_field("D"));
+    for (std::uint64_t i = 0; i < 2 * kStride2Runs; ++i) {
+      d.set(i, 0.5 + static_cast<double>(i));  // gaps hold data too
+      if (i % 2 == 0) runs.push_back({row, i, 1});
+    }
+    core.step(dsm::CoherenceEvent::peer_attached(1, {}));
+    msg::Message hello = request(msg::MsgType::Hello, 0, 1);
+    hello.tag = peer.image_tag_text();
+    core.step(dsm::CoherenceEvent::msg_received(1, hello));
+  }
+
+  msg::Message request(msg::MsgType type, std::uint32_t seq,
+                       std::uint32_t sync_id = 0) const {
+    msg::Message m;
+    m.type = type;
+    m.rank = 1;
+    m.seq = seq;
+    m.sync_id = sync_id;
+    m.sender = msg::PlatformSummary::of(peer.platform());
+    if (type != msg::MsgType::Hello && type != msg::MsgType::LockRequest) {
+      m.payload = dsm::encode_update_blocks({});
+    }
+    return m;
+  }
+
+  /// The payload of the one message `actions` sends to rank 1.
+  static std::vector<std::byte> sent(
+      const std::vector<dsm::CoherenceAction>& actions, msg::MsgType type) {
+    for (const dsm::CoherenceAction& a : actions) {
+      if (a.kind == dsm::CoherenceAction::Kind::Send && a.rank == 1) {
+        EXPECT_EQ(a.message.type, type);
+        return a.message.payload;
+      }
+    }
+    ADD_FAILURE() << "nothing sent to rank 1";
+    return {};
+  }
+
+  /// The pending set packed as it stands, by a second engine on the image.
+  std::vector<std::byte> unfilled_pack() {
+    dsm::ShareStats s;
+    return dsm::SyncEngine(home, {}, s).pack_payload(runs);
+  }
+};
+
+}  // namespace
+
+TEST(BarrierFill, Stride2ReleaseOnABulkSwapLinkIsOneBlock) {
+  ReleaseHarness h;
+  h.core.step(dsm::CoherenceEvent::master_barrier(0, h.runs));
+  const std::vector<std::byte> release = ReleaseHarness::sent(
+      h.core.step(dsm::CoherenceEvent::msg_received(
+          1, h.request(msg::MsgType::BarrierEnter, 1))),
+      msg::MsgType::BarrierRelease);
+
+  const auto blocks = dsm::decode_update_block_views(release);
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(blocks[0].first_elem, 0u);
+  EXPECT_EQ(blocks[0].tag, "(8," + std::to_string(2 * kStride2Runs - 1) + ")");
+  // 16 B per run pair filled against 2 x (24 B header + "(8,1)" + 8 B).
+  EXPECT_LT(release.size(), h.unfilled_pack().size() / 2);
+
+  // The peer ends up with the home's values, the filled gaps included.
+  dsm::ShareStats ps;
+  dsm::SyncEngine(h.peer, {}, ps)
+      .apply_payload(release, msg::PlatformSummary::of(h.home.platform()));
+  auto got = h.peer.view<double>("D");
+  auto want = h.home.view<double>("D");
+  for (std::uint64_t i = 0; i + 1 < 2 * kStride2Runs; ++i) {
+    ASSERT_EQ(got.get(i), want.get(i)) << i;
+  }
+  EXPECT_EQ(got.get(2 * kStride2Runs - 1), 0.0);  // past the last run
+}
+
+TEST(BarrierFill, LockGrantShipsThePendingSetUnfilled) {
+  // A grantee may hold unsent writes in a gap under another mutex, so a
+  // grant packs the pending set exactly as it stands.
+  ReleaseHarness h;
+  h.core.step(dsm::CoherenceEvent::master_lock(0));
+  h.core.step(dsm::CoherenceEvent::master_unlock(0, h.runs));
+  const std::vector<std::byte> grant = ReleaseHarness::sent(
+      h.core.step(dsm::CoherenceEvent::msg_received(
+          1, h.request(msg::MsgType::LockRequest, 1))),
+      msg::MsgType::LockGrant);
+  EXPECT_EQ(grant, h.unfilled_pack());
+  EXPECT_EQ(dsm::decode_update_block_views(grant).size(), kStride2Runs);
+}
+
+TEST(BarrierFill, IA32LongDoubleInAGapKeepsItsExactBytes) {
+  // x87 extended 1 + 2^-63: its lowest mantissa bit is lost on the way
+  // through double to the sparc32 home's binary128, so shipping this
+  // element back would change it.  Rank 2 writes both neighbours, which
+  // leaves it a 16 B gap in rank 1's release — inside the fill bound, on
+  // a row whose route is Elementwise.
+  const auto gthv = TypeDesc::struct_of(
+      "G", {{"L", TypeDesc::array(tags::t_longdouble(), 3)}});
+  const std::array<unsigned char, 12> x87 = {0x01, 0, 0, 0, 0, 0, 0, 0x80,
+                                             0xff, 0x3f, 0, 0};
+  dsm::ShardedCluster cluster(gthv, plat::solaris_sparc32(),
+                              {&plat::linux_ia32(), &plat::linux_ia32()});
+  std::array<unsigned char, 12> after{};
+  long double neighbour = 0;
+  cluster.run(
+      [](dsm::ShardedHome& home) {
+        home.barrier(0);  // drains the attach-time full-image pending set
+        home.barrier(0);
+        home.wait_all_joined();
+      },
+      [&](dsm::ShardedRemote& remote) {
+        remote.barrier(0);
+        dsm::GlobalSpace& g = remote.space();
+        std::byte* l = g.region().data() + g.table().rows().at(
+                                               g.table().row_of_field("L"))
+                                               .offset;
+        if (remote.rank() == 1) {
+          std::memcpy(l + 12, x87.data(), x87.size());
+        } else {
+          g.view<long double>("L").set(0, 2.0L);
+          g.view<long double>("L").set(2, 3.0L);
+        }
+        remote.barrier(0);
+        if (remote.rank() == 1) {
+          std::memcpy(after.data(), l + 12, after.size());
+          neighbour = g.view<long double>("L").get(2);
+        }
+        remote.join();
+      });
+  EXPECT_EQ(after, x87);
+  EXPECT_EQ(neighbour, 3.0L);  // the release did reach rank 1
 }

@@ -125,6 +125,22 @@ TEST_P(SorPairs, DistributedMatchesSerialExactly) {
   }
 }
 
+TEST_P(SorPairs, BarrierReleasesShipWholeSpans) {
+  // Each half-sweep writes every other cell, so a remote's pending set is
+  // ~n^2/3 one-double runs; the release fills the one- and two-cell gaps
+  // from the home image and ships about one block per two grid rows.
+  const work::PairSpec& pair = work::paper_pairs()[GetParam()];
+  const std::uint32_t n = 30;
+  const std::uint32_t iters = 4;
+  dsm::ShardedCluster cluster(work::sor_gthv(n), *pair.home,
+                              {pair.remote, pair.remote});
+  const auto grid = work::run_sor(cluster, n, iters, 1.5);
+  EXPECT_EQ(grid, work::sor_reference(n, iters, 1.5)) << pair.name;
+  const std::uint64_t releases = 2 * (1 + 2 * iters);
+  EXPECT_LE(cluster.home().stats().updates_sent, releases * (n + 2))
+      << pair.name;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPairs, SorPairs, ::testing::Values(0, 1, 2));
 
 TEST(SorWorkload, FourThreadsMixedPlatforms) {
