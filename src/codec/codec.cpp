@@ -2,10 +2,9 @@
 
 #include <bit>
 #include <cstring>
-#include <stdexcept>
-#include <string>
 
 #include "codec/bitpack.hpp"
+#include "platform/int_codec.hpp"
 
 namespace hdsm::codec {
 
@@ -110,34 +109,6 @@ std::size_t stream_bytes(const std::byte* src, std::size_t count,
   return bytes;
 }
 
-void put_u32be(std::vector<std::byte>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::byte>(v >> 24));
-  out.push_back(static_cast<std::byte>(v >> 16));
-  out.push_back(static_cast<std::byte>(v >> 8));
-  out.push_back(static_cast<std::byte>(v));
-}
-
-void put_u64be(std::vector<std::byte>& out, std::uint64_t v) {
-  put_u32be(out, static_cast<std::uint32_t>(v >> 32));
-  put_u32be(out, static_cast<std::uint32_t>(v));
-}
-
-std::uint32_t read_u32be(const std::byte* p) {
-  return (std::to_integer<std::uint32_t>(p[0]) << 24) |
-         (std::to_integer<std::uint32_t>(p[1]) << 16) |
-         (std::to_integer<std::uint32_t>(p[2]) << 8) |
-         std::to_integer<std::uint32_t>(p[3]);
-}
-
-std::uint64_t read_u64be(const std::byte* p) {
-  return (static_cast<std::uint64_t>(read_u32be(p)) << 32) |
-         read_u32be(p + 4);
-}
-
-[[noreturn]] void reject(const char* what) {
-  throw std::runtime_error(std::string("codec: ") + what);
-}
-
 }  // namespace
 
 std::uint32_t checksum32(const std::byte* p, std::size_t n) {
@@ -193,8 +164,8 @@ EncodeResult encode_run(const std::byte* src, std::size_t raw_len,
   out.push_back(static_cast<std::byte>(pred));
   out.push_back(static_cast<std::byte>(elem_size));
   out.push_back(static_cast<std::byte>(be ? 1 : 0));
-  put_u64be(out, raw_len);
-  put_u32be(out, checksum32(src, raw_len));
+  plat::append_be(out, 8, raw_len);
+  plat::append_be(out, 4, checksum32(src, raw_len));
   out.insert(out.end(), src, src + elem_size);  // element 0, raw
 
   BitWriter w(out);
@@ -214,40 +185,42 @@ EncodeResult encode_run(const std::byte* src, std::size_t raw_len,
 
 void decode_run(const std::byte* src, std::size_t src_len, std::byte* dst,
                 std::size_t dst_len, std::uint32_t elem_size) {
+  plat::WireReader in(src, src_len, "codec");
   // The encoder only ever emits streams strictly smaller than the raw run,
   // so an oversized stream is malformed by construction.
-  if (src_len >= dst_len) reject("compressed block not smaller than raw");
-  if (src_len < kHeaderSize) reject("compressed header truncated");
-  if (src[0] != kMagic) reject("bad magic");
-  const auto pred_byte = std::to_integer<std::uint8_t>(src[1]);
+  if (src_len >= dst_len) in.fail("compressed block not smaller than raw");
+  if (in.u8() != std::to_integer<std::uint8_t>(kMagic)) in.fail("bad magic");
+  const std::uint8_t pred_byte = in.u8();
   if (pred_byte > static_cast<std::uint8_t>(Predictor::Linear)) {
-    reject("unknown predictor");
+    in.fail("unknown predictor");
   }
   const auto pred = static_cast<Predictor>(pred_byte);
-  const auto es = std::to_integer<std::uint32_t>(src[2]);
-  if (!encodable_elem_size(es)) reject("bad element size");
-  if (es != elem_size) reject("element size disagrees with tag");
-  const auto flags = std::to_integer<std::uint8_t>(src[3]);
-  if (flags > 1) reject("bad flags");
+  const std::uint32_t es = in.u8();
+  if (!encodable_elem_size(es)) in.fail("bad element size");
+  if (es != elem_size) in.fail("element size disagrees with tag");
+  const std::uint8_t flags = in.u8();
+  if (flags > 1) in.fail("bad flags");
   const bool be = (flags & 1) != 0;
-  const std::uint64_t raw_len = read_u64be(src + 4);
-  const std::uint32_t csum = read_u32be(src + 12);
-  if (raw_len != dst_len) reject("raw length disagrees with tag");
-  if (raw_len % es != 0 || raw_len == 0) reject("raw length not whole elements");
+  const std::uint64_t raw_len = in.u64();
+  const std::uint32_t csum = in.u32();
+  if (raw_len != dst_len) in.fail("raw length disagrees with tag");
+  if (raw_len % es != 0 || raw_len == 0) {
+    in.fail("raw length not whole elements");
+  }
   const std::size_t count = static_cast<std::size_t>(raw_len) / es;
-  if (src_len < kHeaderSize + es) reject("first element truncated");
-  std::memcpy(dst, src + kHeaderSize, es);
+  std::memcpy(dst, in.view(es), es);
 
   const unsigned bits = es * 8;
   const std::uint64_t mask = elem_mask(es);
-  BitReader r(src + kHeaderSize + es, src_len - kHeaderSize - es);
+  const std::size_t residual_len = in.remaining();
+  BitReader r(in.view(residual_len), residual_len);
   std::uint64_t prev = load_elem(dst, es, be);
   std::uint64_t prev2 = 0;
   std::size_t idx = 1;
   while (idx < count) {
     const std::size_t len = count - idx < kChunk ? count - idx : kChunk;
     const auto maxw = static_cast<unsigned>(r.get(8));
-    if (maxw > bits) reject("residual width exceeds element width");
+    if (maxw > bits) in.fail("residual width exceeds element width");
     for (std::size_t j = 0; j < len; ++j) {
       const std::size_t i = idx + j;
       const std::uint64_t z = r.get(maxw);
@@ -262,8 +235,8 @@ void decode_run(const std::byte* src, std::size_t src_len, std::byte* dst,
     r.align();
     idx += len;
   }
-  if (!r.exhausted()) reject("trailing bytes after residual stream");
-  if (checksum32(dst, dst_len) != csum) reject("checksum mismatch");
+  if (!r.exhausted()) in.fail("trailing bytes after residual stream");
+  if (checksum32(dst, dst_len) != csum) in.fail("checksum mismatch");
 }
 
 }  // namespace hdsm::codec

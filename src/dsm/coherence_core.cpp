@@ -708,9 +708,8 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
       // and reply-cached like every other request, so a retransmitted pull
       // is answered from the cache instead of double-counted.
       obs::NodeSnapshot snap;
-      if (!obs::NodeSnapshot::deserialize(
-              reinterpret_cast<const std::uint8_t*>(m.payload.data()),
-              m.payload.size(), snap) ||
+      if (!obs::NodeSnapshot::deserialize(m.payload.data(), m.payload.size(),
+                                          snap) ||
           snap.rank != rank) {
         violation(rank, "home: bad MetricsPull payload", out);
         return;
@@ -722,10 +721,7 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
       reply.type = msg::MsgType::MetricsReport;
       reply.rank = kMasterRank;
       reply.sender = cfg_.self;
-      std::vector<std::uint8_t> body;
-      telemetry().serialize(body);
-      const std::byte* b = reinterpret_cast<const std::byte*>(body.data());
-      reply.payload.assign(b, b + body.size());
+      telemetry().serialize(reply.payload);
       send_reply(rank, peer, std::move(reply), out);
       return;
     }

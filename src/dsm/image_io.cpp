@@ -2,11 +2,13 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <stdexcept>
 #include <vector>
 
 #include "mig/io_state.hpp"
 #include "mig/tagged_convert.hpp"
+#include "platform/int_codec.hpp"
 
 namespace hdsm::dsm {
 
@@ -14,27 +16,36 @@ namespace {
 
 constexpr char kMagic[8] = {'H', 'D', 'S', 'M', 'I', 'M', 'G', '1'};
 
+std::vector<std::byte> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) throw std::runtime_error("load_image: cannot open " + path);
+  std::vector<std::byte> out(static_cast<std::size_t>(in.tellg()));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(out.data()),
+          static_cast<std::streamsize>(out.size()));
+  if (!in) throw std::runtime_error("load_image: cannot read " + path);
+  return out;
+}
+
 }  // namespace
 
 void save_image(const GlobalSpace& space, const std::string& path) {
   const std::string& tag = space.image_tag_text();
+  const auto* magic = reinterpret_cast<const std::byte*>(kMagic);
+  std::vector<std::byte> header(magic, magic + sizeof(kMagic));
+  plat::append_be(header, 1,
+                  static_cast<std::uint8_t>(space.platform().endian));
+  plat::append_be(
+      header, 1,
+      static_cast<std::uint8_t>(space.platform().long_double_format));
+  plat::append_be(header, 4, tag.size());
+  const auto* tag_bytes = reinterpret_cast<const std::byte*>(tag.data());
+  header.insert(header.end(), tag_bytes, tag_bytes + tag.size());
   const std::string tmp = path + ".tmp";
   {
     mig::MigratableFile f =
         mig::MigratableFile::open(tmp, mig::FileMode::Write);
-    f.write(kMagic, sizeof(kMagic));
-    const std::uint8_t summary[2] = {
-        static_cast<std::uint8_t>(space.platform().endian),
-        static_cast<std::uint8_t>(space.platform().long_double_format)};
-    f.write(summary, 2);
-    const std::uint32_t tag_len = static_cast<std::uint32_t>(tag.size());
-    const std::uint8_t len_be[4] = {
-        static_cast<std::uint8_t>(tag_len >> 24),
-        static_cast<std::uint8_t>(tag_len >> 16),
-        static_cast<std::uint8_t>(tag_len >> 8),
-        static_cast<std::uint8_t>(tag_len)};
-    f.write(len_be, 4);
-    f.write(tag.data(), tag.size());
+    f.write(header.data(), header.size());
     f.write(space.region().data(), space.table().image_size());
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -44,44 +55,28 @@ void save_image(const GlobalSpace& space, const std::string& path) {
 }
 
 void load_image(GlobalSpace& space, const std::string& path) {
-  mig::MigratableFile f = mig::MigratableFile::open(path, mig::FileMode::Read);
-  char magic[sizeof(kMagic)];
-  if (f.read(magic, sizeof(magic)) != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("load_image: bad magic");
+  const std::vector<std::byte> file = read_file(path);
+  plat::WireReader r(file, "load_image");
+  if (std::memcmp(r.view(sizeof(kMagic)), kMagic, sizeof(kMagic)) != 0) {
+    r.fail("bad magic");
   }
-  std::uint8_t summary[2];
-  if (f.read(summary, 2) != 2 || summary[0] > 1 || summary[1] > 2) {
-    throw std::runtime_error("load_image: bad platform summary");
-  }
-  std::uint8_t len_be[4];
-  if (f.read(len_be, 4) != 4) {
-    throw std::runtime_error("load_image: truncated tag length");
-  }
-  const std::uint32_t tag_len =
-      (static_cast<std::uint32_t>(len_be[0]) << 24) |
-      (static_cast<std::uint32_t>(len_be[1]) << 16) |
-      (static_cast<std::uint32_t>(len_be[2]) << 8) | len_be[3];
-  std::string tag_text(tag_len, '\0');
-  if (f.read(tag_text.data(), tag_len) != tag_len) {
-    throw std::runtime_error("load_image: truncated tag");
-  }
+  const std::uint8_t endian = r.u8();
+  const std::uint8_t ldf = r.u8();
+  if (endian > 1 || ldf > 2) r.fail("bad platform summary");
   tags::Tag tag;
   try {
-    tag = tags::Tag::parse(tag_text);
+    tag = tags::Tag::parse(r.str(r.u32()));
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(std::string("load_image: bad tag: ") + e.what());
   }
-  std::vector<std::byte> data(tag.described_bytes());
-  if (f.read(data.data(), data.size()) != data.size()) {
-    throw std::runtime_error("load_image: truncated image data");
-  }
+  const std::byte* data = r.view(tag.described_bytes());
+  r.finish();
 
   std::vector<std::byte> converted(space.table().image_size());
   try {
     mig::convert_tagged_image(
-        data.data(), tag, static_cast<plat::Endian>(summary[0]),
-        static_cast<plat::LongDoubleFormat>(summary[1]), converted.data(),
+        data, tag, static_cast<plat::Endian>(endian),
+        static_cast<plat::LongDoubleFormat>(ldf), converted.data(),
         space.table().layout());
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(std::string("load_image: ") + e.what());

@@ -3,10 +3,10 @@
 // state (the thread-private side lives in mig::checkpoint_to_file).
 //
 // File format: magic "HDSMIMG1", endianness + long-double-format summary,
-// 4-byte tag length + the image's (m,n) tag text, then the raw image bytes
-// in the saving node's representation.  Loading converts with tag-driven
-// CGT-RMR, so a big-endian checkpoint restores cleanly on a little-endian
-// node.
+// 4-byte big-endian tag length + the image's (m,n) tag text, then the raw
+// image bytes in the saving node's representation, and nothing after them.
+// Loading converts with tag-driven CGT-RMR, so a big-endian checkpoint
+// restores cleanly on a little-endian node.
 #pragma once
 
 #include <string>

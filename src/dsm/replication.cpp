@@ -12,36 +12,6 @@ namespace hdsm::dsm {
 
 namespace {
 
-/// Bounds-checked big-endian reader over the record payload.
-struct Reader {
-  const std::byte* p;
-  std::size_t len;
-  std::size_t off = 0;
-
-  void need(std::size_t n) const {
-    if (off + n > len) {
-      throw std::runtime_error("LogRecord: truncated record");
-    }
-  }
-  std::uint8_t u8() { return static_cast<std::uint8_t>(be(1)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(be(4)); }
-  std::uint64_t u64() { return be(8); }
-  std::uint64_t be(std::size_t n) {
-    need(n);
-    const std::uint64_t v = plat::read_be(p + off, n);
-    off += n;
-    return v;
-  }
-  std::vector<std::byte> bytes(std::uint64_t n) {
-    if (n > len - off) {
-      throw std::runtime_error("LogRecord: truncated byte field");
-    }
-    std::vector<std::byte> out(p + off, p + off + n);
-    off += static_cast<std::size_t>(n);
-    return out;
-  }
-};
-
 void encode_event(std::vector<std::byte>& out, const CoherenceEvent& e) {
   plat::append_be(out, 1, static_cast<std::uint8_t>(e.kind));
   plat::append_be(out, 4, e.rank);
@@ -63,33 +33,25 @@ void encode_event(std::vector<std::byte>& out, const CoherenceEvent& e) {
   }
 }
 
-CoherenceEvent decode_event(Reader& r) {
+CoherenceEvent decode_event(plat::WireReader& r) {
   CoherenceEvent e;
   const std::uint8_t kind = r.u8();
   if (kind > static_cast<std::uint8_t>(CoherenceEvent::Kind::PeerDetached)) {
-    throw std::runtime_error("LogRecord: bad event kind");
+    r.fail("bad event kind");
   }
   e.kind = static_cast<CoherenceEvent::Kind>(kind);
   e.rank = r.u32();
   e.index = r.u32();
   if (r.u8() != 0) {
     const std::uint64_t frame_len = r.u64();
-    const std::vector<std::byte> frame = r.bytes(frame_len);
     msg::FrameDecoder dec;
-    dec.feed(frame.data(), frame.size());
-    if (!dec.next(e.message)) {
-      throw std::runtime_error("LogRecord: truncated embedded message");
-    }
-    if (e.message.wire_size() != frame.size()) {
-      throw std::runtime_error(
-          "LogRecord: embedded message shorter than its length");
+    dec.feed(r.view(frame_len), static_cast<std::size_t>(frame_len));
+    if (!dec.next(e.message)) r.fail("truncated embedded message");
+    if (e.message.wire_size() != frame_len) {
+      r.fail("embedded message shorter than its length");
     }
   }
-  const std::uint32_t nruns = r.u32();
-  // Each run costs 20 payload bytes; reject counts the payload can't hold.
-  if (nruns > (r.len - r.off) / 20) {
-    throw std::runtime_error("LogRecord: bad run count");
-  }
+  const std::uint32_t nruns = r.count(20);  // 20 bytes a run
   e.runs.reserve(nruns);
   for (std::uint32_t i = 0; i < nruns; ++i) {
     idx::UpdateRun run;
@@ -125,12 +87,12 @@ std::vector<std::byte> encode_record(const LogRecord& r) {
 }
 
 LogRecord decode_record(const std::vector<std::byte>& payload) {
-  Reader rd{payload.data(), payload.size()};
+  plat::WireReader rd(payload, "LogRecord");
   LogRecord r;
   const std::uint8_t kind = rd.u8();
   if (kind < static_cast<std::uint8_t>(LogRecord::Kind::Event) ||
       kind > static_cast<std::uint8_t>(LogRecord::Kind::BindLock)) {
-    throw std::runtime_error("LogRecord: bad record kind");
+    rd.fail("bad record kind");
   }
   r.kind = static_cast<LogRecord::Kind>(kind);
   switch (r.kind) {
@@ -139,9 +101,7 @@ LogRecord decode_record(const std::vector<std::byte>& payload) {
       r.master_payload = rd.bytes(rd.u64());
       const std::uint8_t endian = rd.u8();
       const std::uint8_t ldf = rd.u8();
-      if (endian > 1 || ldf > 2) {
-        throw std::runtime_error("LogRecord: bad master sender summary");
-      }
+      if (endian > 1 || ldf > 2) rd.fail("bad master sender summary");
       r.master_sender.endian = static_cast<plat::Endian>(endian);
       r.master_sender.long_double_format =
           static_cast<plat::LongDoubleFormat>(ldf);
@@ -153,9 +113,7 @@ LogRecord decode_record(const std::vector<std::byte>& payload) {
       r.value = rd.u32();
       break;
   }
-  if (rd.off != rd.len) {
-    throw std::runtime_error("LogRecord: trailing bytes");
-  }
+  rd.finish();
   return r;
 }
 

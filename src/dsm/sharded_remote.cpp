@@ -216,11 +216,14 @@ msg::Message ShardedRemote::rpc(msg::Message req, msg::MsgType want) {
 std::vector<std::byte> ShardedRemote::collect_episode(std::uint32_t region) {
   // Page mode diffs the tracked region; object mode asks the ObjectSpace
   // for exactly the dirty objects' runs (scoped to `region` on unlock,
-  // everything on barrier/join) and stages the object count so the object
-  // ShareStats counters see it.
+  // everything on barrier/join) and counts the episode's objects, as the
+  // home's collect_master_runs does.
   if (!opts_.run_source) return engine_.collect_payload();
   ObjectRuns obj = opts_.run_source(region);
-  engine_.stage_episode_objects(obj.objects);
+  if (obj.objects != 0) {
+    ++stats_.object_episodes;
+    stats_.objects_shipped += obj.objects;
+  }
   return engine_.pack_payload(obj.runs);
 }
 
@@ -280,16 +283,12 @@ obs::ClusterTelemetry ShardedRemote::pull_cluster_metrics() {
 
   msg::Message req;
   req.type = msg::MsgType::MetricsPull;
-  std::vector<std::uint8_t> body;
-  snap.serialize(body);
-  const std::byte* b = reinterpret_cast<const std::byte*>(body.data());
-  req.payload.assign(b, b + body.size());
+  snap.serialize(req.payload);
 
   const msg::Message reply = rpc(std::move(req), msg::MsgType::MetricsReport);
   obs::ClusterTelemetry view;
-  if (!obs::ClusterTelemetry::deserialize(
-          reinterpret_cast<const std::uint8_t*>(reply.payload.data()),
-          reply.payload.size(), view)) {
+  if (!obs::ClusterTelemetry::deserialize(reply.payload.data(),
+                                          reply.payload.size(), view)) {
     throw std::runtime_error("remote rank " + std::to_string(rank_) +
                              ": malformed MetricsReport payload");
   }

@@ -298,15 +298,6 @@ std::vector<std::byte> SyncEngine::pack_payload(
     obs_phase(obs::SpanKind::CodecEncode, encode_ns, coded_blocks);
   }
 
-  // Object-granularity episode accounting (docs/OBJECTS.md): non-zero only
-  // when the object shell staged a dirty-object count for this pack.
-  const std::uint64_t episode_objects = staged_objects_;
-  staged_objects_ = 0;
-  if (episode_objects != 0) {
-    ++stats_.object_episodes;
-    stats_.objects_shipped += episode_objects;
-  }
-
   if (tuner_ != nullptr && !runs.empty()) {
     adapt::Signal s;
     s.pack_ns = pack_ns;

@@ -177,15 +177,6 @@ class SyncEngine {
   /// The live tuner (null unless SyncOptions::adaptive).
   const adapt::Tuner* tuner() const noexcept { return tuner_.get(); }
 
-  /// Object-granularity episodes (docs/OBJECTS.md): the shell stages the
-  /// number of dirty objects the next pack_payload call ships, and the
-  /// per-node ShareStats object counters advance by it.  Consumed (reset to
-  /// zero) by that pack; a no-op for the page-mode path, which never
-  /// stages.
-  void stage_episode_objects(std::uint64_t objects) noexcept {
-    staged_objects_ = objects;
-  }
-
   /// Feed one timed payload send into the per-link cost model (the codec
   /// knob's measured wire bandwidth).  No-op unless codec == Adaptive.
   /// Call from the thread that owns this engine, like everything else here.
@@ -248,7 +239,6 @@ class SyncEngine {
   TraceLog* trace_ = nullptr;            ///< decision-event sink (optional)
   std::uint32_t trace_rank_ = 0;
   obs::Telemetry* obs_ = nullptr;        ///< telemetry sink (optional)
-  std::uint64_t staged_objects_ = 0;     ///< see stage_episode_objects
   /// pack_payload's t_tag output, kept across packs so rendering reuses
   /// their capacity: every run's tag back to back, and where each starts.
   std::string tag_arena_;

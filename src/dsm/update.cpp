@@ -6,40 +6,6 @@
 
 namespace hdsm::dsm {
 
-namespace {
-
-class Reader {
- public:
-  explicit Reader(const std::vector<std::byte>& buf) : buf_(buf) {}
-
-  std::uint32_t u32() { return static_cast<std::uint32_t>(be(4)); }
-  std::uint64_t u64() { return be(8); }
-
-  /// Borrow `n` bytes in place (no copy); the pointer aliases the payload.
-  const std::byte* view(std::size_t n) {
-    need(n);
-    const std::byte* p = buf_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  bool done() const { return pos_ == buf_.size(); }
-
- private:
-  std::uint64_t be(std::size_t n) { return plat::read_be(view(n), n); }
-
-  void need(std::size_t n) const {
-    if (buf_.size() - pos_ < n) {
-      throw std::runtime_error("update payload truncated");
-    }
-  }
-
-  const std::vector<std::byte>& buf_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::vector<std::byte> encode_update_blocks(
     const std::vector<UpdateBlock>& blocks) {
   std::vector<std::byte> out;
@@ -63,14 +29,9 @@ std::vector<std::byte> encode_update_blocks(
 
 std::vector<UpdateBlockView> decode_update_block_views(
     const std::vector<std::byte>& payload) {
-  Reader r(payload);
-  const std::uint32_t count = r.u32();
-  // A block's fixed header alone is 24 bytes, so a count the payload cannot
-  // hold is malformed — reject before reserving, or a hostile frame forces
-  // an arbitrary allocation.
-  if (count > (payload.size() - 4) / 24) {
-    throw std::runtime_error("update payload block count exceeds buffer");
-  }
+  plat::WireReader r(payload, "update payload");
+  // A block's fixed header alone is 24 bytes.
+  const std::uint32_t count = r.count(24);
   std::vector<UpdateBlockView> blocks;
   blocks.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -83,12 +44,10 @@ std::vector<UpdateBlockView> decode_update_block_views(
     b.data_len = r.u64();
     b.tag = std::string_view(
         reinterpret_cast<const char*>(r.view(tag_len)), tag_len);
-    b.data = r.view(static_cast<std::size_t>(b.data_len));
+    b.data = r.view(b.data_len);
     blocks.push_back(b);
   }
-  if (!r.done()) {
-    throw std::runtime_error("update payload has trailing bytes");
-  }
+  r.finish();
   return blocks;
 }
 

@@ -40,6 +40,7 @@ struct FileStateRecord {
   std::uint64_t offset = 0;
 
   std::vector<std::byte> pack() const;
+  /// Throws std::runtime_error on a malformed record.
   static FileStateRecord unpack(const std::byte* data, std::size_t len);
   bool operator==(const FileStateRecord&) const = default;
 };
@@ -83,6 +84,7 @@ struct SessionRecord {
   std::uint64_t next_seq = 1;   ///< first unsent sequence number
 
   std::vector<std::byte> pack() const;
+  /// Throws std::runtime_error on a malformed record.
   static SessionRecord unpack(const std::byte* data, std::size_t len);
   bool operator==(const SessionRecord&) const = default;
 };

@@ -45,59 +45,16 @@ void put_bytes(std::vector<std::byte>& out, const std::vector<std::byte>& b) {
   out.insert(out.end(), b.begin(), b.end());
 }
 
-class Reader {
- public:
-  explicit Reader(const std::vector<std::byte>& buf) : buf_(buf) {}
-
-  std::uint32_t u32() { return static_cast<std::uint32_t>(be(4)); }
-  std::uint64_t u64() { return be(8); }
-
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  std::vector<std::byte> bytes() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::vector<std::byte> b(buf_.begin() + pos_, buf_.begin() + pos_ + n);
-    pos_ += n;
-    return b;
-  }
-
-  bool done() const { return pos_ == buf_.size(); }
-
- private:
-  std::uint64_t be(std::size_t n) {
-    need(n);
-    const std::uint64_t v = plat::read_be(buf_.data() + pos_, n);
-    pos_ += n;
-    return v;
-  }
-
-  void need(std::size_t n) const {
-    if (buf_.size() - pos_ < n) {
-      throw std::runtime_error("thread state payload truncated");
-    }
-  }
-
-  const std::vector<std::byte>& buf_;
-  std::size_t pos_ = 0;
-};
-
-StructImage convert_in(const std::vector<std::byte>& data,
+StructImage convert_in(const std::byte* data, std::uint64_t len,
                        const std::string& tag_text, tags::TypePtr type,
                        const plat::PlatformDesc& target,
                        const msg::PlatformSummary& sender) {
   const tags::Tag tag = tags::Tag::parse(tag_text);
-  if (tag.described_bytes() != data.size()) {
+  if (tag.described_bytes() != len) {
     throw std::runtime_error("state image size disagrees with its tag");
   }
   StructImage out(std::move(type), target);
-  convert_tagged_image(data.data(), tag, sender.endian,
+  convert_tagged_image(data, tag, sender.endian,
                        sender.long_double_format, out.bytes().data(),
                        out.layout());
   return out;
@@ -129,46 +86,38 @@ ThreadState unpack_state(const std::vector<std::byte>& payload,
                          const StateSchema& schema,
                          const plat::PlatformDesc& target,
                          const msg::PlatformSummary& sender) {
-  Reader r(payload);
+  plat::WireReader r(payload, "thread state");
   ThreadState state;
   state.rank = r.u32();
-  const std::uint32_t nframes = r.u32();
-  // A frame encodes to >= 16 bytes, so a count the payload cannot hold is
-  // malformed — reject before reserving, or a hostile frame forces an
-  // arbitrary allocation.
-  if (nframes > payload.size() / 16) {
-    throw std::runtime_error("thread state frame count exceeds payload");
-  }
+  // A frame encodes to >= 20 bytes, a heap object to >= 24.
+  const std::uint32_t nframes = r.count(20);
   state.frames.reserve(nframes);
   for (std::uint32_t i = 0; i < nframes; ++i) {
-    std::string function = r.str();
+    std::string function = r.str(r.u32());
     const std::uint32_t label = r.u32();
-    const std::string tag_text = r.str();
-    const std::vector<std::byte> data = r.bytes();
-    StructImage locals = convert_in(data, tag_text,
+    const std::string tag_text = r.str(r.u32());
+    const std::uint64_t len = r.u64();
+    const std::byte* data = r.view(len);
+    StructImage locals = convert_in(data, len, tag_text,
                                     schema.frame_type(function), target,
                                     sender);
     state.frames.push_back(
         Frame{std::move(function), label, std::move(locals)});
   }
-  const std::uint32_t nheap = r.u32();
-  if (nheap > payload.size() / 20) {  // a heap object encodes to >= 20 bytes
-    throw std::runtime_error("thread state heap count exceeds payload");
-  }
+  const std::uint32_t nheap = r.count(24);
   state.heap.reserve(nheap);
   for (std::uint32_t i = 0; i < nheap; ++i) {
     HeapObject h{0, "", StructImage(tags::t_int(), target)};
     h.id = r.u64();
-    h.type_name = r.str();
-    const std::string tag_text = r.str();
-    const std::vector<std::byte> data = r.bytes();
-    h.image = convert_in(data, tag_text, schema.heap_type(h.type_name),
+    h.type_name = r.str(r.u32());
+    const std::string tag_text = r.str(r.u32());
+    const std::uint64_t len = r.u64();
+    const std::byte* data = r.view(len);
+    h.image = convert_in(data, len, tag_text, schema.heap_type(h.type_name),
                          target, sender);
     state.heap.push_back(std::move(h));
   }
-  if (!r.done()) {
-    throw std::runtime_error("thread state payload has trailing bytes");
-  }
+  r.finish();
   return state;
 }
 

@@ -13,10 +13,6 @@ constexpr std::uint32_t kMagic = 0x4844534du;  // "HDSM"
 // payload_len — docs/PROTOCOL.md §1 documents the exact layout.
 constexpr std::size_t kHeaderSize = 4 + 1 + 1 + 1 + 1 + 4 + 4 + 4 + 4 + 4 + 4;
 
-std::uint32_t get_u32(const std::byte* p) {
-  return static_cast<std::uint32_t>(plat::read_be(p, 4));
-}
-
 }  // namespace
 
 const char* msg_type_name(MsgType t) noexcept {
@@ -75,34 +71,27 @@ void FrameDecoder::feed(const std::byte* data, std::size_t len) {
 
 bool FrameDecoder::next(Message& out) {
   if (buf_.size() < kHeaderSize) return false;
-  const std::byte* p = buf_.data();
-  if (get_u32(p) != kMagic) {
-    throw std::runtime_error("FrameDecoder: bad magic");
-  }
-  const std::uint8_t type = std::to_integer<std::uint8_t>(p[4]);
+  plat::WireReader r(buf_, "FrameDecoder");
+  if (r.u32() != kMagic) r.fail("bad magic");
+  const std::uint8_t type = r.u8();
   if (type < static_cast<std::uint8_t>(MsgType::Hello) ||
       type > static_cast<std::uint8_t>(MsgType::ReplAck) ||
       (type > static_cast<std::uint8_t>(MsgType::MetricsReport) &&
        type < static_cast<std::uint8_t>(MsgType::ReplAppend))) {
-    throw std::runtime_error("FrameDecoder: bad message type");
+    r.fail("bad message type");
   }
-  const std::uint8_t endian = std::to_integer<std::uint8_t>(p[5]);
-  const std::uint8_t ldf = std::to_integer<std::uint8_t>(p[6]);
-  if (endian > 1 || ldf > 2) {
-    throw std::runtime_error("FrameDecoder: bad platform summary");
-  }
-  if (std::to_integer<std::uint8_t>(p[7]) != kFrameVersion) {
-    throw std::runtime_error("FrameDecoder: unsupported frame version");
-  }
-  const std::uint32_t sync_id = get_u32(p + 8);
-  const std::uint32_t rank = get_u32(p + 12);
-  const std::uint32_t seq = get_u32(p + 16);
-  const std::uint32_t aux = get_u32(p + 20);
-  const std::uint32_t tag_len = get_u32(p + 24);
-  const std::uint32_t payload_len = get_u32(p + 28);
+  const std::uint8_t endian = r.u8();
+  const std::uint8_t ldf = r.u8();
+  if (endian > 1 || ldf > 2) r.fail("bad platform summary");
+  if (r.u8() != kFrameVersion) r.fail("unsupported frame version");
+  const std::uint32_t sync_id = r.u32();
+  const std::uint32_t rank = r.u32();
+  const std::uint32_t seq = r.u32();
+  const std::uint32_t aux = r.u32();
+  const std::uint32_t tag_len = r.u32();
+  const std::uint32_t payload_len = r.u32();
   // Two u32 lengths: the sum cannot wrap a 64-bit size_t.
-  const std::size_t total = kHeaderSize + tag_len + payload_len;
-  if (buf_.size() < total) return false;
+  if (r.remaining() < std::size_t{tag_len} + payload_len) return false;
 
   out.type = static_cast<MsgType>(type);
   out.sender.endian = static_cast<plat::Endian>(endian);
@@ -111,10 +100,10 @@ bool FrameDecoder::next(Message& out) {
   out.rank = rank;
   out.seq = seq;
   out.aux = aux;
-  out.tag.assign(reinterpret_cast<const char*>(p + kHeaderSize), tag_len);
-  out.payload.assign(buf_.begin() + kHeaderSize + tag_len,
-                     buf_.begin() + total);
-  buf_.erase(buf_.begin(), buf_.begin() + total);
+  out.tag = r.str(tag_len);
+  const std::byte* payload = r.view(payload_len);
+  out.payload.assign(payload, payload + payload_len);
+  buf_.erase(buf_.begin(), buf_.end() - r.remaining());
   return true;
 }
 

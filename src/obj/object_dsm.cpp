@@ -59,6 +59,7 @@ ObjectCluster::ObjectCluster(
     dsm::ShardedRemoteOptions remote_opts)
     : layout_(std::move(layout)) {
   remote_opts.dsd = opts.dsd;
+  if (!remote_opts.obs.enabled) remote_opts.obs = opts.obs;
   home_ = std::make_unique<ObjectHome>(layout_, home_platform, std::move(opts));
   for (std::size_t i = 0; i < remote_platforms.size(); ++i) {
     const std::uint32_t rank = static_cast<std::uint32_t>(i + 1);

@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
+
+#include "platform/int_codec.hpp"
 
 namespace hdsm::obs {
 
@@ -135,9 +138,10 @@ std::string MetricsSnapshot::to_csv() const {
 }
 
 // ---------------------------------------------------------------------------
-// Binary wire form.  Little-endian, length-prefixed strings, no padding.
+// Binary wire form (docs/PROTOCOL.md §2a).  Big-endian like every hdsm
+// structure, length-prefixed strings, no padding.
 //
-//   u32 magic 'O''B''S''1'
+//   u32 magic 'O''B''S''2'
 //   u32 n_counters   { u16 name_len, bytes, u64 value } * n
 //   u32 n_gauges     { u16 name_len, bytes, i64 value } * n
 //   u32 n_histograms { u16 name_len, bytes, u64 count, u64 sum,
@@ -145,144 +149,84 @@ std::string MetricsSnapshot::to_csv() const {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x3153424Fu;  // "OBS1"
+constexpr std::uint32_t kMagic = 0x4F425332u;  // "OBS2"
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+void append_name(std::vector<std::byte>& out, const std::string& s) {
+  const std::size_t n = std::min<std::size_t>(s.size(), 0xFFFF);
+  plat::append_be(out, 2, n);
+  const auto* p = reinterpret_cast<const std::byte*>(s.data());
+  out.insert(out.end(), p, p + n);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+MetricsSnapshot decode(plat::WireReader& r) {
+  if (r.u32() != kMagic) r.fail("bad magic");
+  MetricsSnapshot out;
+  // The smallest entries: a counter or gauge is 10 bytes, a histogram 22,
+  // a bucket 12.
+  for (std::uint32_t n = r.count(10); n > 0; --n) {
+    const std::string name = r.str(r.u16());
+    out.counters[name] += r.u64();
   }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  for (std::uint32_t n = r.count(10); n > 0; --n) {
+    const std::string name = r.str(r.u16());
+    out.gauges[name] = static_cast<std::int64_t>(r.u64());
   }
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  const std::uint16_t n =
-      static_cast<std::uint16_t>(std::min<std::size_t>(s.size(), 0xFFFF));
-  put_u16(out, n);
-  out.insert(out.end(), s.begin(), s.begin() + n);
-}
-
-struct Reader {
-  const std::uint8_t* p;
-  std::size_t left;
-
-  bool u16(std::uint16_t& v) {
-    if (left < 2) return false;
-    v = static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-    p += 2;
-    left -= 2;
-    return true;
-  }
-  bool u32(std::uint32_t& v) {
-    if (left < 4) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    p += 4;
-    left -= 4;
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (left < 8) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    left -= 8;
-    return true;
-  }
-  bool str(std::string& s) {
-    std::uint16_t n = 0;
-    if (!u16(n)) return false;
-    if (left < n) return false;
-    s.assign(reinterpret_cast<const char*>(p), n);
-    p += n;
-    left -= n;
-    return true;
-  }
-};
-
-}  // namespace
-
-void MetricsSnapshot::serialize(std::vector<std::uint8_t>& out) const {
-  put_u32(out, kMagic);
-  put_u32(out, static_cast<std::uint32_t>(counters.size()));
-  for (const auto& [name, v] : counters) {
-    put_str(out, name);
-    put_u64(out, v);
-  }
-  put_u32(out, static_cast<std::uint32_t>(gauges.size()));
-  for (const auto& [name, v] : gauges) {
-    put_str(out, name);
-    put_u64(out, static_cast<std::uint64_t>(v));
-  }
-  put_u32(out, static_cast<std::uint32_t>(histograms.size()));
-  for (const auto& [name, h] : histograms) {
-    put_str(out, name);
-    put_u64(out, h.count);
-    put_u64(out, h.sum);
-    put_u32(out, static_cast<std::uint32_t>(h.buckets.size()));
-    for (const auto& [idx, n] : h.buckets) {
-      put_u32(out, idx);
-      put_u64(out, n);
-    }
-  }
-}
-
-bool MetricsSnapshot::deserialize(const std::uint8_t* data, std::size_t size,
-                                  MetricsSnapshot& out) {
-  out = MetricsSnapshot{};
-  Reader r{data, size};
-  std::uint32_t magic = 0;
-  if (!r.u32(magic) || magic != kMagic) return false;
-
-  std::uint32_t n = 0;
-  if (!r.u32(n)) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    std::uint64_t v = 0;
-    if (!r.str(name) || !r.u64(v)) return false;
-    out.counters[name] += v;
-  }
-  if (!r.u32(n)) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    std::uint64_t v = 0;
-    if (!r.str(name) || !r.u64(v)) return false;
-    out.gauges[name] = static_cast<std::int64_t>(v);
-  }
-  if (!r.u32(n)) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name;
+  for (std::uint32_t n = r.count(22); n > 0; --n) {
+    const std::string name = r.str(r.u16());
     HistogramSnapshot h;
-    std::uint32_t nb = 0;
-    if (!r.str(name) || !r.u64(h.count) || !r.u64(h.sum) || !r.u32(nb)) {
-      return false;
-    }
-    // Each bucket entry needs 12 bytes; reject counts the payload can't hold
-    // before reserving (malformed-length defense).
-    if (static_cast<std::uint64_t>(nb) * 12 > r.left) return false;
+    h.count = r.u64();
+    h.sum = r.u64();
+    const std::uint32_t nb = r.count(12);
     h.buckets.reserve(nb);
-    std::uint32_t prev_idx = 0;
     for (std::uint32_t b = 0; b < nb; ++b) {
-      std::uint32_t idx = 0;
-      std::uint64_t cnt = 0;
-      if (!r.u32(idx) || !r.u64(cnt)) return false;
-      if (idx >= Histogram::kBuckets) return false;
-      if (b > 0 && idx <= prev_idx) return false;  // must ascend
-      prev_idx = idx;
-      h.buckets.emplace_back(idx, cnt);
+      const std::uint32_t idx = r.u32();
+      if (idx >= Histogram::kBuckets) r.fail("bucket index out of range");
+      if (b > 0 && idx <= h.buckets.back().first) r.fail("unsorted buckets");
+      h.buckets.emplace_back(idx, r.u64());
     }
     out.histograms[name] = std::move(h);
   }
-  return r.left == 0;
+  r.finish();
+  return out;
+}
+
+}  // namespace
+
+void MetricsSnapshot::serialize(std::vector<std::byte>& out) const {
+  plat::append_be(out, 4, kMagic);
+  plat::append_be(out, 4, counters.size());
+  for (const auto& [name, v] : counters) {
+    append_name(out, name);
+    plat::append_be(out, 8, v);
+  }
+  plat::append_be(out, 4, gauges.size());
+  for (const auto& [name, v] : gauges) {
+    append_name(out, name);
+    plat::append_be(out, 8, static_cast<std::uint64_t>(v));
+  }
+  plat::append_be(out, 4, histograms.size());
+  for (const auto& [name, h] : histograms) {
+    append_name(out, name);
+    plat::append_be(out, 8, h.count);
+    plat::append_be(out, 8, h.sum);
+    plat::append_be(out, 4, h.buckets.size());
+    for (const auto& [idx, n] : h.buckets) {
+      plat::append_be(out, 4, idx);
+      plat::append_be(out, 8, n);
+    }
+  }
+}
+
+bool MetricsSnapshot::deserialize(const std::byte* data, std::size_t size,
+                                  MetricsSnapshot& out) {
+  try {
+    plat::WireReader r(data, size, "MetricsSnapshot");
+    out = decode(r);
+    return true;
+  } catch (const std::runtime_error&) {
+    out = MetricsSnapshot{};
+    return false;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -152,9 +152,12 @@ struct MetricsSnapshot {
   /// <name>.count / <name>.sum rows).
   std::string to_csv() const;
 
-  /// Bounds-checked binary wire form (MetricsPull / MetricsReport payloads).
-  void serialize(std::vector<std::uint8_t>& out) const;
-  static bool deserialize(const std::uint8_t* data, std::size_t size,
+  /// Bounds-checked big-endian wire form (MetricsPull / MetricsReport
+  /// payloads, docs/PROTOCOL.md §2a).  serialize appends to `out`;
+  /// deserialize returns false (and leaves `out` empty) on any malformed,
+  /// truncated or over-long input.
+  void serialize(std::vector<std::byte>& out) const;
+  static bool deserialize(const std::byte* data, std::size_t size,
                           MetricsSnapshot& out);
 
   bool operator==(const MetricsSnapshot& o) const {

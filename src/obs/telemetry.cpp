@@ -1,6 +1,9 @@
 #include "obs/telemetry.hpp"
 
 #include <sstream>
+#include <stdexcept>
+
+#include "platform/int_codec.hpp"
 
 namespace hdsm::obs {
 
@@ -35,114 +38,90 @@ MetricsSnapshot Telemetry::metrics() const {
 
 // ---------------------------------------------------------------------------
 // NodeSnapshot wire form: u32 rank, u64 epoch, u32 metrics_len, metrics.
-
-namespace {
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-bool get_u32(const std::uint8_t*& p, std::size_t& left, std::uint32_t& v) {
-  if (left < 4) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  p += 4;
-  left -= 4;
-  return true;
-}
-
-bool get_u64(const std::uint8_t*& p, std::size_t& left, std::uint64_t& v) {
-  if (left < 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  p += 8;
-  left -= 8;
-  return true;
-}
-
-}  // namespace
-
-void NodeSnapshot::serialize(std::vector<std::uint8_t>& out) const {
-  put_u32(out, rank);
-  put_u64(out, epoch);
-  std::vector<std::uint8_t> body;
-  metrics.serialize(body);
-  put_u32(out, static_cast<std::uint32_t>(body.size()));
-  out.insert(out.end(), body.begin(), body.end());
-}
-
-bool NodeSnapshot::deserialize(const std::uint8_t* data, std::size_t size,
-                               NodeSnapshot& out) {
-  out = NodeSnapshot{};
-  const std::uint8_t* p = data;
-  std::size_t left = size;
-  std::uint32_t len = 0;
-  if (!get_u32(p, left, out.rank)) return false;
-  if (!get_u64(p, left, out.epoch)) return false;
-  if (!get_u32(p, left, len)) return false;
-  if (left != len) return false;
-  return MetricsSnapshot::deserialize(p, len, out.metrics);
-}
-
-// ---------------------------------------------------------------------------
 // ClusterTelemetry: u32 n_nodes { u32 len, node } *, u32 n_retired { … } *.
 // `merged` is derived, so it is recomputed on deserialize rather than sent.
 
 namespace {
 
-void put_node(std::vector<std::uint8_t>& out, const NodeSnapshot& n) {
-  std::vector<std::uint8_t> body;
-  n.serialize(body);
-  put_u32(out, static_cast<std::uint32_t>(body.size()));
-  out.insert(out.end(), body.begin(), body.end());
+/// Append what `body` writes to `out`, behind its u32 length.
+template <typename Body>
+void append_sized(std::vector<std::byte>& out, Body&& body) {
+  const std::size_t at = out.size();
+  plat::append_be(out, 4, 0);
+  body(out);
+  plat::write_uint(out.data() + at, 4, plat::Endian::Big, out.size() - at - 4);
 }
 
-bool get_node(const std::uint8_t*& p, std::size_t& left, NodeSnapshot& n) {
-  std::uint32_t len = 0;
-  if (!get_u32(p, left, len)) return false;
-  if (left < len) return false;
-  if (!NodeSnapshot::deserialize(p, len, n)) return false;
-  p += len;
-  left -= len;
-  return true;
+void append_nodes(std::vector<std::byte>& out,
+                  const std::vector<NodeSnapshot>& nodes) {
+  plat::append_be(out, 4, nodes.size());
+  for (const NodeSnapshot& n : nodes) {
+    append_sized(out, [&n](std::vector<std::byte>& o) { n.serialize(o); });
+  }
+}
+
+NodeSnapshot decode_node(plat::WireReader& r) {
+  NodeSnapshot n;
+  n.rank = r.u32();
+  n.epoch = r.u64();
+  const std::uint32_t len = r.u32();
+  if (!MetricsSnapshot::deserialize(r.view(len), len, n.metrics)) {
+    r.fail("bad metrics");
+  }
+  r.finish();
+  return n;
+}
+
+std::vector<NodeSnapshot> decode_nodes(plat::WireReader& r) {
+  // A node entry holds at least its length, rank, epoch, metrics length
+  // and an empty metrics body: 4 + 4 + 8 + 4 + 16 bytes.
+  std::vector<NodeSnapshot> nodes;
+  for (std::uint32_t n = r.count(36); n > 0; --n) {
+    const std::uint32_t len = r.u32();
+    NodeSnapshot& node = nodes.emplace_back();
+    if (!NodeSnapshot::deserialize(r.view(len), len, node)) r.fail("bad node");
+  }
+  return nodes;
 }
 
 }  // namespace
 
-void ClusterTelemetry::serialize(std::vector<std::uint8_t>& out) const {
-  put_u32(out, static_cast<std::uint32_t>(nodes.size()));
-  for (const NodeSnapshot& n : nodes) put_node(out, n);
-  put_u32(out, static_cast<std::uint32_t>(retired.size()));
-  for (const NodeSnapshot& n : retired) put_node(out, n);
+void NodeSnapshot::serialize(std::vector<std::byte>& out) const {
+  plat::append_be(out, 4, rank);
+  plat::append_be(out, 8, epoch);
+  append_sized(out,
+               [this](std::vector<std::byte>& o) { metrics.serialize(o); });
 }
 
-bool ClusterTelemetry::deserialize(const std::uint8_t* data, std::size_t size,
+bool NodeSnapshot::deserialize(const std::byte* data, std::size_t size,
+                               NodeSnapshot& out) {
+  try {
+    plat::WireReader r(data, size, "NodeSnapshot");
+    out = decode_node(r);
+    return true;
+  } catch (const std::runtime_error&) {
+    out = NodeSnapshot{};
+    return false;
+  }
+}
+
+void ClusterTelemetry::serialize(std::vector<std::byte>& out) const {
+  append_nodes(out, nodes);
+  append_nodes(out, retired);
+}
+
+bool ClusterTelemetry::deserialize(const std::byte* data, std::size_t size,
                                    ClusterTelemetry& out) {
   out = ClusterTelemetry{};
-  const std::uint8_t* p = data;
-  std::size_t left = size;
-  std::uint32_t n = 0;
-  if (!get_u32(p, left, n)) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    NodeSnapshot node;
-    if (!get_node(p, left, node)) return false;
-    out.nodes.push_back(std::move(node));
+  try {
+    plat::WireReader r(data, size, "ClusterTelemetry");
+    out.nodes = decode_nodes(r);
+    out.retired = decode_nodes(r);
+    r.finish();
+  } catch (const std::runtime_error&) {
+    out = ClusterTelemetry{};
+    return false;
   }
-  if (!get_u32(p, left, n)) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    NodeSnapshot node;
-    if (!get_node(p, left, node)) return false;
-    out.retired.push_back(std::move(node));
-  }
-  if (left != 0) return false;
   for (const NodeSnapshot& node : out.nodes) out.merged.merge(node.metrics);
   for (const NodeSnapshot& node : out.retired) out.merged.merge(node.metrics);
   return true;

@@ -101,8 +101,10 @@ struct NodeSnapshot {
   std::uint64_t epoch = 0;
   MetricsSnapshot metrics;
 
-  void serialize(std::vector<std::uint8_t>& out) const;
-  static bool deserialize(const std::uint8_t* data, std::size_t size,
+  /// Big-endian wire form (docs/PROTOCOL.md §2a); serialize appends to
+  /// `out`, deserialize returns false on malformed input.
+  void serialize(std::vector<std::byte>& out) const;
+  static bool deserialize(const std::byte* data, std::size_t size,
                           NodeSnapshot& out);
 };
 
@@ -115,8 +117,10 @@ struct ClusterTelemetry {
   std::vector<NodeSnapshot> retired; ///< detached incarnations, report order
 
   std::string to_json() const;
-  void serialize(std::vector<std::uint8_t>& out) const;
-  static bool deserialize(const std::uint8_t* data, std::size_t size,
+  /// Big-endian wire form (docs/PROTOCOL.md §2a); serialize appends to
+  /// `out`, deserialize returns false on malformed input.
+  void serialize(std::vector<std::byte>& out) const;
+  static bool deserialize(const std::byte* data, std::size_t size,
                           ClusterTelemetry& out);
 };
 

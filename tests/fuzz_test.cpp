@@ -4,19 +4,30 @@
 // in this environment); mutation tests flip bits in valid inputs.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <random>
 
+#include "codec/codec.hpp"
+#include "dsm/image_io.hpp"
+#include "dsm/replication.hpp"
 #include "dsm/sharded_home.hpp"
 #include "dsm/sharded_remote.hpp"
 #include "dsm/update.hpp"
 #include "mig/io_state.hpp"
 #include "mig/thread_state.hpp"
 #include "msg/message.hpp"
+#include "obs/telemetry.hpp"
+#include "platform/int_codec.hpp"
+#include "tags/describe.hpp"
 #include "tags/tag.hpp"
 
+namespace codec = hdsm::codec;
 namespace dsm = hdsm::dsm;
 namespace mig = hdsm::mig;
 namespace msg = hdsm::msg;
+namespace obs = hdsm::obs;
 namespace tags = hdsm::tags;
 namespace plat = hdsm::plat;
 
@@ -212,4 +223,309 @@ TEST(Fuzz, MalformedPayloadsDetachPeerNotHome) {
   home.wait_all_joined();  // evil rank was detached, not wedged
   EXPECT_EQ(home.space().view<std::int32_t>("A").get(0), 5);
   home.stop();
+}
+
+namespace {
+
+std::string to_hex(const std::vector<std::byte>& b) {
+  static const char digits[] = "0123456789abcdef";
+  std::string s;
+  for (std::byte x : b) {
+    const auto v = std::to_integer<unsigned>(x);
+    s.push_back(digits[v >> 4]);
+    s.push_back(digits[v & 15]);
+  }
+  return s;
+}
+
+/// One wire structure: a fixed value's encoding, the hex it must equal,
+/// and a decoder that returns true on accept.  Rejection is an exception
+/// (every dsm/mig/codec decoder) or `false` (the obs `deserialize`s).
+struct GoldenCase {
+  const char* name;
+  std::vector<std::byte> bytes;
+  const char* hex;
+  std::function<bool(const std::vector<std::byte>&)> decodes;
+};
+
+bool rejects(const GoldenCase& c, const std::vector<std::byte>& in) {
+  try {
+    return !c.decodes(in);
+  } catch (const std::runtime_error&) {
+    return true;
+  }
+}
+
+tags::TypePtr golden_locals() {
+  return tags::TypeDesc::struct_of("L", {{"i", tags::t_int()},
+                                         {"d", tags::t_double()}});
+}
+
+std::vector<std::byte> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  const auto* p = reinterpret_cast<const std::byte*>(raw.data());
+  return std::vector<std::byte>(p, p + raw.size());
+}
+
+void write_file(const std::string& path, const std::vector<std::byte>& b) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(b.data()),
+            static_cast<std::streamsize>(b.size()));
+}
+
+obs::MetricsSnapshot golden_metrics() {
+  obs::MetricsSnapshot m;
+  m.counters["c"] = 0x0102;
+  m.gauges["g"] = -2;
+  obs::HistogramSnapshot h;
+  h.count = 3;
+  h.sum = 0x30;
+  h.buckets = {{1, 1}, {5, 2}};
+  m.histograms["h"] = h;
+  return m;
+}
+
+/// The compressed form of 16 little-endian int32s in a stride-3 ramp.
+std::vector<std::byte> ramp_stream() {
+  std::vector<std::byte> raw(64);
+  for (std::size_t i = 0; i < 16; ++i) {
+    plat::write_uint(raw.data() + 4 * i, 4, plat::Endian::Little,
+                     100 + 3 * i);
+  }
+  std::vector<std::byte> stream;
+  EXPECT_TRUE(codec::encode_run(raw.data(), raw.size(), 4, stream).encoded);
+  return stream;
+}
+
+std::vector<GoldenCase> golden_cases() {
+  std::vector<GoldenCase> cases;
+
+  {  // update payload: one raw block, one compressed block
+    std::vector<dsm::UpdateBlock> blocks(2);
+    blocks[0].row = 2;
+    blocks[0].first_elem = 1;
+    blocks[0].tag = "(4,2)";
+    blocks[0].data = {std::byte{1}, std::byte{2}, std::byte{3}, std::byte{4},
+                      std::byte{5}, std::byte{6}, std::byte{7}, std::byte{8}};
+    blocks[1].row = 3;
+    blocks[1].tag = "(4,16)";
+    blocks[1].data = ramp_stream();
+    std::vector<std::byte> payload = dsm::encode_update_blocks(blocks);
+    // Flag the second block compressed, as SyncEngine's pack does.
+    const std::size_t tag_len_at = 4 + 24 + 5 + 8 + 4 + 8;
+    plat::write_uint(payload.data() + tag_len_at, 4, plat::Endian::Big,
+                     6 | dsm::kCompressedTagFlag);
+    cases.push_back({"update payload", payload,
+                     "00000002000000020000000000000001000000050000000000000008"
+                     "28342c32290102030405060708000000030000000000000000800000"
+                     "06000000000000001b28342c313629c500040000000000000000406b"
+                     "918d296400000003db6db6db6db0",
+                     [](const std::vector<std::byte>& in) {
+                       const auto views = dsm::decode_update_block_views(in);
+                       return views.size() == 2 && !views[0].compressed &&
+                              views[1].compressed;
+                     }});
+  }
+
+  {  // frame
+    msg::Message m;
+    m.type = msg::MsgType::UnlockRequest;
+    m.sync_id = 2;
+    m.rank = 3;
+    m.seq = 4;
+    m.aux = 5;
+    m.sender = msg::PlatformSummary::of(plat::solaris_sparc64());
+    m.tag = "(4,1)";
+    m.payload = {std::byte{0xAB}, std::byte{0xCD}, std::byte{0xEF},
+                 std::byte{0x01}};
+    cases.push_back({"frame", msg::encode_frame(m),
+                     "4844534d040102020000000200000003000000040000000500000005"
+                     "0000000428342c3129abcdef01",
+                     [](const std::vector<std::byte>& in) {
+                       msg::FrameDecoder dec;
+                       dec.feed(in.data(), in.size());
+                       msg::Message out;
+                       if (!dec.next(out)) return false;
+                       return out.wire_size() == in.size();
+                     }});
+  }
+
+  {  // replication log record: an embedded message and two runs
+    dsm::LogRecord r;
+    r.kind = dsm::LogRecord::Kind::Event;
+    msg::Message m;
+    m.type = msg::MsgType::LockRequest;
+    m.sync_id = 1;
+    m.rank = 2;
+    m.seq = 7;
+    m.tag = "(4,1)";
+    m.payload = {std::byte{9}, std::byte{8}, std::byte{7}, std::byte{6}};
+    r.event = dsm::CoherenceEvent::msg_received(2, m);
+    r.event.runs = {{1, 2, 3}, {4, 5, 6}};
+    r.master_payload = {std::byte{0x11}, std::byte{0x22}};
+    r.master_sender = msg::PlatformSummary::of(plat::solaris_sparc64());
+    cases.push_back({"log record", dsm::encode_record(r),
+                     "010100000002000000000100000000000000294844534d0200000200"
+                     "000001000000020000000700000000000000050000000428342c3129"
+                     "09080706000000020000000100000000000000020000000000000003"
+                     "00000004000000000000000500000000000000060000000000000002"
+                     "11220102",
+                     [](const std::vector<std::byte>& in) {
+                       return dsm::decode_record(in).event.runs.size() == 2;
+                     }});
+  }
+
+  {  // thread state: one frame, one heap object
+    const tags::TypePtr locals = golden_locals();
+    mig::ThreadState state;
+    state.rank = 1;
+    mig::StructImage img(locals, plat::linux_ia32());
+    img.set<std::int32_t>("i", 0x01020304);
+    img.set<double>("d", 1.5);
+    state.frames.push_back(mig::Frame{"f", 2, img});
+    state.heap.push_back(mig::HeapObject{9, "L", img});
+    cases.push_back({"thread state", mig::pack_state(state),
+                     "00000001000000010000000166000000020000001428342c31292830"
+                     "2c302928382c312928302c3029000000000000000c04030201000000"
+                     "000000f83f000000010000000000000009000000014c000000142834"
+                     "2c312928302c302928382c312928302c3029000000000000000c0403"
+                     "0201000000000000f83f",
+                     [](const std::vector<std::byte>& in) {
+                       mig::StateSchema schema;
+                       schema.register_frame("f", golden_locals());
+                       schema.register_heap_type("L", golden_locals());
+                       const mig::ThreadState s = mig::unpack_state(
+                           in, schema, plat::linux_ia32(),
+                           msg::PlatformSummary::of(plat::linux_ia32()));
+                       return s.frames.size() == 1 && s.heap.size() == 1;
+                     }});
+  }
+
+  {  // io records
+    mig::FileStateRecord f;
+    f.path = "/tmp/x";
+    f.mode = mig::FileMode::Append;
+    f.offset = 0x1234;
+    cases.push_back({"file record", f.pack(),
+                     "000000062f746d702f78030000000000001234",
+                     [](const std::vector<std::byte>& in) {
+                       return mig::FileStateRecord::unpack(in.data(),
+                                                           in.size())
+                                  .offset == 0x1234;
+                     }});
+    mig::SessionRecord s;
+    s.port = 4242;
+    s.rank = 3;
+    s.next_seq = 17;
+    cases.push_back({"session record", s.pack(),
+                     "00001092000000030000000000000011",
+                     [](const std::vector<std::byte>& in) {
+                       return mig::SessionRecord::unpack(in.data(), in.size())
+                                  .next_seq == 17;
+                     }});
+  }
+
+  {  // codec stream
+    cases.push_back({"codec stream", ramp_stream(),
+                     "c500040000000000000000406b918d296400000003db6db6db6db0",
+                     [](const std::vector<std::byte>& in) {
+                       std::vector<std::byte> dst(64);
+                       codec::decode_run(in.data(), in.size(), dst.data(),
+                                         dst.size(), 4);
+                       return true;
+                     }});
+  }
+
+  {  // image file: header + the image of a two-int struct
+    const std::string path = ::testing::TempDir() + "hdsm_golden_image.bin";
+    const tags::TypePtr gthv =
+        tags::describe_struct("G").array<int>("v", 2).build();
+    dsm::GlobalSpace space(gthv, plat::linux_ia32());
+    space.view<std::int32_t>("v").set(0, 7);
+    space.view<std::int32_t>("v").set(1, -1);
+    dsm::save_image(space, path);
+    cases.push_back({"image file", read_file(path),
+                     "4844534d494d473100010000000a28342c322928302c302907000000"
+                     "ffffffff",
+                     [path, gthv](const std::vector<std::byte>& in) {
+                       write_file(path, in);
+                       dsm::GlobalSpace g(gthv, plat::linux_ia32());
+                       dsm::load_image(g, path);
+                       return g.view<std::int32_t>("v").get(1) == -1;
+                     }});
+  }
+
+  {  // obs snapshots
+    std::vector<std::byte> w;
+    golden_metrics().serialize(w);
+    cases.push_back({"metrics snapshot", w,
+                     "4f42533200000001000163000000000000010200000001000167ffff"
+                     "fffffffffffe00000001000168000000000000000300000000000000"
+                     "30000000020000000100000000000000010000000500000000000000"
+                     "02",
+                     [](const std::vector<std::byte>& in) {
+                       obs::MetricsSnapshot out;
+                       return obs::MetricsSnapshot::deserialize(
+                           in.data(), in.size(), out);
+                     }});
+    obs::NodeSnapshot node;
+    node.rank = 2;
+    node.epoch = 0x0A0B;
+    node.metrics = golden_metrics();
+    w.clear();
+    node.serialize(w);
+    cases.push_back({"node snapshot", w,
+                     "000000020000000000000a0b000000554f4253320000000100016300"
+                     "0000000000010200000001000167fffffffffffffffe000000010001"
+                     "68000000000000000300000000000000300000000200000001000000"
+                     "0000000001000000050000000000000002",
+                     [](const std::vector<std::byte>& in) {
+                       obs::NodeSnapshot out;
+                       return obs::NodeSnapshot::deserialize(
+                           in.data(), in.size(), out);
+                     }});
+    obs::ClusterTelemetry ct;
+    ct.nodes.push_back(node);
+    node.metrics = obs::MetricsSnapshot{};
+    node.metrics.counters["r"] = 1;
+    ct.retired.push_back(node);
+    w.clear();
+    ct.serialize(w);
+    cases.push_back({"cluster telemetry", w,
+                     "0000000100000065000000020000000000000a0b000000554f425332"
+                     "00000001000163000000000000010200000001000167ffffffffffff"
+                     "fffe0000000100016800000000000000030000000000000030000000"
+                     "02000000010000000000000001000000050000000000000002000000"
+                     "010000002b000000020000000000000a0b0000001b4f425332000000"
+                     "0100017200000000000000010000000000000000",
+                     [](const std::vector<std::byte>& in) {
+                       obs::ClusterTelemetry out;
+                       return obs::ClusterTelemetry::deserialize(
+                           in.data(), in.size(), out);
+                     }});
+  }
+  return cases;
+}
+
+}  // namespace
+
+// Every structure that crosses a node boundary (or a checkpoint file) keeps
+// its exact bytes, decodes back, and rejects every proper prefix and one
+// appended byte.
+TEST(Fuzz, GoldenBytesAndTruncationSweep) {
+  for (const GoldenCase& c : golden_cases()) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(to_hex(c.bytes), c.hex);
+    EXPECT_FALSE(rejects(c, c.bytes));
+    for (std::size_t n = 0; n < c.bytes.size(); ++n) {
+      const std::vector<std::byte> prefix(c.bytes.begin(),
+                                          c.bytes.begin() + n);
+      EXPECT_TRUE(rejects(c, prefix)) << "prefix of " << n << " bytes";
+    }
+    std::vector<std::byte> longer = c.bytes;
+    longer.push_back(std::byte{0});
+    EXPECT_TRUE(rejects(c, longer)) << "one appended byte";
+  }
 }

@@ -349,7 +349,7 @@ TEST(FileMigration, RecordPackUnpackRoundTrip) {
 TEST(FileMigration, RecordUnpackRejectsGarbage) {
   std::vector<std::byte> junk(3, std::byte{0xff});
   EXPECT_THROW(mig::FileStateRecord::unpack(junk.data(), junk.size()),
-               std::invalid_argument);
+               std::runtime_error);
 }
 
 TEST(FileMigration, WriterMigratesMidFile) {

@@ -318,3 +318,16 @@ TEST(ObjectCluster, HeterogeneousClusterShipsScopedInitialSeeds) {
     EXPECT_EQ(master.get(i), static_cast<std::int64_t>(i * 1000 + 2));
   }
 }
+
+TEST(ObjectCluster, RemotesInheritTheHomesObsOptions) {
+  // As in dsm::ShardedCluster: tracing the home while leaving the remote
+  // options at their default traces the remotes too.
+  dsm::ShardedHomeOptions opts;
+  opts.obs.enabled = true;
+  obj::ObjectCluster cluster(small_layout(), plat::linux_ia32(),
+                             {&plat::solaris_sparc64()}, opts);
+  EXPECT_NE(cluster.home().node().telemetry(), nullptr);
+  EXPECT_NE(cluster.remote(1).node().telemetry(), nullptr);
+  cluster.run([](obj::ObjectHome& home) { home.wait_all_joined(); },
+              [](obj::ObjectRemote& remote) { remote.join(); });
+}

@@ -258,6 +258,12 @@ TEST(ObsCluster, ClusterFacadeScrapesAndRecordsSpans) {
   dsm::ShardedCluster cluster(
       gthv, plat::linux_ia32(),
       {&plat::linux_ia32(), &plat::solaris_sparc32()}, opts);
+  // The remotes enter barrier 0 before their lock episodes, so the
+  // master's one write is ordered before any grant is packed.  A remote's
+  // first grant ships its whole attach-time pending set (the full image),
+  // and under release consistency a lock-r grant orders nothing against
+  // the master's lock-0 write: with the lock first, the grant's pack could
+  // read A[0] while the master wrote it.
   cluster.run(
       [&](dsm::ShardedHome& home) {
         home.lock(0);
@@ -267,11 +273,11 @@ TEST(ObsCluster, ClusterFacadeScrapesAndRecordsSpans) {
         home.wait_all_joined();
       },
       [&](dsm::ShardedRemote& remote) {
+        remote.barrier(0);
         remote.lock(remote.rank());
         auto a = remote.space().view<std::int32_t>("A");
         a.set(remote.rank(), static_cast<std::int32_t>(remote.rank()));
         remote.unlock(remote.rank());
-        remote.barrier(0);
         remote.join();
       });
 

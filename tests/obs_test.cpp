@@ -163,7 +163,7 @@ TEST(MetricsSnapshot, SerializeRoundTrip) {
   a.gauges["lanes"] = 4;
   a.histograms["phase.diff.ns"] = snap_of({100, 2000, 30000, ~0ull});
 
-  std::vector<std::uint8_t> wire;
+  std::vector<std::byte> wire;
   a.serialize(wire);
   obs::MetricsSnapshot back;
   ASSERT_TRUE(obs::MetricsSnapshot::deserialize(wire.data(), wire.size(),
@@ -175,7 +175,7 @@ TEST(MetricsSnapshot, DeserializeRejectsMalformed) {
   obs::MetricsSnapshot a;
   a.counters["c"] = 1;
   a.histograms["h"] = snap_of({5, 50});
-  std::vector<std::uint8_t> wire;
+  std::vector<std::byte> wire;
   a.serialize(wire);
 
   obs::MetricsSnapshot out;
@@ -187,12 +187,12 @@ TEST(MetricsSnapshot, DeserializeRejectsMalformed) {
         obs::MetricsSnapshot::deserialize(wire.data(), wire.size() - cut, out))
         << "cut=" << cut;
   }
-  std::vector<std::uint8_t> padded = wire;
-  padded.push_back(0);
+  std::vector<std::byte> padded = wire;
+  padded.push_back(std::byte{0});
   EXPECT_FALSE(
       obs::MetricsSnapshot::deserialize(padded.data(), padded.size(), out));
-  std::vector<std::uint8_t> bad_magic = wire;
-  bad_magic[0] ^= 0xff;
+  std::vector<std::byte> bad_magic = wire;
+  bad_magic[0] ^= std::byte{0xff};
   EXPECT_FALSE(obs::MetricsSnapshot::deserialize(bad_magic.data(),
                                                  bad_magic.size(), out));
 }
@@ -484,7 +484,7 @@ TEST(ClusterTelemetry, SerializeRoundTripRecomputesMerged) {
   home.metrics.counters["c"] = 1;
   const obs::ClusterTelemetry ct = agg.view(home);
 
-  std::vector<std::uint8_t> wire;
+  std::vector<std::byte> wire;
   ct.serialize(wire);
   obs::ClusterTelemetry back;
   ASSERT_TRUE(
@@ -506,12 +506,13 @@ TEST(NodeSnapshot, DeserializeRejectsLengthMismatch) {
   n.rank = 3;
   n.epoch = 5;
   n.metrics.counters["c"] = 1;
-  std::vector<std::uint8_t> wire;
+  std::vector<std::byte> wire;
   n.serialize(wire);
   obs::NodeSnapshot out;
   ASSERT_TRUE(obs::NodeSnapshot::deserialize(wire.data(), wire.size(), out));
   EXPECT_EQ(out.rank, 3u);
-  wire.push_back(0);  // trailing byte ⇒ embedded length no longer matches
+  // A trailing byte: the embedded length no longer matches.
+  wire.push_back(std::byte{0});
   EXPECT_FALSE(obs::NodeSnapshot::deserialize(wire.data(), wire.size(), out));
 }
 
