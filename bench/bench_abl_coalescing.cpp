@@ -4,9 +4,12 @@
 //  tag ... It also considerably reduces the time necessary to create tags
 //  as fewer calls to sprintf() are required."
 //
-// Measures the unlock send side (diff -> index -> tag -> pack) with
+// Measures the unlock send side (element walk -> tag -> pack) with
 // coalescing on vs off over dense and strided write patterns, and reports
-// tags generated + payload bytes as counters.
+// tags generated + payload bytes as counters.  Split mode ships one run,
+// so one tag, per written element; coalescing ships one per stretch of
+// consecutive written elements.  Every iteration writes new values, so
+// each collect sees the whole pattern changed.
 #include <benchmark/benchmark.h>
 
 #include "dsm/global_space.hpp"
@@ -24,16 +27,12 @@ tags::TypePtr gthv(std::uint64_t n) {
       "G", {{"A", tags::TypeDesc::array(tags::t_int(), n)}});
 }
 
-void write_pattern(dsm::GlobalSpace& g, std::uint64_t n, bool strided) {
+void write_pattern(dsm::GlobalSpace& g, std::uint64_t n, bool strided,
+                   std::int32_t round) {
   auto a = g.view<std::int32_t>("A");
-  if (strided) {
-    for (std::uint64_t i = 0; i < n; i += 2) {
-      a.set(i, static_cast<std::int32_t>(i + 1));
-    }
-  } else {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      a.set(i, static_cast<std::int32_t>(i + 1));
-    }
+  const std::uint64_t step = strided ? 2 : 1;
+  for (std::uint64_t i = 0; i < n; i += step) {
+    a.set(i, static_cast<std::int32_t>(i + 1) + round);
   }
 }
 
@@ -46,8 +45,9 @@ void run(benchmark::State& state, bool coalesce, bool strided) {
   dsm::SyncEngine engine(g, opts, stats);
   g.region().begin_tracking();
   std::uint64_t tags_generated = 0, bytes = 0, blocks = 0;
+  std::int32_t round = 0;
   for (auto _ : state) {
-    write_pattern(g, n, strided);
+    write_pattern(g, n, strided, ++round);
     const auto payload = engine.collect_payload();
     const auto out = dsm::decode_update_blocks(payload);
     blocks += out.size();

@@ -8,8 +8,14 @@
 //   BM_ApplyPayloadMemcpy     - same payload homogeneous: the zero-copy
 //                               route (payload bytes land directly in the
 //                               image, no scratch conversion buffer)
-//   BM_CollectDiff            - dirty-page diff + range->run mapping of a
-//                               multi-MB dirty set
+//   BM_CollectDiff            - collect_runs (the element walk of every
+//                               written page) of a multi-MB dirty set
+//                               rewritten with new values each iteration;
+//                               runs per collect
+//   BM_CollectStride2         - collect_runs of a red/black SOR half-sweep:
+//                               one-double cells at stride 2 across 44
+//                               pages; runs per collect (exact; checked by
+//                               bench_smoke)
 //   BM_PackZeroCopy           - pack_payload (single gather into the wire
 //                               buffer)
 //   BM_PackStride2/{0,1}      - pack_payload of kStride2Runs one-double
@@ -63,13 +69,14 @@ tags::TypePtr gthv(std::uint64_t elems) {
 }
 
 /// Write ~1KB element bursts separated by one-element gaps: the dirty set
-/// maps to many independent ~1KB runs.
-void write_bursts(dsm::GlobalSpace& g) {
+/// maps to many independent ~1KB runs.  A different `salt` changes every
+/// written value, so repeated bursts keep differing from the twins.
+void write_bursts(dsm::GlobalSpace& g, std::uint32_t salt = 0) {
   auto a = g.view<std::int32_t>("A");
   const std::uint64_t n = a.size();
   for (std::uint64_t i = 0; i < n; ++i) {
     if (i % 257 == 256) continue;  // the gap element splits runs
-    a.set(i, static_cast<std::int32_t>(i * 2654435761u));
+    a.set(i, static_cast<std::int32_t>(i * 2654435761u + salt));
   }
 }
 
@@ -124,20 +131,61 @@ void BM_CollectDiff(benchmark::State& state) {
   dsm::ShareStats stats;
   dsm::SyncEngine engine(g, {}, stats);
   g.region().begin_tracking();
-  std::uint64_t bytes = 0;
+  std::uint64_t bytes = 0, runs_total = 0;
+  std::uint32_t salt = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    write_bursts(g);  // re-dirty (faults excluded from the measurement)
+    // Re-dirty with new values (faults excluded from the measurement).
+    write_bursts(g, ++salt);
     state.ResumeTiming();
     const auto runs = engine.collect_runs();
     benchmark::DoNotOptimize(runs.data());
     bytes += g.table().image_size();
+    runs_total += runs.size();
   }
   g.region().end_tracking();
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+  state.counters["runs"] = static_cast<double>(runs_total) /
+                           static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_CollectDiff)
     ->Unit(benchmark::kMillisecond)
+    ->Apply(hdsm::bench::wall_clock);
+
+/// Runs per BM_CollectStride2 collect (44 4-KiB pages of doubles, every
+/// other one written); bench_smoke.cmake pins the counter.
+constexpr std::uint64_t kCollectStride2Runs = 44 * 4096 / 16;
+
+void BM_CollectStride2(benchmark::State& state) {
+  dsm::GlobalSpace g(
+      tags::TypeDesc::struct_of(
+          "G", {{"D", tags::TypeDesc::array(tags::t_double(),
+                                            2 * kCollectStride2Runs)}}),
+      plat::linux_ia32());
+  dsm::ShareStats stats;
+  dsm::SyncEngine engine(g, {}, stats);
+  g.region().begin_tracking();
+  auto d = g.view<double>("D");
+  std::uint64_t runs_total = 0;
+  double sweep = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    // One red half-sweep: every other cell gets a value it never held.
+    sweep += 1.0;
+    for (std::uint64_t i = 0; i < kCollectStride2Runs; ++i) {
+      d.set(2 * i, sweep + 0.5 * static_cast<double>(i));
+    }
+    state.ResumeTiming();
+    const auto runs = engine.collect_runs();
+    benchmark::DoNotOptimize(runs.data());
+    runs_total += runs.size();
+  }
+  g.region().end_tracking();
+  state.counters["runs"] = static_cast<double>(runs_total) /
+                           static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_CollectStride2)
+    ->Unit(benchmark::kMicrosecond)
     ->Apply(hdsm::bench::wall_clock);
 
 void BM_PackZeroCopy(benchmark::State& state) {

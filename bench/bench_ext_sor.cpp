@@ -65,7 +65,7 @@ int main() {
               static_cast<unsigned long long>(base.update_bytes_sent));
   bool slack_trades = false;
   {
-    // Merge diff ranges across the 8-byte untouched gaps, trading extra
+    // Join runs across one untouched 8-byte cell, trading extra
     // (unchanged) bytes for fewer runs and so fewer tags.
     hdsm::dsm::ShardedHomeOptions opts = hdsm::bench::paper_options();
     opts.dsd.merge_slack = 8;

@@ -77,15 +77,19 @@ endforeach()
 # SOR-shaped pack path must tag every run, once.  BM_ReleaseStride2
 # releases the same set over a sparc32 -> ia32 (bulk-swap) link, where the
 # barrier-release gap fill joins all of it into one block; per-run blocks
-# there mean the fill regressed.
+# there mean the fill regressed.  BM_CollectStride2 collects a red/black
+# half-sweep of one-double cells, so its runs per collect is exact too
+# (kCollectStride2Runs): one run per written cell, no more and no fewer.
 set(stride2_tags 8192)
 set(stride2_release_blocks 1)
+set(stride2_collect_runs 11264)
 if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   file(READ "${BENCH_DIR}/BENCH_data_plane.json" json)
   string(JSON n_benchmarks LENGTH "${json}" benchmarks)
   math(EXPR last "${n_benchmarks} - 1")
   set(n_stride2 0)
   set(n_release 0)
+  set(n_collect 0)
   foreach(i RANGE ${last})
     string(JSON name GET "${json}" benchmarks ${i} name)
     if(name MATCHES "^BM_PackStride2/")
@@ -102,15 +106,23 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
                 "expected ${stride2_release_blocks}")
       endif()
       math(EXPR n_release "${n_release} + 1")
+    elseif(name MATCHES "^BM_CollectStride2/")
+      string(JSON runs GET "${json}" benchmarks ${i} runs)
+      if(NOT runs EQUAL stride2_collect_runs)
+        message(FATAL_ERROR "bench_smoke: ${name} runs=${runs}, "
+                "expected ${stride2_collect_runs}")
+      endif()
+      math(EXPR n_collect "${n_collect} + 1")
     endif()
   endforeach()
-  if(NOT n_stride2 EQUAL 1 OR NOT n_release EQUAL 1)
-    message(FATAL_ERROR "bench_smoke: expected 1 BM_PackStride2 and 1 "
-            "BM_ReleaseStride2 entry in BENCH_data_plane.json, found "
-            "${n_stride2} and ${n_release}")
+  if(NOT n_stride2 EQUAL 1 OR NOT n_release EQUAL 1 OR NOT n_collect EQUAL 1)
+    message(FATAL_ERROR "bench_smoke: expected 1 BM_PackStride2, 1 "
+            "BM_ReleaseStride2 and 1 BM_CollectStride2 entry in "
+            "BENCH_data_plane.json, found ${n_stride2}, ${n_release} and "
+            "${n_collect}")
   endif()
-  message(STATUS "bench_smoke: BM_PackStride2 tags_generated and "
-          "BM_ReleaseStride2 blocks ok")
+  message(STATUS "bench_smoke: BM_PackStride2 tags_generated, "
+          "BM_ReleaseStride2 blocks and BM_CollectStride2 runs ok")
 endif()
 
 # bench_obs_overhead additionally exports a Chrome trace-event file and the

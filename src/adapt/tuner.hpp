@@ -8,8 +8,9 @@
 //
 // Two knobs are tuned online, each individually pinnable for A/B runs:
 //
-//   1. merge_slack     coalesce adjacent update runs when per-run overhead
-//                      dominates per-byte cost (bounded by max_merge_slack;
+//   1. merge_slack     coalesce update runs of a row across unchanged
+//                      elements when per-run overhead dominates per-byte
+//                      cost (bounded by max_merge_slack;
 //                      see docs/ADAPTIVITY.md for the ownership-granularity
 //                      safety argument).
 //   2. compress        predictive compression of update runs (hdsm::codec,

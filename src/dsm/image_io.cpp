@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <vector>
 
@@ -15,17 +14,6 @@ namespace hdsm::dsm {
 namespace {
 
 constexpr char kMagic[8] = {'H', 'D', 'S', 'M', 'I', 'M', 'G', '1'};
-
-std::vector<std::byte> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("load_image: cannot open " + path);
-  std::vector<std::byte> out(static_cast<std::size_t>(in.tellg()));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(out.data()),
-          static_cast<std::streamsize>(out.size()));
-  if (!in) throw std::runtime_error("load_image: cannot read " + path);
-  return out;
-}
 
 }  // namespace
 
@@ -55,7 +43,8 @@ void save_image(const GlobalSpace& space, const std::string& path) {
 }
 
 void load_image(GlobalSpace& space, const std::string& path) {
-  const std::vector<std::byte> file = read_file(path);
+  const std::vector<std::byte> file =
+      mig::MigratableFile::open(path, mig::FileMode::Read).read_to_end();
   plat::WireReader r(file, "load_image");
   if (std::memcmp(r.view(sizeof(kMagic)), kMagic, sizeof(kMagic)) != 0) {
     r.fail("bad magic");

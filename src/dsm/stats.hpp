@@ -3,7 +3,7 @@
 //   C_share = t_index + t_tag + t_pack + t_unpack + t_conv
 //
 //   t_index  - mapping writes to the protected global space into indexes
-//              (twin/diff scan + diff-range -> element-run mapping)
+//              (the element walk of each written page against its twin)
 //   t_tag    - generating tags from the indexes
 //   t_pack   - packing run bytes into update messages
 //   t_unpack - parsing received messages and their tags

@@ -8,7 +8,6 @@
 
 #include "codec/codec.hpp"
 #include "convert/converter.hpp"
-#include "memory/diff.hpp"
 #include "platform/int_codec.hpp"
 
 namespace hdsm::dsm {
@@ -171,21 +170,20 @@ std::vector<idx::UpdateRun> SyncEngine::collect_runs() {
   const std::size_t ps = mem::Region::host_page_size();
   const std::uint64_t image_size = table.image_size();
 
-  // This thread owns the interval, so each written page is diffed in
+  // This thread owns the interval, so each written page is walked in
   // place against its twin as the region hands it over re-protected.
-  std::vector<mem::ByteRange> ranges;
+  std::vector<idx::UpdateRun> runs;
+  const idx::RunRules rules{opts_.coalesce_runs, opts_.merge_slack};
   const std::size_t dirty = region.collect(
       [&](std::size_t page, const std::byte* twin) {
         const std::size_t base = page * ps;
         if (base >= image_size) return;
         const std::size_t len = std::min(ps, image_size - base);
-        mem::diff_bytes(region.data() + base, twin, len, base, ranges,
-                        opts_.merge_slack);
+        idx::diff_runs(table, base, region.data() + base, twin, len, rules,
+                       runs);
       });
   stats_.dirty_pages += dirty;
 
-  std::vector<idx::UpdateRun> runs =
-      idx::map_ranges_to_runs(table, ranges, opts_.coalesce_runs);
   const std::uint64_t diff_ns = watch.lap();
   stats_.index_ns += diff_ns;
   // One measurement, two consumers: the Eq.-1 bucket above and the obs

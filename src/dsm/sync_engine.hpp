@@ -48,11 +48,14 @@ enum class CodecMode {
 /// Knobs for the data plane (diff/tag/pack/unpack/convert pipeline),
 /// exposed for the ablation benches.
 struct SyncOptions {
-  /// Group consecutive modified array elements into one tag (paper §5:
-  /// "distill many indexes into a single tag").
+  /// Group consecutive modified elements of a row into one run, so one
+  /// tag (paper §5: "distill many indexes into a single tag").  Off = one
+  /// run per modified element, the paper's uncoalesced index list.
   bool coalesce_runs = true;
-  /// Merge diff ranges separated by gaps of at most this many unchanged
-  /// bytes (0 = byte-exact diffs, the paper's default).
+  /// With coalesce_runs: also join two modified elements of the same row
+  /// when the unmodified elements between them total at most this many
+  /// bytes, shipping those too (0 = only touching elements join, the
+  /// paper's default).  Ignored when coalesce_runs is off.
   std::size_t merge_slack = 0;
   /// Allow the vectorizable bulk byte-swap for same-width cross-endian
   /// runs.  Off = the paper's 2006 element-wise conversion cost profile
@@ -111,8 +114,10 @@ class SyncEngine {
   SyncEngine(GlobalSpace& space, const SyncOptions& opts, ShareStats& stats);
   ~SyncEngine();
 
-  /// Diff the tracked region against its twins and map the changes to
-  /// element runs (t_index).  Restarts the tracking interval.
+  /// Walk each page written in the tracking interval against its twin by
+  /// the index table's elements (idx::diff_runs) and return the modified
+  /// elements as runs under coalesce_runs and merge_slack (t_index).
+  /// Restarts the tracking interval.
   std::vector<idx::UpdateRun> collect_runs();
 
   /// Tag (t_tag) and pack (t_pack) runs directly into one wire payload: a

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "platform/byte_compare.hpp"
+
 namespace hdsm::idx {
 
 namespace {
@@ -190,42 +192,75 @@ std::string IndexTable::to_table_string(std::uint64_t base_address) const {
   return os.str();
 }
 
-std::vector<UpdateRun> map_ranges_to_runs(
-    const IndexTable& table, const std::vector<mem::ByteRange>& ranges,
-    bool coalesce) {
-  std::vector<UpdateRun> out;
-  const std::vector<IndexRow>& rows = table.rows();
-  for (const mem::ByteRange& range : ranges) {
-    if (range.length() == 0) continue;
-    std::uint64_t pos = range.begin;
-    while (pos < range.end) {
-      const IndexTable::Locator loc = table.locate(pos);
-      const IndexRow& row = rows[loc.row];
-      const std::uint64_t row_end = row.end();
-      const std::uint64_t seg_end = std::min<std::uint64_t>(range.end, row_end);
-      if (!row.is_padding()) {
-        const std::uint64_t first = (pos - row.offset) / row.size;
-        const std::uint64_t last = (seg_end - 1 - row.offset) / row.size;
-        UpdateRun run;
-        run.row = static_cast<std::uint32_t>(loc.row);
-        run.first_elem = first;
-        run.count = last - first + 1;
-        if (coalesce && !out.empty() && out.back().row == run.row &&
-            out.back().first_elem + out.back().count >= run.first_elem) {
-          UpdateRun& prev = out.back();
-          const std::uint64_t new_last = run.first_elem + run.count;
-          const std::uint64_t prev_last = prev.first_elem + prev.count;
-          if (new_last > prev_last) {
-            prev.count = new_last - prev.first_elem;
-          }
-        } else {
-          out.push_back(run);
-        }
-      }
-      pos = seg_end;
+namespace {
+
+/// Append changed element `elem` of row `row` to `out`.  It extends the
+/// last run when fewer than `join` unchanged elements lie between them,
+/// and is dropped when that run already holds it: an element straddling a
+/// window edge, seen again from its second window.
+void append_element(std::vector<UpdateRun>& out, std::uint32_t row,
+                    std::uint64_t elem, std::uint64_t join) {
+  if (!out.empty() && out.back().row == row) {
+    UpdateRun& back = out.back();
+    const std::uint64_t back_end = back.first_elem + back.count;
+    if (elem < back_end) return;
+    if (elem - back_end < join) {
+      back.count = elem + 1 - back.first_elem;
+      return;
     }
   }
-  return out;
+  out.push_back(UpdateRun{row, elem, 1});
+}
+
+}  // namespace
+
+void diff_runs(const IndexTable& table, std::uint64_t base,
+               const std::byte* cur, const std::byte* twin, std::size_t len,
+               const RunRules& rules, std::vector<UpdateRun>& out) {
+  if (len == 0) return;
+  const std::uint64_t end = base + len;
+  if (!out.empty() && run_offset(table, out.back()) >= end) {
+    // append_element extends out.back() in place, which is only sound for
+    // windows walked in ascending order.  One compare per window.
+    throw std::invalid_argument(
+        "diff_runs: windows must be walked in ascending offset order");
+  }
+  const std::vector<IndexRow>& rows = table.rows();
+  for (std::size_t r = table.locate(base).row;
+       r < rows.size() && rows[r].offset < end; ++r) {
+    const IndexRow& row = rows[r];
+    if (row.is_padding()) continue;
+    const auto row_index = static_cast<std::uint32_t>(r);
+    const std::uint64_t size = row.size;
+    // Two changed elements join when fewer than `join` unchanged ones lie
+    // between them: never when splitting, only touching ones at slack 0.
+    const std::uint64_t join =
+        rules.coalesce ? rules.merge_slack / size + 1 : 0;
+    const std::uint64_t hi = std::min(row.end(), end) - base;
+    std::uint64_t i = std::max(row.offset, base) - base;
+    // The element holding window offset i, and where it begins (an image
+    // offset: a straddling element begins before the window).
+    std::uint64_t elem = (base + i - row.offset) / size;
+    std::uint64_t elem_begin = row.offset + elem * size;
+    while (i < hi) {
+      const std::uint64_t d = plat::first_diff(cur, twin, i, hi);
+      if (d == hi) break;
+      // Most differences sit in this element or the next (dense or
+      // stride-2 writes); only a longer jump pays for a division.
+      const std::uint64_t skip = base + d - elem_begin;
+      if (skip >= size) {
+        const std::uint64_t n = skip < 2 * size ? 1 : skip / size;
+        elem += n;
+        elem_begin += n * size;
+      }
+      append_element(out, row_index, elem, join);
+      // Jump to the next element boundary: the rest of this one ships
+      // anyway.
+      ++elem;
+      elem_begin += size;
+      i = elem_begin - base;
+    }
+  }
 }
 
 std::uint64_t run_offset(const IndexTable& table, const UpdateRun& run) {

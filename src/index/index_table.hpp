@@ -8,16 +8,18 @@
 //  padding — the (0,0) slots visible in Table 1).
 //
 // The table is the bridge of the hierarchical granularity scheme:
-// inconsistency is detected at page level (twin/diff byte ranges) and then
-// *abstracted* to architecture-independent element indexes here, which both
-// sides of a heterogeneous pair agree on even though their sizes differ.
+// inconsistency is detected at page level (the write trap names the written
+// pages) and each written page is then walked against its twin by this
+// table's elements (diff_runs), yielding architecture-independent element
+// indexes that both sides of a heterogeneous pair agree on even though
+// their sizes differ.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "memory/diff.hpp"
 #include "tags/layout.hpp"
 #include "tags/tag.hpp"
 #include "tags/type_desc.hpp"
@@ -95,13 +97,35 @@ struct UpdateRun {
   bool operator==(const UpdateRun&) const = default;
 };
 
-/// Map twin/diff byte ranges onto element runs (t_index work).  A partially
-/// modified element is shipped whole.  With `coalesce`, adjacent element
-/// runs in the same row merge — the paper's optimization that "distills
-/// many (hundreds, perhaps thousands) indexes into a single tag".
-std::vector<UpdateRun> map_ranges_to_runs(
-    const IndexTable& table, const std::vector<mem::ByteRange>& ranges,
-    bool coalesce = true);
+/// How diff_runs joins changed elements into runs.
+struct RunRules {
+  /// Join consecutive changed elements of a row into one run — the paper's
+  /// optimization that "distills many (hundreds, perhaps thousands) indexes
+  /// into a single tag".  Off = one run per changed element (the paper's
+  /// uncoalesced index list).
+  bool coalesce = true;
+  /// With `coalesce`: also join two changed elements of the same row when
+  /// the unchanged elements between them total at most this many bytes
+  /// (they are then shipped too).  0 = only touching elements join.
+  std::uint64_t merge_slack = 0;
+};
+
+/// Walk one written window [base, base + len) of the image (t_index work):
+/// compare `cur` against its `twin` row by row, skipping equal 8-byte
+/// words, map each first differing byte to its element, and append the
+/// element to `out` under `rules`.  A partially modified element is
+/// shipped whole.  Padding bytes are never compared.  Only bytes inside the
+/// window are compared, so an element straddling the window's edge counts
+/// as changed when its bytes inside differ; a run at the end of one window
+/// continues into the next, and an element already in `out`'s last run is
+/// not appended twice.
+///
+/// Precondition: successive calls appending into the same `out` walk
+/// ascending windows, each inside the image.  A window that ends at or
+/// before the start of `out`'s last run throws std::invalid_argument.
+void diff_runs(const IndexTable& table, std::uint64_t base,
+               const std::byte* cur, const std::byte* twin, std::size_t len,
+               const RunRules& rules, std::vector<UpdateRun>& out);
 
 /// Region byte offset of the first byte of a run.
 std::uint64_t run_offset(const IndexTable& table, const UpdateRun& run);

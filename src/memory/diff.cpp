@@ -1,36 +1,12 @@
 #include "memory/diff.hpp"
 
-#include <cstring>
 #include <stdexcept>
+
+#include "platform/byte_compare.hpp"
 
 namespace hdsm::mem {
 
 namespace {
-
-/// First differing byte index in [i, len), or len.
-std::size_t find_diff(const std::byte* a, const std::byte* b, std::size_t i,
-                      std::size_t len) {
-  // Align to 8 by byte steps, then stride by words.
-  while (i < len && (i % 8 != 0)) {
-    if (a[i] != b[i]) return i;
-    ++i;
-  }
-  while (i + 8 <= len) {
-    std::uint64_t wa, wb;
-    std::memcpy(&wa, a + i, 8);
-    std::memcpy(&wb, b + i, 8);
-    if (wa != wb) {
-      while (a[i] == b[i]) ++i;
-      return i;
-    }
-    i += 8;
-  }
-  while (i < len) {
-    if (a[i] != b[i]) return i;
-    ++i;
-  }
-  return len;
-}
 
 /// First equal byte index in [i, len), or len.
 std::size_t find_same(const std::byte* a, const std::byte* b, std::size_t i,
@@ -46,7 +22,7 @@ std::size_t find_same(const std::byte* a, const std::byte* b, std::size_t i,
 
 void diff_bytes(const std::byte* current, const std::byte* twin,
                 std::size_t len, std::size_t base_offset,
-                std::vector<ByteRange>& out, std::size_t merge_slack) {
+                std::vector<ByteRange>& out) {
   if (!out.empty() && base_offset < out.back().begin) {
     // The back-merge below assumes callers scan pages in ascending offset
     // order; silently accepting an out-of-order window would merge wrong
@@ -56,12 +32,12 @@ void diff_bytes(const std::byte* current, const std::byte* twin,
   }
   std::size_t i = 0;
   while (i < len) {
-    const std::size_t d = find_diff(current, twin, i, len);
+    const std::size_t d = plat::first_diff(current, twin, i, len);
     if (d == len) break;
     const std::size_t e = find_same(current, twin, d, len);
     const std::size_t begin = base_offset + d;
     const std::size_t end = base_offset + e;
-    if (!out.empty() && begin <= out.back().end + merge_slack) {
+    if (!out.empty() && begin <= out.back().end) {
       if (end > out.back().end) out.back().end = end;
     } else {
       out.push_back(ByteRange{begin, end});

@@ -1,9 +1,10 @@
 // Twin/diff computation (paper §4.2): "each byte on the dirty page must be
 // compared to its corresponding byte on the original page."
 //
-// The scan is word-at-a-time with byte-exact range refinement.  An optional
-// merge slack joins ranges separated by small unchanged gaps, trading a few
-// redundant bytes for fewer ranges (and so fewer tags).
+// The scan is word-at-a-time with byte-exact range refinement.  The byte
+// ranges serve the page-granularity baseline (baseline::PageDsm); the DSM
+// collect walks written pages by the index table's elements instead
+// (idx::diff_runs) and never builds a range list.
 #pragma once
 
 #include <cstddef>
@@ -21,11 +22,10 @@ struct ByteRange {
   bool operator==(const ByteRange&) const = default;
 };
 
-/// Compare `len` bytes of `current` against `twin`; append the differing
-/// ranges (offset by `base_offset`) to `out`.  Ranges separated by an
-/// unchanged gap of at most `merge_slack` bytes are merged — including
-/// across successive calls (the cross-page case): a new range whose begin
-/// is within `merge_slack` of `out.back().end` extends that range.
+/// Compare `len` bytes of `current` against `twin`; append the maximal
+/// differing ranges (offset by `base_offset`) to `out`.  A range that
+/// begins exactly where `out.back()` ends extends it, so a change running
+/// across successive calls (the cross-page case) stays one range.
 ///
 /// Precondition: successive calls appending into the same `out` must scan
 /// ascending, non-overlapping windows — `base_offset` must be at or after
@@ -33,7 +33,7 @@ struct ByteRange {
 /// range list.  Violations throw std::invalid_argument.
 void diff_bytes(const std::byte* current, const std::byte* twin,
                 std::size_t len, std::size_t base_offset,
-                std::vector<ByteRange>& out, std::size_t merge_slack = 0);
+                std::vector<ByteRange>& out);
 
 /// Total byte count covered by `ranges`.
 std::size_t total_bytes(const std::vector<ByteRange>& ranges) noexcept;

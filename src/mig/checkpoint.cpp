@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "mig/io_state.hpp"
+#include "platform/int_codec.hpp"
 
 namespace hdsm::mig {
 
@@ -37,28 +38,20 @@ void checkpoint_to_file(const ThreadState& state,
 ThreadState restore_from_file(const std::string& path,
                               const StateSchema& schema,
                               const plat::PlatformDesc& target) {
-  MigratableFile f = MigratableFile::open(path, FileMode::Read);
-  char magic[sizeof(kMagic)];
-  if (f.read(magic, sizeof(magic)) != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("restore_from_file: bad checkpoint magic");
+  const std::vector<std::byte> file =
+      MigratableFile::open(path, FileMode::Read).read_to_end();
+  plat::WireReader r(file, "restore_from_file");
+  if (std::memcmp(r.view(sizeof(kMagic)), kMagic, sizeof(kMagic)) != 0) {
+    r.fail("bad checkpoint magic");
   }
-  std::uint8_t header[2];
-  if (f.read(header, 2) != 2 || header[0] > 1 || header[1] > 2) {
-    throw std::runtime_error("restore_from_file: bad checkpoint header");
-  }
+  const std::uint8_t endian = r.u8();
+  const std::uint8_t ldf = r.u8();
+  if (endian > 1 || ldf > 2) r.fail("bad checkpoint header");
   msg::PlatformSummary sender;
-  sender.endian = static_cast<plat::Endian>(header[0]);
-  sender.long_double_format = static_cast<plat::LongDoubleFormat>(header[1]);
-
-  std::vector<std::byte> payload;
-  std::byte buf[16384];
-  for (;;) {
-    const std::size_t n = f.read(buf, sizeof(buf));
-    if (n == 0) break;
-    payload.insert(payload.end(), buf, buf + n);
-  }
-  return unpack_state(payload, schema, target, sender);
+  sender.endian = static_cast<plat::Endian>(endian);
+  sender.long_double_format = static_cast<plat::LongDoubleFormat>(ldf);
+  const std::size_t n = r.remaining();
+  return unpack_state({r.view(n), n}, schema, target, sender);
 }
 
 }  // namespace hdsm::mig

@@ -1,6 +1,7 @@
 #include "mig/io_state.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -114,6 +115,24 @@ std::size_t MigratableFile::read(void* buf, std::size_t n) {
   return static_cast<std::size_t>(r);
 }
 
+std::vector<std::byte> MigratableFile::read_to_end() {
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) {
+    throw std::system_error(errno, std::generic_category(), "fstat");
+  }
+  const std::uint64_t at = tell();
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  std::vector<std::byte> out(size > at ? size - at : 0);
+  std::size_t got = 0;
+  while (got < out.size()) {
+    const std::size_t n = read(out.data() + got, out.size() - got);
+    if (n == 0) break;  // the file shrank under us
+    got += n;
+  }
+  out.resize(got);
+  return out;
+}
+
 std::size_t MigratableFile::write(const void* buf, std::size_t n) {
   const ssize_t r = ::write(fd_, buf, n);
   if (r < 0) {
@@ -223,13 +242,11 @@ std::uint64_t SessionDeduper::last_seen(std::uint32_t rank) const {
 }
 
 SessionMessage parse_session_message(const msg::Message& m) {
-  if (m.payload.size() < 8) {
-    throw std::invalid_argument("session message lacks a sequence header");
-  }
+  plat::WireReader r(m.payload, "session message");
   SessionMessage out;
   out.rank = m.rank;
-  out.seq = plat::read_be(m.payload.data(), 8);
-  out.payload.assign(m.payload.begin() + 8, m.payload.end());
+  out.seq = r.u64();
+  out.payload = r.bytes(r.remaining());
   return out;
 }
 

@@ -59,6 +59,9 @@ class MigratableFile {
   MigratableFile& operator=(const MigratableFile&) = delete;
 
   std::size_t read(void* buf, std::size_t n);
+  /// Everything from the current offset to the end of the file, in one
+  /// buffer sized by fstat.
+  std::vector<std::byte> read_to_end();
   std::size_t write(const void* buf, std::size_t n);
   void seek(std::uint64_t offset);
   std::uint64_t tell() const;
@@ -135,6 +138,7 @@ struct SessionMessage {
   std::uint64_t seq = 0;
   std::vector<std::byte> payload;
 };
+/// Throws std::runtime_error when the payload lacks its 8-byte sequence.
 SessionMessage parse_session_message(const msg::Message& m);
 
 }  // namespace hdsm::mig

@@ -82,11 +82,11 @@ std::vector<std::byte> pack_state(const ThreadState& state) {
   return out;
 }
 
-ThreadState unpack_state(const std::vector<std::byte>& payload,
+ThreadState unpack_state(std::span<const std::byte> payload,
                          const StateSchema& schema,
                          const plat::PlatformDesc& target,
                          const msg::PlatformSummary& sender) {
-  plat::WireReader r(payload, "thread state");
+  plat::WireReader r(payload.data(), payload.size(), "thread state");
   ThreadState state;
   state.rank = r.u32();
   // A frame encodes to >= 20 bytes, a heap object to >= 24.

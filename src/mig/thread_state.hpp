@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,7 +72,7 @@ std::vector<std::byte> pack_state(const ThreadState& state);
 /// Rebuild a state on `target`, converting every image from the sender's
 /// representation using only the wire tags + sender byte order (receiver
 /// makes right).
-ThreadState unpack_state(const std::vector<std::byte>& payload,
+ThreadState unpack_state(std::span<const std::byte> payload,
                          const StateSchema& schema,
                          const plat::PlatformDesc& target,
                          const msg::PlatformSummary& sender);

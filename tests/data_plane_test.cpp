@@ -1,6 +1,7 @@
 // Tests for the two-phase (validate-then-apply) data plane: all-or-nothing
 // payload application that leaves write tracking armed, zero-copy
-// single-buffer packing, the run lists of multi-page collects, a multi-page
+// single-buffer packing, the run lists of multi-page collects (and the
+// element walk against a brute-force oracle under every option), a multi-page
 // heterogeneous apply (these page-mode round trips on both write-trap
 // backends), the one-lane option check, the per-(sender, row)
 // conversion-plan cache, the pending-set merge, and the barrier-release
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "dsm/sync_engine.hpp"
 #include "dsm/trace.hpp"
 #include "dsm/update.hpp"
+#include "memory/diff.hpp"
 #include "msg/message.hpp"
 #include "trap_backends.hpp"
 
@@ -319,6 +322,183 @@ TEST_P(CollectRuns, ScatteredWritesAndADenseBand) {
     expected.push_back({row_a, i, 1});
   }
   EXPECT_EQ(runs, expected);
+}
+
+// ---- element-walk property -------------------------------------------------
+
+namespace {
+
+/// A random GThV on which page-mode collects are checked: scalars,
+/// pointers, scalar and pointer arrays and arrays of small structs (every
+/// member followed by its padding row), then an int and a large array, so
+/// the image spans several pages and, on ia32, 4-aligned doubles and
+/// 12-byte long doubles straddle page edges.
+tags::TypePtr random_gthv(std::mt19937_64& rng) {
+  const std::vector<tags::TypePtr> scalars = {
+      tags::t_char(),   tags::t_short(),    tags::t_int(),
+      tags::t_long(),   tags::t_longlong(), tags::t_float(),
+      tags::t_double(), tags::t_longdouble()};
+  const auto scalar = [&] { return scalars[rng() % scalars.size()]; };
+  std::vector<tags::Field> fields;
+  const std::size_t nfields = 2 + rng() % 6;
+  for (std::size_t f = 0; f < nfields; ++f) {
+    tags::TypePtr ty;
+    switch (rng() % 5) {
+      case 0:
+        ty = scalar();
+        break;
+      case 1:
+        ty = TypeDesc::pointer();
+        break;
+      case 2:
+        ty = TypeDesc::array(scalar(), 1 + rng() % 1500);
+        break;
+      case 3:
+        ty = TypeDesc::array(TypeDesc::pointer(), 1 + rng() % 64);
+        break;
+      default:
+        ty = TypeDesc::array(
+            TypeDesc::struct_of("E", {{"c", tags::t_char()},
+                                      {"x", scalar()},
+                                      {"s", tags::t_short()}}),
+            1 + rng() % 40);
+        break;
+    }
+    fields.push_back({"f" + std::to_string(f), ty});
+  }
+  fields.push_back({"lead", tags::t_int()});
+  fields.push_back({"big", TypeDesc::array(scalar(), 2000 + rng() % 4000)});
+  return TypeDesc::struct_of("G", std::move(fields));
+}
+
+/// The oracle: every element whose bytes differ between the two images,
+/// joined under `rules` — consecutive elements of a row when coalescing,
+/// and across at most merge_slack bytes of unchanged elements of the row.
+std::vector<hdsm::idx::UpdateRun> brute_force_runs(
+    const hdsm::idx::IndexTable& t, const std::vector<std::byte>& before,
+    const std::vector<std::byte>& after, const hdsm::idx::RunRules& rules) {
+  std::vector<hdsm::idx::UpdateRun> out;
+  for (std::uint32_t r = 0; r < t.rows().size(); ++r) {
+    const hdsm::idx::IndexRow& row = t.rows()[r];
+    if (row.is_padding()) continue;
+    for (std::uint64_t e = 0; e < row.element_count(); ++e) {
+      const std::uint64_t off = row.offset + e * row.size;
+      if (std::memcmp(before.data() + off, after.data() + off, row.size) ==
+          0) {
+        continue;
+      }
+      if (rules.coalesce && !out.empty() && out.back().row == r &&
+          (e - out.back().first_elem - out.back().count) * row.size <=
+              rules.merge_slack) {
+        out.back().count = e + 1 - out.back().first_elem;
+      } else {
+        out.push_back({r, e, 1});
+      }
+    }
+  }
+  return out;
+}
+
+/// The byte-range mapping the element walk replaced, kept here as the
+/// reference for the default options: each differing byte range, cut at
+/// row edges, becomes the run of elements it touches, and touching or
+/// overlapping runs of a row coalesce.
+std::vector<hdsm::idx::UpdateRun> ranges_to_runs(
+    const hdsm::idx::IndexTable& t,
+    const std::vector<hdsm::mem::ByteRange>& ranges) {
+  std::vector<hdsm::idx::UpdateRun> out;
+  for (const hdsm::mem::ByteRange& range : ranges) {
+    std::uint64_t pos = range.begin;
+    while (pos < range.end) {
+      const auto loc = t.locate(pos);
+      const hdsm::idx::IndexRow& row = t.rows()[loc.row];
+      const std::uint64_t seg_end = std::min<std::uint64_t>(range.end,
+                                                            row.end());
+      if (!row.is_padding()) {
+        const hdsm::idx::UpdateRun run{
+            static_cast<std::uint32_t>(loc.row), loc.elem,
+            (seg_end - 1 - row.offset) / row.size - loc.elem + 1};
+        if (!out.empty() && out.back().row == run.row &&
+            out.back().first_elem + out.back().count >= run.first_elem) {
+          out.back().count =
+              std::max(out.back().first_elem + out.back().count,
+                       run.first_elem + run.count) -
+              out.back().first_elem;
+        } else {
+          out.push_back(run);
+        }
+      }
+      pos = seg_end;
+    }
+  }
+  return out;
+}
+
+/// Random writes: short bursts anywhere (padding included), a few long
+/// ones, and about a quarter of the stored bytes equal to what they
+/// overwrite, so written pages also hold unchanged words.
+void random_writes(dsm::GlobalSpace& g, std::mt19937_64& rng) {
+  std::byte* image = g.region().data();
+  const std::uint64_t size = g.table().image_size();
+  const std::size_t bursts = 1 + rng() % 60;
+  for (std::size_t b = 0; b < bursts; ++b) {
+    const std::uint64_t begin = rng() % size;
+    const std::uint64_t len = rng() % 8 == 0 ? 1 + rng() % 600 : 1 + rng() % 24;
+    const std::uint64_t end = std::min(size, begin + len);
+    for (std::uint64_t i = begin; i < end; ++i) {
+      image[i] = rng() % 4 == 0 ? image[i] : static_cast<std::byte>(rng());
+    }
+  }
+}
+
+}  // namespace
+
+TEST_P(CollectRuns, ElementWalkMatchesBruteForceUnderEveryOption) {
+  const std::vector<const plat::PlatformDesc*> platforms = {
+      &plat::linux_ia32(), &plat::linux_x86_64(), &plat::solaris_sparc32(),
+      &plat::solaris_sparc64()};
+  std::mt19937_64 rng(2606);
+  for (int table = 0; table < 24; ++table) {
+    const tags::TypePtr ty = random_gthv(rng);
+    const plat::PlatformDesc& platform = *platforms[table % platforms.size()];
+    for (const bool coalesce : {true, false}) {
+      for (const std::size_t slack : {0u, 8u, 32u, 64u}) {
+        dsm::GlobalSpace g(ty, platform, GetParam());
+        const std::uint64_t size = g.table().image_size();
+        for (std::uint64_t i = 0; i < size; ++i) {
+          g.region().data()[i] = static_cast<std::byte>(rng());
+        }
+        dsm::SyncOptions opts;
+        opts.coalesce_runs = coalesce;
+        opts.merge_slack = slack;
+        dsm::ShareStats s;
+        dsm::SyncEngine engine(g, opts, s);
+        g.region().begin_tracking();
+        // Several intervals, so later collects diff against refreshed twins.
+        for (int round = 0; round < 3; ++round) {
+          const std::vector<std::byte> before = image_snapshot(g);
+          random_writes(g, rng);
+          const std::vector<std::byte> after = image_snapshot(g);
+          const auto runs = engine.collect_runs();
+          const std::string where =
+              "table " + std::to_string(table) + " on " + platform.name +
+              " coalesce=" + std::to_string(coalesce) +
+              " slack=" + std::to_string(slack) +
+              " round=" + std::to_string(round);
+          ASSERT_EQ(runs, brute_force_runs(g.table(), before, after,
+                                           {coalesce, slack}))
+              << where;
+          if (coalesce && slack == 0) {
+            std::vector<hdsm::mem::ByteRange> ranges;
+            hdsm::mem::diff_bytes(after.data(), before.data(), size, 0,
+                                  ranges);
+            ASSERT_EQ(runs, ranges_to_runs(g.table(), ranges)) << where;
+          }
+        }
+        g.region().end_tracking();
+      }
+    }
+  }
 }
 
 TEST_P(HeterogeneousApply, BigEndianPayloadLandsInEveryElement) {

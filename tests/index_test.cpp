@@ -1,8 +1,13 @@
-// Tests for the index table (paper Table 1) and the diff-range -> element
-// run mapping with coalescing.
+// Tests for the index table (paper Table 1) and the element walk that turns
+// written windows into element runs, with coalescing and merge slack.  The
+// randomized walk property (both write-trap backends, every option) is in
+// data_plane_test.
 #include <gtest/gtest.h>
 
-#include <random>
+#include <algorithm>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "index/index_table.hpp"
 
@@ -121,81 +126,183 @@ TEST(IndexTable, PaddingRowsWithRealPadding) {
   EXPECT_EQ(tab.locate(3).row, 1u);
 }
 
-// ---- diff-range -> run mapping ---------------------------------------------
+// ---- element walk: written windows -> element runs -------------------------
 
-TEST(MapRanges, PartialElementShipsWholeElement) {
-  const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
-  // One byte inside A[5].
-  const std::uint64_t off = 4 + 5 * 4 + 1;
-  const std::vector<hdsm::mem::ByteRange> ranges = {{off, off + 1}};
-  const auto runs = idx::map_ranges_to_runs(t, ranges);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].row, 2u);
-  EXPECT_EQ(runs[0].first_elem, 5u);
-  EXPECT_EQ(runs[0].count, 1u);
+namespace {
+
+/// Walk `after` against `before` window by window, as the collect walks
+/// written pages.
+std::vector<idx::UpdateRun> walk(const idx::IndexTable& t,
+                                 const std::vector<std::byte>& after,
+                                 const std::vector<std::byte>& before,
+                                 idx::RunRules rules = {},
+                                 std::size_t window = 4096) {
+  std::vector<idx::UpdateRun> out;
+  for (std::size_t base = 0; base < after.size(); base += window) {
+    const std::size_t len = std::min(window, after.size() - base);
+    idx::diff_runs(t, base, after.data() + base, before.data() + base, len,
+                   rules, out);
+  }
+  return out;
 }
 
-TEST(MapRanges, RangeSpanningElementsCoversAll) {
-  const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
-  // From mid-A[2] to mid-A[6]: elements 2..6.
-  const std::vector<hdsm::mem::ByteRange> ranges = {{4 + 2 * 4 + 3,
-                                                     4 + 6 * 4 + 1}};
-  const auto runs = idx::map_ranges_to_runs(t, ranges);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].first_elem, 2u);
-  EXPECT_EQ(runs[0].count, 5u);
+void touch(std::vector<std::byte>& image, std::uint64_t begin,
+           std::uint64_t end) {
+  for (std::uint64_t b = begin; b < end; ++b) image[b] ^= std::byte{0x5a};
 }
 
-TEST(MapRanges, RangeCrossingRowsSplits) {
+}  // namespace
+
+TEST(DiffRuns, PartialElementShipsWholeElement) {
   const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
-  // Last 2 elements of A and first 3 of B.
+  const std::vector<std::byte> before(t.image_size());
+  std::vector<std::byte> after = before;
+  touch(after, 4 + 5 * 4 + 1, 4 + 5 * 4 + 2);  // one byte inside A[5]
+  const auto runs = walk(t, after, before);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0], (idx::UpdateRun{2, 5, 1}));
+}
+
+TEST(DiffRuns, ChangeSpanningElementsCoversAll) {
+  const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
+  const std::vector<std::byte> before(t.image_size());
+  std::vector<std::byte> after = before;
+  touch(after, 4 + 2 * 4 + 3, 4 + 6 * 4 + 1);  // mid-A[2] to mid-A[6]
+  const auto runs = walk(t, after, before);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0], (idx::UpdateRun{2, 2, 5}));
+}
+
+TEST(DiffRuns, ChangeCrossingRowsSplits) {
+  const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
+  const std::vector<std::byte> before(t.image_size());
+  std::vector<std::byte> after = before;
   const std::uint64_t a_end = 4 + 56169 * 4;
-  const std::vector<hdsm::mem::ByteRange> ranges = {{a_end - 8, a_end + 12}};
-  const auto runs = idx::map_ranges_to_runs(t, ranges);
+  touch(after, a_end - 8, a_end + 12);  // last 2 of A, first 3 of B
+  const auto runs = walk(t, after, before);
   ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(runs[0].row, 2u);
-  EXPECT_EQ(runs[0].first_elem, 56167u);
-  EXPECT_EQ(runs[0].count, 2u);
-  EXPECT_EQ(runs[1].row, 4u);
-  EXPECT_EQ(runs[1].first_elem, 0u);
-  EXPECT_EQ(runs[1].count, 3u);
+  EXPECT_EQ(runs[0], (idx::UpdateRun{2, 56167, 2}));
+  EXPECT_EQ(runs[1], (idx::UpdateRun{4, 0, 3}));
 }
 
-TEST(MapRanges, AdjacentRangesCoalesceIntoOneRun) {
+TEST(DiffRuns, CoalesceJoinsConsecutiveElementsSplitShipsEachAlone) {
   // "our system attempts to group consecutive array elements into a single
   //  tag ... distill many (hundreds, perhaps thousands) indexes into a
   //  single tag."
   const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
-  std::vector<hdsm::mem::ByteRange> ranges;
-  for (int e = 0; e < 1000; ++e) {
-    const std::uint64_t off = 4 + e * 4;
-    ranges.push_back({off, off + 4});
-  }
-  const auto coalesced = idx::map_ranges_to_runs(t, ranges, true);
+  const std::vector<std::byte> before(t.image_size());
+  std::vector<std::byte> after = before;
+  touch(after, 4, 4 + 1000 * 4);
+  const auto coalesced = walk(t, after, before);
   ASSERT_EQ(coalesced.size(), 1u);
-  EXPECT_EQ(coalesced[0].count, 1000u);
-  const auto split = idx::map_ranges_to_runs(t, ranges, false);
-  EXPECT_EQ(split.size(), 1000u);
+  EXPECT_EQ(coalesced[0], (idx::UpdateRun{2, 0, 1000}));
+  const auto split = walk(t, after, before, {.coalesce = false});
+  ASSERT_EQ(split.size(), 1000u);
+  for (std::uint64_t e = 0; e < split.size(); ++e) {
+    EXPECT_EQ(split[e], (idx::UpdateRun{2, e, 1}));
+  }
 }
 
-TEST(MapRanges, OverlappingRangesDoNotDoubleCount) {
+TEST(DiffRuns, SplitModeShipsOneRunPerElementWhateverItsBytes) {
+  // A[7] with its first and last byte changed and the middle two equal:
+  // one changed element, so one run.
   const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
-  const std::vector<hdsm::mem::ByteRange> ranges = {{4, 20}, {12, 28}};
-  const auto runs = idx::map_ranges_to_runs(t, ranges, true);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].first_elem, 0u);
-  EXPECT_EQ(runs[0].count, 6u);
+  const std::vector<std::byte> before(t.image_size());
+  std::vector<std::byte> after = before;
+  touch(after, 4 + 7 * 4, 4 + 7 * 4 + 1);
+  touch(after, 4 + 7 * 4 + 3, 4 + 7 * 4 + 4);
+  for (const bool coalesce : {false, true}) {
+    const auto runs = walk(t, after, before, {.coalesce = coalesce});
+    ASSERT_EQ(runs.size(), 1u) << coalesce;
+    EXPECT_EQ(runs[0], (idx::UpdateRun{2, 7, 1}));
+  }
 }
 
-TEST(MapRanges, PaddingOnlyRangesVanish) {
+TEST(DiffRuns, PaddingOnlyChangesVanish) {
   auto ty = TypeDesc::struct_of("S", {{"c", tags::t_char()},
                                       {"d", tags::t_double()}});
   const idx::IndexTable t(ty, plat::solaris_sparc32());
-  const std::vector<hdsm::mem::ByteRange> ranges = {{2, 6}};  // inside padding
-  EXPECT_TRUE(idx::map_ranges_to_runs(t, ranges).empty());
+  const std::vector<std::byte> before(t.image_size());
+  std::vector<std::byte> after = before;
+  touch(after, 2, 6);  // inside the 7 padding bytes after the char
+  EXPECT_TRUE(walk(t, after, before).empty());
 }
 
-TEST(MapRanges, RunGeometryHelpers) {
+TEST(DiffRuns, MergeSlackJoinsAcrossWholeUnchangedElementsOfARow) {
+  const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
+  const std::vector<std::byte> before(t.image_size());
+  std::vector<std::byte> after = before;
+  // A[10], A[12] (one 4-B element between) and A[20] (seven, 28 B).
+  for (const std::uint64_t e : {10, 12, 20}) touch(after, 4 + e * 4, 5 + e * 4);
+  using Runs = std::vector<idx::UpdateRun>;
+  EXPECT_EQ(walk(t, after, before, {.merge_slack = 0}),
+            (Runs{{2, 10, 1}, {2, 12, 1}, {2, 20, 1}}));
+  EXPECT_EQ(walk(t, after, before, {.merge_slack = 3}),
+            (Runs{{2, 10, 1}, {2, 12, 1}, {2, 20, 1}}));
+  EXPECT_EQ(walk(t, after, before, {.merge_slack = 4}),
+            (Runs{{2, 10, 3}, {2, 20, 1}}));
+  EXPECT_EQ(walk(t, after, before, {.merge_slack = 28}), (Runs{{2, 10, 11}}));
+  // Slack only widens coalescing: split mode ships each element alone.
+  EXPECT_EQ(walk(t, after, before, {.coalesce = false, .merge_slack = 64}),
+            (Runs{{2, 10, 1}, {2, 12, 1}, {2, 20, 1}}));
+}
+
+TEST(DiffRuns, MergeSlackNeverJoinsAcrossRows) {
+  const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
+  const std::vector<std::byte> before(t.image_size());
+  std::vector<std::byte> after = before;
+  const std::uint64_t a_end = 4 + 56169 * 4;
+  touch(after, a_end - 8, a_end - 7);  // A[56167]
+  touch(after, a_end + 4, a_end + 5);  // B[1]
+  EXPECT_EQ(walk(t, after, before, {.merge_slack = 64}),
+            (std::vector<idx::UpdateRun>{{2, 56167, 1}, {4, 1, 1}}));
+}
+
+TEST(DiffRuns, ElementStraddlingAWindowEdgeIsOneRun) {
+  // ia32 aligns a double to 4 in a struct, so d[1] = [12, 20) straddles
+  // the edge of 16-byte windows.
+  auto ty = TypeDesc::struct_of(
+      "S", {{"n", tags::t_int()}, {"d", TypeDesc::array(tags::t_double(), 8)}});
+  const idx::IndexTable t(ty, plat::linux_ia32());
+  ASSERT_EQ(t.rows()[2].offset, 4u);
+  const std::vector<std::byte> before(t.image_size());
+  for (const auto& [lo, hi] : {std::pair{13, 14}, std::pair{18, 19},
+                               std::pair{12, 20}}) {
+    std::vector<std::byte> after = before;
+    touch(after, lo, hi);
+    for (const bool coalesce : {false, true}) {
+      EXPECT_EQ(walk(t, after, before, {.coalesce = coalesce}, 16),
+                (std::vector<idx::UpdateRun>{{2, 1, 1}}))
+          << lo << ".." << hi << " coalesce=" << coalesce;
+    }
+  }
+}
+
+TEST(DiffRuns, RunContinuesIntoTheNextWindow) {
+  const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
+  const std::vector<std::byte> before(t.image_size());
+  std::vector<std::byte> after = before;
+  touch(after, 4, 4 + 100 * 4);
+  EXPECT_EQ(walk(t, after, before, {}, 64),
+            (std::vector<idx::UpdateRun>{{2, 0, 100}}));
+}
+
+TEST(DiffRuns, OutOfOrderWindowsRejected) {
+  const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
+  const std::vector<std::byte> before(t.image_size());
+  std::vector<std::byte> after = before;
+  touch(after, 64, 65);  // A[15]
+  std::vector<idx::UpdateRun> out;
+  idx::diff_runs(t, 64, after.data() + 64, before.data() + 64, 64, {}, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_THROW(
+      idx::diff_runs(t, 0, after.data(), before.data(), 64, {}, out),
+      std::invalid_argument);
+  // The run list is untouched by the rejected call.
+  EXPECT_EQ(out, (std::vector<idx::UpdateRun>{{2, 15, 1}}));
+}
+
+TEST(DiffRuns, RunGeometryHelpers) {
   const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
   idx::UpdateRun run;
   run.row = 4;  // B
@@ -203,49 +310,4 @@ TEST(MapRanges, RunGeometryHelpers) {
   run.count = 25;
   EXPECT_EQ(idx::run_offset(t, run), 4u + 56169u * 4 + 10 * 4);
   EXPECT_EQ(idx::run_byte_length(t, run), 100u);
-}
-
-TEST(MapRanges, RandomPropertyRunsCoverExactlyTouchedElements) {
-  auto ty = TypeDesc::struct_of(
-      "S", {{"p", TypeDesc::pointer()},
-            {"a", TypeDesc::array(tags::t_short(), 333)},
-            {"d", TypeDesc::array(tags::t_double(), 55)},
-            {"n", tags::t_int()}});
-  const idx::IndexTable t(ty, plat::solaris_sparc32());
-  std::mt19937_64 rng(99);
-  for (int iter = 0; iter < 200; ++iter) {
-    // Generate sorted, disjoint byte ranges.
-    std::vector<hdsm::mem::ByteRange> ranges;
-    std::uint64_t pos = rng() % 16;
-    while (pos < t.image_size()) {
-      const std::uint64_t len = 1 + rng() % 40;
-      const std::uint64_t end = std::min<std::uint64_t>(pos + len,
-                                                        t.image_size());
-      ranges.push_back({pos, end});
-      pos = end + 1 + rng() % 64;
-    }
-    const auto runs = idx::map_ranges_to_runs(t, ranges, true);
-    // Every touched non-padding byte is covered by some run.
-    for (const auto& r : ranges) {
-      for (std::uint64_t b = r.begin; b < r.end; ++b) {
-        const auto loc = t.locate(b);
-        if (t.rows()[loc.row].is_padding()) continue;
-        bool covered = false;
-        for (const auto& run : runs) {
-          if (run.row == loc.row && loc.elem >= run.first_elem &&
-              loc.elem < run.first_elem + run.count) {
-            covered = true;
-            break;
-          }
-        }
-        EXPECT_TRUE(covered) << "byte " << b;
-      }
-    }
-    // No run extends past its row.
-    for (const auto& run : runs) {
-      EXPECT_LE(run.first_elem + run.count,
-                t.rows()[run.row].element_count());
-      EXPECT_GT(run.count, 0u);
-    }
-  }
 }

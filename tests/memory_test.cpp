@@ -451,16 +451,6 @@ TEST(Diff, RangesAreByteExact) {
   EXPECT_EQ(out[1], (mem::ByteRange{61, 64}));
 }
 
-TEST(Diff, MergeSlackJoinsNearbyRanges) {
-  std::vector<std::byte> a(256), b(256);
-  a[10] = std::byte{1};
-  a[13] = std::byte{1};  // gap of 2
-  std::vector<mem::ByteRange> out;
-  mem::diff_bytes(a.data(), b.data(), 256, 0, out, /*merge_slack=*/2);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], (mem::ByteRange{10, 14}));
-}
-
 TEST(Diff, BaseOffsetApplied) {
   std::vector<std::byte> a(64), b(64);
   a[5] = std::byte{9};
@@ -526,29 +516,18 @@ TEST(Diff, RandomPropertyRangesReconstructChanges) {
   }
 }
 
-TEST(Diff, CrossPageMergeSlackJoinsAcrossCalls) {
+TEST(Diff, ContiguousChangesMergeAcrossCalls) {
   // Successive calls model successive pages: a change ending at the tail
-  // of page 0 and one at the head of page 1 merge when the gap is within
-  // the slack — the documented cross-page contract of diff_bytes.
-  std::vector<std::byte> p0(16), t0(16), p1(16), t1(16);
-  p0[14] = std::byte{1};
-  p0[15] = std::byte{1};
-  p1[1] = std::byte{1};  // gap of one unchanged byte (offset 16)
-  std::vector<mem::ByteRange> out;
-  mem::diff_bytes(p0.data(), t0.data(), 16, 0, out, /*merge_slack=*/2);
-  mem::diff_bytes(p1.data(), t1.data(), 16, 16, out, /*merge_slack=*/2);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], (mem::ByteRange{14, 18}));
-
-  // Without slack, exactly-contiguous cross-page changes still merge.
-  std::vector<std::byte> q0(16), q1(16);
+  // of page 0 and one at the head of page 1 are one range — the
+  // documented cross-page contract of diff_bytes.
+  std::vector<std::byte> q0(16), t0(16), q1(16), t1(16);
   q0[15] = std::byte{2};
   q1[0] = std::byte{2};
-  std::vector<mem::ByteRange> out2;
-  mem::diff_bytes(q0.data(), t0.data(), 16, 0, out2);
-  mem::diff_bytes(q1.data(), t1.data(), 16, 16, out2);
-  ASSERT_EQ(out2.size(), 1u);
-  EXPECT_EQ(out2[0], (mem::ByteRange{15, 17}));
+  std::vector<mem::ByteRange> out;
+  mem::diff_bytes(q0.data(), t0.data(), 16, 0, out);
+  mem::diff_bytes(q1.data(), t1.data(), 16, 16, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], (mem::ByteRange{15, 17}));
 }
 
 TEST(Diff, FinalPartialPageWindow) {

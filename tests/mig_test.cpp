@@ -477,6 +477,35 @@ TEST(Checkpoint, CorruptFilesRejected) {
                std::system_error);
 }
 
+TEST(Checkpoint, TruncatedCheckpointThrowsRuntimeError) {
+  // Cut a valid checkpoint inside its magic, its platform summary and its
+  // state: every cut is a malformed file, never a partial state.
+  const std::string path = ::testing::TempDir() + "hdsm_ckpt_cut.bin";
+  mig::StateSchema schema;
+  schema.register_frame("worker", locals_type());
+  mig::ThreadState state;
+  state.rank = 2;
+  state.frames.push_back(mig::Frame{
+      "worker", 1, mig::StructImage(locals_type(), plat::linux_ia32())});
+  mig::checkpoint_to_file(state, plat::linux_ia32(), path);
+  const std::vector<std::byte> whole =
+      mig::MigratableFile::open(path, mig::FileMode::Read).read_to_end();
+  ASSERT_GT(whole.size(), 12u);
+  for (const std::size_t cut :
+       {std::size_t{0}, std::size_t{5}, std::size_t{8}, std::size_t{9},
+        std::size_t{10}, std::size_t{14}, whole.size() / 2,
+        whole.size() - 1}) {
+    {
+      auto f = mig::MigratableFile::open(path, mig::FileMode::Write);
+      f.write(whole.data(), cut);
+    }
+    EXPECT_THROW(mig::restore_from_file(path, schema, plat::linux_ia32()),
+                 std::runtime_error)
+        << "cut at " << cut;
+  }
+  ::unlink(path.c_str());
+}
+
 // ---- socket/session migration -----------------------------------------------------
 
 TEST(SessionMigration, RecordRoundTrip) {
@@ -497,6 +526,22 @@ TEST(SessionMigration, DeduperDropsReplays) {
   EXPECT_TRUE(dedup.accept(2, 1));   // other sessions unaffected
   EXPECT_TRUE(dedup.accept(1, 3));
   EXPECT_EQ(dedup.last_seen(1), 3u);
+}
+
+TEST(SessionMigration, ShortSessionPayloadThrowsRuntimeError) {
+  hdsm::msg::Message m;
+  m.rank = 4;
+  for (std::size_t len = 0; len < 8; ++len) {
+    m.payload.assign(len, std::byte{1});
+    EXPECT_THROW(mig::parse_session_message(m), std::runtime_error) << len;
+  }
+  // The bare sequence number is a complete message with an empty body.
+  m.payload.assign(8, std::byte{0});
+  m.payload[7] = std::byte{9};
+  const mig::SessionMessage sm = mig::parse_session_message(m);
+  EXPECT_EQ(sm.rank, 4u);
+  EXPECT_EQ(sm.seq, 9u);
+  EXPECT_TRUE(sm.payload.empty());
 }
 
 TEST(SessionMigration, SessionSurvivesReconnectAcrossNodes) {
