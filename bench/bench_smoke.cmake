@@ -8,7 +8,7 @@
 # The benches whose JSON CI checks.  Each run gets an explicit
 # --benchmark_out, so a bench with a plain BENCHMARK_MAIN() can be listed.
 set(SMOKE_BINARIES bench_data_plane bench_reliability_overhead
-    bench_adaptive bench_obs_overhead bench_reactor
+    bench_obs_overhead bench_reactor
     bench_replication bench_kv bench_codec bench_micro_trap)
 
 if(NOT DEFINED BENCH_DIR)
@@ -123,6 +123,38 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   endif()
   message(STATUS "bench_smoke: BM_PackStride2 tags_generated, "
           "BM_ReleaseStride2 blocks and BM_CollectStride2 runs ok")
+endif()
+
+# The adaptive rung of bench_codec is the tuner's one knob at work.  At
+# 10 MB/s (bw:0) it must engage the codec on the compressible shapes: in
+# fast mode (4 episodes, warmup and dwell 1) the first pack explores and
+# the cost model keeps the codec on, so 3 of the 4 blocks are coded.  The
+# incompressible Noise shape never codes a block.
+set(codec_adaptive_blocks_SorDoubles 3)
+set(codec_adaptive_blocks_LuInts 3)
+set(codec_adaptive_blocks_Noise 0)
+if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
+  file(READ "${BENCH_DIR}/BENCH_codec.json" json)
+  string(JSON n_benchmarks LENGTH "${json}" benchmarks)
+  math(EXPR last "${n_benchmarks} - 1")
+  set(n_adaptive 0)
+  foreach(i RANGE ${last})
+    string(JSON name GET "${json}" benchmarks ${i} name)
+    if(name MATCHES "^BM_Codec([A-Za-z]+)/bw:0/mode:2")
+      set(want "${codec_adaptive_blocks_${CMAKE_MATCH_1}}")
+      string(JSON blocks GET "${json}" benchmarks ${i} codec_blocks)
+      if(NOT blocks EQUAL want)
+        message(FATAL_ERROR "bench_smoke: ${name} codec_blocks=${blocks}, "
+                "expected ${want}")
+      endif()
+      math(EXPR n_adaptive "${n_adaptive} + 1")
+    endif()
+  endforeach()
+  if(NOT n_adaptive EQUAL 3)
+    message(FATAL_ERROR "bench_smoke: expected 3 bw:0/mode:2 entries in "
+            "BENCH_codec.json, found ${n_adaptive}")
+  endif()
+  message(STATUS "bench_smoke: bench_codec adaptive rung at 10 MB/s ok")
 endif()
 
 # bench_obs_overhead additionally exports a Chrome trace-event file and the

@@ -2,10 +2,8 @@
 // adapt::Probe — per-episode EWMA cost models over the raw Signal stream.
 //
 // The probe turns noisy per-episode measurements into a small set of slowly
-// moving cost estimates the Tuner's decision rules can consume:
+// moving cost estimates the Tuner's codec rule consumes:
 //
-//   per_run_ns          fixed overhead of one update run (tag + header)
-//   pack_ns_per_byte    cost of packing one payload byte
 //   encode_ns_per_byte  codec encode cost per raw element byte
 //   codec_ratio         wire data bytes / raw data bytes with codec engaged
 //   link_ns_per_byte    measured wire cost per frame byte on this link
@@ -50,20 +48,14 @@ class Ewma {
 
 class Probe {
  public:
-  /// Minimum runs in a pack episode before it informs the per-run model
-  /// (fewer and the payload's fixed overhead masquerades as per-run cost).
-  static constexpr std::uint64_t kMinRunsForPerRunModel = 8;
-
   explicit Probe(double alpha = 0.25);
 
   /// Fold one episode's measurements into the models.  Fields with a zero
   /// denominator contribute nothing (a wire-only episode does not disturb
-  /// the pack models, and vice versa).
+  /// the codec models, and vice versa).
   void observe(const Signal& s);
 
   // Cost model accessors (0.0 until the first relevant sample arrives).
-  double per_run_ns() const { return per_run_ns_.value(); }
-  double pack_ns_per_byte() const { return pack_cost_.value(); }
   double encode_ns_per_byte() const { return encode_cost_.value(); }
   double codec_ratio() const { return codec_ratio_.value(); }
   double link_ns_per_byte() const { return link_cost_.value(); }
@@ -81,8 +73,6 @@ class Probe {
   std::uint64_t episodes() const { return episodes_; }
 
  private:
-  Ewma per_run_ns_;
-  Ewma pack_cost_;
   Ewma encode_cost_;
   Ewma codec_ratio_;
   Ewma link_cost_;

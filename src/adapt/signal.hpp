@@ -18,9 +18,6 @@ namespace hdsm::adapt {
 
 struct Signal {
   // ---- pack side ----
-  std::uint64_t pack_ns = 0;       ///< wall time spent packing the payload
-  std::uint64_t runs = 0;          ///< update runs packed this episode
-  std::uint64_t bytes_packed = 0;  ///< payload bytes produced
   std::uint64_t encode_ns = 0;     ///< wall time spent in codec encode calls
   std::uint64_t bytes_raw = 0;     ///< raw element bytes this pack episode
                                    ///  (pre-codec; 0 = codec not measured)

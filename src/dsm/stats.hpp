@@ -64,7 +64,7 @@ namespace hdsm::dsm {
 
 struct ShareStats {
   // -- Eq.-1 cost buckets, all in nanoseconds of CPU-side work --
-  std::uint64_t index_ns = 0;   ///< ns: twin/diff scan + range→run mapping
+  std::uint64_t index_ns = 0;   ///< ns: element walk of written pages
   std::uint64_t tag_ns = 0;     ///< ns: (m,n) tag generation for runs
   std::uint64_t pack_ns = 0;    ///< ns: copying run bytes into wire blocks
   std::uint64_t unpack_ns = 0;  ///< ns: payload decode + tag parsing
@@ -95,9 +95,9 @@ struct ShareStats {
   std::uint64_t plan_cache_misses = 0;  ///< count: blocks that parsed their
                                         ///  tag and planned from scratch
 
-  // -- Adaptive policy engine (SyncOptions::adaptive, docs/ADAPTIVITY.md) --
+  // -- Adaptive codec tuner (CodecMode::Adaptive, docs/ADAPTIVITY.md) --
   std::uint64_t adapt_episodes = 0;  ///< count: tuner steps (probe samples)
-  std::uint64_t adapt_switches = 0;  ///< count: knob changes the tuner made
+  std::uint64_t adapt_switches = 0;  ///< count: compress knob changes
   std::uint64_t fastpath_blocks = 0;  ///< count: blocks applied through the
                                       ///  identity/memcpy fast path (the
                                       ///  zero-copy Route::Memcpy apply),

@@ -1,7 +1,6 @@
 #include "dsm/sync_engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -105,27 +104,12 @@ SyncEngine::SyncEngine(GlobalSpace& space, const SyncOptions& opts,
         "SyncOptions: the data plane runs one lane per node "
         "(conv_threads and tuner.pin_conv_threads accept at most 1)");
   }
-  if (opts_.adaptive || opts_.codec == CodecMode::Adaptive) {
-    adapt::TunerConfig cfg = opts_.tuner;
-    // The tuner starts from the configured static behavior and moves the
-    // knobs from there; its decisions then overwrite the live options.
-    cfg.initial.merge_slack = std::min(opts_.merge_slack, cfg.max_merge_slack);
-    cfg.enable_codec = opts_.codec == CodecMode::Adaptive;
-    if (!opts_.adaptive) {
-      // Codec-only tuner (codec == Adaptive with `adaptive` off): pin the
-      // slack to the static option so only compress can move.
-      cfg.pin_merge_slack = static_cast<long>(cfg.initial.merge_slack);
-    }
-    tuner_ = std::make_unique<adapt::Tuner>(cfg);
-    apply_decision(tuner_->decision());  // pins may differ from the statics
+  if (opts_.codec == CodecMode::Adaptive) {
+    tuner_ = std::make_unique<adapt::Tuner>(opts_.tuner);
   }
 }
 
 SyncEngine::~SyncEngine() = default;
-
-void SyncEngine::apply_decision(const adapt::Decision& d) {
-  opts_.merge_slack = d.merge_slack;
-}
 
 void SyncEngine::sample_episode(const adapt::Signal& s) {
   if (tuner_ == nullptr) return;
@@ -135,17 +119,13 @@ void SyncEngine::sample_episode(const adapt::Signal& s) {
   if (trace_ != nullptr) {
     trace_->append(TraceEvent::Kind::ProbeSampled, trace_rank_, episode);
   }
-  if (d.changed == 0) return;
-  stats_.adapt_switches += std::popcount(d.changed);
+  if (!d.changed) return;
+  ++stats_.adapt_switches;
   if (trace_ != nullptr) {
-    // One event per affected subsystem, each in the same episode as (and
-    // after) the ProbeSampled above — validator invariant 5.
-    if (d.changed & adapt::Decision::kCodec)
-      trace_->append(TraceEvent::Kind::StrategySwitched, trace_rank_, episode);
-    if (d.changed & adapt::Decision::kSlack)
-      trace_->append(TraceEvent::Kind::RunsCoalesced, trace_rank_, episode);
+    // In the same episode as (and after) the ProbeSampled above —
+    // validator invariant 5.
+    trace_->append(TraceEvent::Kind::StrategySwitched, trace_rank_, episode);
   }
-  apply_decision(d);
 }
 
 SyncEngine::SenderPlanCache& SyncEngine::cache_for(
@@ -298,9 +278,6 @@ std::vector<std::byte> SyncEngine::pack_payload(
 
   if (tuner_ != nullptr && !runs.empty()) {
     adapt::Signal s;
-    s.pack_ns = pack_ns;
-    s.runs = runs.size();
-    s.bytes_packed = out.size();
     s.encode_ns = encode_ns;
     s.bytes_raw = bytes_raw;
     s.bytes_coded = bytes_coded;
@@ -317,14 +294,13 @@ bool SyncEngine::codec_engaged() const noexcept {
     case CodecMode::Forced:
       return true;
     case CodecMode::Adaptive:
-      return tuner_ != nullptr && tuner_->decision().compress;
+      return tuner_->decision().compress;
   }
   return false;
 }
 
 void SyncEngine::note_wire(std::uint64_t bytes, std::uint64_t ns) {
-  if (tuner_ == nullptr || opts_.codec != CodecMode::Adaptive) return;
-  if (bytes == 0 || ns == 0) return;
+  if (tuner_ == nullptr || bytes == 0 || ns == 0) return;
   adapt::Signal s;
   s.wire_ns = ns;
   s.wire_bytes = bytes;

@@ -55,7 +55,11 @@ struct SyncOptions {
   /// With coalesce_runs: also join two modified elements of the same row
   /// when the unmodified elements between them total at most this many
   /// bytes, shipping those too (0 = only touching elements join, the
-  /// paper's default).  Ignored when coalesce_runs is off.
+  /// paper's default).  Ignored when coalesce_runs is off.  Safe only when
+  /// every concurrently written ownership stripe is at least this wide:
+  /// a shipped gap element another rank owns carries this node's stale
+  /// copy and can revert that rank's write (docs/ADAPTIVITY.md, "Static
+  /// merge slack").
   std::size_t merge_slack = 0;
   /// Allow the vectorizable bulk byte-swap for same-width cross-endian
   /// runs.  Off = the paper's 2006 element-wise conversion cost profile
@@ -74,23 +78,21 @@ struct SyncOptions {
 
   // -- Adaptive policy engine (docs/ADAPTIVITY.md) --
 
-  /// Drive merge_slack from an online adapt::Tuner instead of the static
-  /// value above.  Off = today's exact behavior (no tuner
-  /// is constructed, no probe runs, no trace events).
+  /// No effect.  The tuner's only knob is the codec's, so a tuner exists
+  /// exactly when codec == CodecMode::Adaptive.  Kept as a field for
+  /// callers that still set it (perfbench's field_slowlink).
   bool adaptive = false;
-  /// Tuner configuration when `adaptive` is on: EWMA smoothing, hysteresis
-  /// (dwell + margin), bounds, and per-knob pins for A/B isolation.  The
-  /// tuner's starting merge_slack is seeded from the static field above.
-  /// tuner.pin_conv_threads accepts only -1 (unpinned) through 1; larger
-  /// values throw like conv_threads does.
+  /// Tuner configuration when codec == CodecMode::Adaptive: EWMA smoothing,
+  /// hysteresis (warmup, dwell, margin), the fallback link cost and the
+  /// codec pin.  tuner.pin_conv_threads accepts only -1 (unpinned) through
+  /// 1; larger values throw like conv_threads does.
   adapt::TunerConfig tuner;
 
   // -- Predictive update codec (hdsm::codec, docs/COMPRESSION.md) --
 
   /// Compression of update-run payloads.  Off is byte-identical on the wire
-  /// to builds that predate the codec.  Adaptive constructs a tuner even
-  /// when `adaptive` is off — but with merge_slack pinned to the static
-  /// option, so only the compress decision moves.
+  /// to builds that predate the codec.  Adaptive builds the tuner, whose
+  /// compress decision engages the codec per link.
   CodecMode codec = CodecMode::Off;
 };
 
@@ -161,7 +163,7 @@ class SyncEngine {
   static std::vector<idx::UpdateRun> full_image_runs(
       const idx::IndexTable& table);
 
-  /// Emit adaptive decision events (ProbeSampled, StrategySwitched, ...)
+  /// Emit the tuner's decision events (ProbeSampled, StrategySwitched)
   /// into `log` as this `rank`.  Null detaches.
   void set_trace(TraceLog* log, std::uint32_t rank) noexcept {
     trace_ = log;
@@ -169,21 +171,20 @@ class SyncEngine {
   }
 
   /// Attach telemetry (docs/OBSERVABILITY.md): every Eq.-1 phase the
-  /// engine times — the same measurement that feeds ShareStats (and, for
-  /// pack, the adaptive tuner's Signal) — is also recorded as an obs span
-  /// and phase histogram.  Null (the default) detaches; the off
-  /// path is one null check per phase.
+  /// engine times — the same measurement that feeds ShareStats — is also
+  /// recorded as an obs span and phase histogram.  Null (the default)
+  /// detaches; the off path is one null check per phase.
   void set_obs(obs::Telemetry* telemetry) noexcept { obs_ = telemetry; }
   obs::Telemetry* obs() const noexcept { return obs_; }
 
   const SyncOptions& options() const noexcept { return opts_; }
   GlobalSpace& space() noexcept { return space_; }
 
-  /// The live tuner (null unless SyncOptions::adaptive).
+  /// The live tuner (null unless codec == CodecMode::Adaptive).
   const adapt::Tuner* tuner() const noexcept { return tuner_.get(); }
 
   /// Feed one timed payload send into the per-link cost model (the codec
-  /// knob's measured wire bandwidth).  No-op unless codec == Adaptive.
+  /// knob's measured wire bandwidth).  No-op without a tuner.
   /// Call from the thread that owns this engine, like everything else here.
   void note_wire(std::uint64_t bytes, std::uint64_t ns);
 
@@ -217,11 +218,9 @@ class SyncEngine {
   /// Phase 2: execute validated plans in payload order.
   void execute_plans(const std::vector<BlockPlan>& plans,
                          const msg::PlatformSummary& sender);
-  /// Feed one episode's measurements to the tuner and act on its decision
-  /// (no-op when the tuner is off).
+  /// Feed one episode's measurements to the tuner and count and trace its
+  /// decision (no-op without a tuner).
   void sample_episode(const adapt::Signal& s);
-  /// Copy a tuner decision into the live options (slack).
-  void apply_decision(const adapt::Decision& d);
   /// Plan cache lookup for `sender` (creates the per-sender table).
   SenderPlanCache& cache_for(const msg::PlatformSummary& sender);
   /// Record a just-finished phase of `dur_ns` into the telemetry (span +
@@ -240,7 +239,7 @@ class SyncEngine {
   SyncOptions opts_;
   ShareStats& stats_;
   std::vector<std::unique_ptr<SenderPlanCache>> plan_caches_;
-  std::unique_ptr<adapt::Tuner> tuner_;  ///< null = adaptive off
+  std::unique_ptr<adapt::Tuner> tuner_;  ///< null unless codec Adaptive
   TraceLog* trace_ = nullptr;            ///< decision-event sink (optional)
   std::uint32_t trace_rank_ = 0;
   obs::Telemetry* obs_ = nullptr;        ///< telemetry sink (optional)

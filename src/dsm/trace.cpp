@@ -25,7 +25,6 @@ const char* trace_kind_name(TraceEvent::Kind k) noexcept {
     case TraceEvent::Kind::TimeoutDetached: return "TimeoutDetached";
     case TraceEvent::Kind::ProbeSampled: return "ProbeSampled";
     case TraceEvent::Kind::StrategySwitched: return "StrategySwitched";
-    case TraceEvent::Kind::RunsCoalesced: return "RunsCoalesced";
     case TraceEvent::Kind::MetricsScraped: return "MetricsScraped";
   }
   return "?";
@@ -108,8 +107,7 @@ std::optional<std::string> validate_trace(
     // Tuner bookkeeping, not protocol activity: a remote's final collect
     // (e.g. after a TimeoutDetached) still samples its local tuner.
     return k == TraceEvent::Kind::ProbeSampled ||
-           k == TraceEvent::Kind::StrategySwitched ||
-           k == TraceEvent::Kind::RunsCoalesced;
+           k == TraceEvent::Kind::StrategySwitched;
   };
 
   for (const TraceEvent& e : events) {
@@ -193,8 +191,7 @@ std::optional<std::string> validate_trace(
       case TraceEvent::Kind::ProbeSampled:
         probed_episode[e.rank] = e.sync_id;
         break;
-      case TraceEvent::Kind::StrategySwitched:
-      case TraceEvent::Kind::RunsCoalesced: {
+      case TraceEvent::Kind::StrategySwitched: {
         auto it = probed_episode.find(e.rank);
         if (it == probed_episode.end()) {
           return fail(e, "strategy change without any prior probe sample");

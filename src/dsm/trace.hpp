@@ -40,7 +40,6 @@ struct TraceEvent {
     // ProbeSampled from the same rank in the same episode (invariant 5).
     ProbeSampled,      ///< the tuner folded one episode's signal in
     StrategySwitched,  ///< the codec (compress) decision changed
-    RunsCoalesced,     ///< adaptive merge_slack changed
     // Telemetry events (see docs/OBSERVABILITY.md).  Bookkeeping like the
     // reliability events: lifecycle-exempt, no protocol invariants.
     MetricsScraped,    ///< home folded a MetricsPull snapshot (bytes = size)
@@ -98,11 +97,10 @@ class TraceLog {
 ///   4. Idempotency: UpdatesApplied events carrying a request sequence
 ///      number (req != 0) are strictly increasing per rank — the same
 ///      request's payload is never applied twice.
-///   5. Adaptive causality: a decision event (StrategySwitched for the
-///      codec, RunsCoalesced for merge_slack) is always preceded by a
-///      ProbeSampled from the same rank carrying the same episode number
-///      (sync_id) — the tuner never moves a knob without having sampled
-///      first.
+///   5. Adaptive causality: a decision event (StrategySwitched, the codec's
+///      compress knob) is always preceded by a ProbeSampled from the same
+///      rank carrying the same episode number (sync_id) — the tuner never
+///      moves its knob without having sampled first.
 ///      Adaptive events are lifecycle-exempt like reliability bookkeeping:
 ///      a detached remote's final collect may still sample its tuner.
 std::optional<std::string> validate_trace(

@@ -1,7 +1,7 @@
 // Deterministic pure-core tests for the adaptive policy engine: EWMA/probe
 // math, warmup, pins, hysteresis (no flapping on an oscillating signal),
-// the slack/codec decision rules, and seeded replay (the same signal
-// trace always reproduces the same decision trace).  No I/O, no
+// the codec decision rule, and seeded replay (the same signal trace always
+// reproduces the same decision trace).  No I/O, no
 // threads, no clocks — everything here is a function of the inputs.
 
 #include <cmath>
@@ -26,13 +26,23 @@ adapt::TunerConfig fast_cfg() {
   return cfg;
 }
 
-/// Pack episode whose per-run overhead dwarfs its byte cost (5000 ns per
-/// run vs 50 ns/B): the slack rule wants the full max_merge_slack.
-adapt::Signal costly_runs_signal() {
+/// Raw pack episode with no codec model yet: the codec rule wants its one
+/// exploration episode as soon as warmup allows.
+adapt::Signal raw_signal() {
   adapt::Signal s;
-  s.pack_ns = 100000;
-  s.runs = 10;
-  s.bytes_packed = 1000;
+  s.bytes_raw = 100000;
+  return s;
+}
+
+/// Codec episode over a slow measured link (100 ns/B) with cheap encode
+/// (1 ns/B) and 4x compression: the codec wins by far.
+adapt::Signal winning_codec_signal() {
+  adapt::Signal s = raw_signal();
+  s.codec_on = true;
+  s.encode_ns = 100000;
+  s.bytes_coded = 25000;
+  s.wire_ns = 2500000;
+  s.wire_bytes = 25000;
   return s;
 }
 
@@ -52,35 +62,44 @@ TEST(Ewma, SeedsOnFirstSampleThenSmooths) {
 TEST(Probe, FieldGroupsFoldIndependently) {
   adapt::Probe p(0.5);
 
-  // Pack-only episode: link model untouched.
+  // Pack-only episode with the codec on: link model untouched.
   adapt::Signal pack;
-  pack.pack_ns = 1000;
-  pack.runs = 10;
-  pack.bytes_packed = 1000;
+  pack.bytes_raw = 1000;
+  pack.codec_on = true;
+  pack.encode_ns = 2000;
+  pack.bytes_coded = 250;
   p.observe(pack);
-  const double per_run = p.per_run_ns();
-  const double per_byte = p.pack_ns_per_byte();
-  EXPECT_GT(per_run, 0.0);
-  EXPECT_GT(per_byte, 0.0);
+  EXPECT_TRUE(p.has_codec_model());
+  EXPECT_DOUBLE_EQ(p.encode_ns_per_byte(), 2.0);
+  EXPECT_DOUBLE_EQ(p.codec_ratio(), 0.25);
+  EXPECT_DOUBLE_EQ(p.raw_bytes_per_episode(), 1000.0);
   EXPECT_FALSE(p.has_link_model());
 
-  // Wire-only episode: link model seeds, pack models unchanged.
+  // Wire-only episode: link model seeds, codec models unchanged.
   adapt::Signal wire;
   wire.wire_bytes = 100;
   wire.wire_ns = 500;
   p.observe(wire);
   EXPECT_TRUE(p.has_link_model());
   EXPECT_DOUBLE_EQ(p.link_ns_per_byte(), 5.0);
-  EXPECT_DOUBLE_EQ(p.per_run_ns(), per_run);
-  EXPECT_DOUBLE_EQ(p.pack_ns_per_byte(), per_byte);
+  EXPECT_DOUBLE_EQ(p.encode_ns_per_byte(), 2.0);
+  EXPECT_DOUBLE_EQ(p.codec_ratio(), 0.25);
   EXPECT_EQ(p.episodes(), 2u);
+
+  // A raw episode (codec off) feeds only the raw-bytes mean: it cannot
+  // drag the ratio toward 1.
+  adapt::Signal raw;
+  raw.bytes_raw = 3000;
+  p.observe(raw);
+  EXPECT_DOUBLE_EQ(p.raw_bytes_per_episode(), 2000.0);
+  EXPECT_DOUBLE_EQ(p.codec_ratio(), 0.25);
 
   // An episode with no measurement (a collect or an apply) counts, and
   // moves nothing.
   p.observe(adapt::Signal{});
-  EXPECT_EQ(p.episodes(), 3u);
-  EXPECT_DOUBLE_EQ(p.per_run_ns(), per_run);
-  EXPECT_DOUBLE_EQ(p.pack_ns_per_byte(), per_byte);
+  EXPECT_EQ(p.episodes(), 4u);
+  EXPECT_DOUBLE_EQ(p.encode_ns_per_byte(), 2.0);
+  EXPECT_DOUBLE_EQ(p.raw_bytes_per_episode(), 2000.0);
   EXPECT_DOUBLE_EQ(p.link_ns_per_byte(), 5.0);
 }
 
@@ -90,75 +109,29 @@ TEST(Tuner, WarmupFreezesAllDecisions) {
   cfg.dwell = 1;
   adapt::Tuner t(cfg);
   for (int i = 0; i < 4; ++i) {
-    const adapt::Decision& d = t.step(costly_runs_signal());
-    EXPECT_EQ(d.changed, 0u) << "episode " << i;
-    EXPECT_EQ(d.merge_slack, 0u);
-  }
-  // Episode 5 reaches warmup; the per-run model has wanted slack all along.
-  const adapt::Decision& d = t.step(costly_runs_signal());
-  EXPECT_EQ(d.merge_slack, cfg.max_merge_slack);
-  EXPECT_TRUE(d.changed & adapt::Decision::kSlack);
-}
-
-TEST(Tuner, PinnedKnobsNeverMove) {
-  adapt::TunerConfig cfg = fast_cfg();
-  cfg.enable_codec = true;
-  cfg.pin_merge_slack = 0;
-  cfg.pin_codec = 0;
-  adapt::Tuner t(cfg);
-  // Each episode would move every unpinned knob: costly runs (slack) and
-  // raw bytes with no codec model yet (codec exploration).
-  adapt::Signal s = costly_runs_signal();
-  s.bytes_raw = 100000;
-  for (int i = 0; i < 50; ++i) {
-    const adapt::Decision& d = t.step(s);
-    EXPECT_EQ(d.merge_slack, 0u);
+    const adapt::Decision& d = t.step(raw_signal());
+    EXPECT_FALSE(d.changed) << "episode " << i;
     EXPECT_FALSE(d.compress);
-    EXPECT_EQ(d.changed, 0u);
   }
-  EXPECT_EQ(t.switches(), 0u);
-}
-
-TEST(Tuner, CodecKnobGatedByEnableFlag) {
-  // Sessions that never opt in (codec != Adaptive) must see the exact
-  // pre-codec decision trace: no exploration, no kCodec bit.
-  adapt::Tuner t(fast_cfg());
-  adapt::Signal s;
-  s.pack_ns = 1000;
-  s.runs = 4;
-  s.bytes_packed = 100000;
-  s.bytes_raw = 100000;
-  for (int i = 0; i < 50; ++i) {
-    const adapt::Decision& d = t.step(s);
-    EXPECT_FALSE(d.compress);
-    EXPECT_EQ(d.changed & adapt::Decision::kCodec, 0u);
-  }
+  // Episode 5 reaches warmup; the codec rule has wanted to explore all along.
+  const adapt::Decision& d = t.step(raw_signal());
+  EXPECT_TRUE(d.compress);
+  EXPECT_TRUE(d.changed);
 }
 
 TEST(Tuner, CodecExploresOnceThenFollowsTheCostModel) {
-  adapt::TunerConfig cfg = fast_cfg();
-  cfg.enable_codec = true;
-  adapt::Tuner t(cfg);
+  adapt::Tuner t(fast_cfg());
 
   // Raw pack episodes: the encode cost and ratio can only be measured by
   // running the encoder, so the tuner flips the knob on once to explore.
-  adapt::Signal raw;
-  raw.pack_ns = 1000;
-  raw.runs = 4;
-  raw.bytes_packed = 100000;
-  raw.bytes_raw = 100000;
   bool explored = false;
-  for (int i = 0; i < 10 && !explored; ++i) explored = t.step(raw).compress;
+  for (int i = 0; i < 10 && !explored; ++i) {
+    explored = t.step(raw_signal()).compress;
+  }
   EXPECT_TRUE(explored);
 
-  // Codec episodes over a slow measured link (100 ns/B) with cheap encode
-  // (1 ns/B) and 4x compression: the codec wins, the knob stays engaged.
-  adapt::Signal coded = raw;
-  coded.codec_on = true;
-  coded.encode_ns = 100000;
-  coded.bytes_coded = 25000;
-  coded.wire_ns = 2500000;
-  coded.wire_bytes = 25000;
+  // Codec episodes that win by far: the knob stays engaged.
+  const adapt::Signal coded = winning_codec_signal();
   for (int i = 0; i < 20; ++i) t.step(coded);
   EXPECT_TRUE(t.decision().compress);
 
@@ -170,28 +143,20 @@ TEST(Tuner, CodecExploresOnceThenFollowsTheCostModel) {
   EXPECT_FALSE(t.decision().compress);
 }
 
-TEST(Tuner, CodecPinNeverMoves) {
+TEST(Tuner, PinnedKnobNeverMoves) {
   adapt::TunerConfig cfg = fast_cfg();
-  cfg.enable_codec = true;
   cfg.pin_codec = 0;
   adapt::Tuner off(cfg);
-  // Even a link slow enough to make compression a runaway win can't move a
-  // pinned knob.
-  adapt::Signal coded;
-  coded.pack_ns = 1000;
-  coded.runs = 4;
-  coded.bytes_packed = 100000;
-  coded.bytes_raw = 100000;
-  coded.codec_on = true;
-  coded.encode_ns = 100000;
-  coded.bytes_coded = 25000;
+  // Neither the exploration a raw episode asks for nor a link slow enough
+  // to make compression a runaway win can move a pinned knob.
+  adapt::Signal coded = winning_codec_signal();
   coded.wire_ns = 10000000;
-  coded.wire_bytes = 25000;
   for (int i = 0; i < 50; ++i) {
-    const adapt::Decision& d = off.step(coded);
+    const adapt::Decision& d = off.step(i < 25 ? raw_signal() : coded);
     EXPECT_FALSE(d.compress);
-    EXPECT_EQ(d.changed & adapt::Decision::kCodec, 0u);
+    EXPECT_FALSE(d.changed);
   }
+  EXPECT_EQ(off.switches(), 0u);
 
   cfg.pin_codec = 1;
   adapt::Tuner on(cfg);
@@ -205,23 +170,13 @@ TEST(Tuner, NoFlappingOnOscillatingSignal) {
   // without hysteresis compress would toggle every dwell window.  The 20%
   // margin puts the engage edge at 1.82 and the release edge at 1.0, and
   // the knob changes at most once.
-  adapt::TunerConfig cfg;  // default warmup/dwell/margin
-  cfg.enable_codec = true;
-  adapt::Tuner t(cfg);
-  adapt::Signal s;
-  s.pack_ns = 1000;
-  s.runs = 4;
-  s.bytes_packed = 100000;
-  s.bytes_raw = 100000;
-  s.codec_on = true;
-  s.encode_ns = 100000;
-  s.bytes_coded = 25000;
+  adapt::Tuner t(adapt::TunerConfig{});  // default warmup/dwell/margin
+  adapt::Signal s = winning_codec_signal();
   s.wire_bytes = 24000;
   std::uint64_t codec_changes = 0;
   for (int i = 0; i < 200; ++i) {
     s.wire_ns = i % 2 == 0 ? 20000 : 44000;
-    const adapt::Decision& d = t.step(s);
-    if (d.changed & adapt::Decision::kCodec) ++codec_changes;
+    if (t.step(s).changed) ++codec_changes;
   }
   EXPECT_LE(codec_changes, 1u);
 }
@@ -245,10 +200,7 @@ TEST(Tuner, SeededReplayReproducesDecisionTrace) {
           s.wire_ns = 1000 + next() % 400000;
           break;
         case 1:  // pack
-          s.pack_ns = 1000 + next() % 50000;
-          s.runs = 1 + next() % 64;
-          s.bytes_packed = 100 + next() % 100000;
-          s.bytes_raw = s.bytes_packed;
+          s.bytes_raw = 100 + next() % 100000;
           s.codec_on = next() % 2 == 0;
           s.encode_ns = s.codec_on ? 100 + next() % 200000 : 0;
           s.bytes_coded = s.codec_on ? 1 + next() % s.bytes_raw : s.bytes_raw;
@@ -262,9 +214,7 @@ TEST(Tuner, SeededReplayReproducesDecisionTrace) {
   };
 
   const std::vector<adapt::Signal> trace = make_trace();
-  adapt::TunerConfig cfg = fast_cfg();
-  cfg.enable_codec = true;
-  adapt::Tuner a(cfg), b(cfg);
+  adapt::Tuner a(fast_cfg()), b(fast_cfg());
   for (const adapt::Signal& s : trace) {
     const adapt::Decision da = a.step(s);
     const adapt::Decision db = b.step(s);
@@ -272,39 +222,20 @@ TEST(Tuner, SeededReplayReproducesDecisionTrace) {
     ASSERT_EQ(da.changed, db.changed);
   }
   EXPECT_EQ(a.switches(), b.switches());
-  EXPECT_GT(a.switches(), 0u);  // the trace does move the knobs
+  EXPECT_GT(a.switches(), 0u);  // the trace does move the knob
 }
 
-TEST(Tuner, SlackIsCappedByTheSafetyBound) {
-  // Huge per-run overhead relative to byte cost: unbounded coalescing
-  // would want ~99 bytes of slack, but the ownership-granularity cap
-  // holds it at max_merge_slack.
-  adapt::TunerConfig cfg = fast_cfg();
-  adapt::Tuner t(cfg);
-  adapt::Signal s;
-  s.pack_ns = 100000;  // per_run = 5000 ns at 10 runs
-  s.runs = 10;
-  s.bytes_packed = 1000;  // pack cost = 50 ns/B
-  for (int i = 0; i < 10; ++i) t.step(s);
-  EXPECT_EQ(t.decision().merge_slack, cfg.max_merge_slack);
-
-  adapt::TunerConfig tight = fast_cfg();
-  tight.max_merge_slack = 8;
-  adapt::Tuner t2(tight);
-  for (int i = 0; i < 10; ++i) t2.step(s);
-  EXPECT_EQ(t2.decision().merge_slack, 8u);
-}
-
-TEST(Tuner, ChangedBitsClearOnStationaryEpisodes) {
+TEST(Tuner, ChangedClearsOnStationaryEpisodes) {
   adapt::Tuner t(fast_cfg());
-  const adapt::Signal s = costly_runs_signal();
-  t.step(s);
-  t.step(s);  // slack moves here or earlier
+  const adapt::Signal s = winning_codec_signal();
+  // The first episode seeds every model and engages the codec.
+  EXPECT_TRUE(t.step(s).changed);
+  EXPECT_TRUE(t.decision().compress);
   // Once converged, further identical episodes change nothing.
   for (int i = 0; i < 10; ++i) {
     const adapt::Decision& d = t.step(s);
-    if (i > 2) {
-      EXPECT_EQ(d.changed, 0u);
-    }
+    EXPECT_FALSE(d.changed) << "episode " << i;
+    EXPECT_TRUE(d.compress);
   }
+  EXPECT_EQ(t.switches(), 1u);
 }

@@ -1,9 +1,10 @@
-// Satellite equivalence suite for the adaptive policy engine: decisions
-// may change *traffic* (run coalescing) but must never change *results*.  Every
-// workload here runs twice over identical clusters — adaptivity off, then
-// on with an aggressive tuner so switches actually fire — and the final
-// master-image contents must be byte-identical (memcmp, so even a
-// sign-of-zero or NaN-payload difference in a double would fail).
+// Satellite equivalence suite for the adaptive policy engine: the codec
+// tuner's decisions may change *traffic* (which runs ship compressed) but
+// must never change *results*.  Every workload here runs twice over
+// identical clusters — codec off, then CodecMode::Adaptive with an
+// aggressive tuner so switches actually fire — and the final master-image
+// contents must be byte-identical (memcmp, so even a sign-of-zero or
+// NaN-payload difference in a double would fail).
 //
 // A trace test additionally checks that the adaptive event stream passes
 // the validator, including invariant 5 (every strategy switch is preceded
@@ -25,13 +26,13 @@ namespace tags = hdsm::tags;
 
 namespace {
 
-/// Adaptive options tuned for tiny test workloads: one-episode warmup and
-/// dwell, fast EWMA, thin switch margin — the tuner moves as early and as
-/// often as it ever can, maximizing the chance a wrong decision would
+/// Adaptive-codec options tuned for tiny test workloads: one-episode warmup
+/// and dwell, fast EWMA, thin switch margin — the tuner moves as early and
+/// as often as it ever can, maximizing the chance a wrong decision would
 /// corrupt a result.
 dsm::ShardedHomeOptions adaptive_on(dsm::TraceLog* trace = nullptr) {
   dsm::ShardedHomeOptions opts;
-  opts.dsd.adaptive = true;
+  opts.dsd.codec = dsm::CodecMode::Adaptive;
   opts.dsd.tuner.warmup = 1;
   opts.dsd.tuner.dwell = 1;
   opts.dsd.tuner.alpha = 0.5;
@@ -116,10 +117,9 @@ TEST(AdaptiveEquivalence, LuIsBitExactUnderAdaptivity) {
 }
 
 TEST(AdaptiveEquivalence, SorIsBitExactUnderAdaptivity) {
-  // Red-black SOR: interleaved dirty runs within a row (one color per
-  // phase) are exactly the pattern adaptive run coalescing bridges — the
-  // over-shipped other-color bytes must be stale-but-identical, never
-  // corrupting.
+  // Red-black SOR: interleaved one-element dirty runs within a row (one
+  // color per phase), each run's bytes shipped raw or compressed as the
+  // tuner decides, must land exactly as written.
   const work::PairSpec& pair = work::paper_pairs()[0];  // LL
   const std::uint32_t n = 24;
   const std::uint32_t iters = 4;
@@ -156,7 +156,7 @@ TEST(AdaptiveEquivalence, LockRmwWorkloadIsDeterministic) {
     const auto bump = [](auto& space, std::uint32_t thread) {
       auto v = space.template view<std::int32_t>("counters");
       // Strided RMW: 4-byte dirty elements with 8-byte clean gaps inside
-      // one page — bait for the slack coalescer.
+      // one page, so every unlock ships many one-element runs.
       for (std::uint64_t i = thread; i < kCounters; i += 3) {
         v.set(i, v.get(i) + static_cast<std::int32_t>(i % 7 + thread + 1));
       }

@@ -3,7 +3,8 @@
 // single-buffer packing, the run lists of multi-page collects (and the
 // element walk against a brute-force oracle under every option), a multi-page
 // heterogeneous apply (these page-mode round trips on both write-trap
-// backends), the one-lane option check, the per-(sender, row)
+// backends), the one-lane option check, when the codec tuner is built and
+// that it never joins a stride-2 collect, the per-(sender, row)
 // conversion-plan cache, the pending-set merge, and the barrier-release
 // gap fill.
 #include <gtest/gtest.h>
@@ -550,7 +551,7 @@ TEST(OneLane, ConvThreadsAboveOneThrows) {
   }
   for (const int pin : {-1, 1}) {
     dsm::SyncOptions o;
-    o.adaptive = true;
+    o.codec = dsm::CodecMode::Adaptive;
     o.tuner.pin_conv_threads = pin;
     EXPECT_NO_THROW((dsm::SyncEngine{g, o, s})) << "pin_conv_threads=" << pin;
   }
@@ -558,9 +559,68 @@ TEST(OneLane, ConvThreadsAboveOneThrows) {
   four.conv_threads = 4;
   EXPECT_THROW((dsm::SyncEngine{g, four, s}), std::invalid_argument);
   dsm::SyncOptions pinned;
-  pinned.adaptive = true;
+  pinned.codec = dsm::CodecMode::Adaptive;
   pinned.tuner.pin_conv_threads = 2;
   EXPECT_THROW((dsm::SyncEngine{g, pinned, s}), std::invalid_argument);
+}
+
+// ---- the codec tuner -------------------------------------------------------
+
+TEST(CodecTuner, AdaptiveFlagAloneBuildsNoTuner) {
+  // SyncOptions::adaptive changes nothing: without CodecMode::Adaptive no
+  // tuner is built, so a collect, a pack and an apply sample no episode.
+  dsm::SyncOptions opts;
+  opts.adaptive = true;
+  dsm::GlobalSpace sender(small_gthv(), plat::linux_ia32());
+  dsm::ShareStats ss;
+  dsm::SyncEngine se(sender, opts, ss);
+  EXPECT_EQ(se.tuner(), nullptr);
+  sender.region().begin_tracking();
+  sender.view<std::int32_t>("A").set(3, 7);
+  const std::vector<std::byte> payload = se.collect_payload();
+  sender.region().end_tracking();
+
+  dsm::GlobalSpace receiver(small_gthv(), plat::linux_ia32());
+  dsm::ShareStats rs;
+  dsm::SyncEngine re(receiver, opts, rs);
+  EXPECT_EQ(re.tuner(), nullptr);
+  re.apply_payload(payload, msg::PlatformSummary::of(plat::linux_ia32()));
+  EXPECT_EQ(receiver.view<std::int32_t>("A").get(3), 7);
+  EXPECT_EQ(ss.updates_sent, 1u);
+  EXPECT_EQ(ss.adapt_episodes, 0u);
+  EXPECT_EQ(rs.adapt_episodes, 0u);
+}
+
+TEST_P(CollectRuns, Stride2CollectUnderALiveCodecTunerIsOneRunPerCell) {
+  // The tuner's only knob is the codec's, so no pack signal can make a
+  // collect join cells across the unchanged ones between them.  Packs of
+  // thousands of one-element runs are the signal that once drove merge
+  // slack up.
+  dsm::SyncOptions opts;
+  opts.adaptive = true;
+  opts.codec = dsm::CodecMode::Adaptive;
+  opts.tuner.warmup = 1;
+  opts.tuner.dwell = 1;
+  dsm::GlobalSpace g(big_gthv(), plat::linux_ia32(), GetParam());
+  dsm::ShareStats s;
+  dsm::SyncEngine engine(g, opts, s);
+  ASSERT_NE(engine.tuner(), nullptr);
+  auto d = g.view<double>("D");
+  g.region().begin_tracking();
+  for (std::uint64_t round = 0; round < 16; ++round) {
+    for (std::uint64_t i = round % 2; i < d.size(); i += 2) {
+      d.set(i, static_cast<double>(round * d.size() + i + 1));
+    }
+    const std::vector<hdsm::idx::UpdateRun> runs = engine.collect_runs();
+    ASSERT_EQ(runs.size(), d.size() / 2) << "round " << round;
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      ASSERT_EQ(runs[k].first_elem, round % 2 + 2 * k) << "round " << round;
+      ASSERT_EQ(runs[k].count, 1u) << "round " << round;
+    }
+    engine.pack_payload(runs);
+  }
+  g.region().end_tracking();
+  EXPECT_EQ(s.adapt_episodes, 32u);  // one collect and one pack per round
 }
 
 // ---- conversion-plan cache -------------------------------------------------
@@ -651,11 +711,12 @@ TEST(PlanCache, RejectedBlockDoesNotPoisonTheCache) {
   // plan for the row and a settled tuner.  A cached plan must never vouch
   // for a block whose own tag is wrong.
   dsm::SyncOptions adaptive;
-  adaptive.adaptive = true;
+  adaptive.codec = dsm::CodecMode::Adaptive;
   adaptive.tuner.warmup = 1;
   const std::pair<dsm::SyncOptions, int> inputs[] = {{{}, 0}, {adaptive, 12}};
   for (const auto& [opts, warm_payloads] : inputs) {
-    SCOPED_TRACE(opts.adaptive ? "adaptive" : "stock");
+    SCOPED_TRACE(opts.codec == dsm::CodecMode::Adaptive ? "adaptive"
+                                                        : "stock");
     dsm::GlobalSpace receiver(small_gthv(), plat::linux_ia32());
     dsm::ShareStats rs;
     dsm::SyncEngine engine(receiver, opts, rs);

@@ -263,10 +263,10 @@ TEST(KvWorkload, FewRegionsObjectModeConverges) {
 
 TEST(KvWorkload, AdaptiveEngineOnDoesNotChangeResults) {
   // Object episodes run through the adaptive pack path like page episodes;
-  // tuner decisions may change traffic shape, never results.
+  // the codec tuner's decisions may change traffic shape, never results.
   work::KvConfig cfg = small_kv();
   cfg.object_mode = true;
-  cfg.dsd.adaptive = true;
+  cfg.dsd.codec = dsm::CodecMode::Adaptive;
   const work::KvResult res = work::run_kv(cfg);
   EXPECT_TRUE(res.verified);
   EXPECT_GT(res.stats.object_episodes, 0u);

@@ -301,23 +301,19 @@ TEST(ObsCluster, ClusterFacadeScrapesAndRecordsSpans) {
 }
 
 // ---------------------------------------------------------------------------
-// rehome() × SyncOptions::adaptive.  The tuner changes traffic (run
-// coalescing, compression) but must never change bytes — including through a
+// rehome() × CodecMode::Adaptive.  The codec tuner changes traffic (which
+// runs ship compressed) but must never change bytes — including through a
 // subsequent master migration onto a byte-flipped platform.
 
 namespace {
 
-/// Ints per ownership chunk: 16 × int32 = 64 bytes, one cache line — the
-/// minimum ownership granularity under which adaptive run coalescing is
-/// safe (TunerConfig::max_merge_slack's documented precondition: slack may
-/// bridge gaps up to a cache line, so concurrent writers interleaved finer
-/// than that would get stale bytes over-shipped on their behalf).
+/// Ints per ownership chunk: 16 × int32 = 64 bytes, one cache line.
 constexpr std::uint64_t kChunk = 16;
 
 /// Dense barrier-phase workload: the three threads own interleaved
 /// cache-line chunks (chunk index ≡ thread mod 3) and each round every
-/// thread rewrites all of its chunks, so every page is fully dirty while
-/// the inter-chunk gaps (128 B) stay beyond the coalescer's reach.
+/// thread rewrites all of its chunks, so every page is fully dirty and
+/// each writer ships one 64-byte run per chunk, long enough to encode.
 void dense_barrier_workload(dsm::ShardedHome& home, dsm::ShardedRemote* r1,
                             dsm::ShardedRemote* r2, std::uint32_t rounds,
                             std::uint64_t n) {
@@ -391,11 +387,11 @@ TEST(RehomeAdaptive, TunedDenseBarriersSurviveRehomeByteIdentical) {
     return image;
   };
 
-  dsm::ShardedHomeOptions off;  // adaptive off: the reference bytes
+  dsm::ShardedHomeOptions off;  // codec off: the reference bytes
 
   dsm::TraceLog log;
-  dsm::ShardedHomeOptions on;  // adaptive on from the first episode
-  on.dsd.adaptive = true;
+  dsm::ShardedHomeOptions on;  // codec tuner on from the first episode
+  on.dsd.codec = dsm::CodecMode::Adaptive;
   on.dsd.tuner.warmup = 1;
   on.dsd.tuner.dwell = 1;
 
