@@ -12,23 +12,23 @@
 //                               written page) of a multi-MB dirty set
 //                               rewritten with new values each iteration;
 //                               runs per collect
-//   BM_CollectStride2         - collect_runs of a red/black SOR half-sweep:
-//                               one-double cells at stride 2 across 44
-//                               pages; runs per collect (exact; checked by
-//                               bench_smoke)
+//   BM_CollectStride2         - collect_runs of a red/black SOR half-sweep
+//                               over a grid of doubles 44 pages long; runs
+//                               per collect, one strided run per grid row
+//                               (exact; checked by bench_smoke)
 //   BM_PackZeroCopy           - pack_payload (single gather into the wire
 //                               buffer)
-//   BM_PackStride2/{0,1}      - pack_payload of kStride2Runs one-double
-//                               runs (the red/black SOR shape coalescing
-//                               cannot merge) with ASCII/binary tags:
-//                               t_tag and t_pack ns per payload, and
-//                               tags_generated per payload (exact; checked
-//                               by bench_smoke)
-//   BM_ReleaseStride2         - the same kStride2Runs pending set released
-//                               by a solaris_sparc32 home to a linux_ia32
-//                               peer (fill_gaps + pack_payload): blocks
-//                               and payload bytes per release (blocks
-//                               exact; checked by bench_smoke)
+//   BM_PackStride2            - pack_payload of kStride2Runs prebuilt
+//                               one-double runs at stride 2 (the pending
+//                               set of a split-mode collect): t_tag and
+//                               t_pack ns per payload, and tags_generated
+//                               per payload (exact; checked by bench_smoke)
+//   BM_ReleaseStride2         - the pending set a strided collect makes of
+//                               a red half-sweep of kStride2Runs cells,
+//                               packed by a solaris_sparc32 home for a
+//                               release: blocks and payload bytes per
+//                               release (both exact; checked by
+//                               bench_smoke)
 //   BM_ApplyPlanCache/{0,1}   - many same-row blocks with the per-(sender,
 //                               row) conversion-plan cache off/on
 //
@@ -152,29 +152,43 @@ BENCHMARK(BM_CollectDiff)
     ->Unit(benchmark::kMillisecond)
     ->Apply(hdsm::bench::wall_clock);
 
-/// Runs per BM_CollectStride2 collect (44 4-KiB pages of doubles, every
-/// other one written); bench_smoke.cmake pins the counter.
-constexpr std::uint64_t kCollectStride2Runs = 44 * 4096 / 16;
+/// The red/black grid of the stride-2 benches: rows of kGridCols doubles.
+/// The row width is even, so a color's cells change parity from one grid
+/// row to the next and each grid row is its own stride-2 run.
+constexpr std::uint64_t kGridCols = 256;
+
+tags::TypePtr grid_gthv(std::uint64_t grid_rows) {
+  return tags::TypeDesc::struct_of(
+      "G",
+      {{"D", tags::TypeDesc::array(tags::t_double(), grid_rows * kGridCols)}});
+}
+
+/// One red half-sweep: every cell whose (row + column) parity is even gets
+/// `base` plus its index, a value it never held for a new `base`.
+void red_half_sweep(dsm::GlobalSpace& g, double base) {
+  auto d = g.view<double>("D");
+  for (std::uint64_t i = 0; i < d.size(); ++i) {
+    if ((i / kGridCols + i % kGridCols) % 2 == 0) {
+      d.set(i, base + 0.5 * static_cast<double>(i));
+    }
+  }
+}
+
+/// Grid rows of BM_CollectStride2 (44 4-KiB pages); bench_smoke.cmake pins
+/// its runs per collect at this count.
+constexpr std::uint64_t kCollectGridRows = 44 * 4096 / (8 * kGridCols);
 
 void BM_CollectStride2(benchmark::State& state) {
-  dsm::GlobalSpace g(
-      tags::TypeDesc::struct_of(
-          "G", {{"D", tags::TypeDesc::array(tags::t_double(),
-                                            2 * kCollectStride2Runs)}}),
-      plat::linux_ia32());
+  dsm::GlobalSpace g(grid_gthv(kCollectGridRows), plat::linux_ia32());
   dsm::ShareStats stats;
   dsm::SyncEngine engine(g, {}, stats);
   g.region().begin_tracking();
-  auto d = g.view<double>("D");
   std::uint64_t runs_total = 0;
   double sweep = 0.0;
   for (auto _ : state) {
     state.PauseTiming();
-    // One red half-sweep: every other cell gets a value it never held.
     sweep += 1.0;
-    for (std::uint64_t i = 0; i < kCollectStride2Runs; ++i) {
-      d.set(2 * i, sweep + 0.5 * static_cast<double>(i));
-    }
+    red_half_sweep(g, sweep);
     state.ResumeTiming();
     const auto runs = engine.collect_runs();
     benchmark::DoNotOptimize(runs.data());
@@ -221,11 +235,12 @@ void BM_PackStride2(benchmark::State& state) {
       plat::linux_ia32());
   dsm::ShareStats stats;
   dsm::SyncEngine engine(g, {}, stats);
-  g.region().begin_tracking();
   auto d = g.view<double>("D");
-  for (std::uint64_t i = 0; i < kStride2Runs; ++i) d.set(2 * i, 1.0 + i);
-  const std::vector<hdsm::idx::UpdateRun> runs = engine.collect_runs();
-  g.region().end_tracking();
+  std::vector<hdsm::idx::UpdateRun> runs;
+  for (std::uint64_t i = 0; i < kStride2Runs; ++i) {
+    d.set(2 * i, 1.0 + i);
+    runs.push_back({0, 2 * i, 1});
+  }
 
   for (auto _ : state) {
     std::vector<std::byte> wire = engine.pack_payload(runs);
@@ -243,30 +258,18 @@ BENCHMARK(BM_PackStride2)
     ->Apply(hdsm::bench::wall_clock);
 
 void BM_ReleaseStride2(benchmark::State& state) {
-  const tags::TypePtr gthv = tags::TypeDesc::struct_of(
-      "G", {{"D", tags::TypeDesc::array(tags::t_double(), 2 * kStride2Runs)}});
-  dsm::GlobalSpace home(gthv, plat::solaris_sparc32());
+  dsm::GlobalSpace home(grid_gthv(2 * kStride2Runs / kGridCols),
+                        plat::solaris_sparc32());
   dsm::ShareStats stats;
   dsm::SyncEngine engine(home, {}, stats);
-  auto d = home.view<double>("D");
-  std::vector<hdsm::idx::UpdateRun> pending;
-  for (std::uint64_t i = 0; i < kStride2Runs; ++i) {
-    d.set(2 * i, 1.0 + i);
-    pending.push_back({0, 2 * i, 1});
-  }
-  // What the peer's Hello tells the home: its platform and row sizes.
-  dsm::PeerShape peer;
-  peer.platform = msg::PlatformSummary::of(plat::linux_ia32());
-  const hdsm::idx::IndexTable peer_table(gthv, plat::linux_ia32());
-  for (const hdsm::idx::IndexRow& row : peer_table.rows()) {
-    if (!row.is_padding()) peer.elem_sizes.push_back(row.size);
-  }
+  home.region().begin_tracking();
+  red_half_sweep(home, 1.0);
+  const std::vector<hdsm::idx::UpdateRun> pending = engine.collect_runs();
+  home.region().end_tracking();
 
   std::uint64_t bytes = 0;
   for (auto _ : state) {
-    std::vector<hdsm::idx::UpdateRun> runs = pending;
-    engine.fill_gaps(runs, peer);
-    std::vector<std::byte> wire = engine.pack_payload(runs);
+    std::vector<std::byte> wire = engine.pack_payload(pending);
     benchmark::DoNotOptimize(wire.data());
     bytes += wire.size();
   }

@@ -5,8 +5,10 @@
 // memcpy-bound.  Per-barrier updates are small (band edges + own band),
 // so C_share is barrier-count dominated rather than volume dominated.
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hpp"
+#include "msg/endpoint.hpp"
 #include "obs/timer.hpp"
 #include "workloads/sor.hpp"
 
@@ -22,11 +24,19 @@ int main() {
               "tag_gen", "pack", "unpack", "conversion", "C_share",
               "wall_s");
 
+  // Returns the wall time; `out` gets the summed stats and `wire` the
+  // bytes every remote's session sent and received.
   const auto run_config = [&](const hdsm::work::PairSpec& pair,
                               hdsm::dsm::ShardedHomeOptions opts,
-                              hdsm::dsm::ShareStats& out) {
-    hdsm::dsm::ShardedCluster cluster(hdsm::work::sor_gthv(n), *pair.home,
-                                      {pair.remote, pair.remote}, opts);
+                              hdsm::dsm::ShareStats& out,
+                              std::uint64_t* wire = nullptr) {
+    std::vector<const hdsm::msg::Endpoint*> sessions;
+    hdsm::dsm::ShardedCluster cluster(
+        hdsm::work::sor_gthv(n), *pair.home, {pair.remote, pair.remote}, opts,
+        [&sessions](std::uint32_t, std::uint32_t, hdsm::msg::EndpointPtr ep) {
+          sessions.push_back(ep.get());
+          return ep;
+        });
     hdsm::obs::ScopedTimer timer;
     const auto grid = hdsm::work::run_sor(cluster, n, iters, 1.5);
     const double wall = static_cast<double>(timer.elapsed_ns()) / 1e9;
@@ -35,6 +45,12 @@ int main() {
       std::exit(1);
     }
     out = cluster.total_stats();
+    if (wire != nullptr) {
+      *wire = 0;
+      for (const hdsm::msg::Endpoint* ep : sessions) {
+        *wire += ep->bytes_sent() + ep->bytes_received();
+      }
+    }
     return wall;
   };
 
@@ -50,41 +66,42 @@ int main() {
     if (pair.name == "LL") ll_conv = ms(s.conv_ns);
   }
 
-  // The stride-2 red/black write pattern defeats run coalescing: every
-  // other element is a separate run, so (unlike MM/LU) this workload ships
-  // hundreds of thousands of tags — the string-operations overhead the
-  // paper's future-work section wants to reduce.  One mitigation:
-  std::printf("\nmitigation on the SL pair (tag-heavy pattern):\n");
-  std::printf("%22s %10s %12s %14s %14s\n", "config", "tag_gen",
-              "C_share", "tags", "bytes_sent");
-  hdsm::dsm::ShareStats base;
-  run_config(hdsm::work::paper_pairs()[2], hdsm::bench::paper_options(), base);
-  std::printf("%22s %10.3f %12.3f %14llu %14llu\n", "ASCII tags (paper)",
-              ms(base.tag_ns), ms(base.share_ns()),
-              static_cast<unsigned long long>(base.tags_generated),
-              static_cast<unsigned long long>(base.update_bytes_sent));
-  bool slack_trades = false;
-  {
-    // Join runs across one untouched 8-byte cell, trading extra
-    // (unchanged) bytes for fewer runs and so fewer tags.
-    hdsm::dsm::ShardedHomeOptions opts = hdsm::bench::paper_options();
-    opts.dsd.merge_slack = 8;
-    hdsm::dsm::ShareStats s;
-    run_config(hdsm::work::paper_pairs()[2], opts, s);
-    slack_trades = s.tags_generated < base.tags_generated &&
-                   s.update_bytes_sent > base.update_bytes_sent;
-    std::printf("%22s %10.3f %12.3f %14llu %14llu\n", "merge_slack=8",
+  // The stride-2 red/black write pattern is what strided runs are for:
+  // each half-sweep's cells of a grid row are one "((8,1)(8,0),n)" tag
+  // instead of n "(8,1)" tags, so the paper's string-operations overhead
+  // (its future-work section) shrinks without shipping an unwritten byte.
+  std::printf("\nrun coalescing on the SL pair (tag-heavy pattern):\n");
+  std::printf("%22s %10s %12s %14s %14s %14s\n", "config", "tag_gen",
+              "C_share", "tags", "bytes_sent", "wire_bytes");
+  const auto row = [](const char* name, const hdsm::dsm::ShareStats& s,
+                      std::uint64_t wire) {
+    std::printf("%22s %10.3f %12.3f %14llu %14llu %14llu\n", name,
                 ms(s.tag_ns), ms(s.share_ns()),
                 static_cast<unsigned long long>(s.tags_generated),
-                static_cast<unsigned long long>(s.update_bytes_sent));
+                static_cast<unsigned long long>(s.update_bytes_sent),
+                static_cast<unsigned long long>(wire));
+  };
+  hdsm::dsm::ShareStats strided, split;
+  std::uint64_t strided_wire = 0, split_wire = 0;
+  run_config(hdsm::work::paper_pairs()[2], hdsm::bench::paper_options(),
+             strided, &strided_wire);
+  row("strided runs (default)", strided, strided_wire);
+  {
+    hdsm::dsm::ShardedHomeOptions opts = hdsm::bench::paper_options();
+    opts.dsd.coalesce_runs = false;
+    run_config(hdsm::work::paper_pairs()[2], opts, split, &split_wire);
+    row("coalesce_runs=false", split, split_wire);
   }
+  const bool strided_wins = strided.tags_generated < split.tags_generated &&
+                            strided_wire < split_wire;
 
   const bool shape = sl_conv > ll_conv;
   std::printf("\nshape: SL conversion exceeds LL conversion: %s\n",
               shape ? "YES" : "NO");
-  // Counts, not times: rendering a tag costs tens of ns, so the
-  // mitigation does not reliably move C_share beyond run-to-run noise.
-  std::printf("shape: merge_slack=8 ships fewer tags for more bytes: %s\n",
-              slack_trades ? "YES" : "NO");
-  return shape && slack_trades ? 0 : 1;
+  // Counts, not times: they are exact, while C_share moves with the
+  // host's load from run to run.
+  std::printf("shape: strided runs ship fewer tags and fewer wire bytes "
+              "than coalesce_runs=false: %s\n",
+              strided_wins ? "YES" : "NO");
+  return shape && strided_wins ? 0 : 1;
 }

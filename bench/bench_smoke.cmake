@@ -74,15 +74,17 @@ endforeach()
 
 # BM_PackStride2 packs a fixed set of one-element runs, so its tags per
 # payload is an exact counter (kStride2Runs in bench_data_plane.cpp): the
-# SOR-shaped pack path must tag every run, once.  BM_ReleaseStride2
-# releases the same set over a sparc32 -> ia32 (bulk-swap) link, where the
-# barrier-release gap fill joins all of it into one block; per-run blocks
-# there mean the fill regressed.  BM_CollectStride2 collects a red/black
-# half-sweep of one-double cells, so its runs per collect is exact too
-# (kCollectStride2Runs): one run per written cell, no more and no fewer.
+# pack path must tag every run, once.  BM_CollectStride2 collects a
+# red/black half-sweep of a grid 88 rows of 256 doubles long, and
+# BM_ReleaseStride2 packs what such a collect makes of 64 grid rows
+# (8192 cells), so their counts are exact too: one strided run and one
+# block per grid row — per-cell runs mean the strided collect regressed —
+# and a release of 64 blocks of 24 header bytes, the 16-byte tag
+# "((8,1)(8,0),128)" and 128 doubles, after a 4-byte block count.
 set(stride2_tags 8192)
-set(stride2_release_blocks 1)
-set(stride2_collect_runs 11264)
+set(stride2_release_blocks 64)
+set(stride2_release_bytes 68100)
+set(stride2_collect_runs 88)
 if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   file(READ "${BENCH_DIR}/BENCH_data_plane.json" json)
   string(JSON n_benchmarks LENGTH "${json}" benchmarks)
@@ -105,6 +107,11 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
         message(FATAL_ERROR "bench_smoke: ${name} blocks=${blocks}, "
                 "expected ${stride2_release_blocks}")
       endif()
+      string(JSON bytes GET "${json}" benchmarks ${i} payload_bytes)
+      if(NOT bytes EQUAL stride2_release_bytes)
+        message(FATAL_ERROR "bench_smoke: ${name} payload_bytes=${bytes}, "
+                "expected ${stride2_release_bytes}")
+      endif()
       math(EXPR n_release "${n_release} + 1")
     elseif(name MATCHES "^BM_CollectStride2/")
       string(JSON runs GET "${json}" benchmarks ${i} runs)
@@ -122,7 +129,8 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
             "${n_collect}")
   endif()
   message(STATUS "bench_smoke: BM_PackStride2 tags_generated, "
-          "BM_ReleaseStride2 blocks and BM_CollectStride2 runs ok")
+          "BM_ReleaseStride2 blocks and payload_bytes and BM_CollectStride2 "
+          "runs ok")
 endif()
 
 # The adaptive rung of bench_codec is the tuner's one knob at work.  At

@@ -211,7 +211,6 @@ std::vector<CoherenceAction> CoherenceCore::step(const CoherenceEvent& e) {
       peer.active = true;
       peer.pending.clear();
       merge_runs(peer.pending, e.runs);
-      peer.shape = {};
       trace(out, TraceEvent::Kind::Attached, e.rank, 0);
       break;
     }
@@ -412,11 +411,6 @@ void CoherenceCore::maybe_release_barrier(std::uint32_t index, Actions& out) {
     release_msg.sync_id = index;
     release_msg.rank = kMasterRank;
     release_msg.sender = cfg_.self;
-    // Every participant is blocked here with its interval shipped, so
-    // the pending set's gaps hold the same bytes here and at the peer
-    // (docs/PROTOCOL.md §6 invariant 5, §7).  Grants are never filled: a
-    // grantee may hold unsent writes in a gap under another mutex.
-    codec_.fill_gaps(peer.pending, peer.shape);
     const std::size_t blocks = peer.pending.size();
     release_msg.payload = codec_.pack(peer.pending);
     peer.pending.clear();
@@ -508,8 +502,8 @@ bool CoherenceCore::handle_duplicate(std::uint32_t rank, PeerState& peer,
   return true;
 }
 
-void CoherenceCore::hello(std::uint32_t rank, PeerState& peer,
-                          const msg::Message& m, Actions& out) {
+void CoherenceCore::hello(std::uint32_t rank, const msg::Message& m,
+                          Actions& out) {
   if (m.tag.empty()) return;  // tag-less Hello (application traffic)
   if (cfg_.layout_runs.empty()) return;  // no local shape to negotiate
   // Shape negotiation: the remote's image tag must describe the same
@@ -545,13 +539,6 @@ void CoherenceCore::hello(std::uint32_t rank, PeerState& peer,
                   " describes a different GThV (tag \"" + m.tag + "\" vs \"" +
                   cfg_.image_tag_text + "\")",
               out);
-    return;
-  }
-  // Data rows and non-padding layout runs correspond one to one, in order.
-  peer.shape.platform = m.sender;
-  peer.shape.elem_sizes.clear();
-  for (const mig::TagRun& run : remote_runs) {
-    if (!run.is_padding) peer.shape.elem_sizes.push_back(run.elem_size);
   }
 }
 
@@ -578,7 +565,7 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
       peer.granted_gen.clear();
       peer.hello_epoch = m.sync_id;
     }
-    hello(rank, peer, m, out);
+    hello(rank, m, out);
     return;
   }
   if (handle_duplicate(rank, peer, m, out)) return;

@@ -58,14 +58,6 @@ class UpdateCodec {
   virtual std::vector<idx::UpdateRun> apply(
       const std::vector<std::byte>& payload,
       const msg::PlatformSummary& sender) = 0;
-
-  /// Barrier releases only: join runs of the sorted, disjoint `runs` across
-  /// gaps that a peer of shape `peer` already holds exactly, so pack()
-  /// ships each gap from this node's image (SyncEngine::fill_gaps).  The
-  /// core calls it only while every participant is blocked in the barrier
-  /// with its interval shipped.  The default joins nothing.
-  virtual void fill_gaps(std::vector<idx::UpdateRun>& /*runs*/,
-                         const PeerShape& /*peer*/) {}
 };
 
 /// One input to the protocol engine.  Master events carry the runs the
@@ -202,11 +194,8 @@ class CoherenceCore {
   struct PeerState {
     bool active = false;
     /// Runs other ranks wrote since this peer last received them: sorted,
-    /// disjoint (merge_runs keeps it so).
+    /// span-disjoint (merge_runs keeps it so).
     std::vector<idx::UpdateRun> pending;
-    /// Platform and row element sizes from this incarnation's Hello;
-    /// cleared on attach, so a release before the Hello is never filled.
-    PeerShape shape;
     // Reliability state — persists across detach/re-attach so a remote
     // that reconnects after a reset can retransmit its outstanding request
     // and be answered from the cache instead of re-executed.
@@ -263,9 +252,7 @@ class CoherenceCore {
   /// Protocol violation by `rank`: emit a Detach action and run the detach
   /// transition (the sans-I/O equivalent of the legacy throw-and-catch).
   void violation(std::uint32_t rank, std::string reason, Actions& out);
-  /// Shape negotiation; records the peer's PeerShape when it agrees.
-  void hello(std::uint32_t rank, PeerState& peer, const msg::Message& m,
-             Actions& out);
+  void hello(std::uint32_t rank, const msg::Message& m, Actions& out);
   /// Stamp `reply` with the peer's outstanding request seq, cache it for
   /// retransmits, and emit the Send.
   void send_reply(std::uint32_t rank, PeerState& peer, msg::Message reply,

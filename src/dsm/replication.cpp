@@ -12,6 +12,10 @@ namespace hdsm::dsm {
 
 namespace {
 
+/// High bit of a run record's row word: a u32 stride (at least 2) follows
+/// the row.  A contiguous run's record keeps its 20 bytes.
+constexpr std::uint32_t kStridedRunFlag = 0x80000000u;
+
 void encode_event(std::vector<std::byte>& out, const CoherenceEvent& e) {
   plat::append_be(out, 1, static_cast<std::uint8_t>(e.kind));
   plat::append_be(out, 4, e.rank);
@@ -27,7 +31,12 @@ void encode_event(std::vector<std::byte>& out, const CoherenceEvent& e) {
   }
   plat::append_be(out, 4, static_cast<std::uint32_t>(e.runs.size()));
   for (const idx::UpdateRun& run : e.runs) {
-    plat::append_be(out, 4, run.row);
+    if (run.stride > 1) {
+      plat::append_be(out, 4, run.row | kStridedRunFlag);
+      plat::append_be(out, 4, run.stride);
+    } else {
+      plat::append_be(out, 4, run.row);
+    }
     plat::append_be(out, 8, run.first_elem);
     plat::append_be(out, 8, run.count);
   }
@@ -56,8 +65,14 @@ CoherenceEvent decode_event(plat::WireReader& r) {
   for (std::uint32_t i = 0; i < nruns; ++i) {
     idx::UpdateRun run;
     run.row = r.u32();
+    if ((run.row & kStridedRunFlag) != 0) {
+      run.row &= ~kStridedRunFlag;
+      run.stride = r.u32();
+      if (run.stride < 2) r.fail("strided run with stride below 2");
+    }
     run.first_elem = r.u64();
     run.count = r.u64();
+    if (run.stride > 1 && run.count < 2) r.fail("strided run of one element");
     e.runs.push_back(run);
   }
   return e;

@@ -20,11 +20,6 @@ std::vector<idx::UpdateRun> ShardedHome::EngineCodec::apply(
   return engine.apply_payload(payload, sender);
 }
 
-void ShardedHome::EngineCodec::fill_gaps(std::vector<idx::UpdateRun>& runs,
-                                         const PeerShape& peer) {
-  engine.fill_gaps(runs, peer);
-}
-
 // ---- construction ----------------------------------------------------------
 
 namespace {

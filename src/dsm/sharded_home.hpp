@@ -159,8 +159,6 @@ class ShardedHome : private msg::ReactorHandler {
     std::vector<idx::UpdateRun> apply(
         const std::vector<std::byte>& payload,
         const msg::PlatformSummary& sender) override;
-    void fill_gaps(std::vector<idx::UpdateRun>& runs,
-                   const PeerShape& peer) override;
     SyncEngine& engine;
   };
 

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "codec/codec.hpp"
 #include "convert/converter.hpp"
 #include "platform/int_codec.hpp"
+#include "platform/strided_copy.hpp"
 
 namespace hdsm::dsm {
 
@@ -17,18 +19,12 @@ namespace {
 struct ParsedRunTag {
   std::uint32_t elem_size = 0;
   std::uint64_t count = 0;
+  std::uint32_t stride = 1;
   bool is_pointer = false;
 };
 
-ParsedRunTag parse_run_tag(std::string_view text) {
-  const tags::Tag tag = tags::Tag::parse(text);
-  if (tag.items().size() != 1) {
-    throw std::runtime_error("update tag must contain exactly one run");
-  }
-  const tags::TagItem& it = tag.items().front();
-  ParsedRunTag out;
-  out.elem_size = static_cast<std::uint32_t>(it.size);
-  out.count = it.count;
+/// The one scalar or pointer element of a run tag's item.
+void parse_element(const tags::TagItem& it, ParsedRunTag& out) {
   switch (it.kind) {
     case tags::TagItem::Kind::Scalar:
       break;
@@ -38,6 +34,41 @@ ParsedRunTag parse_run_tag(std::string_view text) {
     default:
       throw std::runtime_error("update tag must describe a scalar/pointer run");
   }
+  if (it.size > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::runtime_error("update tag element size out of range");
+  }
+  out.elem_size = static_cast<std::uint32_t>(it.size);
+}
+
+/// "(m,n)", or the strided "((m,1)(p,0),n)": n elements of m bytes, each
+/// followed by p bytes the block does not carry, so p must be a whole
+/// number of elements and n at least 2.  Any other shape throws.
+ParsedRunTag parse_run_tag(std::string_view text) {
+  const tags::Tag tag = tags::Tag::parse(text);
+  if (tag.items().size() != 1) {
+    throw std::runtime_error("update tag must contain exactly one run");
+  }
+  const tags::TagItem& it = tag.items().front();
+  ParsedRunTag out;
+  if (it.kind != tags::TagItem::Kind::Aggregate) {
+    parse_element(it, out);
+    out.count = it.count;
+    return out;
+  }
+  const std::vector<tags::TagItem>& c = it.children;
+  if (c.size() != 2 || c[0].kind == tags::TagItem::Kind::Aggregate ||
+      c[0].count != 1 || c[1].kind != tags::TagItem::Kind::Padding) {
+    throw std::runtime_error("strided update tag must be ((m,1)(p,0),n)");
+  }
+  parse_element(c[0], out);
+  const std::uint64_t m = c[0].size;
+  const std::uint64_t p = c[1].size;
+  if (m == 0 || p == 0 || p % m != 0 ||
+      p / m >= std::numeric_limits<std::uint32_t>::max() || it.count < 2) {
+    throw std::runtime_error("strided update tag has a bad stride or count");
+  }
+  out.stride = static_cast<std::uint32_t>(p / m + 1);
+  out.count = it.count;
   return out;
 }
 
@@ -54,8 +85,9 @@ plat::PlatformDesc wire_platform(const msg::PlatformSummary& s) {
 // -- Plan structures ---------------------------------------------------------
 
 /// One validated block, resolved to a concrete write: where the sender
-/// bytes live in the payload, where they land in the image, and which
-/// conversion route carries them there.  Built in phase 1 (validate),
+/// bytes live in the payload, where they land in the image (`count`
+/// elements, `dst_step` bytes apart), and which conversion route carries
+/// them there.  Built in phase 1 (validate),
 /// executed in phase 2 (apply).
 struct SyncEngine::BlockPlan {
   const std::byte* src = nullptr;  ///< element bytes inside the payload
@@ -65,6 +97,7 @@ struct SyncEngine::BlockPlan {
   std::uint64_t dst_len = 0;
   std::uint32_t dst_elem = 0;  ///< this node's element size (from the row)
   std::uint64_t count = 0;
+  std::uint64_t dst_step = 0;  ///< image bytes from one element to the next
   conv::Route route = conv::Route::Memcpy;
   tags::FlatRun::Cat cat = tags::FlatRun::Cat::Padding;
   plat::ScalarKind kind = plat::ScalarKind::Int;
@@ -80,6 +113,7 @@ struct SyncEngine::RowPlan {
   std::string tag_text;  ///< exact tag this plan was parsed from
   std::uint32_t elem_size = 0;
   std::uint64_t count = 0;  ///< count encoded in tag_text
+  std::uint32_t stride = 1;  ///< stride encoded in tag_text
   bool is_pointer = false;
   conv::Route route = conv::Route::Memcpy;
 };
@@ -93,12 +127,6 @@ struct SyncEngine::SenderPlanCache {
 SyncEngine::SyncEngine(GlobalSpace& space, const SyncOptions& opts,
                        ShareStats& stats)
     : space_(space), opts_(opts), stats_(stats) {
-  const std::vector<idx::IndexRow>& rows = space_.table().rows();
-  data_ordinal_.resize(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    data_ordinal_[i] = data_rows_;
-    if (!rows[i].is_padding()) ++data_rows_;
-  }
   if (opts_.conv_threads > 1 || opts_.tuner.pin_conv_threads > 1) {
     throw std::invalid_argument(
         "SyncOptions: the data plane runs one lane per node "
@@ -153,7 +181,7 @@ std::vector<idx::UpdateRun> SyncEngine::collect_runs() {
   // This thread owns the interval, so each written page is walked in
   // place against its twin as the region hands it over re-protected.
   std::vector<idx::UpdateRun> runs;
-  const idx::RunRules rules{opts_.coalesce_runs, opts_.merge_slack};
+  const idx::RunRules rules{opts_.coalesce_runs};
   const std::size_t dirty = region.collect(
       [&](std::size_t page, const std::byte* twin) {
         const std::size_t base = page * ps;
@@ -188,7 +216,8 @@ std::vector<std::byte> SyncEngine::pack_payload(
   tag_offs_.assign(1, 0);
   for (const idx::UpdateRun& run : runs) {
     const idx::IndexRow& row = table.rows().at(run.row);
-    tags::append_run_tag(tag_arena_, row.size, run.count, row.is_pointer());
+    tags::append_run_tag(tag_arena_, row.size, run.count, row.is_pointer(),
+                         run.stride);
     tag_offs_.push_back(tag_arena_.size());
   }
   const std::uint64_t tag_ns = watch.lap();
@@ -197,7 +226,8 @@ std::vector<std::byte> SyncEngine::pack_payload(
   obs_phase(obs::SpanKind::Tag, tag_ns, runs.size());
 
   // t_pack: gather headers, tags, and element bytes straight into one wire
-  // buffer — a single allocation and a single copy of the element data.
+  // buffer — a single allocation and a single copy of the element data (a
+  // strided run's elements only, back to back).
   // With the codec engaged, eligible runs are encoded in place instead of
   // copied: the encoder appends to this same buffer only when the
   // compressed form is strictly smaller, so the raw-size reserve below
@@ -224,6 +254,7 @@ std::vector<std::byte> SyncEngine::pack_payload(
     const idx::IndexRow& row = table.rows()[run.row];
     const std::byte* data = image + row.offset + run.first_elem * row.size;
     const std::uint64_t len = run.count * row.size;
+    const std::size_t step = std::size_t{run.stride} * row.size;
     const std::size_t tag_begin = tag_offs_[i];
     const std::size_t tag_end = tag_offs_[i + 1];
     const auto tag_len = static_cast<std::uint32_t>(tag_end - tag_begin);
@@ -240,8 +271,15 @@ std::vector<std::byte> SyncEngine::pack_payload(
         codec::encodable_elem_size(static_cast<std::uint32_t>(row.size)) &&
         !row.is_pointer()) {
       const std::uint64_t t0 = obs::ScopedTimer::now_ns();
+      const std::byte* elems = data;
+      if (step != row.size) {
+        gather_.resize(static_cast<std::size_t>(len));
+        plat::strided_copy(gather_.data(), row.size, data, step, row.size,
+                           static_cast<std::size_t>(run.count));
+        elems = gather_.data();
+      }
       const codec::EncodeResult enc =
-          codec::encode_run(data, static_cast<std::size_t>(len),
+          codec::encode_run(elems, static_cast<std::size_t>(len),
                             static_cast<std::uint32_t>(row.size), out);
       encode_ns += obs::ScopedTimer::now_ns() - t0;
       if (enc.encoded) {
@@ -261,7 +299,14 @@ std::vector<std::byte> SyncEngine::pack_payload(
       }
     }
     if (!encoded) {
-      out.insert(out.end(), data, data + len);
+      if (step == row.size) {
+        out.insert(out.end(), data, data + len);
+      } else {
+        const std::size_t at = out.size();
+        out.resize(at + static_cast<std::size_t>(len));
+        plat::strided_copy(out.data() + at, row.size, data, step, row.size,
+                           static_cast<std::size_t>(run.count));
+      }
       bytes_coded += len;
     }
     stats_.update_bytes_sent += len;
@@ -305,40 +350,6 @@ void SyncEngine::note_wire(std::uint64_t bytes, std::uint64_t ns) {
   s.wire_ns = ns;
   s.wire_bytes = bytes;
   sample_episode(s);
-}
-
-void SyncEngine::fill_gaps(std::vector<idx::UpdateRun>& runs,
-                           const PeerShape& peer) const {
-  if (runs.size() < 2 || peer.elem_sizes.size() != data_rows_) return;
-  const std::vector<idx::IndexRow>& rows = space_.table().rows();
-  const plat::PlatformDesc peer_platform = wire_platform(peer.platform);
-  constexpr std::uint64_t kMaxGap = update_block_wire_size(0, 0);
-  std::uint32_t planned_row = ~0u;  // none yet; no table has 2^32-1 rows
-  bool exact = false;  // planned_row's route round-trips every element
-  std::size_t w = 0;
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    idx::UpdateRun& prev = runs[w];
-    const idx::UpdateRun& cur = runs[r];
-    const std::uint64_t prev_end = prev.first_elem + prev.count;
-    if (cur.row == prev.row && cur.first_elem >= prev_end) {
-      const idx::IndexRow& row = rows[cur.row];
-      if (cur.row != planned_row) {
-        planned_row = cur.row;
-        exact = conv::plan_route(row.size, space_.platform(),
-                                 peer.elem_sizes[data_ordinal_[cur.row]],
-                                 peer_platform, row.cat, row.kind,
-                                 /*allow_bulk_swap=*/true,
-                                 /*has_translator=*/false) !=
-                conv::Route::Elementwise;
-      }
-      if (exact && (cur.first_elem - prev_end) * row.size <= kMaxGap) {
-        prev.count = cur.first_elem + cur.count - prev.first_elem;
-        continue;
-      }
-    }
-    runs[++w] = cur;
-  }
-  runs.resize(w + 1);
 }
 
 std::vector<std::byte> SyncEngine::collect_payload(
@@ -397,6 +408,7 @@ SyncEngine::ValidatedPayload SyncEngine::validate_payload(
       rp.tag_text.assign(v.tag);
       rp.elem_size = parsed.elem_size;
       rp.count = parsed.count;
+      rp.stride = parsed.stride;
       rp.is_pointer = parsed.is_pointer;
     }
 
@@ -405,8 +417,14 @@ SyncEngine::ValidatedPayload SyncEngine::validate_payload(
       throw std::runtime_error("update tag pointer-ness mismatch");
     }
     const std::uint64_t count = rp.count;
-    if (count > row.element_count() ||
-        v.first_elem > row.element_count() - count) {
+    const std::uint64_t elems = row.element_count();
+    // A strided block's span, (count - 1) strides past its first element,
+    // must end inside the row; divide rather than multiply, so a hostile
+    // count cannot overflow past the check.
+    if (rp.stride == 1 ? count > elems || v.first_elem > elems - count
+                       : v.first_elem >= elems ||
+                             (count - 1) > (elems - 1 - v.first_elem) /
+                                               rp.stride) {
       rp.valid = false;
       throw std::runtime_error("update block exceeds row bounds");
     }
@@ -460,12 +478,11 @@ SyncEngine::ValidatedPayload SyncEngine::validate_payload(
     p.dst_len = static_cast<std::uint64_t>(row.size) * count;
     p.dst_elem = row.size;
     p.count = count;
+    p.dst_step = static_cast<std::uint64_t>(row.size) * rp.stride;
     p.route = rp.route;
     p.cat = row.cat;
     p.kind = row.kind;
-    p.run.row = v.row;
-    p.run.first_elem = v.first_elem;
-    p.run.count = count;
+    p.run = idx::UpdateRun{v.row, v.first_elem, count, rp.stride};
     plans.push_back(p);
     if (!v.compressed && rp.route == conv::Route::Memcpy) ++memcpy_blocks;
   }
@@ -488,21 +505,30 @@ void SyncEngine::execute_plans(const std::vector<BlockPlan>& plans,
   mem::TrackedRegion& region = space_.region();
 
   // Payload order, so overlapping (duplicate or adversarial) blocks land
-  // last-writer-wins exactly as the sender packed them.
+  // last-writer-wins exactly as the sender packed them.  A strided block's
+  // elements arrive back to back and are scattered at its stride, so the
+  // elements between them keep whatever this node holds.
+  const auto land = [&region](const BlockPlan& p, const std::byte* src) {
+    if (p.dst_step == p.dst_elem) {
+      region.apply_update(p.dst_off, src, p.dst_len);
+    } else {
+      region.apply_strided(p.dst_off, src, p.dst_elem, p.count, p.dst_step);
+    }
+  };
   std::vector<std::byte> scratch;
   for (const BlockPlan& p : plans) {
     if (p.route == conv::Route::Memcpy) {
       // Zero-copy fast path: the wire bytes go straight from the payload
       // into the image ("a string comparison to ensure identical tags"
       // suffices, paper §4).
-      region.apply_update(p.dst_off, p.src, p.dst_len);
+      land(p, p.src);
       continue;
     }
     scratch.resize(p.dst_len);
     conv::convert_run_routed(p.route, p.src, p.src_elem, sender_platform,
                              scratch.data(), p.dst_elem, my_platform, p.count,
                              p.cat, p.kind, nullptr, nullptr);
-    region.apply_update(p.dst_off, scratch.data(), p.dst_len);
+    land(p, scratch.data());
   }
 }
 
@@ -554,6 +580,59 @@ std::vector<idx::UpdateRun> SyncEngine::full_image_runs(
   return runs;
 }
 
+namespace {
+
+/// Append elements [first, first + n) of `row` to `out` as append_element
+/// would one by one, in constant time.
+void append_span(std::vector<idx::UpdateRun>& out, std::uint32_t row,
+                 std::uint64_t first, std::uint64_t n) {
+  idx::append_element(out, row, first);
+  if (n == 1) return;
+  if (out.back().stride == 1) {
+    out.back().count += n - 1;
+  } else {
+    out.push_back(idx::UpdateRun{row, first + 1, n - 1});
+  }
+}
+
+/// Append the union of `cluster` — runs of one row, sorted by first
+/// element, whose spans overlap — to `out`, re-coalesced by
+/// idx::append_element.  Contiguous runs stay spans; only strided runs are
+/// expanded to their elements, so the work is bounded by those.
+void merge_cluster(std::vector<idx::UpdateRun>& out,
+                   const std::vector<idx::UpdateRun>& cluster) {
+  const std::uint32_t row = cluster.front().row;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;  // [begin, end)
+  std::vector<std::uint64_t> elems;
+  for (const idx::UpdateRun& r : cluster) {
+    if (r.stride == 1) {
+      const std::uint64_t end = r.first_elem + r.count;
+      if (!spans.empty() && r.first_elem <= spans.back().second) {
+        spans.back().second = std::max(spans.back().second, end);
+      } else {
+        spans.emplace_back(r.first_elem, end);
+      }
+      continue;
+    }
+    for (std::uint64_t k = 0; k < r.count; ++k) {
+      elems.push_back(r.first_elem + k * r.stride);
+    }
+  }
+  std::sort(elems.begin(), elems.end());
+  auto s = spans.begin();
+  for (const std::uint64_t e : elems) {
+    for (; s != spans.end() && s->second <= e; ++s) {
+      append_span(out, row, s->first, s->second - s->first);
+    }
+    if (s == spans.end() || e < s->first) idx::append_element(out, row, e);
+  }
+  for (; s != spans.end(); ++s) {
+    append_span(out, row, s->first, s->second - s->first);
+  }
+}
+
+}  // namespace
+
 void merge_runs(std::vector<idx::UpdateRun>& into,
                 const std::vector<idx::UpdateRun>& add) {
   if (add.empty()) return;
@@ -571,13 +650,32 @@ void merge_runs(std::vector<idx::UpdateRun>& into,
   }
   std::vector<idx::UpdateRun> out;
   out.reserve(into.size() + in->size());
-  const auto push = [&out](const idx::UpdateRun& cur) {
-    if (!out.empty()) {
+  // Runs whose spans overlap a strided run's, gathered until the next run
+  // starts past all of them.
+  std::vector<idx::UpdateRun> cluster;
+  std::uint64_t cluster_last = 0;
+  const auto push = [&](const idx::UpdateRun& cur) {
+    if (!cluster.empty()) {
+      if (cur.row == cluster.front().row && cur.first_elem <= cluster_last) {
+        cluster.push_back(cur);
+        cluster_last = std::max(cluster_last, cur.last_elem());
+        return;
+      }
+      merge_cluster(out, cluster);
+      cluster.clear();
+    }
+    if (!out.empty() && cur.row == out.back().row) {
       idx::UpdateRun& prev = out.back();
       const std::uint64_t prev_end = prev.first_elem + prev.count;
-      if (cur.row == prev.row && cur.first_elem <= prev_end) {
+      if (prev.stride == 1 && cur.stride == 1 && cur.first_elem <= prev_end) {
         prev.count = std::max(prev_end, cur.first_elem + cur.count) -
                      prev.first_elem;
+        return;
+      }
+      if (cur.first_elem <= prev.last_elem()) {
+        cluster = {prev, cur};
+        cluster_last = std::max(prev.last_elem(), cur.last_elem());
+        out.pop_back();
         return;
       }
     }
@@ -592,6 +690,7 @@ void merge_runs(std::vector<idx::UpdateRun>& into,
       push(*b++);
     }
   }
+  if (!cluster.empty()) merge_cluster(out, cluster);
   into = std::move(out);
 }
 

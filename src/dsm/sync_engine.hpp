@@ -48,19 +48,12 @@ enum class CodecMode {
 /// Knobs for the data plane (diff/tag/pack/unpack/convert pipeline),
 /// exposed for the ablation benches.
 struct SyncOptions {
-  /// Group consecutive modified elements of a row into one run, so one
-  /// tag (paper §5: "distill many indexes into a single tag").  Off = one
-  /// run per modified element, the paper's uncoalesced index list.
+  /// Group the modified elements of a row into constant-stride runs, one
+  /// tag each (paper §5: "distill many indexes into a single tag"): a
+  /// dense write is one contiguous run and a red/black sweep's every-other
+  /// cells one strided run, and no unmodified element is shipped.  Off =
+  /// one run per modified element, the paper's uncoalesced index list.
   bool coalesce_runs = true;
-  /// With coalesce_runs: also join two modified elements of the same row
-  /// when the unmodified elements between them total at most this many
-  /// bytes, shipping those too (0 = only touching elements join, the
-  /// paper's default).  Ignored when coalesce_runs is off.  Safe only when
-  /// every concurrently written ownership stripe is at least this wide:
-  /// a shipped gap element another rank owns carries this node's stale
-  /// copy and can revert that rank's write (docs/ADAPTIVITY.md, "Static
-  /// merge slack").
-  std::size_t merge_slack = 0;
   /// Allow the vectorizable bulk byte-swap for same-width cross-endian
   /// runs.  Off = the paper's 2006 element-wise conversion cost profile
   /// (what Figures 10/11 measure); on = this library's default.
@@ -118,7 +111,7 @@ class SyncEngine {
 
   /// Walk each page written in the tracking interval against its twin by
   /// the index table's elements (idx::diff_runs) and return the modified
-  /// elements as runs under coalesce_runs and merge_slack (t_index).
+  /// elements as runs under coalesce_runs (t_index).
   /// Restarts the tracking interval.
   std::vector<idx::UpdateRun> collect_runs();
 
@@ -130,21 +123,6 @@ class SyncEngine {
   /// encoder); with the codec engaged, eligible runs are compressed in
   /// place into the same buffer (hdsm::codec, docs/COMPRESSION.md).
   std::vector<std::byte> pack_payload(const std::vector<idx::UpdateRun>& runs);
-
-  /// Barrier-release gap fill (docs/PROTOCOL.md §6 invariant 5, §7): join
-  /// neighbouring runs of the sorted, disjoint `runs` that share a row when
-  /// the gap between them is at most one block header (24 B), so that
-  /// pack_payload ships the gap's bytes from this node's image instead of a
-  /// second header and tag.  Only rows whose route from this node to a
-  /// peer of shape `peer` is Memcpy or BulkSwap (planned with bulk swap
-  /// allowed) are joined: those routes round-trip every element exactly,
-  /// so a gap element the peer already holds, or wrote and shipped, lands
-  /// byte for byte as it was.  An Elementwise row (x87 `long double`
-  /// through `double`, a `long` of another width) is never joined.  A
-  /// release never grows: each join removes a 24 B header plus a tag and
-  /// adds at most 24 B of gap.  No-op when `peer` carries no shape.
-  void fill_gaps(std::vector<idx::UpdateRun>& runs,
-                 const PeerShape& peer) const;
 
   /// collect_runs() + pack_payload(): the zero-copy MTh_unlock send side.
   std::vector<std::byte> collect_payload(
@@ -247,16 +225,18 @@ class SyncEngine {
   /// their capacity: every run's tag back to back, and where each starts.
   std::string tag_arena_;
   std::vector<std::size_t> tag_offs_;
-  /// Position of each data row among the table's data rows (padding rows
-  /// skipped), which is how PeerShape::elem_sizes is indexed.
-  std::vector<std::uint32_t> data_ordinal_;
-  std::uint32_t data_rows_ = 0;
+  /// A strided run's elements gathered back to back for the codec.
+  std::vector<std::byte> gather_;
 };
 
-/// Merge `add` into the sorted, disjoint run set `into` (row-major order,
-/// overlapping/adjacent runs in the same row unified).  `add` may come in
-/// any order; it is sorted first only when it is not already, and the two
-/// sorted lists are then merged in one linear pass.
+/// Merge `add` into the run set `into`: sorted in row-major order, and no
+/// two runs of a row with overlapping spans (first to last element).
+/// Overlapping or adjacent contiguous runs are unified; runs whose spans
+/// overlap a strided run's are expanded to their elements and re-coalesced
+/// by idx::append_element (red and black runs of one row union to one
+/// contiguous run).  `add` may come in any order; it is sorted first only
+/// when it is not already, and the two sorted lists are then merged in one
+/// linear pass.
 void merge_runs(std::vector<idx::UpdateRun>& into,
                 const std::vector<idx::UpdateRun>& add);
 

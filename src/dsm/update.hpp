@@ -6,7 +6,9 @@
 // A block is (row index, first element, tag, raw element bytes in the
 // sender's representation).  Row indexes are architecture independent;
 // sizes inside the tag are the sender's, so the receiver can both check
-// homogeneity (tag string comparison) and drive CGT-RMR conversion.
+// homogeneity (tag string comparison) and drive CGT-RMR conversion.  A
+// strided block's tag is the §3.2 aggregate "((m,1)(p,0),n)": its data is
+// the n elements alone, and the receiver skips p bytes after each.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +23,7 @@ namespace hdsm::dsm {
 struct UpdateBlock {
   std::uint32_t row = 0;
   std::uint64_t first_elem = 0;
-  std::string tag;               ///< "(m,n)" run tag, sender sizes
+  std::string tag;               ///< "(m,n)" or "((m,1)(p,0),n)", sender sizes
   std::vector<std::byte> data;   ///< raw bytes, sender representation
 };
 
@@ -60,15 +62,6 @@ std::vector<UpdateBlock> decode_update_blocks(
 /// on malformed input.
 std::vector<UpdateBlockView> decode_update_block_views(
     const std::vector<std::byte>& payload);
-
-/// What a peer's Hello tells the home about how it stores the image: its
-/// byte order and long-double format, and the element size of every data
-/// row there, in row order with padding rows skipped.  Empty `elem_sizes`
-/// means the home has not seen a Hello with a tag from this peer.
-struct PeerShape {
-  msg::PlatformSummary platform;
-  std::vector<std::uint32_t> elem_sizes;
-};
 
 /// Wire size of one block with `tag_len` tag bytes and `data_len` data
 /// bytes (the per-block fixed header is 24 bytes).

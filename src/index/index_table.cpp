@@ -1,6 +1,7 @@
 #include "index/index_table.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -192,27 +193,25 @@ std::string IndexTable::to_table_string(std::uint64_t base_address) const {
   return os.str();
 }
 
-namespace {
-
-/// Append changed element `elem` of row `row` to `out`.  It extends the
-/// last run when fewer than `join` unchanged elements lie between them,
-/// and is dropped when that run already holds it: an element straddling a
-/// window edge, seen again from its second window.
 void append_element(std::vector<UpdateRun>& out, std::uint32_t row,
-                    std::uint64_t elem, std::uint64_t join) {
+                    std::uint64_t elem) {
   if (!out.empty() && out.back().row == row) {
     UpdateRun& back = out.back();
-    const std::uint64_t back_end = back.first_elem + back.count;
-    if (elem < back_end) return;
-    if (elem - back_end < join) {
-      back.count = elem + 1 - back.first_elem;
+    const std::uint64_t last = back.last_elem();
+    if (elem <= last) return;
+    const std::uint64_t step = elem - last;
+    if (back.count == 1 && step <= std::numeric_limits<std::uint32_t>::max()) {
+      back.stride = static_cast<std::uint32_t>(step);
+      back.count = 2;
+      return;
+    }
+    if (step == back.stride) {
+      ++back.count;
       return;
     }
   }
   out.push_back(UpdateRun{row, elem, 1});
 }
-
-}  // namespace
 
 void diff_runs(const IndexTable& table, std::uint64_t base,
                const std::byte* cur, const std::byte* twin, std::size_t len,
@@ -220,7 +219,7 @@ void diff_runs(const IndexTable& table, std::uint64_t base,
   if (len == 0) return;
   const std::uint64_t end = base + len;
   if (!out.empty() && run_offset(table, out.back()) >= end) {
-    // append_element extends out.back() in place, which is only sound for
+    // Runs extend out.back() in place, which is only sound for
     // windows walked in ascending order.  One compare per window.
     throw std::invalid_argument(
         "diff_runs: windows must be walked in ascending offset order");
@@ -232,10 +231,6 @@ void diff_runs(const IndexTable& table, std::uint64_t base,
     if (row.is_padding()) continue;
     const auto row_index = static_cast<std::uint32_t>(r);
     const std::uint64_t size = row.size;
-    // Two changed elements join when fewer than `join` unchanged ones lie
-    // between them: never when splitting, only touching ones at slack 0.
-    const std::uint64_t join =
-        rules.coalesce ? rules.merge_slack / size + 1 : 0;
     const std::uint64_t hi = std::min(row.end(), end) - base;
     std::uint64_t i = std::max(row.offset, base) - base;
     // The element holding window offset i, and where it begins (an image
@@ -253,7 +248,12 @@ void diff_runs(const IndexTable& table, std::uint64_t base,
         elem += n;
         elem_begin += n * size;
       }
-      append_element(out, row_index, elem, join);
+      if (rules.coalesce) {
+        append_element(out, row_index, elem);
+      } else if (out.empty() || out.back().row != row_index ||
+                 out.back().first_elem < elem) {
+        out.push_back(UpdateRun{row_index, elem, 1});
+      }
       // Jump to the next element boundary: the rest of this one ships
       // anyway.
       ++elem;

@@ -87,38 +87,59 @@ class IndexTable {
   std::vector<std::string> field_names_;
 };
 
-/// A run of consecutive modified elements within one table row — the unit
-/// an update tag describes.
+/// A run of modified elements within one table row — the unit an update
+/// tag describes: `count` elements, `stride` elements apart, from
+/// `first_elem` on.  Stride 1 is a contiguous run; a run of one element has
+/// stride 1.  The stride fills what would otherwise be the padding after
+/// `row`, so a run stays 24 bytes.
 struct UpdateRun {
   std::uint32_t row = 0;
+  std::uint32_t stride = 1;
   std::uint64_t first_elem = 0;
   std::uint64_t count = 0;
 
+  UpdateRun() = default;
+  constexpr UpdateRun(std::uint32_t r, std::uint64_t first, std::uint64_t n,
+                      std::uint32_t s = 1)
+      : row(r), stride(s), first_elem(first), count(n) {}
+
+  /// The run's last element.
+  std::uint64_t last_elem() const noexcept {
+    return first_elem + (count - 1) * stride;
+  }
   bool operator==(const UpdateRun&) const = default;
 };
+static_assert(sizeof(UpdateRun) == 24);
 
 /// How diff_runs joins changed elements into runs.
 struct RunRules {
-  /// Join consecutive changed elements of a row into one run — the paper's
-  /// optimization that "distills many (hundreds, perhaps thousands) indexes
-  /// into a single tag".  Off = one run per changed element (the paper's
-  /// uncoalesced index list).
+  /// Join the changed elements of a row into constant-stride runs — the
+  /// paper's optimization that "distills many (hundreds, perhaps
+  /// thousands) indexes into a single tag", extended to the every-other
+  /// element writes of a red/black sweep.  Off = one run per changed
+  /// element (the paper's uncoalesced index list).
   bool coalesce = true;
-  /// With `coalesce`: also join two changed elements of the same row when
-  /// the unchanged elements between them total at most this many bytes
-  /// (they are then shipped too).  0 = only touching elements join.
-  std::uint64_t merge_slack = 0;
 };
+
+/// Append changed element `elem` of row `row` to the sorted run list `out`,
+/// greedily by constant stride: it extends the last run when it lies
+/// exactly one stride past that run's last element, and a one-element run
+/// takes its stride from the element that joins it.  An element at or
+/// before the last run's last element is already shipped (an element
+/// straddling a window edge, seen again from its second window) and is
+/// dropped.
+void append_element(std::vector<UpdateRun>& out, std::uint32_t row,
+                    std::uint64_t elem);
 
 /// Walk one written window [base, base + len) of the image (t_index work):
 /// compare `cur` against its `twin` row by row, skipping equal 8-byte
 /// words, map each first differing byte to its element, and append the
-/// element to `out` under `rules`.  A partially modified element is
-/// shipped whole.  Padding bytes are never compared.  Only bytes inside the
-/// window are compared, so an element straddling the window's edge counts
-/// as changed when its bytes inside differ; a run at the end of one window
-/// continues into the next, and an element already in `out`'s last run is
-/// not appended twice.
+/// element to `out` (append_element when coalescing, one run per element
+/// otherwise).  A partially modified element is shipped whole.  Padding
+/// bytes are never compared.  Only bytes inside the window are compared,
+/// so an element straddling the window's edge counts as changed when its
+/// bytes inside differ; a run at the end of one window continues into the
+/// next, and an element already in `out`'s last run is not appended twice.
 ///
 /// Precondition: successive calls appending into the same `out` walk
 /// ascending windows, each inside the image.  A window that ends at or
@@ -129,7 +150,8 @@ void diff_runs(const IndexTable& table, std::uint64_t base,
 
 /// Region byte offset of the first byte of a run.
 std::uint64_t run_offset(const IndexTable& table, const UpdateRun& run);
-/// Byte length of a run on `table`'s platform.
+/// Bytes of a run's elements on `table`'s platform (the strides' skipped
+/// elements not counted).
 std::uint64_t run_byte_length(const IndexTable& table, const UpdateRun& run);
 
 }  // namespace hdsm::idx

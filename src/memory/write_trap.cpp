@@ -18,6 +18,8 @@
 #include <system_error>
 #include <thread>
 
+#include "platform/strided_copy.hpp"
+
 // The installed uapi headers predate the asynchronous write-protect trap
 // (Linux 6.7).  These values are the kernel's own.
 #ifndef UFFD_FEATURE_WP_UNPOPULATED
@@ -419,6 +421,33 @@ void TrackedRegion::apply_update(std::size_t offset, const void* src,
   // trips the write trap, so only genuine application writes get twinned.
   std::memcpy(region_.alias() + offset, src, n);
   if (!tracking_.load(std::memory_order_acquire)) return;
+  mirror(offset, static_cast<const std::byte*>(src), n);
+}
+
+void TrackedRegion::apply_strided(std::size_t offset, const void* src,
+                                  std::size_t elem, std::size_t count,
+                                  std::size_t stride) {
+  if (count == 0) return;
+  const std::size_t length = region_.length();
+  if (stride == 0 || elem > stride || offset > length ||
+      elem > length - offset ||
+      count - 1 > (length - offset - elem) / stride) {
+    throw std::out_of_range("TrackedRegion::apply_strided");
+  }
+  const auto* in = static_cast<const std::byte*>(src);
+  plat::strided_copy(region_.alias() + offset, stride, in, elem, elem, count);
+  if (!tracking_.load(std::memory_order_acquire)) return;
+  if (backend_ == TrapBackend::Uffd) {
+    plat::strided_copy(twins_.get() + offset, stride, in, elem, elem, count);
+    return;
+  }
+  for (std::size_t k = 0; k < count; ++k) {
+    mirror(offset + k * stride, in + k * elem, elem);
+  }
+}
+
+void TrackedRegion::mirror(std::size_t offset, const std::byte* src,
+                           std::size_t n) {
   if (backend_ == TrapBackend::Uffd) {
     // The standing shadow covers every page, written or clean.
     std::memcpy(twins_.get() + offset, src, n);
@@ -445,9 +474,7 @@ void TrackedRegion::apply_update(std::size_t offset, const void* src,
       st = page_state_[page].load(std::memory_order_acquire);
     }
     if (st != 0) {
-      std::memcpy(twins_.get() + pos,
-                  static_cast<const std::byte*>(src) + (pos - offset),
-                  page_end - pos);
+      std::memcpy(twins_.get() + pos, src + (pos - offset), page_end - pos);
     }
     pos = page_end;
   }

@@ -112,6 +112,11 @@ class TrackedRegion {
   /// mapping: the alias is the primary view, the store faults like an
   /// application write, and the twin mirror still keeps the diff silent.)
   void apply_update(std::size_t offset, const void* src, std::size_t n);
+  /// apply_update of `count` elements of `elem` bytes, packed back to back
+  /// at `src`, scattered `stride` bytes apart from `offset` on: the bytes
+  /// between them are left as they are.
+  void apply_strided(std::size_t offset, const void* src, std::size_t elem,
+                     std::size_t count, std::size_t stride);
 
   /// Sigsegv handler entry: true if this region owned and resolved `addr`.
   bool on_fault(void* addr) noexcept;
@@ -123,6 +128,9 @@ class TrackedRegion {
   /// when `reprotect`.
   std::vector<std::size_t> scan_written(std::size_t first, std::size_t last,
                                         bool reprotect) const;
+  /// While tracking, copy bytes just stored at `offset` into the twin so
+  /// the next diff is silent about them.
+  void mirror(std::size_t offset, const std::byte* src, std::size_t n);
   void register_uffd();
   void write_protect(bool on);
 

@@ -285,8 +285,19 @@ Tag make_run_tag(std::uint32_t elem_size, std::uint64_t count,
 }
 
 void append_run_tag(std::string& out, std::uint32_t elem_size,
-                    std::uint64_t count, bool is_pointer) {
-  append_item(out, run_item(elem_size, count, is_pointer));
+                    std::uint64_t count, bool is_pointer,
+                    std::uint32_t stride) {
+  if (stride <= 1) {
+    append_item(out, run_item(elem_size, count, is_pointer));
+    return;
+  }
+  out += '(';
+  append_item(out, run_item(elem_size, 1, is_pointer));
+  out += '(';
+  append_number(out, std::uint64_t{stride - 1} * elem_size);
+  out += ",0),";
+  append_number(out, count);
+  out += ')';
 }
 
 Tag concat(const std::vector<Tag>& tags) {

@@ -76,12 +76,16 @@ Tag make_tag(const TypeDesc& t, const plat::PlatformDesc& p);
 Tag make_run_tag(std::uint32_t elem_size, std::uint64_t count,
                  bool is_pointer);
 
-/// Append the tag of one update run to `out` — exactly the bytes of
-/// make_run_tag(elem_size, count, is_pointer).to_string() — without
-/// building a Tag.  The send side renders every run of a payload through
-/// this into one reused buffer.
+/// Append the tag of one update run to `out` without building a Tag.  A
+/// contiguous run (`stride` 1) renders exactly as
+/// make_run_tag(elem_size, count, is_pointer).to_string(); a strided one as
+/// the aggregate "((m,1)(p,0),n)" — one element and the p = (stride-1)*m
+/// padding bytes to the next, n times (pointers print "(m,-1)").  The send
+/// side renders every run of a payload through this into one reused
+/// buffer.
 void append_run_tag(std::string& out, std::uint32_t elem_size,
-                    std::uint64_t count, bool is_pointer);
+                    std::uint64_t count, bool is_pointer,
+                    std::uint32_t stride = 1);
 
 /// Concatenate several run tags into one update tag.
 Tag concat(const std::vector<Tag>& tags);

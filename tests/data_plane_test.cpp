@@ -1,12 +1,13 @@
 // Tests for the two-phase (validate-then-apply) data plane: all-or-nothing
 // payload application that leaves write tracking armed, zero-copy
 // single-buffer packing, the run lists of multi-page collects (and the
-// element walk against a brute-force oracle under every option), a multi-page
+// element walk against a greedy constant-stride oracle), a multi-page
 // heterogeneous apply (these page-mode round trips on both write-trap
 // backends), the one-lane option check, when the codec tuner is built and
-// that it never joins a stride-2 collect, the per-(sender, row)
-// conversion-plan cache, the pending-set merge, and the barrier-release
-// gap fill.
+// that it never joins a stride-2 collect across unwritten cells, the
+// per-(sender, row) conversion-plan cache, the pending-set merge against a
+// set-of-elements oracle, and strided releases and grants that leave the
+// elements between their cells intact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <cstring>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -27,7 +29,6 @@
 #include "dsm/sync_engine.hpp"
 #include "dsm/trace.hpp"
 #include "dsm/update.hpp"
-#include "memory/diff.hpp"
 #include "msg/message.hpp"
 #include "trap_backends.hpp"
 
@@ -233,10 +234,11 @@ TEST_P(ZeroCopyPack, PayloadByteIdenticalToGoldenEncoding) {
 }
 
 TEST_P(ZeroCopyPack, Stride2RunsByteIdenticalToGoldenEncoding) {
-  // The red/black SOR shape: every other double dirty, so coalescing cannot
-  // merge anything and each element ships as its own (8,1) run.  Thousands
-  // of tags share the engine's render buffer; a second pack of the same
-  // runs must reuse it and come out byte-identical.
+  // The red/black SOR shape: every other double dirty.  The collect makes
+  // it one strided run, whose block carries the written doubles alone under
+  // the tag "((8,1)(8,0),n)"; prebuilt one-element runs of the same cells
+  // still ship as (8,1) blocks.  A second pack of the same runs reuses the
+  // engine's render buffer and comes out byte-identical.
   constexpr std::uint64_t kRuns = 4096;
   dsm::GlobalSpace g(
       TypeDesc::struct_of(
@@ -250,18 +252,34 @@ TEST_P(ZeroCopyPack, Stride2RunsByteIdenticalToGoldenEncoding) {
   for (std::uint64_t i = 0; i < kRuns; ++i) d.set(2 * i, 0.5 + i);
   const auto runs = engine.collect_runs();
   g.region().end_tracking();
-  ASSERT_EQ(runs.size(), kRuns);
+  ASSERT_EQ(runs, (std::vector<hdsm::idx::UpdateRun>{{0, 0, kRuns, 2}}));
 
   const std::vector<std::byte> wire = engine.pack_payload(runs);
   const auto blocks = dsm::decode_update_blocks(wire);
-  ASSERT_EQ(blocks.size(), kRuns);
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(blocks[0].first_elem, 0u);
+  EXPECT_EQ(blocks[0].tag, "((8,1)(8,0)," + std::to_string(kRuns) + ")");
+  ASSERT_EQ(blocks[0].data.size(), 8 * kRuns);
+  const std::byte* image = g.region().data();
   for (std::uint64_t i = 0; i < kRuns; ++i) {
-    EXPECT_EQ(blocks[i].first_elem, 2 * i);
-    EXPECT_EQ(blocks[i].tag, "(8,1)");
+    ASSERT_EQ(std::memcmp(blocks[0].data.data() + 8 * i, image + 16 * i, 8),
+              0)
+        << i;
   }
   EXPECT_EQ(wire, dsm::encode_update_blocks(blocks));
   EXPECT_EQ(engine.pack_payload(runs), wire);
-  EXPECT_EQ(s.tags_generated, 2 * kRuns);
+  EXPECT_EQ(s.tags_generated, 2u);
+
+  std::vector<hdsm::idx::UpdateRun> singles;
+  for (std::uint64_t i = 0; i < kRuns; ++i) singles.push_back({0, 2 * i, 1});
+  const std::vector<std::byte> single_wire = engine.pack_payload(singles);
+  const auto single_blocks = dsm::decode_update_blocks(single_wire);
+  ASSERT_EQ(single_blocks.size(), kRuns);
+  for (std::uint64_t i = 0; i < kRuns; ++i) {
+    EXPECT_EQ(single_blocks[i].first_elem, 2 * i);
+    EXPECT_EQ(single_blocks[i].tag, "(8,1)");
+  }
+  EXPECT_EQ(single_wire, dsm::encode_update_blocks(single_blocks));
 }
 
 // ---- multi-page collect and apply ------------------------------------------
@@ -269,7 +287,7 @@ TEST_P(ZeroCopyPack, Stride2RunsByteIdenticalToGoldenEncoding) {
 TEST_P(CollectRuns, DenseMultiPageWriteIsOneRunPerRow) {
   // Every element of A rewritten (every page dirty) plus every third D:
   // the diff of each page must join across the page seams into one A run,
-  // and the sparse D writes stay one run each.
+  // and the sparse D writes into one run of stride 3.
   dsm::GlobalSpace g(big_gthv(), plat::linux_ia32(), GetParam());
   dsm::ShareStats s;
   dsm::SyncEngine engine(g, {}, s);
@@ -285,10 +303,8 @@ TEST_P(CollectRuns, DenseMultiPageWriteIsOneRunPerRow) {
 
   const auto row_a = static_cast<std::uint32_t>(g.table().row_of_field("A"));
   const auto row_d = static_cast<std::uint32_t>(g.table().row_of_field("D"));
-  std::vector<hdsm::idx::UpdateRun> expected = {{row_a, 0, a.size()}};
-  for (std::uint64_t i = 0; i < d.size(); i += 3) {
-    expected.push_back({row_d, i, 1});
-  }
+  const std::vector<hdsm::idx::UpdateRun> expected = {
+      {row_a, 0, a.size()}, {row_d, 0, (d.size() + 2) / 3, 3}};
   EXPECT_EQ(runs, expected);
   EXPECT_EQ(s.dirty_pages,
             (g.table().image_size() + hdsm::mem::Region::host_page_size() -
@@ -296,9 +312,9 @@ TEST_P(CollectRuns, DenseMultiPageWriteIsOneRunPerRow) {
 }
 
 TEST_P(CollectRuns, ScatteredWritesAndADenseBand) {
-  // Scattered single-element writes across many pages, plus a dense band
-  // that crosses page boundaries: one run per scattered element outside
-  // the band, and the band as one run.
+  // Writes every 997th element across many pages, plus a dense band that
+  // crosses page boundaries: the scattered elements before and after the
+  // band are one run of stride 997 each, and the band one contiguous run.
   dsm::GlobalSpace g(big_gthv(), plat::linux_ia32(), GetParam());
   dsm::ShareStats s;
   dsm::SyncEngine engine(g, {}, s);
@@ -312,17 +328,38 @@ TEST_P(CollectRuns, ScatteredWritesAndADenseBand) {
   g.region().end_tracking();
 
   const auto row_a = static_cast<std::uint32_t>(g.table().row_of_field("A"));
-  std::vector<hdsm::idx::UpdateRun> expected;
-  bool band_added = false;
-  for (std::uint64_t i = 0; i < a.size(); i += 997) {
-    if (i >= kBandBegin && i < kBandEnd) continue;
-    if (i > kBandBegin && !band_added) {
-      expected.push_back({row_a, kBandBegin, kBandEnd - kBandBegin});
-      band_added = true;
-    }
-    expected.push_back({row_a, i, 1});
-  }
+  const std::uint64_t after_band = (kBandEnd + 996) / 997 * 997;
+  const std::vector<hdsm::idx::UpdateRun> expected = {
+      {row_a, 0, kBandBegin / 997 + 1, 997},
+      {row_a, kBandBegin, kBandEnd - kBandBegin},
+      {row_a, after_band, (a.size() - 1 - after_band) / 997 + 1, 997}};
   EXPECT_EQ(runs, expected);
+}
+
+TEST_P(CollectRuns, IA32DoublesStraddlingAPageJoinTheirStridedRun) {
+  // ia32 aligns a double to 4 in a struct, so behind an int every 512th
+  // double straddles a page edge (D[511] is bytes 4092..4100).  Each
+  // half-sweep is one run of stride 2 whichever page a cell begins on,
+  // and a straddling cell is counted once.
+  dsm::GlobalSpace g(
+      TypeDesc::struct_of(
+          "G", {{"n", tags::t_int()},
+                {"D", TypeDesc::array(tags::t_double(), 2048)}}),
+      plat::linux_ia32(), GetParam());
+  ASSERT_EQ(hdsm::mem::Region::host_page_size(), 4096u);
+  dsm::ShareStats s;
+  dsm::SyncEngine engine(g, {}, s);
+  const auto row_d = static_cast<std::uint32_t>(g.table().row_of_field("D"));
+  ASSERT_EQ(g.table().rows()[row_d].offset, 4u);
+  auto d = g.view<double>("D");
+  g.region().begin_tracking();
+  for (std::uint64_t color = 0; color < 2; ++color) {
+    for (std::uint64_t i = color; i < d.size(); i += 2) d.set(i, 1.0 + i);
+    EXPECT_EQ(engine.collect_runs(),
+              (std::vector<hdsm::idx::UpdateRun>{{row_d, color, 1024, 2}}))
+        << "color " << color;
+  }
+  g.region().end_tracking();
 }
 
 // ---- element-walk property -------------------------------------------------
@@ -372,64 +409,43 @@ tags::TypePtr random_gthv(std::mt19937_64& rng) {
   return TypeDesc::struct_of("G", std::move(fields));
 }
 
-/// The oracle: every element whose bytes differ between the two images,
-/// joined under `rules` — consecutive elements of a row when coalescing,
-/// and across at most merge_slack bytes of unchanged elements of the row.
-std::vector<hdsm::idx::UpdateRun> brute_force_runs(
+/// The oracle: mark every element whose bytes differ between the two
+/// images, then, when coalescing, join them greedily by constant stride in
+/// row and element order — a run takes its stride from its second element
+/// and grows while the next marked element of its row lies exactly one
+/// stride on.
+std::vector<hdsm::idx::UpdateRun> oracle_runs(
     const hdsm::idx::IndexTable& t, const std::vector<std::byte>& before,
-    const std::vector<std::byte>& after, const hdsm::idx::RunRules& rules) {
+    const std::vector<std::byte>& after, bool coalesce) {
   std::vector<hdsm::idx::UpdateRun> out;
   for (std::uint32_t r = 0; r < t.rows().size(); ++r) {
     const hdsm::idx::IndexRow& row = t.rows()[r];
     if (row.is_padding()) continue;
+    std::vector<std::uint64_t> marked;
     for (std::uint64_t e = 0; e < row.element_count(); ++e) {
       const std::uint64_t off = row.offset + e * row.size;
-      if (std::memcmp(before.data() + off, after.data() + off, row.size) ==
+      if (std::memcmp(before.data() + off, after.data() + off, row.size) !=
           0) {
-        continue;
-      }
-      if (rules.coalesce && !out.empty() && out.back().row == r &&
-          (e - out.back().first_elem - out.back().count) * row.size <=
-              rules.merge_slack) {
-        out.back().count = e + 1 - out.back().first_elem;
-      } else {
-        out.push_back({r, e, 1});
+        marked.push_back(e);
       }
     }
-  }
-  return out;
-}
-
-/// The byte-range mapping the element walk replaced, kept here as the
-/// reference for the default options: each differing byte range, cut at
-/// row edges, becomes the run of elements it touches, and touching or
-/// overlapping runs of a row coalesce.
-std::vector<hdsm::idx::UpdateRun> ranges_to_runs(
-    const hdsm::idx::IndexTable& t,
-    const std::vector<hdsm::mem::ByteRange>& ranges) {
-  std::vector<hdsm::idx::UpdateRun> out;
-  for (const hdsm::mem::ByteRange& range : ranges) {
-    std::uint64_t pos = range.begin;
-    while (pos < range.end) {
-      const auto loc = t.locate(pos);
-      const hdsm::idx::IndexRow& row = t.rows()[loc.row];
-      const std::uint64_t seg_end = std::min<std::uint64_t>(range.end,
-                                                            row.end());
-      if (!row.is_padding()) {
-        const hdsm::idx::UpdateRun run{
-            static_cast<std::uint32_t>(loc.row), loc.elem,
-            (seg_end - 1 - row.offset) / row.size - loc.elem + 1};
-        if (!out.empty() && out.back().row == run.row &&
-            out.back().first_elem + out.back().count >= run.first_elem) {
-          out.back().count =
-              std::max(out.back().first_elem + out.back().count,
-                       run.first_elem + run.count) -
-              out.back().first_elem;
-        } else {
-          out.push_back(run);
+    const std::size_t first = out.size();
+    for (const std::uint64_t e : marked) {
+      if (coalesce && out.size() > first) {
+        hdsm::idx::UpdateRun& run = out.back();
+        const std::uint64_t last =
+            run.first_elem + (run.count - 1) * run.stride;
+        if (run.count == 1) {
+          run.stride = static_cast<std::uint32_t>(e - last);
+          run.count = 2;
+          continue;
+        }
+        if (e - last == run.stride) {
+          ++run.count;
+          continue;
         }
       }
-      pos = seg_end;
+      out.push_back({r, e, 1});
     }
   }
   return out;
@@ -452,9 +468,22 @@ void random_writes(dsm::GlobalSpace& g, std::mt19937_64& rng) {
   }
 }
 
+/// Flip one byte of every `step`-th element of random rows (step 2 or 3),
+/// from a random start.
+void strided_writes(dsm::GlobalSpace& g, std::mt19937_64& rng) {
+  std::byte* image = g.region().data();
+  for (const hdsm::idx::IndexRow& row : g.table().rows()) {
+    if (row.is_padding() || rng() % 2 == 0) continue;
+    const std::uint64_t step = 2 + rng() % 2;
+    for (std::uint64_t e = rng() % step; e < row.element_count(); e += step) {
+      image[row.offset + e * row.size + rng() % row.size] ^= std::byte{0x41};
+    }
+  }
+}
+
 }  // namespace
 
-TEST_P(CollectRuns, ElementWalkMatchesBruteForceUnderEveryOption) {
+TEST_P(CollectRuns, ElementWalkMatchesTheStridedOracle) {
   const std::vector<const plat::PlatformDesc*> platforms = {
       &plat::linux_ia32(), &plat::linux_x86_64(), &plat::solaris_sparc32(),
       &plat::solaris_sparc64()};
@@ -463,41 +492,30 @@ TEST_P(CollectRuns, ElementWalkMatchesBruteForceUnderEveryOption) {
     const tags::TypePtr ty = random_gthv(rng);
     const plat::PlatformDesc& platform = *platforms[table % platforms.size()];
     for (const bool coalesce : {true, false}) {
-      for (const std::size_t slack : {0u, 8u, 32u, 64u}) {
-        dsm::GlobalSpace g(ty, platform, GetParam());
-        const std::uint64_t size = g.table().image_size();
-        for (std::uint64_t i = 0; i < size; ++i) {
-          g.region().data()[i] = static_cast<std::byte>(rng());
-        }
-        dsm::SyncOptions opts;
-        opts.coalesce_runs = coalesce;
-        opts.merge_slack = slack;
-        dsm::ShareStats s;
-        dsm::SyncEngine engine(g, opts, s);
-        g.region().begin_tracking();
-        // Several intervals, so later collects diff against refreshed twins.
-        for (int round = 0; round < 3; ++round) {
-          const std::vector<std::byte> before = image_snapshot(g);
-          random_writes(g, rng);
-          const std::vector<std::byte> after = image_snapshot(g);
-          const auto runs = engine.collect_runs();
-          const std::string where =
-              "table " + std::to_string(table) + " on " + platform.name +
-              " coalesce=" + std::to_string(coalesce) +
-              " slack=" + std::to_string(slack) +
-              " round=" + std::to_string(round);
-          ASSERT_EQ(runs, brute_force_runs(g.table(), before, after,
-                                           {coalesce, slack}))
-              << where;
-          if (coalesce && slack == 0) {
-            std::vector<hdsm::mem::ByteRange> ranges;
-            hdsm::mem::diff_bytes(after.data(), before.data(), size, 0,
-                                  ranges);
-            ASSERT_EQ(runs, ranges_to_runs(g.table(), ranges)) << where;
-          }
-        }
-        g.region().end_tracking();
+      dsm::GlobalSpace g(ty, platform, GetParam());
+      const std::uint64_t size = g.table().image_size();
+      for (std::uint64_t i = 0; i < size; ++i) {
+        g.region().data()[i] = static_cast<std::byte>(rng());
       }
+      dsm::SyncOptions opts;
+      opts.coalesce_runs = coalesce;
+      dsm::ShareStats s;
+      dsm::SyncEngine engine(g, opts, s);
+      g.region().begin_tracking();
+      // Several intervals, so later collects diff against refreshed twins;
+      // odd rounds also write every other or every third element of random
+      // rows, the sweeps strided runs are for.
+      for (int round = 0; round < 4; ++round) {
+        const std::vector<std::byte> before = image_snapshot(g);
+        random_writes(g, rng);
+        if (round % 2 == 1) strided_writes(g, rng);
+        const std::vector<std::byte> after = image_snapshot(g);
+        const auto runs = engine.collect_runs();
+        ASSERT_EQ(runs, oracle_runs(g.table(), before, after, coalesce))
+            << "table " << table << " on " << platform.name
+            << " coalesce=" << coalesce << " round=" << round;
+      }
+      g.region().end_tracking();
     }
   }
 }
@@ -591,11 +609,11 @@ TEST(CodecTuner, AdaptiveFlagAloneBuildsNoTuner) {
   EXPECT_EQ(rs.adapt_episodes, 0u);
 }
 
-TEST_P(CollectRuns, Stride2CollectUnderALiveCodecTunerIsOneRunPerCell) {
+TEST_P(CollectRuns, Stride2CollectUnderALiveCodecTunerIsOneStridedRun) {
   // The tuner's only knob is the codec's, so no pack signal can make a
-  // collect join cells across the unchanged ones between them.  Packs of
-  // thousands of one-element runs are the signal that once drove merge
-  // slack up.
+  // collect ship the unchanged cells between the written ones: each
+  // half-sweep is one run of stride 2, with every written cell and no
+  // other.  Compressed packs of those runs gather the cells first.
   dsm::SyncOptions opts;
   opts.adaptive = true;
   opts.codec = dsm::CodecMode::Adaptive;
@@ -612,11 +630,10 @@ TEST_P(CollectRuns, Stride2CollectUnderALiveCodecTunerIsOneRunPerCell) {
       d.set(i, static_cast<double>(round * d.size() + i + 1));
     }
     const std::vector<hdsm::idx::UpdateRun> runs = engine.collect_runs();
-    ASSERT_EQ(runs.size(), d.size() / 2) << "round " << round;
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      ASSERT_EQ(runs[k].first_elem, round % 2 + 2 * k) << "round " << round;
-      ASSERT_EQ(runs[k].count, 1u) << "round " << round;
-    }
+    const auto row_d = static_cast<std::uint32_t>(g.table().row_of_field("D"));
+    ASSERT_EQ(runs, (std::vector<hdsm::idx::UpdateRun>{
+                        {row_d, round % 2, d.size() / 2, 2}}))
+        << "round " << round;
     engine.pack_payload(runs);
   }
   g.region().end_tracking();
@@ -856,90 +873,81 @@ TEST(MergeRunsEdges, LinearMergeMatchesASortOfTheUnion) {
     dsm::merge_runs(got, add);
     ASSERT_EQ(got, sort_merge(into, add)) << "trial " << trial;
   }
-}
 
-// ---- barrier-release gap fill ----------------------------------------------
-
-namespace {
-
-/// One data row of each kind whose route can differ between platforms.
-tags::TypePtr fill_gthv() {
-  return TypeDesc::struct_of(
-      "G", {{"D", TypeDesc::array(tags::t_double(), 64)},
-            {"L", TypeDesc::array(tags::t_longdouble(), 8)},
-            {"W", TypeDesc::array(tags::t_long(), 8)}});
-}
-
-/// What a peer on `p` announces in its Hello: every data row's element
-/// size there.
-dsm::PeerShape shape_of(const tags::TypePtr& gthv,
-                        const plat::PlatformDesc& p) {
-  dsm::PeerShape shape;
-  shape.platform = msg::PlatformSummary::of(p);
-  const hdsm::idx::IndexTable table(gthv, p);
-  for (const hdsm::idx::IndexRow& row : table.rows()) {
-    if (!row.is_padding()) shape.elem_sizes.push_back(row.size);
-  }
-  return shape;
-}
-
-/// Two one-element runs of `row` with `gap` untouched elements between.
-std::vector<hdsm::idx::UpdateRun> split_pair(std::uint32_t row,
-                                             std::uint64_t gap) {
-  return {{row, 0, 1}, {row, 1 + gap, 1}};
-}
-
-}  // namespace
-
-TEST(FillGaps, JoinsOnlyShortGapsOnExactRoutes) {
-  dsm::GlobalSpace home(fill_gthv(), plat::solaris_sparc32());
-  dsm::ShareStats stats;
-  dsm::SyncEngine engine(home, {}, stats);
-  const std::uint32_t d = static_cast<std::uint32_t>(
-      home.table().row_of_field("D"));
-  const std::uint32_t l = static_cast<std::uint32_t>(
-      home.table().row_of_field("L"));
-  const std::uint32_t w = static_cast<std::uint32_t>(
-      home.table().row_of_field("W"));
-  const auto filled = [&](std::vector<hdsm::idx::UpdateRun> runs,
-                          const plat::PlatformDesc& peer) {
-    engine.fill_gaps(runs, shape_of(fill_gthv(), peer));
-    return runs.size();
+  // Strided inputs, against a set-of-elements oracle: the merge covers
+  // exactly the union of both sets' elements, and stays a pending set —
+  // sorted, no two runs of a row with overlapping spans, one-element runs
+  // of stride 1.
+  using Element = std::pair<std::uint32_t, std::uint64_t>;
+  const auto elements = [](const std::vector<hdsm::idx::UpdateRun>& runs) {
+    std::set<Element> out;
+    for (const hdsm::idx::UpdateRun& r : runs) {
+      for (std::uint64_t k = 0; k < r.count; ++k) {
+        out.insert({r.row, r.first_elem + k * r.stride});
+      }
+    }
+    return out;
   };
-  const plat::PlatformDesc& ia32 = plat::linux_ia32();
-
-  // double sparc32 -> ia32 is BulkSwap: a gap of up to one block header
-  // (3 doubles = 24 B) is joined, 4 doubles is not.
-  EXPECT_EQ(filled(split_pair(d, 1), ia32), 1u);
-  EXPECT_EQ(filled(split_pair(d, 3), ia32), 1u);
-  EXPECT_EQ(filled(split_pair(d, 4), ia32), 2u);
-  // The same row to a sparc32 peer is Memcpy.
-  EXPECT_EQ(filled(split_pair(d, 3), plat::solaris_sparc32()), 1u);
-
-  // long double: binary128 (16 B) -> x87 (12 B) is Elementwise through
-  // double, so even a one-element gap stays; sparc32 -> sparc64 is Memcpy.
-  EXPECT_EQ(filled(split_pair(l, 1), ia32), 2u);
-  EXPECT_EQ(filled(split_pair(l, 1), plat::solaris_sparc64()), 1u);
-
-  // long: 4 B here, 4 B on ia32 (BulkSwap), 8 B on x86_64 (Elementwise).
-  EXPECT_EQ(filled(split_pair(w, 1), ia32), 1u);
-  EXPECT_EQ(filled(split_pair(w, 1), plat::linux_x86_64()), 2u);
-
-  // Never across rows; no shape (no Hello seen) joins nothing.
-  EXPECT_EQ(filled({{d, 63, 1}, {l, 0, 1}}, ia32), 2u);
-  std::vector<hdsm::idx::UpdateRun> runs = split_pair(d, 1);
-  engine.fill_gaps(runs, dsm::PeerShape{});
-  EXPECT_EQ(runs.size(), 2u);
-
-  // A join spans both runs and the gap, and the pass is linear over a
-  // whole pending set: runs in D and W, a far gap in D, L untouched.
-  runs = {{d, 0, 1}, {d, 2, 2}, {d, 7, 1}, {d, 40, 1}, {l, 0, 1},
-          {l, 2, 1}, {w, 1, 1}, {w, 3, 1}};
-  engine.fill_gaps(runs, shape_of(fill_gthv(), ia32));
-  const std::vector<hdsm::idx::UpdateRun> want = {
-      {d, 0, 8}, {d, 40, 1}, {l, 0, 1}, {l, 2, 1}, {w, 1, 3}};
-  EXPECT_EQ(runs, want);
+  const auto well_formed = [](const std::vector<hdsm::idx::UpdateRun>& runs) {
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const hdsm::idx::UpdateRun& r = runs[i];
+      if (r.count == 0 || r.stride == 0 || (r.count == 1 && r.stride != 1)) {
+        return false;
+      }
+      if (i == 0) continue;
+      const hdsm::idx::UpdateRun& p = runs[i - 1];
+      if (p.row > r.row || (p.row == r.row && p.last_elem() >= r.first_elem)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto draw_strided = [&rng](std::size_t n) {
+    std::vector<hdsm::idx::UpdateRun> runs(n);
+    for (hdsm::idx::UpdateRun& r : runs) {
+      r.row = static_cast<std::uint32_t>(rng() % 3);
+      r.first_elem = rng() % 48;
+      r.count = 1 + rng() % 8;
+      r.stride = r.count == 1 ? 1 : static_cast<std::uint32_t>(1 + rng() % 4);
+    }
+    return runs;
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<hdsm::idx::UpdateRun> into;
+    dsm::merge_runs(into, draw_strided(rng() % 10));
+    ASSERT_TRUE(well_formed(into)) << "trial " << trial;
+    const std::vector<hdsm::idx::UpdateRun> add = draw_strided(rng() % 10);
+    std::set<Element> want = elements(into);
+    const std::set<Element> added = elements(add);
+    want.insert(added.begin(), added.end());
+    std::vector<hdsm::idx::UpdateRun> got = into;
+    dsm::merge_runs(got, add);
+    ASSERT_EQ(elements(got), want) << "trial " << trial;
+    ASSERT_TRUE(well_formed(got)) << "trial " << trial;
+  }
 }
+
+TEST(MergeRunsEdges, RedAndBlackRunsUnionToOneContiguousRun) {
+  // Interleaved red/black half-sweeps of a row (and of parts of one)
+  // union to stride 1.
+  std::vector<hdsm::idx::UpdateRun> into = {{2, 0, 32, 2}};
+  dsm::merge_runs(into, {{2, 1, 32, 2}});
+  EXPECT_EQ(into, (std::vector<hdsm::idx::UpdateRun>{{2, 0, 64}}));
+
+  std::vector<hdsm::idx::UpdateRun> parts = {{2, 0, 8, 2}, {2, 40, 8, 2}};
+  dsm::merge_runs(parts, {{2, 1, 8, 2}, {2, 41, 4, 2}});
+  EXPECT_EQ(parts, (std::vector<hdsm::idx::UpdateRun>{
+                       {2, 0, 16}, {2, 40, 9}, {2, 50, 3, 2}}));
+
+  // A strided run inside a contiguous one adds nothing; one in another
+  // row's span never mixes with it.
+  std::vector<hdsm::idx::UpdateRun> image = {{2, 0, 1000}, {3, 0, 4}};
+  dsm::merge_runs(image, {{2, 10, 100, 3}, {3, 5, 3, 2}});
+  EXPECT_EQ(image, (std::vector<hdsm::idx::UpdateRun>{
+                       {2, 0, 1000}, {3, 0, 4}, {3, 5, 3, 2}}));
+}
+
+// ---- strided releases and grants ----------------------------------------
 
 namespace {
 
@@ -955,10 +963,6 @@ struct EngineCodec final : dsm::UpdateCodec {
       const msg::PlatformSummary& sender) override {
     return engine.apply_payload(payload, sender);
   }
-  void fill_gaps(std::vector<hdsm::idx::UpdateRun>& runs,
-                 const dsm::PeerShape& peer) override {
-    engine.fill_gaps(runs, peer);
-  }
   dsm::SyncEngine& engine;
 };
 
@@ -971,7 +975,8 @@ tags::TypePtr stride2_gthv() {
 }
 
 /// A sparc32 home core with rank 1, an ia32 peer, attached and past its
-/// Hello, and a master pending set of kStride2Runs one-double runs.
+/// Hello, and the master's half-sweep of kStride2Runs cells as the one
+/// strided run its collect makes of them.
 struct ReleaseHarness {
   dsm::GlobalSpace home{stride2_gthv(), plat::solaris_sparc32()};
   dsm::GlobalSpace peer{stride2_gthv(), plat::linux_ia32()};
@@ -995,8 +1000,8 @@ struct ReleaseHarness {
         static_cast<std::uint32_t>(home.table().row_of_field("D"));
     for (std::uint64_t i = 0; i < 2 * kStride2Runs; ++i) {
       d.set(i, 0.5 + static_cast<double>(i));  // gaps hold data too
-      if (i % 2 == 0) runs.push_back({row, i, 1});
     }
+    runs.push_back({row, 0, kStride2Runs, 2});
     core.step(dsm::CoherenceEvent::peer_attached(1, {}));
     msg::Message hello = request(msg::MsgType::Hello, 0, 1);
     hello.tag = peer.image_tag_text();
@@ -1030,16 +1035,17 @@ struct ReleaseHarness {
     return {};
   }
 
-  /// The pending set packed as it stands, by a second engine on the image.
-  std::vector<std::byte> unfilled_pack() {
+  /// `packed` packed by a second engine on the image.
+  std::vector<std::byte> pack(
+      const std::vector<hdsm::idx::UpdateRun>& packed) {
     dsm::ShareStats s;
-    return dsm::SyncEngine(home, {}, s).pack_payload(runs);
+    return dsm::SyncEngine(home, {}, s).pack_payload(packed);
   }
 };
 
 }  // namespace
 
-TEST(BarrierFill, Stride2ReleaseOnABulkSwapLinkIsOneBlock) {
+TEST(StridedRelease, Stride2ReleaseIsOneStridedBlock) {
   ReleaseHarness h;
   h.core.step(dsm::CoherenceEvent::master_barrier(0, h.runs));
   const std::vector<std::byte> release = ReleaseHarness::sent(
@@ -1050,25 +1056,31 @@ TEST(BarrierFill, Stride2ReleaseOnABulkSwapLinkIsOneBlock) {
   const auto blocks = dsm::decode_update_block_views(release);
   ASSERT_EQ(blocks.size(), 1u);
   EXPECT_EQ(blocks[0].first_elem, 0u);
-  EXPECT_EQ(blocks[0].tag, "(8," + std::to_string(2 * kStride2Runs - 1) + ")");
-  // 16 B per run pair filled against 2 x (24 B header + "(8,1)" + 8 B).
-  EXPECT_LT(release.size(), h.unfilled_pack().size() / 2);
+  EXPECT_EQ(blocks[0].tag,
+            "((8,1)(8,0)," + std::to_string(kStride2Runs) + ")");
+  EXPECT_EQ(blocks[0].data_len, 8 * kStride2Runs);
+  // Under half of the same cells as one-element runs: 2 x (24 B header +
+  // "(8,1)" + 8 B) per cell pair against 16 B.
+  std::vector<hdsm::idx::UpdateRun> singles;
+  for (std::uint64_t i = 0; i < kStride2Runs; ++i) {
+    singles.push_back({h.runs[0].row, 2 * i, 1});
+  }
+  EXPECT_LT(release.size(), h.pack(singles).size() / 2);
 
-  // The peer ends up with the home's values, the filled gaps included.
+  // The peer gets the written cells and keeps its own values between them.
   dsm::ShareStats ps;
   dsm::SyncEngine(h.peer, {}, ps)
       .apply_payload(release, msg::PlatformSummary::of(h.home.platform()));
   auto got = h.peer.view<double>("D");
   auto want = h.home.view<double>("D");
-  for (std::uint64_t i = 0; i + 1 < 2 * kStride2Runs; ++i) {
-    ASSERT_EQ(got.get(i), want.get(i)) << i;
+  for (std::uint64_t i = 0; i < 2 * kStride2Runs; ++i) {
+    ASSERT_EQ(got.get(i), i % 2 == 0 ? want.get(i) : 0.0) << i;
   }
-  EXPECT_EQ(got.get(2 * kStride2Runs - 1), 0.0);  // past the last run
 }
 
-TEST(BarrierFill, LockGrantShipsThePendingSetUnfilled) {
-  // A grantee may hold unsent writes in a gap under another mutex, so a
-  // grant packs the pending set exactly as it stands.
+TEST(StridedRelease, LockGrantShipsThePendingSetAsItStands) {
+  // A grant packs the pending set exactly as a release does: the strided
+  // run, with no element between its cells.
   ReleaseHarness h;
   h.core.step(dsm::CoherenceEvent::master_lock(0));
   h.core.step(dsm::CoherenceEvent::master_unlock(0, h.runs));
@@ -1076,16 +1088,55 @@ TEST(BarrierFill, LockGrantShipsThePendingSetUnfilled) {
       h.core.step(dsm::CoherenceEvent::msg_received(
           1, h.request(msg::MsgType::LockRequest, 1))),
       msg::MsgType::LockGrant);
-  EXPECT_EQ(grant, h.unfilled_pack());
-  EXPECT_EQ(dsm::decode_update_block_views(grant).size(), kStride2Runs);
+  EXPECT_EQ(grant, h.pack(h.runs));
+  EXPECT_EQ(dsm::decode_update_block_views(grant).size(), 1u);
 }
 
-TEST(BarrierFill, IA32LongDoubleInAGapKeepsItsExactBytes) {
+TEST(StridedRelease, GranteesUnsentWriteInAPaddingSlotSurvivesTheGrant) {
+  // The master writes every even D cell under mutex 0.  Rank 1, holding
+  // mutex 1, has written D[1] and not released it yet.  When it then takes
+  // mutex 0, the grant carries the master's cells as one strided run, and
+  // D[1] sits in one of its padding slots: the cells land around it.
+  const auto gthv = TypeDesc::struct_of(
+      "G", {{"D", TypeDesc::array(tags::t_double(), 64)}});
+  dsm::ShardedCluster cluster(gthv, plat::solaris_sparc32(),
+                              {&plat::linux_ia32()});
+  double own = 0, even = 0, home_sees = 0;
+  cluster.run(
+      [&](dsm::ShardedHome& home) {
+        home.lock(0);
+        home.barrier(0);  // rank 1 asks for mutex 0 only after this
+        auto d = home.space().view<double>("D");
+        for (std::uint64_t i = 0; i < d.size(); i += 2) d.set(i, 1.5 + i);
+        home.unlock(0);
+        home.barrier(0);
+        home_sees = d.get(1);
+        home.wait_all_joined();
+      },
+      [&](dsm::ShardedRemote& remote) {
+        remote.barrier(0);
+        remote.lock(1);
+        auto d = remote.space().view<double>("D");
+        d.set(1, -7.25);
+        remote.lock(0);
+        own = d.get(1);
+        even = d.get(62);
+        remote.unlock(0);
+        remote.unlock(1);
+        remote.barrier(0);
+        remote.join();
+      });
+  EXPECT_EQ(own, -7.25);
+  EXPECT_EQ(even, 63.5);
+  EXPECT_EQ(home_sees, -7.25);  // and rank 1's unlock still shipped it
+}
+
+TEST(StridedRelease, IA32LongDoubleInAGapKeepsItsExactBytes) {
   // x87 extended 1 + 2^-63: its lowest mantissa bit is lost on the way
   // through double to the sparc32 home's binary128, so shipping this
-  // element back would change it.  Rank 2 writes both neighbours, which
-  // leaves it a 16 B gap in rank 1's release — inside the fill bound, on
-  // a row whose route is Elementwise.
+  // element back would change it.  Rank 2 writes both neighbours, so rank
+  // 1's release carries them as one strided run, converted elementwise,
+  // whose padding slot is rank 1's element.
   const auto gthv = TypeDesc::struct_of(
       "G", {{"L", TypeDesc::array(tags::t_longdouble(), 3)}});
   const std::array<unsigned char, 12> x87 = {0x01, 0, 0, 0, 0, 0, 0, 0x80,
@@ -1121,4 +1172,7 @@ TEST(BarrierFill, IA32LongDoubleInAGapKeepsItsExactBytes) {
       });
   EXPECT_EQ(after, x87);
   EXPECT_EQ(neighbour, 3.0L);  // the release did reach rank 1
+  // Two one-block releases of the full image, then one block each: rank
+  // 2's two elements as one strided run, and rank 1's one element.
+  EXPECT_EQ(cluster.home().stats().updates_sent, 4u);
 }

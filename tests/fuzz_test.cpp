@@ -14,6 +14,7 @@
 #include "dsm/replication.hpp"
 #include "dsm/sharded_home.hpp"
 #include "dsm/sharded_remote.hpp"
+#include "dsm/sync_engine.hpp"
 #include "dsm/update.hpp"
 #include "mig/io_state.hpp"
 #include "mig/thread_state.hpp"
@@ -275,6 +276,17 @@ void write_file(const std::string& path, const std::vector<std::byte>& b) {
             static_cast<std::streamsize>(b.size()));
 }
 
+/// The GThV of the strided golden payload: an int, then eight ints.
+tags::TypePtr strided_gthv() {
+  return tags::describe_struct("G").field<int>("n").array<int>("v", 8).build();
+}
+
+std::uint32_t strided_row() {
+  return static_cast<std::uint32_t>(
+      hdsm::idx::IndexTable(strided_gthv(), plat::linux_ia32())
+          .row_of_field("v"));
+}
+
 obs::MetricsSnapshot golden_metrics() {
   obs::MetricsSnapshot m;
   m.counters["c"] = 0x0102;
@@ -329,6 +341,31 @@ std::vector<GoldenCase> golden_cases() {
                      }});
   }
 
+  {  // update payload: one strided block, as SyncEngine packs it
+    const std::uint32_t row = strided_row();
+    dsm::GlobalSpace sender(strided_gthv(), plat::solaris_sparc32());
+    auto v = sender.view<std::int32_t>("v");
+    for (std::uint64_t i = 1; i < 6; i += 2) {
+      v.set(i, static_cast<std::int32_t>(0x0a0b0c00 + i));
+    }
+    dsm::ShareStats stats;
+    const std::vector<std::byte> payload =
+        dsm::SyncEngine(sender, {}, stats).pack_payload({{row, 1, 3, 2}});
+    cases.push_back({"strided update payload", payload,
+                     "000000010000000200000000000000010000000e000000000000000c"
+                     "2828342c312928342c30292c33290a0b0c010a0b0c030a0b0c05",
+                     [](const std::vector<std::byte>& in) {
+                       dsm::GlobalSpace receiver(strided_gthv(),
+                                                 plat::linux_ia32());
+                       dsm::ShareStats rs;
+                       dsm::SyncEngine(receiver, {}, rs)
+                           .apply_payload(in, msg::PlatformSummary::of(
+                                                  plat::solaris_sparc32()));
+                       auto got = receiver.view<std::int32_t>("v");
+                       return got.get(3) == 0x0a0b0c03 && got.get(2) == 0;
+                     }});
+  }
+
   {  // frame
     msg::Message m;
     m.type = msg::MsgType::UnlockRequest;
@@ -341,7 +378,7 @@ std::vector<GoldenCase> golden_cases() {
     m.payload = {std::byte{0xAB}, std::byte{0xCD}, std::byte{0xEF},
                  std::byte{0x01}};
     cases.push_back({"frame", msg::encode_frame(m),
-                     "4844534d040102020000000200000003000000040000000500000005"
+                     "4844534d040102030000000200000003000000040000000500000005"
                      "0000000428342c3129abcdef01",
                      [](const std::vector<std::byte>& in) {
                        msg::FrameDecoder dec;
@@ -367,13 +404,30 @@ std::vector<GoldenCase> golden_cases() {
     r.master_payload = {std::byte{0x11}, std::byte{0x22}};
     r.master_sender = msg::PlatformSummary::of(plat::solaris_sparc64());
     cases.push_back({"log record", dsm::encode_record(r),
-                     "010100000002000000000100000000000000294844534d0200000200"
+                     "010100000002000000000100000000000000294844534d0200000300"
                      "000001000000020000000700000000000000050000000428342c3129"
                      "09080706000000020000000100000000000000020000000000000003"
                      "00000004000000000000000500000000000000060000000000000002"
                      "11220102",
                      [](const std::vector<std::byte>& in) {
                        return dsm::decode_record(in).event.runs.size() == 2;
+                     }});
+  }
+
+  {  // replication log record: a master barrier's strided and contiguous
+     // runs
+    dsm::LogRecord r;
+    r.kind = dsm::LogRecord::Kind::Event;
+    r.event = dsm::CoherenceEvent::master_barrier(3, {{1, 2, 3, 2}, {4, 5, 6}});
+    r.master_payload = {std::byte{0x33}};
+    r.master_sender = msg::PlatformSummary::of(plat::linux_ia32());
+    const std::vector<hdsm::idx::UpdateRun> runs = r.event.runs;
+    cases.push_back({"strided log record", dsm::encode_record(r),
+                     "01040000000000000003000000000280000001000000020000000000"
+                     "00000200000000000000030000000400000000000000050000000000"
+                     "0000060000000000000001330001",
+                     [runs](const std::vector<std::byte>& in) {
+                       return dsm::decode_record(in).event.runs == runs;
                      }});
   }
 
@@ -528,4 +582,110 @@ TEST(Fuzz, GoldenBytesAndTruncationSweep) {
     longer.push_back(std::byte{0});
     EXPECT_TRUE(rejects(c, longer)) << "one appended byte";
   }
+}
+
+// A strided block's tag must be exactly "((m,1)(p,0),n)" with p a whole
+// number of m-byte elements and n of them fitting in the row.  Each
+// hostile form throws from apply, and the valid block in front of it in
+// the same payload does not land either.
+TEST(Fuzz, HostileStridedTagsAreRejectedBeforeAnyByteLands) {
+  const tags::TypePtr gthv = tags::TypeDesc::struct_of(
+      "G", {{"D", tags::TypeDesc::array(tags::t_double(), 16)},
+            {"I", tags::TypeDesc::array(tags::t_int(), 32)}});
+  const auto summary = msg::PlatformSummary::of(plat::linux_ia32());
+  dsm::GlobalSpace g(gthv, plat::linux_ia32());
+  const auto row_d = static_cast<std::uint32_t>(g.table().row_of_field("D"));
+  const auto row_i = static_cast<std::uint32_t>(g.table().row_of_field("I"));
+  dsm::ShareStats stats;
+  dsm::SyncEngine engine(g, {}, stats);
+
+  dsm::UpdateBlock valid;
+  valid.row = row_d;
+  valid.tag = "((8,1)(8,0),2)";
+  valid.data.assign(16, std::byte{0x11});
+  // The compressed form of 16 ints, in front of a tag that claims 15.
+  dsm::UpdateBlock wrong_count;
+  wrong_count.row = row_i;
+  wrong_count.tag = "((4,1)(4,0),15)";
+  wrong_count.data = ramp_stream();
+
+  struct Case {
+    const char* why;
+    dsm::UpdateBlock block;
+    bool compressed;
+  };
+  const auto block = [](std::uint32_t row, std::uint64_t first,
+                        const char* tag, std::size_t data_len) {
+    dsm::UpdateBlock b;
+    b.row = row;
+    b.first_elem = first;
+    b.tag = tag;
+    b.data.assign(data_len, std::byte{0x22});
+    return b;
+  };
+  const std::vector<Case> cases = {
+      {"zero-byte elements, so no stride", block(row_d, 0, "((0,1)(8,0),2)", 0),
+       false},
+      {"stride 1 as an aggregate", block(row_d, 0, "((8,1)(0,0),2)", 16),
+       false},
+      {"p % m != 0", block(row_d, 0, "((8,1)(4,0),2)", 16), false},
+      {"span past the row end", block(row_d, 2, "((8,1)(8,0),8)", 64), false},
+      {"span overflowing 64 bits",
+       block(row_d, 1, "((8,1)(8,0),9223372036854775809)", 16), false},
+      {"stride overflowing 32 bits",
+       block(row_d, 0, "((8,1)(34359738368,0),2)", 16), false},
+      {"nested aggregate", block(row_d, 0, "(((8,1)(8,0),2)(8,0),2)", 32),
+       false},
+      {"two elements per slot", block(row_d, 0, "((8,2)(8,0),2)", 32), false},
+      {"no padding slot", block(row_d, 0, "((8,1),2)", 16), false},
+      {"two padding slots", block(row_d, 0, "((8,1)(8,0)(8,0),2)", 16),
+       false},
+      {"one element", block(row_d, 0, "((8,1)(8,0),1)", 8), false},
+      {"data for the span, not the elements",
+       block(row_d, 0, "((8,1)(8,0),2)", 24), false},
+      {"pointer-ness mismatch", block(row_d, 0, "((8,-1)(8,0),2)", 16), false},
+      {"compressed stream with the wrong count", wrong_count, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.why);
+    std::vector<std::byte> payload =
+        dsm::encode_update_blocks({valid, c.block});
+    if (c.compressed) {
+      const std::size_t tag_len_at =
+          4 + dsm::update_block_wire_size(valid.tag.size(), 16) + 4 + 8;
+      plat::write_uint(payload.data() + tag_len_at, 4, plat::Endian::Big,
+                       static_cast<std::uint32_t>(c.block.tag.size()) |
+                           dsm::kCompressedTagFlag);
+    }
+    const std::vector<std::byte> before(
+        g.region().data(), g.region().data() + g.table().image_size());
+    EXPECT_THROW(engine.apply_payload(payload, summary), std::runtime_error);
+    EXPECT_TRUE(std::equal(before.begin(), before.end(), g.region().data()));
+  }
+  // The valid block alone lands, at its stride.
+  engine.apply_payload(dsm::encode_update_blocks({valid}), summary);
+  EXPECT_NE(g.view<double>("D").get(2), 0.0);
+  EXPECT_EQ(g.view<double>("D").get(1), 0.0);
+}
+
+// A replication run record flags a strided run in its row word; a flagged
+// record must carry a stride of at least 2 and two or more elements.
+TEST(Fuzz, HostileStridedRunRecordsAreRejected) {
+  dsm::LogRecord r;
+  r.kind = dsm::LogRecord::Kind::Event;
+  r.event = dsm::CoherenceEvent::master_barrier(0, {{1, 2, 3, 2}});
+  const std::vector<std::byte> good = dsm::encode_record(r);
+  ASSERT_EQ(dsm::decode_record(good).event.runs, r.event.runs);
+  // Kind, event kind, rank, index, message flag, run count: the run record
+  // begins 15 bytes in, its stride right after the flagged row word.
+  const std::size_t stride_at = 1 + 1 + 4 + 4 + 1 + 4 + 4;
+  const std::size_t count_at = stride_at + 4 + 8;
+  for (const std::uint32_t stride : {0u, 1u}) {
+    std::vector<std::byte> bad = good;
+    plat::write_uint(bad.data() + stride_at, 4, plat::Endian::Big, stride);
+    EXPECT_THROW(dsm::decode_record(bad), std::runtime_error) << stride;
+  }
+  std::vector<std::byte> one = good;
+  plat::write_uint(one.data() + count_at, 8, plat::Endian::Big, 1);
+  EXPECT_THROW(dsm::decode_record(one), std::runtime_error);
 }

@@ -1,7 +1,7 @@
 // Tests for the index table (paper Table 1) and the element walk that turns
-// written windows into element runs, with coalescing and merge slack.  The
-// randomized walk property (both write-trap backends, every option) is in
-// data_plane_test.
+// written windows into element runs, contiguous and strided.  The
+// randomized walk property (both write-trap backends, against a greedy
+// constant-stride oracle) is in data_plane_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -228,34 +228,62 @@ TEST(DiffRuns, PaddingOnlyChangesVanish) {
   EXPECT_TRUE(walk(t, after, before).empty());
 }
 
-TEST(DiffRuns, MergeSlackJoinsAcrossWholeUnchangedElementsOfARow) {
+TEST(DiffRuns, EveryOtherElementIsOneStridedRun) {
+  // A red/black half-sweep's cells: A[10], A[12], ..., A[40] are one run
+  // of stride 2, and no element between them is shipped.
   const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
   const std::vector<std::byte> before(t.image_size());
   std::vector<std::byte> after = before;
-  // A[10], A[12] (one 4-B element between) and A[20] (seven, 28 B).
-  for (const std::uint64_t e : {10, 12, 20}) touch(after, 4 + e * 4, 5 + e * 4);
-  using Runs = std::vector<idx::UpdateRun>;
-  EXPECT_EQ(walk(t, after, before, {.merge_slack = 0}),
-            (Runs{{2, 10, 1}, {2, 12, 1}, {2, 20, 1}}));
-  EXPECT_EQ(walk(t, after, before, {.merge_slack = 3}),
-            (Runs{{2, 10, 1}, {2, 12, 1}, {2, 20, 1}}));
-  EXPECT_EQ(walk(t, after, before, {.merge_slack = 4}),
-            (Runs{{2, 10, 3}, {2, 20, 1}}));
-  EXPECT_EQ(walk(t, after, before, {.merge_slack = 28}), (Runs{{2, 10, 11}}));
-  // Slack only widens coalescing: split mode ships each element alone.
-  EXPECT_EQ(walk(t, after, before, {.coalesce = false, .merge_slack = 64}),
-            (Runs{{2, 10, 1}, {2, 12, 1}, {2, 20, 1}}));
+  for (std::uint64_t e = 10; e <= 40; e += 2) {
+    touch(after, 4 + e * 4, 5 + e * 4);
+  }
+  EXPECT_EQ(walk(t, after, before),
+            (std::vector<idx::UpdateRun>{{2, 10, 16, 2}}));
+  // Split mode ships each element alone.
+  const auto split = walk(t, after, before, {.coalesce = false});
+  ASSERT_EQ(split.size(), 16u);
+  EXPECT_EQ(split[3], (idx::UpdateRun{2, 16, 1}));
 }
 
-TEST(DiffRuns, MergeSlackNeverJoinsAcrossRows) {
+TEST(DiffRuns, StridedRunsAreGreedyByConstantStride) {
+  // A[10] takes its stride from A[13] and A[16] continues it.  A[17] is
+  // not one stride on, so it starts a run whose stride A[20] sets and A[23]
+  // continues; A[100] starts a third.
+  const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
+  const std::vector<std::byte> before(t.image_size());
+  std::vector<std::byte> after = before;
+  for (const std::uint64_t e : {10, 13, 16, 17, 20, 23, 100}) {
+    touch(after, 4 + e * 4, 5 + e * 4);
+  }
+  using Runs = std::vector<idx::UpdateRun>;
+  EXPECT_EQ(walk(t, after, before),
+            (Runs{{2, 10, 3, 3}, {2, 17, 3, 3}, {2, 100, 1}}));
+}
+
+TEST(DiffRuns, StridesNeverCrossRows) {
   const idx::IndexTable t(table1_gthv(), plat::linux_ia32());
   const std::vector<std::byte> before(t.image_size());
   std::vector<std::byte> after = before;
   const std::uint64_t a_end = 4 + 56169 * 4;
-  touch(after, a_end - 8, a_end - 7);  // A[56167]
-  touch(after, a_end + 4, a_end + 5);  // B[1]
-  EXPECT_EQ(walk(t, after, before, {.merge_slack = 64}),
-            (std::vector<idx::UpdateRun>{{2, 56167, 1}, {4, 1, 1}}));
+  touch(after, a_end - 12, a_end - 11);  // A[56166]
+  touch(after, a_end - 4, a_end - 3);    // A[56168]
+  touch(after, a_end + 4, a_end + 5);    // B[1]
+  EXPECT_EQ(walk(t, after, before),
+            (std::vector<idx::UpdateRun>{{2, 56166, 2, 2}, {4, 1, 1}}));
+}
+
+TEST(DiffRuns, AppendElementCapsTheStrideAtThirtyTwoBits) {
+  // Two elements more than 2^32 - 1 apart stay two runs: the stride is a
+  // 32-bit field.
+  std::vector<idx::UpdateRun> out;
+  idx::append_element(out, 0, 5);
+  idx::append_element(out, 0, 5 + (std::uint64_t{1} << 32));
+  EXPECT_EQ(out, (std::vector<idx::UpdateRun>{
+                     {0, 5, 1}, {0, 5 + (std::uint64_t{1} << 32), 1}}));
+  idx::append_element(out, 0, 6 + (std::uint64_t{1} << 32));
+  idx::append_element(out, 0, 5 + (std::uint64_t{1} << 32));  // shipped
+  EXPECT_EQ(out.back(), (idx::UpdateRun{0, 5 + (std::uint64_t{1} << 32), 2}));
+  static_assert(sizeof(idx::UpdateRun) == 24);
 }
 
 TEST(DiffRuns, ElementStraddlingAWindowEdgeIsOneRun) {
@@ -310,4 +338,8 @@ TEST(DiffRuns, RunGeometryHelpers) {
   run.count = 25;
   EXPECT_EQ(idx::run_offset(t, run), 4u + 56169u * 4 + 10 * 4);
   EXPECT_EQ(idx::run_byte_length(t, run), 100u);
+  EXPECT_EQ(run.last_elem(), 34u);
+  run.stride = 3;  // the elements alone, not the ones strided over
+  EXPECT_EQ(idx::run_byte_length(t, run), 100u);
+  EXPECT_EQ(run.last_elem(), 82u);
 }

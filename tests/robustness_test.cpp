@@ -193,18 +193,6 @@ TEST(Options, MatmulCorrectUnderEveryOptionCombination) {
   }
 }
 
-TEST(Options, SorCorrectWithMergeSlack) {
-  dsm::ShardedHomeOptions opts;
-  opts.dsd.merge_slack = 8;  // ships some untouched bytes — must stay exact
-  dsm::ShardedCluster cluster(work::sor_gthv(10), plat::solaris_sparc32(),
-                              {&plat::linux_ia32(), &plat::linux_ia32()}, opts);
-  const auto grid = work::run_sor(cluster, 10, 6, 1.4);
-  const auto ref = work::sor_reference(10, 6, 1.4);
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(grid[i], ref[i]) << "cell " << i;
-  }
-}
-
 TEST(Shutdown, StopWithActiveRemotesUnblocksThem) {
   tags::TypePtr gthv = tags::describe_struct("G").field<int>("x").build();
   auto home = std::make_unique<dsm::ShardedHome>(gthv, plat::linux_ia32());

@@ -300,6 +300,30 @@ TEST(Tag, AppendRunTagMatchesMakeRunTag) {
   EXPECT_EQ(max, "(16,-18446744073709551615)");
 }
 
+TEST(Tag, StridedRunTagIsAnAggregateWithAPaddingSlot) {
+  // §3.2's aggregate: one element, then (stride - 1) elements' worth of
+  // padding, n times.  It parses back to that shape, and its described
+  // bytes are n element-plus-slot pairs.
+  std::string text;
+  tags::append_run_tag(text, 8, 128, false, 2);
+  EXPECT_EQ(text, "((8,1)(8,0),128)");
+  const tags::Tag tag = tags::Tag::parse(text);
+  ASSERT_EQ(tag.items().size(), 1u);
+  const tags::TagItem& agg = tag.items()[0];
+  EXPECT_EQ(agg.kind, tags::TagItem::Kind::Aggregate);
+  EXPECT_EQ(agg.count, 128u);
+  ASSERT_EQ(agg.children.size(), 2u);
+  EXPECT_EQ(agg.children[0], tags::make_run_tag(8, 1, false).items()[0]);
+  EXPECT_EQ(agg.children[1].kind, tags::TagItem::Kind::Padding);
+  EXPECT_EQ(tag.described_bytes(), 128u * 16);
+  std::string ptr = "x";
+  tags::append_run_tag(ptr, 4, 3, true, 4);
+  EXPECT_EQ(ptr, "x((4,-1)(12,0),3)");
+  std::string one;
+  tags::append_run_tag(one, 4, 3, false, 1);
+  EXPECT_EQ(one, "(4,3)");
+}
+
 TEST(Tag, ConcatJoinsItems) {
   const tags::Tag t = tags::concat(
       {tags::make_run_tag(4, 2, false), tags::make_run_tag(8, 1, true)});

@@ -125,10 +125,10 @@ TEST_P(SorPairs, DistributedMatchesSerialExactly) {
   }
 }
 
-TEST_P(SorPairs, BarrierReleasesShipWholeSpans) {
-  // Each half-sweep writes every other cell, so a remote's pending set is
-  // ~n^2/3 one-double runs; the release fills the one- and two-cell gaps
-  // from the home image and ships about one block per two grid rows.
+TEST_P(SorPairs, BarrierReleasesShipStridedRuns) {
+  // Each half-sweep writes every other cell, so each grid row a release
+  // carries is one strided run of that row's changed cells: at most about
+  // one block per grid row, and never a cell nobody wrote.
   const work::PairSpec& pair = work::paper_pairs()[GetParam()];
   const std::uint32_t n = 30;
   const std::uint32_t iters = 4;
