@@ -1,14 +1,16 @@
 // Microbenchmark: the write trap on both backends — cost of the first
 // (detected) write to a page vs subsequent writes, the collect that ends a
 // one-page interval and re-protects the page, and fault-free update
-// application through the alias view.
+// application through the alias view.  Both backends keep the same
+// standing shadow as the twin: the collect refreshes the written page in
+// it and every tracked update is written to it too.
 //
 // `uffd` selects the backend: 0 is the paper's mprotect/SIGSEGV trap
-// (fault, twin copy, unprotect), 1 the userfaultfd async write-protect
-// trap (the kernel clears the page's write-protect bit; PAGEMAP_SCAN
-// collects and re-protects).  The first-write and collect cases also take
-// a sibling-thread count: 0, or 3 threads of this process spinning on
-// other cores.  Every simulated node runs in one process, so a protection
+// (fault, mark the page written, unprotect), 1 the userfaultfd async
+// write-protect trap (the kernel clears the page's write-protect bit;
+// PAGEMAP_SCAN collects and re-protects).  The first-write and collect
+// cases also take a sibling-thread count: 0, or 3 threads of this process
+// spinning on other cores.  Every simulated node runs in one process, so a protection
 // change must also flush the TLBs of the cores the other nodes' threads
 // occupy; the busy rows price that shootdown, which separate machines
 // would not pay.
@@ -123,8 +125,9 @@ void BM_SubsequentWritesNoFault(benchmark::State& state) {
 }
 
 // The collect that closes a one-page interval (a lock_small episode): find
-// the written page and re-protect it (Sigsegv re-protects the whole
-// region with one mprotect; Uffd, only the written page).
+// the written page, refresh its shadow and re-protect it (Sigsegv
+// re-protects the whole region with one mprotect; Uffd, only the written
+// page).
 void BM_CollectOnePage(benchmark::State& state) {
   const std::size_t ps = mem::Region::host_page_size();
   const std::size_t pages = static_cast<std::size_t>(state.range(0));
@@ -150,8 +153,8 @@ void BM_ApplyUpdateThroughAlias(benchmark::State& state) {
   region->begin_tracking();
   std::vector<std::byte> update(bytes, std::byte{0x5A});
   for (auto _ : state) {
-    // Lands without a trap even though every page is protected (Uffd also
-    // mirrors it into the standing shadow).
+    // Lands without a trap even though every page is protected, and is
+    // written to the standing shadow too.
     region->apply_update(0, update.data(), update.size());
   }
   region->end_tracking();

@@ -506,9 +506,8 @@ void CoherenceCore::hello(std::uint32_t rank, const msg::Message& m,
                           Actions& out) {
   if (m.tag.empty()) return;  // tag-less Hello (application traffic)
   if (cfg_.layout_runs.empty()) return;  // no local shape to negotiate
-  // Shape negotiation: the remote's image tag must describe the same
-  // logical structure as ours (same non-padding runs: counts and
-  // pointer-ness), though sizes/padding may differ per platform.
+  // Shape negotiation: the remote's image tag must describe the same GThV
+  // as ours (mig::pair_runs), though sizes/padding may differ per platform.
   std::vector<mig::TagRun> remote_runs;
   try {
     remote_runs = mig::runs_from_tag(tags::Tag::parse(m.tag));
@@ -517,29 +516,32 @@ void CoherenceCore::hello(std::uint32_t rank, const msg::Message& m,
               out);
     return;
   }
-  std::size_t i = 0;
-  bool ok = true;
-  for (const tags::FlatRun& run : cfg_.layout_runs) {
-    if (run.cat == tags::FlatRun::Cat::Padding) continue;
-    while (i < remote_runs.size() && remote_runs[i].is_padding) ++i;
-    if (i >= remote_runs.size() || remote_runs[i].count != run.count ||
-        remote_runs[i].is_pointer != (run.cat == tags::FlatRun::Cat::Pointer)) {
-      ok = false;
-      break;
-    }
-    ++i;
-  }
-  while (ok && i < remote_runs.size()) {
-    if (!remote_runs[i].is_padding) ok = false;
-    ++i;
-  }
-  if (!ok) {
+  try {
+    mig::pair_runs(remote_runs, cfg_.layout_runs);
+  } catch (const std::invalid_argument&) {
     violation(rank,
               "home: remote rank " + std::to_string(rank) +
                   " describes a different GThV (tag \"" + m.tag + "\" vs \"" +
                   cfg_.image_tag_text + "\")",
               out);
   }
+}
+
+bool CoherenceCore::apply_updates(std::uint32_t rank, const msg::Message& m,
+                                  std::uint32_t sync_id, const char* what,
+                                  Actions& out) {
+  std::vector<idx::UpdateRun> runs;
+  try {
+    runs = codec_.apply(m.payload, m.sender);
+  } catch (const std::exception& e) {
+    violation(rank,
+              std::string("home: bad ") + what + " payload: " + e.what(), out);
+    return false;
+  }
+  trace(out, TraceEvent::Kind::UpdatesApplied, rank, sync_id, runs.size(),
+        m.payload.size(), m.seq);
+  merge_pending(rank, runs);
+  return true;
 }
 
 void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
@@ -636,17 +638,7 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
           return;
         }
       }
-      std::vector<idx::UpdateRun> runs;
-      try {
-        runs = codec_.apply(m.payload, m.sender);
-      } catch (const std::exception& e) {
-        violation(rank, std::string("home: bad unlock payload: ") + e.what(),
-                  out);
-        return;
-      }
-      trace(out, TraceEvent::Kind::UpdatesApplied, rank, m.sync_id,
-            runs.size(), m.payload.size(), m.seq);
-      merge_pending(rank, runs);
+      if (!apply_updates(rank, m, m.sync_id, "unlock", out)) return;
       peer.granted_gen.erase(m.sync_id);  // the grant is consumed
       if (is_holder) {
         trace(out, TraceEvent::Kind::LockReleased, rank, m.sync_id);
@@ -672,17 +664,7 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
         violation(rank, "remote barrier entry while already entered", out);
         return;
       }
-      std::vector<idx::UpdateRun> runs;
-      try {
-        runs = codec_.apply(m.payload, m.sender);
-      } catch (const std::exception& e) {
-        violation(rank, std::string("home: bad barrier payload: ") + e.what(),
-                  out);
-        return;
-      }
-      trace(out, TraceEvent::Kind::UpdatesApplied, rank, m.sync_id,
-            runs.size(), m.payload.size(), m.seq);
-      merge_pending(rank, runs);
+      if (!apply_updates(rank, m, m.sync_id, "barrier", out)) return;
       trace(out, TraceEvent::Kind::BarrierEntered, rank, m.sync_id);
       enter_barrier(bs, rank);
       maybe_release_barrier(m.sync_id, out);
@@ -713,17 +695,7 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
       return;
     }
     case msg::MsgType::JoinRequest: {
-      std::vector<idx::UpdateRun> runs;
-      try {
-        runs = codec_.apply(m.payload, m.sender);
-      } catch (const std::exception& e) {
-        violation(rank, std::string("home: bad join payload: ") + e.what(),
-                  out);
-        return;
-      }
-      trace(out, TraceEvent::Kind::UpdatesApplied, rank, 0, runs.size(),
-            m.payload.size(), m.seq);
-      merge_pending(rank, runs);
+      if (!apply_updates(rank, m, 0, "join", out)) return;
       msg::Message ack;
       ack.type = msg::MsgType::JoinAck;
       ack.rank = kMasterRank;

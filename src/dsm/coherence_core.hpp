@@ -253,6 +253,12 @@ class CoherenceCore {
   /// transition (the sans-I/O equivalent of the legacy throw-and-catch).
   void violation(std::uint32_t rank, std::string reason, Actions& out);
   void hello(std::uint32_t rank, const msg::Message& m, Actions& out);
+  /// Apply a request's update payload to the home image, trace it under
+  /// `sync_id` and queue its runs for the other peers.  A payload that
+  /// fails to apply is a violation named "bad <what> payload"; returns
+  /// false then.
+  bool apply_updates(std::uint32_t rank, const msg::Message& m,
+                     std::uint32_t sync_id, const char* what, Actions& out);
   /// Stamp `reply` with the peer's outstanding request seq, cache it for
   /// retransmits, and emit the Send.
   void send_reply(std::uint32_t rank, PeerState& peer, msg::Message reply,

@@ -268,9 +268,4 @@ std::uint64_t run_offset(const IndexTable& table, const UpdateRun& run) {
   return row.offset + run.first_elem * row.size;
 }
 
-std::uint64_t run_byte_length(const IndexTable& table, const UpdateRun& run) {
-  const IndexRow& row = table.rows().at(run.row);
-  return run.count * static_cast<std::uint64_t>(row.size);
-}
-
 }  // namespace hdsm::idx

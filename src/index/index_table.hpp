@@ -150,8 +150,5 @@ void diff_runs(const IndexTable& table, std::uint64_t base,
 
 /// Region byte offset of the first byte of a run.
 std::uint64_t run_offset(const IndexTable& table, const UpdateRun& run);
-/// Bytes of a run's elements on `table`'s platform (the strides' skipped
-/// elements not counted).
-std::uint64_t run_byte_length(const IndexTable& table, const UpdateRun& run);
 
 }  // namespace hdsm::idx

@@ -9,14 +9,12 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <system_error>
-#include <thread>
 
 #include "platform/strided_copy.hpp"
 
@@ -52,19 +50,6 @@ struct pm_scan_arg {
 #define PM_SCAN_WP_MATCHING (1 << 0)
 #define PM_SCAN_CHECK_WPASYNC (1 << 1)
 #define PAGE_IS_WRITTEN (1 << 1)
-#endif
-
-// ThreadSanitizer does not model page protection, so it cannot see that
-// the SIGSEGV handler's twin copy of a read-only page is ordered before
-// every store the page later admits.  The copy is hidden from it.
-#if defined(__SANITIZE_THREAD__)
-extern "C" void AnnotateIgnoreReadsBegin(const char* file, int line);
-extern "C" void AnnotateIgnoreReadsEnd(const char* file, int line);
-#define HDSM_PROTECTED_READ_BEGIN() AnnotateIgnoreReadsBegin(__FILE__, __LINE__)
-#define HDSM_PROTECTED_READ_END() AnnotateIgnoreReadsEnd(__FILE__, __LINE__)
-#else
-#define HDSM_PROTECTED_READ_BEGIN()
-#define HDSM_PROTECTED_READ_END()
 #endif
 
 namespace hdsm::mem {
@@ -316,9 +301,9 @@ void TrackedRegion::write_protect(bool on) {
 }
 
 void TrackedRegion::begin_tracking() {
+  std::memcpy(twins_.get(), region_.data(), region_.length());
   if (backend_ == TrapBackend::Uffd) {
     if (!uffd_registered_) register_uffd();
-    std::memcpy(twins_.get(), region_.data(), region_.length());
     write_protect(true);
     tracking_.store(true, std::memory_order_release);
     return;
@@ -348,8 +333,7 @@ std::vector<std::size_t> TrackedRegion::take_written() {
     return scan_written(0, region_.page_count(), /*reprotect=*/true);
   }
   // Dirty pages are unprotected and the caller owns the interval, so one
-  // mprotect re-arms the whole region; the twins stay valid until the next
-  // fault on their page.
+  // mprotect re-arms the whole region.
   std::vector<std::size_t> pages = dirty_pages();
   for (std::size_t i = 0; i < region_.page_count(); ++i) {
     page_state_[i].store(0, std::memory_order_relaxed);
@@ -398,7 +382,7 @@ std::vector<std::size_t> TrackedRegion::dirty_pages() const {
   }
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < region_.page_count(); ++i) {
-    if (page_state_[i].load(std::memory_order_acquire) == 2) {
+    if (page_state_[i].load(std::memory_order_acquire) != 0) {
       out.push_back(i);
     }
   }
@@ -409,7 +393,7 @@ bool TrackedRegion::page_dirty(std::size_t page) const {
   if (backend_ == TrapBackend::Uffd) {
     return tracking() && !scan_written(page, page + 1, false).empty();
   }
-  return page_state_[page].load(std::memory_order_acquire) == 2;
+  return page_state_[page].load(std::memory_order_acquire) != 0;
 }
 
 void TrackedRegion::apply_update(std::size_t offset, const void* src,
@@ -418,10 +402,10 @@ void TrackedRegion::apply_update(std::size_t offset, const void* src,
     throw std::out_of_range("TrackedRegion::apply_update");
   }
   // Write through the always-writable alias view: update application never
-  // trips the write trap, so only genuine application writes get twinned.
+  // trips the write trap, so only genuine application writes are detected.
   std::memcpy(region_.alias() + offset, src, n);
   if (!tracking_.load(std::memory_order_acquire)) return;
-  mirror(offset, static_cast<const std::byte*>(src), n);
+  std::memcpy(twins_.get() + offset, src, n);
 }
 
 void TrackedRegion::apply_strided(std::size_t offset, const void* src,
@@ -437,47 +421,7 @@ void TrackedRegion::apply_strided(std::size_t offset, const void* src,
   const auto* in = static_cast<const std::byte*>(src);
   plat::strided_copy(region_.alias() + offset, stride, in, elem, elem, count);
   if (!tracking_.load(std::memory_order_acquire)) return;
-  if (backend_ == TrapBackend::Uffd) {
-    plat::strided_copy(twins_.get() + offset, stride, in, elem, elem, count);
-    return;
-  }
-  for (std::size_t k = 0; k < count; ++k) {
-    mirror(offset + k * stride, in + k * elem, elem);
-  }
-}
-
-void TrackedRegion::mirror(std::size_t offset, const std::byte* src,
-                           std::size_t n) {
-  if (backend_ == TrapBackend::Uffd) {
-    // The standing shadow covers every page, written or clean.
-    std::memcpy(twins_.get() + offset, src, n);
-    return;
-  }
-  // Mirror into the twins of already-dirty pages so the update is
-  // invisible to the next diff.  Clean pages have no live twin: their
-  // snapshot is taken on the first tracked application write, which will
-  // already see the updated bytes.  State 1 means a fault handler on some
-  // other thread is mid-way through that snapshot memcpy — wait for its
-  // release-store to 2 before mirroring, so the two twin writes are
-  // ordered and the twin deterministically ends with the updated bytes.
-  // The owner only runs a page copy, an mprotect, and a store, so the
-  // wait is short and bounded; it takes no locks, so there is no cycle.
-  const std::size_t ps = Region::host_page_size();
-  std::size_t pos = offset;
-  const std::size_t end = offset + n;
-  while (pos < end) {
-    const std::size_t page = pos / ps;
-    const std::size_t page_end = std::min(end, (page + 1) * ps);
-    std::uint8_t st = page_state_[page].load(std::memory_order_acquire);
-    while (st == 1) {
-      std::this_thread::yield();
-      st = page_state_[page].load(std::memory_order_acquire);
-    }
-    if (st != 0) {
-      std::memcpy(twins_.get() + pos, src + (pos - offset), page_end - pos);
-    }
-    pos = page_end;
-  }
+  plat::strided_copy(twins_.get() + offset, stride, in, elem, elem, count);
 }
 
 bool TrackedRegion::on_fault(void* addr) noexcept {
@@ -488,22 +432,13 @@ bool TrackedRegion::on_fault(void* addr) noexcept {
       static_cast<std::size_t>(static_cast<std::byte*>(addr) - region_.data());
   const std::size_t page = offset / ps;
 
-  std::uint8_t expected = 0;
-  if (page_state_[page].compare_exchange_strong(expected, 1,
-                                                std::memory_order_acq_rel)) {
-    // We own the twin copy for this page.  The page is still read-only, so
-    // its contents cannot change under us.
-    HDSM_PROTECTED_READ_BEGIN();
-    std::memcpy(twins_.get() + page * ps, region_.data() + page * ps, ps);
-    HDSM_PROTECTED_READ_END();
+  // The first thread to fault marks the page written and unprotects it.
+  // Another thread faulting on the page before the mprotect lands returns
+  // too and retries its store: it either succeeds or faults back here, a
+  // short, bounded wait.
+  if (page_state_[page].exchange(1, std::memory_order_acq_rel) == 0) {
     ::mprotect(region_.data() + page * ps, ps, PROT_READ | PROT_WRITE);
-    page_state_[page].store(2, std::memory_order_release);
-    return true;
   }
-  // Another thread is twinning this page right now (state 1) or already
-  // finished (state 2).  Returning retries the faulting instruction; it
-  // either succeeds (page unprotected by the owner) or faults again and
-  // lands back here — a short, bounded wait.
   return true;
 }
 

@@ -5,18 +5,25 @@
 //  time spent in the signal handler as subsequent writes to the same page
 //  will not trigger a segmentation fault."
 //
-// Sigsegv is the paper's mechanism: mprotect the pages, catch the first
-// write to each with SIGSEGV, copy its twin.  One process-wide handler
-// dispatches faults to the TrackedRegion that owns the faulting address.
-// The registry is a fixed array of atomic slots so the handler never
-// allocates or locks; faults outside any tracked region re-raise with the
-// default disposition (a real crash stays a crash).
+// The twins are one standing shadow of the whole image, the same on both
+// backends: copied at begin_tracking(), refreshed page by page after each
+// collected page is diffed, and written by every apply_update while
+// tracking.  The unmodified copy of a page is therefore already there when
+// its first write lands, and the trap only has to detect that write and let
+// it through.  The backends differ only in how pages are protected and how
+// written pages are found.
+//
+// Sigsegv is the paper's mechanism: mprotect the pages and catch the first
+// write to each with SIGSEGV; the handler marks the page written and
+// unprotects it.  One process-wide handler dispatches faults to the
+// TrackedRegion that owns the faulting address.  The registry is a fixed
+// array of atomic slots so the handler never allocates or locks; faults
+// outside any tracked region go to the previous handler or re-raise with
+// the default disposition (a real crash stays a crash).
 //
 // Uffd is a userfaultfd asynchronous write-protect trap: the kernel clears
-// a page's write-protect bit itself on the first write (no signal, no
-// twin copy), and one PAGEMAP_SCAN ioctl returns the written pages and
-// re-protects them.  The twin is then a standing shadow of the whole
-// image, refreshed page by page after each collected page is diffed.
+// a page's write-protect bit itself on the first write (no signal), and one
+// PAGEMAP_SCAN ioctl returns the written pages and re-protects them.
 // Auto picks Uffd whenever the kernel accepts every step and Sigsegv
 // otherwise.  A region whose tracking began before fork() is not tracked
 // in the child: the child does not inherit the userfaultfd registration.
@@ -34,14 +41,15 @@ namespace hdsm::mem {
 
 enum class TrapBackend : std::uint8_t {
   Auto,     ///< Uffd when the kernel accepts it, else Sigsegv
-  Sigsegv,  ///< mprotect + SIGSEGV, first-write twins (paper §4)
+  Sigsegv,  ///< mprotect + SIGSEGV (paper §4)
   Uffd,     ///< userfaultfd async write-protect + PAGEMAP_SCAN
 };
 
 /// A Region with twin/diff write tracking.
 ///
 /// Lifecycle:
-///   begin_tracking()  - protect all pages; the interval starts
+///   begin_tracking()  - copy the image into the shadow, protect all pages;
+///                       the interval starts
 ///   ... application writes are detected once per page ...
 ///   collect(visit)    - visit each written page with its twin, re-protect
 ///                       it; the next interval starts
@@ -78,7 +86,7 @@ class TrackedRegion {
   /// Ends the interval without leaving tracking: calls `visit(page, twin)`
   /// for every page written since begin_tracking() or the last collect(),
   /// in ascending order, where `twin` holds the page as the interval began
-  /// (with apply_update's bytes mirrored in).  The pages are re-protected
+  /// (with apply_update's bytes written in).  The pages are re-protected
   /// for the next interval.  Returns the number of pages visited; visits
   /// nothing when not tracking.
   template <typename Visit>
@@ -89,10 +97,8 @@ class TrackedRegion {
     for (const std::size_t page : pages) {
       std::byte* twin = twins_.get() + page * ps;
       visit(page, static_cast<const std::byte*>(twin));
-      // The standing shadow catches up with the page just diffed.
-      if (backend_ == TrapBackend::Uffd) {
-        std::memcpy(twin, region_.data() + page * ps, ps);
-      }
+      // The shadow catches up with the page just diffed.
+      std::memcpy(twin, region_.data() + page * ps, ps);
     }
     return pages.size();
   }
@@ -106,11 +112,11 @@ class TrackedRegion {
 
   /// Write bytes that must NOT appear as local modifications (incoming DSM
   /// updates): stores into the data image through the alias view, which
-  /// no backend traps, and mirrors into the twin so the next diff is
-  /// silent about them.  A clean page stays protected, so the next
+  /// no backend traps, and, while tracking, into the shadow so the next
+  /// diff is silent about them.  A clean page stays protected, so the next
   /// application write to it is still detected.  (Sigsegv without a dual
   /// mapping: the alias is the primary view, the store faults like an
-  /// application write, and the twin mirror still keeps the diff silent.)
+  /// application write, and the shadow still keeps the diff silent.)
   void apply_update(std::size_t offset, const void* src, std::size_t n);
   /// apply_update of `count` elements of `elem` bytes, packed back to back
   /// at `src`, scattered `stride` bytes apart from `offset` on: the bytes
@@ -128,21 +134,16 @@ class TrackedRegion {
   /// when `reprotect`.
   std::vector<std::size_t> scan_written(std::size_t first, std::size_t last,
                                         bool reprotect) const;
-  /// While tracking, copy bytes just stored at `offset` into the twin so
-  /// the next diff is silent about them.
-  void mirror(std::size_t offset, const std::byte* src, std::size_t n);
   void register_uffd();
   void write_protect(bool on);
 
   Region region_;
   TrapBackend backend_ = TrapBackend::Sigsegv;
   bool uffd_registered_ = false;
-  // Sigsegv: first-write twins.  Uffd: the standing shadow, written only
-  // while tracking.  Default-initialised, so an untracked region (object
-  // mode) never touches these pages.
+  // The standing shadow, written only while tracking.  Default-initialised,
+  // so an untracked region (object mode) never touches these pages.
   std::unique_ptr<std::byte[]> twins_;
-  // Sigsegv only.  Per page: 0 = clean, 1 = twin in progress,
-  // 2 = twinned + unprotected.
+  // Sigsegv only.  Per page: 0 = clean, 1 = written + unprotected.
   std::unique_ptr<std::atomic<std::uint8_t>[]> page_state_;
   std::atomic<bool> tracking_{false};
 };

@@ -54,6 +54,33 @@ std::vector<TagRun> runs_from_tag(const tags::Tag& tag) {
   return out;
 }
 
+std::vector<RunPair> pair_runs(const std::vector<TagRun>& tag_runs,
+                               const std::vector<tags::FlatRun>& layout_runs) {
+  std::vector<RunPair> out;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  for (;;) {
+    while (i < tag_runs.size() && tag_runs[i].is_padding) ++i;
+    while (j < layout_runs.size() &&
+           layout_runs[j].cat == tags::FlatRun::Cat::Padding) {
+      ++j;
+    }
+    const bool tag_done = i == tag_runs.size();
+    const bool layout_done = j == layout_runs.size();
+    if (tag_done && layout_done) return out;
+    if (tag_done || layout_done) {
+      throw std::invalid_argument("tag and layout run counts differ");
+    }
+    const TagRun& t = tag_runs[i++];
+    const tags::FlatRun& l = layout_runs[j++];
+    if (t.count != l.count ||
+        t.is_pointer != (l.cat == tags::FlatRun::Cat::Pointer)) {
+      throw std::invalid_argument("tag run shape disagrees with layout");
+    }
+    out.push_back({&t, &l});
+  }
+}
+
 void convert_tagged_image(const std::byte* src, const tags::Tag& src_tag,
                           plat::Endian src_endian,
                           plat::LongDoubleFormat src_ldf, std::byte* dst,
@@ -64,40 +91,13 @@ void convert_tagged_image(const std::byte* src, const tags::Tag& src_tag,
   sender.long_double_format = src_ldf;
 
   const std::vector<TagRun> src_runs = runs_from_tag(src_tag);
+  const std::vector<RunPair> pairs = pair_runs(src_runs, dst_layout.runs);
   std::memset(dst, 0, dst_layout.size);
-
-  std::size_t i = 0;
-  std::size_t j = 0;
-  const auto next_src = [&]() -> const TagRun* {
-    while (i < src_runs.size() && src_runs[i].is_padding) ++i;
-    return i < src_runs.size() ? &src_runs[i] : nullptr;
-  };
-  const auto next_dst = [&]() -> const tags::FlatRun* {
-    while (j < dst_layout.runs.size() &&
-           dst_layout.runs[j].cat == tags::FlatRun::Cat::Padding) {
-      ++j;
-    }
-    return j < dst_layout.runs.size() ? &dst_layout.runs[j] : nullptr;
-  };
-
-  for (;;) {
-    const TagRun* s = next_src();
-    const tags::FlatRun* d = next_dst();
-    if (s == nullptr && d == nullptr) return;
-    if (s == nullptr || d == nullptr) {
-      throw std::invalid_argument(
-          "convert_tagged_image: tag and layout run counts differ");
-    }
-    if (s->count != d->count ||
-        s->is_pointer != (d->cat == tags::FlatRun::Cat::Pointer)) {
-      throw std::invalid_argument(
-          "convert_tagged_image: tag run shape disagrees with layout");
-    }
-    conv::convert_run(src + s->offset, s->elem_size, sender, dst + d->offset,
-                      d->elem_size, *dst_layout.platform, s->count, d->cat,
-                      d->kind);
-    ++i;
-    ++j;
+  for (const RunPair& p : pairs) {
+    conv::convert_run(src + p.tag->offset, p.tag->elem_size, sender,
+                      dst + p.layout->offset, p.layout->elem_size,
+                      *dst_layout.platform, p.tag->count, p.layout->cat,
+                      p.layout->kind);
   }
 }
 

@@ -28,10 +28,24 @@ struct TagRun {
 /// are expanded `count` times, exactly mirroring layout flattening.
 std::vector<TagRun> runs_from_tag(const tags::Tag& tag);
 
+/// A tag run and the layout run it describes.
+struct RunPair {
+  const TagRun* tag = nullptr;
+  const tags::FlatRun* layout = nullptr;
+};
+
+/// The GThV shape rule: two images describe the same structure when their
+/// non-padding runs match one for one, with the same count and
+/// pointer-ness; element sizes and padding may differ per platform.
+/// Returns the matched pairs in order; throws std::invalid_argument when
+/// `tag_runs` and `layout_runs` differ in shape.
+std::vector<RunPair> pair_runs(const std::vector<TagRun>& tag_runs,
+                               const std::vector<tags::FlatRun>& layout_runs);
+
 /// Convert `src` (described by `src_tag`, byte order `src_endian`, extended
-/// floats per `src_ldf`) into `dst` laid out per `dst_layout`.  The tag's
-/// non-padding runs must match the destination layout's run-for-run
-/// (same count and pointer-ness); throws std::invalid_argument otherwise.
+/// floats per `src_ldf`) into `dst` laid out per `dst_layout`.  The tag must
+/// have the layout's shape (pair_runs); throws std::invalid_argument
+/// otherwise.
 void convert_tagged_image(const std::byte* src, const tags::Tag& src_tag,
                           plat::Endian src_endian,
                           plat::LongDoubleFormat src_ldf, std::byte* dst,

@@ -300,12 +300,4 @@ void append_run_tag(std::string& out, std::uint32_t elem_size,
   out += ')';
 }
 
-Tag concat(const std::vector<Tag>& tags) {
-  std::vector<TagItem> items;
-  for (const Tag& t : tags) {
-    items.insert(items.end(), t.items().begin(), t.items().end());
-  }
-  return Tag(std::move(items));
-}
-
 }  // namespace hdsm::tags

@@ -87,7 +87,4 @@ void append_run_tag(std::string& out, std::uint32_t elem_size,
                     std::uint64_t count, bool is_pointer,
                     std::uint32_t stride = 1);
 
-/// Concatenate several run tags into one update tag.
-Tag concat(const std::vector<Tag>& tags);
-
 }  // namespace hdsm::tags

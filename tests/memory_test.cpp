@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <random>
@@ -330,6 +331,78 @@ TEST_P(TrackedRegionTest, ConcurrentWritersAllPagesTwinnedCorrectly) {
     }
   }
   r.end_tracking();
+}
+
+namespace {
+
+/// Over many intervals, one thread makes the application's first write to
+/// the first `kAppLen` bytes of page 0 while another calls `apply(value)`,
+/// which updates other bytes of the same page.  Each collect must report
+/// exactly the application's bytes as changed, so the applied bytes are in
+/// the twin, whichever thread reaches the page first.
+constexpr std::size_t kAppLen = 64;
+
+template <typename Apply>
+void first_write_races_apply(mem::TrackedRegion& r, Apply apply) {
+  r.begin_tracking();
+  for (int round = 0; round < 300; ++round) {
+    // Both values flip every round, so every round changes both spans.
+    const std::byte app_value{round % 2 ? std::byte{0xA0} : std::byte{0x50}};
+    const std::byte upd_value{round % 2 ? std::byte{0x0C} : std::byte{0x03}};
+    std::atomic<int> ready{0};
+    const auto start_together = [&ready] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+    };
+    std::thread writer([&] {
+      start_together();
+      std::memset(r.data(), std::to_integer<int>(app_value), kAppLen);
+    });
+    std::thread applier([&] {
+      start_together();
+      apply(upd_value);
+    });
+    writer.join();
+    applier.join();
+    const Collected c = collect(r);
+    ASSERT_EQ(c.pages, (std::vector<std::size_t>{0})) << "round " << round;
+    ASSERT_EQ(diff_page(r, 0, c.twins[0]),
+              (std::vector<mem::ByteRange>{{0, kAppLen}}))
+        << "round " << round;
+  }
+  r.end_tracking();
+}
+
+}  // namespace
+
+TEST_P(TrackedRegionTest, ApplyUpdateRacingTheFirstWriteLandsInTheTwin) {
+  const std::size_t ps = mem::Region::host_page_size();
+  mem::TrackedRegion r(ps, GetParam());
+  constexpr std::size_t kAt = 1024, kLen = 64;
+  first_write_races_apply(r, [&](std::byte v) {
+    std::byte upd[kLen];
+    std::memset(upd, std::to_integer<int>(v), kLen);
+    r.apply_update(kAt, upd, kLen);
+    // A silent diff alone would also pass if the update never landed.
+    for (std::size_t i = 0; i < kLen; ++i) ASSERT_EQ(r.data()[kAt + i], v);
+  });
+}
+
+TEST_P(TrackedRegionTest, ApplyStridedRacingTheFirstWriteLandsInTheTwin) {
+  const std::size_t ps = mem::Region::host_page_size();
+  mem::TrackedRegion r(ps, GetParam());
+  constexpr std::size_t kAt = 2048, kElem = 4, kCount = 16, kStride = 12;
+  first_write_races_apply(r, [&](std::byte v) {
+    std::byte upd[kElem * kCount];
+    std::memset(upd, std::to_integer<int>(v), sizeof(upd));
+    r.apply_strided(kAt, upd, kElem, kCount, kStride);
+    for (std::size_t k = 0; k < kCount; ++k) {
+      for (std::size_t i = 0; i < kStride; ++i) {
+        const std::byte want = i < kElem ? v : std::byte{0};
+        ASSERT_EQ(r.data()[kAt + k * kStride + i], want);
+      }
+    }
+  });
 }
 
 TEST_P(TrackedRegionTest, ManyRegionsIndependent) {

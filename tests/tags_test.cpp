@@ -324,13 +324,6 @@ TEST(Tag, StridedRunTagIsAnAggregateWithAPaddingSlot) {
   EXPECT_EQ(one, "(4,3)");
 }
 
-TEST(Tag, ConcatJoinsItems) {
-  const tags::Tag t = tags::concat(
-      {tags::make_run_tag(4, 2, false), tags::make_run_tag(8, 1, true)});
-  EXPECT_EQ(t.to_string(), "(4,2)(8,-1)");
-  EXPECT_EQ(t.described_bytes(), 16u);
-}
-
 TEST(Tag, PointerRunsCountNegatedButStoredPositive) {
   const tags::Tag t = tags::Tag::parse("(4,-7)");
   ASSERT_EQ(t.items().size(), 1u);
