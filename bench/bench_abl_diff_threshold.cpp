@@ -25,7 +25,6 @@ void BM_ThresholdSweep(benchmark::State& state) {
 
   base::PageDsmOptions opts;
   opts.whole_page_threshold = threshold;
-  opts.whole_page_optimization = threshold < 1.0;
   base::PageDsmNode node(pages * ps, opts);
   node.start_tracking();
 

@@ -22,7 +22,7 @@ void run(benchmark::State& state, const plat::PlatformDesc& sp,
   std::vector<std::byte> src(kCount * SrcSize), dst(kCount * DstSize);
   for (auto _ : state) {
     conv::convert_run(src.data(), SrcSize, sp, dst.data(), DstSize, dp,
-                      kCount, cat, kind, nullptr, nullptr, allow_bulk);
+                      kCount, cat, kind, nullptr, allow_bulk);
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -136,7 +136,8 @@ void BM_CoreBarrier(benchmark::State& state) {
   Core c;
   std::vector<std::uint32_t> seq(peers + 1, 0);
   for (std::uint32_t r = 1; r <= peers; ++r) c.attach(r);
-  c.core.set_barrier_count(0, peers + 1);  // the master always participates
+  // The master always participates.
+  c.core.step(dsm::CoherenceEvent::set_barrier_count(0, peers + 1));
   for (auto _ : state) {
     for (std::uint32_t r = 1; r <= peers; ++r) {
       c.recv(r, request(msg::MsgType::BarrierEnter, r, ++seq[r], 0));

@@ -2,9 +2,7 @@
 
 namespace hdsm::adapt {
 
-Tuner::Tuner(const TunerConfig& cfg) : cfg_(cfg), probe_(cfg.alpha) {
-  if (cfg_.pin_codec >= 0) cur_.compress = cfg_.pin_codec != 0;
-}
+Tuner::Tuner(const TunerConfig& cfg) : cfg_(cfg), probe_(cfg.alpha) {}
 
 void Tuner::set_compress(bool on) {
   cur_.compress = on;
@@ -24,7 +22,6 @@ const Decision& Tuner::step(const Signal& s) {
 }
 
 void Tuner::tune_codec() {
-  if (cfg_.pin_codec >= 0) return;
   if (last_change_ != 0 && probe_.episodes() < last_change_ + cfg_.dwell)
     return;  // dwell: frozen since the last change
 

@@ -47,12 +47,10 @@ struct TunerConfig {
   // measured Signal::wire_ns/wire_bytes sample seeds the per-link model.
   double wire_ns_per_byte = 0.5;
 
-  // Pins: a pinned knob keeps its pinned value forever (A/B isolation).
-  // -1 = unpinned; 0/1 = force off/on.
   // pin_conv_threads names no knob: the data plane has one lane, so the
-  // SyncEngine accepts only -1 through 1 here and throws for more.
+  // SyncEngine accepts only -1 through 1 here and throws for more.  (The
+  // codec is pinned by CodecMode::Off / Forced, which build no tuner.)
   int pin_conv_threads = -1;
-  int pin_codec = -1;
 };
 
 class Tuner {

@@ -29,9 +29,8 @@ std::vector<PageUpdate> PageDsmNode::collect_updates() {
     std::vector<mem::ByteRange> ranges;
     mem::diff_bytes(region_.data() + base, twin, len, base, ranges);
     const std::size_t changed = mem::total_bytes(ranges);
-    if (opts_.whole_page_optimization &&
-        static_cast<double>(changed) >
-            opts_.whole_page_threshold * static_cast<double>(len)) {
+    if (static_cast<double>(changed) >
+        opts_.whole_page_threshold * static_cast<double>(len)) {
       PageUpdate u;
       u.offset = base;
       u.whole_page = true;

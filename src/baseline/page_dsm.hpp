@@ -19,7 +19,8 @@
 namespace hdsm::base {
 
 struct PageDsmOptions {
-  /// Send the whole page when more than this fraction of it changed.
+  /// Send the whole page when more than this fraction of it changed; 1.0
+  /// or more never promotes a page.
   ///
   /// Default derived from the bench_abl_diff_threshold sweep (threshold%
   /// x dirty-density%, in-memory transport, 64-page region):
@@ -37,7 +38,6 @@ struct PageDsmOptions {
   /// where the bench's in-memory transport undercounts the cost of the
   /// 4x byte inflation promotion causes at 25% density.
   double whole_page_threshold = 0.2;
-  bool whole_page_optimization = true;
 };
 
 /// A raw update: bytes at an offset, sender representation (which is also

@@ -38,21 +38,16 @@ bool same_representation(std::uint32_t src_size, const plat::PlatformDesc& sp,
 Route plan_route(std::uint32_t src_size, const plat::PlatformDesc& sp,
                  std::uint32_t dst_size, const plat::PlatformDesc& dp,
                  FlatRun::Cat cat, plat::ScalarKind kind,
-                 bool allow_bulk_swap, bool has_translator) {
-  const bool pointer_needs_translation =
-      cat == FlatRun::Cat::Pointer && has_translator;
-
+                 bool allow_bulk_swap) {
   // Fast path 1: identical representation -> bulk memcpy.
-  if (!pointer_needs_translation &&
-      same_representation(src_size, sp, dst_size, dp, cat, kind)) {
+  if (same_representation(src_size, sp, dst_size, dp, cat, kind)) {
     return Route::Memcpy;
   }
 
   // Fast path 2: same width, opposite endianness, plain sign-magnitude-free
-  // formats (ints, binary32/64 floats, untranslated pointers): bulk swap.
+  // formats (ints, binary32/64 floats, pointer tokens): bulk swap.
   const bool swap_only =
-      allow_bulk_swap && !pointer_needs_translation && src_size == dst_size &&
-      sp.endian != dp.endian &&
+      allow_bulk_swap && src_size == dst_size && sp.endian != dp.endian &&
       !(cat == FlatRun::Cat::Float && src_size > 8 &&
         float_format(sp, kind) != float_format(dp, kind));
   if (swap_only) return Route::BulkSwap;
@@ -65,7 +60,7 @@ void convert_run_routed(Route route, const std::byte* src,
                         std::byte* dst, std::uint32_t dst_size,
                         const plat::PlatformDesc& dp, std::uint64_t count,
                         FlatRun::Cat cat, plat::ScalarKind kind,
-                        const PointerTranslator* pt, ConversionStats* stats) {
+                        ConversionStats* stats) {
   if (stats) {
     stats->bytes_in += static_cast<std::uint64_t>(src_size) * count;
     stats->bytes_out += static_cast<std::uint64_t>(dst_size) * count;
@@ -107,8 +102,7 @@ void convert_run_routed(Route route, const std::byte* src,
         break;
       }
       case FlatRun::Cat::Pointer: {
-        std::uint64_t v = plat::read_uint(s, src_size, sp.endian);
-        if (pt) v = pt->from_token(pt->to_token(v));
+        const std::uint64_t v = plat::read_uint(s, src_size, sp.endian);
         plat::write_uint(d, dst_size, dp.endian, v);
         break;
       }
@@ -122,16 +116,15 @@ void convert_run(const std::byte* src, std::uint32_t src_size,
                  const plat::PlatformDesc& sp, std::byte* dst,
                  std::uint32_t dst_size, const plat::PlatformDesc& dp,
                  std::uint64_t count, FlatRun::Cat cat, plat::ScalarKind kind,
-                 const PointerTranslator* pt, ConversionStats* stats,
-                 bool allow_bulk_swap) {
+                 ConversionStats* stats, bool allow_bulk_swap) {
   if (cat == FlatRun::Cat::Padding) {
     std::memset(dst, 0, dst_size);
     return;
   }
-  const Route route = plan_route(src_size, sp, dst_size, dp, cat, kind,
-                                 allow_bulk_swap, pt != nullptr);
+  const Route route =
+      plan_route(src_size, sp, dst_size, dp, cat, kind, allow_bulk_swap);
   convert_run_routed(route, src, src_size, sp, dst, dst_size, dp, count, cat,
-                     kind, pt, stats);
+                     kind, stats);
 }
 
 bool convertible(const tags::Layout& a, const tags::Layout& b) {
@@ -152,7 +145,7 @@ bool convertible(const tags::Layout& a, const tags::Layout& b) {
 
 void convert_image(const std::byte* src, const tags::Layout& src_layout,
                    std::byte* dst, const tags::Layout& dst_layout,
-                   const PointerTranslator* pt, ConversionStats* stats) {
+                   ConversionStats* stats) {
   const plat::PlatformDesc& sp = *src_layout.platform;
   const plat::PlatformDesc& dp = *dst_layout.platform;
 
@@ -184,7 +177,7 @@ void convert_image(const std::byte* src, const tags::Layout& src_layout,
     while (dst_layout.runs[j].cat == FlatRun::Cat::Padding) ++j;
     const FlatRun& rd = dst_layout.runs[j];
     convert_run(src + rs.offset, rs.elem_size, sp, dst + rd.offset,
-                rd.elem_size, dp, rs.count, rs.cat, rs.kind, pt, stats);
+                rd.elem_size, dp, rs.count, rs.cat, rs.kind, stats);
     ++i;
     ++j;
   }

@@ -17,19 +17,6 @@
 
 namespace hdsm::conv {
 
-/// Pointers cannot travel as machine addresses between address spaces; the
-/// DSM stores shared-region pointers as region *offsets* (a portable token).
-/// A translator maps raw pointer-field values to tokens and back; the
-/// default identity translator assumes values are already tokens.
-class PointerTranslator {
- public:
-  virtual ~PointerTranslator() = default;
-  /// Sender-side raw pointer value -> portable token.
-  virtual std::uint64_t to_token(std::uint64_t raw) const { return raw; }
-  /// Portable token -> receiver-side raw pointer value.
-  virtual std::uint64_t from_token(std::uint64_t token) const { return token; }
-};
-
 /// Accounting of which path each converted run took; drives the fast-path
 /// ablation bench and white-box tests.
 struct ConversionStats {
@@ -52,13 +39,12 @@ enum class Route : std::uint8_t {
   Elementwise,  ///< full decode / re-encode per element
 };
 
-/// Decide the conversion route for one row.  `has_translator` = a pointer
-/// translator will be supplied (forces the element-wise path for pointer
-/// runs); `allow_bulk_swap` as on convert_run.
+/// Decide the conversion route for one row; `allow_bulk_swap` as on
+/// convert_run.
 Route plan_route(std::uint32_t src_size, const plat::PlatformDesc& sp,
                  std::uint32_t dst_size, const plat::PlatformDesc& dp,
                  tags::FlatRun::Cat cat, plat::ScalarKind kind,
-                 bool allow_bulk_swap = true, bool has_translator = false);
+                 bool allow_bulk_swap = true);
 
 /// Execute a pre-planned route on one run (no per-run re-decision).  The
 /// route must come from plan_route with the same arguments.
@@ -67,7 +53,6 @@ void convert_run_routed(Route route, const std::byte* src,
                         std::byte* dst, std::uint32_t dst_size,
                         const plat::PlatformDesc& dp, std::uint64_t count,
                         tags::FlatRun::Cat cat, plat::ScalarKind kind,
-                        const PointerTranslator* pt = nullptr,
                         ConversionStats* stats = nullptr);
 
 /// Convert one run of `count` elements.
@@ -87,9 +72,7 @@ void convert_run(const std::byte* src, std::uint32_t src_size,
                  const plat::PlatformDesc& sp, std::byte* dst,
                  std::uint32_t dst_size, const plat::PlatformDesc& dp,
                  std::uint64_t count, tags::FlatRun::Cat cat,
-                 plat::ScalarKind kind,
-                 const PointerTranslator* pt = nullptr,
-                 ConversionStats* stats = nullptr,
+                 plat::ScalarKind kind, ConversionStats* stats = nullptr,
                  bool allow_bulk_swap = true);
 
 /// True when the two layouts describe the same logical structure and can be
@@ -103,7 +86,6 @@ bool convertible(const tags::Layout& a, const tags::Layout& b);
 /// the layouts are not convertible.
 void convert_image(const std::byte* src, const tags::Layout& src_layout,
                    std::byte* dst, const tags::Layout& dst_layout,
-                   const PointerTranslator* pt = nullptr,
                    ConversionStats* stats = nullptr);
 
 }  // namespace hdsm::conv

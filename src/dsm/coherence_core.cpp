@@ -62,6 +62,24 @@ CoherenceEvent CoherenceEvent::peer_detached(std::uint32_t rank) {
   return e;
 }
 
+CoherenceEvent CoherenceEvent::set_barrier_count(std::uint32_t index,
+                                                 std::uint32_t count) {
+  CoherenceEvent e;
+  e.kind = Kind::SetBarrierCount;
+  e.index = index;
+  e.value = count;
+  return e;
+}
+
+CoherenceEvent CoherenceEvent::bind_lock(std::uint32_t index,
+                                         std::uint32_t row) {
+  CoherenceEvent e;
+  e.kind = Kind::BindLock;
+  e.index = index;
+  e.value = row;
+  return e;
+}
+
 CoherenceAction CoherenceAction::send(std::uint32_t rank, msg::Message m) {
   CoherenceAction a;
   a.kind = Kind::Send;
@@ -228,6 +246,12 @@ std::vector<CoherenceAction> CoherenceCore::step(const CoherenceEvent& e) {
       break;
     case CoherenceEvent::Kind::PeerDetached:
       detach(e.rank, /*trace_detach=*/true, out);
+      break;
+    case CoherenceEvent::Kind::SetBarrierCount:
+      set_barrier_count(e.index, e.value);
+      break;
+    case CoherenceEvent::Kind::BindLock:
+      bind_lock(e.index, e.value);
       break;
   }
   return out;

@@ -60,23 +60,29 @@ class UpdateCodec {
       const msg::PlatformSummary& sender) = 0;
 };
 
-/// One input to the protocol engine.  Master events carry the runs the
-/// shell collected from its tracked region (diffing is data-plane work);
-/// PeerAttached carries the fresh peer's initial pending set (normally the
+/// One input to the protocol engine, and the only way the home's protocol
+/// state changes — configuration included, so the event stream is the
+/// whole replicated log (docs/REPLICATION.md).  Master events carry the
+/// runs the shell collected from its tracked region (diffing is data-plane
+/// work); PeerAttached carries the fresh peer's initial pending set (the
 /// full image).
 struct CoherenceEvent {
   enum class Kind : std::uint8_t {
-    PeerAttached,   ///< rank connected; `runs` = initial pending set
-    MsgReceived,    ///< `message` arrived from `rank`
-    MasterLock,     ///< master requests mutex `index`
-    MasterUnlock,   ///< master releases mutex `index`; `runs` = its diffs
-    MasterBarrier,  ///< master enters barrier `index`; `runs` = its diffs
-    PeerDetached,   ///< rank's transport died (recv or send failure)
+    PeerAttached,     ///< rank connected; `runs` = initial pending set
+    MsgReceived,      ///< `message` arrived from `rank`
+    MasterLock,       ///< master requests mutex `index`
+    MasterUnlock,     ///< master releases mutex `index`; `runs` = its diffs
+    MasterBarrier,    ///< master enters barrier `index`; `runs` = its diffs
+    PeerDetached,     ///< rank's transport died (recv or send failure)
+    SetBarrierCount,  ///< barrier `index` closes at `value` entries
+    BindLock,         ///< mutex `index` also guards row `value`
   };
 
   Kind kind = Kind::PeerAttached;
   std::uint32_t rank = 0;
   std::uint32_t index = 0;
+  /// SetBarrierCount: the episode size (0 = inferred); BindLock: the row.
+  std::uint32_t value = 0;
   msg::Message message;
   std::vector<idx::UpdateRun> runs;
 
@@ -89,6 +95,9 @@ struct CoherenceEvent {
   static CoherenceEvent master_barrier(std::uint32_t index,
                                        std::vector<idx::UpdateRun> runs);
   static CoherenceEvent peer_detached(std::uint32_t rank);
+  static CoherenceEvent set_barrier_count(std::uint32_t index,
+                                          std::uint32_t count);
+  static CoherenceEvent bind_lock(std::uint32_t index, std::uint32_t row);
 };
 
 /// One output of the protocol engine.  The home executes actions in list
@@ -139,9 +148,9 @@ class CoherenceCore {
 
   /// Process one event, mutating protocol state and returning the actions
   /// the shell must execute, in order.  Never throws for remote-originated
-  /// events (a misbehaving peer yields a Detach action); master events
-  /// throw std::out_of_range / std::logic_error on API misuse, before any
-  /// state changes.
+  /// events (a misbehaving peer yields a Detach action); master and
+  /// configuration events throw std::out_of_range / std::logic_error on API
+  /// misuse, before any state changes.
   std::vector<CoherenceAction> step(const CoherenceEvent& e);
 
   // -- Validation queries (throw exactly as the legacy master API did;
@@ -156,10 +165,6 @@ class CoherenceCore {
   bool peer_active(std::uint32_t rank) const;
   bool all_inactive() const;  ///< wait_all_joined(): no active peer left
   bool quiesced() const;      ///< no active peer, no lock held or queued
-
-  // -- Configuration transitions (call before computation starts) --
-  void set_barrier_count(std::uint32_t index, std::uint32_t count);
-  void bind_lock(std::uint32_t index, std::uint32_t row);
 
   /// Deactivate every peer without protocol side effects (lock reclaim,
   /// barrier re-evaluation, traces): shutdown semantics, shell stop() only.
@@ -276,6 +281,9 @@ class CoherenceCore {
                      const std::vector<idx::UpdateRun>& runs, Actions& out);
   void master_barrier(std::uint32_t index,
                       const std::vector<idx::UpdateRun>& runs, Actions& out);
+  // Configuration transitions (SetBarrierCount / BindLock events).
+  void set_barrier_count(std::uint32_t index, std::uint32_t count);
+  void bind_lock(std::uint32_t index, std::uint32_t row);
   void trace(Actions& out, TraceEvent::Kind kind, std::uint32_t rank,
              std::uint32_t sync_id, std::uint64_t blocks = 0,
              std::uint64_t bytes = 0, std::uint64_t req = 0);

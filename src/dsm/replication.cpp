@@ -10,124 +10,63 @@ namespace hdsm::dsm {
 
 // ---- record wire form (docs/PROTOCOL.md §9) --------------------------------
 
-namespace {
+bool is_master_update(CoherenceEvent::Kind kind) {
+  return kind == CoherenceEvent::Kind::MasterUnlock ||
+         kind == CoherenceEvent::Kind::MasterBarrier;
+}
 
-/// High bit of a run record's row word: a u32 stride (at least 2) follows
-/// the row.  A contiguous run's record keeps its 20 bytes.
-constexpr std::uint32_t kStridedRunFlag = 0x80000000u;
-
-void encode_event(std::vector<std::byte>& out, const CoherenceEvent& e) {
+std::vector<std::byte> encode_record(const LogRecord& r) {
+  const CoherenceEvent& e = r.event;
+  std::vector<std::byte> out;
   plat::append_be(out, 1, static_cast<std::uint8_t>(e.kind));
   plat::append_be(out, 4, e.rank);
   plat::append_be(out, 4, e.index);
-  const bool has_message = e.kind == CoherenceEvent::Kind::MsgReceived;
-  plat::append_be(out, 1, has_message ? 1 : 0);
-  if (has_message) {
+  plat::append_be(out, 4, e.value);
+  if (e.kind == CoherenceEvent::Kind::MsgReceived) {
     // The embedded message reuses the self-delimiting protocol framing —
     // one wire form, one decoder.
     const std::vector<std::byte> frame = msg::encode_frame(e.message);
     plat::append_be(out, 8, frame.size());
     out.insert(out.end(), frame.begin(), frame.end());
   }
-  plat::append_be(out, 4, static_cast<std::uint32_t>(e.runs.size()));
-  for (const idx::UpdateRun& run : e.runs) {
-    if (run.stride > 1) {
-      plat::append_be(out, 4, run.row | kStridedRunFlag);
-      plat::append_be(out, 4, run.stride);
-    } else {
-      plat::append_be(out, 4, run.row);
-    }
-    plat::append_be(out, 8, run.first_elem);
-    plat::append_be(out, 8, run.count);
-  }
-}
-
-CoherenceEvent decode_event(plat::WireReader& r) {
-  CoherenceEvent e;
-  const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(CoherenceEvent::Kind::PeerDetached)) {
-    r.fail("bad event kind");
-  }
-  e.kind = static_cast<CoherenceEvent::Kind>(kind);
-  e.rank = r.u32();
-  e.index = r.u32();
-  if (r.u8() != 0) {
-    const std::uint64_t frame_len = r.u64();
-    msg::FrameDecoder dec;
-    dec.feed(r.view(frame_len), static_cast<std::size_t>(frame_len));
-    if (!dec.next(e.message)) r.fail("truncated embedded message");
-    if (e.message.wire_size() != frame_len) {
-      r.fail("embedded message shorter than its length");
-    }
-  }
-  const std::uint32_t nruns = r.count(20);  // 20 bytes a run
-  e.runs.reserve(nruns);
-  for (std::uint32_t i = 0; i < nruns; ++i) {
-    idx::UpdateRun run;
-    run.row = r.u32();
-    if ((run.row & kStridedRunFlag) != 0) {
-      run.row &= ~kStridedRunFlag;
-      run.stride = r.u32();
-      if (run.stride < 2) r.fail("strided run with stride below 2");
-    }
-    run.first_elem = r.u64();
-    run.count = r.u64();
-    if (run.stride > 1 && run.count < 2) r.fail("strided run of one element");
-    e.runs.push_back(run);
-  }
-  return e;
-}
-
-}  // namespace
-
-std::vector<std::byte> encode_record(const LogRecord& r) {
-  std::vector<std::byte> out;
-  plat::append_be(out, 1, static_cast<std::uint8_t>(r.kind));
-  switch (r.kind) {
-    case LogRecord::Kind::Event:
-      encode_event(out, r.event);
-      plat::append_be(out, 8, r.master_payload.size());
-      out.insert(out.end(), r.master_payload.begin(), r.master_payload.end());
-      plat::append_be(out, 1, static_cast<std::uint8_t>(r.master_sender.endian));
-      plat::append_be(
-          out, 1, static_cast<std::uint8_t>(r.master_sender.long_double_format));
-      break;
-    case LogRecord::Kind::SetBarrierCount:
-    case LogRecord::Kind::BindLock:
-      plat::append_be(out, 4, r.index);
-      plat::append_be(out, 4, r.value);
-      break;
-  }
+  plat::append_be(out, 8, r.master_payload.size());
+  out.insert(out.end(), r.master_payload.begin(), r.master_payload.end());
+  plat::append_be(out, 1, static_cast<std::uint8_t>(r.master_sender.endian));
+  plat::append_be(
+      out, 1, static_cast<std::uint8_t>(r.master_sender.long_double_format));
   return out;
 }
 
 LogRecord decode_record(const std::vector<std::byte>& payload) {
   plat::WireReader rd(payload, "LogRecord");
   LogRecord r;
+  CoherenceEvent& e = r.event;
   const std::uint8_t kind = rd.u8();
-  if (kind < static_cast<std::uint8_t>(LogRecord::Kind::Event) ||
-      kind > static_cast<std::uint8_t>(LogRecord::Kind::BindLock)) {
-    rd.fail("bad record kind");
+  if (kind > static_cast<std::uint8_t>(CoherenceEvent::Kind::BindLock)) {
+    rd.fail("bad event kind");
   }
-  r.kind = static_cast<LogRecord::Kind>(kind);
-  switch (r.kind) {
-    case LogRecord::Kind::Event: {
-      r.event = decode_event(rd);
-      r.master_payload = rd.bytes(rd.u64());
-      const std::uint8_t endian = rd.u8();
-      const std::uint8_t ldf = rd.u8();
-      if (endian > 1 || ldf > 2) rd.fail("bad master sender summary");
-      r.master_sender.endian = static_cast<plat::Endian>(endian);
-      r.master_sender.long_double_format =
-          static_cast<plat::LongDoubleFormat>(ldf);
-      break;
+  e.kind = static_cast<CoherenceEvent::Kind>(kind);
+  e.rank = rd.u32();
+  e.index = rd.u32();
+  e.value = rd.u32();
+  if (e.kind == CoherenceEvent::Kind::MsgReceived) {
+    const std::uint64_t frame_len = rd.u64();
+    msg::FrameDecoder dec;
+    dec.feed(rd.view(frame_len), static_cast<std::size_t>(frame_len));
+    if (!dec.next(e.message)) rd.fail("truncated embedded message");
+    if (e.message.wire_size() != frame_len) {
+      rd.fail("embedded message shorter than its length");
     }
-    case LogRecord::Kind::SetBarrierCount:
-    case LogRecord::Kind::BindLock:
-      r.index = rd.u32();
-      r.value = rd.u32();
-      break;
   }
+  r.master_payload = rd.bytes(rd.u64());
+  if (!r.master_payload.empty() && !is_master_update(e.kind)) {
+    rd.fail("master payload on a non-master event");
+  }
+  const std::uint8_t endian = rd.u8();
+  const std::uint8_t ldf = rd.u8();
+  if (endian > 1 || ldf > 2) rd.fail("bad master sender summary");
+  r.master_sender.endian = static_cast<plat::Endian>(endian);
+  r.master_sender.long_double_format = static_cast<plat::LongDoubleFormat>(ldf);
   rd.finish();
   return r;
 }
@@ -162,7 +101,7 @@ std::uint64_t ReplicationSender::appends() const {
   return appends_;
 }
 
-ReplicationClient::Result ReplicationSender::append(const LogRecord& r) {
+ReplicationSender::Result ReplicationSender::append(const LogRecord& r) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (deposed_) return Result::Deposed;
   if (degraded_ || link_ == nullptr) return Result::Degraded;

@@ -13,8 +13,8 @@
 // Master events are the one place event bytes are not self-contained: a
 // MasterUnlock/MasterBarrier event names update *runs* whose bytes live
 // only in the primary's image.  The primary packs those runs at append
-// time (`master_payload`) so the standby can apply the same bytes before
-// replaying the event.
+// time (`master_payload`); the standby applies the bytes and takes the
+// runs the apply returns — the event itself travels without its runs.
 //
 // Failover epochs: every append carries the sender's primaryship epoch in
 // `aux`.  A promoted standby fences itself at a higher epoch and answers
@@ -36,29 +36,24 @@
 
 namespace hdsm::dsm {
 
-/// One entry of the replicated event log.  Besides coherence events, the
-/// out-of-band state transitions the shell applies directly to its core
-/// must replicate too, or the replicas diverge: barrier counts and lock-row
-/// bindings.
+/// One entry of the replicated event log: the event the primary stepped,
+/// plus the bytes of a master event's runs.  Every change to the home's
+/// protocol state is a CoherenceEvent, configuration included, so the log
+/// is exactly the event stream.  The event's runs stay off the wire: the
+/// standby rebuilds a master event's runs from `master_payload` (one run
+/// per packed block) and a PeerAttached's as its own full image.
 struct LogRecord {
-  enum class Kind : std::uint8_t {
-    Event = 1,        ///< a CoherenceEvent the primary applied
-    SetBarrierCount,  ///< set_barrier_count(index, value)
-    BindLock,         ///< bind_lock(index, row=value)
-  };
-
-  Kind kind = Kind::Event;
   CoherenceEvent event;
-  /// Master events only: the event's runs packed from the primary's image
-  /// (bytes exist nowhere else), applied to the standby's image before the
-  /// event replays.  Empty for every other record.
+  /// MasterUnlock / MasterBarrier only: the event's runs packed from the
+  /// primary's image (bytes exist nowhere else).  Empty for every other
+  /// record.
   std::vector<std::byte> master_payload;
   /// Sender platform for decoding `master_payload` at the standby.
   msg::PlatformSummary master_sender;
-  // SetBarrierCount / BindLock operands.
-  std::uint32_t index = 0;
-  std::uint32_t value = 0;
 };
+
+/// True for the events whose runs travel as a master payload.
+bool is_master_update(CoherenceEvent::Kind kind);
 
 /// Serialize a record into the ReplAppend payload.
 std::vector<std::byte> encode_record(const LogRecord& r);
@@ -79,10 +74,12 @@ struct ReplicationOptions {
   std::uint32_t epoch = 1;
 };
 
-/// Synchronous append interface the primary's shell calls under its state
-/// lock, after the core stepped the event and before any of its Send
-/// actions externalize (log-before-reply).
-class ReplicationClient {
+/// The primary's append client: one endpoint to the standby, one append
+/// at a time (a mutex serializes concurrent callers), each append a
+/// synchronous ReplAppend -> ReplAck round trip with bounded retry.  The
+/// shell calls it under its state lock, after the core stepped the event
+/// and before any of its Send actions externalize (log-before-reply).
+class ReplicationSender {
  public:
   enum class Result : std::uint8_t {
     Ok,        ///< the standby holds the record
@@ -90,20 +87,11 @@ class ReplicationClient {
     Deposed,   ///< a newer epoch was promoted: stop externalizing actions
   };
 
-  virtual ~ReplicationClient() = default;
-  virtual Result append(const LogRecord& r) = 0;
-};
-
-/// The production client: one endpoint to the standby, one append at a
-/// time (a mutex serializes concurrent callers), each append a synchronous
-/// ReplAppend -> ReplAck round trip with bounded retry.
-class ReplicationSender : public ReplicationClient {
- public:
   ReplicationSender(msg::EndpointPtr link, ReplicationOptions opts,
                     obs::Telemetry* telemetry = nullptr);
-  ~ReplicationSender() override;
+  ~ReplicationSender();
 
-  Result append(const LogRecord& r) override;
+  Result append(const LogRecord& r);
 
   /// Drop the link (crash simulation / teardown); subsequent appends
   /// degrade or fence per `allow_degraded`.

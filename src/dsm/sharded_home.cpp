@@ -179,32 +179,19 @@ void ShardedHome::stop() {
 
 void ShardedHome::replicate(const CoherenceEvent& e) {
   LogRecord r;
-  r.kind = LogRecord::Kind::Event;
   r.event = e;
   // Master events name update runs whose bytes live only in this image:
   // pack them now (under the state lock, image unchanged since the step)
   // so the standby can apply the same bytes before replaying the event.
-  const bool master_event = e.kind == CoherenceEvent::Kind::MasterUnlock ||
-                            e.kind == CoherenceEvent::Kind::MasterBarrier;
-  if (master_event && !e.runs.empty()) {
+  if (is_master_update(e.kind) && !e.runs.empty()) {
     r.master_payload = codec_.pack(e.runs);
     r.master_sender = msg::PlatformSummary::of(space_.platform());
   }
-  dispatch_append(r);
-}
-
-void ShardedHome::dispatch_append(const LogRecord& r) {
-  switch (opts_.replication->append(r)) {
-    case ReplicationClient::Result::Ok:
-    case ReplicationClient::Result::Degraded:
-      break;
-    case ReplicationClient::Result::Deposed:
-      if (!fenced_.exchange(true)) {
-        std::fprintf(stderr,
-                     "hdsm repl: this primary is deposed; suppressing all "
-                     "outgoing sends\n");
-      }
-      break;
+  if (opts_.replication->append(r) == ReplicationSender::Result::Deposed &&
+      !fenced_.exchange(true)) {
+    std::fprintf(stderr,
+                 "hdsm repl: this primary is deposed; suppressing all "
+                 "outgoing sends\n");
   }
 }
 
@@ -253,26 +240,22 @@ void ShardedHome::handle_repl_append(msg::Message m) {
                  std::move(ack));
 }
 
-void ShardedHome::replay_record(const LogRecord& r) {
-  switch (r.kind) {
-    case LogRecord::Kind::Event:
-      if (!r.master_payload.empty()) {
-        // The primary's image bytes for a master event: apply them first so
-        // replies the replay packs from this image carry identical bytes.
-        codec_.apply(r.master_payload, r.master_sender);
-      }
-      // The replay drives the same executor as live traffic; its sends find
-      // no session and drop, which is the point — only a promoted standby
-      // externalizes.
-      process_event(r.event);
-      break;
-    case LogRecord::Kind::SetBarrierCount:
-      core_.set_barrier_count(r.index, r.value);
-      break;
-    case LogRecord::Kind::BindLock:
-      core_.bind_lock(r.index, r.value);
-      break;
+void ShardedHome::replay_record(LogRecord r) {
+  CoherenceEvent& e = r.event;
+  if (e.kind == CoherenceEvent::Kind::PeerAttached) {
+    // The shell attaches every peer with the full image, and the standby's
+    // table is the primary's.
+    e.runs = SyncEngine::full_image_runs(space_.table());
+  } else if (!r.master_payload.empty()) {
+    // The primary's image bytes for a master event: apply them first so
+    // replies the replay packs from this image carry identical bytes.  The
+    // apply returns one run per packed block, in order: the event's runs.
+    e.runs = codec_.apply(r.master_payload, r.master_sender);
   }
+  // The replay drives the same executor as live traffic; its sends find
+  // no session and drop, which is the point — only a promoted standby
+  // externalizes.
+  process_event(std::move(e));
 }
 
 // ---- replication: failover -------------------------------------------------
@@ -463,26 +446,14 @@ std::size_t ShardedHome::recovery_entries(std::uint32_t rank) const {
 
 void ShardedHome::set_barrier_count(std::uint32_t index, std::uint32_t count) {
   std::lock_guard<std::mutex> lk(mutex_);
-  core_.set_barrier_count(index, count);
-  if (opts_.replication == nullptr) return;
-  LogRecord r;
-  r.kind = LogRecord::Kind::SetBarrierCount;
-  r.index = index;
-  r.value = count;
-  dispatch_append(r);
+  process_event(CoherenceEvent::set_barrier_count(index, count));
 }
 
 void ShardedHome::bind_lock(std::uint32_t index, const std::string& field) {
   const auto row =
       static_cast<std::uint32_t>(space_.table().row_of_field(field));
   std::lock_guard<std::mutex> lk(mutex_);
-  core_.bind_lock(index, row);
-  if (opts_.replication == nullptr) return;
-  LogRecord r;
-  r.kind = LogRecord::Kind::BindLock;
-  r.index = index;
-  r.value = row;
-  dispatch_append(r);
+  process_event(CoherenceEvent::bind_lock(index, row));
 }
 
 }  // namespace hdsm::dsm

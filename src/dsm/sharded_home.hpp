@@ -43,12 +43,12 @@ struct ShardedHomeOptions {
   TraceLog* trace = nullptr;
   /// Telemetry (docs/OBSERVABILITY.md).
   obs::ObsOptions obs;
-  /// Primary/standby replication client (docs/REPLICATION.md); not owned.
+  /// Primary/standby replication link (docs/REPLICATION.md); not owned.
   /// When set, every event the core applies is appended to the standby's
   /// log — synchronously, before the event's sends externalize — and a
   /// Deposed append fences this home (outgoing sends are suppressed).
   /// Null keeps the unreplicated path byte-identical.
-  ReplicationClient* replication = nullptr;
+  ReplicationSender* replication = nullptr;
 
   // -- Object-granularity sharing mode (hdsm::obj, docs/OBJECTS.md) --
 
@@ -208,11 +208,11 @@ class ShardedHome : private msg::ReactorHandler {
   /// Master events additionally pack their runs' image bytes into the
   /// record.
   void replicate(const CoherenceEvent& e);
-  void dispatch_append(const LogRecord& r);
   /// Standby side: dedup by log index, replay, ack (reject with the fence
   /// epoch once promoted).
   void handle_repl_append(msg::Message m);
-  void replay_record(const LogRecord& r);
+  /// Rebuild the record's runs (see LogRecord) and step the event.
+  void replay_record(LogRecord r);
 
   ShardedHomeOptions opts_;
   GlobalSpace space_;

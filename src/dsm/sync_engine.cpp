@@ -401,8 +401,7 @@ SyncEngine::ValidatedPayload SyncEngine::validate_payload(
       if (!rp.valid || rp.elem_size != parsed.elem_size) {
         rp.route = conv::plan_route(parsed.elem_size, cache.sender_platform,
                                     row.size, my_platform, row.cat, row.kind,
-                                    opts_.bulk_swap_fastpath,
-                                    /*has_translator=*/false);
+                                    opts_.bulk_swap_fastpath);
       }
       rp.valid = true;
       rp.tag_text.assign(v.tag);
@@ -527,7 +526,7 @@ void SyncEngine::execute_plans(const std::vector<BlockPlan>& plans,
     scratch.resize(p.dst_len);
     conv::convert_run_routed(p.route, p.src, p.src_elem, sender_platform,
                              scratch.data(), p.dst_elem, my_platform, p.count,
-                             p.cat, p.kind, nullptr, nullptr);
+                             p.cat, p.kind);
     land(p, scratch.data());
   }
 }

@@ -76,8 +76,8 @@ struct SyncOptions {
   /// callers that still set it (perfbench's field_slowlink).
   bool adaptive = false;
   /// Tuner configuration when codec == CodecMode::Adaptive: EWMA smoothing,
-  /// hysteresis (warmup, dwell, margin), the fallback link cost and the
-  /// codec pin.  tuner.pin_conv_threads accepts only -1 (unpinned) through
+  /// hysteresis (warmup, dwell, margin) and the fallback link cost.
+  /// tuner.pin_conv_threads accepts only -1 (unpinned) through
   /// 1; larger values throw like conv_threads does.
   adapt::TunerConfig tuner;
 

@@ -57,9 +57,10 @@ const char* msg_type_name(MsgType t) noexcept;
 
 /// Byte 7 of every frame header (docs/PROTOCOL.md §1).  FrameDecoder
 /// refuses any other value, so a frame of an older layout (the 40-byte
-/// header, which carried 0 there, or version 2, whose update payloads had
-/// no strided tags) is rejected instead of misparsed.
-inline constexpr std::uint8_t kFrameVersion = 3;
+/// header, which carried 0 there; version 2, whose update payloads had no
+/// strided tags; or version 3, whose ReplAppend records carried run lists)
+/// is rejected instead of misparsed.
+inline constexpr std::uint8_t kFrameVersion = 4;
 
 /// The sender-platform facts a receiver needs to "make right": byte order
 /// and extended-float format.  Element sizes travel in the tags.

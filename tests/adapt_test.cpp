@@ -1,5 +1,5 @@
 // Deterministic pure-core tests for the adaptive policy engine: EWMA/probe
-// math, warmup, pins, hysteresis (no flapping on an oscillating signal),
+// math, warmup, hysteresis (no flapping on an oscillating signal),
 // the codec decision rule, and seeded replay (the same signal trace always
 // reproduces the same decision trace).  No I/O, no
 // threads, no clocks — everything here is a function of the inputs.
@@ -141,26 +141,6 @@ TEST(Tuner, CodecExploresOnceThenFollowsTheCostModel) {
   fast.wire_ns = 2500;
   for (int i = 0; i < 200; ++i) t.step(fast);
   EXPECT_FALSE(t.decision().compress);
-}
-
-TEST(Tuner, PinnedKnobNeverMoves) {
-  adapt::TunerConfig cfg = fast_cfg();
-  cfg.pin_codec = 0;
-  adapt::Tuner off(cfg);
-  // Neither the exploration a raw episode asks for nor a link slow enough
-  // to make compression a runaway win can move a pinned knob.
-  adapt::Signal coded = winning_codec_signal();
-  coded.wire_ns = 10000000;
-  for (int i = 0; i < 50; ++i) {
-    const adapt::Decision& d = off.step(i < 25 ? raw_signal() : coded);
-    EXPECT_FALSE(d.compress);
-    EXPECT_FALSE(d.changed);
-  }
-  EXPECT_EQ(off.switches(), 0u);
-
-  cfg.pin_codec = 1;
-  adapt::Tuner on(cfg);
-  EXPECT_TRUE(on.decision().compress);
 }
 
 TEST(Tuner, NoFlappingOnOscillatingSignal) {

@@ -45,7 +45,7 @@ TEST(PageDsm, WholePageThresholdTriggers) {
 TEST(PageDsm, ThresholdDisabled) {
   const std::size_t ps = mem::Region::host_page_size();
   base::PageDsmOptions opts;
-  opts.whole_page_optimization = false;
+  opts.whole_page_threshold = 1.0;  // no page can change more than all of it
   base::PageDsmNode node(ps, opts);
   node.start_tracking();
   for (std::size_t i = 0; i < ps; i += 2) node.data()[i] = std::byte{1};

@@ -619,8 +619,8 @@ struct ObjectLockSim {
   std::vector<idx::UpdateRun> grant0_runs;  // pending delivered on mutex 0
 
   ObjectLockSim() {
-    h.core.bind_lock(0, 0);
-    h.core.bind_lock(1, 1);
+    h.step(Event::bind_lock(0, 0));
+    h.step(Event::bind_lock(1, 1));
     for (std::uint32_t rank : {1u, 2u}) {
       h.attach(rank, {{0, 0, 4}, {1, 0, 4}});
     }

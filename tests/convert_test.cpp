@@ -35,7 +35,7 @@ TEST(ConvertRun, SameRepresentationTakesMemcpyPath) {
   for (int i = 0; i < 16; ++i) src[i] = static_cast<std::byte>(i);
   conv::ConversionStats stats;
   conv::convert_run(src, 4, plat::linux_ia32(), dst, 4, plat::linux_ia32(), 4,
-                    FlatRun::Cat::SignedInt, plat::ScalarKind::Int, nullptr,
+                    FlatRun::Cat::SignedInt, plat::ScalarKind::Int,
                     &stats);
   EXPECT_EQ(std::memcmp(src, dst, 16), 0);
   EXPECT_EQ(stats.memcpy_runs, 1u);
@@ -50,7 +50,7 @@ TEST(ConvertRun, EndianFlipTakesBulkSwapPath) {
   conv::ConversionStats stats;
   conv::convert_run(src, 4, plat::linux_ia32(), dst, 4,
                     plat::solaris_sparc32(), 2, FlatRun::Cat::SignedInt,
-                    plat::ScalarKind::Int, nullptr, &stats);
+                    plat::ScalarKind::Int, &stats);
   EXPECT_EQ(stats.bulk_swap_runs, 1u);
   EXPECT_EQ(plat::read_sint(dst, 4, plat::Endian::Big), 0x01020304);
   EXPECT_EQ(plat::read_sint(dst + 4, 4, plat::Endian::Big), -7);
@@ -63,7 +63,7 @@ TEST(ConvertRun, WideningSignExtends) {
   conv::ConversionStats stats;
   conv::convert_run(src, 4, plat::linux_ia32(), dst, 8, plat::linux_x86_64(),
                     1, FlatRun::Cat::SignedInt, plat::ScalarKind::Long,
-                    nullptr, &stats);
+                    &stats);
   EXPECT_EQ(stats.elementwise_runs, 1u);
   EXPECT_EQ(plat::read_sint(dst, 8, plat::Endian::Little), -123456);
 }
@@ -94,7 +94,7 @@ TEST(ConvertRun, FloatAcrossSizesAndFormats) {
   conv::ConversionStats stats;
   conv::convert_run(src, 12, plat::linux_ia32(), dst, 16,
                     plat::solaris_sparc32(), 1, FlatRun::Cat::Float,
-                    plat::ScalarKind::LongDouble, nullptr, &stats);
+                    plat::ScalarKind::LongDouble, &stats);
   EXPECT_EQ(stats.elementwise_runs, 1u);
   EXPECT_EQ(plat::decode_float(dst, 16, plat::Endian::Big,
                                plat::LongDoubleFormat::Binary128),
@@ -110,29 +110,11 @@ TEST(ConvertRun, SameSizeDifferentLongDoubleFormatGoesElementwise) {
   conv::ConversionStats stats;
   conv::convert_run(src, 16, plat::linux_x86_64(), dst, 16,
                     plat::solaris_sparc64(), 1, FlatRun::Cat::Float,
-                    plat::ScalarKind::LongDouble, nullptr, &stats);
+                    plat::ScalarKind::LongDouble, &stats);
   EXPECT_EQ(stats.elementwise_runs, 1u);
   EXPECT_EQ(plat::decode_float(dst, 16, plat::Endian::Big,
                                plat::LongDoubleFormat::Binary128),
             v);
-}
-
-TEST(ConvertRun, PointerTranslatorApplied) {
-  class PlusOne : public conv::PointerTranslator {
-   public:
-    std::uint64_t to_token(std::uint64_t raw) const override {
-      return raw + 1;
-    }
-    std::uint64_t from_token(std::uint64_t token) const override {
-      return token * 2;
-    }
-  };
-  std::byte src[4], dst[8];
-  plat::write_uint(src, 4, plat::Endian::Little, 10);
-  PlusOne pt;
-  conv::convert_run(src, 4, plat::linux_ia32(), dst, 8, plat::linux_x86_64(),
-                    1, FlatRun::Cat::Pointer, plat::ScalarKind::Pointer, &pt);
-  EXPECT_EQ(plat::read_uint(dst, 8, plat::Endian::Little), 22u);
 }
 
 TEST(ConvertRun, StatsCountBytes) {
@@ -140,7 +122,7 @@ TEST(ConvertRun, StatsCountBytes) {
   conv::ConversionStats stats;
   conv::convert_run(src, 4, plat::linux_ia32(), dst, 8, plat::linux_x86_64(),
                     2, FlatRun::Cat::SignedInt, plat::ScalarKind::Long,
-                    nullptr, &stats);
+                    &stats);
   EXPECT_EQ(stats.bytes_in, 8u);
   EXPECT_EQ(stats.bytes_out, 16u);
 }
@@ -156,7 +138,7 @@ TEST(ConvertImage, HomogeneousIsWholeMemcpy) {
   hdsm::test::fill_random_image(src.data(), l, rng);
   std::vector<std::byte> dst = make_image(l);
   conv::ConversionStats stats;
-  conv::convert_image(src.data(), l, dst.data(), l, nullptr, &stats);
+  conv::convert_image(src.data(), l, dst.data(), l, &stats);
   EXPECT_EQ(src, dst);
   EXPECT_EQ(stats.memcpy_runs, 1u);
 }

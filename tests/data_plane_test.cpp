@@ -6,8 +6,9 @@
 // backends), the one-lane option check, when the codec tuner is built and
 // that it never joins a stride-2 collect across unwritten cells, the
 // per-(sender, row) conversion-plan cache, the pending-set merge against a
-// set-of-elements oracle, and strided releases and grants that leave the
-// elements between their cells intact.
+// set-of-elements oracle, strided releases and grants that leave the
+// elements between their cells intact, and the pack/apply round trip that
+// returns the packed runs exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -518,6 +519,48 @@ TEST_P(CollectRuns, ElementWalkMatchesTheStridedOracle) {
       g.region().end_tracking();
     }
   }
+}
+
+TEST(PayloadRoundTrip, ApplyReturnsThePackedRunsExactly) {
+  // A replication standby rebuilds a master event's runs as apply_payload's
+  // result on the packed bytes, so pack must emit one block per run, in
+  // order, and apply must return one run per block: one-element,
+  // contiguous and strided runs alike, raw or compressed.
+  std::mt19937_64 rng(3107);
+  std::size_t singles = 0, contiguous = 0, strided = 0;
+  std::uint64_t coded_blocks = 0;
+  for (int table = 0; table < 12; ++table) {
+    const tags::TypePtr ty = random_gthv(rng);
+    const plat::PlatformDesc& platform =
+        table % 2 == 0 ? plat::linux_x86_64() : plat::solaris_sparc32();
+    dsm::GlobalSpace sender(ty, platform);
+    dsm::GlobalSpace receiver(ty, platform);
+    const std::vector<std::byte> before = image_snapshot(sender);
+    random_writes(sender, rng);
+    strided_writes(sender, rng);
+    const std::vector<hdsm::idx::UpdateRun> runs = oracle_runs(
+        sender.table(), before, image_snapshot(sender), /*coalesce=*/true);
+    for (const hdsm::idx::UpdateRun& r : runs) {
+      (r.count == 1 ? singles : r.stride == 1 ? contiguous : strided) += 1;
+    }
+    for (const dsm::CodecMode codec :
+         {dsm::CodecMode::Off, dsm::CodecMode::Forced}) {
+      dsm::SyncOptions opts;
+      opts.codec = codec;
+      dsm::ShareStats ss, rs;
+      const std::vector<std::byte> payload =
+          dsm::SyncEngine(sender, opts, ss).pack_payload(runs);
+      coded_blocks += ss.codec_blocks;
+      EXPECT_EQ(dsm::SyncEngine(receiver, opts, rs)
+                    .apply_payload(payload, msg::PlatformSummary::of(platform)),
+                runs)
+          << "table " << table << " codec " << static_cast<int>(codec);
+    }
+  }
+  EXPECT_GT(singles, 0u);
+  EXPECT_GT(contiguous, 0u);
+  EXPECT_GT(strided, 0u);
+  EXPECT_GT(coded_blocks, 0u);
 }
 
 TEST_P(HeterogeneousApply, BigEndianPayloadLandsInEveryElement) {

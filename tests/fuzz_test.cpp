@@ -378,7 +378,7 @@ std::vector<GoldenCase> golden_cases() {
     m.payload = {std::byte{0xAB}, std::byte{0xCD}, std::byte{0xEF},
                  std::byte{0x01}};
     cases.push_back({"frame", msg::encode_frame(m),
-                     "4844534d040102030000000200000003000000040000000500000005"
+                     "4844534d040102040000000200000003000000040000000500000005"
                      "0000000428342c3129abcdef01",
                      [](const std::vector<std::byte>& in) {
                        msg::FrameDecoder dec;
@@ -389,9 +389,8 @@ std::vector<GoldenCase> golden_cases() {
                      }});
   }
 
-  {  // replication log record: an embedded message and two runs
+  {  // replication log record: an embedded message
     dsm::LogRecord r;
-    r.kind = dsm::LogRecord::Kind::Event;
     msg::Message m;
     m.type = msg::MsgType::LockRequest;
     m.sync_id = 1;
@@ -400,34 +399,37 @@ std::vector<GoldenCase> golden_cases() {
     m.tag = "(4,1)";
     m.payload = {std::byte{9}, std::byte{8}, std::byte{7}, std::byte{6}};
     r.event = dsm::CoherenceEvent::msg_received(2, m);
-    r.event.runs = {{1, 2, 3}, {4, 5, 6}};
-    r.master_payload = {std::byte{0x11}, std::byte{0x22}};
-    r.master_sender = msg::PlatformSummary::of(plat::solaris_sparc64());
     cases.push_back({"log record", dsm::encode_record(r),
-                     "010100000002000000000100000000000000294844534d0200000300"
-                     "000001000000020000000700000000000000050000000428342c3129"
-                     "09080706000000020000000100000000000000020000000000000003"
-                     "00000004000000000000000500000000000000060000000000000002"
-                     "11220102",
+                     "0100000002000000000000000000000000000000294844534d020000"
+                     "0400000001000000020000000700000000000000050000000428342c"
+                     "31290908070600000000000000000000",
                      [](const std::vector<std::byte>& in) {
-                       return dsm::decode_record(in).event.runs.size() == 2;
+                       return dsm::decode_record(in).event.message.seq == 7;
                      }});
   }
 
-  {  // replication log record: a master barrier's strided and contiguous
-     // runs
+  {  // replication log record: a master barrier ships its payload, never
+     // its runs
     dsm::LogRecord r;
-    r.kind = dsm::LogRecord::Kind::Event;
     r.event = dsm::CoherenceEvent::master_barrier(3, {{1, 2, 3, 2}, {4, 5, 6}});
     r.master_payload = {std::byte{0x33}};
     r.master_sender = msg::PlatformSummary::of(plat::linux_ia32());
-    const std::vector<hdsm::idx::UpdateRun> runs = r.event.runs;
-    cases.push_back({"strided log record", dsm::encode_record(r),
-                     "01040000000000000003000000000280000001000000020000000000"
-                     "00000200000000000000030000000400000000000000050000000000"
-                     "0000060000000000000001330001",
-                     [runs](const std::vector<std::byte>& in) {
-                       return dsm::decode_record(in).event.runs == runs;
+    cases.push_back({"master log record", dsm::encode_record(r),
+                     "040000000000000003000000000000000000000001330001",
+                     [](const std::vector<std::byte>& in) {
+                       const dsm::LogRecord back = dsm::decode_record(in);
+                       return back.event.runs.empty() &&
+                              back.master_payload.size() == 1;
+                     }});
+  }
+
+  {  // replication log record: a configuration event
+    dsm::LogRecord r;
+    r.event = dsm::CoherenceEvent::bind_lock(5, 9);
+    cases.push_back({"config log record", dsm::encode_record(r),
+                     "0700000000000000050000000900000000000000000000",
+                     [](const std::vector<std::byte>& in) {
+                       return dsm::decode_record(in).event.value == 9;
                      }});
   }
 
@@ -666,26 +668,4 @@ TEST(Fuzz, HostileStridedTagsAreRejectedBeforeAnyByteLands) {
   engine.apply_payload(dsm::encode_update_blocks({valid}), summary);
   EXPECT_NE(g.view<double>("D").get(2), 0.0);
   EXPECT_EQ(g.view<double>("D").get(1), 0.0);
-}
-
-// A replication run record flags a strided run in its row word; a flagged
-// record must carry a stride of at least 2 and two or more elements.
-TEST(Fuzz, HostileStridedRunRecordsAreRejected) {
-  dsm::LogRecord r;
-  r.kind = dsm::LogRecord::Kind::Event;
-  r.event = dsm::CoherenceEvent::master_barrier(0, {{1, 2, 3, 2}});
-  const std::vector<std::byte> good = dsm::encode_record(r);
-  ASSERT_EQ(dsm::decode_record(good).event.runs, r.event.runs);
-  // Kind, event kind, rank, index, message flag, run count: the run record
-  // begins 15 bytes in, its stride right after the flagged row word.
-  const std::size_t stride_at = 1 + 1 + 4 + 4 + 1 + 4 + 4;
-  const std::size_t count_at = stride_at + 4 + 8;
-  for (const std::uint32_t stride : {0u, 1u}) {
-    std::vector<std::byte> bad = good;
-    plat::write_uint(bad.data() + stride_at, 4, plat::Endian::Big, stride);
-    EXPECT_THROW(dsm::decode_record(bad), std::runtime_error) << stride;
-  }
-  std::vector<std::byte> one = good;
-  plat::write_uint(one.data() + count_at, 8, plat::Endian::Big, 1);
-  EXPECT_THROW(dsm::decode_record(one), std::runtime_error);
 }

@@ -152,7 +152,7 @@ TEST(Framing, GoldenHeaderBytes) {
   const std::vector<std::byte> frame = msg::encode_frame(m);
   const std::vector<std::byte> golden = bytes({
       0x48, 0x44, 0x53, 0x4d,  // magic "HDSM"
-      0x03, 0x01, 0x01, 0x03,  // type, endian, ld format, version
+      0x03, 0x01, 0x01, 0x04,  // type, endian, ld format, version
       0x01, 0x02, 0x03, 0x04,  // sync_id
       0x05, 0x06, 0x07, 0x08,  // rank
       0x09, 0x0a, 0x0b, 0x0c,  // seq
@@ -178,8 +178,10 @@ TEST(Framing, OlderFrameVersionRefused) {
   msg::Message out;
   EXPECT_THROW(dec.next(out), std::runtime_error);
 
-  // Version 2 had this 32-byte header but no strided update tags.
-  const std::vector<std::byte> v2 = bytes({
+  // Versions 2 and 3 had this 32-byte header, but version 2 had no
+  // strided update tags and version 3 carried run lists in its ReplAppend
+  // records.
+  std::vector<std::byte> v2 = bytes({
       0x48, 0x44, 0x53, 0x4d, 0x02, 0x00, 0x00, 0x02,  // LockRequest, v2
       0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02,  // sync_id, rank
       0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00,  // seq, aux
@@ -187,6 +189,10 @@ TEST(Framing, OlderFrameVersionRefused) {
   msg::FrameDecoder dec2;
   dec2.feed(v2.data(), v2.size());
   EXPECT_THROW(dec2.next(out), std::runtime_error);
+  v2[7] = std::byte{3};
+  msg::FrameDecoder dec3;
+  dec3.feed(v2.data(), v2.size());
+  EXPECT_THROW(dec3.next(out), std::runtime_error);
 }
 
 TEST(Framing, HostileLengthsNeverReadPastTheBuffer) {

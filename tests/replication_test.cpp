@@ -1,7 +1,8 @@
 // Primary/standby replication of the home directory
 // (docs/REPLICATION.md): the log record codec, standby convergence under
-// live traffic, clean-transport failover, split-brain fencing of a deposed
-// primary, and degraded mode when the standby dies.  The fault-injected
+// live traffic, clean-transport failover (strided master runs and lock
+// bindings included), split-brain fencing of a deposed primary, and
+// degraded mode when the standby dies.  The fault-injected
 // handover-window cases live in sharded_fault_test.cpp.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "dsm/replicated_home.hpp"
 #include "dsm/replication.hpp"
 #include "dsm/sharded_remote.hpp"
+#include "dsm/update.hpp"
 #include "replicated_harness.hpp"
 
 namespace dsm = hdsm::dsm;
@@ -27,7 +29,6 @@ using namespace std::chrono_literals;
 
 TEST(ReplicationCodec, EventRecordRoundTrips) {
   dsm::LogRecord r;
-  r.kind = dsm::LogRecord::Kind::Event;
   msg::Message m;
   m.type = msg::MsgType::UnlockRequest;
   m.sync_id = 7;
@@ -35,76 +36,73 @@ TEST(ReplicationCodec, EventRecordRoundTrips) {
   m.seq = 41;
   m.payload = {std::byte{0xde}, std::byte{0xad}};
   r.event = dsm::CoherenceEvent::msg_received(2, std::move(m));
-  r.master_payload = {std::byte{0x01}, std::byte{0x02}, std::byte{0x03}};
 
   const dsm::LogRecord back = dsm::decode_record(dsm::encode_record(r));
-  EXPECT_EQ(back.kind, dsm::LogRecord::Kind::Event);
   EXPECT_EQ(back.event.kind, dsm::CoherenceEvent::Kind::MsgReceived);
   EXPECT_EQ(back.event.rank, 2u);
   EXPECT_EQ(back.event.message.type, msg::MsgType::UnlockRequest);
   EXPECT_EQ(back.event.message.sync_id, 7u);
   EXPECT_EQ(back.event.message.seq, 41u);
   EXPECT_EQ(back.event.message.payload.size(), 2u);
-  EXPECT_EQ(back.master_payload, r.master_payload);
+  EXPECT_TRUE(back.master_payload.empty());
 }
 
-TEST(ReplicationCodec, MasterEventCarriesRuns) {
+TEST(ReplicationCodec, MasterEventCarriesItsPayloadNotItsRuns) {
+  // The standby rebuilds a master event's runs from the payload's blocks,
+  // so the record ships the bytes alone.
   dsm::LogRecord r;
-  r.kind = dsm::LogRecord::Kind::Event;
   r.event = dsm::CoherenceEvent::master_unlock(5, {{2, 8, 16}});
+  r.master_payload = {std::byte{0x01}, std::byte{0x02}, std::byte{0x03}};
+  r.master_sender = msg::PlatformSummary::of(plat::solaris_sparc64());
   const dsm::LogRecord back = dsm::decode_record(dsm::encode_record(r));
   EXPECT_EQ(back.event.kind, dsm::CoherenceEvent::Kind::MasterUnlock);
   EXPECT_EQ(back.event.index, 5u);
-  ASSERT_EQ(back.event.runs.size(), 1u);
-  EXPECT_EQ(back.event.runs[0].row, 2u);
-  EXPECT_EQ(back.event.runs[0].first_elem, 8u);
-  EXPECT_EQ(back.event.runs[0].count, 16u);
+  EXPECT_TRUE(back.event.runs.empty());
+  EXPECT_EQ(back.master_payload, r.master_payload);
+  EXPECT_EQ(back.master_sender, r.master_sender);
 }
 
-TEST(ReplicationCodec, ControlRecordsRoundTrip) {
-  for (const auto kind : {dsm::LogRecord::Kind::SetBarrierCount,
-                          dsm::LogRecord::Kind::BindLock}) {
+TEST(ReplicationCodec, ConfigEventsRoundTrip) {
+  for (const dsm::CoherenceEvent& e :
+       {dsm::CoherenceEvent::set_barrier_count(9, 77),
+        dsm::CoherenceEvent::bind_lock(9, 77)}) {
     dsm::LogRecord r;
-    r.kind = kind;
-    r.index = 9;
-    r.value = 77;
+    r.event = e;
     const dsm::LogRecord back = dsm::decode_record(dsm::encode_record(r));
-    EXPECT_EQ(back.kind, kind);
-    EXPECT_EQ(back.index, 9u);
-    EXPECT_EQ(back.value, 77u);
+    EXPECT_EQ(back.event.kind, e.kind);
+    EXPECT_EQ(back.event.index, 9u);
+    EXPECT_EQ(back.event.value, 77u);
   }
 }
 
 TEST(ReplicationCodec, MalformedRecordsThrow) {
   EXPECT_THROW(dsm::decode_record({}), std::runtime_error);
-  // Bad record kind (4 was the retired dedup-horizon record).
-  EXPECT_THROW(dsm::decode_record({std::byte{0x00}}), std::runtime_error);
-  EXPECT_THROW(dsm::decode_record({std::byte{0x04}, std::byte{0},
-                                   std::byte{0}, std::byte{0}, std::byte{0},
-                                   std::byte{0}, std::byte{0}, std::byte{0},
-                                   std::byte{0}}),
-               std::runtime_error);
   // Truncated mid-header.
   dsm::LogRecord r;
-  r.kind = dsm::LogRecord::Kind::SetBarrierCount;
+  r.event = dsm::CoherenceEvent::set_barrier_count(1, 3);
   std::vector<std::byte> wire = dsm::encode_record(r);
-  ASSERT_EQ(wire.size(), 9u);  // kind, index, value
+  // kind, rank, index, value, payload length, sender summary
+  ASSERT_EQ(wire.size(), 23u);
   wire.pop_back();
   EXPECT_THROW(dsm::decode_record(wire), std::runtime_error);
   // Trailing garbage.
   wire = dsm::encode_record(r);
   wire.push_back(std::byte{0xff});
   EXPECT_THROW(dsm::decode_record(wire), std::runtime_error);
-  // An event kind past PeerDetached (6 was the never-produced Timeout).
-  dsm::LogRecord ev;
-  ev.kind = dsm::LogRecord::Kind::Event;
-  ev.event = dsm::CoherenceEvent::peer_detached(1);
-  wire = dsm::encode_record(ev);
+  // An event kind past BindLock.
+  wire = dsm::encode_record(r);
   EXPECT_NO_THROW(dsm::decode_record(wire));
-  // The event kind follows the record kind byte.
-  ASSERT_EQ(wire[1], std::byte{5});
-  wire[1] = std::byte{6};
+  ASSERT_EQ(wire[0], std::byte{6});
+  wire[0] = std::byte{8};
   EXPECT_THROW(dsm::decode_record(wire), std::runtime_error);
+  // Only a master event carries a master payload.
+  dsm::LogRecord ev;
+  ev.event = dsm::CoherenceEvent::peer_detached(1);
+  ev.master_payload = {std::byte{0x01}};
+  EXPECT_THROW(dsm::decode_record(dsm::encode_record(ev)),
+               std::runtime_error);
+  ev.event = dsm::CoherenceEvent::master_barrier(1, {});
+  EXPECT_NO_THROW(dsm::decode_record(dsm::encode_record(ev)));
 }
 
 TEST(ReplicationCodec, EmbeddedFrameMustFillItsLength) {
@@ -112,7 +110,6 @@ TEST(ReplicationCodec, EmbeddedFrameMustFillItsLength) {
   // length that claims more bytes than the frame uses is malformed: the
   // slack would be silently skipped.
   dsm::LogRecord r;
-  r.kind = dsm::LogRecord::Kind::Event;
   msg::Message m;
   m.type = msg::MsgType::LockRequest;
   m.rank = 3;
@@ -205,6 +202,126 @@ TEST(Replication, PromotedStandbyReleasesDeadMastersLocks) {
   EXPECT_TRUE(released);
   const auto err = dsm::validate_trace(slog.snapshot());
   EXPECT_FALSE(err.has_value()) << *err;
+  repl.stop();
+}
+
+// ---- failover keeps replayed runs and bindings ------------------------------
+
+namespace {
+
+/// A remote that speaks the protocol by hand, so a test can read the exact
+/// payload of every reply.
+struct RawRemote {
+  dsm::ReplicatedHome& repl;
+  std::uint32_t rank;
+  msg::EndpointPtr ep;
+  std::uint32_t seq = 0;
+
+  RawRemote(dsm::ReplicatedHome& r, std::uint32_t k)
+      : repl(r), rank(k), ep(r.attach(k)) {}
+
+  /// Send one request and return its reply.
+  msg::Message request(msg::MsgType type, std::uint32_t sync_id) {
+    msg::Message m;
+    m.type = type;
+    m.rank = rank;
+    m.seq = ++seq;
+    m.sync_id = sync_id;
+    m.sender = msg::PlatformSummary::of(plat::linux_ia32());
+    if (type != msg::MsgType::LockRequest) {
+      m.payload = dsm::encode_update_blocks({});
+    }
+    ep->send(m);
+    msg::Message reply;
+    EXPECT_TRUE(ep->recv_for(reply, test::scaled(5000ms)));
+    return reply;
+  }
+
+  /// Resume the session at whichever home serves now.
+  void redial() { ep = repl.redial(rank); }
+};
+
+/// The grant remote 1 gets for mutex 0 after the master's red half-sweep
+/// of A (every even element, then a barrier the master closes alone), with
+/// or without a failover between the barrier and the lock.
+std::vector<std::byte> grant_after_red_sweep(bool failover) {
+  dsm::ReplicatedHome repl(test::repl_gthv(), plat::linux_ia32());
+  repl.set_barrier_count(0, 1);
+  repl.start();
+  RawRemote remote(repl, 1);
+  // Ship the attach's full-image pending set first.
+  EXPECT_EQ(remote.request(msg::MsgType::LockRequest, 0).type,
+            msg::MsgType::LockGrant);
+  EXPECT_EQ(remote.request(msg::MsgType::UnlockRequest, 0).type,
+            msg::MsgType::UnlockAck);
+
+  auto a = repl.space().view<std::int64_t>("A");
+  for (std::uint64_t i = 0; i < test::kReplElems; i += 2) {
+    a.set(i, 1000 + static_cast<std::int64_t>(i));
+  }
+  repl.barrier(0);
+  if (failover) {
+    repl.fail_over();
+    remote.redial();
+  }
+  const msg::Message grant = remote.request(msg::MsgType::LockRequest, 0);
+  EXPECT_EQ(grant.type, msg::MsgType::LockGrant);
+  repl.stop();
+  return grant.payload;
+}
+
+}  // namespace
+
+TEST(Replication, StridedMasterRunsFailOverByteForByte) {
+  // The barrier's strided run reaches the standby only as packed bytes; the
+  // run it rebuilds from them must pend exactly as the primary's did.
+  const std::vector<std::byte> served = grant_after_red_sweep(false);
+  const auto blocks = dsm::decode_update_block_views(served);
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(blocks[0].tag, "((8,1)(8,0),32)");
+  EXPECT_EQ(grant_after_red_sweep(true), served);
+}
+
+TEST(Replication, BoundLockScopesThePromotedStandbysGrants) {
+  // The binding is configuration the standby knows only from the log: after
+  // the failover mutex 1 still ships A's runs alone, and B's stay pending
+  // for the next unbound grant.
+  const tags::TypePtr gthv = tags::TypeDesc::struct_of(
+      "G", {{"A", tags::TypeDesc::array(tags::t_longlong(), 8)},
+            {"B", tags::TypeDesc::array(tags::t_longlong(), 8)}});
+  dsm::ReplicatedHome repl(gthv, plat::linux_ia32());
+  repl.bind_lock(1, "A");
+  repl.start();
+  RawRemote remote(repl, 1);
+  EXPECT_EQ(remote.request(msg::MsgType::LockRequest, 0).type,
+            msg::MsgType::LockGrant);
+  EXPECT_EQ(remote.request(msg::MsgType::UnlockRequest, 0).type,
+            msg::MsgType::UnlockAck);
+
+  repl.lock(2);
+  repl.space().view<std::int64_t>("A").set(0, 11);
+  repl.space().view<std::int64_t>("B").set(0, 22);
+  repl.unlock(2);
+  repl.fail_over();
+  remote.redial();
+
+  const auto row_of = [&repl](const char* field) {
+    return static_cast<std::uint32_t>(
+        repl.space().table().row_of_field(field));
+  };
+  const msg::Message bound = remote.request(msg::MsgType::LockRequest, 1);
+  ASSERT_EQ(bound.type, msg::MsgType::LockGrant);
+  auto blocks = dsm::decode_update_block_views(bound.payload);
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(blocks[0].row, row_of("A"));
+
+  EXPECT_EQ(remote.request(msg::MsgType::UnlockRequest, 1).type,
+            msg::MsgType::UnlockAck);
+  const msg::Message unbound = remote.request(msg::MsgType::LockRequest, 0);
+  ASSERT_EQ(unbound.type, msg::MsgType::LockGrant);
+  blocks = dsm::decode_update_block_views(unbound.payload);
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(blocks[0].row, row_of("B"));
   repl.stop();
 }
 

@@ -1,9 +1,11 @@
 # Protocol docs drift checker: docs/PROTOCOL.md is the normative wire
 # description, so every MsgType enumerator and every Message frame-header
-# field declared in src/msg/message.hpp must be mentioned there.  Catches
-# the classic failure mode of adding a message type or header field and
-# forgetting the spec (the compressed-payload flag nearly shipped that
-# way).
+# field declared in src/msg/message.hpp must be mentioned there, and every
+# CoherenceEvent::Kind enumerator in src/dsm/coherence_core.hpp must open a
+# row of its §7 event table (`Name{...}` in backticks).  Catches the
+# classic failure mode of adding a message type, header field or core
+# event and forgetting the spec (the compressed-payload flag nearly
+# shipped that way).
 #
 # Invoked as:
 #   cmake -DREPO_DIR=<repo root> -P check_protocol_tables.cmake
@@ -13,8 +15,9 @@ if(NOT DEFINED REPO_DIR)
 endif()
 
 set(header "${REPO_DIR}/src/msg/message.hpp")
+set(core_header "${REPO_DIR}/src/dsm/coherence_core.hpp")
 set(doc "${REPO_DIR}/docs/PROTOCOL.md")
-foreach(f IN ITEMS "${header}" "${doc}")
+foreach(f IN ITEMS "${header}" "${core_header}" "${doc}")
   if(NOT EXISTS "${f}")
     message(FATAL_ERROR "check_protocol_tables: missing ${f}")
   endif()
@@ -70,15 +73,35 @@ foreach(name IN LISTS fields)
   endif()
 endforeach()
 
+# --- CoherenceEvent kinds --------------------------------------------------
+# Every input of the core is a protocol transition (and a replication log
+# record), so each kind needs its event-table row: "`Kind{" opens it.
+file(READ "${core_header}" core_src)
+string(REGEX MATCH "struct CoherenceEvent {[^{]*enum class Kind[^{]*{([^}]*)}"
+       _ "${core_src}")
+if(NOT CMAKE_MATCH_1)
+  message(FATAL_ERROR
+          "check_protocol_tables: no CoherenceEvent::Kind in ${core_header}")
+endif()
+set(kind_body "${CMAKE_MATCH_1}")
+string(REGEX REPLACE "//[^\n]*" "" kind_body "${kind_body}")
+string(REGEX MATCHALL "[A-Za-z_][A-Za-z0-9_]*" kinds "${kind_body}")
+foreach(name IN LISTS kinds)
+  if(NOT spec MATCHES "`${name}{")
+    list(APPEND missing "CoherenceEvent::Kind::${name}")
+  endif()
+endforeach()
+
 if(missing)
   list(JOIN missing ", " missing_str)
   message(FATAL_ERROR
           "check_protocol_tables: docs/PROTOCOL.md does not mention: "
-          "${missing_str}.  Update the frame table / MsgType table to keep "
-          "the spec normative.")
+          "${missing_str}.  Update the frame table / MsgType table / §7 "
+          "event table to keep the spec normative.")
 endif()
 
 list(LENGTH enumerators n_types)
 list(LENGTH fields n_fields)
+list(LENGTH kinds n_kinds)
 message(STATUS "check_protocol_tables: ok (${n_types} message types, "
-        "${n_fields} header fields all documented)")
+        "${n_fields} header fields, ${n_kinds} core events all documented)")
