@@ -50,14 +50,15 @@ namespace {
 /// the raw bytes of the run array.  Keeps the data plane out of the
 /// measurement — what's timed is the protocol engine, not conversion.
 struct InlineCodec final : dsm::UpdateCodec {
-  std::vector<std::byte> pack(
+  std::vector<std::byte> pack_payload(
       const std::vector<idx::UpdateRun>& runs) override {
     std::vector<std::byte> out(runs.size() * sizeof(idx::UpdateRun));
     if (!out.empty()) std::memcpy(out.data(), runs.data(), out.size());
     return out;
   }
-  std::vector<idx::UpdateRun> apply(const std::vector<std::byte>& payload,
-                                    const msg::PlatformSummary&) override {
+  std::vector<idx::UpdateRun> apply_payload(
+      const std::vector<std::byte>& payload,
+      const msg::PlatformSummary&) override {
     std::vector<idx::UpdateRun> runs(payload.size() / sizeof(idx::UpdateRun));
     if (!runs.empty()) {
       std::memcpy(runs.data(), payload.data(), payload.size());
@@ -97,7 +98,7 @@ msg::Message request(msg::MsgType type, std::uint32_t rank, std::uint32_t seq,
 
 std::vector<std::byte> one_run_payload() {
   InlineCodec c;
-  return c.pack({idx::UpdateRun{0, 0, 8}});
+  return c.pack_payload({idx::UpdateRun{0, 0, 8}});
 }
 
 void BM_CoreLockUnlock(benchmark::State& state) {

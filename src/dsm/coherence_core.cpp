@@ -329,7 +329,7 @@ void CoherenceCore::grant(std::uint32_t index, std::uint32_t rank,
   if (ls.bound_rows.empty()) {
     // Release consistency (the paper's behavior): ship everything pending.
     blocks = peer.pending.size();
-    grant_msg.payload = codec_.pack(peer.pending);
+    grant_msg.payload = codec_.pack_payload(peer.pending);
     peer.pending.clear();
   } else {
     // Entry consistency: ship only the runs of the rows this mutex guards.
@@ -343,7 +343,7 @@ void CoherenceCore::grant(std::uint32_t index, std::uint32_t rank,
       }
     }
     blocks = guarded.size();
-    grant_msg.payload = codec_.pack(guarded);
+    grant_msg.payload = codec_.pack_payload(guarded);
     peer.pending = std::move(rest);
   }
   trace(out, TraceEvent::Kind::UpdatesShipped, rank, index, blocks,
@@ -436,7 +436,7 @@ void CoherenceCore::maybe_release_barrier(std::uint32_t index, Actions& out) {
     release_msg.rank = kMasterRank;
     release_msg.sender = cfg_.self;
     const std::size_t blocks = peer.pending.size();
-    release_msg.payload = codec_.pack(peer.pending);
+    release_msg.payload = codec_.pack_payload(peer.pending);
     peer.pending.clear();
     trace(out, TraceEvent::Kind::UpdatesShipped, rank, index, blocks,
           release_msg.payload.size());
@@ -556,7 +556,7 @@ bool CoherenceCore::apply_updates(std::uint32_t rank, const msg::Message& m,
                                   Actions& out) {
   std::vector<idx::UpdateRun> runs;
   try {
-    runs = codec_.apply(m.payload, m.sender);
+    runs = codec_.apply_payload(m.payload, m.sender);
   } catch (const std::exception& e) {
     violation(rank,
               std::string("home: bad ") + what + " payload: " + e.what(), out);
@@ -582,10 +582,14 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
     // Hello's sync_id carries an incarnation epoch nonce: a duplicated or
     // reordered copy of an already-seen Hello repeats the recorded epoch
     // and must NOT reset the state again (doing so mid-session would make
-    // a retransmit of an already-executed request look fresh).  Epoch 0 is
-    // a legacy epoch-less Hello, which always resets.
-    if (m.seq == 0 && !m.tag.empty() &&
-        (m.sync_id == 0 || m.sync_id != peer.hello_epoch)) {
+    // a retransmit of an already-executed request look fresh).  Every
+    // session Hello carries a nonzero epoch, so epoch 0 is a violation.
+    if (!m.tag.empty() && m.sync_id == 0) {
+      violation(rank, "home: session Hello without an incarnation epoch",
+                out);
+      return;
+    }
+    if (m.seq == 0 && !m.tag.empty() && m.sync_id != peer.hello_epoch) {
       peer.last_seq = 0;
       peer.last_reply.reset();
       peer.granted_gen.clear();

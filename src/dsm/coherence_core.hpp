@@ -14,9 +14,9 @@
 // I/O shell around the one core: it feeds events from the reactor's io
 // thread and executes the returned actions, all under one state lock.
 //
-// The one dependency is `UpdateCodec`, a narrow data-plane interface
-// (pack runs -> payload bytes, apply payload -> runs) backed by the
-// SyncEngine in production and by a trivial in-memory fake in tests.  The
+// The one dependency is `UpdateCodec` (dsm/update.hpp), a narrow data-plane
+// interface (pack runs -> payload bytes, apply payload -> runs): the home's
+// SyncEngine itself in production, a trivial in-memory fake in tests.  The
 // codec carries no protocol knowledge; the core never touches image bytes.
 //
 // Normative event -> action tables: docs/PROTOCOL.md §7.
@@ -40,30 +40,10 @@
 
 namespace hdsm::dsm {
 
-/// Data-plane interface the core packs and applies updates through.  The
-/// implementation owns image access and conversion (SyncEngine in the real
-/// home node); the core owns every decision about *what* to pack or apply
-/// and *when*.  `apply` may throw on a malformed payload — the core turns
-/// that into a Detach of the offending peer.
-class UpdateCodec {
- public:
-  virtual ~UpdateCodec() = default;
-
-  /// Pack `runs` (read from this node's image) into a wire payload.
-  virtual std::vector<std::byte> pack(
-      const std::vector<idx::UpdateRun>& runs) = 0;
-
-  /// Decode a payload from `sender` and apply it to this node's image;
-  /// returns the runs applied (for pending-set merging).
-  virtual std::vector<idx::UpdateRun> apply(
-      const std::vector<std::byte>& payload,
-      const msg::PlatformSummary& sender) = 0;
-};
-
 /// One input to the protocol engine, and the only way the home's protocol
 /// state changes — configuration included, so the event stream is the
 /// whole replicated log (docs/REPLICATION.md).  Master events carry the
-/// runs the shell collected from its tracked region (diffing is data-plane
+/// runs the master's SyncEngine collected (finding writes is data-plane
 /// work); PeerAttached carries the fresh peer's initial pending set (the
 /// full image).
 struct CoherenceEvent {

@@ -6,6 +6,9 @@ namespace hdsm::dsm {
 
 namespace {
 
+/// ± fraction applied to each wait.
+constexpr double kJitter = 0.1;
+
 std::uint64_t jitter_seed(const RetryPolicy& p, std::uint32_t rank) {
   // Distinct per-rank default so a cluster constructed with identical
   // options still desynchronizes its retry schedules.
@@ -22,8 +25,7 @@ RetryCore::RetryCore(RetryPolicy policy, std::uint32_t rank,
       jitter_rng_(jitter_seed(policy, rank)) {}
 
 std::chrono::milliseconds RetryCore::jittered_window() {
-  std::uniform_real_distribution<double> jitter(1.0 - policy_.jitter,
-                                                1.0 + policy_.jitter);
+  std::uniform_real_distribution<double> jitter(1.0 - kJitter, 1.0 + kJitter);
   return std::chrono::milliseconds(std::max<std::int64_t>(
       1, static_cast<std::int64_t>(static_cast<double>(wait_.count()) *
                                    jitter(jitter_rng_))));

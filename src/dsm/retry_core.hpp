@@ -16,14 +16,13 @@ namespace hdsm::dsm {
 
 /// Per-request timeout/backoff schedule.  Attempt k waits
 /// `min(timeout * backoff^k, max_timeout)`, each wait scaled by a seeded
-/// uniform jitter in [1-jitter, 1+jitter] so a cluster of remotes does not
-/// retry in lockstep.  Defaults give ~1+2+4+8+8+8+8 s ≈ 39 s of patience.
+/// uniform jitter in [0.9, 1.1] so a cluster of remotes does not retry in
+/// lockstep.  Defaults give ~1+2+4+8+8+8+8 s ≈ 39 s of patience.
 struct RetryPolicy {
   std::chrono::milliseconds timeout{1000};  ///< first reply wait
   double backoff = 2.0;                     ///< wait growth per retry
   std::chrono::milliseconds max_timeout{8000};  ///< wait ceiling
   std::uint32_t max_retries = 6;  ///< retransmissions before giving up
-  double jitter = 0.1;            ///< ± fraction applied to each wait
   std::uint64_t seed = 0;         ///< jitter seed (0 = derive from rank)
 };
 

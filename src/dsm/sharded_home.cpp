@@ -8,18 +8,6 @@
 
 namespace hdsm::dsm {
 
-// ---- the data plane --------------------------------------------------------
-
-std::vector<std::byte> ShardedHome::EngineCodec::pack(
-    const std::vector<idx::UpdateRun>& runs) {
-  return engine.pack_payload(runs);
-}
-
-std::vector<idx::UpdateRun> ShardedHome::EngineCodec::apply(
-    const std::vector<std::byte>& payload, const msg::PlatformSummary& sender) {
-  return engine.apply_payload(payload, sender);
-}
-
 // ---- construction ----------------------------------------------------------
 
 namespace {
@@ -63,8 +51,7 @@ ShardedHome::ShardedHome(tags::TypePtr gthv,
                      ? std::make_unique<obs::Telemetry>(opts_.obs)
                      : nullptr),
       engine_(space_, opts_.dsd, stats_),
-      codec_(engine_),
-      core_(core_config(opts_, space_, telemetry_.get()), codec_, stats_) {
+      core_(core_config(opts_, space_, telemetry_.get()), engine_, stats_) {
   engine_.set_trace(opts_.trace, kMasterRank);
   engine_.set_obs(telemetry_.get());
   msg::ReactorOptions ro;
@@ -157,9 +144,7 @@ void ShardedHome::attach_endpoint(std::uint32_t rank, msg::EndpointPtr ep) {
 void ShardedHome::start() {
   if (telemetry_ != nullptr) telemetry_->set_thread_label("master");
   if (started_.exchange(true)) return;
-  // Object mode never arms page-twin tracking: writes are tracked by the
-  // ObjectSpace dirty sets, not mprotect faults (docs/OBJECTS.md).
-  if (!opts_.run_source) space_.region().begin_tracking();
+  engine_.start_tracking();
 }
 
 void ShardedHome::stop() {
@@ -172,7 +157,7 @@ void ShardedHome::stop() {
   // Close every session and stop the io thread; its final closed callbacks
   // re-enter the (now released) state lock.
   reactor_->stop();
-  if (space_.region().tracking()) space_.region().end_tracking();
+  engine_.stop_tracking();
 }
 
 // ---- replication: primary side (docs/REPLICATION.md) -----------------------
@@ -184,7 +169,7 @@ void ShardedHome::replicate(const CoherenceEvent& e) {
   // pack them now (under the state lock, image unchanged since the step)
   // so the standby can apply the same bytes before replaying the event.
   if (is_master_update(e.kind) && !e.runs.empty()) {
-    r.master_payload = codec_.pack(e.runs);
+    r.master_payload = engine_.pack_payload(e.runs);
     r.master_sender = msg::PlatformSummary::of(space_.platform());
   }
   if (opts_.replication->append(r) == ReplicationSender::Result::Deposed &&
@@ -250,7 +235,7 @@ void ShardedHome::replay_record(LogRecord r) {
     // The primary's image bytes for a master event: apply them first so
     // replies the replay packs from this image carry identical bytes.  The
     // apply returns one run per packed block, in order: the event's runs.
-    e.runs = codec_.apply(r.master_payload, r.master_sender);
+    e.runs = engine_.apply_payload(r.master_payload, r.master_sender);
   }
   // The replay drives the same executor as live traffic; its sends find
   // no session and drop, which is the point — only a promoted standby
@@ -344,17 +329,6 @@ void ShardedHome::drain(std::vector<CoherenceAction> actions) {
 
 // ---- master-thread API -----------------------------------------------------
 
-std::vector<idx::UpdateRun> ShardedHome::collect_master_runs(
-    std::uint32_t region) {
-  if (!opts_.run_source) return engine_.collect_runs();
-  ObjectRuns obj = opts_.run_source(region);
-  if (obj.objects != 0) {
-    ++stats_.object_episodes;
-    stats_.objects_shipped += obj.objects;
-  }
-  return std::move(obj.runs);
-}
-
 template <typename Pred>
 void ShardedHome::wait_master(std::unique_lock<std::mutex>& lock,
                               const char* what, std::uint32_t index,
@@ -392,7 +366,7 @@ void ShardedHome::unlock(std::uint32_t index) {
   // so an exception must fire before that side effect.
   core_.check_master_unlock(index);
   process_event(
-      CoherenceEvent::master_unlock(index, collect_master_runs(index)));
+      CoherenceEvent::master_unlock(index, engine_.collect_runs(index)));
 }
 
 void ShardedHome::barrier(std::uint32_t index) {
@@ -404,7 +378,7 @@ void ShardedHome::barrier(std::uint32_t index) {
   std::unique_lock<std::mutex> lk(mutex_);
   const std::uint64_t gen = core_.barrier_generation(index);
   process_event(
-      CoherenceEvent::master_barrier(index, collect_master_runs(kAllRegions)));
+      CoherenceEvent::master_barrier(index, engine_.collect_runs(kAllRegions)));
   obs::SpanScope wait(telemetry_.get(), obs::SpanKind::BarrierWait, index);
   wait_master(lk, "barrier", index,
               [&] { return core_.barrier_generation(index) != gen; });

@@ -8,16 +8,16 @@
 // keeps its historical name; docs/SHARDING.md records why the multi-shard
 // directory was retired.
 //
-// The data plane is one GlobalSpace image and one SyncEngine, reached by
-// the core through a forwarding codec; every engine call (the core's
-// pack/apply and the master's diff collection) holds the state lock.
+// The shell runs only the protocol.  The data plane is one GlobalSpace
+// image and one SyncEngine, which is the core's codec and alone finds the
+// master's writes and arms write tracking; every engine call (the core's
+// pack/apply and the master's collect) holds the state lock.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,15 +49,6 @@ struct ShardedHomeOptions {
   /// Deposed append fences this home (outgoing sends are suppressed).
   /// Null keeps the unreplicated path byte-identical.
   ReplicationSender* replication = nullptr;
-
-  // -- Object-granularity sharing mode (hdsm::obj, docs/OBJECTS.md) --
-
-  /// When set, the master's unlock/barrier episodes collect their update
-  /// runs from this source instead of diffing the tracked region: unlock
-  /// passes the released region, barrier passes kAllRegions.  Page-twin
-  /// tracking is never armed (no mprotect, no SIGSEGV, no page diffing).
-  /// Null = the page-mode path, byte-identical to before.
-  std::function<ObjectRuns(std::uint32_t region)> run_source;
 };
 
 class ShardedHome : private msg::ReactorHandler {
@@ -150,18 +141,6 @@ class ShardedHome : private msg::ReactorHandler {
   void bind_lock(std::uint32_t index, const std::string& field);
 
  private:
-  /// The data plane as the core sees it: packs and applies through the one
-  /// SyncEngine.  Every call arrives under the state lock.
-  struct EngineCodec final : UpdateCodec {
-    explicit EngineCodec(SyncEngine& e) : engine(e) {}
-    std::vector<std::byte> pack(
-        const std::vector<idx::UpdateRun>& runs) override;
-    std::vector<idx::UpdateRun> apply(
-        const std::vector<std::byte>& payload,
-        const msg::PlatformSummary& sender) override;
-    SyncEngine& engine;
-  };
-
   /// One remote's (or the replication link's) connection to the home.
   /// Every attach installs a new incarnation: `gen` bumps and the
   /// transport joins the reactor as peer (gen << 32) | rank, so a send or
@@ -192,10 +171,6 @@ class ShardedHome : private msg::ReactorHandler {
   /// asynchronous (queued on the reactor); a dead transport arrives later
   /// as on_peer_closed.
   void drain(std::vector<CoherenceAction> actions);
-  /// The master's update runs for one unlock (`region`) or barrier
-  /// (kAllRegions) episode: the run source's dirty objects in object mode,
-  /// the tracked region's diffs in page mode.
-  std::vector<idx::UpdateRun> collect_master_runs(std::uint32_t region);
   /// Wait on the core's condition variable until `done()` holds; throws
   /// when stop() ends the wait first.
   template <typename Pred>
@@ -220,8 +195,8 @@ class ShardedHome : private msg::ReactorHandler {
   /// core's protocol counters.  Every writer holds mutex_.
   ShareStats stats_;
   std::unique_ptr<obs::Telemetry> telemetry_;
+  /// The data plane, and the core's codec.
   SyncEngine engine_;
-  EngineCodec codec_;
 
   /// The state lock, the home's only lock: guards core_, engine_, stats_,
   /// sessions_ and the waits on cv_ (the master's and retiring attaches').

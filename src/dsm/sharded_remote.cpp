@@ -64,9 +64,7 @@ ShardedRemote::ShardedRemote(tags::TypePtr gthv,
                             "reconnect exhausted");
     }
   }
-  // Object mode (docs/OBJECTS.md): dirty objects are tracked by the
-  // ObjectSpace, not mprotect faults — page-twin tracking never arms.
-  if (!opts_.run_source) space_.region().begin_tracking();
+  engine_.start_tracking();
 }
 
 ShardedRemote::ShardedRemote(tags::TypePtr gthv,
@@ -77,7 +75,7 @@ ShardedRemote::ShardedRemote(tags::TypePtr gthv,
                     ShardedRemoteOptions{.dsd = opts}) {}
 
 ShardedRemote::~ShardedRemote() {
-  if (space_.region().tracking()) space_.region().end_tracking();
+  engine_.stop_tracking();
   if (endpoint_) endpoint_->close();
 }
 
@@ -101,7 +99,7 @@ void ShardedRemote::trace(TraceEvent::Kind kind, std::uint32_t sync_id,
 
 void ShardedRemote::detach_self() {
   detached_ = true;
-  if (space_.region().tracking()) space_.region().end_tracking();
+  engine_.stop_tracking();
   if (endpoint_) endpoint_->close();
   trace(TraceEvent::Kind::TimeoutDetached, 0, send_seq_);
 }
@@ -213,20 +211,6 @@ msg::Message ShardedRemote::rpc(msg::Message req, msg::MsgType want) {
   }
 }
 
-std::vector<std::byte> ShardedRemote::collect_episode(std::uint32_t region) {
-  // Page mode diffs the tracked region; object mode asks the ObjectSpace
-  // for exactly the dirty objects' runs (scoped to `region` on unlock,
-  // everything on barrier/join) and counts the episode's objects, as the
-  // home's collect_master_runs does.
-  if (!opts_.run_source) return engine_.collect_payload();
-  ObjectRuns obj = opts_.run_source(region);
-  if (obj.objects != 0) {
-    ++stats_.object_episodes;
-    stats_.objects_shipped += obj.objects;
-  }
-  return engine_.pack_payload(obj.runs);
-}
-
 void ShardedRemote::lock(std::uint32_t index) {
   obs::SpanScope episode(telemetry_.get(), obs::SpanKind::Episode, index);
   msg::Message req;
@@ -244,7 +228,7 @@ void ShardedRemote::unlock(std::uint32_t index) {
   req.sync_id = index;
   // Collect exactly once: retransmits must carry the same payload, not a
   // fresh (empty) one.
-  req.payload = collect_episode(index);
+  req.payload = engine_.pack_payload(engine_.collect_runs(index));
   rpc(std::move(req), msg::MsgType::UnlockAck);
   ++stats_.unlocks;
 }
@@ -254,7 +238,7 @@ void ShardedRemote::barrier(std::uint32_t index) {
   msg::Message enter;
   enter.type = msg::MsgType::BarrierEnter;
   enter.sync_id = index;
-  enter.payload = collect_episode(kAllRegions);
+  enter.payload = engine_.pack_payload(engine_.collect_runs(kAllRegions));
   const msg::Message release =
       rpc(std::move(enter), msg::MsgType::BarrierRelease);
   engine_.apply_payload(release.payload, release.sender);
@@ -267,9 +251,9 @@ void ShardedRemote::join() {
   obs::SpanScope episode(telemetry_.get(), obs::SpanKind::Episode);
   msg::Message req;
   req.type = msg::MsgType::JoinRequest;
-  req.payload = collect_episode(kAllRegions);
+  req.payload = engine_.pack_payload(engine_.collect_runs(kAllRegions));
   rpc(std::move(req), msg::MsgType::JoinAck);
-  if (space_.region().tracking()) space_.region().end_tracking();
+  engine_.stop_tracking();
   joined_ = true;
 }
 

@@ -41,14 +41,6 @@ struct ShardedRemoteOptions {
   std::function<msg::EndpointPtr()> reconnect{};
   std::uint32_t max_reconnects = 3;  ///< reconnect budget of the session
   obs::ObsOptions obs{};
-
-  /// Object-granularity sharing mode (hdsm::obj, docs/OBJECTS.md): when
-  /// set, unlock/barrier/join collect their update runs from this source
-  /// instead of diffing the page-twin machinery — unlock passes the
-  /// released region, barrier and join pass kAllRegions — and write
-  /// tracking is never armed (no mprotect, no faults, no page diffs).
-  /// Null = the page-mode path, byte-identical to before.
-  std::function<ObjectRuns(std::uint32_t region)> run_source{};
 };
 
 class ShardedRemote {
@@ -90,9 +82,6 @@ class ShardedRemote {
   /// One request/reply exchange: send, then wait, retransmitting and
   /// reconnecting as the RetryCore decides.
   msg::Message rpc(msg::Message req, msg::MsgType want);
-  /// One release episode's payload: page mode diffs the tracked region,
-  /// object mode packs the run_source's dirty-object runs for `region`.
-  std::vector<std::byte> collect_episode(std::uint32_t region);
   void send_hello(bool resume);
   /// Redial through the reconnect hook until a fresh transport takes a
   /// resume Hello; false when the reconnect budget is spent.

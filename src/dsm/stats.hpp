@@ -150,8 +150,4 @@ struct ShareStats {
 /// struct — and carries the Eq.-1 buckets even when obs recording is off.
 void append_share_stats(obs::MetricsSnapshot& out, const ShareStats& s);
 
-/// Historic name for the tree-wide monotonic timer (obs::ScopedTimer);
-/// the three hand-rolled copies of this class were deduplicated there.
-using StopWatch = obs::ScopedTimer;
-
 }  // namespace hdsm::dsm

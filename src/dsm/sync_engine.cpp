@@ -171,9 +171,27 @@ SyncEngine::SenderPlanCache& SyncEngine::cache_for(
 
 // -- Send side ---------------------------------------------------------------
 
-std::vector<idx::UpdateRun> SyncEngine::collect_runs() {
-  StopWatch watch;
-  mem::TrackedRegion& region = space_.region();
+void SyncEngine::start_tracking() {
+  if (!opts_.run_source && !space_.region().tracking()) {
+    space_.region().begin_tracking();
+  }
+}
+
+void SyncEngine::stop_tracking() {
+  if (space_.region().tracking()) space_.region().end_tracking();
+}
+
+std::vector<idx::UpdateRun> SyncEngine::collect_runs(std::uint32_t region) {
+  if (opts_.run_source) {
+    ObjectRuns obj = opts_.run_source(region);
+    if (obj.objects != 0) {
+      ++stats_.object_episodes;
+      stats_.objects_shipped += obj.objects;
+    }
+    return std::move(obj.runs);
+  }
+  obs::ScopedTimer watch;
+  mem::TrackedRegion& tracked = space_.region();
   const idx::IndexTable& table = space_.table();
   const std::size_t ps = mem::Region::host_page_size();
   const std::uint64_t image_size = table.image_size();
@@ -182,12 +200,12 @@ std::vector<idx::UpdateRun> SyncEngine::collect_runs() {
   // place against its twin as the region hands it over re-protected.
   std::vector<idx::UpdateRun> runs;
   const idx::RunRules rules{opts_.coalesce_runs};
-  const std::size_t dirty = region.collect(
+  const std::size_t dirty = tracked.collect(
       [&](std::size_t page, const std::byte* twin) {
         const std::size_t base = page * ps;
         if (base >= image_size) return;
         const std::size_t len = std::min(ps, image_size - base);
-        idx::diff_runs(table, base, region.data() + base, twin, len, rules,
+        idx::diff_runs(table, base, tracked.data() + base, twin, len, rules,
                        runs);
       });
   stats_.dirty_pages += dirty;
@@ -208,7 +226,7 @@ std::vector<std::byte> SyncEngine::pack_payload(
     const std::vector<idx::UpdateRun>& runs) {
   const idx::IndexTable& table = space_.table();
 
-  StopWatch watch;
+  obs::ScopedTimer watch;
   // t_tag: render the tag of every run (the paper's sprintf work) back to
   // back into one arena reused across packs, so the steady state allocates
   // nothing here; run i's tag is [tag_offs_[i], tag_offs_[i + 1]).
@@ -537,7 +555,7 @@ std::vector<idx::UpdateRun> SyncEngine::apply_payload(
   // t_unpack: decode the payload, parse tags (plan cache), validate all
   // (compressed blocks decompress into `validated.scratch` here).  A
   // malformed payload throws before any byte lands.
-  StopWatch watch;
+  obs::ScopedTimer watch;
   const ValidatedPayload validated = validate_payload(payload, sender);
   const std::vector<BlockPlan>& plans = validated.plans;
   const std::uint64_t unpack_ns = watch.lap();

@@ -15,6 +15,13 @@
 // converts on its own thread (one lane per node), so Eq. 1's costs are
 // that thread's CPU time.
 //
+// The engine is the node's whole data plane: it is the home's UpdateCodec
+// (the CoherenceCore packs and applies through it), it arms and disarms
+// write tracking, and it alone decides how an episode's writes are found —
+// page mode diffs the tracked region, object mode (SyncOptions::run_source,
+// docs/OBJECTS.md) drains the dirty objects — so the home and remote shells
+// run only the protocol.
+//
 // All work is accounted into the Eq.-1 ShareStats buckets of the owning
 // node.  A SyncEngine is not internally synchronized: callers serialize
 // access exactly as they always have (home: the shell state mutex; remote:
@@ -22,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,8 +53,20 @@ enum class CodecMode {
              ///  cost model says encode + compressed wire beats raw wire
 };
 
+/// Update runs produced by the object-granularity path (docs/OBJECTS.md):
+/// the element runs covering exactly the dirty objects, plus how many
+/// objects those runs cover (the per-node object ShareStats counters).
+struct ObjectRuns {
+  std::vector<idx::UpdateRun> runs;
+  std::uint64_t objects = 0;
+};
+
+/// Pseudo-region passed to an object-mode run source when the episode is
+/// not scoped to one region (barrier flush, join): "collect everything".
+inline constexpr std::uint32_t kAllRegions = 0xffffffffu;
+
 /// Knobs for the data plane (diff/tag/pack/unpack/convert pipeline),
-/// exposed for the ablation benches.
+/// exposed for the ablation benches, and the object-mode run source.
 struct SyncOptions {
   /// Group the modified elements of a row into constant-stride runs, one
   /// tag each (paper §5: "distill many indexes into a single tag"): a
@@ -87,33 +107,38 @@ struct SyncOptions {
   /// to builds that predate the codec.  Adaptive builds the tuner, whose
   /// compress decision engages the codec per link.
   CodecMode codec = CodecMode::Off;
+
+  // -- Object-granularity sharing mode (hdsm::obj, docs/OBJECTS.md) --
+
+  /// When set, collect_runs takes an episode's update runs from this source
+  /// instead of diffing the tracked region (unlock passes the released
+  /// region, barrier and join kAllRegions), and write tracking never arms
+  /// (no trap, no page diffs).  Null = page mode.
+  std::function<ObjectRuns(std::uint32_t region)> run_source{};
 };
 
-/// Update runs produced by the object-granularity path (docs/OBJECTS.md):
-/// the element runs covering exactly the dirty objects, plus how many
-/// objects those runs cover (the per-node object ShareStats counters).
-struct ObjectRuns {
-  std::vector<idx::UpdateRun> runs;
-  std::uint64_t objects = 0;
-};
-
-/// Pseudo-region passed to an object-mode run source when the episode is
-/// not scoped to one region (barrier flush, join): "collect everything".
-inline constexpr std::uint32_t kAllRegions = 0xffffffffu;
-
-class SyncEngine {
+class SyncEngine final : public UpdateCodec {
  public:
   // Constructor/destructor out of line: plan-cache member types are
   // defined in the .cpp.  Throws std::invalid_argument when opts asks for
   // more than one data-plane lane (conv_threads or tuner.pin_conv_threads).
   SyncEngine(GlobalSpace& space, const SyncOptions& opts, ShareStats& stats);
-  ~SyncEngine();
+  ~SyncEngine() override;
 
-  /// Walk each page written in the tracking interval against its twin by
-  /// the index table's elements (idx::diff_runs) and return the modified
-  /// elements as runs under coalesce_runs (t_index).
-  /// Restarts the tracking interval.
-  std::vector<idx::UpdateRun> collect_runs();
+  /// Arm write tracking on this node's region, in page mode only (object
+  /// mode finds its writes through run_source).  Idempotent.
+  void start_tracking();
+  /// Disarm write tracking if it is armed.  Idempotent.
+  void stop_tracking();
+
+  /// This episode's writes as update runs — the one "find the writes"
+  /// entry.  Page mode walks each page written in the tracking interval
+  /// against its twin by the index table's elements (idx::diff_runs),
+  /// returns the modified elements as runs under coalesce_runs (t_index),
+  /// restarts the tracking interval and ignores `region`.  Object mode
+  /// drains run_source(region) and counts the episode's objects
+  /// (object_episodes, objects_shipped).
+  std::vector<idx::UpdateRun> collect_runs(std::uint32_t region = kAllRegions);
 
   /// Tag (t_tag) and pack (t_pack) runs directly into one wire payload: a
   /// single allocation and a single copy of the element bytes.  With the
@@ -122,9 +147,10 @@ class SyncEngine {
   /// pack_runs path was removed once this became the only production
   /// encoder); with the codec engaged, eligible runs are compressed in
   /// place into the same buffer (hdsm::codec, docs/COMPRESSION.md).
-  std::vector<std::byte> pack_payload(const std::vector<idx::UpdateRun>& runs);
+  std::vector<std::byte> pack_payload(
+      const std::vector<idx::UpdateRun>& runs) override;
 
-  /// collect_runs() + pack_payload(): the zero-copy MTh_unlock send side.
+  /// collect_runs() + pack_payload() of a whole-space episode.
   std::vector<std::byte> collect_payload(
       std::vector<idx::UpdateRun>* runs_out = nullptr);
 
@@ -135,7 +161,7 @@ class SyncEngine {
   /// Returns the runs applied (for pending-set merging at the home node).
   std::vector<idx::UpdateRun> apply_payload(
       const std::vector<std::byte>& payload,
-      const msg::PlatformSummary& sender);
+      const msg::PlatformSummary& sender) override;
 
   /// Runs covering every data row completely (initial full-image sync).
   static std::vector<idx::UpdateRun> full_image_runs(
@@ -203,7 +229,7 @@ class SyncEngine {
   SenderPlanCache& cache_for(const msg::PlatformSummary& sender);
   /// Record a just-finished phase of `dur_ns` into the telemetry (span +
   /// per-phase histogram).  The phase ended "now", so its start is
-  /// recovered from the same steady clock the StopWatch laps on — the
+  /// recovered from the same steady clock the obs::ScopedTimer laps on — the
   /// off path never reads the clock at all.
   void obs_phase(obs::SpanKind kind, std::uint64_t dur_ns,
                  std::uint64_t id = 0) {

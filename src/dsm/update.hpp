@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "index/index_table.hpp"
 #include "msg/message.hpp"
 
 namespace hdsm::dsm {
@@ -69,5 +70,26 @@ constexpr std::size_t update_block_wire_size(std::size_t tag_len,
                                              std::size_t data_len) {
   return 4 + 8 + 4 + 8 + tag_len + data_len;
 }
+
+/// The data plane as the coherence core sees it (coherence_core.hpp): runs
+/// in, payload bytes out, and back.  The implementation owns image access
+/// and conversion (SyncEngine, the node's whole data plane); the core owns
+/// every decision about *what* to pack or apply and *when*.
+/// `apply_payload` may throw on a malformed payload — the core turns that
+/// into a Detach of the offending peer.
+class UpdateCodec {
+ public:
+  virtual ~UpdateCodec() = default;
+
+  /// Pack `runs` (read from this node's image) into a wire payload.
+  virtual std::vector<std::byte> pack_payload(
+      const std::vector<idx::UpdateRun>& runs) = 0;
+
+  /// Decode a payload from `sender` and apply it to this node's image;
+  /// returns the runs applied (for pending-set merging).
+  virtual std::vector<idx::UpdateRun> apply_payload(
+      const std::vector<std::byte>& payload,
+      const msg::PlatformSummary& sender) = 0;
+};
 
 }  // namespace hdsm::dsm

@@ -29,7 +29,7 @@ ObjectHome::ObjectHome(ObjectLayoutPtr layout,
   opts.num_barriers = layout_->num_regions();
   // Safe to capture `this` before objects_ exists: run_source only fires
   // inside unlock/barrier episodes, long after construction completes.
-  opts.run_source = [this](std::uint32_t region) {
+  opts.dsd.run_source = [this](std::uint32_t region) {
     return objects_->take_dirty(region);
   };
   home_ = std::make_unique<dsm::ShardedHome>(layout_->gthv(), platform,
@@ -44,7 +44,7 @@ ObjectRemote::ObjectRemote(ObjectLayoutPtr layout,
                            msg::EndpointPtr endpoint,
                            dsm::ShardedRemoteOptions opts)
     : layout_(std::move(layout)) {
-  opts.run_source = [this](std::uint32_t region) {
+  opts.dsd.run_source = [this](std::uint32_t region) {
     return objects_->take_dirty(region);
   };
   remote_ = std::make_unique<dsm::ShardedRemote>(

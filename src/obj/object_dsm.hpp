@@ -1,7 +1,7 @@
 // Object-granularity DSM nodes (docs/OBJECTS.md): thin shells pairing the
 // coherence machinery with an ObjectSpace per node.
 //
-// Each node's ObjectSpace is wired in as the shell's run_source — release
+// Each node's ObjectSpace is wired in as its engine's run_source — release
 // episodes ship exactly the dirty objects' element runs through the
 // unchanged zero-copy pack_payload + plan-cache pipeline, and write
 // tracking (mprotect twins, page diffing) is never armed.  Every coherence

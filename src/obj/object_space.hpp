@@ -161,7 +161,7 @@ class ObjectSpace {
   /// Drain the dirty set of `region` (dsm::kAllRegions = every region) into
   /// element runs — one run per dirty object, adjacent slots of the same
   /// stripe coalesced — plus the dirty-object count.  Runs come out in
-  /// ascending row order.  This is the shells' run_source.
+  /// ascending row order.  This is the engine's run_source.
   dsm::ObjectRuns take_dirty(std::uint32_t region);
 
   /// Forget all dirty marks (post-population, before the cluster attaches:

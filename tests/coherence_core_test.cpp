@@ -39,7 +39,7 @@ struct FakeCodec final : dsm::UpdateCodec {
   int pack_calls = 0;
   int apply_calls = 0;
 
-  std::vector<std::byte> pack(
+  std::vector<std::byte> pack_payload(
       const std::vector<idx::UpdateRun>& runs) override {
     ++pack_calls;
     std::vector<std::byte> out(runs.size() * sizeof(idx::UpdateRun));
@@ -47,8 +47,9 @@ struct FakeCodec final : dsm::UpdateCodec {
     return out;
   }
 
-  std::vector<idx::UpdateRun> apply(const std::vector<std::byte>& payload,
-                                    const msg::PlatformSummary&) override {
+  std::vector<idx::UpdateRun> apply_payload(
+      const std::vector<std::byte>& payload,
+      const msg::PlatformSummary&) override {
     ++apply_calls;
     if (poisoned) throw std::runtime_error("poisoned payload");
     if (payload.size() % sizeof(idx::UpdateRun) != 0) {
@@ -64,7 +65,7 @@ struct FakeCodec final : dsm::UpdateCodec {
 
 std::vector<std::byte> fake_payload(const std::vector<idx::UpdateRun>& runs) {
   FakeCodec c;
-  return c.pack(runs);
+  return c.pack_payload(runs);
 }
 
 /// A core plus a TraceLog fed from its Trace actions, so every test can
@@ -222,6 +223,24 @@ TEST(CoherenceCore, DuplicateHelloDoesNotResetDedupState) {
       h.step(Event::msg_received(1, make_msg(msg::MsgType::LockRequest, 1, 1)));
   EXPECT_NE(find_send(actions, 1, msg::MsgType::LockGrant), nullptr);
   EXPECT_EQ(h.core.lock_holder(0), 1);
+}
+
+TEST(CoherenceCore, SessionHelloWithoutAnEpochIsAViolation) {
+  // Every session Hello carries a nonzero incarnation epoch; one without
+  // could reset the dedup state on every duplicated copy, so it detaches.
+  CoreHarness h;
+  h.attach(1);
+  const auto actions = h.step(Event::msg_received(1, make_hello(1, 0)));
+  EXPECT_EQ(count_kind(actions, Action::Kind::Detach), 1);
+  EXPECT_FALSE(h.core.peer_active(1));
+  h.expect_valid_trace();
+
+  // A tag-less Hello (application traffic) needs no epoch.
+  h.attach(2);
+  const auto plain = h.step(
+      Event::msg_received(2, make_msg(msg::MsgType::Hello, 2, 0)));
+  EXPECT_EQ(count_kind(plain, Action::Kind::Detach), 0);
+  EXPECT_TRUE(h.core.peer_active(2));
 }
 
 // ---- reply-cache retransmission --------------------------------------------

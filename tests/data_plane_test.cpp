@@ -994,21 +994,6 @@ TEST(MergeRunsEdges, RedAndBlackRunsUnionToOneContiguousRun) {
 
 namespace {
 
-/// The home's data plane behind a bare CoherenceCore.
-struct EngineCodec final : dsm::UpdateCodec {
-  explicit EngineCodec(dsm::SyncEngine& e) : engine(e) {}
-  std::vector<std::byte> pack(
-      const std::vector<hdsm::idx::UpdateRun>& runs) override {
-    return engine.pack_payload(runs);
-  }
-  std::vector<hdsm::idx::UpdateRun> apply(
-      const std::vector<std::byte>& payload,
-      const msg::PlatformSummary& sender) override {
-    return engine.apply_payload(payload, sender);
-  }
-  dsm::SyncEngine& engine;
-};
-
 /// The red/black SOR shape: one double written at every other index.
 constexpr std::uint64_t kStride2Runs = 512;
 
@@ -1024,8 +1009,8 @@ struct ReleaseHarness {
   dsm::GlobalSpace home{stride2_gthv(), plat::solaris_sparc32()};
   dsm::GlobalSpace peer{stride2_gthv(), plat::linux_ia32()};
   dsm::ShareStats stats;
+  /// The home's data plane, handed to the bare core as its codec.
   dsm::SyncEngine engine{home, {}, stats};
-  EngineCodec codec{engine};
   dsm::CoherenceCore core{[this] {
                             dsm::CoherenceConfig cfg;
                             cfg.self = msg::PlatformSummary::of(
@@ -1034,7 +1019,7 @@ struct ReleaseHarness {
                             cfg.layout_runs = home.table().layout().runs;
                             return cfg;
                           }(),
-                          codec, stats};
+                          engine, stats};
   std::vector<hdsm::idx::UpdateRun> runs;
 
   ReleaseHarness() {

@@ -151,6 +151,24 @@ TEST(SyncEngine, CollectsExactlyTheWrites) {
   g.region().end_tracking();
 }
 
+TEST(SyncEngine, TrackingCallsAreIdempotent) {
+  dsm::GlobalSpace g(small_gthv(), plat::linux_ia32());
+  dsm::ShareStats stats;
+  dsm::SyncEngine engine(g, {}, stats);
+  engine.start_tracking();
+  auto a = g.view<std::int32_t>("A");
+  a.set(7, 77);
+  // A second begin must not restart the interval (and lose the write).
+  engine.start_tracking();
+  EXPECT_TRUE(g.region().tracking());
+  const auto runs = engine.collect_runs();
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].first_elem, 7u);
+  engine.stop_tracking();
+  engine.stop_tracking();
+  EXPECT_FALSE(g.region().tracking());
+}
+
 TEST(SyncEngine, PackThenApplyHeterogeneous) {
   // Sender: big-endian SPARC image; receiver: little-endian IA-32 image.
   dsm::GlobalSpace sender(small_gthv(), plat::solaris_sparc32());
@@ -363,6 +381,27 @@ TEST(DsdProtocolMisc, JoinShipsFinalWrites) {
   home.wait_all_joined();
   EXPECT_EQ(home.space().view<std::int32_t>("A").get(5), 55);
   EXPECT_EQ(home.space().view<std::int32_t>("A").get(6), 66);
+  home.stop();
+}
+
+TEST(DsdProtocolMisc, JoinThenDestructionEndsTrackingOnce) {
+  dsm::ShardedHome home(small_gthv(), plat::linux_ia32());
+  EXPECT_FALSE(home.space().region().tracking());  // armed by start()
+  {
+    dsm::ShardedRemote remote(small_gthv(), plat::solaris_sparc32(), 1,
+                              home.attach(1));
+    EXPECT_TRUE(remote.space().region().tracking());
+    home.start();
+    EXPECT_TRUE(home.space().region().tracking());
+    remote.space().view<std::int32_t>("A").set(9, 99);
+    remote.join();
+    EXPECT_FALSE(remote.space().region().tracking());
+    // The destructor ends tracking again: a no-op after join().
+  }
+  home.wait_all_joined();
+  EXPECT_EQ(home.space().view<std::int32_t>("A").get(9), 99);
+  home.stop();
+  EXPECT_FALSE(home.space().region().tracking());
   home.stop();
 }
 

@@ -331,3 +331,64 @@ TEST(ObjectCluster, RemotesInheritTheHomesObsOptions) {
   cluster.run([](obj::ObjectHome& home) { home.wait_all_joined(); },
               [](obj::ObjectRemote& remote) { remote.join(); });
 }
+
+TEST(ObjectCluster, NoNodeArmsTrackingAndEachShippingEpisodeCountsOnce) {
+  // Object mode finds a node's writes through its engine's run source, so
+  // no node ever arms write tracking; and every release that ships dirty
+  // objects counts one object episode on the releasing node (a release
+  // with nothing dirty counts none).
+  const auto layout = small_layout(4);
+  obj::ObjectCluster cluster(layout, plat::linux_ia32(),
+                             {&plat::solaris_sparc64(), &plat::linux_ia32()});
+  // Two objects of one region and one of another.
+  const std::uint32_t r = layout->region_of(1, 0);
+  std::uint64_t same = 0;
+  std::uint64_t other = 0;
+  for (std::uint64_t i = 1; i < 16; ++i) {
+    if (same == 0 && layout->region_of(1, i) == r) same = i;
+    if (other == 0 && layout->region_of(1, i) != r) other = i;
+  }
+  ASSERT_NE(same, 0u);
+  ASSERT_NE(other, 0u);
+  const auto tracking = [](dsm::GlobalSpace& g) {
+    return g.region().tracking();
+  };
+
+  cluster.run(
+      [&](obj::ObjectHome& home) {
+        EXPECT_FALSE(tracking(home.node().space()));
+        auto ctr = home.accessor<std::int64_t>(1);
+        home.lock(r);
+        ctr.set(0, 1);
+        home.unlock(r);  // ships one object
+        home.lock(r);
+        home.unlock(r);  // nothing dirty
+        EXPECT_FALSE(tracking(home.node().space()));
+        home.wait_all_joined();
+      },
+      [&](obj::ObjectRemote& remote) {
+        EXPECT_FALSE(tracking(remote.node().space()));
+        auto ctr = remote.accessor<std::int64_t>(1);
+        remote.lock(r);
+        ctr.set(0, ctr.get(0) + 1);
+        ctr.set(same, ctr.get(same) + 1);
+        remote.unlock(r);  // ships two objects
+        remote.lock(r);
+        remote.unlock(r);  // nothing dirty
+        ctr.set(other, 5);
+        EXPECT_FALSE(tracking(remote.node().space()));
+        remote.join();  // ships the one object written outside a lock
+        EXPECT_FALSE(tracking(remote.node().space()));
+      });
+
+  EXPECT_FALSE(tracking(cluster.home().node().space()));
+  const dsm::ShareStats home_stats = cluster.home().node().stats();
+  EXPECT_EQ(home_stats.object_episodes, 1u);
+  EXPECT_EQ(home_stats.objects_shipped, 1u);
+  for (std::uint32_t rank = 1; rank <= 2; ++rank) {
+    const dsm::ShareStats& s = cluster.remote(rank).node().stats();
+    EXPECT_EQ(s.object_episodes, 2u) << "rank " << rank;
+    EXPECT_EQ(s.objects_shipped, 3u) << "rank " << rank;
+    EXPECT_EQ(s.dirty_pages, 0u) << "rank " << rank;
+  }
+}
