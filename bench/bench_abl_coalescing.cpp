@@ -48,7 +48,7 @@ void run(benchmark::State& state, bool coalesce, bool strided) {
   std::int32_t round = 0;
   for (auto _ : state) {
     write_pattern(g, n, strided, ++round);
-    const auto payload = engine.collect_payload();
+    const auto payload = engine.pack_payload(engine.collect_runs());
     const auto out = dsm::decode_update_blocks(payload);
     blocks += out.size();
     for (const auto& b : out) bytes += b.data.size() + b.tag.size();

@@ -51,7 +51,7 @@ void BM_HierarchicalElementUpdates(benchmark::State& state) {
     ++salt;
     writer_pass(static_cast<int>(salt % 2), salt,
                 [&a](std::uint64_t i, std::int32_t v) { a.set(i, v); });
-    const auto payload = engine.collect_payload();
+    const auto payload = engine.pack_payload(engine.collect_runs());
     for (const auto& b : dsm::decode_update_blocks(payload))
       bytes += b.data.size();
   }

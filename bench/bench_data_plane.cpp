@@ -93,7 +93,7 @@ Capture capture_payload(const plat::PlatformDesc& sender_platform) {
   g.region().begin_tracking();
   write_bursts(g);
   Capture c;
-  c.payload = engine.collect_payload();
+  c.payload = engine.pack_payload(engine.collect_runs());
   c.sender = msg::PlatformSummary::of(sender_platform);
   g.region().end_tracking();
   return c;

@@ -1,25 +1,27 @@
 // Microbenchmark: the write trap on both backends — cost of the first
 // (detected) write to a page vs subsequent writes, the collect that ends a
-// one-page interval and re-protects the page, and fault-free update
-// application through the alias view.  Both backends keep the same
-// standing shadow as the twin: the collect refreshes the written page in
-// it and every tracked update is written to it too.
+// one-page interval on a hot page, the whole life of a page written once
+// until it has gone cold again, and fault-free update application through
+// the alias view.  Both backends keep the same standing shadow as the
+// twin: the collect refreshes the changed page in it and every tracked
+// update is written to it too.
 //
 // `uffd` selects the backend: 0 is the paper's mprotect/SIGSEGV trap
-// (fault, mark the page written, unprotect), 1 the userfaultfd async
+// (fault, mark the page hot, unprotect), 1 the userfaultfd async
 // write-protect trap (the kernel clears the page's write-protect bit;
-// PAGEMAP_SCAN collects and re-protects).  The first-write and collect
-// cases also take a sibling-thread count: 0, or 3 threads of this process
-// spinning on other cores.  Every simulated node runs in one process, so a protection
-// change must also flush the TLBs of the cores the other nodes' threads
-// occupy; the busy rows price that shootdown, which separate machines
-// would not pay.
+// PAGEMAP_SCAN finds the hot pages).  The first-write and collect cases
+// also take a sibling-thread count: 0, or 3 threads of this process
+// spinning on other cores.  Every simulated node runs in one process, so a
+// protection change must also flush the TLBs of the cores the other nodes'
+// threads occupy; the busy rows price that shootdown, which separate
+// machines would not pay.
 #include <benchmark/benchmark.h>
 #include <pthread.h>
 #include <sched.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <system_error>
@@ -124,10 +126,12 @@ void BM_SubsequentWritesNoFault(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-// The collect that closes a one-page interval (a lock_small episode): find
-// the written page, refresh its shadow and re-protect it (Sigsegv
-// re-protects the whole region with one mprotect; Uffd, only the written
-// page).
+// The collect that closes a one-page interval (a lock_small episode): the
+// page written in every interval stays hot, so its writes are not trapped
+// and the collect re-protects nothing.  It finds the hot page (Sigsegv: a
+// walk of the page states; Uffd: PAGEMAP_SCAN), compares it with its
+// shadow and, as it changed, refreshes the shadow.  The rows include
+// google-benchmark's pause/resume around the untimed write.
 void BM_CollectOnePage(benchmark::State& state) {
   const std::size_t ps = mem::Region::host_page_size();
   const std::size_t pages = static_cast<std::size_t>(state.range(0));
@@ -135,14 +139,40 @@ void BM_CollectOnePage(benchmark::State& state) {
   const auto region = make_region(state, pages * ps, state.range(2));
   if (!region) return;
   region->begin_tracking();
+  std::uint8_t value = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    region->data()[0] = std::byte{1};  // the trap fires here
+    region->data()[0] = std::byte{++value};  // new bytes: the page changed
     state.ResumeTiming();
     region->collect([](std::size_t, const std::byte*) {});
   }
   region->end_tracking();
   state.SetItemsProcessed(state.iterations());
+}
+
+// The price of cooling: one iteration is the whole life of a page written
+// once and never again.  The write is trapped (the page is cold) and makes
+// the page hot, the next collect visits it, and the kCoolAfter collects
+// after that compare it clean, the last of them re-protecting it: the
+// kCoolAfter clean collects are what cooling adds to a page written once.
+void BM_WriteOncePageCools(benchmark::State& state) {
+  const std::size_t ps = mem::Region::host_page_size();
+  const std::size_t pages = static_cast<std::size_t>(state.range(0));
+  BusySiblings siblings(static_cast<unsigned>(state.range(1)));
+  const auto region = make_region(state, pages * ps, state.range(2));
+  if (!region) return;
+  region->begin_tracking();
+  std::uint8_t value = 0;
+  for (auto _ : state) {
+    region->data()[0] = std::byte{++value};  // the trap fires here
+    for (std::size_t i = 0; i <= mem::TrackedRegion::kCoolAfter; ++i) {
+      region->collect([](std::size_t, const std::byte*) {});
+    }
+  }
+  if (region->page_dirty(0)) state.SkipWithError("the page did not cool");
+  region->end_tracking();
+  state.SetItemsProcessed(state.iterations());
+  state.counters["cool_after"] = mem::TrackedRegion::kCoolAfter;
 }
 
 void BM_ApplyUpdateThroughAlias(benchmark::State& state) {
@@ -170,6 +200,10 @@ BENCHMARK(BM_FirstWrite)
     ->Apply(hdsm::bench::wall_clock);
 BENCHMARK(BM_SubsequentWritesNoFault)->ArgName("uffd")->Arg(0)->Arg(1);
 BENCHMARK(BM_CollectOnePage)
+    ->ArgNames({"pages", "siblings", "uffd"})
+    ->ArgsProduct({{3, 256}, {0, 3}, {0, 1}})
+    ->Apply(hdsm::bench::wall_clock);
+BENCHMARK(BM_WriteOncePageCools)
     ->ArgNames({"pages", "siblings", "uffd"})
     ->ArgsProduct({{3, 256}, {0, 3}, {0, 1}})
     ->Apply(hdsm::bench::wall_clock);

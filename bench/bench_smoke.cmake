@@ -9,7 +9,8 @@
 # --benchmark_out, so a bench with a plain BENCHMARK_MAIN() can be listed.
 set(SMOKE_BINARIES bench_data_plane bench_reliability_overhead
     bench_obs_overhead bench_reactor
-    bench_replication bench_kv bench_codec bench_micro_trap)
+    bench_replication bench_kv bench_codec bench_micro_trap
+    bench_multiprocess_lock)
 
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "bench_smoke: pass -DBENCH_DIR=<dir>")

@@ -80,7 +80,9 @@ struct ShareStats {
   std::uint64_t updates_received = 0;  ///< count: update blocks applied
   std::uint64_t update_bytes_sent = 0;      ///< bytes: element data shipped
   std::uint64_t update_bytes_received = 0;  ///< bytes: element data applied
-  std::uint64_t dirty_pages = 0;     ///< count: pages diffed across intervals
+  /// count: pages diffed across intervals, i.e. pages whose bytes changed
+  /// in one (a hot page that compares clean is not counted)
+  std::uint64_t dirty_pages = 0;
   std::uint64_t tags_generated = 0;  ///< count: run tags rendered
 
   // -- Reliability layer (docs/RELIABILITY.md) --

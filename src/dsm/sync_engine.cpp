@@ -196,8 +196,8 @@ std::vector<idx::UpdateRun> SyncEngine::collect_runs(std::uint32_t region) {
   const std::size_t ps = mem::Region::host_page_size();
   const std::uint64_t image_size = table.image_size();
 
-  // This thread owns the interval, so each written page is walked in
-  // place against its twin as the region hands it over re-protected.
+  // This thread owns the interval, so each changed page is walked in place
+  // against its twin as the region hands it over.
   std::vector<idx::UpdateRun> runs;
   const idx::RunRules rules{opts_.coalesce_runs};
   const std::size_t dirty = tracked.collect(
@@ -368,13 +368,6 @@ void SyncEngine::note_wire(std::uint64_t bytes, std::uint64_t ns) {
   s.wire_ns = ns;
   s.wire_bytes = bytes;
   sample_episode(s);
-}
-
-std::vector<std::byte> SyncEngine::collect_payload(
-    std::vector<idx::UpdateRun>* runs_out) {
-  const std::vector<idx::UpdateRun> runs = collect_runs();
-  if (runs_out != nullptr) *runs_out = runs;
-  return pack_payload(runs);
 }
 
 // -- Receive side: phase 1 (validate + plan) ---------------------------------

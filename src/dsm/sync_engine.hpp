@@ -150,10 +150,6 @@ class SyncEngine final : public UpdateCodec {
   std::vector<std::byte> pack_payload(
       const std::vector<idx::UpdateRun>& runs) override;
 
-  /// collect_runs() + pack_payload() of a whole-space episode.
-  std::vector<std::byte> collect_payload(
-      std::vector<idx::UpdateRun>* runs_out = nullptr);
-
   /// Decode a payload (t_unpack), convert every block into this node's
   /// representation (t_conv), and apply it to the image twin-transparently.
   /// Two-phase: every block validates against the index table before any

@@ -95,14 +95,14 @@ void Region::protect(int prot) {
   }
 }
 
-void Region::protect_page(std::size_t page_index, int prot) {
+void Region::protect_pages(std::size_t first, std::size_t count, int prot) {
   const std::size_t ps = host_page_size();
-  if (page_index >= page_count()) {
-    throw std::out_of_range("Region::protect_page");
+  if (first > page_count() || count > page_count() - first) {
+    throw std::out_of_range("Region::protect_pages");
   }
-  if (::mprotect(base_ + page_index * ps, ps, prot) != 0) {
+  if (::mprotect(base_ + first * ps, count * ps, prot) != 0) {
     throw std::system_error(errno, std::generic_category(),
-                            "mprotect(page)");
+                            "mprotect(pages)");
   }
 }
 

@@ -43,8 +43,8 @@ class Region {
 
   /// Change protection on the whole region. `prot` is a PROT_* mask.
   void protect(int prot);
-  /// Change protection on one page.
-  void protect_page(std::size_t page_index, int prot);
+  /// Change protection on `count` pages from page `first` on.
+  void protect_pages(std::size_t first, std::size_t count, int prot);
 
   /// True when `p` points into this region.
   bool contains(const void* p) const noexcept;

@@ -239,7 +239,9 @@ std::size_t registered_count() {
 }  // namespace trap_internal
 
 TrackedRegion::TrackedRegion(std::size_t length, TrapBackend want)
-    : region_(length), twins_(new std::byte[region_.length()]) {
+    : region_(length),
+      twins_(new std::byte[region_.length()]),
+      clean_runs_(new std::uint8_t[region_.page_count()]) {
   if (want != TrapBackend::Sigsegv) {
     const char* step = "";
     const int err = uffd_refusal(region_, step);
@@ -289,10 +291,17 @@ void TrackedRegion::register_uffd() {
   uffd_registered_ = true;
 }
 
-void TrackedRegion::write_protect(bool on) {
+void TrackedRegion::protect_pages(std::size_t first, std::size_t count,
+                                  bool on) {
+  if (backend_ == TrapBackend::Sigsegv) {
+    region_.protect_pages(first, count,
+                          on ? PROT_READ : PROT_READ | PROT_WRITE);
+    return;
+  }
+  const std::size_t ps = Region::host_page_size();
   uffdio_writeprotect wp{};
-  wp.range.start = reinterpret_cast<__u64>(region_.data());
-  wp.range.len = region_.length();
+  wp.range.start = reinterpret_cast<__u64>(region_.data() + first * ps);
+  wp.range.len = count * ps;
   wp.mode = on ? UFFDIO_WRITEPROTECT_MODE_WP : 0;
   if (::ioctl(g_uffd.uffd, UFFDIO_WRITEPROTECT, &wp) != 0) {
     throw std::system_error(errno, std::generic_category(),
@@ -302,64 +311,93 @@ void TrackedRegion::write_protect(bool on) {
 
 void TrackedRegion::begin_tracking() {
   std::memcpy(twins_.get(), region_.data(), region_.length());
+  std::memset(clean_runs_.get(), 0, region_.page_count());
   if (backend_ == TrapBackend::Uffd) {
     if (!uffd_registered_) register_uffd();
-    write_protect(true);
-    tracking_.store(true, std::memory_order_release);
-    return;
+  } else {
+    for (std::size_t i = 0; i < region_.page_count(); ++i) {
+      page_state_[i].store(0, std::memory_order_relaxed);
+    }
   }
-  for (std::size_t i = 0; i < region_.page_count(); ++i) {
-    page_state_[i].store(0, std::memory_order_relaxed);
-  }
-  // Arm the handler before any page can fault: a concurrent writer that
-  // faults between protect() and a later store to tracking_ would otherwise
-  // crash with an unhandled SIGSEGV.
+  // Arm the handler before any page can fault: on Sigsegv, a concurrent
+  // writer that faults between the protect and a later store to tracking_
+  // would otherwise crash with an unhandled SIGSEGV.
   tracking_.store(true, std::memory_order_release);
-  region_.protect(PROT_READ);
+  protect_pages(0, region_.page_count(), true);
 }
 
 void TrackedRegion::end_tracking() {
   // Reverse order of begin_tracking for the same reason.
-  if (backend_ == TrapBackend::Uffd) {
-    if (uffd_registered_) write_protect(false);
-  } else {
-    region_.protect(PROT_READ | PROT_WRITE);
+  if (backend_ == TrapBackend::Sigsegv || uffd_registered_) {
+    protect_pages(0, region_.page_count(), false);
   }
   tracking_.store(false, std::memory_order_release);
 }
 
-std::vector<std::size_t> TrackedRegion::take_written() {
-  if (backend_ == TrapBackend::Uffd) {
-    return scan_written(0, region_.page_count(), /*reprotect=*/true);
+const std::vector<std::size_t>& TrackedRegion::take_changed() {
+  hot_.clear();
+  hot_pages(0, region_.page_count(), hot_);
+  const std::size_t ps = Region::host_page_size();
+  changed_.clear();
+  // Pages going cold, re-protected one run of adjacent pages per call.
+  std::size_t cold_first = 0;
+  std::size_t cold_count = 0;
+  const auto cool = [&] {
+    if (cold_count == 0) return;
+    protect_pages(cold_first, cold_count, true);
+    // No write races the protect (the caller owns the interval), but a
+    // state cleared only after it means one that did would fault and wait
+    // for this store instead of going unseen.
+    if (backend_ == TrapBackend::Sigsegv) {
+      for (std::size_t i = 0; i < cold_count; ++i) {
+        page_state_[cold_first + i].store(0, std::memory_order_release);
+      }
+    }
+  };
+  for (const std::size_t page : hot_) {
+    const std::size_t off = page * ps;
+    if (std::memcmp(region_.data() + off, twins_.get() + off, ps) != 0) {
+      clean_runs_[page] = 0;
+      changed_.push_back(page);
+      continue;
+    }
+    if (++clean_runs_[page] < kCoolAfter) continue;
+    clean_runs_[page] = 0;
+    if (cold_first + cold_count != page) {
+      cool();
+      cold_first = page;
+      cold_count = 0;
+    }
+    ++cold_count;
   }
-  // Dirty pages are unprotected and the caller owns the interval, so one
-  // mprotect re-arms the whole region.
-  std::vector<std::size_t> pages = dirty_pages();
-  for (std::size_t i = 0; i < region_.page_count(); ++i) {
-    page_state_[i].store(0, std::memory_order_relaxed);
-  }
-  region_.protect(PROT_READ);
-  return pages;
+  cool();
+  return changed_;
 }
 
-std::vector<std::size_t> TrackedRegion::scan_written(std::size_t first,
-                                                     std::size_t last,
-                                                     bool reprotect) const {
+void TrackedRegion::hot_pages(std::size_t first, std::size_t last,
+                              std::vector<std::size_t>& out) const {
+  if (backend_ == TrapBackend::Sigsegv) {
+    for (std::size_t i = first; i < last; ++i) {
+      if (page_state_[i].load(std::memory_order_acquire) != 0) {
+        out.push_back(i);
+      }
+    }
+    return;
+  }
   const std::size_t ps = Region::host_page_size();
   const __u64 base = reinterpret_cast<__u64>(region_.data());
-  // Each entry is a run of contiguous written pages; a full vector ends
-  // the walk early, and the next ioctl resumes at walk_end.
+  // Each entry is a run of contiguous hot pages; a full vector ends the
+  // walk early, and the next ioctl resumes at walk_end.
   page_region vec[64];
   pm_scan_arg arg{};
   arg.size = sizeof(arg);
-  arg.flags = PM_SCAN_CHECK_WPASYNC | (reprotect ? PM_SCAN_WP_MATCHING : 0);
+  arg.flags = PM_SCAN_CHECK_WPASYNC;
   arg.start = base + first * ps;
   arg.end = base + last * ps;
   arg.vec = reinterpret_cast<__u64>(vec);
   arg.vec_len = std::size(vec);
   arg.category_mask = PAGE_IS_WRITTEN;
   arg.return_mask = PAGE_IS_WRITTEN;
-  std::vector<std::size_t> out;
   for (;;) {
     const int n = ::ioctl(g_uffd.pagemap, PAGEMAP_SCAN, &arg);
     if (n < 0) {
@@ -370,30 +408,21 @@ std::vector<std::size_t> TrackedRegion::scan_written(std::size_t first,
         out.push_back((a - base) / ps);
       }
     }
-    if (arg.walk_end >= arg.end) return out;
+    if (arg.walk_end >= arg.end) return;
     arg.start = arg.walk_end;
   }
 }
 
 std::vector<std::size_t> TrackedRegion::dirty_pages() const {
-  if (backend_ == TrapBackend::Uffd) {
-    return tracking() ? scan_written(0, region_.page_count(), false)
-                      : std::vector<std::size_t>{};
-  }
   std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < region_.page_count(); ++i) {
-    if (page_state_[i].load(std::memory_order_acquire) != 0) {
-      out.push_back(i);
-    }
-  }
+  if (tracking()) hot_pages(0, region_.page_count(), out);
   return out;
 }
 
 bool TrackedRegion::page_dirty(std::size_t page) const {
-  if (backend_ == TrapBackend::Uffd) {
-    return tracking() && !scan_written(page, page + 1, false).empty();
-  }
-  return page_state_[page].load(std::memory_order_acquire) != 0;
+  std::vector<std::size_t> out;
+  if (tracking()) hot_pages(page, page + 1, out);
+  return !out.empty();
 }
 
 void TrackedRegion::apply_update(std::size_t offset, const void* src,
@@ -432,7 +461,7 @@ bool TrackedRegion::on_fault(void* addr) noexcept {
       static_cast<std::size_t>(static_cast<std::byte*>(addr) - region_.data());
   const std::size_t page = offset / ps;
 
-  // The first thread to fault marks the page written and unprotects it.
+  // The first thread to fault marks the page hot and unprotects it.
   // Another thread faulting on the page before the mprotect lands returns
   // too and retries its store: it either succeeds or faults back here, a
   // short, bounded wait.

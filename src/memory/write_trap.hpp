@@ -1,4 +1,5 @@
-// Write detection with twin pages (paper §4, §4.1), on one of two backends.
+// Write detection with twin pages (paper §4, §4.1), adaptive per page, on
+// one of two backends.
 //
 // "Upon writing to a page in the GThV structure, a copy of the unmodified
 //  page is made and the write is allowed to proceed.  This minimizes the
@@ -10,11 +11,19 @@
 // collected page is diffed, and written by every apply_update while
 // tracking.  The unmodified copy of a page is therefore already there when
 // its first write lands, and the trap only has to detect that write and let
-// it through.  The backends differ only in how pages are protected and how
-// written pages are found.
+// it through.
+//
+// Each page is cold or hot.  A cold page is write-protected, and its first
+// write is trapped, which makes it hot.  A hot page stays writable across
+// collects, so a page written in every interval (a lock holder's own
+// counters, a SOR band) pays neither the trap nor the re-protect: each
+// collect compares it with its shadow instead, one memcmp, and visits it
+// only when its bytes changed.  A hot page that compares clean in
+// kCoolAfter consecutive collects is write-protected again.  The backends
+// differ only in how pages are protected and how written pages are found.
 //
 // Sigsegv is the paper's mechanism: mprotect the pages and catch the first
-// write to each with SIGSEGV; the handler marks the page written and
+// write to each with SIGSEGV; the handler marks the page hot and
 // unprotects it.  One process-wide handler dispatches faults to the
 // TrackedRegion that owns the faulting address.  The registry is a fixed
 // array of atomic slots so the handler never allocates or locks; faults
@@ -22,8 +31,8 @@
 // the default disposition (a real crash stays a crash).
 //
 // Uffd is a userfaultfd asynchronous write-protect trap: the kernel clears
-// a page's write-protect bit itself on the first write (no signal), and one
-// PAGEMAP_SCAN ioctl returns the written pages and re-protects them.
+// a page's write-protect bit itself on the first write (no signal), and a
+// PAGEMAP_SCAN ioctl returns the pages whose bit is clear: the hot ones.
 // Auto picks Uffd whenever the kernel accepts every step and Sigsegv
 // otherwise.  A region whose tracking began before fork() is not tracked
 // in the child: the child does not inherit the userfaultfd registration.
@@ -31,6 +40,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -45,14 +55,15 @@ enum class TrapBackend : std::uint8_t {
   Uffd,     ///< userfaultfd async write-protect + PAGEMAP_SCAN
 };
 
-/// A Region with twin/diff write tracking.
+/// A Region with twin/diff write tracking and per-page hot/cold state.
 ///
 /// Lifecycle:
-///   begin_tracking()  - copy the image into the shadow, protect all pages;
-///                       the interval starts
-///   ... application writes are detected once per page ...
-///   collect(visit)    - visit each written page with its twin, re-protect
-///                       it; the next interval starts
+///   begin_tracking()  - copy the image into the shadow, protect all pages
+///                       (all cold); the interval starts
+///   ... the first write to a cold page is detected and makes it hot ...
+///   collect(visit)    - compare each hot page with its shadow, visit those
+///                       whose bytes changed, re-protect those going cold;
+///                       the next interval starts
 ///   end_tracking()    - un-protect; writes are no longer detected
 ///
 /// Thread safety: any number of application threads may write concurrently
@@ -60,6 +71,11 @@ enum class TrapBackend : std::uint8_t {
 /// application writes.
 class TrackedRegion {
  public:
+  /// Consecutive clean collects after which a hot page goes cold.  Each
+  /// costs one memcmp of the page; going cold costs a re-protect and, if
+  /// the page is written again, a trap (EXPERIMENTS.md, "Hot pages").
+  static constexpr std::uint8_t kCoolAfter = 2;
+
   /// `want` = Auto picks the backend; Uffd throws std::system_error when
   /// the kernel refuses it.
   explicit TrackedRegion(std::size_t length,
@@ -84,15 +100,17 @@ class TrackedRegion {
   }
 
   /// Ends the interval without leaving tracking: calls `visit(page, twin)`
-  /// for every page written since begin_tracking() or the last collect(),
-  /// in ascending order, where `twin` holds the page as the interval began
-  /// (with apply_update's bytes written in).  The pages are re-protected
-  /// for the next interval.  Returns the number of pages visited; visits
-  /// nothing when not tracking.
+  /// for every page whose bytes changed since begin_tracking() or the last
+  /// collect(), and only those, in ascending order, where `twin` holds the
+  /// page as the interval began (with apply_update's bytes written in).
+  /// Every page written in the interval stays hot (writable) unless it
+  /// compared clean for the kCoolAfter-th collect in a row, in which case
+  /// it is re-protected (cold).  Returns the number of pages visited;
+  /// visits nothing when not tracking.
   template <typename Visit>
   std::size_t collect(Visit&& visit) {
     if (!tracking()) return 0;
-    const std::vector<std::size_t> pages = take_written();
+    const std::vector<std::size_t>& pages = take_changed();
     const std::size_t ps = Region::host_page_size();
     for (const std::size_t page : pages) {
       std::byte* twin = twins_.get() + page * ps;
@@ -103,18 +121,22 @@ class TrackedRegion {
     return pages.size();
   }
 
-  /// Ascending pages written in the current interval, without ending it.
+  /// Ascending hot pages: those the next collect will compare with their
+  /// shadow (every page written since begin_tracking() that has not gone
+  /// cold again).
   std::vector<std::size_t> dirty_pages() const;
+  /// True when the next collect will compare `page` (it is hot).
   bool page_dirty(std::size_t page) const;
-  /// Pages detected written in the current interval (on Sigsegv, one
-  /// fault each).
+  /// The number of hot pages.  Only a cold page's first write is detected
+  /// (on Sigsegv, one fault), so a write to a hot page leaves it as is.
   std::size_t fault_count() const { return dirty_pages().size(); }
 
   /// Write bytes that must NOT appear as local modifications (incoming DSM
   /// updates): stores into the data image through the alias view, which
   /// no backend traps, and, while tracking, into the shadow so the next
-  /// diff is silent about them.  A clean page stays protected, so the next
-  /// application write to it is still detected.  (Sigsegv without a dual
+  /// diff is silent about them.  A cold page stays protected, so the next
+  /// application write to it is still detected, and a hot page compares
+  /// clean unless the application wrote it too.  (Sigsegv without a dual
   /// mapping: the alias is the primary view, the store faults like an
   /// application write, and the shadow still keeps the diff silent.)
   void apply_update(std::size_t offset, const void* src, std::size_t n);
@@ -128,14 +150,17 @@ class TrackedRegion {
   bool on_fault(void* addr) noexcept;
 
  private:
-  /// The written pages, re-protected for the next interval.
-  std::vector<std::size_t> take_written();
-  /// Uffd: the written pages in [first, last) by PAGEMAP_SCAN, re-protected
-  /// when `reprotect`.
-  std::vector<std::size_t> scan_written(std::size_t first, std::size_t last,
-                                        bool reprotect) const;
+  /// The hot pages whose bytes differ from their shadow, ascending; the
+  /// clean ones count toward going cold, and those that reach kCoolAfter
+  /// are re-protected.  Valid until the next call.
+  const std::vector<std::size_t>& take_changed();
+  /// Appends the hot pages in [first, last) to `out`, ascending (Uffd: by
+  /// PAGEMAP_SCAN).
+  void hot_pages(std::size_t first, std::size_t last,
+                 std::vector<std::size_t>& out) const;
   void register_uffd();
-  void write_protect(bool on);
+  /// Write-protects (`on`) or unprotects `count` pages from `first` on.
+  void protect_pages(std::size_t first, std::size_t count, bool on);
 
   Region region_;
   TrapBackend backend_ = TrapBackend::Sigsegv;
@@ -143,8 +168,14 @@ class TrackedRegion {
   // The standing shadow, written only while tracking.  Default-initialised,
   // so an untracked region (object mode) never touches these pages.
   std::unique_ptr<std::byte[]> twins_;
-  // Sigsegv only.  Per page: 0 = clean, 1 = written + unprotected.
+  // Sigsegv only.  Per page: 0 = cold (protected), 1 = hot (unprotected).
   std::unique_ptr<std::atomic<std::uint8_t>[]> page_state_;
+  // Per page: consecutive collects in which the hot page compared clean.
+  std::unique_ptr<std::uint8_t[]> clean_runs_;
+  // take_changed()'s scratch, kept so a steady-state collect allocates
+  // nothing.
+  std::vector<std::size_t> hot_;
+  std::vector<std::size_t> changed_;
   std::atomic<bool> tracking_{false};
 };
 

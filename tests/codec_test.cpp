@@ -263,7 +263,7 @@ TEST(CodecEngine, PinnedOffIsByteIdenticalAndUnflagged) {
 
   g.region().begin_tracking();
   write_workload(g, ints, 1);
-  const auto payload = se.collect_payload();
+  const auto payload = se.pack_payload(se.collect_runs());
   g.region().end_tracking();
 
   for (const auto& v : dsm::decode_update_block_views(payload)) {
@@ -288,12 +288,12 @@ TEST(CodecEngine, ForcedShrinksPayloadAndApplies) {
 
   off_g.region().begin_tracking();
   write_workload(off_g, ints, 2);
-  const auto raw_payload = off_se.collect_payload();
+  const auto raw_payload = off_se.pack_payload(off_se.collect_runs());
   off_g.region().end_tracking();
 
   on_g.region().begin_tracking();
   write_workload(on_g, ints, 2);
-  const auto coded_payload = on_se.collect_payload();
+  const auto coded_payload = on_se.pack_payload(on_se.collect_runs());
   on_g.region().end_tracking();
 
   EXPECT_LT(coded_payload.size(), raw_payload.size());
@@ -333,7 +333,7 @@ TEST(CodecEngine, ForcedCrossAbiApplies) {
 
   sender.region().begin_tracking();
   write_workload(sender, ints, 3);
-  const auto payload = se.collect_payload();
+  const auto payload = se.pack_payload(se.collect_runs());
   sender.region().end_tracking();
   ASSERT_GT(ss.codec_blocks, 0u);
 
@@ -355,7 +355,7 @@ TEST(CodecEngine, CorruptCompressedBlockRejectsWholePayload) {
 
   sender.region().begin_tracking();
   write_workload(sender, ints, 4);
-  auto payload = se.collect_payload();
+  auto payload = se.pack_payload(se.collect_runs());
   sender.region().end_tracking();
 
   // Flip one bit inside the *last* compressed block's data, so every
@@ -394,7 +394,7 @@ TEST(CodecEngine, SmallRunsShipRawUnderForced) {
 
   g.region().begin_tracking();
   g.view<std::int32_t>("n").set(9);  // 4-byte run, far below kMinEncodeBytes
-  const auto payload = se.collect_payload();
+  const auto payload = se.pack_payload(se.collect_runs());
   g.region().end_tracking();
 
   for (const auto& v : dsm::decode_update_block_views(payload)) {

@@ -363,6 +363,88 @@ TEST_P(CollectRuns, IA32DoublesStraddlingAPageJoinTheirStridedRun) {
   g.region().end_tracking();
 }
 
+TEST_P(CollectRuns, RandomScheduleMatchesABruteForceDiff) {
+  // A seeded schedule of local writes, grants' applied updates and
+  // collects over pages going hot and cold.  Each collect's runs must equal
+  // one diff_runs of the whole image against a snapshot of it taken at the
+  // previous collect with every applied update written in, and it must
+  // count exactly the pages that differ from that snapshot.  On ia32 the
+  // doubles behind the leading int straddle page edges.
+  dsm::GlobalSpace g(
+      TypeDesc::struct_of("G",
+                          {{"n", tags::t_int()},
+                           {"D", TypeDesc::array(tags::t_double(), 3000)},
+                           {"A", TypeDesc::array(tags::t_int(), 4096)}}),
+      plat::linux_ia32(), GetParam());
+  dsm::ShareStats s;
+  dsm::SyncEngine engine(g, {}, s);
+  hdsm::mem::TrackedRegion& region = g.region();
+  const std::size_t ps = hdsm::mem::Region::host_page_size();
+  const std::uint64_t image = g.table().image_size();
+  const std::size_t pages = (image + ps - 1) / ps;
+  auto d = g.view<double>("D");
+  auto a = g.view<std::int32_t>("A");
+  const std::uint64_t a_offset =
+      g.table().rows()[g.table().row_of_field("A")].offset;
+  std::mt19937_64 rng(1009);
+  const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+
+  region.begin_tracking();
+  std::vector<std::byte> reference = image_snapshot(g);
+  for (int round = 0; round < 300; ++round) {
+    // Quiet rounds let pages cool; a busy one heats several again.
+    const std::uint64_t ops = pick(4) == 0 ? pick(24) : pick(3);
+    for (std::uint64_t k = 0; k < ops; ++k) {
+      switch (pick(4)) {
+        case 0: {
+          // A run of doubles, every other one as in a red/black sweep.
+          const std::uint64_t first = pick(d.size() - 40);
+          const std::uint64_t step = 1 + pick(2);
+          for (std::uint64_t i = first; i < first + 40; i += step) {
+            d.set(i, static_cast<double>(pick(3)));  // often unchanged
+          }
+          break;
+        }
+        case 1:
+          a.set(pick(a.size()), static_cast<std::int32_t>(pick(3)));
+          break;
+        case 2: {
+          const std::uint64_t at = a_offset + 4 * pick(a.size() - 8);
+          std::int32_t upd[8];
+          for (std::int32_t& v : upd) v = static_cast<std::int32_t>(pick(5));
+          region.apply_update(at, upd, sizeof(upd));
+          std::memcpy(reference.data() + at, upd, sizeof(upd));
+          break;
+        }
+        default: {
+          const std::uint64_t at = a_offset + 4 * pick(a.size() - 16);
+          std::int32_t upd[4];
+          for (std::int32_t& v : upd) v = static_cast<std::int32_t>(pick(5));
+          region.apply_strided(at, upd, 4, 4, 12);
+          for (std::size_t e = 0; e < 4; ++e) {
+            std::memcpy(reference.data() + at + 12 * e, &upd[e], 4);
+          }
+          break;
+        }
+      }
+    }
+    const std::byte* now = region.data();
+    std::vector<hdsm::idx::UpdateRun> expected;
+    hdsm::idx::diff_runs(g.table(), 0, now, reference.data(), image,
+                         hdsm::idx::RunRules{}, expected);
+    std::uint64_t changed = 0;
+    for (std::size_t p = 0; p < pages; ++p) {
+      const std::size_t len = std::min<std::size_t>(ps, image - p * ps);
+      changed += std::memcmp(now + p * ps, reference.data() + p * ps, len) != 0;
+    }
+    const std::uint64_t dirty_before = s.dirty_pages;
+    ASSERT_EQ(engine.collect_runs(), expected) << "round " << round;
+    ASSERT_EQ(s.dirty_pages - dirty_before, changed) << "round " << round;
+    reference = image_snapshot(g);
+  }
+  region.end_tracking();
+}
+
 // ---- element-walk property -------------------------------------------------
 
 namespace {
@@ -577,8 +659,8 @@ TEST_P(HeterogeneousApply, BigEndianPayloadLandsInEveryElement) {
   }
   auto d = sender.view<double>("D");
   for (std::uint64_t i = 0; i < d.size(); ++i) d.set(i, i * 1.25 - 3.0);
-  std::vector<hdsm::idx::UpdateRun> sent;
-  const std::vector<std::byte> payload = se.collect_payload(&sent);
+  const std::vector<hdsm::idx::UpdateRun> sent = se.collect_runs();
+  const std::vector<std::byte> payload = se.pack_payload(sent);
   sender.region().end_tracking();
 
   dsm::GlobalSpace receiver(big_gthv(), plat::linux_ia32(), GetParam());
@@ -638,7 +720,7 @@ TEST(CodecTuner, AdaptiveFlagAloneBuildsNoTuner) {
   EXPECT_EQ(se.tuner(), nullptr);
   sender.region().begin_tracking();
   sender.view<std::int32_t>("A").set(3, 7);
-  const std::vector<std::byte> payload = se.collect_payload();
+  const std::vector<std::byte> payload = se.pack_payload(se.collect_runs());
   sender.region().end_tracking();
 
   dsm::GlobalSpace receiver(small_gthv(), plat::linux_ia32());

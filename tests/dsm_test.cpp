@@ -181,7 +181,7 @@ TEST(SyncEngine, PackThenApplyHeterogeneous) {
   for (int i = 5; i < 15; ++i) a.set(i, i * 1000 - 7);
   auto d = sender.view<double>("D");
   d.set(2, 6.25);
-  const auto payload = se.collect_payload();
+  const auto payload = se.pack_payload(se.collect_runs());
   sender.region().end_tracking();
   const auto blocks = dsm::decode_update_blocks(payload);
   ASSERT_EQ(blocks.size(), 2u);

@@ -149,14 +149,21 @@ TEST_P(TrackedRegionTest, ReadsNeverFault) {
 }
 
 TEST_P(TrackedRegionTest, CollectStartsAFreshInterval) {
+  // A collect visits only the pages whose bytes changed since the last
+  // one.  The page written stays hot: the next collects compare it with
+  // its refreshed shadow and visit it only when it changed again.
   mem::TrackedRegion r(256, GetParam());
   r.begin_tracking();
   r.data()[0] = std::byte{1};
-  EXPECT_EQ(collect(r).pages.size(), 1u);
-  EXPECT_TRUE(r.dirty_pages().empty());
-  EXPECT_EQ(r.fault_count(), 0u);
+  EXPECT_EQ(collect(r).pages, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(r.dirty_pages(), (std::vector<std::size_t>{0}));  // hot
+  EXPECT_TRUE(collect(r).pages.empty());  // unchanged since
+  r.data()[0] = std::byte{1};  // a write of the bytes already there
   EXPECT_TRUE(collect(r).pages.empty());
+  r.data()[0] = std::byte{2};
+  EXPECT_EQ(collect(r).pages, (std::vector<std::size_t>{0}));
   r.end_tracking();
+  EXPECT_TRUE(r.dirty_pages().empty());
   EXPECT_TRUE(collect(r).pages.empty());  // not tracking: visits nothing
 }
 
@@ -176,21 +183,33 @@ TEST_P(TrackedRegionTest, RetrackingAfterEndWorks) {
 }
 
 TEST_P(TrackedRegionTest, NextWriteAfterCollectIsDetectedAgain) {
+  // The next write to a page is detected whether the page is still hot
+  // (the collect's compare finds it) or has gone cold (the trap does), and
+  // either way the twin is the page as that interval began.
   const std::size_t ps = mem::Region::host_page_size();
   mem::TrackedRegion r(2 * ps, GetParam());
   r.begin_tracking();
   r.data()[ps + 1] = std::byte{0x10};
   EXPECT_EQ(collect(r).pages, (std::vector<std::size_t>{1}));
-  EXPECT_FALSE(r.page_dirty(1));
+  EXPECT_TRUE(r.page_dirty(1));  // hot: the write is not trapped again
   r.data()[ps + 2] = std::byte{0x20};
-  EXPECT_TRUE(r.page_dirty(1));
   EXPECT_EQ(r.fault_count(), 1u);
-  // The twin is the page as the second interval began: only the second
-  // write differs.
-  const Collected c = collect(r);
+  Collected c = collect(r);
   ASSERT_EQ(c.pages, (std::vector<std::size_t>{1}));
   EXPECT_EQ(diff_page(r, 1, c.twins[0]),
             (std::vector<mem::ByteRange>{{ps + 2, ps + 3}}));
+
+  for (std::size_t i = 0; i < mem::TrackedRegion::kCoolAfter; ++i) {
+    EXPECT_TRUE(collect(r).pages.empty());
+  }
+  EXPECT_FALSE(r.page_dirty(1));  // cold: the next write is trapped
+  r.data()[ps + 3] = std::byte{0x30};
+  EXPECT_TRUE(r.page_dirty(1));
+  EXPECT_EQ(r.fault_count(), 1u);
+  c = collect(r);
+  ASSERT_EQ(c.pages, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(diff_page(r, 1, c.twins[0]),
+            (std::vector<mem::ByteRange>{{ps + 3, ps + 4}}));
   r.end_tracking();
 }
 
@@ -213,6 +232,19 @@ TEST_P(TrackedRegionTest, ScatteredWrittenPagesComeBackComplete) {
   EXPECT_EQ(c.pages, expected);
   for (std::size_t i = 0; i < c.twins.size(); ++i) {
     ASSERT_EQ(std::to_integer<int>(c.twins[i][i % ps]), 0x5C) << i;
+  }
+  // They stay hot, so the same scan now finds them hot; a second write to
+  // half of them comes back complete from the compare alone.
+  EXPECT_EQ(r.dirty_pages(), expected);
+  std::vector<std::size_t> rewritten;
+  for (std::size_t i = 0; i < kWritten; i += 2) {
+    r.data()[expected[i] * ps + i % ps] = std::byte{0x02};
+    rewritten.push_back(expected[i]);
+  }
+  EXPECT_EQ(collect(r).pages, rewritten);
+  // Going cold is one re-protect per page here (no two are adjacent).
+  for (std::size_t i = 0; i < mem::TrackedRegion::kCoolAfter; ++i) {
+    EXPECT_TRUE(collect(r).pages.empty());
   }
   EXPECT_TRUE(r.dirty_pages().empty());
   r.end_tracking();
@@ -297,6 +329,138 @@ TEST_P(TrackedRegionTest, ApplyUpdateLeavesTheNextDiffSilent) {
   r.end_tracking();
 }
 
+TEST_P(TrackedRegionTest, HotPageCoolsAfterCleanCollectsAndHeatsAgain) {
+  // hot -> cold after kCoolAfter clean collects -> hot on the next write.
+  // A run of adjacent pages cools together, and a page written in between
+  // restarts its count.
+  const std::size_t ps = mem::Region::host_page_size();
+  constexpr std::size_t K = mem::TrackedRegion::kCoolAfter;
+  mem::TrackedRegion r(4 * ps, GetParam());
+  r.begin_tracking();
+  for (std::size_t p = 0; p < 3; ++p) r.data()[p * ps] = std::byte{1};
+  EXPECT_EQ(collect(r).pages, (std::vector<std::size_t>{0, 1, 2}));
+  for (std::size_t i = 1; i < K; ++i) {
+    EXPECT_TRUE(collect(r).pages.empty()) << i;
+    EXPECT_EQ(r.dirty_pages(), (std::vector<std::size_t>{0, 1, 2})) << i;
+  }
+  r.data()[2 * ps] = std::byte{2};
+  // Pages 0 and 1 compare clean for the K-th time and cool together; page
+  // 2 changed, so its count restarts.
+  EXPECT_EQ(collect(r).pages, (std::vector<std::size_t>{2}));
+  EXPECT_EQ(r.dirty_pages(), (std::vector<std::size_t>{2}));
+  for (std::size_t i = 1; i < K; ++i) EXPECT_TRUE(collect(r).pages.empty());
+  EXPECT_EQ(r.dirty_pages(), (std::vector<std::size_t>{2}));
+  EXPECT_TRUE(collect(r).pages.empty());
+  EXPECT_TRUE(r.dirty_pages().empty());
+
+  // Cold again: the next write is trapped, makes the page hot and is
+  // collected against the shadow of the last changed interval.
+  r.data()[ps + 5] = std::byte{7};
+  EXPECT_EQ(r.dirty_pages(), (std::vector<std::size_t>{1}));
+  const Collected c = collect(r);
+  ASSERT_EQ(c.pages, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(diff_page(r, 1, c.twins[0]),
+            (std::vector<mem::ByteRange>{{ps + 5, ps + 6}}));
+  EXPECT_EQ(r.dirty_pages(), (std::vector<std::size_t>{1}));
+  r.end_tracking();
+}
+
+TEST_P(TrackedRegionTest, ApplyOnAHotPageStaysSilent) {
+  // apply_update and apply_strided on a hot page write the shadow too, so
+  // the next collect's compare finds the page clean (or, beside a local
+  // write, reports only that write) and the page stays hot.
+  const std::size_t ps = mem::Region::host_page_size();
+  mem::TrackedRegion r(2 * ps, GetParam());
+  r.begin_tracking();
+  r.data()[0] = std::byte{1};
+  r.data()[ps] = std::byte{1};
+  ASSERT_EQ(collect(r).pages, (std::vector<std::size_t>{0, 1}));
+  ASSERT_EQ(r.dirty_pages(), (std::vector<std::size_t>{0, 1}));
+
+  const std::byte upd[8] = {std::byte{0xA1}, std::byte{0xA2}, std::byte{0xA3},
+                            std::byte{0xA4}, std::byte{0xA5}, std::byte{0xA6},
+                            std::byte{0xA7}, std::byte{0xA8}};
+  r.apply_update(100, upd, sizeof(upd));
+  r.apply_strided(ps + 200, upd, 2, 4, 6);
+  EXPECT_TRUE(collect(r).pages.empty());
+  EXPECT_EQ(std::to_integer<int>(r.data()[107]), 0xA8);
+  EXPECT_EQ(std::to_integer<int>(r.data()[ps + 218]), 0xA7);
+
+  r.apply_strided(300, upd, 1, 8, 3);
+  r.data()[400] = std::byte{9};
+  r.apply_update(ps + 300, upd, sizeof(upd));
+  const Collected c = collect(r);
+  ASSERT_EQ(c.pages, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(diff_page(r, 0, c.twins[0]),
+            (std::vector<mem::ByteRange>{{400, 401}}));
+  EXPECT_TRUE(r.page_dirty(0));
+  // Page 1 has compared clean in the two collects since it was written.
+  EXPECT_EQ(r.page_dirty(1), mem::TrackedRegion::kCoolAfter > 2);
+  r.end_tracking();
+}
+
+TEST_P(TrackedRegionTest, RandomScheduleVisitsExactlyTheChangedPages) {
+  // A seeded schedule of local writes, applied updates and collects.  The
+  // reference is a snapshot of the image at the previous collect with every
+  // applied update written in: each collect must visit exactly the pages
+  // that differ from it, hand over that page as the twin, and leave no
+  // page visited that a brute-force compare calls clean.
+  const std::size_t ps = mem::Region::host_page_size();
+  constexpr std::size_t kPages = 12;
+  mem::TrackedRegion r(kPages * ps, GetParam());
+  std::mt19937_64 rng(20061017);
+  std::memset(r.data(), 0, r.length());
+  r.begin_tracking();
+  std::vector<std::byte> reference(r.data(), r.data() + r.length());
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  for (int round = 0; round < 400; ++round) {
+    // Mostly quiet rounds, so pages cool; some pages bursty, so they heat.
+    const std::size_t ops = pick(4) == 0 ? pick(12) : pick(3);
+    for (std::size_t k = 0; k < ops; ++k) {
+      const std::size_t page = pick(3) == 0 ? pick(kPages) : pick(3);
+      const std::size_t at = page * ps + pick(ps - 16);
+      const auto value = static_cast<std::byte>(pick(4));  // often a no-op
+      switch (pick(3)) {
+        case 0:
+          r.data()[at] = value;
+          break;
+        case 1: {
+          std::byte upd[16];
+          std::memset(upd, std::to_integer<int>(value), sizeof(upd));
+          r.apply_update(at, upd, sizeof(upd));
+          std::memcpy(reference.data() + at, upd, sizeof(upd));
+          break;
+        }
+        default: {
+          std::byte upd[4];
+          std::memset(upd, std::to_integer<int>(value), sizeof(upd));
+          r.apply_strided(at, upd, 1, 4, 5);
+          for (std::size_t e = 0; e < 4; ++e) reference[at + 5 * e] = upd[e];
+          break;
+        }
+      }
+    }
+    std::vector<std::size_t> changed;
+    for (std::size_t p = 0; p < kPages; ++p) {
+      if (std::memcmp(r.data() + p * ps, reference.data() + p * ps, ps) != 0) {
+        changed.push_back(p);
+      }
+    }
+    const Collected c = collect(r);
+    ASSERT_EQ(c.pages, changed) << "round " << round;
+    for (std::size_t i = 0; i < c.pages.size(); ++i) {
+      ASSERT_EQ(std::memcmp(c.twins[i].data(),
+                            reference.data() + c.pages[i] * ps, ps),
+                0)
+          << "round " << round << " page " << c.pages[i];
+    }
+    std::memcpy(reference.data(), r.data(), r.length());
+  }
+  r.end_tracking();
+}
+
 TEST_P(TrackedRegionTest, ApplyUpdateBoundsChecked) {
   mem::TrackedRegion r(128, GetParam());
   const std::byte b{0};
@@ -304,31 +468,49 @@ TEST_P(TrackedRegionTest, ApplyUpdateBoundsChecked) {
 }
 
 TEST_P(TrackedRegionTest, ConcurrentWritersAllPagesTwinnedCorrectly) {
+  // Four threads write the pages concurrently, interval after interval.
+  // The set of pages written moves between intervals, so the writers hit
+  // cold pages (trapped, maybe by several threads at once), hot pages (not
+  // trapped) and pages that went cold a collect ago.  Every collect must
+  // visit exactly the pages written with new bytes, with the page as the
+  // interval began as its twin, whichever thread won each trap.
   const std::size_t ps = mem::Region::host_page_size();
-  const std::size_t pages = 8;
-  mem::TrackedRegion r(pages * ps, GetParam());
-  std::memset(r.data(), 0x33, pages * ps);
+  constexpr std::size_t kPages = 8;
+  constexpr int kThreads = 4;
+  constexpr std::size_t K = mem::TrackedRegion::kCoolAfter;
+  mem::TrackedRegion r(kPages * ps, GetParam());
+  std::memset(r.data(), 0x33, kPages * ps);
   r.begin_tracking();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&r, t, ps] {
-      // All threads hammer all pages concurrently.
-      for (std::size_t p = 0; p < pages; ++p) {
-        for (int i = 0; i < 64; ++i) {
-          r.data()[p * ps + t * 64 + i] = static_cast<std::byte>(t + 1);
+  std::vector<std::byte> before(r.data(), r.data() + r.length());
+  for (int round = 0; round < static_cast<int>(4 * K + 8); ++round) {
+    // Round n writes the pages whose bit is set in a mask that changes
+    // every round and leaves some pages quiet for K rounds or longer.
+    const unsigned mask = round % (K + 2) < 2 ? 0xFFu : 0x0Fu << (round % 5);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&r, t, ps, mask, round] {
+        for (std::size_t p = 0; p < kPages; ++p) {
+          if ((mask >> p & 1u) == 0) continue;
+          for (int i = 0; i < 64; ++i) {
+            r.data()[p * ps + t * 64 + i] =
+                static_cast<std::byte>(round * kThreads + t + 1);
+          }
         }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(r.dirty_pages().size(), pages);
-  const Collected c = collect(r);
-  ASSERT_EQ(c.pages.size(), pages);
-  for (std::size_t p = 0; p < pages; ++p) {
-    // Twin is the pristine pre-write page regardless of race winners.
-    for (std::size_t i = 0; i < ps; ++i) {
-      ASSERT_EQ(std::to_integer<int>(c.twins[p][i]), 0x33);
+      });
     }
+    for (std::thread& th : threads) th.join();
+    std::vector<std::size_t> written;
+    for (std::size_t p = 0; p < kPages; ++p) {
+      if ((mask >> p & 1u) != 0) written.push_back(p);
+    }
+    const Collected c = collect(r);
+    ASSERT_EQ(c.pages, written) << "round " << round;
+    for (std::size_t i = 0; i < c.pages.size(); ++i) {
+      const std::size_t off = c.pages[i] * ps;
+      ASSERT_EQ(std::memcmp(c.twins[i].data(), before.data() + off, ps), 0)
+          << "round " << round << " page " << c.pages[i];
+    }
+    std::memcpy(before.data(), r.data(), r.length());
   }
   r.end_tracking();
 }

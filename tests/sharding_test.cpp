@@ -279,12 +279,13 @@ TEST(ShardedHome, DisjointMutexesConvergeOnOneIoThread) {
 
 // ---- incoming updates leave write protection alone -------------------------
 
-TEST(ShardedRemote, GrantsAndReleasesLeaveCleanPagesWriteProtected) {
-  // Page mode: a lock grant or barrier release that updates a clean page
-  // lands through the alias view.  The page stays clean and protected, so
-  // the next application write to it is detected exactly once (fault_count
-  // counts pages detected written) and the following release ships
-  // exactly that write.
+TEST(ShardedRemote, GrantsAndReleasesLandSilentlyOnColdAndHotPages) {
+  // Page mode: a lock grant or barrier release lands through the alias
+  // view and into the shadow.  On a cold page it leaves the page cold and
+  // protected, so the next application write to it is detected exactly
+  // once (fault_count counts hot pages).  On a hot page it leaves the
+  // page's compare clean.  Either way the following release ships exactly
+  // the application's write.
   constexpr std::uint64_t kPagedElems = 2048;  // 16 KB: several host pages
   const auto paged = [] {
     return tags::TypeDesc::struct_of(
@@ -344,7 +345,7 @@ TEST(ShardedRemote, GrantsAndReleasesLeaveCleanPagesWriteProtected) {
   reader.lock(0);
   auto a = reader.space().view<std::int64_t>("A");
   EXPECT_EQ(a.get(e), 7);  // the grant updated page p...
-  EXPECT_FALSE(region.page_dirty(p));  // ...which stayed clean
+  EXPECT_FALSE(region.page_dirty(p));  // ...which stayed cold
   EXPECT_EQ(region.fault_count(), faults);
   a.set(e + 1, 8);
   EXPECT_EQ(region.fault_count(), faults + 1);
@@ -353,23 +354,48 @@ TEST(ShardedRemote, GrantsAndReleasesLeaveCleanPagesWriteProtected) {
   reader.unlock(0);
   expect_unlock_ships_only(before_frames, e + 1);
 
-  // Barrier release.
+  // Page p is hot now: the reader wrote it in the interval its unlock
+  // closed.  A barrier release onto it stays out of the next diff.
+  const auto release_onto_p = [&](std::int64_t value) {
+    std::thread master([&] { home.barrier(0); });
+    std::thread writer_thread([&] {
+      writer.space().view<std::int64_t>("A").set(e, value);
+      writer.barrier(0);
+    });
+    reader.barrier(0);
+    writer_thread.join();
+    master.join();
+    EXPECT_EQ(a.get(e), value);
+  };
+  ASSERT_TRUE(region.page_dirty(p));
+  release_onto_p(70);
+  // The reader's barrier collected once (clean), so p has as many clean
+  // collects behind it as one.
+  EXPECT_EQ(region.page_dirty(p),
+            hdsm::mem::TrackedRegion::kCoolAfter > 1);
+  before_frames = frames_sent();
+  reader.lock(0);
+  a.set(e + 1, 90);
+  EXPECT_TRUE(region.page_dirty(p));
+  reader.unlock(0);
+  expect_unlock_ships_only(before_frames, e + 1);
+
+  // Releases with no write of the reader's in between cool p; one more
+  // lands on the cold page, and the next write is detected exactly once.
+  for (std::size_t i = 0; i < hdsm::mem::TrackedRegion::kCoolAfter; ++i) {
+    release_onto_p(71 + static_cast<std::int64_t>(i));
+  }
+  EXPECT_FALSE(region.page_dirty(p));
   faults = region.fault_count();
-  std::thread master([&] { home.barrier(0); });
-  std::thread writer_thread([&] {
-    writer.space().view<std::int64_t>("A").set(e, 70);
-    writer.barrier(0);
-  });
-  reader.barrier(0);
-  writer_thread.join();
-  master.join();
-  EXPECT_EQ(a.get(e), 70);
+  release_onto_p(70);
   EXPECT_FALSE(region.page_dirty(p));
   EXPECT_EQ(region.fault_count(), faults);
   before_frames = frames_sent();
   reader.lock(0);
   EXPECT_EQ(region.fault_count(), faults);
-  a.set(e + 1, 90);
+  a.set(e + 1, 91);
+  EXPECT_EQ(region.fault_count(), faults + 1);
+  a.set(e + 1, 92);  // already detected: no second detection
   EXPECT_EQ(region.fault_count(), faults + 1);
   reader.unlock(0);
   expect_unlock_ships_only(before_frames, e + 1);
@@ -378,7 +404,7 @@ TEST(ShardedRemote, GrantsAndReleasesLeaveCleanPagesWriteProtected) {
   reader.join();
   home.wait_all_joined();
   EXPECT_EQ(home.space().view<std::int64_t>("A").get(e), 70);
-  EXPECT_EQ(home.space().view<std::int64_t>("A").get(e + 1), 90);
+  EXPECT_EQ(home.space().view<std::int64_t>("A").get(e + 1), 92);
   home.stop();
 }
 
