@@ -14,6 +14,13 @@
 //                             (enter x4 -> release fan-out)
 //   BM_CoreRetransmitReplay - duplicate of an already-answered request
 //                             (dedup lookup + byte-frozen reply-cache hit)
+//   BM_CoreBoundGrantPendingGrowth/pending:N
+//                           - two remotes trading one of 64 bound mutexes
+//                             while each holds N pending runs of the other
+//                             63 rows (kv_zipf's shape): one unlock's merge
+//                             plus one grant per item.  The pending set
+//                             grows 10x between the two sizes; the cost
+//                             per item should not
 //   BM_HomeShellLockUnlock  - full home node + remote thread over an
 //                             in-process channel; the shell-side
 //                             counterpart of bench_reliability_overhead's
@@ -29,6 +36,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -72,11 +80,12 @@ struct Core {
   InlineCodec codec;
   dsm::CoherenceCore core;
 
-  Core() : core(dsm::CoherenceConfig{}, codec, stats) {}
+  explicit Core(dsm::CoherenceConfig cfg = {})
+      : core(std::move(cfg), codec, stats) {}
 
-  void attach(std::uint32_t rank) {
-    benchmark::DoNotOptimize(
-        core.step(dsm::CoherenceEvent::peer_attached(rank, {})));
+  void attach(std::uint32_t rank, std::vector<idx::UpdateRun> pending = {}) {
+    benchmark::DoNotOptimize(core.step(
+        dsm::CoherenceEvent::peer_attached(rank, std::move(pending))));
   }
   void recv(std::uint32_t rank, msg::Message m) {
     benchmark::DoNotOptimize(
@@ -164,6 +173,37 @@ void BM_CoreRetransmitReplay(benchmark::State& state) {
       static_cast<double>(c.stats.duplicates_dropped);
 }
 
+void BM_CoreBoundGrantPendingGrowth(benchmark::State& state) {
+  constexpr std::uint32_t kMutexes = 64;
+  const auto pending = static_cast<std::uint32_t>(state.range(0));
+  dsm::CoherenceConfig cfg;
+  cfg.num_locks = kMutexes;
+  Core c(cfg);
+  for (std::uint32_t m = 0; m < kMutexes; ++m) {
+    c.core.step(dsm::CoherenceEvent::bind_lock(m, m));
+  }
+  // Disjoint two-element runs spread over rows 1..63: pending that the
+  // traded mutex 0 never ships.
+  std::vector<idx::UpdateRun> seed;
+  for (std::uint32_t k = 0; k < pending; ++k) {
+    seed.emplace_back(1 + k % (kMutexes - 1), (k / (kMutexes - 1)) * 4, 2);
+  }
+  c.attach(1, seed);
+  c.attach(2, seed);
+  const std::vector<std::byte> diff = one_run_payload();  // row 0
+  std::uint32_t seq = 0;
+  for (auto _ : state) {
+    // Each unlock merges one run into the other remote's row 0; the next
+    // grant of mutex 0 ships just that run.
+    for (std::uint32_t r = 1; r <= 2; ++r) {
+      c.recv(r, request(msg::MsgType::LockRequest, r, ++seq, 0));
+      c.recv(r, request(msg::MsgType::UnlockRequest, r, ++seq, 0, diff));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+  state.counters["pending_runs"] = pending;
+}
+
 tags::TypePtr gthv() {
   return tags::TypeDesc::struct_of(
       "G", {{"A", tags::TypeDesc::array(tags::t_longlong(), 64)}});
@@ -199,6 +239,10 @@ BENCHMARK(BM_CoreLockUnlock);
 BENCHMARK(BM_CoreLockContention)->Arg(4);
 BENCHMARK(BM_CoreBarrier)->Arg(3);
 BENCHMARK(BM_CoreRetransmitReplay);
+BENCHMARK(BM_CoreBoundGrantPendingGrowth)
+    ->ArgName("pending")
+    ->Arg(256)
+    ->Arg(2560);
 BENCHMARK(BM_HomeShellLockUnlock)
     ->Apply(hdsm::bench::wall_clock)
     ->Unit(benchmark::kMicrosecond);

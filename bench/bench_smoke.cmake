@@ -10,7 +10,7 @@
 set(SMOKE_BINARIES bench_data_plane bench_reliability_overhead
     bench_obs_overhead bench_reactor
     bench_replication bench_kv bench_codec bench_micro_trap
-    bench_multiprocess_lock)
+    bench_multiprocess_lock bench_protocol_core)
 
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "bench_smoke: pass -DBENCH_DIR=<dir>")

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dsm/sync_engine.hpp"  // merge_runs
 #include "mig/tagged_convert.hpp"
 #include "tags/tag.hpp"
 
@@ -165,11 +164,9 @@ void CoherenceCore::set_barrier_count(std::uint32_t index,
 
 void CoherenceCore::bind_lock(std::uint32_t index, std::uint32_t row) {
   if (index >= locks_.size()) throw std::out_of_range("bind_lock index");
-  LockState& ls = locks_[index];
-  if (std::find(ls.bound_rows.begin(), ls.bound_rows.end(), row) ==
-      ls.bound_rows.end()) {
-    ls.bound_rows.push_back(row);
-  }
+  std::vector<std::uint32_t>& rows = locks_[index].bound_rows;
+  const auto it = std::lower_bound(rows.begin(), rows.end(), row);
+  if (it == rows.end() || *it != row) rows.insert(it, row);
 }
 
 void CoherenceCore::shutdown() {
@@ -228,7 +225,7 @@ std::vector<CoherenceAction> CoherenceCore::step(const CoherenceEvent& e) {
       PeerState& peer = peers_[e.rank];
       peer.active = true;
       peer.pending.clear();
-      merge_runs(peer.pending, e.runs);
+      peer.pending.merge(sorted_runs(e.runs), merge_buf_);
       trace(out, TraceEvent::Kind::Attached, e.rank, 0);
       break;
     }
@@ -325,27 +322,10 @@ void CoherenceCore::grant(std::uint32_t index, std::uint32_t rank,
   grant_msg.sync_id = index;
   grant_msg.rank = kMasterRank;
   grant_msg.sender = cfg_.self;
-  std::size_t blocks = 0;
-  if (ls.bound_rows.empty()) {
-    // Release consistency (the paper's behavior): ship everything pending.
-    blocks = peer.pending.size();
-    grant_msg.payload = codec_.pack_payload(peer.pending);
-    peer.pending.clear();
-  } else {
-    // Entry consistency: ship only the runs of the rows this mutex guards.
-    std::vector<idx::UpdateRun> guarded, rest;
-    for (const idx::UpdateRun& run : peer.pending) {
-      if (std::find(ls.bound_rows.begin(), ls.bound_rows.end(), run.row) !=
-          ls.bound_rows.end()) {
-        guarded.push_back(run);
-      } else {
-        rest.push_back(run);
-      }
-    }
-    blocks = guarded.size();
-    grant_msg.payload = codec_.pack_payload(guarded);
-    peer.pending = std::move(rest);
-  }
+  // Entry consistency ships only the rows this mutex guards; an unbound
+  // mutex (release consistency, the paper's behavior) ships everything.
+  grant_msg.payload = pack_pending(peer, ls.bound_rows);
+  const std::size_t blocks = ship_.size();
   trace(out, TraceEvent::Kind::UpdatesShipped, rank, index, blocks,
         grant_msg.payload.size());
   send_reply(rank, peer, std::move(grant_msg), out);
@@ -364,13 +344,81 @@ void CoherenceCore::release(std::uint32_t index, Actions& out) {
   }
 }
 
+std::span<const idx::UpdateRun> CoherenceCore::sorted_runs(
+    const std::vector<idx::UpdateRun>& runs) {
+  // A diff's runs arrive sorted; a remote's payload is untrusted and may
+  // list its blocks in any order.  Sorted here once, not once per peer.
+  if (std::is_sorted(runs.begin(), runs.end(), run_before)) return runs;
+  sorted_.assign(runs.begin(), runs.end());
+  std::sort(sorted_.begin(), sorted_.end(), run_before);
+  return sorted_;
+}
+
+std::vector<std::byte> CoherenceCore::pack_pending(
+    PeerState& peer, const std::vector<std::uint32_t>& rows) {
+  ship_.clear();
+  peer.pending.take(rows, ship_);
+  return codec_.pack_payload(ship_);
+}
+
 void CoherenceCore::merge_pending(std::uint32_t source_rank,
                                   const std::vector<idx::UpdateRun>& runs) {
   if (runs.empty()) return;
+  const std::span<const idx::UpdateRun> add = sorted_runs(runs);
   for (auto& [rank, peer] : peers_) {
     if (rank == source_rank || !peer.active) continue;
-    merge_runs(peer.pending, runs);
+    peer.pending.merge(add, merge_buf_);
   }
+}
+
+// ---- pending sets ----------------------------------------------------------
+
+namespace {
+
+/// lower_bound's order for a pending set's row slots.
+constexpr auto row_below = [](const auto& slot, std::uint32_t row) {
+  return slot.row < row;
+};
+
+}  // namespace
+
+void CoherenceCore::PendingSet::merge(std::span<const idx::UpdateRun> add,
+                                      MergeBuffers& buf) {
+  auto slot = rows_.begin();
+  for (auto first = add.begin(); first != add.end();) {
+    const std::uint32_t row = first->row;
+    const auto last =
+        std::find_if(first, add.end(),
+                     [row](const idx::UpdateRun& r) { return r.row != row; });
+    slot = std::lower_bound(slot, rows_.end(), row, row_below);
+    if (slot == rows_.end() || slot->row != row) {
+      slot = rows_.insert(slot, Row{row, {}});
+    }
+    merge_runs(slot->runs, std::span(first, last), buf);
+    first = last;
+  }
+}
+
+void CoherenceCore::PendingSet::take(const std::vector<std::uint32_t>& rows,
+                                     std::vector<idx::UpdateRun>& out) {
+  const auto ship = [&out](Row& r) {
+    out.insert(out.end(), r.runs.begin(), r.runs.end());
+    r.runs.clear();
+  };
+  if (rows.empty()) {
+    for (Row& r : rows_) ship(r);
+    return;
+  }
+  auto slot = rows_.begin();
+  for (const std::uint32_t row : rows) {
+    slot = std::lower_bound(slot, rows_.end(), row, row_below);
+    if (slot == rows_.end()) return;
+    if (slot->row == row) ship(*slot);
+  }
+}
+
+void CoherenceCore::PendingSet::clear() {
+  for (Row& r : rows_) r.runs.clear();
 }
 
 void CoherenceCore::enter_barrier(BarrierState& b, std::uint32_t rank) {
@@ -435,9 +483,8 @@ void CoherenceCore::maybe_release_barrier(std::uint32_t index, Actions& out) {
     release_msg.sync_id = index;
     release_msg.rank = kMasterRank;
     release_msg.sender = cfg_.self;
-    const std::size_t blocks = peer.pending.size();
-    release_msg.payload = codec_.pack_payload(peer.pending);
-    peer.pending.clear();
+    release_msg.payload = pack_pending(peer, {});
+    const std::size_t blocks = ship_.size();
     trace(out, TraceEvent::Kind::UpdatesShipped, rank, index, blocks,
           release_msg.payload.size());
     send_reply(rank, peer, std::move(release_msg), out);

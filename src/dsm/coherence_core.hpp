@@ -26,6 +26,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -176,11 +177,34 @@ class CoherenceCore {
   obs::ClusterTelemetry telemetry() const;
 
  private:
+  /// Runs other ranks wrote since a peer last received them, keyed by row:
+  /// one run list per row, in row order, each sorted and span-disjoint
+  /// (merge_runs keeps it so).  merge_runs never joins runs of different
+  /// rows, so the rows laid end to end are exactly the flat merged set: an
+  /// unlock merges only into the rows it wrote, and a bound grant takes
+  /// only its own rows.  A row a grant empties keeps its slot and capacity,
+  /// so a steady-state merge allocates nothing.
+  class PendingSet {
+   public:
+    /// Merge `add`, sorted by run_before, into the rows it touches.
+    void merge(std::span<const idx::UpdateRun> add, MergeBuffers& buf);
+    /// Append the runs of `rows` (sorted; empty = every row) to `out` in
+    /// row order, and drop them from the set.
+    void take(const std::vector<std::uint32_t>& rows,
+              std::vector<idx::UpdateRun>& out);
+    void clear();
+
+   private:
+    struct Row {
+      std::uint32_t row = 0;
+      std::vector<idx::UpdateRun> runs;
+    };
+    std::vector<Row> rows_;  ///< sorted by row
+  };
+
   struct PeerState {
     bool active = false;
-    /// Runs other ranks wrote since this peer last received them: sorted,
-    /// span-disjoint (merge_runs keeps it so).
-    std::vector<idx::UpdateRun> pending;
+    PendingSet pending;
     // Reliability state — persists across detach/re-attach so a remote
     // that reconnects after a reset can retransmit its outstanding request
     // and be answered from the cache instead of re-executed.
@@ -209,7 +233,8 @@ class CoherenceCore {
     /// thread held the mutex in between and the stale diffs must not
     /// overwrite its writes.
     std::uint64_t generation = 0;
-    /// Entry consistency: rows this mutex guards (empty = guards all).
+    /// Entry consistency: rows this mutex guards, sorted (empty = guards
+    /// all).
     std::vector<std::uint32_t> bound_rows;
   };
 
@@ -249,6 +274,13 @@ class CoherenceCore {
   void send_reply(std::uint32_t rank, PeerState& peer, msg::Message reply,
                   Actions& out);
   void grant(std::uint32_t index, std::uint32_t rank, Actions& out);
+  /// `runs` in run_before order: `runs` itself, or a sorted copy.
+  std::span<const idx::UpdateRun> sorted_runs(
+      const std::vector<idx::UpdateRun>& runs);
+  /// Take `peer`'s pending runs of `rows` (empty = every row) into ship_
+  /// and pack them.
+  std::vector<std::byte> pack_pending(PeerState& peer,
+                                      const std::vector<std::uint32_t>& rows);
   void release(std::uint32_t index, Actions& out);
   void merge_pending(std::uint32_t source_rank,
                      const std::vector<idx::UpdateRun>& runs);
@@ -275,6 +307,11 @@ class CoherenceCore {
   std::map<std::uint32_t, PeerState> peers_;
   std::vector<LockState> locks_;
   std::vector<BarrierState> barriers_;
+  // Scratch reused across steps, so steady-state merges and packs do not
+  // allocate.
+  MergeBuffers merge_buf_;
+  std::vector<idx::UpdateRun> sorted_;  ///< sorted_runs' copy
+  std::vector<idx::UpdateRun> ship_;    ///< the runs a grant or release packs
 };
 
 }  // namespace hdsm::dsm

@@ -251,17 +251,6 @@ class SyncEngine final : public UpdateCodec {
   std::vector<std::byte> gather_;
 };
 
-/// Merge `add` into the run set `into`: sorted in row-major order, and no
-/// two runs of a row with overlapping spans (first to last element).
-/// Overlapping or adjacent contiguous runs are unified; runs whose spans
-/// overlap a strided run's are expanded to their elements and re-coalesced
-/// by idx::append_element (red and black runs of one row union to one
-/// contiguous run).  `add` may come in any order; it is sorted first only
-/// when it is not already, and the two sorted lists are then merged in one
-/// linear pass.
-void merge_runs(std::vector<idx::UpdateRun>& into,
-                const std::vector<idx::UpdateRun>& add);
-
 /// A PlatformDesc carrying only what a wire summary pins down (byte order
 /// and long-double format); element sizes always come from tags.
 plat::PlatformDesc wire_platform(const msg::PlatformSummary& s);

@@ -12,8 +12,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "index/index_table.hpp"
@@ -70,6 +72,37 @@ constexpr std::size_t update_block_wire_size(std::size_t tag_len,
                                              std::size_t data_len) {
   return 4 + 8 + 4 + 8 + tag_len + data_len;
 }
+
+/// The order of a merged run set: row-major, then by first element.
+inline bool run_before(const idx::UpdateRun& a, const idx::UpdateRun& b) {
+  return a.row != b.row ? a.row < b.row : a.first_elem < b.first_elem;
+}
+
+/// Scratch that merge_runs keeps between calls, so that a merge into a run
+/// set whose capacity has settled allocates nothing.
+struct MergeBuffers {
+  std::vector<idx::UpdateRun> old;     ///< `into` as it stood
+  std::vector<idx::UpdateRun> sorted;  ///< `add` sorted, when it was not
+  std::vector<idx::UpdateRun> cluster;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+  std::vector<std::uint64_t> elems;
+};
+
+/// Merge `add` into the run set `into`: sorted by run_before, and no two
+/// runs of a row with overlapping spans (first to last element).
+/// Overlapping or adjacent contiguous runs are unified; runs whose spans
+/// overlap a strided run's are expanded to their elements and re-coalesced
+/// by idx::append_element (red and black runs of one row union to one
+/// contiguous run).  Runs of different rows are never joined, so merging
+/// row by row gives the same runs.  `add` may come in any order; it is
+/// sorted first only when it is not already, and the two sorted lists are
+/// then merged in one linear pass, written back into `into`'s storage.
+/// `add` must not alias `into` or `buf`.
+void merge_runs(std::vector<idx::UpdateRun>& into,
+                std::span<const idx::UpdateRun> add, MergeBuffers& buf);
+/// The same with one-off buffers.
+void merge_runs(std::vector<idx::UpdateRun>& into,
+                const std::vector<idx::UpdateRun>& add);
 
 /// The data plane as the coherence core sees it (coherence_core.hpp): runs
 /// in, payload bytes out, and back.  The implementation owns image access

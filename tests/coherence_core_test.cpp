@@ -966,3 +966,229 @@ TEST(CoherenceCoreStress, RecoveryWindowsNeverOutgrowTheMutexCount) {
   const auto err = dsm::validate_trace(h.log.snapshot());
   ASSERT_FALSE(err.has_value()) << *err;
 }
+
+// ---- pending sets: the per-row store against a flat oracle -----------------
+
+namespace {
+
+/// Runs as an untrusted payload may list them: unsorted, overlapping,
+/// strided, or empty, over a few short rows.
+std::vector<idx::UpdateRun> random_runs(std::mt19937& rng) {
+  std::vector<idx::UpdateRun> runs(rng() % 5);
+  for (idx::UpdateRun& r : runs) {
+    const std::uint32_t strides[] = {1, 1, 2, 3};
+    r = idx::UpdateRun{static_cast<std::uint32_t>(rng() % 5), rng() % 40,
+                       rng() % 7, strides[rng() % 4]};
+  }
+  return runs;
+}
+
+/// Drives the core through a random schedule of master and remote locks on
+/// bound and unbound mutexes, barrier episodes, and detach/re-attach, and
+/// keeps next to it each peer's pending set the way the core kept it as
+/// one flat vector: merge_runs on every update, everything shipped by an
+/// unbound grant or a release, and a bound grant filtering out its rows.
+/// Every LockGrant and BarrierRelease must carry exactly the oracle's runs.
+struct PendingOracleSim {
+  static constexpr std::uint32_t kRemotes = 3;
+  static constexpr std::uint32_t kLocks = 4;
+  enum class State { Idle, Waiting, Holding, InBarrier, Detached };
+  struct Agent {
+    State state = State::Idle;
+    std::uint32_t mutex = 0;
+    std::uint32_t seq = 0;
+  };
+
+  CoreHarness h{kLocks, 1};
+  std::mt19937 rng;
+  std::array<Agent, kRemotes + 1> agents{};  ///< [0] is the master
+  std::map<std::uint32_t, std::vector<std::uint32_t>> bound;
+  std::map<std::uint32_t, std::vector<idx::UpdateRun>> flat;
+  std::uint64_t barrier_gen = 0;
+  int grants = 0;
+  int bound_grants = 0;
+  int releases = 0;
+
+  explicit PendingOracleSim(std::uint32_t seed) : rng(seed) {
+    // Mutex 0 guards rows 2 and 0 (bound out of order, and row 2 twice),
+    // mutex 1 row 3; mutexes 2 and 3 are unbound.
+    for (const auto& [m, row] : {std::pair{0u, 2u}, {0u, 0u}, {0u, 2u},
+                                {1u, 3u}}) {
+      h.step(Event::bind_lock(m, row));
+      auto& rows = bound[m];
+      if (std::find(rows.begin(), rows.end(), row) == rows.end()) {
+        rows.push_back(row);
+      }
+    }
+    for (std::uint32_t r = 1; r <= kRemotes; ++r) attach(r);
+  }
+
+  void attach(std::uint32_t r) {
+    // A multi-row seed, like a fresh peer's full image.
+    std::vector<idx::UpdateRun> seed = random_runs(rng);
+    seed.push_back({static_cast<std::uint32_t>(rng() % 5), 0, 16});
+    flat[r].clear();
+    dsm::merge_runs(flat[r], seed);
+    agents[r] = Agent{State::Idle, 0, agents[r].seq};
+    run(Event::peer_attached(r, seed));
+  }
+
+  void merge_into_others(std::uint32_t source,
+                         const std::vector<idx::UpdateRun>& runs) {
+    for (auto& [r, pending] : flat) {
+      if (r != source && agents[r].state != State::Detached) {
+        dsm::merge_runs(pending, runs);
+      }
+    }
+  }
+
+  /// Step the core, then check every shipped payload against the oracle
+  /// and move the agents the replies address.
+  void run(const Event& e) {
+    const std::vector<Action> actions = h.step(e);
+    ASSERT_EQ(count_kind(actions, Action::Kind::Detach), 0);
+    std::optional<dsm::TraceEvent> shipped;
+    for (const Action& a : actions) {
+      if (a.kind == Action::Kind::Trace &&
+          a.trace.kind == dsm::TraceEvent::Kind::UpdatesShipped) {
+        shipped = a.trace;
+      }
+      if (a.kind != Action::Kind::Send) continue;
+      Agent& agent = agents[a.rank];
+      const msg::MsgType type = a.message.type;
+      if (type == msg::MsgType::UnlockAck) {
+        agent.state = State::Idle;
+        continue;
+      }
+      ASSERT_TRUE(type == msg::MsgType::LockGrant ||
+                  type == msg::MsgType::BarrierRelease);
+      std::vector<idx::UpdateRun>& pending = flat[a.rank];
+      std::vector<idx::UpdateRun> want;
+      const auto it = bound.find(a.message.sync_id);
+      if (type == msg::MsgType::LockGrant && it != bound.end()) {
+        std::vector<idx::UpdateRun> rest;
+        for (const idx::UpdateRun& run : pending) {
+          const bool guarded = std::find(it->second.begin(), it->second.end(),
+                                         run.row) != it->second.end();
+          (guarded ? want : rest).push_back(run);
+        }
+        pending = std::move(rest);
+        ++bound_grants;
+      } else {
+        want = std::move(pending);
+        pending.clear();
+      }
+      EXPECT_EQ(a.message.payload, fake_payload(want))
+          << msg::msg_type_name(type) << " " << a.message.sync_id
+          << " to rank " << a.rank;
+      ASSERT_TRUE(shipped.has_value());
+      EXPECT_EQ(shipped->rank, a.rank);
+      EXPECT_EQ(shipped->blocks, want.size());
+      EXPECT_EQ(shipped->bytes, a.message.payload.size());
+      shipped.reset();
+      if (type == msg::MsgType::LockGrant) {
+        agent.state = State::Holding;
+        ++grants;
+      } else {
+        agent.state = State::Idle;
+        ++releases;
+      }
+    }
+    Agent& master = agents[0];
+    if (master.state == State::Waiting && h.core.master_holds(master.mutex)) {
+      master.state = State::Holding;
+    }
+    if (master.state == State::InBarrier &&
+        h.core.barrier_generation(0) != barrier_gen) {
+      barrier_gen = h.core.barrier_generation(0);
+      master.state = State::Idle;
+    }
+  }
+
+  void remote_step(std::uint32_t r) {
+    Agent& agent = agents[r];
+    const auto request = [&](msg::MsgType type, std::uint32_t sync_id,
+                             std::vector<idx::UpdateRun> runs) {
+      return Event::msg_received(
+          r, make_msg(type, r, ++agent.seq, sync_id, fake_payload(runs)));
+    };
+    if (agent.state == State::Detached) {
+      attach(r);
+      return;
+    }
+    // Detach a remote outside a barrier episode, whatever else it does.
+    if (agent.state != State::InBarrier && rng() % 16 == 0) {
+      agent.state = State::Detached;
+      flat[r].clear();
+      run(Event::peer_detached(r));
+      return;
+    }
+    switch (agent.state) {
+      case State::Idle:
+        if (rng() % 4 == 0) {
+          const std::vector<idx::UpdateRun> runs = random_runs(rng);
+          merge_into_others(r, runs);
+          agent.state = State::InBarrier;
+          run(request(msg::MsgType::BarrierEnter, 0, runs));
+        } else {
+          agent.mutex = rng() % kLocks;
+          agent.state = State::Waiting;
+          run(request(msg::MsgType::LockRequest, agent.mutex, {}));
+        }
+        return;
+      case State::Holding: {
+        const std::vector<idx::UpdateRun> runs = random_runs(rng);
+        merge_into_others(r, runs);
+        run(request(msg::MsgType::UnlockRequest, agent.mutex, runs));
+        return;
+      }
+      default:
+        return;  // blocked on a reply
+    }
+  }
+
+  void master_step() {
+    Agent& master = agents[0];
+    if (master.state == State::Idle) {
+      if (rng() % 4 == 0) {
+        const std::vector<idx::UpdateRun> runs = random_runs(rng);
+        merge_into_others(0, runs);
+        master.state = State::InBarrier;
+        run(Event::master_barrier(0, runs));
+      } else {
+        master.mutex = rng() % kLocks;
+        master.state = State::Waiting;
+        run(Event::master_lock(master.mutex));
+      }
+    } else if (master.state == State::Holding) {
+      const std::vector<idx::UpdateRun> runs = random_runs(rng);
+      merge_into_others(0, runs);
+      master.state = State::Idle;
+      run(Event::master_unlock(master.mutex, runs));
+    }
+  }
+};
+
+}  // namespace
+
+TEST(PendingSets, RandomScheduleMatchesAFlatOracle) {
+  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+    PendingOracleSim sim(seed);
+    for (int i = 0; i < 1500; ++i) {
+      const auto agent = static_cast<std::uint32_t>(
+          sim.rng() % (PendingOracleSim::kRemotes + 1));
+      if (agent == 0) {
+        sim.master_step();
+      } else {
+        sim.remote_step(agent);
+      }
+      ASSERT_FALSE(::testing::Test::HasFailure())
+          << "seed " << seed << ", step " << i;
+    }
+    // The schedule reached every kind of shipment many times over.
+    EXPECT_GE(sim.grants, 100) << "seed " << seed;
+    EXPECT_GE(sim.bound_grants, 30) << "seed " << seed;
+    EXPECT_GE(sim.releases, 10) << "seed " << seed;
+    sim.h.expect_valid_trace();
+  }
+}
