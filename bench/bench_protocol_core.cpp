@@ -1,4 +1,4 @@
-// Perf trajectory for the sans-I/O coherence core (docs/PROTOCOL.md §7).
+// Perf trajectory for the sans-I/O coherence core (docs/PROTOCOL.md §6).
 //
 // The core/shell split means the home node's protocol decisions are now a
 // pure function `step : Event -> [Action]` with no locks, threads, or

@@ -529,7 +529,7 @@ void CoherenceCore::violation(std::uint32_t rank, std::string reason,
 
 bool CoherenceCore::handle_duplicate(std::uint32_t rank, PeerState& peer,
                                      const msg::Message& m, Actions& out) {
-  if (m.seq == 0 || m.seq > peer.last_seq) return false;  // fresh or legacy
+  if (m.seq > peer.last_seq) return false;  // fresh
   const auto dropped = [&] {
     ++stats_.duplicates_dropped;
     trace(out, TraceEvent::Kind::DuplicateDropped, rank, m.sync_id, 0, 0,
@@ -575,7 +575,6 @@ bool CoherenceCore::handle_duplicate(std::uint32_t rank, PeerState& peer,
 
 void CoherenceCore::hello(std::uint32_t rank, const msg::Message& m,
                           Actions& out) {
-  if (m.tag.empty()) return;  // tag-less Hello (application traffic)
   if (cfg_.layout_runs.empty()) return;  // no local shape to negotiate
   // Shape negotiation: the remote's image tag must describe the same GThV
   // as ours (mig::pair_runs), though sizes/padding may differ per platform.
@@ -623,20 +622,20 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
     // itself, and must never advance the dedup horizon (a reconnect Hello
     // echoes the still-outstanding request seq; advancing last_seq to it
     // would make the upcoming retransmit look like an answered duplicate).
-    // seq == 0 on a tag-ful Hello marks a brand-new incarnation of this
-    // rank (thread churn, migration): its requests restart at #1, so the
+    // seq == 0 on a Hello marks a brand-new incarnation of this rank
+    // (thread churn, migration): its requests restart at #1, so the
     // previous incarnation's reliability state must be discarded.  The
     // Hello's sync_id carries an incarnation epoch nonce: a duplicated or
     // reordered copy of an already-seen Hello repeats the recorded epoch
     // and must NOT reset the state again (doing so mid-session would make
     // a retransmit of an already-executed request look fresh).  Every
-    // session Hello carries a nonzero epoch, so epoch 0 is a violation.
-    if (!m.tag.empty() && m.sync_id == 0) {
-      violation(rank, "home: session Hello without an incarnation epoch",
-                out);
+    // Hello opens or resumes a DSM session, so one without the image tag
+    // or a nonzero epoch is a violation.
+    if (m.tag.empty() || m.sync_id == 0) {
+      violation(rank, "home: Hello without an image tag or epoch", out);
       return;
     }
-    if (m.seq == 0 && !m.tag.empty() && m.sync_id != peer.hello_epoch) {
+    if (m.seq == 0 && m.sync_id != peer.hello_epoch) {
       peer.last_seq = 0;
       peer.last_reply.reset();
       peer.granted_gen.clear();
@@ -645,8 +644,14 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
     hello(rank, m, out);
     return;
   }
+  if (m.seq == 0) {
+    // Every request is numbered from 1 within its session (RetryCore);
+    // seq 0 belongs to the Hello that opens a fresh incarnation.
+    violation(rank, "home: unsequenced request", out);
+    return;
+  }
   if (handle_duplicate(rank, peer, m, out)) return;
-  if (m.seq != 0 && m.seq > peer.last_seq) {
+  if (m.seq > peer.last_seq) {
     peer.last_seq = m.seq;
     peer.last_reply.reset();
   }
@@ -686,15 +691,15 @@ void CoherenceCore::handle_message(std::uint32_t rank, const msg::Message& m,
       LockState& ls = locks_[m.sync_id];
       const bool is_holder = ls.holder == static_cast<std::int64_t>(rank);
       if (!is_holder) {
-        if (m.seq == 0 || ls.holder != -1) {
-          // Unsequenced, or someone else legitimately holds the mutex: a
-          // real protocol violation (or unrecoverable reset race) — detach.
+        if (ls.holder != -1) {
+          // Someone else legitimately holds the mutex: a real protocol
+          // violation (or unrecoverable reset race) — detach.
           violation(rank, "remote unlock without holding the lock", out);
           return;
         }
-        // `holder == -1` on a sequenced request is the reset-recovery
-        // case: the unlock was sent, the connection died before it
-        // arrived, and the home reclaimed the lock when the peer detached.
+        // `holder == -1` is the reset-recovery case: the unlock was sent,
+        // the connection died before it arrived, and the home reclaimed
+        // the lock when the peer detached.
         // The diffs were made under mutual exclusion, so applying them is
         // safe only while nobody has been granted the mutex since — i.e.
         // the lock generation still matches the one recorded at this

@@ -19,7 +19,7 @@
 // SyncEngine itself in production, a trivial in-memory fake in tests.  The
 // codec carries no protocol knowledge; the core never touches image bytes.
 //
-// Normative event -> action tables: docs/PROTOCOL.md §7.
+// Normative event -> action tables: docs/PROTOCOL.md §6.
 #pragma once
 
 #include <cstdint>

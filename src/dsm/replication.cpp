@@ -8,7 +8,7 @@
 
 namespace hdsm::dsm {
 
-// ---- record wire form (docs/PROTOCOL.md §9) --------------------------------
+// ---- record wire form (docs/PROTOCOL.md §8) --------------------------------
 
 bool is_master_update(CoherenceEvent::Kind kind) {
   return kind == CoherenceEvent::Kind::MasterUnlock ||

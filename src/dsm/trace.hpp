@@ -51,8 +51,9 @@ struct TraceEvent {
   std::uint32_t sync_id = 0;
   std::uint64_t blocks = 0;  ///< update blocks involved
   std::uint64_t bytes = 0;   ///< payload bytes involved
-  /// Request sequence number the event concerns (0 = unsequenced).  Lets
-  /// the validator prove each request was applied at most once.
+  /// Request sequence number the event concerns (0 = none, e.g. a master
+  /// event).  Lets the validator prove each request was applied at most
+  /// once.
   std::uint64_t req = 0;
 
   bool operator==(const TraceEvent&) const = default;

@@ -164,90 +164,4 @@ FileStateRecord MigratableFile::capture() const {
   return r;
 }
 
-// ---- sessions -----------------------------------------------------------------
-
-std::vector<std::byte> SessionRecord::pack() const {
-  std::vector<std::byte> out;
-  plat::append_be(out, 4, port);
-  plat::append_be(out, 4, rank);
-  plat::append_be(out, 8, next_seq);
-  return out;
-}
-
-SessionRecord SessionRecord::unpack(const std::byte* data, std::size_t len) {
-  plat::WireReader rd(data, len, "SessionRecord");
-  SessionRecord r;
-  r.port = static_cast<std::uint16_t>(rd.u32());
-  r.rank = rd.u32();
-  r.next_seq = rd.u64();
-  rd.finish();
-  return r;
-}
-
-MigratableSession::MigratableSession(std::uint16_t port, std::uint32_t rank) {
-  record_.port = port;
-  record_.rank = rank;
-  record_.next_seq = 1;
-  dial();
-}
-
-MigratableSession::MigratableSession(const SessionRecord& record)
-    : record_(record) {
-  dial();
-}
-
-void MigratableSession::dial() { ep_ = msg::tcp_connect(record_.port); }
-
-void MigratableSession::send(const std::vector<std::byte>& payload) {
-  msg::Message m;
-  m.type = msg::MsgType::Hello;  // application traffic rides Hello frames
-  m.rank = record_.rank;
-  // The sequence number travels in the first 8 payload bytes.
-  std::vector<std::byte> framed;
-  plat::append_be(framed, 8, record_.next_seq);
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  m.payload = std::move(framed);
-  ep_->send(m);
-  ++record_.next_seq;
-}
-
-std::vector<std::byte> MigratableSession::receive() {
-  const msg::Message m = ep_->recv();
-  return m.payload;
-}
-
-SessionRecord MigratableSession::capture() const { return record_; }
-
-void MigratableSession::close() {
-  if (ep_) ep_->close();
-}
-
-bool SessionDeduper::accept(std::uint32_t rank, std::uint64_t seq) {
-  for (auto& [r, last] : last_) {
-    if (r == rank) {
-      if (seq <= last) return false;
-      last = seq;
-      return true;
-    }
-  }
-  last_.emplace_back(rank, seq);
-  return true;
-}
-
-std::uint64_t SessionDeduper::last_seen(std::uint32_t rank) const {
-  for (const auto& [r, last] : last_) {
-    if (r == rank) return last;
-  }
-  return 0;
-}
-
-SessionMessage parse_session_message(const msg::Message& m) {
-  plat::WireReader r(m.payload, "session message");
-  SessionMessage out;
-  out.rank = m.rank;
-  out.seq = r.u64();
-  out.payload = r.bytes(r.remaining());
-  return out;
-}
-
 }  // namespace hdsm::mig

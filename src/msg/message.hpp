@@ -40,10 +40,10 @@ enum class MsgType : std::uint8_t {
   MetricsPull,
   MetricsReport,
   // 15-17 are reserved: they carried the retired multi-shard directory's
-  // redirect and pending-pull frames (docs/PROTOCOL.md §8).  FrameDecoder
+  // redirect and pending-pull frames (docs/PROTOCOL.md §7).  FrameDecoder
   // rejects them.
   /// Primary→standby state-machine replication (docs/REPLICATION.md,
-  /// docs/PROTOCOL.md §9): the payload is one serialized dsm::LogRecord,
+  /// docs/PROTOCOL.md §8): the payload is one serialized dsm::LogRecord,
   /// `seq` the log index, `aux` the sender's primaryship epoch.  The
   /// standby replays the record through its own core and answers ReplAck
   /// echoing seq/sync_id; an ack with
@@ -78,11 +78,12 @@ struct Message {
   MsgType type = MsgType::Hello;
   std::uint32_t sync_id = 0;  ///< mutex or barrier index
   std::uint32_t rank = 0;     ///< sender thread rank
-  /// Request sequence number for the reliability protocol: monotonic per
-  /// remote on requests, echoed on the matching reply.  0 = unsequenced
-  /// (legacy application traffic; exempt from duplicate detection).
+  /// Request sequence number of the DSM session (docs/PROTOCOL.md §1):
+  /// every request is numbered from 1 per remote incarnation and the reply
+  /// echoes it; 0 only on the Hello that opens a fresh incarnation.  The
+  /// replication link reuses it as the log index (§8).
   std::uint32_t seq = 0;
-  /// Auxiliary word (docs/PROTOCOL.md §9): the primaryship epoch on
+  /// Auxiliary word (docs/PROTOCOL.md §8): the primaryship epoch on
   /// ReplAppend, the fence epoch on a rejecting ReplAck, 0 otherwise.
   std::uint32_t aux = 0;
   PlatformSummary sender;

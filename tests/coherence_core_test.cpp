@@ -21,10 +21,12 @@
 
 #include "dsm/coherence_core.hpp"
 #include "dsm/trace.hpp"
+#include "obs/telemetry.hpp"
 
 namespace dsm = hdsm::dsm;
 namespace msg = hdsm::msg;
 namespace idx = hdsm::idx;
+namespace obs = hdsm::obs;
 
 using Action = dsm::CoherenceAction;
 using Event = dsm::CoherenceEvent;
@@ -235,12 +237,51 @@ TEST(CoherenceCore, SessionHelloWithoutAnEpochIsAViolation) {
   EXPECT_FALSE(h.core.peer_active(1));
   h.expect_valid_trace();
 
-  // A tag-less Hello (application traffic) needs no epoch.
+  // A Hello always opens or resumes a DSM session, so one without the
+  // image tag is a violation too, whatever its epoch.
   h.attach(2);
   const auto plain = h.step(
-      Event::msg_received(2, make_msg(msg::MsgType::Hello, 2, 0)));
-  EXPECT_EQ(count_kind(plain, Action::Kind::Detach), 0);
-  EXPECT_TRUE(h.core.peer_active(2));
+      Event::msg_received(2, make_msg(msg::MsgType::Hello, 2, 0, 5)));
+  EXPECT_EQ(count_kind(plain, Action::Kind::Detach), 1);
+  EXPECT_FALSE(h.core.peer_active(2));
+  h.expect_valid_trace();
+}
+
+TEST(CoherenceCore, UnsequencedRequestIsAViolation) {
+  // Every request is numbered from 1 within its session; a seq-0 request
+  // detaches its sender before it can touch a lock, a barrier, the image
+  // or the telemetry aggregate — even from a rank that holds the mutex.
+  CoreHarness h;
+  obs::NodeSnapshot snap;
+  snap.rank = 5;
+  std::vector<std::byte> snapshot;
+  snap.serialize(snapshot);
+  const std::vector<std::pair<std::uint32_t, msg::Message>> cases = {
+      {1, make_msg(msg::MsgType::LockRequest, 1, 0, 1)},
+      {2, make_msg(msg::MsgType::UnlockRequest, 2, 0, 0, fake_payload({}))},
+      {3, make_msg(msg::MsgType::BarrierEnter, 3, 0, 0, fake_payload({}))},
+      {4, make_msg(msg::MsgType::JoinRequest, 4, 0, 0, fake_payload({}))},
+      {5, make_msg(msg::MsgType::MetricsPull, 5, 0, 0, snapshot)},
+  };
+  for (const auto& [rank, m] : cases) {
+    h.attach(rank);
+    h.step(Event::msg_received(rank, make_hello(rank, 7)));
+  }
+  // Rank 2 legitimately holds mutex 0 when its unsequenced unlock arrives.
+  h.step(Event::msg_received(2, make_msg(msg::MsgType::LockRequest, 2, 1)));
+  ASSERT_EQ(h.core.lock_holder(0), 2);
+
+  for (const auto& [rank, m] : cases) {
+    SCOPED_TRACE(msg::msg_type_name(m.type));
+    const auto actions = h.step(Event::msg_received(rank, m));
+    EXPECT_EQ(count_kind(actions, Action::Kind::Detach), 1);
+    EXPECT_EQ(count_kind(actions, Action::Kind::Send), 0);
+    EXPECT_FALSE(h.core.peer_active(rank));
+  }
+  EXPECT_EQ(h.codec.apply_calls, 0);
+  EXPECT_EQ(h.core.lock_holder(0), -1);  // reclaimed from the detached holder
+  EXPECT_EQ(h.core.lock_holder(1), -1);
+  h.expect_valid_trace();
 }
 
 // ---- reply-cache retransmission --------------------------------------------

@@ -17,7 +17,7 @@
 #include "dsm/update.hpp"
 #include "msg/faulty.hpp"
 #include "msg/tcp.hpp"
-#include "test_time.hpp"
+#include "lock_workload.hpp"
 
 namespace dsm = hdsm::dsm;
 namespace tags = hdsm::tags;
@@ -25,15 +25,15 @@ namespace plat = hdsm::plat;
 namespace msg = hdsm::msg;
 
 using namespace std::chrono_literals;
+using hdsm::test::expect_image;
+using hdsm::test::expected_array;
+using hdsm::test::fast_retry;
+using hdsm::test::gthv;
+using hdsm::test::kElems;
+using hdsm::test::ops_of;
+using hdsm::test::run_workload;
 
 namespace {
-
-constexpr std::uint64_t kElems = 64;
-
-tags::TypePtr gthv() {
-  return tags::TypeDesc::struct_of(
-      "G", {{"A", tags::TypeDesc::array(tags::t_longlong(), kElems)}});
-}
 
 msg::Message tagged(int n) {
   msg::Message m;
@@ -79,51 +79,6 @@ bool wait_for_trace(const dsm::TraceLog& log, Pred pred) {
   return false;
 }
 
-/// Tight schedule so fault tests finish in milliseconds, with enough
-/// retries to ride out high loss rates.  HDSM_TEST_TIME_SCALE stretches
-/// each wait for slow (sanitized) runs — see tests/test_time.hpp.
-dsm::RetryPolicy fast_retry() {
-  dsm::RetryPolicy p;
-  p.timeout = hdsm::test::scaled(25ms);
-  p.backoff = 1.5;
-  p.max_timeout = hdsm::test::scaled(200ms);
-  p.max_retries = 12;
-  return p;
-}
-
-/// The increments-under-one-lock workload every convergence test runs:
-/// deterministic per-rank op streams, so the expected array is computable
-/// without running the cluster.
-std::vector<std::pair<std::uint64_t, std::int64_t>> ops_of(
-    std::uint32_t rank, int ops) {
-  std::vector<std::pair<std::uint64_t, std::int64_t>> v;
-  std::mt19937_64 rng(500 + rank);
-  for (int i = 0; i < ops; ++i) {
-    v.emplace_back(rng() % kElems,
-                   static_cast<std::int64_t>(rng() % 100) - 50);
-  }
-  return v;
-}
-
-void run_workload(dsm::ShardedRemote& remote, int ops) {
-  for (const auto& [idx, delta] : ops_of(remote.rank(), ops)) {
-    remote.lock(0);
-    auto a = remote.space().view<std::int64_t>("A");
-    a.set(idx, a.get(idx) + delta);
-    remote.unlock(0);
-  }
-  remote.barrier(0);
-  remote.join();
-}
-
-std::vector<std::int64_t> expected_array(std::uint32_t num_remotes, int ops) {
-  std::vector<std::int64_t> e(kElems, 0);
-  for (std::uint32_t r = 1; r <= num_remotes; ++r) {
-    for (const auto& [idx, delta] : ops_of(r, ops)) e[idx] += delta;
-  }
-  return e;
-}
-
 /// Run `num_remotes` faulty remotes to completion against one home and
 /// check the master image matches the fault-free expectation and the
 /// protocol trace validates.
@@ -156,11 +111,7 @@ void converge_under(const msg::FaultOptions& fault, std::uint32_t num_remotes,
   for (std::thread& t : threads) t.join();
   home.wait_all_joined();
 
-  const std::vector<std::int64_t> expected = expected_array(num_remotes, ops);
-  auto a = home.space().view<std::int64_t>("A");
-  for (std::uint64_t i = 0; i < kElems; ++i) {
-    EXPECT_EQ(a.get(i), expected[i]) << "element " << i;
-  }
+  expect_image(home.space(), expected_array(num_remotes, ops));
   const auto err = dsm::validate_trace(log.snapshot());
   EXPECT_FALSE(err.has_value()) << *err;
   home.stop();
@@ -639,11 +590,7 @@ TEST(Reliability, TcpConvergesUnderDropAndDuplication) {
   remote.join();
   home.wait_all_joined();
 
-  const std::vector<std::int64_t> expected = expected_array(1, kOps);
-  auto a = home.space().view<std::int64_t>("A");
-  for (std::uint64_t i = 0; i < kElems; ++i) {
-    EXPECT_EQ(a.get(i), expected[i]) << "element " << i;
-  }
+  expect_image(home.space(), expected_array(1, kOps));
   const auto err = dsm::validate_trace(log.snapshot());
   EXPECT_FALSE(err.has_value()) << *err;
   home.stop();

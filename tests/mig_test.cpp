@@ -3,6 +3,7 @@
 // resumable-computation harness, and the §3.1 role state machine.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include <unistd.h>
@@ -16,7 +17,6 @@
 #include "mig/tagged_convert.hpp"
 #include "mig/thread_state.hpp"
 #include "msg/endpoint.hpp"
-#include "msg/tcp.hpp"
 
 namespace mig = hdsm::mig;
 namespace tags = hdsm::tags;
@@ -504,90 +504,6 @@ TEST(Checkpoint, TruncatedCheckpointThrowsRuntimeError) {
         << "cut at " << cut;
   }
   ::unlink(path.c_str());
-}
-
-// ---- socket/session migration -----------------------------------------------------
-
-TEST(SessionMigration, RecordRoundTrip) {
-  mig::SessionRecord r;
-  r.port = 4242;
-  r.rank = 9;
-  r.next_seq = 77;
-  const auto bytes = r.pack();
-  EXPECT_EQ(mig::SessionRecord::unpack(bytes.data(), bytes.size()), r);
-}
-
-TEST(SessionMigration, DeduperDropsReplays) {
-  mig::SessionDeduper dedup;
-  EXPECT_TRUE(dedup.accept(1, 1));
-  EXPECT_TRUE(dedup.accept(1, 2));
-  EXPECT_FALSE(dedup.accept(1, 2));  // replay after reconnect
-  EXPECT_FALSE(dedup.accept(1, 1));
-  EXPECT_TRUE(dedup.accept(2, 1));   // other sessions unaffected
-  EXPECT_TRUE(dedup.accept(1, 3));
-  EXPECT_EQ(dedup.last_seen(1), 3u);
-}
-
-TEST(SessionMigration, ShortSessionPayloadThrowsRuntimeError) {
-  hdsm::msg::Message m;
-  m.rank = 4;
-  for (std::size_t len = 0; len < 8; ++len) {
-    m.payload.assign(len, std::byte{1});
-    EXPECT_THROW(mig::parse_session_message(m), std::runtime_error) << len;
-  }
-  // The bare sequence number is a complete message with an empty body.
-  m.payload.assign(8, std::byte{0});
-  m.payload[7] = std::byte{9};
-  const mig::SessionMessage sm = mig::parse_session_message(m);
-  EXPECT_EQ(sm.rank, 4u);
-  EXPECT_EQ(sm.seq, 9u);
-  EXPECT_TRUE(sm.payload.empty());
-}
-
-TEST(SessionMigration, SessionSurvivesReconnectAcrossNodes) {
-  hdsm::msg::TcpListener listener(0);
-  std::vector<std::uint64_t> seen;  // payload values accepted by the server
-  mig::SessionDeduper dedup;
-  std::atomic<bool> server_done{false};
-
-  std::thread server([&] {
-    // Two connections: before and after the "migration".
-    for (int conn = 0; conn < 2; ++conn) {
-      hdsm::msg::EndpointPtr ep = listener.accept();
-      try {
-        for (;;) {
-          const hdsm::msg::Message m = ep->recv();
-          const mig::SessionMessage sm = mig::parse_session_message(m);
-          if (dedup.accept(sm.rank, sm.seq)) {
-            seen.push_back(std::to_integer<std::uint64_t>(sm.payload.at(0)));
-          }
-        }
-      } catch (const hdsm::msg::ChannelClosed&) {
-        // next connection
-      }
-    }
-    server_done = true;
-  });
-
-  mig::SessionRecord mid_record;
-  {
-    mig::MigratableSession s(listener.port(), /*rank=*/5);
-    s.send({std::byte{10}});
-    s.send({std::byte{11}});
-    mid_record = s.capture();  // state crosses to another node
-    s.close();
-  }
-  {
-    mig::MigratableSession resumed(mid_record);
-    // A cautious resume replays the last message; the server dedupes.
-    EXPECT_EQ(resumed.next_seq(), 3u);
-    resumed.send({std::byte{12}});
-    resumed.send({std::byte{13}});
-    resumed.close();
-  }
-  server.join();
-  EXPECT_TRUE(server_done.load());
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{10, 11, 12, 13}));
 }
 
 // ---- roles ------------------------------------------------------------------------

@@ -101,7 +101,7 @@ TEST(Framing, BadMagicRejected) {
 
 TEST(Framing, BadTypeRejected) {
   // 0 and 200 were never types; 15-17 are the retired multi-shard
-  // directory's redirect and pending-pull frames (docs/PROTOCOL.md §8).
+  // directory's redirect and pending-pull frames (docs/PROTOCOL.md §7).
   for (const std::uint8_t type : {0, 15, 16, 17, 200}) {
     msg::Message m = sample_message();
     std::vector<std::byte> frame = msg::encode_frame(m);

@@ -25,8 +25,8 @@
 #include "dsm/run_ranks.hpp"
 #include "dsm/sharded_remote.hpp"
 #include "dsm/trace.hpp"
+#include "lock_workload.hpp"
 #include "msg/faulty.hpp"
-#include "test_time.hpp"
 
 namespace hdsm::test {
 
@@ -35,15 +35,6 @@ constexpr std::uint64_t kReplElems = 64;
 inline tags::TypePtr repl_gthv() {
   return tags::TypeDesc::struct_of(
       "G", {{"A", tags::TypeDesc::array(tags::t_longlong(), kReplElems)}});
-}
-
-inline dsm::RetryPolicy repl_fast_retry() {
-  dsm::RetryPolicy p;
-  p.timeout = scaled(std::chrono::milliseconds(25));
-  p.backoff = 1.5;
-  p.max_timeout = scaled(std::chrono::milliseconds(200));
-  p.max_retries = 12;
-  return p;
 }
 
 inline std::vector<std::pair<std::uint64_t, std::int64_t>> repl_ops_of(
@@ -135,7 +126,7 @@ inline std::chrono::nanoseconds converge_replicated(
         } finished{remotes_done};
         const auto rank = static_cast<std::uint32_t>(i + 1);
         dsm::ShardedRemoteOptions ropts;
-        ropts.retry = repl_fast_retry();
+        ropts.retry = fast_retry();
         ropts.max_reconnects = 6;
         ropts.reconnect = [&repl, &wrap, rank] {
           return wrap(rank, /*redial=*/true, repl.redial(rank));

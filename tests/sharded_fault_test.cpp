@@ -10,7 +10,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <random>
 #include <utility>
 #include <vector>
 
@@ -19,7 +18,7 @@
 #include "msg/faulty.hpp"
 #include "obj/object_dsm.hpp"
 #include "replicated_harness.hpp"
-#include "test_time.hpp"
+#include "lock_workload.hpp"
 
 namespace dsm = hdsm::dsm;
 namespace tags = hdsm::tags;
@@ -28,43 +27,15 @@ namespace msg = hdsm::msg;
 namespace obj = hdsm::obj;
 
 using namespace std::chrono_literals;
+using hdsm::test::expect_image;
+using hdsm::test::expected_array;
+using hdsm::test::fast_retry;
+using hdsm::test::gthv;
+using hdsm::test::kElems;
+using hdsm::test::ops_of;
+using hdsm::test::run_workload;
 
 namespace {
-
-constexpr std::uint64_t kElems = 64;
-
-tags::TypePtr gthv() {
-  return tags::TypeDesc::struct_of(
-      "G", {{"A", tags::TypeDesc::array(tags::t_longlong(), kElems)}});
-}
-
-dsm::RetryPolicy fast_retry() {
-  dsm::RetryPolicy p;
-  p.timeout = hdsm::test::scaled(25ms);
-  p.backoff = 1.5;
-  p.max_timeout = hdsm::test::scaled(200ms);
-  p.max_retries = 12;
-  return p;
-}
-
-std::vector<std::pair<std::uint64_t, std::int64_t>> ops_of(std::uint32_t rank,
-                                                           int ops) {
-  std::vector<std::pair<std::uint64_t, std::int64_t>> v;
-  std::mt19937_64 rng(500 + rank);
-  for (int i = 0; i < ops; ++i) {
-    v.emplace_back(rng() % kElems,
-                   static_cast<std::int64_t>(rng() % 100) - 50);
-  }
-  return v;
-}
-
-std::vector<std::int64_t> expected_array(std::uint32_t num_remotes, int ops) {
-  std::vector<std::int64_t> e(kElems, 0);
-  for (std::uint32_t r = 1; r <= num_remotes; ++r) {
-    for (const auto& [idx, delta] : ops_of(r, ops)) e[idx] += delta;
-  }
-  return e;
-}
 
 /// Run `num_remotes` remotes with every session behind its own
 /// deterministic FaultyEndpoint.  Converges, validates the trace.
@@ -96,22 +67,9 @@ void converge_cluster(const msg::FaultOptions& fault,
         home.barrier(0);
         home.wait_all_joined();
       },
-      [&](dsm::ShardedRemote& remote) {
-        for (const auto& [idx, delta] : ops_of(remote.rank(), ops)) {
-          remote.lock(0);
-          auto a = remote.space().view<std::int64_t>("A");
-          a.set(idx, a.get(idx) + delta);
-          remote.unlock(0);
-        }
-        remote.barrier(0);
-        remote.join();
-      }));
+      [&](dsm::ShardedRemote& remote) { run_workload(remote, ops); }));
 
-  const std::vector<std::int64_t> expected = expected_array(num_remotes, ops);
-  auto a = cluster.home().space().view<std::int64_t>("A");
-  for (std::uint64_t i = 0; i < kElems; ++i) {
-    EXPECT_EQ(a.get(i), expected[i]) << "element " << i;
-  }
+  expect_image(cluster.home().space(), expected_array(num_remotes, ops));
   hdsm::test::check_log(log, "home");
 }
 

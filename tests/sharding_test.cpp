@@ -7,7 +7,6 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
-#include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "dsm/sharded_remote.hpp"
 #include "dsm/trace.hpp"
 #include "dsm/update.hpp"
+#include "lock_workload.hpp"
 #include "memory/write_trap.hpp"
 #include "msg/message.hpp"
 
@@ -25,54 +25,14 @@ namespace tags = hdsm::tags;
 namespace plat = hdsm::plat;
 namespace msg = hdsm::msg;
 
+using hdsm::test::expect_image;
+using hdsm::test::expected_array;
+using hdsm::test::gthv;
+using hdsm::test::kElems;
+using hdsm::test::ops_of;
+using hdsm::test::run_workload;
+
 namespace {
-
-constexpr std::uint64_t kElems = 64;
-
-tags::TypePtr gthv() {
-  return tags::TypeDesc::struct_of(
-      "G", {{"A", tags::TypeDesc::array(tags::t_longlong(), kElems)}});
-}
-
-/// Same deterministic op streams as fault_test: the expected master image
-/// is computable without running the cluster.
-std::vector<std::pair<std::uint64_t, std::int64_t>> ops_of(std::uint32_t rank,
-                                                           int ops) {
-  std::vector<std::pair<std::uint64_t, std::int64_t>> v;
-  std::mt19937_64 rng(500 + rank);
-  for (int i = 0; i < ops; ++i) {
-    v.emplace_back(rng() % kElems,
-                   static_cast<std::int64_t>(rng() % 100) - 50);
-  }
-  return v;
-}
-
-std::vector<std::int64_t> expected_array(std::uint32_t num_remotes, int ops) {
-  std::vector<std::int64_t> e(kElems, 0);
-  for (std::uint32_t r = 1; r <= num_remotes; ++r) {
-    for (const auto& [idx, delta] : ops_of(r, ops)) e[idx] += delta;
-  }
-  return e;
-}
-
-void run_workload(dsm::ShardedRemote& remote, int ops, std::uint32_t lock) {
-  for (const auto& [idx, delta] : ops_of(remote.rank(), ops)) {
-    remote.lock(lock);
-    auto a = remote.space().view<std::int64_t>("A");
-    a.set(idx, a.get(idx) + delta);
-    remote.unlock(lock);
-  }
-  remote.barrier(0);
-  remote.join();
-}
-
-void expect_image(dsm::GlobalSpace& space,
-                  const std::vector<std::int64_t>& expected) {
-  auto a = space.view<std::int64_t>("A");
-  for (std::uint64_t i = 0; i < kElems; ++i) {
-    EXPECT_EQ(a.get(i), expected[i]) << "element " << i;
-  }
-}
 
 void expect_valid(const dsm::TraceLog& log, const char* which) {
   const auto err = dsm::validate_trace(log.snapshot());
@@ -151,7 +111,7 @@ TEST(ShardedHome, OneShardBehavesLikeSingleHome) {
         home.barrier(0);
         home.wait_all_joined();
       },
-      [&](dsm::ShardedRemote& remote) { run_workload(remote, kOps, 0); });
+      [&](dsm::ShardedRemote& remote) { run_workload(remote, kOps); });
 
   expect_image(cluster.home().space(), expected_array(2, kOps));
   expect_valid(log, "shard 0");

@@ -2,7 +2,7 @@
 # description, so every MsgType enumerator and every Message frame-header
 # field declared in src/msg/message.hpp must be mentioned there, and every
 # CoherenceEvent::Kind enumerator in src/dsm/coherence_core.hpp must open a
-# row of its §7 event table (`Name{...}` in backticks).  Catches the
+# row of its §6 event table (`Name{...}` in backticks).  Catches the
 # classic failure mode of adding a message type, header field or core
 # event and forgetting the spec (the compressed-payload flag nearly
 # shipped that way).
@@ -96,7 +96,7 @@ if(missing)
   list(JOIN missing ", " missing_str)
   message(FATAL_ERROR
           "check_protocol_tables: docs/PROTOCOL.md does not mention: "
-          "${missing_str}.  Update the frame table / MsgType table / §7 "
+          "${missing_str}.  Update the frame table / MsgType table / §6 "
           "event table to keep the spec normative.")
 endif()
 
